@@ -156,9 +156,14 @@ def _point_list(v, path):
     vec2 = _vec(2)
     return tuple(vec2(x, f"{path}[{i}]") for i, x in enumerate(_seq(v, path)))
 
+def _rect(v, path):
+    x0, y0, x1, y1 = _vec(4)(v, path)
+    if not (x0 < x1 and y0 < y1):
+        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {v!r}")
+    return (x0, y0, x1, y1)
+
 def _rect_list(v, path):
-    vec4 = _vec(4)
-    return tuple(vec4(x, f"{path}[{i}]") for i, x in enumerate(_seq(v, path)))
+    return tuple(_rect(x, f"{path}[{i}]") for i, x in enumerate(_seq(v, path)))
 
 
 _STATION_FIELDS = ("position", "tx_power_dbm", "antennas")
@@ -210,7 +215,7 @@ _FIELD_CHECKS = {
     "tx_power_a": _positive,
     "tx_power_b": _positive,
     "cost_per_panel": _positive,
-    "rel_tol": _nonneg,
+    "rel_tol": _positive,
     "budget": _nonneg,
     "insertion_loss_db": _nonneg,
     "oob_attenuation_db": _nonneg_inf_ok,
@@ -237,7 +242,7 @@ _FIELD_CHECKS = {
     "ue_a_position": _vec(3),
     "nb_b_position": _vec(3),
     "ue_b_position": _vec(3),
-    "extent": _vec(4),
+    "extent": _rect,
     "n_list": _int_list(1, nonempty=True),
     "quantization_bits": _int_list(1),
     "qos_weights": _weight_list,
@@ -246,6 +251,22 @@ _FIELD_CHECKS = {
     "candidate_sites": _point_list,
     "base_stations": _station_list,
 }
+
+
+def _check_inside_extent(merged: dict) -> None:
+    """Obstacles, candidate sites and base stations must lie in the extent."""
+    x0, y0, x1, y1 = merged["extent"]
+    for i, (a, b, c, d) in enumerate(merged["obstacles"]):
+        if a < x0 or b < y0 or c > x1 or d > y1:
+            raise ConfigError(f"scenario.obstacles[{i}]",
+                              f"leaves the extent {merged['extent']}")
+    points = [(f"scenario.candidate_sites[{i}]", p)
+              for i, p in enumerate(merged["candidate_sites"])]
+    points += [(f"scenario.base_stations[{i}].position", st["position"])
+               for i, st in enumerate(merged["base_stations"])]
+    for path, (x, y) in points:
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            raise ConfigError(path, f"lies outside the extent {merged['extent']}")
 
 
 def _validate_scenario(experiment: str, raw) -> dict:
@@ -275,6 +296,8 @@ def _validate_scenario(experiment: str, raw) -> dict:
             "scenario.t2",
             f"t2 must be >= t1, got t1={merged['t1']}, t2={merged['t2']}",
         )
+    if experiment == "deploy":
+        _check_inside_extent(merged)
     if experiment == "multiuser":
         weights = merged["qos_weights"]
         if weights and len(weights) != merged["n_users"]:

@@ -9,7 +9,7 @@ keeps the link budget 2-D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class BaseStation:
     antennas: int = 1
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(-1)[:2]
+        p = np.array(self.position, dtype=float).reshape(-1)[:2]
         if not np.all(np.isfinite(p)):
             raise GeometryError("base station position must be finite")
         p.setflags(write=False)
@@ -44,7 +44,12 @@ class BaseStation:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Service area, blockers, stations and candidate panel sites."""
+    """Service area, blockers, stations and candidate panel sites.
+
+    Positions are read-only copies, so the blocked-sight masks that the
+    coverage raster derives from them are built once per scene, on first
+    use, and kept in `_sight`.
+    """
 
     extent: tuple
     obstacles: tuple
@@ -52,6 +57,7 @@ class Scene:
     candidate_sites: tuple
     grid_resolution: float
     wavelength: float
+    _sight: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         x0, y0, x1, y1 = (float(v) for v in self.extent)
@@ -72,10 +78,11 @@ class Scene:
             raise GeometryError("scene needs at least one base station")
         sites = []
         for s in self.candidate_sites:
-            p = np.asarray(s, dtype=float).reshape(-1)[:2]
+            p = np.array(s, dtype=float).reshape(-1)[:2]
             if not np.all(np.isfinite(p)):
                 raise GeometryError("candidate site must be finite")
             self._check_inside(p)
+            p.setflags(write=False)
             sites.append(p)
         for bs in self.base_stations:
             self._check_inside(bs.position)
@@ -117,15 +124,16 @@ def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:
     for p, q, lo, hi in ((px, qx, a, c), (py, qy, b, d)):
         dd = q - p
         degenerate = dd == 0.0
-        inside = (p >= lo) & (p <= hi)
-        ok &= ~degenerate | inside
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = np.where(degenerate, 0.0, (lo - p) / np.where(degenerate, 1.0, dd))
-            tb = np.where(degenerate, 1.0, (hi - p) / np.where(degenerate, 1.0, dd))
-        lo_t = np.minimum(ta, tb)
-        hi_t = np.maximum(ta, tb)
-        t_lo = np.maximum(t_lo, np.where(degenerate, t_lo, lo_t))
-        t_hi = np.minimum(t_hi, np.where(degenerate, t_hi, hi_t))
+        ok &= ~degenerate | ((p >= lo) & (p <= hi))
+        # a degenerate axis constrains nothing but the `inside` test above
+        dd = np.where(degenerate, 1.0, dd)
+        moving = ~degenerate
+        ta = lo - p
+        ta /= dd
+        tb = hi - p
+        tb /= dd
+        np.maximum(t_lo, np.minimum(ta, tb), out=t_lo, where=moving)
+        np.minimum(t_hi, np.maximum(ta, tb), out=t_hi, where=moving)
     ok &= t_lo <= t_hi
     # an inner parameter t in (0, 1) must hit the rectangle
     inner = (t_lo < t_hi) | ((t_lo > 0.0) & (t_lo < 1.0))
@@ -144,12 +152,40 @@ def los_blocked(scene: Scene, p, q) -> bool:
     return False
 
 
-def _blocked_grid(scene: Scene, gx, gy, q) -> np.ndarray:
-    """Blocked mask of every grid point toward a fixed endpoint q."""
-    out = np.zeros(gx.shape, dtype=bool)
+def _blocked_toward(scene: Scene, px, py, q) -> np.ndarray:
+    """Blocked mask of every point (px, py) toward a fixed endpoint q."""
+    out = np.zeros(px.shape, dtype=bool)
     for rect in scene.obstacles:
-        out |= _segment_blocked(gx, gy, float(q[0]), float(q[1]), rect)
+        out |= _segment_blocked(px, py, float(q[0]), float(q[1]), rect)
     return out
+
+
+def _station_sight(scene: Scene, b: int, gx, gy) -> np.ndarray:
+    """Grid cells with no sight of base station b, cached on the scene."""
+    key = ("station", b)
+    if key not in scene._sight:
+        mask = _blocked_toward(scene, gx, gy, scene.base_stations[b].position)
+        mask.setflags(write=False)
+        scene._sight[key] = mask
+    return scene._sight[key]
+
+
+def _site_sight(scene: Scene, s: int, gx, gy):
+    """(grid mask, per-station hop mask) of blocked sight toward candidate
+    site s, cached on the scene.
+
+    The base stations ride along with the grid cells in the same sweep, each
+    as the start point of its station -> site hop.
+    """
+    key = ("site", s)
+    if key not in scene._sight:
+        stations = np.array([bs.position for bs in scene.base_stations])
+        px = np.concatenate((gx.ravel(), stations[:, 0]))
+        py = np.concatenate((gy.ravel(), stations[:, 1]))
+        blocked = _blocked_toward(scene, px, py, scene.candidate_sites[s])
+        blocked.setflags(write=False)
+        scene._sight[key] = (blocked[:gx.size].reshape(gx.shape), blocked[gx.size:])
+    return scene._sight[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +219,56 @@ class DeploymentPlan:
             raise ValueError("panels placed on duplicate sites")
 
 
+def _grid(scene: Scene):
+    xs, ys = scene.grid_points()
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    return xs, ys, gx, gy
+
+
+def _noise_dbm(params: ChannelParams) -> float:
+    return 10.0 * math.log10(params.noise_power * 1e3)
+
+
+def _panel_gain_db(n_elements: int, gain_scale: float) -> float:
+    """Coherent N^2 power gain of a panel, scaled by gain_scale^2."""
+    return 20.0 * math.log10(n_elements * gain_scale)
+
+
+def _seg_gain_db(scene: Scene, params: ChannelParams, dist):
+    d = np.maximum(dist, _MIN_LINK_DISTANCE)
+    return 10.0 * params.path_loss_exponent * np.log10(
+        scene.wavelength / (4.0 * math.pi * d))
+
+
+def _direct_dbm(scene: Scene, params: ChannelParams, gx, gy) -> np.ndarray:
+    """Direct-route layer: received dBm from the strongest base station in
+    sight of each cell, -inf where none is."""
+    out = np.full(gx.shape, -np.inf)
+    for b, bs in enumerate(scene.base_stations):
+        d = np.hypot(gx - bs.position[0], gy - bs.position[1])
+        dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, d)
+        dbm[_station_sight(scene, b, gx, gy)] = -np.inf
+        np.maximum(out, dbm, out=out)
+    return out
+
+
+def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
+              params: ChannelParams, gx, gy) -> np.ndarray:
+    """Route layer of a panel at candidate site s: the best two-hop budget
+    over the stations the site sees, -inf where either hop is blocked."""
+    site = scene.candidate_sites[s]
+    grid_blocked, hop_blocked = _site_sight(scene, s, gx, gy)
+    out = np.full(gx.shape, -np.inf)
+    to_grid_db = _seg_gain_db(scene, params, np.hypot(gx - site[0], gy - site[1]))
+    for bs, blocked in zip(scene.base_stations, hop_blocked):
+        if blocked:
+            continue
+        hop1_db = _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
+        np.maximum(out, bs.tx_power_dbm + hop1_db + panel_gain_db + to_grid_db, out=out)
+    out[grid_blocked] = -np.inf
+    return out
+
+
 def snr_map(
     scene: Scene,
     plan: DeploymentPlan,
@@ -195,46 +281,24 @@ def snr_map(
     Direct routes take the strongest base station with line of sight; a
     panel route needs sight on both hops and contributes the two-segment
     budget with the coherent N^2 panel gain (scaled by gain_scale^2).
-    Blocked routes contribute nothing.
+    Blocked routes contribute nothing.  The raster is the cell-wise maximum
+    of a direct-route layer and one route layer per placed panel.  The
+    blocked-sight masks behind the layers are built once per scene and
+    cached on it, so repeated rasters of one scene redo only the distance
+    terms.
     """
     if not (gain_scale >= 0.0 and math.isfinite(gain_scale)):
         raise ValueError(f"gain_scale must be non-negative, got {gain_scale}")
-    lam = scene.wavelength
-    alpha = params.path_loss_exponent
-    noise_dbm = 10.0 * math.log10(params.noise_power * 1e3)
-    xs, ys = scene.grid_points()
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-
-    def seg_gain_db(dist):
-        d = np.maximum(dist, _MIN_LINK_DISTANCE)
-        return 10.0 * alpha * np.log10(lam / (4.0 * math.pi * d))
-
-    direct_dbm = np.full(gx.shape, -np.inf)
-    for bs in scene.base_stations:
-        d = np.hypot(gx - bs.position[0], gy - bs.position[1])
-        dbm = bs.tx_power_dbm + seg_gain_db(d)
-        dbm[_blocked_grid(scene, gx, gy, bs.position)] = -np.inf
-        direct_dbm = np.maximum(direct_dbm, dbm)
-
+    xs, ys, gx, gy = _grid(scene)
+    direct_dbm = _direct_dbm(scene, params, gx, gy)
     ris_dbm = np.full(gx.shape, -np.inf)
     placed = plan.placed if gain_scale > 0.0 else ()
     for site_idx, panel in placed:
-        site = scene.candidate_sites[site_idx]
-        panel_gain_db = 20.0 * math.log10(panel.n_elements * gain_scale)
-        to_grid_db = seg_gain_db(np.hypot(gx - site[0], gy - site[1]))
-        grid_blocked = _blocked_grid(scene, gx, gy, site)
-        for bs in scene.base_stations:
-            if los_blocked(scene, bs.position, site):
-                continue
-            hop1_db = seg_gain_db(
-                float(np.hypot(*(bs.position - site)))
-            )
-            dbm = bs.tx_power_dbm + hop1_db + panel_gain_db + to_grid_db
-            dbm = np.where(grid_blocked, -np.inf, dbm)
-            ris_dbm = np.maximum(ris_dbm, dbm)
+        gain_db = _panel_gain_db(panel.n_elements, gain_scale)
+        np.maximum(ris_dbm, _site_dbm(scene, site_idx, gain_db, params, gx, gy), out=ris_dbm)
 
     best_dbm = np.maximum(direct_dbm, ris_dbm)
-    snr = best_dbm - noise_dbm
+    snr = best_dbm - _noise_dbm(params)
     serving = np.full(gx.shape, SERVING_NONE, dtype=np.int8)
     serving[direct_dbm > -np.inf] = SERVING_DIRECT
     serving[ris_dbm > direct_dbm] = SERVING_RIS
@@ -259,6 +323,12 @@ def greedy_place(
     Stops at the coverage target, at budget exhaustion, or as soon as no
     remaining site strictly adds coverage.  Site ties resolve to the
     lowest index.
+
+    Incremental: the best-route dBm raster of the placed panels is kept
+    across steps, and a free site is scored by overlaying its own route
+    layer on it.  The maximum is exact, so every coverage fraction equals
+    that of `snr_map` on the same plan, while the blocked-sight masks come
+    from the scene's cache instead of being rebuilt per candidate.
     """
     if not (cost_per_panel > 0.0 and math.isfinite(cost_per_panel)):
         raise ValueError(f"cost_per_panel must be positive, got {cost_per_panel}")
@@ -266,8 +336,17 @@ def greedy_place(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if not (0.0 < target_fraction <= 1.0):
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
+    _, _, gx, gy = _grid(scene)
+    noise_dbm = _noise_dbm(params)
+    panel_gain_db = _panel_gain_db(panel_template.n_elements, 1.0)
+
+    def coverage(dbm):
+        return float(((dbm - noise_dbm) >= threshold_db).mean())
+
+    best_dbm = _direct_dbm(scene, params, gx, gy)
+    trial = np.empty_like(best_dbm)
+    cov = coverage(best_dbm)
     placed: list = []
-    cov = snr_map(scene, DeploymentPlan(), params, threshold_db).coverage_fraction
     history = [(-1, cov)]
     spent = 0.0
     free = list(range(len(scene.candidate_sites)))
@@ -275,12 +354,9 @@ def greedy_place(
         best_site = -1
         best_cov = cov
         for idx in free:
-            panel = replace(
-                panel_template,
-                position=np.array([*scene.candidate_sites[idx], 0.0]),
-            )
-            trial = DeploymentPlan(placed=tuple(placed + [(idx, panel)]))
-            c = snr_map(scene, trial, params, threshold_db).coverage_fraction
+            np.maximum(best_dbm, _site_dbm(scene, idx, panel_gain_db, params, gx, gy),
+                       out=trial)
+            c = coverage(trial)
             if c > best_cov:
                 best_cov = c
                 best_site = idx
@@ -294,6 +370,8 @@ def greedy_place(
         free.remove(best_site)
         spent += cost_per_panel
         cov = best_cov
+        np.maximum(best_dbm, _site_dbm(scene, best_site, panel_gain_db, params, gx, gy),
+                   out=best_dbm)
         history.append((best_site, cov))
     return DeploymentPlan(
         placed=tuple(placed),

@@ -18,10 +18,6 @@ DEFAULT_RANK_TOL = 1e-8
 #: sigma_min below this fraction of sigma_max is treated as exact singularity
 _SINGULAR_FRACTION = 1e-14
 
-#: relative accuracy of the water-filling power constraint
-_WF_TOL = 1e-10
-_WF_MAX_ITERS = 200
-
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D complex128 array.
@@ -111,38 +107,44 @@ def waterfill_powers(svals, total_power: float, noise_power: float) -> np.ndarra
     Returns
     -------
     ndarray, shape (k,)
-        Non-negative powers summing to total_power within 1e-10 relative.
+        Non-negative powers summing to total_power up to rounding.
     """
     s = np.atleast_1d(np.asarray(svals, dtype=float))
     p = _waterfill_batch(s[None, :], total_power, noise_power)[0]
     return p
 
 
+def _water_level(gains: np.ndarray, total_power: float):
+    """Exact water level of each row of mode gains.
+
+    With the gains sorted in descending order, the level for the m
+    strongest modes is mu[m-1] = (P + sum of their inverse gains) / m, and
+    a mode stays active while that level clears its inverse gain.  Returns
+    the sorted gains, their positivity mask, the candidate levels mu and
+    the active-mode count per row; a row's water level is
+    mu[nact - 1], and a row with nact == 0 has no usable mode.
+    """
+    g = np.sort(gains, axis=1)[:, ::-1]
+    pos = g > 0.0
+    inv = np.where(pos, 1.0 / np.where(pos, g, 1.0), 0.0)
+    csum = np.cumsum(inv, axis=1)
+    m = np.arange(1, g.shape[1] + 1, dtype=float)
+    mu = (total_power + csum) / m[None, :]
+    nact = (pos & (mu > inv)).sum(axis=1)
+    return g, pos, mu, nact
+
+
 def _waterfill_batch(svals: np.ndarray, total_power: float, noise_power: float) -> np.ndarray:
-    """Vectorised bisection on the water level, one row per channel."""
+    """Water-filled powers, one row per channel, in the input mode order."""
     _check_powers(total_power, noise_power)
     gains = svals.astype(float) ** 2 / noise_power
     active = gains > 0.0
     inv = np.where(active, 1.0 / np.where(active, gains, 1.0), 0.0)
-    b = gains.shape[0]
-    # rows with no usable mode keep a zero allocation
-    usable = active.any(axis=1)
-    lo = np.zeros(b)
-    hi = total_power + np.where(usable, np.max(inv, axis=1), 1.0)
-    target = total_power
-    for _ in range(_WF_MAX_ITERS):
-        mu = 0.5 * (lo + hi)
-        alloc = np.maximum(mu[:, None] - inv, 0.0) * active
-        tot = alloc.sum(axis=1)
-        too_much = tot > target
-        hi = np.where(too_much, mu, hi)
-        lo = np.where(too_much, lo, mu)
-        if np.all(~usable | (np.abs(tot - target) <= _WF_TOL * target)):
-            break
-    mu = 0.5 * (lo + hi)
-    alloc = np.maximum(mu[:, None] - inv, 0.0) * active
-    alloc[~usable] = 0.0
-    return alloc
+    _, _, mu, nact = _water_level(gains, total_power)
+    usable = nact > 0
+    level = np.zeros(gains.shape[0])
+    level[usable] = mu[usable, nact[usable] - 1]
+    return np.maximum(level[:, None] - inv, 0.0) * active
 
 
 def capacity_from_singular_values(svals, total_power: float, noise_power: float):
@@ -161,33 +163,25 @@ def capacity_from_singular_values(svals, total_power: float, noise_power: float)
 
 
 def capacity_closed_form(svals, total_power: float, noise_power: float):
-    """Water-filled capacity via the exact sorted-mode water level.
+    """Water-filled capacity straight from the exact sorted-mode water level.
 
-    Same optimum as the bisection allocator but loop-free, so it is the
-    evaluator of choice inside phase-sweep hot loops; the two routes agree
-    to the bisection tolerance (cross-checked in the test suite).
-    Accepts (k,) or (b, k) spectra like `capacity_from_singular_values`.
+    Skips the per-mode powers and sums log2(level * gain) over the active
+    modes, so it is the evaluator of choice inside phase-sweep hot loops.
+    It shares its water level with `waterfill_powers`, and the test suite
+    checks both against a grid-search oracle.  Accepts (k,) or (b, k)
+    spectra like `capacity_from_singular_values`.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
     single = s.ndim == 1
     s2 = s[None, :] if single else s
-    gains = np.sort(s2**2 / noise_power, axis=1)[:, ::-1]
-    pos = gains > 0.0
-    inv = np.where(pos, 1.0 / np.where(pos, gains, 1.0), 0.0)
-    csum = np.cumsum(inv, axis=1)
-    m = np.arange(1, gains.shape[1] + 1, dtype=float)
-    mu = (total_power + csum) / m[None, :]
-    # a mode stays active while the water level clears its inverse gain
-    valid = pos & (mu > inv)
-    nact = valid.sum(axis=1)
+    gains, pos, mu, nact = _water_level(s2**2 / noise_power, total_power)
     cap = np.zeros(gains.shape[0])
     usable = nact > 0
     if np.any(usable):
         idx = nact[usable] - 1
-        mu_star = mu[usable, idx]
         logsum = np.cumsum(np.log2(np.where(pos, gains, 1.0)), axis=1)[usable, idx]
-        cap[usable] = nact[usable] * np.log2(mu_star) + logsum
+        cap[usable] = nact[usable] * np.log2(mu[usable, idx]) + logsum
     return float(cap[0]) if single else cap
 
 

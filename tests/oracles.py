@@ -69,14 +69,17 @@ def jacobi_singular_values(a, tol: float = 1e-13, max_sweeps: int = 60):
 # brute-force water-filling
 
 def gridsearch_waterfill_capacity(svals, total_power: float, noise_power: float,
-                                  coarse: int = 60, refine: int = 20):
+                                  coarse: int = 60, refine: int = 20, rounds: int = 1):
     """Best capacity found by simplex grid search over power allocations.
 
-    A coarse sweep locates the neighbourhood of the optimum; a second
-    sweep retraces a shrunken simplex window around it.  Never exceeds
-    the true optimum (every evaluated point is feasible).
+    A coarse sweep locates the neighbourhood of the optimum; each of
+    `rounds` further sweeps spans two grid steps either side of the best
+    point so far, on a grid 2/refine times as fine as the one before.
+    Never exceeds the true optimum (every evaluated point is feasible).  The strongest mode, which is always active, takes the
+    power the grid leaves over, so an inactive weak mode never has to be
+    hit exactly.
     """
-    gains = np.asarray(svals, dtype=float) ** 2 / noise_power
+    gains = np.sort(np.asarray(svals, dtype=float) ** 2 / noise_power)
     k = gains.shape[0]
 
     def sweep(center, width, steps):
@@ -97,8 +100,12 @@ def gridsearch_waterfill_capacity(svals, total_power: float, noise_power: float,
     center = np.full(k, total_power / k)
     best, at = sweep(center, total_power, coarse)
     step = 2.0 * total_power / coarse
-    best2, _ = sweep(at, step, 2 * refine)
-    return max(best, best2)
+    for _ in range(rounds):
+        cap, near = sweep(at, step, 2 * refine)
+        if cap > best:
+            best, at = cap, near
+        step = 2.0 * step / refine
+    return best
 
 
 # ---------------------------------------------------------------------------

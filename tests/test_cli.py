@@ -133,6 +133,27 @@ def test_station_fields_validated_with_nested_path():
         validate_config(text)
 
 
+def test_zero_rel_tol_rejected_at_dotted_path():
+    # the phase ascent needs a strictly positive stopping tolerance
+    text = "experiment: multiuser\nscenario:\n  rel_tol: 0\n"
+    with pytest.raises(ConfigError, match=r"scenario\.rel_tol"):
+        validate_config(text)
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("extent", "[0, 0, 0, 60]", r"scenario\.extent"),
+    ("obstacles", "[[50, 20, 45, 40]]", r"scenario\.obstacles\[0\]"),
+    ("obstacles", "[[90, 20, 110, 40]]", r"scenario\.obstacles\[0\]"),
+    ("candidate_sites", "[[60, 8], [50, 61]]", r"scenario\.candidate_sites\[1\]"),
+    ("base_stations", "[{position: [-1, 30], tx_power_dbm: 30}]",
+     r"scenario\.base_stations\[0\]\.position"),
+])
+def test_deploy_geometry_checked_like_the_scene(field, value, path):
+    text = f"experiment: deploy\nscenario:\n  threshold_db: 24.0\n  {field}: {value}\n"
+    with pytest.raises(ConfigError, match=path):
+        validate_config(text)
+
+
 def test_output_path_must_be_a_string():
     with pytest.raises(ConfigError, match="output"):
         validate_config("experiment: rank\noutput: 3\n")
@@ -195,6 +216,15 @@ def test_main_validation_failure_exits_one(tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert "invalid config" in captured.err and "trails" in captured.err
+
+
+def test_main_zero_rel_tol_exits_one(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "experiment: multiuser\nscenario:\n  rel_tol: 0\n")
+    rc = main(["multiuser", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "invalid config" in captured.err and "scenario.rel_tol" in captured.err
 
 
 def test_main_subcommand_must_match_experiment(tmp_path, capsys):

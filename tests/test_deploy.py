@@ -2,11 +2,15 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import segment_hits_rectangle_exact
+from ris_sim import deploy
 from ris_sim.channel import ChannelParams, GeometryError
 from ris_sim.deploy import (
     SERVING_DIRECT,
@@ -307,3 +311,176 @@ def test_coverage_fraction_property():
         threshold_db=0.0,
     )
     assert cm.coverage_fraction == 0.75
+
+
+# ---------------------------------------------------------------------------
+# incremental placement and the per-scene sight cache against rebuilds
+#
+# Seeded scenes cover two base stations, a site whose station hop is
+# blocked, a site on an obstacle wall and twin sites that tie exactly.
+
+_segment_blocked = deploy._segment_blocked
+_SWEEP_SCALES = (0.0, 0.5, 1.0, 1.5)
+
+
+def _seeded_scene(seed, two_stations, blocked_hop, wall_site, twin):
+    rng = np.random.default_rng(seed)
+    stations = [BaseStation(position=(rng.uniform(1.0, 8.0), rng.uniform(6.0, 18.0)),
+                            tx_power_dbm=30.0)]
+    if two_stations:
+        stations.append(BaseStation(position=(rng.uniform(1.0, 39.0), rng.uniform(1.0, 23.0)),
+                                    tx_power_dbm=rng.uniform(20.0, 30.0)))
+    obstacles = []
+    for _ in range(rng.integers(1, 4)):
+        x, y = rng.uniform(12.0, 30.0), rng.uniform(4.0, 15.0)
+        obstacles.append((x, y, x + rng.uniform(1.0, 4.0), y + rng.uniform(1.0, 4.0)))
+    sites = [tuple(rng.uniform((10.0, 1.0), (39.0, 23.0))) for _ in range(rng.integers(2, 5))]
+    a, b, c, d = obstacles[0]
+    if blocked_hop:
+        # just past the far face of the first obstacle, on the ray from the
+        # first station through its centre
+        centre = np.array([(a + c) / 2.0, (b + d) / 2.0])
+        u = centre - stations[0].position
+        u /= np.hypot(*u)
+        exit_t = min(h / abs(v) for h, v in (((c - a) / 2.0, u[0]), ((d - b) / 2.0, u[1]))
+                     if v != 0.0)
+        sites.append(tuple(centre + (exit_t + 0.25) * u))
+    if wall_site:
+        sites.append((a, (b + d) / 2.0))
+    if twin:
+        sites.append(sites[0])
+    scene = Scene(
+        extent=(0.0, 0.0, 40.0, 24.0),
+        obstacles=tuple(obstacles),
+        base_stations=tuple(stations),
+        candidate_sites=tuple(sites),
+        grid_resolution=1.0,
+        wavelength=0.1,
+    )
+    return scene, float(rng.uniform(45.0, 60.0)), float(rng.integers(1, 5))
+
+
+def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
+    """The raster with every blocked-sight mask rebuilt on the spot."""
+    lam, alpha = scene.wavelength, params.path_loss_exponent
+    xs, ys = scene.grid_points()
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+
+    def gain_db(dist):
+        return 10.0 * alpha * np.log10(lam / (4.0 * math.pi * np.maximum(dist, 1e-3)))
+
+    def blocked(q):
+        out = np.zeros(gx.shape, dtype=bool)
+        for rect in scene.obstacles:
+            out |= _segment_blocked(gx, gy, float(q[0]), float(q[1]), rect)
+        return out
+
+    direct = np.full(gx.shape, -np.inf)
+    for bs in scene.base_stations:
+        dbm = bs.tx_power_dbm + gain_db(np.hypot(gx - bs.position[0], gy - bs.position[1]))
+        dbm[blocked(bs.position)] = -np.inf
+        direct = np.maximum(direct, dbm)
+    ris = np.full(gx.shape, -np.inf)
+    for idx, panel in plan.placed if gain_scale > 0.0 else ():
+        site = scene.candidate_sites[idx]
+        to_grid = gain_db(np.hypot(gx - site[0], gy - site[1]))
+        for bs in scene.base_stations:
+            if any(_segment_blocked(bs.position[0], bs.position[1], site[0], site[1], r)
+                   for r in scene.obstacles):
+                continue
+            dbm = (bs.tx_power_dbm + gain_db(float(np.hypot(*(bs.position - site))))
+                   + 20.0 * math.log10(panel.n_elements * gain_scale) + to_grid)
+            ris = np.maximum(ris, np.where(blocked(site), -np.inf, dbm))
+    snr = np.maximum(direct, ris) - 10.0 * math.log10(params.noise_power * 1e3)
+    serving = np.where(ris > direct, SERVING_RIS,
+                       np.where(direct > -np.inf, SERVING_DIRECT, SERVING_NONE))
+    return snr, snr >= threshold_db, serving
+
+
+def _rescan_greedy(scene, threshold_db, budget, target):
+    """Greedy history with every free site rescored by a full `snr_map`."""
+    def cov(sites):
+        plan = DeploymentPlan(placed=tuple((s, TEMPLATE) for s in sites))
+        return snr_map(scene, plan, PARAMS, threshold_db).coverage_fraction
+
+    placed, spent = [], 0.0
+    history = [(-1, cov(placed))]
+    free = list(range(len(scene.candidate_sites)))
+    while spent + 1.0 <= budget and history[-1][1] < target and free:
+        scores = [cov(placed + [s]) for s in free]
+        best = max(scores)
+        if best <= history[-1][1]:
+            break
+        site = free[scores.index(best)]
+        placed.append(site)
+        free.remove(site)
+        spent += 1.0
+        history.append((site, best))
+    return tuple(history)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), two_stations=st.booleans(),
+       blocked_hop=st.booleans(), wall_site=st.booleans(), twin=st.booleans(),
+       target=st.sampled_from((0.6, 0.9, 1.0)))
+def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
+        seed, two_stations, blocked_hop, wall_site, twin, target):
+    scene, threshold, budget = _seeded_scene(seed, two_stations, blocked_hop, wall_site, twin)
+    if blocked_hop:
+        hop_site = scene.candidate_sites[-1 - wall_site - twin]
+        assert los_blocked(scene, scene.base_stations[0].position, hop_site)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _segment_blocked(*args)
+
+    deploy._segment_blocked = counted
+    try:
+        plan = greedy_place(scene, TEMPLATE, PARAMS, 1.0, budget, threshold, target)
+        sweep = [cell_breathing(scene, plan, PARAMS, s, threshold) for s in _SWEEP_SCALES]
+        history = _rescan_greedy(scene, threshold, budget, target)
+    finally:
+        deploy._segment_blocked = _segment_blocked
+
+    assert plan.history == history
+    assert [s for s, _ in plan.placed] == [s for s, _ in history[1:]]
+    if twin:
+        # the twin ties site 0 and never adds coverage next to it
+        assert len(scene.candidate_sites) - 1 not in [s for s, _ in plan.placed]
+    every_site = DeploymentPlan(
+        placed=tuple((i, TEMPLATE) for i in range(len(scene.candidate_sites))))
+    checks = [(plan, s, cm) for s, cm in zip(_SWEEP_SCALES, sweep)]
+    checks.append((every_site, 1.0, snr_map(scene, every_site, PARAMS, threshold)))
+    for placed, scale, cm in checks:
+        snr, covered, serving = _rebuilt_snr_map(scene, placed, PARAMS, threshold, scale)
+        assert np.array_equal(cm.snr_db, snr)
+        assert np.array_equal(cm.covered, covered)
+        assert np.array_equal(cm.serving, serving)
+    # one mask sweep per obstacle and endpoint; greedy scores every site
+    # as soon as it runs one step
+    scored = len(history) > 1 or (budget >= 1.0 and history[0][1] < target)
+    endpoints = len(scene.base_stations) + (len(scene.candidate_sites) if scored else 0)
+    assert calls[0] == len(scene.obstacles) * endpoints
+
+
+def test_candidate_site_positions_are_read_only_copies():
+    site = np.array([60.0, 8.0])
+    scene = Scene(
+        extent=(0.0, 0.0, 100.0, 60.0), obstacles=(),
+        base_stations=(BaseStation(position=(10.0, 30.0), tx_power_dbm=30.0),),
+        candidate_sites=(site,), grid_resolution=2.0, wavelength=0.1,
+    )
+    site[0] = 0.0
+    assert scene.candidate_sites[0][0] == 60.0
+    with pytest.raises(ValueError):
+        scene.candidate_sites[0][0] = 1.0
+
+
+def test_tied_best_sites_resolve_to_the_lowest_index():
+    base = _default_scene()
+    scene = replace(base, candidate_sites=base.candidate_sites + (base.candidate_sites[0],))
+    plan = _greedy_plan(scene)
+    assert plan.history == _rescan_greedy(scene, THRESHOLD, 3.0, 0.95)
+    assert plan.placed[0][0] == 0
+    assert 3 not in [s for s, _ in plan.placed]

@@ -1,0 +1,40 @@
+"""Golden sha256 digests of the result CSV of every shipped config.
+
+A change that moves any number in a shipped table changes its digest; such
+a change updates `golden_digests.json` and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import logging
+from pathlib import Path
+
+import pytest
+
+from ris_sim.cli import main
+from ris_sim.experiments import RUNNERS
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
+
+
+@pytest.fixture(autouse=True)
+def _restore_root_handlers():
+    root = logging.getLogger()
+    saved = root.handlers[:]
+    yield
+    root.handlers[:] = saved
+
+
+def test_every_shipped_config_has_a_digest():
+    shipped = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
+    assert shipped == sorted(DIGESTS) == sorted(RUNNERS)
+
+
+@pytest.mark.parametrize("experiment", sorted(DIGESTS))
+def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    config = ROOT / "configs" / f"{experiment}.yaml"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[experiment]

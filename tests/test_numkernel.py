@@ -200,14 +200,38 @@ def test_waterfilling_dominates_uniform():
         assert c_wf >= c_eq - 1e-9
 
 
-def test_closed_form_agrees_with_bisection():
-    # the two allocation routes must stay independent and agree
+def test_closed_form_agrees_with_gridsearch_oracle():
+    # both capacity routes share one water level; the oracle shares nothing
     rng = np.random.default_rng(23)
     for _ in range(50):
         s = np.sort(np.abs(rng.normal(size=4)))[::-1]
+        ref = oracles.gridsearch_waterfill_capacity(s, 7.0, 0.5, rounds=4)
         c1 = numkernel.capacity_from_singular_values(s, 7.0, 0.5)
         c2 = numkernel.capacity_closed_form(s, 7.0, 0.5)
-        assert abs(c1 - c2) <= 1e-7
+        assert abs(c1 - ref) <= 1e-7
+        assert abs(c2 - ref) <= 1e-7
+
+
+def test_equal_modes_keep_the_power_budget():
+    # a bisection that stopped above its converged level handed out 1.5
+    p = numkernel.waterfill_powers([1.0] * 4, 1.0, 1e-12)
+    assert np.allclose(p, 0.25, rtol=1e-12, atol=0.0)
+    assert abs(p.sum() - 1.0) <= 1e-12
+
+
+def test_high_snr_two_mode_sweep_keeps_the_budget():
+    rng = np.random.default_rng(2108)
+    h = (rng.standard_normal((2000, 2, 2))
+         + 1j * rng.standard_normal((2000, 2, 2))) / np.sqrt(2.0)
+    spectra = np.linalg.svd(h, compute_uv=False)
+    noise = 10.0 ** -rng.uniform(6.0, 14.0, 2000)
+    violations = 0
+    for hm, s, n in zip(h, spectra, noise):
+        p = numkernel.waterfill_powers(s, 1.0, n)
+        violations += bool(np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12)
+        cap = numkernel.capacity_from_singular_values(s, 1.0, n)
+        violations += abs(cap - oracles.capacity_2x2(hm, 1.0, n)) > 1e-9 * cap
+    assert violations == 0
 
 
 def test_batched_capacity_matches_scalar_loop():
