@@ -303,13 +303,15 @@ def _interference_power(coex: CoexScenario, victim: CoexNetwork,
                         source: CoexNetwork) -> float:
     """Mean received power at the victim's user from the source network.
 
-    The bounce off the source's own surface adds incoherently, hence the
-    factor N rather than N^2.
+    The ground path takes the `direct_params` exponent, as the victim's own
+    ground link does.  The bounce off the source's own surface adds
+    incoherently, hence the factor N rather than N^2.
     """
     geom = coex.geometry
     lam = geom.wavelength
     alpha = coex.params.path_loss_exponent
-    p = path_gain(lam, geom.distance(source.nb, victim.ue), alpha)
+    ground = coex.direct_params.path_loss_exponent
+    p = path_gain(lam, geom.distance(source.nb, victim.ue), ground)
     if source.ris is not None:
         p += (
             path_gain(lam, geom.distance(source.nb, source.ris), alpha)

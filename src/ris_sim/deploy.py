@@ -99,13 +99,24 @@ class Scene:
 
     def grid_points(self):
         """Cell-center coordinates (xs, ys) of the coverage raster."""
-        x0, y0, x1, y1 = self.extent
+        x0, y0, _, _ = self.extent
         res = self.grid_resolution
-        nx = max(1, int(math.floor((x1 - x0) / res + 1e-9)))
-        ny = max(1, int(math.floor((y1 - y0) / res + 1e-9)))
+        nx, ny = raster_shape(self.extent, res)
         xs = x0 + (np.arange(nx) + 0.5) * res
         ys = y0 + (np.arange(ny) + 0.5) * res
         return xs, ys
+
+
+# Largest raster whose float64 layers numpy can describe; a larger one is
+# refused by numpy before any allocation is attempted.
+MAX_RASTER_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def raster_shape(extent, resolution) -> tuple:
+    """(nx, ny) cell counts of the coverage raster; OverflowError if infinite."""
+    x0, y0, x1, y1 = extent
+    return tuple(max(1, int(math.floor(span / resolution + 1e-9)))
+                 for span in (x1 - x0, y1 - y0))
 
 
 def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Named experiment runners producing reproducible result tables.
 
-Every runner maps a flat scenario mapping (defaults filled in from the
-tables below) to a long-format table with one row per trial per metric.
-All randomness is keyed on (seed, trial, label), so a table is a pure
+Every runner maps a flat scenario mapping to a long-format table with one
+row per trial per metric.  `SCHEMA` holds each scenario field's default
+and check, and `resolve_scenario` applies it for the runners and the
+command line alike.  All randomness is keyed on (seed, trial, label), so a table is a pure
 function of (scenario, seed, trials) and does not depend on the number
 of worker threads used to evaluate it.
 """
@@ -27,8 +28,10 @@ from .channel import (
     Scenario,
     assemble_effective,
     draw_realization,
+    path_gain,
 )
 from .coexist import (
+    UPDATE_POLICIES,
     BandFilter,
     CoexNetwork,
     CoexScenario,
@@ -37,15 +40,26 @@ from .coexist import (
     run_lbt_sim,
     stale_csi_trial,
 )
-from .deploy import BaseStation, Scene, cell_breathing, greedy_place
+from .deploy import (
+    MAX_RASTER_CELLS,
+    BaseStation,
+    Scene,
+    cell_breathing,
+    greedy_place,
+    raster_shape,
+)
 from .numkernel import numerical_rank, singular_values
-from .ris import RisPanel, align_phases_miso, composite_gain, quantize_phases
+from .ris import (
+    MAX_QUANTIZATION_BITS,
+    RisPanel,
+    align_phases_miso,
+    composite_gain,
+    quantize_phases,
+)
 from .scheduler import UserContext, compare_shared_vs_ideal
 from .seeding import complex_normal, rng_from, subseed
 
 _COLUMNS = (("trial", ""), ("metric", ""), ("value", "per metric"))
-
-_REQUIRED = object()
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,22 +163,6 @@ def write_outputs(table: ResultTable, out_path: str):
     return csv_path, json_path, meta_path
 
 
-def _resolve(scenario, defaults, experiment):
-    p = dict(defaults)
-    for key, value in (scenario or {}).items():
-        if key not in defaults:
-            raise ValueError(
-                f"unknown scenario field {key!r} for experiment {experiment!r}"
-            )
-        p[key] = value
-    missing = sorted(k for k, v in p.items() if v is _REQUIRED)
-    if missing:
-        raise ValueError(
-            f"experiment {experiment!r} requires scenario fields {missing}"
-        )
-    return p
-
-
 def _table(experiment, seed, trials, params, rows) -> ResultTable:
     cfg = {
         "experiment": experiment,
@@ -197,20 +195,342 @@ def _map_trials(fn, trials, threads):
 
 
 # ---------------------------------------------------------------------------
-# rank: cascaded-channel rank collapse and its near-field escape
+# scenario schema: every field's default and check, in one table
 
-RANK_DEFAULTS = {
-    "m_antennas": 4,
-    "u_antennas": 4,
-    "n_elements": 64,
-    "wavelength": 0.1,
-    "nb_position": (0.0, 0.0, 10.0),
-    "ris_position": (50.0, 0.0, 10.0),
-    "ue_position": (60.0, 5.0, 1.5),
-    "ris_ue_rician_k": 0.0,
-    "wavefront": "planar",
-    "include_direct": False,
+
+class ConfigError(ValueError):
+    """Config rejection carrying the dotted path of the offending field."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+_REQUIRED = object()
+
+
+def _number(v, path, minimum=None, maximum=None, allow_inf=False):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(path, f"expected a number, got {v!r}")
+    x = float(v)
+    if math.isnan(x):
+        raise ConfigError(path, "must not be NaN")
+    if not allow_inf and math.isinf(x):
+        raise ConfigError(path, "must be finite")
+    if minimum is not None and x < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {v}")
+    if maximum is not None and x > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {v}")
+    return x
+
+
+def _real(minimum=None, allow_inf=False):
+    return lambda v, path: _number(v, path, minimum, allow_inf=allow_inf)
+
+
+def _positive(v, path, maximum=None):
+    x = _number(v, path, maximum=maximum)
+    if not x > 0.0:
+        raise ConfigError(path, f"must be a positive number, got {v}")
+    return x
+
+
+def _integer(v, path, minimum, maximum=None):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(path, f"expected an integer, got {v!r}")
+    if v < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {v}")
+    return v
+
+
+def _int_ge(minimum, maximum=None):
+    return lambda v, path: _integer(v, path, minimum, maximum)
+
+
+def _boolean(v, path):
+    if not isinstance(v, bool):
+        raise ConfigError(path, f"expected true or false, got {v!r}")
+    return v
+
+
+def _choice(*options):
+    def check(v, path):
+        if v not in options:
+            raise ConfigError(path, f"must be one of {options}, got {v!r}")
+        return v
+    return check
+
+
+def _vec(k):
+    def check(v, path):
+        if not isinstance(v, (list, tuple)) or len(v) != k:
+            raise ConfigError(path, f"expected a list of {k} numbers, got {v!r}")
+        return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return check
+
+
+def _list_of(item, nonempty=False):
+    def check(v, path):
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {v!r}")
+        if nonempty and not v:
+            raise ConfigError(path, "must not be empty")
+        return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return check
+
+
+def _rect(v, path):
+    x0, y0, x1, y1 = _vec(4)(v, path)
+    if not (x0 < x1 and y0 < y1):
+        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {v!r}")
+    return (x0, y0, x1, y1)
+
+
+_STATION_FIELDS = ("position", "tx_power_dbm", "antennas")
+
+
+def _station(st, path):
+    if not isinstance(st, dict):
+        raise ConfigError(path, f"expected a mapping, got {st!r}")
+    for key in st:
+        if key not in _STATION_FIELDS:
+            raise ConfigError(f"{path}.{key}",
+                              f"unknown field; allowed fields are {_STATION_FIELDS}")
+    if "position" not in st or "tx_power_dbm" not in st:
+        raise ConfigError(path, "needs position and tx_power_dbm")
+    return {
+        "position": _vec(2)(st["position"], f"{path}.position"),
+        "tx_power_dbm": _number(st["tx_power_dbm"], f"{path}.tx_power_dbm"),
+        "antennas": _integer(st.get("antennas", 1), f"{path}.antennas", 1),
+    }
+
+
+_COEX_FIELDS = {
+    "wavelength": (0.1, _positive),
+    "nb_a_position": ((0.0, 0.0, 10.0), _vec(3)),
+    "ris_a_position": ((40.0, 0.0, 12.0), _vec(3)),
+    "ue_a_position": ((45.0, 8.0, 1.5), _vec(3)),
+    "nb_b_position": ((80.0, 40.0, 10.0), _vec(3)),
+    "ue_b_position": ((50.0, 20.0, 1.5), _vec(3)),
+    "m_antennas": (2, _int_ge(1)),
+    "u_antennas": (2, _int_ge(1)),
+    "n_elements_a": (64, _int_ge(1)),
+    "tx_power_a": (1.0, _positive),
+    "tx_power_b": (1.0, _positive),
+    "rician_k": (0.0, _real(0.0, allow_inf=True)),
+    "alpha_reflected": (2.0, _real(2.0)),
+    "alpha_direct": (3.5, _real(2.0)),
+    "noise_power": (1e-13, _positive),
+    "t1": (0, _int_ge(0)),
+    "t2": (1, _int_ge(0)),
+    "policy": ("rerandomize_each_slot", _choice(*UPDATE_POLICIES)),
+    "b_direct_blocked": (False, _boolean),
 }
+
+# experiment -> field -> (default, check).  A check takes (value, dotted
+# path) and returns the normalised value or raises ConfigError.
+SCHEMA = {
+    "rank": {
+        "m_antennas": (4, _int_ge(1)),
+        "u_antennas": (4, _int_ge(1)),
+        "n_elements": (64, _int_ge(1)),
+        "wavelength": (0.1, _positive),
+        "nb_position": ((0.0, 0.0, 10.0), _vec(3)),
+        "ris_position": ((50.0, 0.0, 10.0), _vec(3)),
+        "ue_position": ((60.0, 5.0, 1.5), _vec(3)),
+        "ris_ue_rician_k": (0.0, _real(0.0, allow_inf=True)),
+        "wavefront": ("planar", _choice("auto", "planar", "spherical")),
+        "include_direct": (False, _boolean),
+    },
+    "beamform": {
+        "n_list": ((1, 4, 16, 64), _list_of(_int_ge(1), nonempty=True)),
+        "channel": ("unit", _choice("unit", "rayleigh")),
+        "quantization_bits": ((), _list_of(_int_ge(1, MAX_QUANTIZATION_BITS))),
+    },
+    "multiuser": {
+        "n_users": (4, _int_ge(1)),
+        "m_antennas": (2, _int_ge(1)),
+        "u_antennas": (2, _int_ge(1)),
+        "n_elements": (16, _int_ge(1)),
+        "qos_weights": ((), _list_of(_positive)),
+        "power_per_user": (10.0, _positive),
+        "noise_power": (1.0, _positive),
+        "grid_points": (16, _int_ge(2)),
+        "max_iters": (30, _int_ge(1)),
+        "rel_tol": (1e-6, _positive),
+    },
+    "coexist": {
+        **_COEX_FIELDS,
+        "mode": ("stale_csi", _choice("stale_csi", "lbt")),
+        "slots": (2000, _int_ge(1)),
+        "sense_threshold_dbm": (-82.0, _real()),
+        "directional_sensing": (False, _boolean),
+        "backoff_slots_max": (8, _int_ge(0)),
+    },
+    "adjacent": {
+        **_COEX_FIELDS,
+        "oob_attenuation_db": (30.0, _real(0.0, allow_inf=True)),
+        "insertion_loss_db": (0.5, _real(0.0)),
+        "filter_passes": (2, _int_ge(1)),
+    },
+    "deploy": {
+        "extent": ((0.0, 0.0, 100.0, 60.0), _rect),
+        "obstacles": (((45.0, 20.0, 55.0, 40.0),), _list_of(_rect)),
+        "base_stations": (({"position": (10.0, 30.0), "tx_power_dbm": 30.0},),
+                          _list_of(_station, nonempty=True)),
+        "candidate_sites": (((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)), _list_of(_vec(2))),
+        "grid_resolution": (2.0, _positive),
+        "wavelength": (0.1, _positive),
+        "n_elements": (256, _int_ge(1)),
+        "path_loss_exponent": (2.0, _real(2.0)),
+        "noise_power": (1e-13, _positive),
+        "threshold_db": (_REQUIRED, _real()),
+        "cost_per_panel": (1.0, _positive),
+        "budget": (3.0, _real(0.0)),
+        "target_fraction": (0.95, lambda v, path: _positive(v, path, maximum=1.0)),
+        "gain_scales": ((), _list_of(_real(0.0))),
+    },
+}
+
+
+def _distance(p, a, b) -> float:
+    d = float(np.linalg.norm(np.subtract(p[a], p[b])))
+    if not d > 0.0:
+        raise ConfigError(f"scenario.{b}", f"coincides with scenario.{a}")
+    return d
+
+
+def _check_routes(p, routes):
+    """Every (scale, hops) route needs a finite power gain.
+
+    A hop is (from field, to field, path-loss exponent); the gain is the
+    scale times the product of the hop path gains, as the runner forms it.
+    """
+    lam = p["wavelength"]
+    for scale, hops in routes:
+        try:
+            gain = scale * math.prod(path_gain(lam, _distance(p, a, b), alpha)
+                                     for a, b, alpha in hops)
+        except OverflowError:
+            gain = math.inf
+        if not math.isfinite(gain):
+            route = " -> ".join([hops[0][0]] + [b for _, b, _ in hops])
+            raise ConfigError("scenario.wavelength", f"{lam} m overflows the gain along {route}")
+
+
+def _check_rank(p):
+    alpha = ChannelParams().path_loss_exponent
+    nb, ris, ue = "nb_position", "ris_position", "ue_position"
+    routes = [(1.0, [(nb, ris, alpha), (ris, ue, alpha)])]
+    if p["include_direct"]:
+        routes.append((1.0, [(nb, ue, alpha)]))
+    _check_routes(p, routes)
+
+
+def _check_coex(p):
+    if p["t1"] > p["t2"]:
+        raise ConfigError("scenario.t2",
+                          f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
+    refl, ground = p["alpha_reflected"], p["alpha_direct"]
+    nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
+                                   for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
+    # network B's link: the bounce off A's surface, plus its ground path
+    routes = [(1.0, [(nb_b, ris, refl), (ris, ue_b, refl)])]
+    if not p["b_direct_blocked"]:
+        routes.append((1.0, [(nb_b, ue_b, ground)]))
+    if p.get("mode") == "lbt":
+        # A's own link, then what each network's transmission delivers to
+        # the other's user (interference) and base station (sensing)
+        tx_a, tx_b = p["tx_power_a"], p["tx_power_b"]
+        routes += [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]), (1.0, [(nb_a, ue_a, ground)]),
+                   (tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
+                   (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
+        routes += [(tx_a * p["n_elements_a"], [(nb_a, ris, refl), (ris, far, refl)])
+                   for far in (ue_b, nb_b)]
+    _check_routes(p, routes)
+
+
+def _check_multiuser(p):
+    weights = p["qos_weights"]
+    if weights and len(weights) != p["n_users"]:
+        raise ConfigError("scenario.qos_weights",
+                          f"{len(weights)} weights given for {p['n_users']} users")
+
+
+def _check_deploy(p):
+    """Scene geometry inside the extent, and a raster numpy can hold."""
+    extent = p["extent"]
+    x0, y0, x1, y1 = extent
+    for i, (a, b, c, d) in enumerate(p["obstacles"]):
+        if a < x0 or b < y0 or c > x1 or d > y1:
+            raise ConfigError(f"scenario.obstacles[{i}]", f"leaves the extent {extent}")
+    points = [(f"scenario.candidate_sites[{i}]", s)
+              for i, s in enumerate(p["candidate_sites"])]
+    points += [(f"scenario.base_stations[{i}].position", st["position"])
+               for i, st in enumerate(p["base_stations"])]
+    for path, (x, y) in points:
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            raise ConfigError(path, f"lies outside the extent {extent}")
+    try:
+        cells = math.prod(raster_shape(extent, p["grid_resolution"]))
+    except OverflowError:
+        cells = math.inf
+    if cells > MAX_RASTER_CELLS:
+        # name the extent when the resolution is left at its default
+        res = p["grid_resolution"]
+        field = "extent" if res == SCHEMA["deploy"]["grid_resolution"][0] else "grid_resolution"
+        raise ConfigError(f"scenario.{field}", f"{res} m cells over the extent {extent} "
+                          f"number over {MAX_RASTER_CELLS}, more than numpy can hold")
+
+
+_CROSS_CHECKS = {
+    "rank": _check_rank,
+    "multiuser": _check_multiuser,
+    "coexist": _check_coex,
+    "adjacent": _check_coex,
+    "deploy": _check_deploy,
+}
+
+
+def resolve_scenario(experiment: str, raw) -> dict:
+    """Fill in defaults and check a scenario mapping against `SCHEMA`.
+
+    Unknown fields, rejected values, missing required fields and violated
+    cross-field conditions raise ConfigError naming the dotted path, for
+    example `scenario.rel_tol`.  Given values come back normalised by
+    their checks (numbers as floats, lists as tuples); defaults are kept
+    as written, so a resolved scenario resolves to itself.
+    """
+    fields = SCHEMA[experiment]
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError("scenario", f"expected a mapping, got {raw!r}")
+    p = {key: default for key, (default, _) in fields.items()}
+    for key, value in raw.items():
+        path = f"scenario.{key}"
+        if key not in fields:
+            raise ConfigError(
+                path,
+                f"unknown field for the {experiment!r} experiment; "
+                f"allowed fields are {sorted(fields)}",
+            )
+        default, check = fields[key]
+        p[key] = value if value is default else check(value, path)
+    for key, value in p.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"scenario.{key}",
+                              f"required for the {experiment!r} experiment")
+    if experiment in _CROSS_CHECKS:
+        _CROSS_CHECKS[experiment](p)
+    return p
+
+
+# ---------------------------------------------------------------------------
+# rank: cascaded-channel rank collapse and its near-field escape
 
 
 def _rank_scenario(p, seed) -> Scenario:
@@ -228,9 +548,9 @@ def _rank_scenario(p, seed) -> Scenario:
     nb_ue = ChannelParams(wavefront_model=wf) if p["include_direct"] else None
     return Scenario(
         geometry=geom,
-        m_antennas=int(p["m_antennas"]),
-        n_elements=int(p["n_elements"]),
-        u_antennas=int(p["u_antennas"]),
+        m_antennas=p["m_antennas"],
+        n_elements=p["n_elements"],
+        u_antennas=p["u_antennas"],
         nb_ris=nb_ris,
         ris_ue=ris_ue,
         nb_ue=nb_ue,
@@ -246,7 +566,7 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     how rich the departure hop is.  Switching `wavefront` to "spherical"
     (or "auto" inside the Fraunhofer distance) lifts the collapse.
     """
-    p = _resolve(scenario, RANK_DEFAULTS, "rank")
+    p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     ones = np.ones(scn.n_elements, dtype=np.complex128)
 
@@ -268,12 +588,6 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
 # ---------------------------------------------------------------------------
 # beamform: aligned-phase array gain and quantization loss
 
-BEAMFORM_DEFAULTS = {
-    "n_list": (1, 4, 16, 64),
-    "channel": "unit",
-    "quantization_bits": (),
-}
-
 
 def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
     """Coherent power gain of an aligned panel, optionally quantized.
@@ -282,15 +596,11 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
     channels each trial draws fresh coefficients; `quantization_bits`
     adds quantized-to-continuous gain ratio rows per bit width.
     """
-    p = _resolve(scenario, BEAMFORM_DEFAULTS, "beamform")
-    if p["channel"] not in ("unit", "rayleigh"):
-        raise ValueError(f"channel must be unit or rayleigh, got {p['channel']!r}")
-    n_list = [int(n) for n in p["n_list"]]
-    bits = [int(b) for b in p["quantization_bits"]]
+    p = resolve_scenario("beamform", scenario)
 
     def one(t):
         rows = []
-        for n in n_list:
+        for n in p["n_list"]:
             if p["channel"] == "unit":
                 g = np.ones(n, dtype=np.complex128)
                 h = np.ones(n, dtype=np.complex128)
@@ -300,7 +610,7 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
             panel = align_phases_miso(g, h)
             gain = abs(composite_gain(g, h, panel)) ** 2
             rows.append((t, f"gain_n{n}", gain))
-            for b in bits:
+            for b in p["quantization_bits"]:
                 q = quantize_phases(panel, b)
                 qgain = abs(composite_gain(g, h, q)) ** 2
                 ratio = qgain / gain if gain > 0.0 else 0.0
@@ -314,19 +624,6 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
 # ---------------------------------------------------------------------------
 # multiuser: price of one shared reflection state
 
-MULTIUSER_DEFAULTS = {
-    "n_users": 4,
-    "m_antennas": 2,
-    "u_antennas": 2,
-    "n_elements": 16,
-    "qos_weights": (),
-    "power_per_user": 10.0,
-    "noise_power": 1.0,
-    "grid_points": 16,
-    "max_iters": 30,
-    "rel_tol": 1e-6,
-}
-
 
 def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
     """Shared-state sum capacity against per-user private optima.
@@ -334,14 +631,9 @@ def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
     weight one for everybody.
     """
-    p = _resolve(scenario, MULTIUSER_DEFAULTS, "multiuser")
-    k = int(p["n_users"])
-    m, u, n = int(p["m_antennas"]), int(p["u_antennas"]), int(p["n_elements"])
-    weights = [float(w) for w in p["qos_weights"]] or [1.0] * k
-    if len(weights) != k:
-        raise ValueError(
-            f"qos_weights has {len(weights)} entries for {k} users"
-        )
+    p = resolve_scenario("multiuser", scenario)
+    k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
+    weights = p["qos_weights"] or (1.0,) * k
     panel = RisPanel.uniform(n)
 
     def one(t):
@@ -361,7 +653,7 @@ def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
             ))
         cmp = compare_shared_vs_ideal(
             users, panel, p["power_per_user"], p["noise_power"],
-            int(p["max_iters"]), p["rel_tol"], int(p["grid_points"]),
+            p["max_iters"], p["rel_tol"], p["grid_points"],
         )
         return [
             (t, "shared_sum", cmp.shared_sum),
@@ -375,44 +667,6 @@ def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
 
 # ---------------------------------------------------------------------------
 # coexist and adjacent: two operators around one uncoordinated surface
-
-_COEX_GEOMETRY = {
-    "wavelength": 0.1,
-    "nb_a_position": (0.0, 0.0, 10.0),
-    "ris_a_position": (40.0, 0.0, 12.0),
-    "ue_a_position": (45.0, 8.0, 1.5),
-    "nb_b_position": (80.0, 40.0, 10.0),
-    "ue_b_position": (50.0, 20.0, 1.5),
-    "m_antennas": 2,
-    "u_antennas": 2,
-    "n_elements_a": 64,
-    "tx_power_a": 1.0,
-    "tx_power_b": 1.0,
-    "rician_k": 0.0,
-    "alpha_reflected": 2.0,
-    "alpha_direct": 3.5,
-    "noise_power": 1e-13,
-    "t1": 0,
-    "t2": 1,
-    "policy": "rerandomize_each_slot",
-    "b_direct_blocked": False,
-}
-
-COEXIST_DEFAULTS = {
-    **_COEX_GEOMETRY,
-    "mode": "stale_csi",
-    "slots": 2000,
-    "sense_threshold_dbm": -82.0,
-    "directional_sensing": False,
-    "backoff_slots_max": 8,
-}
-
-ADJACENT_DEFAULTS = {
-    **_COEX_GEOMETRY,
-    "oob_attenuation_db": 30.0,
-    "insertion_loss_db": 0.5,
-    "filter_passes": 2,
-}
 
 
 def _coex_scenario(p, same_frequency) -> CoexScenario:
@@ -433,10 +687,10 @@ def _coex_scenario(p, same_frequency) -> CoexScenario:
         wavefront_model="planar",
     )
     direct = replace(params, path_loss_exponent=p["alpha_direct"])
-    m, u = int(p["m_antennas"]), int(p["u_antennas"])
+    m, u = p["m_antennas"], p["u_antennas"]
     net_a = CoexNetwork(
         name="a", nb="nb_a", ue="ue_a", m_antennas=m, u_antennas=u,
-        tx_power=p["tx_power_a"], ris="ris_a", n_elements=int(p["n_elements_a"]),
+        tx_power=p["tx_power_a"], ris="ris_a", n_elements=p["n_elements_a"],
     )
     net_b = CoexNetwork(
         name="b", nb="nb_b", ue="ue_b", m_antennas=m, u_antennas=u,
@@ -448,11 +702,11 @@ def _coex_scenario(p, same_frequency) -> CoexScenario:
         net_a=net_a,
         net_b=net_b,
         same_frequency=same_frequency,
-        t1=int(p["t1"]),
-        t2=int(p["t2"]),
+        t1=p["t1"],
+        t2=p["t2"],
         ris_update_policy=p["policy"],
         direct_params=direct,
-        b_direct_blocked=bool(p["b_direct_blocked"]),
+        b_direct_blocked=p["b_direct_blocked"],
     )
 
 
@@ -463,9 +717,7 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     precoding on measurement-time state.  Mode "lbt" runs `trials`
     independent listen-before-talk simulations of `slots` slots each.
     """
-    p = _resolve(scenario, COEXIST_DEFAULTS, "coexist")
-    if p["mode"] not in ("stale_csi", "lbt"):
-        raise ValueError(f"mode must be stale_csi or lbt, got {p['mode']!r}")
+    p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p, same_frequency=True)
 
     if p["mode"] == "stale_csi":
@@ -479,12 +731,12 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     else:
         cfg = LbtConfig(
             sense_threshold_dbm=p["sense_threshold_dbm"],
-            directional=bool(p["directional_sensing"]),
-            backoff_slots_max=int(p["backoff_slots_max"]),
+            directional=p["directional_sensing"],
+            backoff_slots_max=p["backoff_slots_max"],
         )
 
         def one(t):
-            res = run_lbt_sim(scn, cfg, int(p["slots"]), subseed(seed, f"run/{t}"))
+            res = run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
             return [
                 (t, "airtime_a", res.airtime_a),
                 (t, "airtime_b", res.airtime_b),
@@ -504,12 +756,12 @@ def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
     filtered arm scales the bounce amplitude by the double-pass
     out-of-band budget.
     """
-    p = _resolve(scenario, ADJACENT_DEFAULTS, "adjacent")
+    p = resolve_scenario("adjacent", scenario)
     scn = _coex_scenario(p, same_frequency=False)
     filt = BandFilter(
         per_pass_oob_attenuation_db=p["oob_attenuation_db"],
         inband_insertion_loss_db=p["insertion_loss_db"],
-        passes_on_reflection=int(p["filter_passes"]),
+        passes_on_reflection=p["filter_passes"],
     )
     scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
     scale = 10.0 ** (scale_db / 20.0)
@@ -531,23 +783,6 @@ def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
 # ---------------------------------------------------------------------------
 # deploy: greedy panel placement on a blocked scene
 
-DEPLOY_DEFAULTS = {
-    "extent": (0.0, 0.0, 100.0, 60.0),
-    "obstacles": ((45.0, 20.0, 55.0, 40.0),),
-    "base_stations": ({"position": (10.0, 30.0), "tx_power_dbm": 30.0},),
-    "candidate_sites": ((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)),
-    "grid_resolution": 2.0,
-    "wavelength": 0.1,
-    "n_elements": 256,
-    "path_loss_exponent": 2.0,
-    "noise_power": 1e-13,
-    "threshold_db": _REQUIRED,
-    "cost_per_panel": 1.0,
-    "budget": 3.0,
-    "target_fraction": 0.95,
-    "gain_scales": (),
-}
-
 
 def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
     """Greedy coverage-driven placement plus optional breathing sweep.
@@ -556,20 +791,20 @@ def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
     the trial column carries the placement step (and, for breathing rows,
     the sweep index).  Step 0 is the panel-free baseline with site -1.
     """
-    p = _resolve(scenario, DEPLOY_DEFAULTS, "deploy")
+    p = resolve_scenario("deploy", scenario)
     stations = tuple(
         BaseStation(
             position=np.asarray(b["position"], dtype=float),
-            tx_power_dbm=float(b["tx_power_dbm"]),
-            antennas=int(b.get("antennas", 1)),
+            tx_power_dbm=b["tx_power_dbm"],
+            antennas=b.get("antennas", 1),
         )
         for b in p["base_stations"]
     )
     scene = Scene(
-        extent=tuple(p["extent"]),
-        obstacles=tuple(tuple(o) for o in p["obstacles"]),
+        extent=p["extent"],
+        obstacles=p["obstacles"],
         base_stations=stations,
-        candidate_sites=tuple(tuple(s) for s in p["candidate_sites"]),
+        candidate_sites=p["candidate_sites"],
         grid_resolution=p["grid_resolution"],
         wavelength=p["wavelength"],
     )
@@ -579,7 +814,7 @@ def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
         noise_power=p["noise_power"],
         wavefront_model="planar",
     )
-    template = RisPanel.uniform(int(p["n_elements"]))
+    template = RisPanel.uniform(p["n_elements"])
     plan = greedy_place(
         scene, template, params,
         p["cost_per_panel"], p["budget"], p["threshold_db"], p["target_fraction"],
@@ -589,8 +824,8 @@ def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
         rows.append((step, "greedy_site", int(site)))
         rows.append((step, "greedy_coverage", float(cov)))
     for i, s in enumerate(p["gain_scales"]):
-        cm = cell_breathing(scene, plan, params, float(s), p["threshold_db"])
-        rows.append((i, "gain_scale", float(s)))
+        cm = cell_breathing(scene, plan, params, s, p["threshold_db"])
+        rows.append((i, "gain_scale", s))
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
     return _table("deploy", seed, trials, p, rows)
 
@@ -602,13 +837,4 @@ RUNNERS = {
     "coexist": run_coexist,
     "adjacent": run_adjacent,
     "deploy": run_deploy,
-}
-
-DEFAULTS = {
-    "rank": RANK_DEFAULTS,
-    "beamform": BEAMFORM_DEFAULTS,
-    "multiuser": MULTIUSER_DEFAULTS,
-    "coexist": COEXIST_DEFAULTS,
-    "adjacent": ADJACENT_DEFAULTS,
-    "deploy": DEPLOY_DEFAULTS,
 }

@@ -132,6 +132,10 @@ def theta(panel: RisPanel) -> ThetaMatrix:
     return ThetaMatrix(panel.theta_diagonal())
 
 
+# widest quantization whose 2^bits level indices fit in int64
+MAX_QUANTIZATION_BITS = int(np.iinfo(np.int64).max).bit_length() - 1
+
+
 def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
     """Snap every phase to the nearest of 2^bits uniform levels.
 
@@ -139,8 +143,8 @@ def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
     midpoint between the top level and 2 pi therefore goes to level 0.
     """
     bits = int(bits)
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    if not 1 <= bits <= MAX_QUANTIZATION_BITS:
+        raise ValueError(f"bits must lie in [1, {MAX_QUANTIZATION_BITS}], got {bits}")
     levels = 1 << bits
     step = TWO_PI / levels
     x = panel.phases / step

@@ -20,9 +20,9 @@ def multiuser_batch():
 def rerand_stale_batch():
     """10^4 stale-CSI trials under per-slot rerandomization, seed 2024."""
     from ris_sim.coexist import run_stale_csi
-    from ris_sim.experiments import COEXIST_DEFAULTS, _coex_scenario
+    from ris_sim.experiments import _coex_scenario, resolve_scenario
 
-    scn = _coex_scenario(dict(COEXIST_DEFAULTS), same_frequency=True)
+    scn = _coex_scenario(resolve_scenario("coexist", {}), same_frequency=True)
     return run_stale_csi(scn, 10_000, seed=2024)
 
 

@@ -39,7 +39,7 @@ from ris_sim.deploy import (
     greedy_place,
     snr_map,
 )
-from ris_sim.experiments import ADJACENT_DEFAULTS, COEXIST_DEFAULTS, _coex_scenario
+from ris_sim.experiments import _coex_scenario, resolve_scenario
 from ris_sim.numkernel import numerical_rank, waterfill_capacity
 from ris_sim.ris import (
     RisPanel,
@@ -182,7 +182,7 @@ def test_criterion_07_shared_reflection_gap(multiuser_batch):
 
 def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     t0 = time.perf_counter()
-    scn_re = _coex_scenario(dict(COEXIST_DEFAULTS), same_frequency=True)
+    scn_re = _coex_scenario(resolve_scenario("coexist", {}), same_frequency=True)
     for policy in ("static", "frozen_during_foreign_slot"):
         res = run_stale_csi(replace(scn_re, ris_update_policy=policy), 100, seed=8)
         assert np.all(res.loss_fractions == 0.0)
@@ -190,7 +190,7 @@ def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     assert rerand_stale_batch.loss_fractions.size == 10_000
     # paired draws: holding the surface still is (weakly) better nearly always
     scn_re = replace(_coex_scenario(
-        {**COEXIST_DEFAULTS, "m_antennas": 8, "u_antennas": 1,
+        {**resolve_scenario("coexist", {}), "m_antennas": 8, "u_antennas": 1,
          "b_direct_blocked": True}, same_frequency=True))
     scn_st = replace(scn_re, ris_update_policy="static")
     wins = 0
@@ -208,7 +208,7 @@ def test_criterion_09_band_filter_budget_and_baseline():
         filt = BandFilter(per_pass_oob_attenuation_db=atten)
         assert apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm == -2.0 * atten
         assert apply_band_filter(filt, 0.0, 0.0, False).oob_out_dbm == -atten
-    scn = _coex_scenario(dict(ADJACENT_DEFAULTS), same_frequency=False)
+    scn = _coex_scenario(resolve_scenario("adjacent", {}), same_frequency=False)
     res = run_adjacent_channel_sim(
         scn, BandFilter(per_pass_oob_attenuation_db=math.inf), 50, seed=5)
     base = run_stale_csi(scn, 50, seed=5, bounce_amp_scale=0.0)

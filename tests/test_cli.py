@@ -2,10 +2,15 @@
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
+import yaml
 
-from ris_sim.cli import ConfigError, main, validate_config
+from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
+from ris_sim.experiments import RUNNERS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +159,56 @@ def test_deploy_geometry_checked_like_the_scene(field, value, path):
         validate_config(text)
 
 
+def test_yaml_12_scientific_notation_reads_as_float():
+    text = "experiment: multiuser\nscenario:\n  noise_power: 1e-13\n  power_per_user: 1.0e300\n"
+    cfg = validate_config(text)
+    assert cfg.scenario["noise_power"] == 1e-13
+    assert cfg.scenario["power_per_user"] == 1.0e300
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_load_as_under_yaml_11(config):
+    text = config.read_text()
+    assert yaml.load(text, Loader=_Loader) == yaml.safe_load(text)
+
+
+# The same scenario through a library runner and through the config file
+# path: one that runs, and one with a value both must reject.
+_PARITY = {
+    "rank": ({"wavelength": 1, "n_elements": 8}, {"wavelength": 0}, "scenario.wavelength"),
+    "beamform": ({"n_list": [2, 8], "channel": "rayleigh", "quantization_bits": [1, 2]},
+                 {"n_list": []}, "scenario.n_list"),
+    "multiuser": ({"n_users": 2, "n_elements": 4, "max_iters": 2, "qos_weights": [2, 1]},
+                  {"qos_weights": [1.0]}, "scenario.qos_weights"),
+    "coexist": ({"wavelength": 1, "n_elements_a": 8, "nb_b_position": [80, 40, 10]},
+                {"t1": 2, "t2": 1}, "scenario.t2"),
+    "adjacent": ({"n_elements_a": 8, "oob_attenuation_db": 20},
+                 {"mode": "lbt"}, "scenario.mode"),
+    "deploy": ({"threshold_db": 24, "grid_resolution": 5,
+                "base_stations": [{"position": [10, 30], "tx_power_dbm": 30}]},
+               {"base_stations": []}, "scenario.base_stations"),
+}
+
+
+def _config_text(experiment, scenario):
+    return yaml.safe_dump({"experiment": experiment, "seed": 3, "trials": 2,
+                           "scenario": scenario})
+
+
+@pytest.mark.parametrize("experiment", sorted(_PARITY))
+def test_library_runner_and_cli_resolve_alike(experiment):
+    good, bad, path = _PARITY[experiment]
+    via_cli = run_experiment(validate_config(_config_text(experiment, good)))
+    via_lib = RUNNERS[experiment](good, 3, 2)
+    assert via_lib.to_csv() == via_cli.to_csv()
+    assert via_lib.metadata == via_cli.metadata
+    with pytest.raises(ConfigError) as lib_err:
+        RUNNERS[experiment](bad, 3, 2)
+    with pytest.raises(ConfigError) as cli_err:
+        validate_config(_config_text(experiment, bad))
+    assert lib_err.value.path == cli_err.value.path == path
+
+
 def test_output_path_must_be_a_string():
     with pytest.raises(ConfigError, match="output"):
         validate_config("experiment: rank\noutput: 3\n")
@@ -265,3 +320,33 @@ def test_main_bad_seed_text_is_a_usage_error(tmp_path, capsys):
         main(["rank", "--config", cfg, "--seed", "twelve"])
     capsys.readouterr()
     assert err.value.code == 2
+
+
+# Values whose runs used to overflow (path gain, 2^bits phase levels, raster
+# size) or hit coincident nodes; each now fails validation at its path.
+@pytest.mark.parametrize("experiment, scenario, path", [
+    ("rank", "{wavelength: 1.0e+300}", "scenario.wavelength"),
+    ("coexist", "{wavelength: 1.0e+300}", "scenario.wavelength"),
+    ("adjacent", "{wavelength: 1.0e+300}", "scenario.wavelength"),
+    ("coexist", "{mode: lbt, slots: 3, wavelength: 2.0e+79}", "scenario.wavelength"),
+    ("beamform", "{quantization_bits: [63]}", "scenario.quantization_bits[0]"),
+    ("deploy", "{threshold_db: 24.0, grid_resolution: 1.0e-300}",
+     "scenario.grid_resolution"),
+    ("deploy", "{threshold_db: 24.0, extent: [0, 0, 1.0e+300, 1.0e+300]}",
+     "scenario.extent"),
+    ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
+])
+def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
+                                                   scenario, path):
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\nscenario: {scenario}\n")
+    rc = main([experiment, "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"invalid config: {path}:" in captured.err
+
+
+def test_widest_quantization_still_runs(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "experiment: beamform\nscenario:\n  n_list: [4]\n"
+                         "  quantization_bits: [62]\n")
+    assert main(["beamform", "--config", cfg]) == 0
+    capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 from ris_sim.channel import ChannelParams, Geometry, path_gain
 from ris_sim.coexist import (
     BandFilter,
+    _interference_power,
     CoexNetwork,
     CoexScenario,
     LbtConfig,
@@ -19,18 +20,18 @@ from ris_sim.coexist import (
     run_stale_csi,
     stale_csi_trial,
 )
-from ris_sim.experiments import ADJACENT_DEFAULTS, COEXIST_DEFAULTS, _coex_scenario
+from ris_sim.experiments import _coex_scenario, resolve_scenario
 
 
 def _co_scenario(policy="rerandomize_each_slot", **overrides):
-    p = dict(COEXIST_DEFAULTS)
+    p = resolve_scenario("coexist", {})
     p.update(overrides)
     scn = _coex_scenario(p, same_frequency=True)
     return replace(scn, ris_update_policy=policy)
 
 
 def _adj_scenario(**overrides):
-    p = dict(ADJACENT_DEFAULTS)
+    p = resolve_scenario("adjacent", {})
     p.update(overrides)
     return _coex_scenario(p, same_frequency=False), p
 
@@ -106,6 +107,23 @@ def test_static_beats_rerandomization_paired():
 
 # ---------------------------------------------------------------------------
 # carrier sensing
+
+def test_interference_ground_term_uses_the_direct_exponent():
+    scn = _co_scenario()
+    geom, lam = scn.geometry, scn.geometry.wavelength
+    alpha_direct = scn.direct_params.path_loss_exponent
+    alpha = scn.params.path_loss_exponent
+    assert (alpha_direct, alpha) == (3.5, 2.0)
+    # network B owns no surface: the ground path is all of it
+    ground_b = path_gain(lam, geom.distance("nb_b", "ue_a"), alpha_direct)
+    assert _interference_power(scn, scn.net_a, scn.net_b) == scn.net_b.tx_power * ground_b
+    # network A adds the incoherent bounce off its own surface
+    ground_a = path_gain(lam, geom.distance("nb_a", "ue_b"), alpha_direct)
+    bounce = (path_gain(lam, geom.distance("nb_a", "ris_a"), alpha) * scn.net_a.n_elements
+              * path_gain(lam, geom.distance("ris_a", "ue_b"), alpha))
+    assert (_interference_power(scn, scn.net_b, scn.net_a)
+            == scn.net_a.tx_power * (ground_a + bounce))
+
 
 def test_lbt_silence_clears():
     cfg = LbtConfig(sense_threshold_dbm=-72.0)

@@ -7,9 +7,9 @@ import pytest
 
 import ris_sim
 from ris_sim.experiments import (
-    RANK_DEFAULTS,
     ResultTable,
     config_digest,
+    resolve_scenario,
     run_beamform,
     run_coexist,
     run_deploy,
@@ -138,7 +138,7 @@ def test_rank_runner_metadata_and_digest():
     assert meta["seed"] == 5 and meta["trials"] == 3
     assert meta["tool_version"] == ris_sim.__version__
     cfg = {"experiment": "rank", "seed": 5, "trials": 3,
-           "scenario": dict(RANK_DEFAULTS)}
+           "scenario": resolve_scenario("rank", {})}
     assert meta["config_sha256"] == config_digest(cfg)
 
 

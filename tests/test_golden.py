@@ -1,7 +1,9 @@
-"""Golden sha256 digests of the result CSV of every shipped config.
+"""Golden sha256 digests of the result CSV and metadata sidecar of every
+shipped config.
 
-A change that moves any number in a shipped table changes its digest; such
-a change updates `golden_digests.json` and says why in CHANGES.md.
+A change that moves any number in a shipped table changes its CSV digest;
+one that changes how a config resolves changes the `config_sha256` in its
+sidecar.  Either updates `golden_digests.json` and says why in CHANGES.md.
 """
 
 import hashlib
@@ -37,4 +39,6 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
     config = ROOT / "configs" / f"{experiment}.yaml"
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[experiment]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[experiment]["csv"]
+    meta = tmp_path / "results.meta.json"
+    assert hashlib.sha256(meta.read_bytes()).hexdigest() == DIGESTS[experiment]["meta"]
