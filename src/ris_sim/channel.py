@@ -221,24 +221,6 @@ def path_gain(wavelength: float, distance: float, exponent: float) -> float:
     return float((wavelength / (4.0 * math.pi * distance)) ** exponent)
 
 
-def segmented_path_loss(
-    geometry: Geometry,
-    params: ChannelParams,
-    via_ris: bool,
-    nb: str = "nb",
-    ris: str = "ris",
-    ue: str = "ue",
-) -> float:
-    """Multiplicative path gain of the direct or the two-segment route."""
-    alpha = params.path_loss_exponent
-    lam = geometry.wavelength
-    if not via_ris:
-        return path_gain(lam, geometry.distance(nb, ue), alpha)
-    first = path_gain(lam, geometry.distance(nb, ris), alpha)
-    second = path_gain(lam, geometry.distance(ris, ue), alpha)
-    return first * second
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One drawn set of channel blocks plus their path-loss scalars.
@@ -291,21 +273,9 @@ class ChannelRealization:
         return self.h_ris_ue.shape[0]
 
 
-def _theta_vector(panel_or_theta, n: int) -> np.ndarray:
-    """Accept a surface description in any of its shapes.
-
-    RisPanel and ThetaMatrix are duck-typed here so this module stays
-    import-free of the surface-control layer; plain complex vectors are
-    accepted for tests and quick studies.
-    """
-    obj = panel_or_theta
-    if hasattr(obj, "theta_diagonal"):
-        diag = obj.theta_diagonal()
-    elif hasattr(obj, "diagonal") and not isinstance(obj, np.ndarray):
-        diag = np.asarray(obj.diagonal)
-    else:
-        diag = np.asarray(obj, dtype=np.complex128)
-    diag = np.asarray(diag, dtype=np.complex128).reshape(-1)
+def _theta_vector(theta, n: int) -> np.ndarray:
+    """Check a surface given as its complex reflection diagonal."""
+    diag = np.asarray(theta, dtype=np.complex128).reshape(-1)
     if diag.shape[0] != n:
         raise ValueError(f"surface has {diag.shape[0]} elements, channel expects {n}")
     if np.any(np.abs(diag) > 1.0 + 1e-12):
@@ -313,11 +283,15 @@ def _theta_vector(panel_or_theta, n: int) -> np.ndarray:
     return diag
 
 
-def assemble_effective(real: ChannelRealization, panel, beta_gain: float = 1.0) -> np.ndarray:
-    """Effective base-station -> user channel for one surface setting."""
+def assemble_effective(real: ChannelRealization, theta, beta_gain: float = 1.0) -> np.ndarray:
+    """Effective base-station -> user channel for one surface setting.
+
+    `theta` is the surface's complex reflection diagonal, for example
+    `RisPanel.theta_diagonal()`; every |theta_n| must be at most 1.
+    """
     if beta_gain < 0.0:
         raise ValueError(f"beta_gain must be >= 0, got {beta_gain}")
-    diag = _theta_vector(panel, real.n_elements)
+    diag = _theta_vector(theta, real.n_elements)
     amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * beta_gain
     h_t = amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
     if real.h_nb_ue is not None:
@@ -325,23 +299,24 @@ def assemble_effective(real: ChannelRealization, panel, beta_gain: float = 1.0) 
     return h_t
 
 
-def assemble_multi_panel(reals, panels, beta_gains=None) -> np.ndarray:
+def assemble_multi_panel(reals, thetas, beta_gains=None) -> np.ndarray:
     """Superpose the reflected terms of several panels.
 
-    Each realization describes the hop through one panel; the direct term
-    is taken from the first realization that carries one (the direct link
-    does not depend on any panel).
+    Each realization describes the hop through one panel, whose reflection
+    diagonal is the matching entry of `thetas`; the direct term is taken
+    from the first realization that carries one (the direct link does not
+    depend on any panel).
     """
-    if len(reals) != len(panels) or not reals:
+    if len(reals) != len(thetas) or not reals:
         raise ValueError("need one realization per panel, at least one pair")
     if beta_gains is None:
         beta_gains = [1.0] * len(reals)
     shape = (reals[0].u_antennas, reals[0].m_antennas)
     h_t = np.zeros(shape, dtype=np.complex128)
-    for real, panel, bg in zip(reals, panels, beta_gains):
+    for real, theta, bg in zip(reals, thetas, beta_gains):
         if (real.u_antennas, real.m_antennas) != shape:
             raise ValueError("all realizations must share (U, M)")
-        diag = _theta_vector(panel, real.n_elements)
+        diag = _theta_vector(theta, real.n_elements)
         amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * bg
         h_t += amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
     for real in reals:
@@ -349,47 +324,6 @@ def assemble_multi_panel(reals, panels, beta_gains=None) -> np.ndarray:
             h_t = h_t + math.sqrt(real.pl_nb_ue) * real.h_nb_ue
             break
     return h_t
-
-
-@dataclass(frozen=True, eq=False)
-class SignalModel:
-    """Transmit-side description of one signalling interval."""
-
-    precoder: np.ndarray
-    symbols: np.ndarray
-    noise_power: float
-    power_budget: float
-
-    def __post_init__(self):
-        f = as_complex_matrix(self.precoder, "precoder")
-        object.__setattr__(self, "precoder", f)
-        x = np.asarray(self.symbols, dtype=np.complex128).reshape(-1)
-        object.__setattr__(self, "symbols", x)
-        if x.shape[0] != f.shape[1]:
-            raise ValueError(
-                f"symbol count {x.shape[0]} does not match precoder streams {f.shape[1]}"
-            )
-        if not (self.noise_power > 0.0 and math.isfinite(self.noise_power)):
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
-        if not (self.power_budget > 0.0 and math.isfinite(self.power_budget)):
-            raise ValueError(f"power_budget must be positive, got {self.power_budget}")
-        fro2 = float(np.sum(np.abs(f) ** 2))
-        if fro2 > self.power_budget * (1.0 + 1e-9):
-            raise ValueError(
-                f"precoder power {fro2} exceeds budget {self.power_budget}"
-            )
-
-
-def received_signal(real: ChannelRealization, panel, sig: SignalModel, seed: int) -> np.ndarray:
-    """y = H_T F x + w with seeded additive noise of the given variance."""
-    h_t = assemble_effective(real, panel)
-    if sig.precoder.shape[0] != real.m_antennas:
-        raise ValueError(
-            f"precoder rows {sig.precoder.shape[0]} must match transmit antennas "
-            f"{real.m_antennas}"
-        )
-    w = math.sqrt(sig.noise_power) * complex_normal(rng_from(seed), real.u_antennas)
-    return h_t @ sig.precoder @ sig.symbols + w
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,14 +349,6 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 1, got {v}")
         for node in (self.nb, self.ris, self.ue):
             self.geometry.position(node)
-
-    @property
-    def noise_power(self) -> float:
-        return self.ris_ue.noise_power
-
-    @property
-    def direct_present(self) -> bool:
-        return self.nb_ue is not None
 
 
 def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:

@@ -27,7 +27,7 @@ from .experiments import (
     RUNNERS,
     ConfigError,
     ResultTable,
-    _integer,
+    check_run,
     resolve_scenario,
     write_outputs,
 )
@@ -94,10 +94,9 @@ def validate_config(raw: str) -> ExperimentConfig:
             "experiment",
             f"must be one of {tuple(RUNNERS)}, got {experiment!r}",
         )
-    seed = _integer(doc.get("seed", 0), "seed", 0)
-    if seed >= 1 << 64:
-        raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
-    trials = _integer(doc.get("trials", 1), "trials", 1)
+    seed = doc.get("seed", 0)
+    trials = doc.get("trials", 1)
+    check_run(seed, trials)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output", f"expected a path string, got {output!r}")

@@ -3,8 +3,9 @@
 Network B's effective channel bounces off network A's surface, so A's
 reconfigurations move B's channel between B's measurement slot t1 and its
 transmit slot t2.  The module quantifies that stale-CSI loss, runs a
-slotted listen-before-talk medium access simulation, and models two-pass
-band filtering at the surface for adjacent-channel operation.
+slotted listen-before-talk medium access simulation with omnidirectional
+energy sensing, and models two-pass band filtering at the surface for
+adjacent-channel operation.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ class StaleCsiResult:
     def mean_loss(self) -> float:
         return float(self.loss_fractions.mean())
 
-    @property
-    def mean_stale_rate(self) -> float:
-        return float(self.stale_rates.mean())
-
 
 def stale_csi_trial(
     scenario: CoexScenario,
@@ -200,14 +197,10 @@ def run_stale_csi(
 class LbtConfig:
     """Listen-before-talk sensing parameters.
 
-    `gain_table` holds (angle_lo, angle_hi, gain_db) rows applied to the
-    angle of arrival when `directional`; angles outside every row get
-    0 dB.  The sensed sum is compared against `sense_threshold_dbm`.
+    The summed sensed power is compared against `sense_threshold_dbm`.
     """
 
     sense_threshold_dbm: float
-    directional: bool = False
-    gain_table: tuple = ()
     backoff_slots_max: int = 8
 
     def __post_init__(self):
@@ -215,33 +208,17 @@ class LbtConfig:
             raise ValueError(
                 f"backoff_slots_max must be >= 0, got {self.backoff_slots_max}"
             )
-        rows = tuple((float(a), float(b), float(g)) for a, b, g in self.gain_table)
-        for a, b, _ in rows:
-            if not a < b:
-                raise ValueError(f"gain_table row ({a}, {b}) needs lo < hi")
-        object.__setattr__(self, "gain_table", rows)
-
-    def sense_gain_db(self, aoa: float) -> float:
-        if not self.directional:
-            return 0.0
-        a = math.fmod(aoa, 2.0 * math.pi)
-        if a < 0.0:
-            a += 2.0 * math.pi
-        for lo, hi, g in self.gain_table:
-            if lo <= a < hi:
-                return g
-        return 0.0
 
 
-def lbt_decide(cfg: LbtConfig, interferers) -> bool:
+def lbt_decide(cfg: LbtConfig, powers_dbm) -> bool:
     """True when the summed sensed power stays below the threshold.
 
-    `interferers` is a sequence of (power_dbm, aoa_rad) pairs; an empty
-    medium always clears.
+    `powers_dbm` is a sequence of sensed powers; an empty medium always
+    clears.
     """
     total_mw = 0.0
-    for power_dbm, aoa in interferers:
-        total_mw += 10.0 ** ((power_dbm + cfg.sense_gain_db(aoa)) / 10.0)
+    for power_dbm in powers_dbm:
+        total_mw += 10.0 ** (power_dbm / 10.0)
     if total_mw == 0.0:
         return True
     return 10.0 * math.log10(total_mw) < cfg.sense_threshold_dbm
@@ -249,11 +226,6 @@ def lbt_decide(cfg: LbtConfig, interferers) -> bool:
 
 def _watts_to_dbm(p: float) -> float:
     return 10.0 * math.log10(p * 1e3) if p > 0.0 else -math.inf
-
-
-def _azimuth(geometry: Geometry, at: str, source: str) -> float:
-    d = geometry.position(source) - geometry.position(at)
-    return math.atan2(d[1], d[0])
 
 
 def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
@@ -323,21 +295,18 @@ def _interference_power(coex: CoexScenario, victim: CoexNetwork,
 
 def _sensed_sources(coex: CoexScenario, listener: CoexNetwork,
                     source: CoexNetwork):
-    """(power_dbm, aoa) contributions a transmission presents to a listener."""
+    """Powers (dBm) a transmission presents to a listener's base station."""
     geom = coex.geometry
     lam = geom.wavelength
     alpha = coex.params.path_loss_exponent
-    out = [(
-        _watts_to_dbm(source.tx_power
-                      * path_gain(lam, geom.distance(source.nb, listener.nb), alpha)),
-        _azimuth(geom, listener.nb, source.nb),
-    )]
+    out = [_watts_to_dbm(source.tx_power
+                         * path_gain(lam, geom.distance(source.nb, listener.nb), alpha))]
     if source.ris is not None:
         p = (source.tx_power
              * path_gain(lam, geom.distance(source.nb, source.ris), alpha)
              * source.n_elements
              * path_gain(lam, geom.distance(source.ris, listener.nb), alpha))
-        out.append((_watts_to_dbm(p), _azimuth(geom, listener.nb, source.ris)))
+        out.append(_watts_to_dbm(p))
     return out
 
 
@@ -355,10 +324,10 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
 
     Both networks are saturated.  Per slot, contenders are polled in a
     random order; each sums the power of transmissions already granted in
-    the slot (directional sensing gain applied) and defers with a uniform
-    backoff of up to `backoff_slots_max` slots when the medium reads
-    busy.  Collisions are slots where both networks transmit on the same
-    frequency; mean rates count idle slots as zero (throughput).
+    the slot and defers with a uniform backoff of up to
+    `backoff_slots_max` slots when the medium reads busy.  Collisions are
+    slots where both networks transmit on the same frequency; mean rates
+    count idle slots as zero (throughput).
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
@@ -454,13 +423,24 @@ class AdjacentChannelResult:
     rates_no_filter: np.ndarray
     rates_with_filter: np.ndarray
 
-    @property
-    def rate_b_no_filter(self) -> float:
-        return float(self.rates_no_filter.mean())
 
-    @property
-    def rate_b_with_filter(self) -> float:
-        return float(self.rates_with_filter.mean())
+def adjacent_trial(scenario: CoexScenario, filt: BandFilter, trial: int, seed: int):
+    """One adjacent-channel trial without and with A's surface filter.
+
+    Requires `same_frequency` False.  Network B is out of band for A's
+    surface, so the filtered bounce is attenuated by the double-pass
+    budget; both arms reuse identical channel and surface draws, leaving
+    the filter as the only difference.  Returns (rate_no_filter,
+    rate_with_filter, loss_no_filter, loss_with_filter), where the rates
+    are B's stale-CSI rates.
+    """
+    if scenario.same_frequency:
+        raise ValueError("adjacent-channel experiment needs same_frequency=False")
+    scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
+    scale = 10.0 ** (scale_db / 20.0)
+    _, rate0, loss0 = stale_csi_trial(scenario, trial, seed, bounce_amp_scale=1.0)
+    _, rate1, loss1 = stale_csi_trial(scenario, trial, seed, bounce_amp_scale=scale)
+    return rate0, rate1, loss0, loss1
 
 
 def run_adjacent_channel_sim(
@@ -468,18 +448,12 @@ def run_adjacent_channel_sim(
 ) -> AdjacentChannelResult:
     """Adjacent-channel operation with and without surface filtering.
 
-    Requires `same_frequency` False.  Network B is out of band for A's
-    surface, so the filtered bounce is attenuated by the double-pass
-    budget; both arms reuse identical channel and surface draws, leaving
-    the filter as the only difference.
+    Runs `adjacent_trial` for trials 0..trials-1 and keeps B's rates.
     """
-    if scenario.same_frequency:
-        raise ValueError("adjacent-channel experiment needs same_frequency=False")
-    scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
-    scale = 10.0 ** (scale_db / 20.0)
-    base = run_stale_csi(scenario, trials, seed, bounce_amp_scale=1.0)
-    filtered = run_stale_csi(scenario, trials, seed, bounce_amp_scale=scale)
-    return AdjacentChannelResult(
-        rates_no_filter=base.stale_rates,
-        rates_with_filter=filtered.stale_rates,
-    )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    base = np.empty(trials)
+    filtered = np.empty(trials)
+    for t in range(trials):
+        base[t], filtered[t], _, _ = adjacent_trial(scenario, filt, t, seed)
+    return AdjacentChannelResult(rates_no_filter=base, rates_with_filter=filtered)

@@ -36,7 +36,7 @@ from .coexist import (
     CoexNetwork,
     CoexScenario,
     LbtConfig,
-    apply_band_filter,
+    adjacent_trial,
     run_lbt_sim,
     stale_csi_trial,
 )
@@ -181,11 +181,10 @@ def _table(experiment, seed, trials, params, rows) -> ResultTable:
 
 
 def _map_trials(fn, trials, threads):
-    """Evaluate fn(0..trials-1), rows gathered back in trial order."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    """Evaluate fn(0..trials-1), rows gathered back in trial order.
+
+    `trials` and `threads` are checked by `check_run` beforehand.
+    """
     if threads == 1:
         nested = [fn(t) for t in range(trials)]
     else:
@@ -367,7 +366,6 @@ SCHEMA = {
         "mode": ("stale_csi", _choice("stale_csi", "lbt")),
         "slots": (2000, _int_ge(1)),
         "sense_threshold_dbm": (-82.0, _real()),
-        "directional_sensing": (False, _boolean),
         "backoff_slots_max": (8, _int_ge(0)),
     },
     "adjacent": {
@@ -529,6 +527,19 @@ def resolve_scenario(experiment: str, raw) -> dict:
     return p
 
 
+def check_run(seed, trials, threads=1) -> None:
+    """Reject a seed, trial count or thread count no runner can use.
+
+    The seed must be an integer in [0, 2^64), `trials` and `threads`
+    integers >= 1; ConfigError names `seed`, `trials` or `threads`.
+    """
+    _integer(seed, "seed", 0)
+    if seed >= 1 << 64:
+        raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
+    _integer(trials, "trials", 1)
+    _integer(threads, "threads", 1)
+
+
 # ---------------------------------------------------------------------------
 # rank: cascaded-channel rank collapse and its near-field escape
 
@@ -566,6 +577,7 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     how rich the departure hop is.  Switching `wavefront` to "spherical"
     (or "auto" inside the Fraunhofer distance) lifts the collapse.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     ones = np.ones(scn.n_elements, dtype=np.complex128)
@@ -596,6 +608,7 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
     channels each trial draws fresh coefficients; `quantization_bits`
     adds quantized-to-continuous gain ratio rows per bit width.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("beamform", scenario)
 
     def one(t):
@@ -631,6 +644,7 @@ def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
     weight one for everybody.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("multiuser", scenario)
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
@@ -717,6 +731,7 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     precoding on measurement-time state.  Mode "lbt" runs `trials`
     independent listen-before-talk simulations of `slots` slots each.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p, same_frequency=True)
 
@@ -731,7 +746,6 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     else:
         cfg = LbtConfig(
             sense_threshold_dbm=p["sense_threshold_dbm"],
-            directional=p["directional_sensing"],
             backoff_slots_max=p["backoff_slots_max"],
         )
 
@@ -752,10 +766,11 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
 def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
     """Adjacent-band victim rates without and with surface band filtering.
 
-    Both arms of a trial reuse the same channel and surface draws; the
-    filtered arm scales the bounce amplitude by the double-pass
-    out-of-band budget.
+    Each trial is one `coexist.adjacent_trial`: both arms reuse the same
+    channel and surface draws, and the filtered arm scales the bounce
+    amplitude by the double-pass out-of-band budget.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("adjacent", scenario)
     scn = _coex_scenario(p, same_frequency=False)
     filt = BandFilter(
@@ -763,15 +778,12 @@ def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
         inband_insertion_loss_db=p["insertion_loss_db"],
         passes_on_reflection=p["filter_passes"],
     )
-    scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
-    scale = 10.0 ** (scale_db / 20.0)
 
     def one(t):
-        _, stale0, loss0 = stale_csi_trial(scn, t, seed, bounce_amp_scale=1.0)
-        _, stale1, loss1 = stale_csi_trial(scn, t, seed, bounce_amp_scale=scale)
+        rate0, rate1, loss0, loss1 = adjacent_trial(scn, filt, t, seed)
         return [
-            (t, "rate_no_filter", stale0),
-            (t, "rate_with_filter", stale1),
+            (t, "rate_no_filter", rate0),
+            (t, "rate_with_filter", rate1),
             (t, "loss_no_filter", loss0),
             (t, "loss_with_filter", loss1),
         ]
@@ -791,6 +803,7 @@ def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
     the trial column carries the placement step (and, for breathing rows,
     the sweep index).  Step 0 is the panel-free baseline with site -1.
     """
+    check_run(seed, trials, threads)
     p = resolve_scenario("deploy", scenario)
     stations = tuple(
         BaseStation(

@@ -2,7 +2,8 @@
 
 A surface is a diagonal of per-element reflection coefficients
 theta_n = beta_n * exp(j phi_n), beta_n in [0, 1].  This module owns the
-panel value type, phase quantization, closed-form MISO alignment, and the
+panel value type (its `theta_diagonal` is the form the channel assembly
+takes), phase quantization, closed-form MISO alignment, and the
 alternating capacity ascent used for MIMO links (and reused by the
 multi-user scheduler through `weighted_phase_ascent`).
 """
@@ -33,16 +34,13 @@ def wrap_phase(phi):
 class RisPanel:
     """Immutable per-element state of one reflective panel.
 
-    partition blocks are half-open index ranges (start, stop); elements
-    outside every block may still reflect unless their amplitude is zero
-    (absorbing).  When `quantization_bits` is set, all phases must sit
-    exactly on the 2 pi k / 2^bits grid.
+    An element with amplitude zero absorbs.  When `quantization_bits` is
+    set, all phases must sit exactly on the 2 pi k / 2^bits grid.
     """
 
     amplitudes: np.ndarray
     phases: np.ndarray
     quantization_bits: int | None = None
-    partition: tuple = ()
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
@@ -64,7 +62,6 @@ class RisPanel:
         phi.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "phases", phi)
-        n = amp.shape[0]
         if self.quantization_bits is not None:
             bits = int(self.quantization_bits)
             if bits < 1:
@@ -74,14 +71,6 @@ class RisPanel:
             k = np.round(phi / step)
             if np.any(k * step != phi):
                 raise ValueError("phases are off the quantization grid")
-        blocks = tuple((int(s), int(e)) for s, e in self.partition)
-        for s, e in blocks:
-            if not (0 <= s < e <= n):
-                raise ValueError(f"partition block ({s}, {e}) out of range for N={n}")
-        for (s1, e1), (s2, e2) in zip(sorted(blocks), sorted(blocks)[1:]):
-            if s2 < e1:
-                raise ValueError("partition blocks overlap")
-        object.__setattr__(self, "partition", blocks)
         pos = np.asarray(self.position, dtype=float).reshape(3)
         pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
@@ -100,36 +89,6 @@ class RisPanel:
             raise ValueError(f"n_elements must be >= 1, got {n_elements}")
         pos = np.zeros(3) if position is None else position
         return cls(np.ones(n_elements), np.zeros(n_elements), position=pos)
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaMatrix:
-    """Diagonal reflection matrix, stored by its diagonal."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=np.complex128).reshape(-1)
-        if d.shape[0] == 0:
-            raise ValueError("empty reflection diagonal")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("reflection coefficients must be finite")
-        if np.any(np.abs(d) > 1.0 + 1e-12):
-            raise ValueError("reflection coefficients must have magnitude <= 1")
-        d.setflags(write=False)
-        object.__setattr__(self, "diagonal", d)
-
-    @property
-    def n_elements(self) -> int:
-        return self.diagonal.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def theta(panel: RisPanel) -> ThetaMatrix:
-    """Reflection matrix of a panel state."""
-    return ThetaMatrix(panel.theta_diagonal())
 
 
 # widest quantization whose 2^bits level indices fit in int64
@@ -197,30 +156,6 @@ def effective_miso(real: ChannelRealization):
     if real.h_nb_ue is not None:
         d_eff = complex(math.sqrt(real.pl_nb_ue) * (u.conj() @ real.h_nb_ue @ v))
     return g_eff, h_eff, d_eff
-
-
-def partition_panel(panel: RisPanel, block_sizes) -> RisPanel:
-    """Split the panel into consecutive blocks; leftover elements absorb.
-
-    Blocks are laid out from element 0 in the order given.  Elements not
-    covered by any block get amplitude zero (explicit absorption), the
-    rest keep their amplitudes and phases.
-    """
-    sizes = [int(s) for s in block_sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"block sizes must be >= 0, got {sizes}")
-    total = sum(sizes)
-    n = panel.n_elements
-    if total > n:
-        raise ValueError(f"blocks need {total} elements, panel has {n}")
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append((start, start + s))
-        start += s
-    amp = np.array(panel.amplitudes)
-    amp[total:] = 0.0
-    return replace(panel, amplitudes=amp, partition=tuple(blocks))
 
 
 def _aligned_init_phases(real: ChannelRealization) -> np.ndarray:

@@ -2,15 +2,14 @@
 
 An FDM interval serves every scheduled user through literally the same
 surface setting, so the reflection diagonal is a shared resource: it is
-either optimized jointly (weighted sum capacity), split into per-user
-element blocks, or sidestepped entirely by handing users their own
-panels.
+optimized jointly on the QoS-weighted sum capacity, and the price of that
+sharing is measured against giving each user a private surface.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,23 +17,15 @@ from . import ris
 from .channel import ChannelRealization, assemble_effective
 from .numkernel import waterfill_precoder
 
-#: users below this qos weight are not admitted to surface resources
-ADMISSION_THRESHOLD = 0.3
-
 
 @dataclass(frozen=True, eq=False)
 class UserContext:
-    """One scheduled user: channel, FDM sub-band and QoS weight.
-
-    `panel_channels` carries one realization per candidate panel for
-    multi-panel assignment; single-panel operations use `channel`.
-    """
+    """One scheduled user: channel, FDM sub-band and QoS weight."""
 
     user_id: str
     channel: ChannelRealization
     subband: tuple
     qos_weight: float
-    panel_channels: tuple = ()
 
     def __post_init__(self):
         lo, hi = self.subband
@@ -43,7 +34,6 @@ class UserContext:
         object.__setattr__(self, "subband", (float(lo), float(hi)))
         if not (self.qos_weight > 0.0 and math.isfinite(self.qos_weight)):
             raise ValueError(f"qos_weight must be positive, got {self.qos_weight}")
-        object.__setattr__(self, "panel_channels", tuple(self.panel_channels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,25 +42,19 @@ class UserAllocation:
 
     precoder: np.ndarray | None = None
     capacity: float = 0.0
-    blocks: tuple = ()
-    panels: tuple = ()
-    power: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class ScheduleDecision:
     """Shared surface state plus per-user allocations.
 
-    `shared_theta` is None for multi-panel plans, where each panel keeps
-    its own state in `panel_settings`.  `sum_metric` is the weighted sum
-    capacity (bits/s/Hz) for capacity-driven decisions and the weighted
-    sum of aligned received powers for the power-driven allocators.
+    `shared_theta` is the one panel state every user is served through;
+    `sum_metric` is the QoS-weighted sum capacity (bits/s/Hz).
     """
 
-    shared_theta: ris.ThetaMatrix | None
+    shared_theta: ris.RisPanel
     per_user: dict
     sum_metric: float
-    panel_settings: tuple = ()
 
 
 def _check_users(users) -> None:
@@ -119,14 +103,14 @@ def schedule_shared_theta(
         max_iters, rel_tol, grid_points,
     )
     panel_out = replace(panel, phases=phases, quantization_bits=None)
-    shared = ris.theta(panel_out)
+    theta = panel_out.theta_diagonal()
     per_user = {}
     for u, cap in zip(users, caps):
-        h_t = assemble_effective(u.channel, panel_out)
+        h_t = assemble_effective(u.channel, theta)
         f = waterfill_precoder(h_t, power_per_user, noise_power)
         per_user[u.user_id] = UserAllocation(precoder=f, capacity=float(cap))
     metric = float(sum(u.qos_weight * a.capacity for u, a in zip(users, per_user.values())))
-    return ScheduleDecision(shared_theta=shared, per_user=per_user, sum_metric=metric)
+    return ScheduleDecision(shared_theta=panel_out, per_user=per_user, sum_metric=metric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +120,6 @@ class SharedVsIdeal:
     shared_sum: float
     ideal_sum: float
     gap_fraction: float
-    decision: ScheduleDecision = field(repr=False, default=None)
 
 
 def compare_shared_vs_ideal(
@@ -173,155 +156,4 @@ def compare_shared_vs_ideal(
         shared_sum=shared_sum,
         ideal_sum=ideal_sum,
         gap_fraction=float(gap),
-        decision=decision,
-    )
-
-
-def proportional_sizes(weights, total: int, minimum: int = 1):
-    """Largest-remainder split of `total` items proportional to weights.
-
-    Every weight gets at least `minimum` items; remainder ties go to the
-    lower index.  The sizes sum exactly to `total`.
-    """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
-    if minimum * len(w) > total:
-        raise ValueError(
-            f"cannot give {len(w)} users {minimum} element(s) each out of {total}"
-        )
-    quota = total * w / w.sum()
-    base = np.maximum(np.floor(quota).astype(int), minimum)
-    # trim overshoot caused by the minimum, largest sizes give back first
-    while base.sum() > total:
-        i = int(np.argmax(np.where(base > minimum, base, -1)))
-        base[i] -= 1
-    rest = total - int(base.sum())
-    if rest > 0:
-        frac = quota - np.floor(quota)
-        order = sorted(range(len(w)), key=lambda i: (-frac[i], i))
-        for i in order[:rest]:
-            base[i] += 1
-    return [int(b) for b in base]
-
-
-def allocate_subblocks_qos(users, panel: ris.RisPanel) -> ScheduleDecision:
-    """Carve the panel into consecutive per-user blocks by QoS weight.
-
-    Only users at or above the admission threshold receive elements.
-    Each block is phase-aligned to its own user; the decision metric is
-    the weighted sum of aligned received powers through the full panel
-    (foreign blocks still reflect, just not coherently).
-    """
-    _check_users(users)
-    admitted = [u for u in users if u.qos_weight >= ADMISSION_THRESHOLD]
-    if not admitted:
-        raise ValueError("no user reaches the admission threshold")
-    for u in admitted:
-        if u.channel.n_elements != panel.n_elements:
-            raise ValueError(f"user {u.user_id!r} channel does not match the panel")
-    sizes = proportional_sizes([u.qos_weight for u in admitted], panel.n_elements)
-    parted = ris.partition_panel(panel, sizes)
-    phases = np.array(parted.phases)
-    miso = {u.user_id: ris.effective_miso(u.channel) for u in admitted}
-    for u, (start, stop) in zip(admitted, parted.partition):
-        g_eff, h_eff, d_eff = miso[u.user_id]
-        ref = np.angle(d_eff) if d_eff != 0 else 0.0
-        phases[start:stop] = ris.wrap_phase(
-            ref - np.angle(h_eff[start:stop]) - np.angle(g_eff[start:stop])
-        )
-    panel_out = replace(parted, phases=phases)
-    shared = ris.theta(panel_out)
-    admitted_ids = {u.user_id: idx for idx, u in enumerate(admitted)}
-    per_user = {}
-    metric = 0.0
-    for u in users:
-        alloc = UserAllocation()
-        if u.user_id in admitted_ids:
-            idx = admitted_ids[u.user_id]
-            g_eff, h_eff, d_eff = miso[u.user_id]
-            comp = ris.composite_gain(g_eff, h_eff, panel_out, d_eff)
-            power = abs(comp) ** 2
-            alloc = UserAllocation(
-                blocks=(parted.partition[idx],), power=float(power)
-            )
-            metric += u.qos_weight * power
-        per_user[u.user_id] = alloc
-    return ScheduleDecision(shared_theta=shared, per_user=per_user, sum_metric=float(metric))
-
-
-def allocate_multi_panel(users, panels) -> ScheduleDecision:
-    """Greedy panel-to-user assignment by descending QoS weight.
-
-    Every admitted user (in weight order, ties to the earlier user) takes
-    the free panel with the largest aligned power for it; leftover panels
-    go to the heaviest user.  Each panel is then aligned for its assigned
-    user, so multiple panels of one user add coherently.
-    """
-    _check_users(users)
-    if not panels:
-        raise ValueError("need at least one panel")
-    admitted_idx = [i for i, u in enumerate(users) if u.qos_weight >= ADMISSION_THRESHOLD]
-    if not admitted_idx:
-        raise ValueError("no user reaches the admission threshold")
-    for i in admitted_idx:
-        chans = users[i].panel_channels
-        if not chans and len(panels) == 1:
-            chans = (users[i].channel,)
-        if len(chans) != len(panels):
-            raise ValueError(
-                f"user {users[i].user_id!r} carries {len(chans)} panel channels, "
-                f"expected {len(panels)}"
-            )
-    order = sorted(admitted_idx, key=lambda i: (-users[i].qos_weight, i))
-
-    def _chans(i):
-        c = users[i].panel_channels
-        return c if c else (users[i].channel,)
-
-    miso = {
-        (i, k): ris.effective_miso(_chans(i)[k])
-        for i in admitted_idx
-        for k in range(len(panels))
-    }
-    # aligned reflected amplitude only; the direct term is panel-independent
-    amp = {
-        (i, k): float(np.sum(np.abs(g_eff * h_eff)))
-        for (i, k), (g_eff, h_eff, _) in miso.items()
-    }
-    assigned: dict[int, list] = {i: [] for i in admitted_idx}
-    free = list(range(len(panels)))
-    for i in order:
-        if not free:
-            break
-        k = max(free, key=lambda k: (amp[(i, k)], -k))
-        assigned[i].append(k)
-        free.remove(k)
-    for k in free:
-        assigned[order[0]].append(k)
-
-    settings = list(panels)
-    per_user = {}
-    metric = 0.0
-    for i, u in enumerate(users):
-        if i not in admitted_idx:
-            per_user[u.user_id] = UserAllocation()
-            continue
-        total_amp = 0.0
-        for k in assigned[i]:
-            g_eff, h_eff, d_eff = miso[(i, k)]
-            ref = np.angle(d_eff) if d_eff != 0 else 0.0
-            phases = ris.wrap_phase(ref - np.angle(h_eff) - np.angle(g_eff))
-            settings[k] = replace(panels[k], phases=phases)
-            total_amp += amp[(i, k)]
-        power = total_amp**2
-        per_user[u.user_id] = UserAllocation(
-            panels=tuple(sorted(assigned[i])), power=float(power)
-        )
-        metric += u.qos_weight * power
-    return ScheduleDecision(
-        shared_theta=None,
-        per_user=per_user,
-        sum_metric=float(metric),
-        panel_settings=tuple(settings),
     )

@@ -285,29 +285,6 @@ def segment_hits_rectangle_exact(p, q, rect) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive user-panel assignment
-
-def best_panel_assignment(weights, amp):
-    """(best metric, best map) over every map of panels onto users.
-
-    `amp[i][k]` is user i's aligned amplitude through panel k; a user's
-    panels add amplitudes before squaring.  Maps are tuples map[k] =
-    assigned user index; all users^panels of them are scored.
-    """
-    n_users = len(weights)
-    n_panels = len(amp[0])
-    best = (-1.0, None)
-    for assign in itertools.product(range(n_users), repeat=n_panels):
-        metric = 0.0
-        for i in range(n_users):
-            s = sum(amp[i][k] for k in range(n_panels) if assign[k] == i)
-            metric += weights[i] * s * s
-        if metric > best[0]:
-            best = (metric, assign)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # quantization-loss Monte Carlo
 
 def quantization_ratio_oracle(n: int, bits: int, samples: int, seed: int) -> float:

@@ -12,7 +12,6 @@ from ris_sim.channel import (
     Geometry,
     GeometryError,
     Scenario,
-    SignalModel,
     assemble_effective,
     assemble_multi_panel,
     draw_realization,
@@ -20,9 +19,7 @@ from ris_sim.channel import (
     gen_los,
     gen_rician,
     path_gain,
-    received_signal,
     resolve_wavefront,
-    segmented_path_loss,
 )
 from ris_sim.seeding import complex_normal, rng_from
 
@@ -167,32 +164,10 @@ def test_path_gain_reference_distance():
     assert path_gain(LAM, d, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_via_ris_reference_product():
-    d = LAM / (4.0 * math.pi)
-    g = _geom(nb=(-d, 0.0, 0.0), ris=(0.0, 0.0, 0.0), ue=(d, 0.0, 0.0))
-    got = segmented_path_loss(g, ChannelParams(), via_ris=True)
-    assert got == pytest.approx(1.0, rel=1e-12)
-
-
-def test_segmented_equals_product_of_factors():
-    g = _geom(nb=(0.0, 0.0, 0.0), ris=(100.0, 0.0, 0.0), ue=(100.0, 100.0, 0.0))
-    params = ChannelParams(path_loss_exponent=2.0)
-    got = segmented_path_loss(g, params, via_ris=True)
-    first = path_gain(LAM, 100.0, 2.0)
-    second = path_gain(LAM, 100.0, 2.0)
-    assert got == first * second
-
-
-def test_segmented_direct_route():
-    g = _geom(nb=(0.0, 0.0, 0.0), ris=(1.0, 0.0, 0.0), ue=(0.0, 50.0, 0.0))
-    got = segmented_path_loss(g, ChannelParams(), via_ris=False)
-    assert got == path_gain(LAM, 50.0, 2.0)
-
-
 def test_zero_distance_rejected():
     g = _geom(nb=(0.0, 0.0, 0.0), ris=(1.0, 0.0, 0.0), ue=(0.0, 0.0, 0.0))
     with pytest.raises(GeometryError):
-        segmented_path_loss(g, ChannelParams(), via_ris=False)
+        g.distance("nb", "ue")
 
 
 def test_subunity_product_below_factors():
@@ -299,19 +274,6 @@ def test_assemble_rejects_active_surface():
         assemble_effective(real, 1.5 * np.ones(4, dtype=complex))
 
 
-def test_assemble_accepts_panel_objects():
-    from ris_sim.ris import RisPanel, theta
-
-    rng = rng_from(59)
-    real = _random_real(rng)
-    panel = RisPanel.uniform(4)
-    a = assemble_effective(real, panel)
-    b = assemble_effective(real, theta(panel))
-    c = assemble_effective(real, np.ones(4, dtype=complex))
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
-
-
 def test_multi_panel_superposition():
     rng = rng_from(61)
     r1 = _random_real(rng, direct=False)
@@ -330,50 +292,6 @@ def test_multi_panel_shape_guard():
         assemble_multi_panel([r1, r2], [np.ones(4)] * 2)
     with pytest.raises(ValueError):
         assemble_multi_panel([], [])
-
-
-# ---------------------------------------------------------------------------
-# received signal
-
-def test_received_signal_noiseless_scalar():
-    h = np.array([[2.0 + 0.0j]])
-    g = np.array([[0.5 + 0.5j]])
-    real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
-                              pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0)
-    sig = SignalModel(precoder=np.array([[1.0 + 0j]]), symbols=[0.7 - 0.2j],
-                      noise_power=1e-30, power_budget=1.0)
-    y = received_signal(real, np.array([1.0 + 0j]), sig, seed=5)
-    want = h[0, 0] * g[0, 0] * (0.7 - 0.2j)
-    assert abs(y[0] - want) <= 1e-12
-
-
-def test_received_signal_zero_input_is_noise():
-    rng = rng_from(71)
-    real = _random_real(rng)
-    sig = SignalModel(precoder=np.eye(2, dtype=complex), symbols=[0.0, 0.0],
-                      noise_power=2.0, power_budget=4.0)
-    y = received_signal(real, np.ones(4, dtype=complex), sig, seed=99)
-    w = math.sqrt(2.0) * complex_normal(rng_from(99), 2)
-    assert np.array_equal(y, w)
-
-
-def test_received_signal_compositional():
-    rng = rng_from(73)
-    real = _random_real(rng)
-    f = complex_normal(rng, (2, 2)) * 0.3
-    x = complex_normal(rng, 2)
-    sig = SignalModel(precoder=f, symbols=x, noise_power=0.5, power_budget=10.0)
-    th = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    y = received_signal(real, th, sig, seed=7)
-    w = math.sqrt(0.5) * complex_normal(rng_from(7), 2)
-    want = assemble_effective(real, th) @ f @ x + w
-    assert np.array_equal(y, want)
-
-
-def test_signal_model_budget_enforced():
-    with pytest.raises(ValueError):
-        SignalModel(precoder=2.0 * np.eye(2, dtype=complex), symbols=[1.0, 1.0],
-                    noise_power=1.0, power_budget=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,31 @@ def test_library_runner_and_cli_resolve_alike(experiment):
     assert lib_err.value.path == cli_err.value.path == path
 
 
+# (seed, trials) pairs both entry points reject, and the path they name.
+_BAD_RUNS = [(-1, 1, "seed"), (1 << 64, 1, "seed"), (1.5, 1, "seed"),
+             (0, 0, "trials"), (0, True, "trials")]
+
+
+@pytest.mark.parametrize("experiment", sorted(_PARITY))
+@pytest.mark.parametrize("seed, trials, path", _BAD_RUNS)
+def test_library_runner_and_cli_check_seed_and_trials_alike(experiment, seed, trials, path):
+    good = _PARITY[experiment][0]
+    with pytest.raises(ConfigError) as lib_err:
+        RUNNERS[experiment](good, seed, trials)
+    text = yaml.safe_dump({"experiment": experiment, "seed": seed, "trials": trials,
+                           "scenario": good})
+    with pytest.raises(ConfigError) as cli_err:
+        validate_config(text)
+    assert lib_err.value.path == cli_err.value.path == path
+
+
+@pytest.mark.parametrize("experiment", sorted(_PARITY))
+def test_library_runner_rejects_zero_threads(experiment):
+    with pytest.raises(ConfigError) as err:
+        RUNNERS[experiment](_PARITY[experiment][0], 3, 2, threads=0)
+    assert err.value.path == "threads"
+
+
 def test_output_path_must_be_a_string():
     with pytest.raises(ConfigError, match="output"):
         validate_config("experiment: rank\noutput: 3\n")

@@ -132,21 +132,10 @@ def test_lbt_silence_clears():
 
 def test_lbt_defers_above_threshold():
     cfg = LbtConfig(sense_threshold_dbm=-72.0)
-    assert lbt_decide(cfg, [(-60.0, 0.3)]) is False
-
-
-def test_directional_sensing_flips_decision():
-    # a -20 dB notch towards the interferer reads -80 dBm, below threshold
-    cfg = LbtConfig(sense_threshold_dbm=-72.0, directional=True,
-                    gain_table=((0.0, math.pi / 2, -20.0),))
-    assert lbt_decide(cfg, [(-60.0, math.pi / 4)]) is True
-    assert lbt_decide(cfg, [(-60.0, math.pi)]) is False
-    assert cfg.sense_gain_db(math.pi / 4 - 2 * math.pi) == -20.0
+    assert lbt_decide(cfg, [-60.0]) is False
 
 
 def test_lbt_config_validation():
-    with pytest.raises(ValueError):
-        LbtConfig(sense_threshold_dbm=-72.0, gain_table=((1.0, 1.0, -3.0),))
     with pytest.raises(ValueError):
         LbtConfig(sense_threshold_dbm=-72.0, backoff_slots_max=-1)
 

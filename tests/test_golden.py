@@ -1,5 +1,5 @@
 """Golden sha256 digests of the result CSV and metadata sidecar of every
-shipped config.
+shipped config, and of two LBT tables.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.cli import main
-from ris_sim.experiments import RUNNERS
+from ris_sim.experiments import RUNNERS, run_coexist
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -42,3 +42,20 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[experiment]["csv"]
     meta = tmp_path / "results.meta.json"
     assert hashlib.sha256(meta.read_bytes()).hexdigest() == DIGESTS[experiment]["meta"]
+
+
+# LBT tables (`run_coexist`, seed 5, 3 trials, 400 slots); no shipped config
+# runs LBT, so these pin it.  At the default -82 dBm threshold every
+# contended slot defers, so the backoff draws run; at -40 dBm every slot
+# collides, so the interference term runs.
+LBT_DIGESTS = {
+    -82.0: "61d309e3657a875bf3e9790c2fe048c4cd7ac3fc343f7f0008e73590e9f08ca2",
+    -40.0: "953fecd26cae6bd4d1779b85ede57582effdcf6e18a2f486e5048e2a723ea319",
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(LBT_DIGESTS))
+def test_lbt_csv_matches_golden_digest(threshold):
+    table = run_coexist({"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold},
+                        seed=5, trials=3)
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == LBT_DIGESTS[threshold]

@@ -1,0 +1,51 @@
+"""Every name a package module imports is used in that module.
+
+Deleting code tends to leave imports behind that nothing reads any more.
+This check parses each `src/ris_sim/*.py` file with the standard-library
+`ast` module, so it needs no linter.  The package `__init__.py` re-exports
+its submodules with `from . import ...`; that line is the public surface,
+not a stale import, and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ris_sim"
+
+
+def _imported_names(tree, module):
+    """(bound name, line) of every import outside the exempt ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            if module == "__init__" and node.level == 1 and node.module is None:
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # quoted annotations such as -> "RisPanel" name things too
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported_names(tree, path.stem) if name not in used]
+    assert not unused, f"imported but never used: {unused}"

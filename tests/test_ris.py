@@ -11,14 +11,11 @@ from oracles import best_1bit_power
 from ris_sim.channel import ChannelRealization
 from ris_sim.ris import (
     RisPanel,
-    ThetaMatrix,
     align_phases_miso,
     composite_gain,
     effective_miso,
     optimize_phases_mimo,
-    partition_panel,
     quantize_phases,
-    theta,
     wrap_phase,
 )
 from ris_sim.seeding import complex_normal, rng_from
@@ -51,19 +48,19 @@ def test_wrap_phase_range():
 
 def test_theta_identity_reflection():
     panel = RisPanel.uniform(4)
-    tm = theta(panel)
-    assert np.array_equal(tm.diagonal, np.ones(4, dtype=complex))
-    assert np.array_equal(tm.as_matrix(), np.eye(4, dtype=complex))
+    diag = panel.theta_diagonal()
+    assert np.array_equal(diag, np.ones(4, dtype=complex))
+    assert np.array_equal(np.diag(diag), np.eye(4, dtype=complex))
 
 
 def test_theta_absorbing_surface():
     panel = RisPanel(np.zeros(3), np.zeros(3))
-    assert np.array_equal(theta(panel).diagonal, np.zeros(3, dtype=complex))
+    assert np.array_equal(panel.theta_diagonal(), np.zeros(3, dtype=complex))
 
 
 def test_theta_direct_formula():
     panel = RisPanel(np.array([0.5]), np.array([math.pi]))
-    assert theta(panel).diagonal[0] == pytest.approx(-0.5, abs=1e-15)
+    assert panel.theta_diagonal()[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_panel_validation():
@@ -79,15 +76,6 @@ def test_panel_validation():
         RisPanel(np.ones(0), np.zeros(0))
     with pytest.raises(ValueError):
         RisPanel(np.ones(2), np.array([0.0, 0.3]), quantization_bits=1)
-    with pytest.raises(ValueError):
-        RisPanel(np.ones(4), np.zeros(4), partition=((0, 3), (2, 4)))
-    with pytest.raises(ValueError):
-        RisPanel(np.ones(4), np.zeros(4), partition=((0, 5),))
-
-
-def test_theta_matrix_passivity_guard():
-    with pytest.raises(ValueError):
-        ThetaMatrix(np.array([1.0 + 1.0j]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,44 +227,19 @@ def test_optimize_parameter_checks():
 
 
 # ---------------------------------------------------------------------------
-# partitioning
-
-def test_partition_whole_panel():
-    p = partition_panel(RisPanel.uniform(64), (64,))
-    assert p.partition == ((0, 64),)
-    assert np.all(p.amplitudes == 1.0)
-
-
-def test_partition_even_split():
-    p = partition_panel(RisPanel.uniform(64), (32, 32))
-    assert p.partition == ((0, 32), (32, 64))
-    assert np.all(p.amplitudes == 1.0)
-
-
-def test_partition_with_absorbing_remainder():
-    p = partition_panel(RisPanel.uniform(64), (16, 16))
-    assert p.partition == ((0, 16), (16, 32))
-    assert np.all(p.amplitudes[:32] == 1.0)
-    assert np.all(p.amplitudes[32:] == 0.0)
-
+# element blocks
 
 def test_partition_single_block_gain_fraction():
     g = np.ones(64, dtype=complex)
     h = np.ones(64, dtype=complex)
     whole = abs(composite_gain(g, h, align_phases_miso(g, h))) ** 2
-    p = partition_panel(RisPanel.uniform(64), (16, 16))
-    lo, hi = p.partition[0]
+    lo, hi = 0, 16
     amp = np.zeros(64)
     amp[lo:hi] = 1.0
-    block_only = RisPanel(amp, p.phases)
+    block_only = RisPanel(amp, np.zeros(64))
     block = abs(composite_gain(g, h, block_only)) ** 2
     assert whole == pytest.approx(4096.0)
     assert block == pytest.approx(whole / 16.0)
-
-
-def test_partition_oversized_rejected():
-    with pytest.raises(ValueError):
-        partition_panel(RisPanel.uniform(8), (6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +253,8 @@ def test_passivity_everywhere():
         RisPanel.uniform(8),
         align_phases_miso(g, h),
         quantize_phases(align_phases_miso(g, h), 2),
-        partition_panel(RisPanel.uniform(8), (4, 2)),
+        # elements 6 and 7 absorb
+        RisPanel(np.r_[np.ones(6), np.zeros(2)], np.zeros(8)),
     ):
         assert np.all(np.abs(panel.theta_diagonal()) <= 1.0 + 1e-12)
 
@@ -310,12 +274,12 @@ def test_whole_panel_beats_blocks():
     for _ in range(10):
         g = complex_normal(rng, 32)
         h = complex_normal(rng, 32)
-        whole = abs(composite_gain(g, h, align_phases_miso(g, h))) ** 2
-        p = partition_panel(align_phases_miso(g, h), (16, 8))
-        for lo, hi in p.partition:
+        aligned = align_phases_miso(g, h)
+        whole = abs(composite_gain(g, h, aligned)) ** 2
+        for lo, hi in ((0, 16), (16, 24)):
             amp = np.zeros(32)
             amp[lo:hi] = 1.0
-            block = abs(composite_gain(g, h, RisPanel(amp, p.phases))) ** 2
+            block = abs(composite_gain(g, h, RisPanel(amp, aligned.phases))) ** 2
             assert whole >= block - 1e-9
 
 

@@ -1,18 +1,14 @@
-"""Shared-reflection scheduling, QoS sub-blocks, multi-panel assignment."""
+"""Shared-reflection scheduling and the price of one shared surface state."""
 
 import numpy as np
 import pytest
 
-from oracles import best_panel_assignment, exhaustive_phase_capacity
+from oracles import exhaustive_phase_capacity
 from ris_sim.channel import ChannelRealization
-from ris_sim.ris import RisPanel, effective_miso, optimize_phases_mimo
+from ris_sim.ris import RisPanel, optimize_phases_mimo
 from ris_sim.scheduler import (
-    ADMISSION_THRESHOLD,
     UserContext,
-    allocate_multi_panel,
-    allocate_subblocks_qos,
     compare_shared_vs_ideal,
-    proportional_sizes,
     schedule_shared_theta,
 )
 from ris_sim.seeding import complex_normal, rng_from
@@ -179,160 +175,3 @@ def test_one_theta_per_interval():
     for alloc in dec.per_user.values():
         assert alloc.precoder is not None
         assert not hasattr(alloc, "theta")
-
-
-# ---------------------------------------------------------------------------
-# proportional sub-blocks
-
-def test_proportional_sizes_examples():
-    assert proportional_sizes([1.0, 1.0], 64) == [32, 32]
-    assert proportional_sizes([3.0, 1.0], 64) == [48, 16]
-    assert proportional_sizes([100.0, 1.0, 1.0], 8) == [6, 1, 1]
-    with pytest.raises(ValueError):
-        proportional_sizes([1.0] * 9, 8)
-    with pytest.raises(ValueError):
-        proportional_sizes([1.0, -1.0], 8)
-
-
-def test_subblock_partition_layout():
-    rng = rng_from(131)
-    users = [
-        UserContext("hi", _mimo_real(rng, n=64), (0.0, 1.0), 3.0),
-        UserContext("lo", _mimo_real(rng, n=64), (1.0, 2.0), 1.0),
-    ]
-    dec = allocate_subblocks_qos(users, RisPanel.uniform(64))
-    assert dec.per_user["hi"].blocks == ((0, 48),)
-    assert dec.per_user["lo"].blocks == ((48, 64),)
-    assert dec.shared_theta is not None
-
-
-def test_larger_block_never_hurts_priority_user():
-    for t in range(100):
-        rng = rng_from(t, "qos")
-        hi = UserContext("hi", _mimo_real(rng, n=64, m=1, u=1), (0.0, 1.0), 3.0)
-        lo = UserContext("lo", _mimo_real(rng, n=64, m=1, u=1), (1.0, 2.0), 1.0)
-        hi_flat = UserContext("hi", hi.channel, (0.0, 1.0), 1.0)
-        big = allocate_subblocks_qos([hi, lo], RisPanel.uniform(64))
-        even = allocate_subblocks_qos([hi_flat, lo], RisPanel.uniform(64))
-        assert big.per_user["hi"].power >= even.per_user["hi"].power
-
-
-def test_subblock_sizes_monotone_in_weight():
-    rng = rng_from(137)
-    users = [
-        UserContext("a", _mimo_real(rng, n=32), (0.0, 1.0), 2.5),
-        UserContext("b", _mimo_real(rng, n=32), (1.0, 2.0), 1.5),
-        UserContext("c", _mimo_real(rng, n=32), (2.0, 3.0), 0.5),
-    ]
-    dec = allocate_subblocks_qos(users, RisPanel.uniform(32))
-    sizes = [hi - lo for (lo, hi) in
-             (dec.per_user[u.user_id].blocks[0] for u in users)]
-    assert sizes == sorted(sizes, reverse=True)
-    assert sum(sizes) <= 32
-
-
-def test_admission_threshold_excludes_light_users():
-    rng = rng_from(139)
-    kept = UserContext("kept", _mimo_real(rng, n=16), (0.0, 1.0), 1.0)
-    dropped = UserContext("out", _mimo_real(rng, n=16), (1.0, 2.0),
-                          ADMISSION_THRESHOLD / 2.0)
-    dec = allocate_subblocks_qos([kept, dropped], RisPanel.uniform(16))
-    assert dec.per_user["out"].blocks == ()
-    assert dec.per_user["out"].power == 0.0
-    assert dec.per_user["kept"].blocks == ((0, 16),)
-    with pytest.raises(ValueError):
-        allocate_subblocks_qos([dropped], RisPanel.uniform(16))
-
-
-# ---------------------------------------------------------------------------
-# multi-panel assignment
-
-def _panel_user(uid, rng, weight, band, pl_per_panel, n=6):
-    chans = tuple(
-        ChannelRealization(
-            g_nb_ris=complex_normal(rng, (n, 2)),
-            h_ris_ue=complex_normal(rng, (2, n)),
-            h_nb_ue=None,
-            pl_nb_ris=1.0, pl_ris_ue=pl, pl_nb_ue=0.0,
-        )
-        for pl in pl_per_panel
-    )
-    return UserContext(uid, chans[0], band, weight, panel_channels=chans)
-
-
-def test_single_user_takes_every_panel():
-    for k in range(1, 5):
-        rng = rng_from(149)
-        user = _panel_user("solo", rng, 1.0, (0.0, 1.0), [1.0] * k)
-        dec = allocate_multi_panel([user], [RisPanel.uniform(6)] * k)
-        assert dec.per_user["solo"].panels == tuple(range(k))
-        assert dec.shared_theta is None
-        assert len(dec.panel_settings) == k
-
-
-def test_colocated_panels_go_to_nearest_user():
-    rng = rng_from(151)
-    u0 = _panel_user("near0", rng, 1.0, (0.0, 1.0), (1.0, 0.01))
-    u1 = _panel_user("near1", rng, 1.0, (1.0, 2.0), (0.01, 1.0))
-    dec = allocate_multi_panel([u0, u1], [RisPanel.uniform(6)] * 2)
-    assert dec.per_user["near0"].panels == (0,)
-    assert dec.per_user["near1"].panels == (1,)
-
-
-def test_assignment_matches_exhaustive_on_separated_geometry():
-    rng = rng_from(0, "mpgeo")
-    weights = [2.0, 1.5, 1.0]
-    pl = np.full((3, 4), 0.01)
-    for i in range(3):
-        pl[i, i] = 1.0
-    pl[0, 3] = 0.5
-    users = [
-        _panel_user(f"u{i}", rng, w, (float(i), i + 1.0), pl[i])
-        for i, w in enumerate(weights)
-    ]
-    dec = allocate_multi_panel(users, [RisPanel.uniform(6)] * 4)
-    amp = [
-        [
-            float(np.sum(np.abs(np.multiply(
-                *effective_miso(users[i].panel_channels[k])[:2]))))
-            for k in range(4)
-        ]
-        for i in range(3)
-    ]
-    best, assign = best_panel_assignment(weights, amp)
-    assert dec.sum_metric == pytest.approx(best, rel=1e-9)
-    for k, i in enumerate(assign):
-        assert k in dec.per_user[f"u{i}"].panels
-
-
-def test_greedy_beats_single_panel_time_split():
-    weights = [2.0, 1.5, 1.0]
-    for seed in range(10):
-        rng = rng_from(seed, "mp")
-        users = [
-            _panel_user(f"u{i}", rng, w, (float(i), i + 1.0), [1.0] * 4)
-            for i, w in enumerate(weights)
-        ]
-        dec = allocate_multi_panel(users, [RisPanel.uniform(6)] * 4)
-        amp = np.array([
-            [
-                float(np.sum(np.abs(np.multiply(
-                    *effective_miso(users[i].panel_channels[k])[:2]))))
-                for k in range(4)
-            ]
-            for i in range(3)
-        ])
-        split = max(
-            float(sum(weights[i] * amp[i, k] ** 2 for i in range(3))) / 3.0
-            for k in range(4)
-        )
-        assert dec.sum_metric >= split
-
-
-def test_multi_panel_validation():
-    rng = rng_from(157)
-    user = _panel_user("u", rng, 1.0, (0.0, 1.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        allocate_multi_panel([user], [])
-    with pytest.raises(ValueError):
-        allocate_multi_panel([user], [RisPanel.uniform(6)] * 3)
