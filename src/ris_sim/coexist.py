@@ -134,6 +134,38 @@ class StaleCsiResult:
         return float(self.loss_fractions.mean())
 
 
+def _stale_draws(scenario: CoexScenario, trial: int, seed: int):
+    """Network B's channel and A's surface states at t1 and t2 of one trial.
+
+    Under "static" and "frozen_during_foreign_slot", or when t1 == t2, the
+    t2 state is the t1 object itself.
+    """
+    b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
+    n = scenario.net_a.n_elements
+    real = draw_realization(b_link, trial)
+    th1 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t1}")
+    if scenario.ris_update_policy == "rerandomize_each_slot" and scenario.t2 != scenario.t1:
+        th2 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t2}")
+    else:
+        th2 = th1
+    return real, th1, th2
+
+
+def _stale_rates(scenario: CoexScenario, draws, bounce_amp_scale: float):
+    """(fresh_rate, stale_rate, loss_fraction) of B on one trial's draws."""
+    real, th1, th2 = draws
+    p_b = scenario.net_b.tx_power
+    noise = scenario.params.noise_power
+    h1 = assemble_effective(real, th1, beta_gain=bounce_amp_scale)
+    h2 = assemble_effective(real, th2, beta_gain=bounce_amp_scale)
+    f1 = waterfill_precoder(h1, p_b, noise)
+    f2 = waterfill_precoder(h2, p_b, noise)
+    stale = rate_with_precoder(h2, f1, noise)
+    fresh = rate_with_precoder(h2, f2, noise)
+    loss = 0.0 if fresh == 0.0 else (fresh - stale) / fresh
+    return fresh, stale, loss
+
+
 def stale_csi_trial(
     scenario: CoexScenario,
     trial: int,
@@ -145,24 +177,8 @@ def stale_csi_trial(
     All randomness is keyed on (seed, trial), so trials may be evaluated
     in any order or concurrently without changing a single bit.
     """
-    b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
-    n = scenario.net_a.n_elements
-    p_b = scenario.net_b.tx_power
-    noise = scenario.params.noise_power
-    real = draw_realization(b_link, trial)
-    th1 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t1}")
-    if scenario.ris_update_policy == "rerandomize_each_slot" and scenario.t2 != scenario.t1:
-        th2 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t2}")
-    else:
-        th2 = th1
-    h1 = assemble_effective(real, th1, beta_gain=bounce_amp_scale)
-    h2 = assemble_effective(real, th2, beta_gain=bounce_amp_scale)
-    f1 = waterfill_precoder(h1, p_b, noise)
-    f2 = waterfill_precoder(h2, p_b, noise)
-    stale = rate_with_precoder(h2, f1, noise)
-    fresh = rate_with_precoder(h2, f2, noise)
-    loss = 0.0 if fresh == 0.0 else (fresh - stale) / fresh
-    return fresh, stale, loss
+    draws = _stale_draws(scenario, trial, seed)
+    return _stale_rates(scenario, draws, bounce_amp_scale)
 
 
 def run_stale_csi(
@@ -429,17 +445,18 @@ def adjacent_trial(scenario: CoexScenario, filt: BandFilter, trial: int, seed: i
 
     Requires `same_frequency` False.  Network B is out of band for A's
     surface, so the filtered bounce is attenuated by the double-pass
-    budget; both arms reuse identical channel and surface draws, leaving
-    the filter as the only difference.  Returns (rate_no_filter,
-    rate_with_filter, loss_no_filter, loss_with_filter), where the rates
-    are B's stale-CSI rates.
+    budget.  The channel and surface states are drawn once and both arms
+    are evaluated on them, leaving the filter as the only difference.
+    Returns (rate_no_filter, rate_with_filter, loss_no_filter,
+    loss_with_filter), where the rates are B's stale-CSI rates.
     """
     if scenario.same_frequency:
         raise ValueError("adjacent-channel experiment needs same_frequency=False")
     scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
     scale = 10.0 ** (scale_db / 20.0)
-    _, rate0, loss0 = stale_csi_trial(scenario, trial, seed, bounce_amp_scale=1.0)
-    _, rate1, loss1 = stale_csi_trial(scenario, trial, seed, bounce_amp_scale=scale)
+    draws = _stale_draws(scenario, trial, seed)
+    _, rate0, loss0 = _stale_rates(scenario, draws, 1.0)
+    _, rate1, loss1 = _stale_rates(scenario, draws, scale)
     return rate0, rate1, loss0, loss1
 
 

@@ -4,8 +4,9 @@ A surface is a diagonal of per-element reflection coefficients
 theta_n = beta_n * exp(j phi_n), beta_n in [0, 1].  This module owns the
 panel value type (its `theta_diagonal` is the form the channel assembly
 takes), phase quantization, closed-form MISO alignment, and the
-alternating capacity ascent used for MIMO links (and reused by the
-multi-user scheduler through `weighted_phase_ascent`).
+alternating capacity ascent used for MIMO links.  The ascent is one
+engine, `phase_ascent_batch`, which the multi-user scheduler also uses to
+run the shared and the private ascents together.
 """
 
 from __future__ import annotations
@@ -176,6 +177,161 @@ def _effective_terms(real: ChannelRealization):
     return a, b, d
 
 
+class _ShapeGroup:
+    """The entries of the running problems whose channels are U x M.
+
+    Row i is one entry: `owner[i]` is its problem's place among the running
+    problems, `slot[i]` its place among that problem's entries, `index[i]`
+    its flat entry index, `w[i]` its weight, `h[i]` its current channel and
+    `outer[n, i]` the change of that channel per unit change of element
+    n's reflection coefficient.
+    """
+
+    def __init__(self, rows):
+        owner, slot, index, w, hs, outers = zip(*rows)
+        self.owner = np.array(owner, dtype=np.intp)
+        self.slot = np.array(slot, dtype=np.intp)
+        self.index = np.array(index, dtype=np.intp)
+        self.w = np.array(w, dtype=float)[:, None]
+        self.h = np.stack(hs)
+        self.outer = np.stack(outers, axis=1)
+
+    def keep(self, running, place):
+        """Drop the rows of stopped problems; renumber owners by `place`."""
+        m = running[self.owner]
+        self.owner = place[self.owner[m]]
+        self.slot, self.index, self.w = self.slot[m], self.index[m], self.w[m]
+        self.h, self.outer = self.h[m], self.outer[:, m]
+
+
+def phase_ascent_batch(
+    problems,
+    amplitudes: np.ndarray,
+    total_power: float,
+    noise_power: float,
+    max_iters: int,
+    rel_tol: float,
+    grid_points: int,
+):
+    """Independent weighted phase ascents swept in lockstep.
+
+    `problems` is a sequence of (entries, init_phases), where `entries` is
+    a sequence of (weight, realization) as in `weighted_phase_ascent`.
+    Every problem shares the panel `amplitudes`, the element count and the
+    ascent parameters.  For each live element, the `grid_points`
+    candidate channels of every entry of every running problem go through
+    one SVD call and one capacity call per (U, M) shape, so users with
+    different antenna counts can share a batch.
+
+    Each problem keeps its own objective, accumulated over its entries in
+    entry order; it moves an element only when the best candidate strictly
+    improves that objective, records its own trace and stops on its own
+    `rel_tol` test.  Every problem's result is therefore bit for bit what
+    the per-problem sweep gives when run alone.
+
+    Returns one (phases, per_entry_capacities, trace) per problem, where
+    trace[i] is the objective after i sweeps and is non-decreasing.
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if rel_tol <= 0.0:
+        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    n = amplitudes.shape[0]
+    n_prob = len(problems)
+    phases = np.empty((n_prob, n))
+    theta = np.empty((n_prob, n), dtype=np.complex128)
+    shapes = {}
+    bounds = [0]
+    for p, (entries, init) in enumerate(problems):
+        terms = [_effective_terms(real) for _, real in entries]
+        for _, real in entries:
+            if real.n_elements != n:
+                raise ValueError("realizations disagree on the element count")
+        phases[p] = np.array(init, dtype=float)
+        theta[p] = amplitudes * np.exp(1j * phases[p])
+        for k, ((w, _), (a, b, d)) in enumerate(zip(entries, terms)):
+            h = (a * theta[p][None, :]) @ b + d
+            outer = a.T[:, :, None] * b[:, None, :]  # (N, U, M)
+            shapes.setdefault(d.shape, []).append((p, k, bounds[-1] + k, w, h, outer))
+        bounds.append(bounds[-1] + len(entries))
+    groups = [_ShapeGroup(rows) for rows in shapes.values()]
+
+    caps = np.empty(bounds[-1])
+    for g in groups:
+        sv = np.linalg.svd(g.h, compute_uv=False)
+        caps[g.index] = numkernel.capacity_closed_form(sv, total_power, noise_power)
+    cur = np.empty(n_prob)
+    for p, (entries, _) in enumerate(problems):
+        weights = np.array([w for w, _ in entries], dtype=float)
+        cur[p] = float(weights @ np.array(caps[bounds[p]:bounds[p + 1]]))
+    traces = [[c] for c in cur.tolist()]
+    done = [None] * n_prob
+    ids = np.arange(n_prob)  # problem index of each running problem
+    live = np.nonzero(amplitudes > 0.0)[0]
+    grid = TWO_PI * np.arange(grid_points) / grid_points
+    rot = np.exp(1j * grid)
+    # weighted candidate capacities by (entry slot, running problem); the
+    # slots a problem lacks stay +0.0, which leaves its running sum as is
+    slots = max((len(entries) for entries, _ in problems), default=0)
+    weighted = np.zeros((slots, n_prob, grid_points))
+    for _ in range(max_iters):
+        for nidx in live:
+            cand = amplitudes[nidx] * rot
+            delta = cand[None, :] - theta[:, nidx, None]
+            cand_caps = []
+            for g in groups:
+                hc = g.h[:, None] + delta[g.owner, :, None, None] * g.outer[nidx][:, None]
+                sv = np.linalg.svd(hc.reshape(-1, *g.h.shape[1:]), compute_uv=False)
+                cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
+                cg = cg.reshape(-1, grid_points)
+                weighted[g.slot, g.owner] = g.w * cg
+                cand_caps.append(cg)
+            total = np.zeros(cur.shape + (grid_points,))
+            for part in weighted:
+                total += part
+            best = np.argmax(total, axis=1)
+            best_val = total[np.arange(best.shape[0]), best]
+            up = best_val > cur
+            if not up.any():
+                continue
+            for g, cg in zip(groups, cand_caps):
+                m = up[g.owner]
+                if m.any():
+                    j = best[g.owner[m]]
+                    d = delta[g.owner[m], j, None, None]
+                    g.h[m] = g.h[m] + d * g.outer[nidx][m]
+                    caps[g.index[m]] = cg[m, j]
+            theta[up, nidx] = cand[best[up]]
+            phases[up, nidx] = grid[best[up]]
+            cur[up] = best_val[up]
+        running = np.ones(ids.shape[0], dtype=bool)
+        for i, p in enumerate(ids):
+            trace = traces[p]
+            trace.append(float(cur[i]))
+            gain = trace[-1] - trace[-2]
+            if gain <= rel_tol * max(abs(trace[-2]), 1e-30):
+                running[i] = False
+                done[p] = phases[i].copy()
+        if not running.all():
+            place = np.cumsum(running) - 1
+            for g in groups:
+                g.keep(running, place)
+            groups = [g for g in groups if g.owner.shape[0]]
+            ids, cur = ids[running], cur[running]
+            theta, phases = theta[running], phases[running]
+            weighted = weighted[:, running]
+        if ids.shape[0] == 0:
+            break
+    for i, p in enumerate(ids):
+        done[p] = phases[i]
+    return [
+        (wrap_phase(done[p]), caps[bounds[p]:bounds[p + 1]].copy(), traces[p])
+        for p in range(n_prob)
+    ]
+
+
 def weighted_phase_ascent(
     entries,
     amplitudes: np.ndarray,
@@ -191,67 +347,19 @@ def weighted_phase_ascent(
     `entries` is a sequence of (weight, realization); all realizations
     must share the element count.  Each sweep sets every live element to
     the best of `grid_points` uniform phases (keeping the current value
-    when no grid point improves the objective), so the objective trace is
-    non-decreasing by construction.
+    when no grid point strictly improves the objective), so the objective
+    trace is non-decreasing by construction.  This is the one-problem
+    case of `phase_ascent_batch`, which sweeps all entries of an element
+    in one SVD call per channel shape.
 
     Returns (phases, per_entry_capacities, trace) where trace[i] is the
     objective after i sweeps.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    n = amplitudes.shape[0]
-    weights = np.array([w for w, _ in entries], dtype=float)
-    terms = [_effective_terms(real) for _, real in entries]
-    for _, real in entries:
-        if real.n_elements != n:
-            raise ValueError("realizations disagree on the element count")
-    outers = [a.T[:, :, None] * b[:, None, :] for a, b, _ in terms]  # (N, U, M)
-
-    phases = np.array(init_phases, dtype=float)
-    theta_vec = amplitudes * np.exp(1j * phases)
-    hs = [(a * theta_vec[None, :]) @ b + d for a, b, d in terms]
-    grid = TWO_PI * np.arange(grid_points) / grid_points
-
-    def caps_now():
-        return np.array([
-            numkernel.capacity_closed_form(
-                np.linalg.svd(h, compute_uv=False), total_power, noise_power)
-            for h in hs
-        ])
-
-    per_caps = caps_now()
-    cur = float(weights @ per_caps)
-    trace = [cur]
-    live = np.nonzero(amplitudes > 0.0)[0]
-    for _ in range(max_iters):
-        for nidx in live:
-            cand = amplitudes[nidx] * np.exp(1j * grid)
-            delta = cand - theta_vec[nidx]
-            total = np.zeros(grid_points)
-            cand_caps = []
-            for k in range(len(terms)):
-                hc = hs[k][None, :, :] + delta[:, None, None] * outers[k][nidx]
-                sv = np.linalg.svd(hc, compute_uv=False)
-                cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
-                cand_caps.append(cg)
-                total += weights[k] * cg
-            j = int(np.argmax(total))
-            if total[j] > cur:
-                for k in range(len(terms)):
-                    hs[k] = hs[k] + delta[j] * outers[k][nidx]
-                theta_vec[nidx] = cand[j]
-                phases[nidx] = grid[j]
-                per_caps = np.array([cc[j] for cc in cand_caps])
-                cur = float(total[j])
-        trace.append(cur)
-        gain = trace[-1] - trace[-2]
-        if gain <= rel_tol * max(abs(trace[-2]), 1e-30):
-            break
-    return wrap_phase(phases), per_caps, trace
+    ((phases, caps, trace),) = phase_ascent_batch(
+        [(entries, init_phases)], amplitudes, total_power, noise_power,
+        max_iters, rel_tol, grid_points,
+    )
+    return phases, caps, trace
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,7 @@ class ScheduleDecision:
     sum_metric: float
 
 
-def _check_users(users) -> None:
+def _check_users(users, panel: ris.RisPanel) -> None:
     if not users:
         raise ValueError("need at least one user")
     seen = set()
@@ -71,6 +71,23 @@ def _check_users(users) -> None:
             raise ValueError(
                 f"sub-bands ({lo1}, {hi1}) and ({lo2}, {hi2}) overlap"
             )
+    for u in users:
+        if u.channel.n_elements != panel.n_elements:
+            raise ValueError(
+                f"user {u.user_id!r} channel has {u.channel.n_elements} elements, "
+                f"panel has {panel.n_elements}"
+            )
+
+
+def _shared_problem(users):
+    """Weighted entries and start phases of the shared ascent.
+
+    The start is the aligned-MISO phase set of the highest-weight user,
+    the lowest index on ties.
+    """
+    lead = max(range(len(users)), key=lambda i: (users[i].qos_weight, -i))
+    init = ris._aligned_init_phases(users[lead].channel)
+    return [(u.qos_weight, u.channel) for u in users], init
 
 
 def schedule_shared_theta(
@@ -88,16 +105,8 @@ def schedule_shared_theta(
     precoders are water-filled on the individual effective channels.  A
     single user reduces exactly to the single-user optimizer.
     """
-    _check_users(users)
-    for u in users:
-        if u.channel.n_elements != panel.n_elements:
-            raise ValueError(
-                f"user {u.user_id!r} channel has {u.channel.n_elements} elements, "
-                f"panel has {panel.n_elements}"
-            )
-    lead = max(range(len(users)), key=lambda i: (users[i].qos_weight, -i))
-    init = ris._aligned_init_phases(users[lead].channel)
-    entries = [(u.qos_weight, u.channel) for u in users]
+    _check_users(users, panel)
+    entries, init = _shared_problem(users)
     phases, caps, trace = ris.weighted_phase_ascent(
         entries, panel.amplitudes, init, power_per_user, noise_power,
         max_iters, rel_tol, grid_points,
@@ -133,22 +142,26 @@ def compare_shared_vs_ideal(
 ) -> SharedVsIdeal:
     """Quantify the price of sharing one reflection state.
 
-    ideal_sum gives each user a private surface; since a private state can
-    always replay the shared one, each user's ideal capacity is floored at
-    its shared-state capacity, which makes shared_sum <= ideal_sum hold by
+    shared_sum is the plain sum of the per-user capacities that
+    `schedule_shared_theta` reaches on the QoS-weighted objective.
+    ideal_sum gives each user a private surface, optimized as
+    `ris.optimize_phases_mimo` would.  The shared ascent and the K private
+    ones run as one `ris.phase_ascent_batch` call, so each element costs
+    one SVD call for all of them.  Since a private state can always replay
+    the shared one, each user's ideal capacity is floored at its
+    shared-state capacity, which makes shared_sum <= ideal_sum hold by
     construction even with an approximate optimizer.
     """
-    decision = schedule_shared_theta(
-        users, panel, power_per_user, noise_power, max_iters, rel_tol, grid_points
+    _check_users(users, panel)
+    problems = [_shared_problem(users)] + [
+        ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
+    ]
+    (_, shared, _), *private = ris.phase_ascent_batch(
+        problems, panel.amplitudes, power_per_user, noise_power,
+        max_iters, rel_tol, grid_points,
     )
-    shared_caps = [decision.per_user[u.user_id].capacity for u in users]
-    ideal_caps = []
-    for u, sc in zip(users, shared_caps):
-        res = ris.optimize_phases_mimo(
-            u.channel, panel, power_per_user, noise_power,
-            max_iters, rel_tol, grid_points,
-        )
-        ideal_caps.append(max(res.capacity, sc))
+    shared_caps = [float(c) for c in shared]
+    ideal_caps = [max(float(c[0]), sc) for (_, c, _), sc in zip(private, shared_caps)]
     shared_sum = float(sum(shared_caps))
     ideal_sum = float(sum(ideal_caps))
     gap = 0.0 if ideal_sum == 0.0 else (ideal_sum - shared_sum) / ideal_sum

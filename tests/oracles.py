@@ -316,3 +316,72 @@ def quantization_ratio_oracle(n: int, bits: int, samples: int, seed: int) -> flo
         den += float(np.sum(np.sum(r, axis=1) ** 2))
         done += b
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# per-problem phase sweep, frozen
+
+def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
+                             noise_power, max_iters, rel_tol, grid_points):
+    """One weighted phase ascent, one entry and one element at a time.
+
+    Unlike the rest of this file this is not an independent algorithm: it
+    is a frozen copy of the sweep `ris.weighted_phase_ascent` ran before
+    the batched engine, with one SVD call and one capacity call per entry
+    and element.  Bit-for-bit agreement with it shows that batching
+    changed the bookkeeping and not the arithmetic.  Returns (phases,
+    per_entry_capacities, trace) like the package function.
+    """
+    from ris_sim import numkernel
+
+    n = amplitudes.shape[0]
+    weights = np.array([w for w, _ in entries], dtype=float)
+    terms = []
+    for _, real in entries:
+        a = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * real.h_ris_ue
+        b = real.g_nb_ris
+        if real.h_nb_ue is not None:
+            d = math.sqrt(real.pl_nb_ue) * real.h_nb_ue
+        else:
+            d = np.zeros((real.u_antennas, real.m_antennas), dtype=np.complex128)
+        terms.append((a, b, d))
+    outers = [a.T[:, :, None] * b[:, None, :] for a, b, _ in terms]
+
+    phases = np.array(init_phases, dtype=float)
+    theta_vec = amplitudes * np.exp(1j * phases)
+    hs = [(a * theta_vec[None, :]) @ b + d for a, b, d in terms]
+    grid = TWO_PI * np.arange(grid_points) / grid_points
+    per_caps = np.array([
+        numkernel.capacity_closed_form(
+            np.linalg.svd(h, compute_uv=False), total_power, noise_power)
+        for h in hs
+    ])
+    cur = float(weights @ per_caps)
+    trace = [cur]
+    live = np.nonzero(amplitudes > 0.0)[0]
+    for _ in range(max_iters):
+        for nidx in live:
+            cand = amplitudes[nidx] * np.exp(1j * grid)
+            delta = cand - theta_vec[nidx]
+            total = np.zeros(grid_points)
+            cand_caps = []
+            for k in range(len(terms)):
+                hc = hs[k][None, :, :] + delta[:, None, None] * outers[k][nidx]
+                sv = np.linalg.svd(hc, compute_uv=False)
+                cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
+                cand_caps.append(cg)
+                total += weights[k] * cg
+            j = int(np.argmax(total))
+            if total[j] > cur:
+                for k in range(len(terms)):
+                    hs[k] = hs[k] + delta[j] * outers[k][nidx]
+                theta_vec[nidx] = cand[j]
+                phases[nidx] = grid[j]
+                per_caps = np.array([cc[j] for cc in cand_caps])
+                cur = float(total[j])
+        trace.append(cur)
+        gain = trace[-1] - trace[-2]
+        if gain <= rel_tol * max(abs(trace[-2]), 1e-30):
+            break
+    out = np.mod(phases, TWO_PI)
+    return np.where(out >= TWO_PI, 0.0, out), per_caps, trace

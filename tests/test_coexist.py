@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ris_sim import coexist
 from ris_sim.channel import ChannelParams, Geometry, path_gain
 from ris_sim.coexist import (
     BandFilter,
@@ -13,6 +14,7 @@ from ris_sim.coexist import (
     CoexNetwork,
     CoexScenario,
     LbtConfig,
+    adjacent_trial,
     apply_band_filter,
     lbt_decide,
     run_adjacent_channel_sim,
@@ -20,7 +22,7 @@ from ris_sim.coexist import (
     run_stale_csi,
     stale_csi_trial,
 )
-from ris_sim.experiments import _coex_scenario, resolve_scenario
+from ris_sim.experiments import _coex_scenario, resolve_scenario, run_adjacent
 
 
 def _co_scenario(policy="rerandomize_each_slot", **overrides):
@@ -249,6 +251,31 @@ def test_filter_dominates_under_rerandomization():
     res = run_adjacent_channel_sim(scn, filt, 10_000, seed=11)
     wins = np.mean(res.rates_with_filter >= res.rates_no_filter)
     assert wins >= 0.95
+
+
+def test_adjacent_draws_each_trial_once(monkeypatch):
+    calls = []
+    draw = coexist.draw_realization
+
+    def counted(*args):
+        calls.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(coexist, "draw_realization", counted)
+    run_adjacent({}, 1, 50)
+    assert sorted(calls) == list(range(50))
+
+
+def test_adjacent_arms_match_separate_stale_trials():
+    scn, p = _adj_scenario()
+    filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"],
+                      inband_insertion_loss_db=p["insertion_loss_db"])
+    scale = 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
+    for t in range(5):
+        rate0, rate1, loss0, loss1 = adjacent_trial(scn, filt, t, 3)
+        _, s0, l0 = stale_csi_trial(scn, t, 3)
+        _, s1, l1 = stale_csi_trial(scn, t, 3, bounce_amp_scale=scale)
+        assert (rate0, rate1, loss0, loss1) == (s0, s1, l0, l1)
 
 
 def test_adjacent_needs_distinct_bands():

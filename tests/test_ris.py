@@ -6,8 +6,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import best_1bit_power
+from oracles import best_1bit_power, per_problem_phase_ascent
+from ris_sim import numkernel, ris
 from ris_sim.channel import ChannelRealization
 from ris_sim.ris import (
     RisPanel,
@@ -15,7 +18,9 @@ from ris_sim.ris import (
     composite_gain,
     effective_miso,
     optimize_phases_mimo,
+    phase_ascent_batch,
     quantize_phases,
+    weighted_phase_ascent,
     wrap_phase,
 )
 from ris_sim.seeding import complex_normal, rng_from
@@ -224,6 +229,127 @@ def test_optimize_parameter_checks():
         optimize_phases_mimo(real, RisPanel.uniform(2), 1.0, 1.0, max_iters=0)
     with pytest.raises(ValueError):
         optimize_phases_mimo(real, RisPanel.uniform(2), 1.0, 1.0, rel_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched ascent engine
+
+#: (U, M) channel shapes mixed inside one batch
+SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2))
+
+
+def _random_entry(rng, n, shape, direct, weight):
+    u, m = shape
+    real = ChannelRealization(
+        g_nb_ris=complex_normal(rng, (n, m)),
+        h_ris_ue=complex_normal(rng, (u, n)),
+        h_nb_ue=complex_normal(rng, (u, m)) if direct else None,
+        pl_nb_ris=float(rng.uniform(0.5, 2.0)),
+        pl_ris_ue=float(rng.uniform(0.5, 2.0)),
+        pl_nb_ue=float(rng.uniform(0.1, 1.0)) if direct else 0.0,
+    )
+    return weight, real
+
+
+def _random_problems(seed, n, specs):
+    """`specs` holds one list of (shape, direct, weight) per problem."""
+    rng = rng_from(seed, "batch-ascent")
+    problems = []
+    for spec in specs:
+        entries = [_random_entry(rng, n, *e) for e in spec]
+        problems.append((entries, rng.uniform(0.0, TWO_PI, n)))
+    return problems
+
+
+def _bits(phases, caps, trace):
+    return (np.asarray(phases).tobytes(), np.asarray(caps).tobytes(),
+            np.asarray(trace, dtype=float).tobytes())
+
+
+def _assert_batch_matches_per_problem(problems, amps, power, noise,
+                                      max_iters, rel_tol, grid_points):
+    args = (power, noise, max_iters, rel_tol, grid_points)
+    batched = phase_ascent_batch(problems, amps, *args)
+    assert len(batched) == len(problems)
+    for (entries, init), got in zip(problems, batched):
+        want = per_problem_phase_ascent(entries, amps, init, *args)
+        assert _bits(*got) == _bits(*want)
+        alone = weighted_phase_ascent(entries, amps, init, *args)
+        assert _bits(*alone) == _bits(*want)
+    return batched
+
+
+_entry_spec = st.tuples(st.sampled_from(SHAPES), st.booleans(),
+                        st.sampled_from((0.5, 1.0, 3.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amps=st.lists(st.sampled_from((0.0, 0.3, 1.0)), min_size=1, max_size=6),
+    specs=st.lists(st.lists(_entry_spec, min_size=1, max_size=3),
+                   min_size=1, max_size=4),
+    max_iters=st.integers(1, 5),
+    rel_tol=st.sampled_from((1e-9, 1e-3, 5e-2)),
+    grid_points=st.integers(2, 8),
+    power=st.sampled_from((0.1, 1.0, 10.0)),
+)
+def test_batch_matches_per_problem_sweep_bit_for_bit(
+        seed, amps, specs, max_iters, rel_tol, grid_points, power):
+    amps = np.array(amps)
+    problems = _random_problems(seed, amps.shape[0], specs)
+    _assert_batch_matches_per_problem(problems, amps, power, 1.0,
+                                      max_iters, rel_tol, grid_points)
+
+
+def test_batch_problems_stop_on_their_own():
+    # the four problems settle after different sweep counts, all before
+    # the cap; element 3 absorbs throughout and keeps its start phase
+    specs = [
+        [((2, 2), False, 1.0), ((1, 2), True, 2.0), ((3, 2), False, 0.5)],
+        [((1, 1), False, 1.0)],
+        [((2, 1), True, 1.0)],
+        [((2, 2), False, 1.0)],
+    ]
+    amps = np.array([1.0, 0.3, 1.0, 0.0, 1.0, 1.0])
+    problems = _random_problems(1, 6, specs)
+    out = _assert_batch_matches_per_problem(problems, amps, 1.0, 1.0, 12, 1e-6, 16)
+    sweeps = [len(trace) - 1 for _, _, trace in out]
+    assert len(set(sweeps)) == 4 and max(sweeps) < 12
+    for (_, init), (phases, _, _) in zip(problems, out):
+        assert phases[3] == wrap_phase(init)[3]
+
+
+def test_batch_with_one_sweep():
+    specs = [[((2, 2), False, 1.0), ((1, 1), True, 1.0)], [((3, 2), True, 2.0)]]
+    problems = _random_problems(11, 5, specs)
+    out = _assert_batch_matches_per_problem(problems, np.ones(5), 1.0, 1.0, 1, 1e-6, 8)
+    assert [len(trace) for _, _, trace in out] == [2, 2]
+
+
+def test_batch_costs_one_capacity_call_per_element_and_shape(monkeypatch):
+    calls = []
+    real_capacity = numkernel.capacity_closed_form
+
+    def counted(*args):
+        calls.append(1)
+        return real_capacity(*args)
+
+    monkeypatch.setattr(ris.numkernel, "capacity_closed_form", counted)
+    specs = [[((2, 2), False, 1.0)] * 4] + [[((2, 2), False, 1.0)]] * 4
+    problems = _random_problems(13, 8, specs)
+    out = phase_ascent_batch(problems, np.ones(8), 1.0, 1.0, 3, 1e-12, 16)
+    sweeps = max(len(trace) - 1 for _, _, trace in out)
+    assert len(calls) == 1 + 8 * sweeps
+
+
+def test_batch_input_checks():
+    problems = _random_problems(17, 4, [[((2, 2), False, 1.0)]])
+    assert phase_ascent_batch([], np.ones(4), 1.0, 1.0, 3, 1e-6, 8) == []
+    with pytest.raises(ValueError):
+        phase_ascent_batch(problems, np.ones(5), 1.0, 1.0, 3, 1e-6, 8)
+    with pytest.raises(ValueError):
+        phase_ascent_batch(problems, np.ones(4), 1.0, 1.0, 3, 1e-6, 1)
 
 
 # ---------------------------------------------------------------------------

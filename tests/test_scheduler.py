@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exhaustive_phase_capacity
-from ris_sim.channel import ChannelRealization
+from ris_sim import ris, scheduler
+from ris_sim.channel import ChannelRealization, assemble_effective
+from ris_sim.numkernel import capacity_closed_form, singular_values
 from ris_sim.ris import RisPanel, optimize_phases_mimo
 from ris_sim.scheduler import (
     UserContext,
@@ -27,12 +31,12 @@ def _miso_real(h_row, pl_ris_ue=1.0):
     )
 
 
-def _mimo_real(rng, n=8, m=2, u=2):
+def _mimo_real(rng, n=8, m=2, u=2, direct=False):
     return ChannelRealization(
         g_nb_ris=complex_normal(rng, (n, m)),
         h_ris_ue=complex_normal(rng, (u, n)),
-        h_nb_ue=None,
-        pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
+        h_nb_ue=complex_normal(rng, (u, m)) if direct else None,
+        pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.5 if direct else 0.0,
     )
 
 
@@ -175,3 +179,75 @@ def test_one_theta_per_interval():
     for alloc in dec.per_user.values():
         assert alloc.precoder is not None
         assert not hasattr(alloc, "theta")
+
+
+# ---------------------------------------------------------------------------
+# one shared start, one engine call
+
+def _users(seed, n, specs):
+    """One user per (u, m, direct, weight) spec."""
+    rng = rng_from(seed, "multiuser-props")
+    return [
+        UserContext(f"ue{i}", _mimo_real(rng, n, m, u, direct), (float(i), i + 1.0), w)
+        for i, (u, m, direct, w) in enumerate(specs)
+    ]
+
+
+def test_shared_start_is_the_heaviest_user_lowest_index_first():
+    users = _users(3, 6, [(2, 2, False, 1.0), (2, 2, False, 2.0), (2, 2, False, 2.0)])
+    entries, init = scheduler._shared_problem(users)
+    assert [w for w, _ in entries] == [1.0, 2.0, 2.0]
+    assert np.array_equal(init, ris._aligned_init_phases(users[1].channel))
+
+
+def test_compare_reuses_the_shared_schedule_bit_for_bit():
+    users = _users(5, 8, [(2, 2, False, 1.0), (1, 2, True, 3.0), (2, 1, False, 3.0)])
+    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
+    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    assert cmp.shared_sum == sum(dec.per_user[u.user_id].capacity for u in users)
+
+
+def test_compare_matches_the_private_optimizer_per_user():
+    users = _users(9, 8, [(2, 2, False, 1.0), (1, 1, True, 2.0), (3, 2, False, 1.0)])
+    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
+    ideal = [
+        max(optimize_phases_mimo(u.channel, RisPanel.uniform(8), POWER, NOISE).capacity,
+            dec.per_user[u.user_id].capacity)
+        for u in users
+    ]
+    assert cmp.ideal_sum == sum(ideal)
+
+
+_user_spec = st.tuples(st.integers(1, 3), st.integers(1, 2), st.booleans(),
+                       st.sampled_from((0.5, 1.0, 2.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    specs=st.lists(_user_spec, min_size=1, max_size=3),
+    max_iters=st.integers(1, 4),
+    grid_points=st.sampled_from((4, 8)),
+    power=st.sampled_from((0.1, 1.0, 10.0)),
+)
+def test_multiuser_invariants(seed, n, specs, max_iters, grid_points, power):
+    users = _users(seed, n, specs)
+    panel = RisPanel.uniform(n)
+    args = (power, NOISE, max_iters, 1e-6, grid_points)
+    # the problems compare_shared_vs_ideal hands to the engine
+    problems = [scheduler._shared_problem(users)] + [
+        ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
+    ]
+    for _, _, trace in ris.phase_ascent_batch(problems, panel.amplitudes, *args):
+        assert np.all(np.diff(trace) >= 0.0)
+    cmp = compare_shared_vs_ideal(users, panel, *args)
+    assert cmp.shared_sum <= cmp.ideal_sum
+    dec = schedule_shared_theta(users, panel, *args)
+    theta = dec.shared_theta.theta_diagonal()
+    for u in users:
+        h = assemble_effective(u.channel, theta)
+        # the ascent updates channels incrementally, so only rounding differs
+        want = capacity_closed_form(singular_values(h), power, NOISE)
+        assert dec.per_user[u.user_id].capacity == pytest.approx(want, rel=1e-9, abs=1e-12)
