@@ -273,14 +273,18 @@ class ChannelRealization:
         return self.h_ris_ue.shape[0]
 
 
-def _theta_vector(theta, n: int) -> np.ndarray:
-    """Check a surface given as its complex reflection diagonal."""
-    diag = np.asarray(theta, dtype=np.complex128).reshape(-1)
-    if diag.shape[0] != n:
-        raise ValueError(f"surface has {diag.shape[0]} elements, channel expects {n}")
+def _check_theta(diag: np.ndarray, n: int) -> np.ndarray:
+    """Check reflection diagonals stacked along the last axis of `diag`."""
+    if diag.shape[-1] != n:
+        raise ValueError(f"surface has {diag.shape[-1]} elements, channel expects {n}")
     if np.any(np.abs(diag) > 1.0 + 1e-12):
         raise ValueError("reflection coefficients must have magnitude <= 1")
     return diag
+
+
+def _theta_vector(theta, n: int) -> np.ndarray:
+    """Check a surface given as its complex reflection diagonal."""
+    return _check_theta(np.asarray(theta, dtype=np.complex128).reshape(-1), n)
 
 
 def assemble_effective(real: ChannelRealization, theta, beta_gain: float = 1.0) -> np.ndarray:
@@ -289,14 +293,39 @@ def assemble_effective(real: ChannelRealization, theta, beta_gain: float = 1.0) 
     `theta` is the surface's complex reflection diagonal, for example
     `RisPanel.theta_diagonal()`; every |theta_n| must be at most 1.
     """
+    diag = _theta_vector(theta, real.n_elements)
+    return _assemble(real, real.g_nb_ris, real.h_ris_ue, real.h_nb_ue, diag, beta_gain)
+
+
+def _assemble(gains, g, h, direct, diag, beta_gain: float) -> np.ndarray:
+    """The assembly formula for one trial or a stack; `gains` is the
+    realization or scenario that carries the path gains `pl_*`."""
     if beta_gain < 0.0:
         raise ValueError(f"beta_gain must be >= 0, got {beta_gain}")
-    diag = _theta_vector(theta, real.n_elements)
-    amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * beta_gain
-    h_t = amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
-    if real.h_nb_ue is not None:
-        h_t = h_t + math.sqrt(real.pl_nb_ue) * real.h_nb_ue
+    amp = math.sqrt(gains.pl_ris_ue * gains.pl_nb_ris) * beta_gain
+    # diag[..., None, :] has the ndim of h: numpy picks its elementwise loop
+    # by operand layout, and only equal layouts round alike in every case
+    h_t = amp * (h * diag[..., None, :]) @ g
+    if direct is not None:
+        h_t = h_t + math.sqrt(gains.pl_nb_ue) * direct
     return h_t
+
+
+def assemble_stack(scenario: Scenario, g, h, direct, theta,
+                   beta_gain: float = 1.0) -> np.ndarray:
+    """Effective channels of a stack of trials drawn from one scenario.
+
+    `g` (B, N, M), `h` (B, U, N) and `direct` (B, U, M), or None when the
+    scenario has no direct link, stack the blocks of B realizations of
+    `scenario`, which supplies the path gains.  `theta` (B, N) holds one
+    reflection diagonal per trial; every |theta_n| must be at most 1.
+    Returns (B, U, M), and each entry equals `assemble_effective` on that
+    trial's realization and diagonal bit for bit.
+    """
+    diag = _check_theta(np.asarray(theta, dtype=np.complex128), scenario.n_elements)
+    if diag.ndim != 2:
+        raise ValueError(f"theta must be (trials, elements), got shape {diag.shape}")
+    return _assemble(scenario, g, h, direct, diag, beta_gain)
 
 
 def assemble_multi_panel(reals, thetas, beta_gains=None) -> np.ndarray:
@@ -326,9 +355,27 @@ def assemble_multi_panel(reals, thetas, beta_gains=None) -> np.ndarray:
     return h_t
 
 
+def _fixed_link(geom: Geometry, frm: str, to: str, rows: int, cols: int,
+                params: ChannelParams):
+    """Read-only LoS block and path gain of one link; neither depends on a trial."""
+    wf = resolve_wavefront(geom, frm, to, rows, cols, params.wavefront_model)
+    los = gen_los(geom, frm, to, rows, cols, wf)
+    los.setflags(write=False)
+    gain = path_gain(geom.wavelength, geom.distance(frm, to), params.path_loss_exponent)
+    return los, gain
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Geometry, per-link statistics and dimensioning for one simulated cell."""
+    """Geometry, per-link statistics and dimensioning for one simulated cell.
+
+    The LoS block and path gain of each link do not depend on the trial;
+    they are computed once, on construction, and kept read-only in
+    `los_nb_ris`, `los_ris_ue`, `los_nb_ue` (None without a direct link)
+    and `pl_nb_ris`, `pl_ris_ue`, `pl_nb_ue` (0.0 without a direct link).
+    A constructed scenario is never mutated, so concurrent trials can read
+    these blocks without a lock.
+    """
 
     geometry: Geometry
     m_antennas: int
@@ -341,6 +388,12 @@ class Scenario:
     ris: str = "ris"
     ue: str = "ue"
     seed: int = 0
+    los_nb_ris: np.ndarray = field(init=False, repr=False)
+    los_ris_ue: np.ndarray = field(init=False, repr=False)
+    los_nb_ue: np.ndarray | None = field(init=False, repr=False)
+    pl_nb_ris: float = field(init=False, repr=False)
+    pl_ris_ue: float = field(init=False, repr=False)
+    pl_nb_ue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("m_antennas", "n_elements", "u_antennas"):
@@ -349,46 +402,37 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 1, got {v}")
         for node in (self.nb, self.ris, self.ue):
             self.geometry.position(node)
+        geom = self.geometry
+        m, n, u = self.m_antennas, self.n_elements, self.u_antennas
+        links = {
+            "nb_ris": _fixed_link(geom, self.nb, self.ris, n, m, self.nb_ris),
+            "ris_ue": _fixed_link(geom, self.ris, self.ue, u, n, self.ris_ue),
+            "nb_ue": (None, 0.0) if self.nb_ue is None
+            else _fixed_link(geom, self.nb, self.ue, u, m, self.nb_ue),
+        }
+        for name, (los, gain) in links.items():
+            object.__setattr__(self, f"los_{name}", los)
+            object.__setattr__(self, f"pl_{name}", gain)
 
 
 def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
-    """Draw all channel blocks of one trial; deterministic in (seed, trial)."""
-    geom = scenario.geometry
-    m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
+    """Draw all channel blocks of one trial; deterministic in (seed, trial).
+
+    Only the scattered parts are drawn; the LoS blocks and path gains are
+    the scenario's own.  No returned block shares memory with them.
+    """
     base = subseed(scenario.seed, f"trial/{trial}")
-
-    wf_g = resolve_wavefront(geom, scenario.nb, scenario.ris, n, m,
-                             scenario.nb_ris.wavefront_model)
-    g_los = gen_los(geom, scenario.nb, scenario.ris, n, m, wf_g)
-    g = gen_rician(scenario.nb_ris, g_los, subseed(base, "nb_ris"))
-
-    wf_h = resolve_wavefront(geom, scenario.ris, scenario.ue, u, n,
-                             scenario.ris_ue.wavefront_model)
-    h_los = gen_los(geom, scenario.ris, scenario.ue, u, n, wf_h)
-    h = gen_rician(scenario.ris_ue, h_los, subseed(base, "ris_ue"))
-
-    lam = geom.wavelength
-    pl_nb_ris = path_gain(lam, geom.distance(scenario.nb, scenario.ris),
-                          scenario.nb_ris.path_loss_exponent)
-    pl_ris_ue = path_gain(lam, geom.distance(scenario.ris, scenario.ue),
-                          scenario.ris_ue.path_loss_exponent)
-
+    g = gen_rician(scenario.nb_ris, scenario.los_nb_ris, subseed(base, "nb_ris"))
+    h = gen_rician(scenario.ris_ue, scenario.los_ris_ue, subseed(base, "ris_ue"))
     direct = None
-    pl_nb_ue = 0.0
     if scenario.nb_ue is not None:
-        wf_d = resolve_wavefront(geom, scenario.nb, scenario.ue, u, m,
-                                 scenario.nb_ue.wavefront_model)
-        d_los = gen_los(geom, scenario.nb, scenario.ue, u, m, wf_d)
-        direct = gen_rician(scenario.nb_ue, d_los, subseed(base, "nb_ue"))
-        pl_nb_ue = path_gain(lam, geom.distance(scenario.nb, scenario.ue),
-                             scenario.nb_ue.path_loss_exponent)
-
+        direct = gen_rician(scenario.nb_ue, scenario.los_nb_ue, subseed(base, "nb_ue"))
     return ChannelRealization(
         g_nb_ris=g,
         h_ris_ue=h,
         h_nb_ue=direct,
-        pl_nb_ris=pl_nb_ris,
-        pl_ris_ue=pl_ris_ue,
-        pl_nb_ue=pl_nb_ue,
+        pl_nb_ris=scenario.pl_nb_ris,
+        pl_ris_ue=scenario.pl_ris_ue,
+        pl_nb_ue=scenario.pl_nb_ue,
         seed=base,
     )

@@ -20,6 +20,7 @@ from .channel import (
     Geometry,
     Scenario,
     assemble_effective,
+    assemble_stack,
     draw_realization,
     gen_los,
     gen_rician,
@@ -134,35 +135,78 @@ class StaleCsiResult:
         return float(self.loss_fractions.mean())
 
 
-def _stale_draws(scenario: CoexScenario, trial: int, seed: int):
-    """Network B's channel and A's surface states at t1 and t2 of one trial.
+#: trials per stacked pass of `stale_rates`; bounds the memory of the
+#: stacks without changing any result, since trials are independent
+STALE_CHUNK = 32
 
-    Under "static" and "frozen_during_foreign_slot", or when t1 == t2, the
-    t2 state is the t1 object itself.
+
+def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
+    """Network B's stale-CSI rates over many trials in stacked passes.
+
+    B water-fills its precoder on the effective channel at t1 and transmits
+    on the channel at t2, where A's surface has evolved per the update
+    policy.  Each scale in `scales` multiplies the amplitude of the bounce
+    off A's surface (the adjacent-band filter uses this).
+
+    Each trial's channel and surface states are keyed on (seed, trial) and
+    drawn once; every scale is evaluated on them.  Under "static" and
+    "frozen_during_foreign_slot", or when t1 == t2, the t2 state is the t1
+    state, so the stale rate equals the fresh one and the loss is exactly
+    zero.  A trial with zero fresh rate has zero loss.
+
+    Returns (fresh, stale, loss) arrays of shape
+    (len(scales), len(trial_ids)); column i belongs to trial_ids[i], and no
+    value depends on which other trials are evaluated with it.
     """
     b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
-    n = scenario.net_a.n_elements
-    real = draw_realization(b_link, trial)
-    th1 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t1}")
-    if scenario.ris_update_policy == "rerandomize_each_slot" and scenario.t2 != scenario.t1:
-        th2 = _foreign_theta(n, seed, f"theta/{trial}/{scenario.t2}")
-    else:
-        th2 = th1
-    return real, th1, th2
+    ids = list(trial_ids)
+    n, m, u = b_link.n_elements, b_link.m_antennas, b_link.u_antennas
+    states = 2 if (scenario.ris_update_policy == "rerandomize_each_slot"
+                   and scenario.t2 != scenario.t1) else 1
+    slots = (scenario.t1, scenario.t2)[:states]
+    out = np.empty((3, len(scales), len(ids)))
+    size = min(STALE_CHUNK, len(ids))
+    g = np.empty((size, n, m), dtype=np.complex128)
+    h = np.empty((size, u, n), dtype=np.complex128)
+    d = None if b_link.nb_ue is None else np.empty((size, u, m), dtype=np.complex128)
+    theta = np.empty((states, size, n), dtype=np.complex128)
+    for lo in range(0, len(ids), STALE_CHUNK):
+        chunk = ids[lo:lo + STALE_CHUNK]
+        k = len(chunk)
+        for i, t in enumerate(chunk):
+            real = draw_realization(b_link, t)
+            g[i] = real.g_nb_ris
+            h[i] = real.h_ris_ue
+            if d is not None:
+                d[i] = real.h_nb_ue
+            for j, slot in enumerate(slots):
+                theta[j, i] = _foreign_theta(n, seed, f"theta/{t}/{slot}")
+        dk = None if d is None else d[:k]
+        for a, scale in enumerate(scales):
+            out[:, a, lo:lo + k] = _stacked_rates(
+                scenario, b_link, (g[:k], h[:k], dk), theta[:, :k], scale)
+    return out[0], out[1], out[2]
 
 
-def _stale_rates(scenario: CoexScenario, draws, bounce_amp_scale: float):
-    """(fresh_rate, stale_rate, loss_fraction) of B on one trial's draws."""
-    real, th1, th2 = draws
+def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
+                   bounce_amp_scale: float):
+    """(fresh, stale, loss) of B on a stack of trials at one bounce scale.
+
+    `theta` holds A's surface at t1 and, when it moves, at t2.  The
+    channels at all held states take one stacked SVD and water-filling,
+    and both rates one stacked determinant.
+    """
     p_b = scenario.net_b.tx_power
     noise = scenario.params.noise_power
-    h1 = assemble_effective(real, th1, beta_gain=bounce_amp_scale)
-    h2 = assemble_effective(real, th2, beta_gain=bounce_amp_scale)
-    f1 = waterfill_precoder(h1, p_b, noise)
-    f2 = waterfill_precoder(h2, p_b, noise)
-    stale = rate_with_precoder(h2, f1, noise)
-    fresh = rate_with_precoder(h2, f2, noise)
-    loss = 0.0 if fresh == 0.0 else (fresh - stale) / fresh
+    hs = np.stack([assemble_stack(b_link, *blocks, th, beta_gain=bounce_amp_scale)
+                   for th in theta])
+    f = waterfill_precoder(hs, p_b, noise)
+    # precoders from t1 and t2 (the same one when the surface held still),
+    # both used on the channel at t2
+    rates = rate_with_precoder(hs[-1:], f, noise)
+    stale, fresh = rates[0], rates[-1]
+    loss = np.divide(fresh - stale, fresh, out=np.zeros_like(fresh),
+                     where=fresh != 0.0)
     return fresh, stale, loss
 
 
@@ -174,11 +218,12 @@ def stale_csi_trial(
 ):
     """One stale-CSI trial; returns (fresh_rate, stale_rate, loss_fraction).
 
-    All randomness is keyed on (seed, trial), so trials may be evaluated
-    in any order or concurrently without changing a single bit.
+    A one-trial call of `stale_rates`.  All randomness is keyed on
+    (seed, trial), so trials may be evaluated in any order or grouping
+    without changing a single bit.
     """
-    draws = _stale_draws(scenario, trial, seed)
-    return _stale_rates(scenario, draws, bounce_amp_scale)
+    fresh, stale, loss = stale_rates(scenario, (trial,), seed, (bounce_amp_scale,))
+    return float(fresh[0, 0]), float(stale[0, 0]), float(loss[0, 0])
 
 
 def run_stale_csi(
@@ -189,24 +234,16 @@ def run_stale_csi(
 ) -> StaleCsiResult:
     """Measure-at-t1, transmit-at-t2 rate loss of network B.
 
-    B water-fills its precoder on the effective channel at t1; the rate it
-    actually gets is evaluated on the channel at t2, where A's surface has
-    evolved per the update policy.  `bounce_amp_scale` attenuates the
-    reflected term's amplitude (used by the adjacent-channel experiment).
-
-    Under "static" and "frozen_during_foreign_slot" the two channels are
-    the same object so the loss fraction is exactly zero.
+    Trials 0..trials-1 of `stale_rates` at one bounce scale, evaluated in
+    stacked passes.  `bounce_amp_scale` attenuates the reflected term's
+    amplitude (used by the adjacent-channel experiment).  Under "static"
+    and "frozen_during_foreign_slot" the loss fraction is exactly zero.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    fresh = np.empty(trials)
-    stale = np.empty(trials)
-    loss = np.empty(trials)
-    for t in range(trials):
-        fresh[t], stale[t], loss[t] = stale_csi_trial(
-            scenario, t, seed, bounce_amp_scale
-        )
-    return StaleCsiResult(fresh_rates=fresh, stale_rates=stale, loss_fractions=loss)
+    fresh, stale, loss = stale_rates(scenario, range(trials), seed, (bounce_amp_scale,))
+    return StaleCsiResult(fresh_rates=fresh[0], stale_rates=stale[0],
+                          loss_fractions=loss[0])
 
 
 @dataclass(frozen=True)
@@ -440,24 +477,33 @@ class AdjacentChannelResult:
     rates_with_filter: np.ndarray
 
 
-def adjacent_trial(scenario: CoexScenario, filt: BandFilter, trial: int, seed: int):
-    """One adjacent-channel trial without and with A's surface filter.
+def adjacent_rates(scenario: CoexScenario, filt: BandFilter, trial_ids, seed: int):
+    """Adjacent-channel trials without and with A's surface filter.
 
     Requires `same_frequency` False.  Network B is out of band for A's
     surface, so the filtered bounce is attenuated by the double-pass
-    budget.  The channel and surface states are drawn once and both arms
-    are evaluated on them, leaving the filter as the only difference.
-    Returns (rate_no_filter, rate_with_filter, loss_no_filter,
-    loss_with_filter), where the rates are B's stale-CSI rates.
+    budget.  One `stale_rates` call evaluates both arms on the same drawn
+    channels and surface states, leaving the filter as the only
+    difference.  Returns arrays (rate_no_filter, rate_with_filter,
+    loss_no_filter, loss_with_filter) over `trial_ids`, where the rates
+    are B's stale-CSI rates.
     """
     if scenario.same_frequency:
         raise ValueError("adjacent-channel experiment needs same_frequency=False")
     scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
     scale = 10.0 ** (scale_db / 20.0)
-    draws = _stale_draws(scenario, trial, seed)
-    _, rate0, loss0 = _stale_rates(scenario, draws, 1.0)
-    _, rate1, loss1 = _stale_rates(scenario, draws, scale)
-    return rate0, rate1, loss0, loss1
+    _, stale, loss = stale_rates(scenario, trial_ids, seed, (1.0, scale))
+    return stale[0], stale[1], loss[0], loss[1]
+
+
+def adjacent_trial(scenario: CoexScenario, filt: BandFilter, trial: int, seed: int):
+    """One adjacent-channel trial: a one-trial call of `adjacent_rates`,
+    and so of the one stacked path, `stale_rates`.
+
+    Returns (rate_no_filter, rate_with_filter, loss_no_filter,
+    loss_with_filter) as floats.
+    """
+    return tuple(float(v[0]) for v in adjacent_rates(scenario, filt, (trial,), seed))
 
 
 def run_adjacent_channel_sim(
@@ -465,12 +511,10 @@ def run_adjacent_channel_sim(
 ) -> AdjacentChannelResult:
     """Adjacent-channel operation with and without surface filtering.
 
-    Runs `adjacent_trial` for trials 0..trials-1 and keeps B's rates.
+    Trials 0..trials-1 of `adjacent_rates`, which evaluates both arms in
+    one `stale_rates` call; keeps B's rates.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base = np.empty(trials)
-    filtered = np.empty(trials)
-    for t in range(trials):
-        base[t], filtered[t], _, _ = adjacent_trial(scenario, filt, t, seed)
+    base, filtered, _, _ = adjacent_rates(scenario, filt, range(trials), seed)
     return AdjacentChannelResult(rates_no_filter=base, rates_with_filter=filtered)

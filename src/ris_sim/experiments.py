@@ -36,9 +36,9 @@ from .coexist import (
     CoexNetwork,
     CoexScenario,
     LbtConfig,
-    adjacent_trial,
+    adjacent_rates,
     run_lbt_sim,
-    stale_csi_trial,
+    stale_rates,
 )
 from .deploy import (
     MAX_RASTER_CELLS,
@@ -48,7 +48,7 @@ from .deploy import (
     greedy_place,
     raster_shape,
 )
-from .numkernel import numerical_rank, singular_values
+from .numkernel import singular_values, spectrum_rank
 from .ris import (
     MAX_QUANTIZATION_BITS,
     RisPanel,
@@ -191,6 +191,13 @@ def _map_trials(fn, trials, threads):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             nested = list(pool.map(fn, range(trials)))
     return [row for rows in nested for row in rows]
+
+
+def _trial_rows(metrics, columns):
+    """Rows of per-trial metric arrays, in trial order then metric order."""
+    values = zip(*(c.tolist() for c in columns))
+    return [(t, name, v) for t, vals in enumerate(values)
+            for name, v in zip(metrics, vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +595,7 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
         sv = singular_values(h_t)
         s2 = float(sv[1]) if sv.size > 1 else 0.0
         return [
-            (t, "rank", numerical_rank(h_t)),
+            (t, "rank", spectrum_rank(sv)),
             (t, "sigma_1", float(sv[0])),
             (t, "sigma_2", s2),
         ]
@@ -728,36 +735,34 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     """Stale-CSI loss of the victim network, or a slotted LBT run.
 
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
-    precoding on measurement-time state.  Mode "lbt" runs `trials`
-    independent listen-before-talk simulations of `slots` slots each.
+    precoding on measurement-time state, from one `coexist.stale_rates`
+    call over all trials.  Mode "lbt" runs `trials` independent
+    listen-before-talk simulations of `slots` slots each.
     """
     check_run(seed, trials, threads)
     p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p, same_frequency=True)
 
     if p["mode"] == "stale_csi":
-        def one(t):
-            fresh, stale, loss = stale_csi_trial(scn, t, seed)
-            return [
-                (t, "fresh_rate", fresh),
-                (t, "stale_rate", stale),
-                (t, "loss_fraction", loss),
-            ]
-    else:
-        cfg = LbtConfig(
-            sense_threshold_dbm=p["sense_threshold_dbm"],
-            backoff_slots_max=p["backoff_slots_max"],
-        )
+        arms = stale_rates(scn, range(trials), seed)
+        rows = _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
+                           [a[0] for a in arms])
+        return _table("coexist", seed, trials, p, rows)
 
-        def one(t):
-            res = run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
-            return [
-                (t, "airtime_a", res.airtime_a),
-                (t, "airtime_b", res.airtime_b),
-                (t, "collision_fraction", res.collision_fraction),
-                (t, "mean_rate_a", res.mean_rate_a),
-                (t, "mean_rate_b", res.mean_rate_b),
-            ]
+    cfg = LbtConfig(
+        sense_threshold_dbm=p["sense_threshold_dbm"],
+        backoff_slots_max=p["backoff_slots_max"],
+    )
+
+    def one(t):
+        res = run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
+        return [
+            (t, "airtime_a", res.airtime_a),
+            (t, "airtime_b", res.airtime_b),
+            (t, "collision_fraction", res.collision_fraction),
+            (t, "mean_rate_a", res.mean_rate_a),
+            (t, "mean_rate_b", res.mean_rate_b),
+        ]
 
     rows = _map_trials(one, trials, threads)
     return _table("coexist", seed, trials, p, rows)
@@ -766,9 +771,9 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
 def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
     """Adjacent-band victim rates without and with surface band filtering.
 
-    Each trial is one `coexist.adjacent_trial`: both arms reuse the same
-    channel and surface draws, and the filtered arm scales the bounce
-    amplitude by the double-pass out-of-band budget.
+    One `coexist.adjacent_rates` call evaluates every trial: both arms
+    reuse the same channel and surface draws, and the filtered arm scales
+    the bounce amplitude by the double-pass out-of-band budget.
     """
     check_run(seed, trials, threads)
     p = resolve_scenario("adjacent", scenario)
@@ -779,16 +784,10 @@ def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
         passes_on_reflection=p["filter_passes"],
     )
 
-    def one(t):
-        rate0, rate1, loss0, loss1 = adjacent_trial(scn, filt, t, seed)
-        return [
-            (t, "rate_no_filter", rate0),
-            (t, "rate_with_filter", rate1),
-            (t, "loss_no_filter", loss0),
-            (t, "loss_with_filter", loss1),
-        ]
-
-    rows = _map_trials(one, trials, threads)
+    rows = _trial_rows(
+        ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),
+        adjacent_rates(scn, filt, range(trials), seed),
+    )
     return _table("adjacent", seed, trials, p, rows)
 
 

@@ -18,6 +18,10 @@ DEFAULT_RANK_TOL = 1e-8
 #: sigma_min below this fraction of sigma_max is treated as exact singularity
 _SINGULAR_FRACTION = 1e-14
 
+#: relative budget miss above which a water-filled row is recomputed
+#: without cancellation (see `_waterfill_batch`)
+_BUDGET_RTOL = 1e-12
+
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D complex128 array.
@@ -28,7 +32,23 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
+    return _check_entries(arr, name)
+
+
+def as_complex_stack(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return `a` as a complex128 matrix or stack (..., r, c).
+
+    The checks are those of `as_complex_matrix`, applied to every matrix
+    of the stack at once.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-D, got ndim={arr.ndim}")
+    return _check_entries(arr, name)
+
+
+def _check_entries(arr: np.ndarray, name: str) -> np.ndarray:
+    if arr.size == 0:
         raise ValueError(f"{name} has a zero dimension: shape={arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -50,9 +70,10 @@ class SvdResult:
 
 
 def svd(a) -> SvdResult:
-    arr = as_complex_matrix(a)
+    """Thin SVD of a matrix, or of every matrix of a stack (..., r, c)."""
+    arr = as_complex_stack(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    return SvdResult(u, s, vh.conj().T)
+    return SvdResult(u, s, np.swapaxes(vh.conj(), -1, -2))
 
 
 def singular_values(a) -> np.ndarray:
@@ -66,9 +87,15 @@ def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 
     A zero matrix has rank 0.  `rel_tol` must lie strictly inside (0, 1).
     """
+    return spectrum_rank(singular_values(a), rel_tol)
+
+
+def spectrum_rank(svals, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """`numerical_rank` of a matrix whose descending singular values are
+    `svals`, so a caller that already has the spectrum skips a second SVD."""
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    s = singular_values(a)
+    s = np.asarray(svals, dtype=float)
     smax = s[0]
     if smax == 0.0:
         return 0
@@ -99,19 +126,20 @@ def waterfill_powers(svals, total_power: float, noise_power: float) -> np.ndarra
 
     Parameters
     ----------
-    svals : array_like, shape (k,)
-        Singular values of the channel matrix.
+    svals : array_like, shape (k,) or (..., k)
+        Singular values of the channel matrix, or of each of a stack.
     total_power, noise_power : float
         Transmit power budget and per-antenna noise variance (linear).
 
     Returns
     -------
-    ndarray, shape (k,)
-        Non-negative powers summing to total_power up to rounding.
+    ndarray, shape of `svals`
+        Non-negative powers summing to total_power up to rounding, per
+        channel.
     """
     s = np.atleast_1d(np.asarray(svals, dtype=float))
-    p = _waterfill_batch(s[None, :], total_power, noise_power)[0]
-    return p
+    p = _waterfill_batch(s.reshape(-1, s.shape[-1]), total_power, noise_power)
+    return p.reshape(s.shape)
 
 
 def _water_level(gains: np.ndarray, total_power: float):
@@ -122,7 +150,10 @@ def _water_level(gains: np.ndarray, total_power: float):
     a mode stays active while that level clears its inverse gain.  Returns
     the sorted gains, their positivity mask, the candidate levels mu and
     the active-mode count per row; a row's water level is
-    mu[nact - 1], and a row with nact == 0 has no usable mode.
+    mu[nact - 1], and a row with nact == 0 has no usable mode.  The
+    strongest positive mode always counts: its level P + 1/g exceeds 1/g,
+    even where P is below the rounding step of 1/g and the test cannot
+    see it.
     """
     g = np.sort(gains, axis=1)[:, ::-1]
     pos = g > 0.0
@@ -130,12 +161,20 @@ def _water_level(gains: np.ndarray, total_power: float):
     csum = np.cumsum(inv, axis=1)
     m = np.arange(1, g.shape[1] + 1, dtype=float)
     mu = (total_power + csum) / m[None, :]
-    nact = (pos & (mu > inv)).sum(axis=1)
+    nact = np.maximum((pos & (mu > inv)).sum(axis=1), pos[:, 0])
     return g, pos, mu, nact
 
 
 def _waterfill_batch(svals: np.ndarray, total_power: float, noise_power: float) -> np.ndarray:
-    """Water-filled powers, one row per channel, in the input mode order."""
+    """Water-filled powers, one row per channel, in the input mode order.
+
+    An active mode gets level - 1/gain.  When every active mode lies far
+    below the noise, the level dwarfs the budget and that difference
+    cancels: the row misses the budget, down to giving a usable mode no
+    power.  Rows off the budget by more than `_BUDGET_RTOL` take the
+    cancellation-free form p_i = (P + sum_j (1/g_j - 1/g_i)) / m over
+    their m active modes; every other row keeps the plain difference.
+    """
     _check_powers(total_power, noise_power)
     gains = svals.astype(float) ** 2 / noise_power
     active = gains > 0.0
@@ -144,7 +183,15 @@ def _waterfill_batch(svals: np.ndarray, total_power: float, noise_power: float) 
     usable = nact > 0
     level = np.zeros(gains.shape[0])
     level[usable] = mu[usable, nact[usable] - 1]
-    return np.maximum(level[:, None] - inv, 0.0) * active
+    p = np.maximum(level[:, None] - inv, 0.0) * active
+    off = usable & (np.abs(p.sum(axis=1) - total_power) > _BUDGET_RTOL * total_power)
+    if np.any(off):
+        v = inv[off]
+        on = active[off] & (v <= level[off, None])
+        spread = np.where(on[:, None, :], v[:, None, :] - v[:, :, None], 0.0).sum(axis=2)
+        share = np.maximum(total_power + spread, 0.0) / on.sum(axis=1)[:, None]
+        p[off] = np.where(on, share, 0.0)
+    return p
 
 
 def capacity_from_singular_values(svals, total_power: float, noise_power: float):
@@ -201,24 +248,33 @@ def waterfill_precoder(h, total_power: float, noise_power: float) -> np.ndarray:
     """Right-singular-vector precoder with water-filled per-stream powers.
 
     Returns F of shape (cols(h), k); the Frobenius norm squared equals the
-    allocated power (<= total_power).
+    allocated power (<= total_power).  A stack `h` of shape (..., r, c)
+    gives one precoder per channel, (..., c, k), from one SVD and one
+    water-filling call; each equals the precoder of that channel alone.
     """
     res = svd(h)
     p = waterfill_powers(res.singular_values, total_power, noise_power)
-    return res.right_vectors * np.sqrt(p)[None, :]
+    return res.right_vectors * np.sqrt(p)[..., None, :]
 
 
-def rate_with_precoder(h, f, noise_power: float) -> float:
-    """log2 det(I + H F F^H H^H / noise): rate achieved by a fixed precoder."""
-    arr = as_complex_matrix(h)
-    fm = as_complex_matrix(f, "precoder")
-    if fm.shape[0] != arr.shape[1]:
+def rate_with_precoder(h, f, noise_power: float):
+    """log2 det(I + H F F^H H^H / noise): rate achieved by a fixed precoder.
+
+    Stacks of channels and precoders broadcast against each other and give
+    an array of rates from one determinant call; a single pair gives a
+    float.
+    """
+    arr = as_complex_stack(h)
+    fm = as_complex_stack(f, "precoder")
+    if fm.shape[-2] != arr.shape[-1]:
         raise ValueError(
-            f"precoder rows {fm.shape[0]} must match channel cols {arr.shape[1]}"
+            f"precoder rows {fm.shape[-2]} must match channel cols {arr.shape[-1]}"
         )
     if not (noise_power > 0.0 and np.isfinite(noise_power)):
         raise ValueError(f"noise_power must be positive, got {noise_power}")
     hf = arr @ fm
-    gram = np.eye(arr.shape[0], dtype=np.complex128) + hf @ hf.conj().T / noise_power
+    gram = (np.eye(arr.shape[-2], dtype=np.complex128)
+            + hf @ np.swapaxes(hf.conj(), -1, -2) / noise_power)
     sign, logdet = np.linalg.slogdet(gram)
-    return float(logdet / np.log(2.0))
+    rate = logdet / np.log(2.0)
+    return float(rate) if rate.ndim == 0 else rate

@@ -385,3 +385,85 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
             break
     out = np.mod(phases, TWO_PI)
     return np.where(out >= TWO_PI, 0.0, out), per_caps, trace
+
+
+# ---------------------------------------------------------------------------
+# per-trial stale-CSI evaluation, frozen
+
+def per_trial_stale_draws(coex, trial: int, seed: int):
+    """Network B's channel blocks and A's surface states of one trial.
+
+    Like `per_problem_phase_ascent` this is a frozen copy, not an
+    independent algorithm: the stale-CSI draw as it ran before the stacked
+    path, rebuilding the LoS blocks and path gains of the bounce link on
+    every call.  Returns ((g, h, direct, pl_nb_ris, pl_ris_ue, pl_nb_ue),
+    th1, th2); th2 is th1 itself when the surface holds still.
+    """
+    from ris_sim import channel
+    from ris_sim.seeding import rng_from, subseed
+
+    def foreign_theta(label):
+        phi = rng_from(seed, label).uniform(0.0, TWO_PI, n)
+        return np.exp(1j * phi)
+
+    geom = coex.geometry
+    params = coex.params
+    direct_params = None if coex.b_direct_blocked else coex.direct_params
+    nb, ris, ue = coex.net_b.nb, coex.net_a.ris, coex.net_b.ue
+    m, n, u = coex.net_b.m_antennas, coex.net_a.n_elements, coex.net_b.u_antennas
+    base = subseed(subseed(seed, "b-link"), f"trial/{trial}")
+    lam = geom.wavelength
+
+    def link(frm, to, rows, cols, p, label):
+        wf = channel.resolve_wavefront(geom, frm, to, rows, cols, p.wavefront_model)
+        los = channel.gen_los(geom, frm, to, rows, cols, wf)
+        block = channel.gen_rician(p, los, subseed(base, label))
+        gain = channel.path_gain(lam, geom.distance(frm, to), p.path_loss_exponent)
+        return block, gain
+
+    g, pl_g = link(nb, ris, n, m, params, "nb_ris")
+    h, pl_h = link(ris, ue, u, n, params, "ris_ue")
+    direct, pl_d = None, 0.0
+    if direct_params is not None:
+        direct, pl_d = link(nb, ue, u, m, direct_params, "nb_ue")
+    th1 = foreign_theta(f"theta/{trial}/{coex.t1}")
+    if coex.ris_update_policy == "rerandomize_each_slot" and coex.t2 != coex.t1:
+        th2 = foreign_theta(f"theta/{trial}/{coex.t2}")
+    else:
+        th2 = th1
+    return (g, h, direct, pl_g, pl_h, pl_d), th1, th2
+
+
+def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
+    """(fresh_rate, stale_rate, loss_fraction) of one trial's draws, one
+    channel at a time: the frozen per-trial assembly, precoder and rate."""
+    from ris_sim.numkernel import waterfill_powers
+
+    (g, h, direct, pl_g, pl_h, pl_d), th1, th2 = draws
+    p_b = coex.net_b.tx_power
+    noise = coex.params.noise_power
+
+    def assemble(theta):
+        if np.any(np.abs(theta) > 1.0 + 1e-12):
+            raise ValueError("reflection coefficients must have magnitude <= 1")
+        amp = math.sqrt(pl_h * pl_g) * bounce_amp_scale
+        h_t = amp * (h * theta[None, :]) @ g
+        if direct is not None:
+            h_t = h_t + math.sqrt(pl_d) * direct
+        return h_t
+
+    def precoder(h_t):
+        _, s, vh = np.linalg.svd(h_t, full_matrices=False)
+        return vh.conj().T * np.sqrt(waterfill_powers(s, p_b, noise))[None, :]
+
+    def rate(h_t, f):
+        hf = h_t @ f
+        gram = np.eye(h_t.shape[0], dtype=np.complex128) + hf @ hf.conj().T / noise
+        return float(np.linalg.slogdet(gram)[1] / np.log(2.0))
+
+    h1 = assemble(th1)
+    h2 = assemble(th2)
+    stale = rate(h2, precoder(h1))
+    fresh = rate(h2, precoder(h2))
+    loss = 0.0 if fresh == 0.0 else (fresh - stale) / fresh
+    return fresh, stale, loss

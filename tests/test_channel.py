@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_sim import numkernel
 from ris_sim.channel import (
@@ -14,6 +16,7 @@ from ris_sim.channel import (
     Scenario,
     assemble_effective,
     assemble_multi_panel,
+    assemble_stack,
     draw_realization,
     fraunhofer_distance,
     gen_los,
@@ -360,3 +363,59 @@ def test_dominant_reflection_regime():
     s_full = numkernel.singular_values(full)
     s_ris = numkernel.singular_values(ris_only)
     assert np.max(np.abs(s_full - s_ris)) / s_ris[0] < 0.02
+
+
+def test_scenario_blocks_are_fixed_and_read_only():
+    scn = _scenario(wavefront="spherical", direct=True)
+    geom = scn.geometry
+    assert np.array_equal(scn.los_nb_ris, gen_los(geom, "nb", "ris", 16, 2, "spherical"))
+    assert np.array_equal(scn.los_ris_ue, gen_los(geom, "ris", "ue", 2, 16, "spherical"))
+    assert np.array_equal(scn.los_nb_ue, gen_los(geom, "nb", "ue", 2, 2, "spherical"))
+    assert scn.pl_nb_ris == path_gain(LAM, geom.distance("nb", "ris"), 2.0)
+    for block in (scn.los_nb_ris, scn.los_ris_ue, scn.los_nb_ue):
+        assert not block.flags.writeable
+    bare = _scenario()
+    assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
+
+
+def test_infinite_k_realization_does_not_alias_the_scenario_block():
+    # the incident hop is pure LoS (K = inf): its drawn block is the LoS
+    # block's value, in memory of its own
+    scn = _scenario(seed=3)
+    real = draw_realization(scn, 0)
+    assert np.array_equal(real.g_nb_ris, scn.los_nb_ris)
+    assert not np.shares_memory(real.g_nb_ris, scn.los_nb_ris)
+    real.g_nb_ris[0, 0] = 0.0
+    assert draw_realization(scn, 0).g_nb_ris[0, 0] == scn.los_nb_ris[0, 0] != 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 5),
+    direct=st.booleans(),
+    excess=st.one_of(st.none(), st.floats(2e-12, 1.0)),
+)
+def test_stacked_assembly_matches_assemble_effective_and_its_passivity_check(
+        seed, trials, direct, excess):
+    scn = _scenario(seed=seed % 1000, k_incident=0.0, direct=direct)
+    reals = [draw_realization(scn, t) for t in range(trials)]
+    g = np.stack([r.g_nb_ris for r in reals])
+    h = np.stack([r.h_ris_ue for r in reals])
+    d = np.stack([r.h_nb_ue for r in reals]) if direct else None
+    rng = rng_from(seed, "theta")
+    theta = (rng.uniform(0.0, 1.0, (trials, 16))
+             * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (trials, 16))))
+    if excess is not None:
+        t, n = int(rng.integers(trials)), int(rng.integers(16))
+        theta[t, n] = (1.0 + excess) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        with pytest.raises(ValueError):
+            assemble_stack(scn, g, h, d, theta, 0.7)
+        with pytest.raises(ValueError):
+            assemble_effective(reals[t], theta[t], 0.7)
+        return
+    stack = assemble_stack(scn, g, h, d, theta, 0.7)
+    assert stack.shape == (trials, 2, 2)
+    for t in range(trials):
+        want = assemble_effective(reals[t], theta[t], 0.7)
+        assert stack[t].tobytes() == want.tobytes()

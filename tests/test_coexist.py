@@ -2,13 +2,19 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ris_sim import coexist
+import oracles
+from ris_sim import channel, coexist
 from ris_sim.channel import ChannelParams, Geometry, path_gain
 from ris_sim.coexist import (
+    STALE_CHUNK,
+    UPDATE_POLICIES,
     BandFilter,
     _interference_power,
     CoexNetwork,
@@ -21,8 +27,15 @@ from ris_sim.coexist import (
     run_lbt_sim,
     run_stale_csi,
     stale_csi_trial,
+    stale_rates,
 )
-from ris_sim.experiments import _coex_scenario, resolve_scenario, run_adjacent
+from ris_sim.experiments import (
+    _coex_scenario,
+    resolve_scenario,
+    run_adjacent,
+    run_coexist,
+    run_rank,
+)
 
 
 def _co_scenario(policy="rerandomize_each_slot", **overrides):
@@ -105,6 +118,132 @@ def test_static_beats_rerandomization_paired():
         _, r_st, _ = stale_csi_trial(scn_st, t, 2024)
         wins += r_st >= r_re
     assert wins / 1000 >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# stacked stale-CSI path against the frozen per-trial evaluation
+
+def _filter_scale():
+    p = resolve_scenario("adjacent", {})
+    filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"],
+                      inband_insertion_loss_db=p["insertion_loss_db"],
+                      passes_on_reflection=p["filter_passes"])
+    return 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
+
+
+def _oracle_rates(scn, trial_ids, seed, scales):
+    out = np.empty((3, len(scales), len(trial_ids)))
+    for i, t in enumerate(trial_ids):
+        draws = oracles.per_trial_stale_draws(scn, t, seed)
+        for a, scale in enumerate(scales):
+            out[:, a, i] = oracles.per_trial_stale_rates(scn, draws, scale)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# one trial of 1x1 blocks with no direct link: every array has size one, and
+# numpy rounds a product there alike only if both operands have the same ndim
+@example(seed=0, policy="static", same_slot=False, blocked=True, k=math.inf,
+         dims=(2, 1, 1), chunk=1, trial_ids=[2])
+@example(seed=5, policy="rerandomize_each_slot", same_slot=False, blocked=True,
+         k=0.0, dims=(1, 1, 1), chunk=1, trial_ids=[0, 1, 2])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    policy=st.sampled_from(UPDATE_POLICIES),
+    same_slot=st.booleans(),
+    blocked=st.booleans(),
+    k=st.sampled_from([0.0, 3.0, math.inf]),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 4, 9])),
+    chunk=st.integers(1, 4),
+    trial_ids=st.lists(st.integers(0, 10**6), min_size=1, max_size=9),
+)
+def test_stacked_rates_match_per_trial_oracle_bit_for_bit(
+        seed, policy, same_slot, blocked, k, dims, chunk, trial_ids):
+    m, u, n = dims
+    scn = _co_scenario(policy, m_antennas=m, u_antennas=u, n_elements_a=n,
+                       rician_k=k, b_direct_blocked=blocked,
+                       t1=2, t2=2 if same_slot else 5)
+    scales = (1.0, 0.0, _filter_scale())
+    # a small chunk puts the trial count below, at and across its size
+    with mock.patch.object(coexist, "STALE_CHUNK", chunk):
+        got = np.stack(stale_rates(scn, trial_ids, seed, scales))
+    want = _oracle_rates(scn, trial_ids, seed, scales)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [STALE_CHUNK - 1, STALE_CHUNK, STALE_CHUNK + 1])
+def test_stacked_rates_match_oracle_around_the_chunk_size(trials):
+    scn = _co_scenario(n_elements_a=16)
+    got = np.stack(stale_rates(scn, range(trials), 31, (1.0, _filter_scale())))
+    want = _oracle_rates(scn, range(trials), 31, (1.0, _filter_scale()))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trial_grouping_cannot_change_a_bit():
+    scn = _co_scenario(n_elements_a=8)
+    ids = list(range(2 * STALE_CHUNK + 5))
+    whole = np.stack(stale_rates(scn, ids, 4))
+    for lo, hi in ((0, 1), (3, STALE_CHUNK + 2), (STALE_CHUNK - 1, len(ids))):
+        part = np.stack(stale_rates(scn, ids[lo:hi], 4))
+        assert part.tobytes() == whole[:, :, lo:hi].tobytes()
+    backwards = np.stack(stale_rates(scn, ids[::-1], 4))
+    assert backwards.tobytes() == whole[:, :, ::-1].tobytes()
+
+
+def test_stale_rates_wrappers_agree():
+    scn = _co_scenario()
+    fresh, stale, loss = stale_rates(scn, range(6), 9, (0.5,))
+    res = run_stale_csi(scn, 6, seed=9, bounce_amp_scale=0.5)
+    assert np.array_equal(res.fresh_rates, fresh[0])
+    assert np.array_equal(res.stale_rates, stale[0])
+    assert np.array_equal(res.loss_fractions, loss[0])
+    one = stale_csi_trial(scn, 4, 9, bounce_amp_scale=0.5)
+    assert one == (fresh[0, 4], stale[0, 4], loss[0, 4])
+    assert all(type(v) is float for v in one)
+
+
+def test_stale_rates_reject_active_foreign_surface():
+    scn = _co_scenario()
+    with mock.patch.object(coexist, "_foreign_theta",
+                           lambda n, seed, label: np.full(n, 1.0 + 1e-9 + 0j)):
+        with pytest.raises(ValueError, match="magnitude"):
+            stale_rates(scn, range(3), 1)
+
+
+def test_stale_rates_reject_negative_bounce_scale():
+    with pytest.raises(ValueError):
+        stale_rates(_co_scenario(), range(2), 1, (1.0, -0.5))
+
+
+# ---------------------------------------------------------------------------
+# work counts: trial-invariant blocks are built once per run
+
+def _count_gen_los(monkeypatch):
+    calls = []
+    gen_los = channel.gen_los
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return gen_los(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "gen_los", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("runner, scenario, links", [
+    (run_rank, {}, 2),
+    (run_rank, {"include_direct": True}, 3),
+    (run_coexist, {"mode": "stale_csi"}, 3),
+    (run_coexist, {"mode": "stale_csi", "b_direct_blocked": True}, 2),
+    (run_adjacent, {}, 3),
+])
+def test_each_link_los_block_is_built_once_per_run(monkeypatch, runner, scenario,
+                                                   links, trials):
+    calls = _count_gen_los(monkeypatch)
+    runner(scenario, 1, trials)
+    assert len(calls) == links
+    assert len(set(calls)) == links
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ def test_rank_runner_collapses_to_rank_one():
     assert all(r == 1 for r in ranks)
 
 
+def test_rank_runner_takes_one_svd_per_trial(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    run_rank({}, seed=3, trials=5)
+    assert calls == [False] * 5
+
+
 def test_rank_runner_metadata_and_digest():
     table = run_rank({}, seed=5, trials=3)
     meta = table.metadata

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ris_sim import numkernel
@@ -100,6 +102,17 @@ def test_rank_rejects_bad_tolerance(tol):
         numkernel.numerical_rank(np.eye(2), tol)
 
 
+def test_spectrum_rank_is_the_rank_rule():
+    rng = np.random.default_rng(13)
+    for a in (np.eye(3), np.zeros((2, 2)), _randc(rng, (4, 2)) @ _randc(rng, (2, 5))):
+        s = numkernel.singular_values(a)
+        assert numkernel.spectrum_rank(s) == numkernel.numerical_rank(a)
+        assert numkernel.spectrum_rank(s, 0.5) == numkernel.numerical_rank(a, 0.5)
+    for tol in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            numkernel.spectrum_rank([1.0, 0.5], tol)
+
+
 def test_product_rank_inequality_sample():
     # spot check of the r(AB) <= min(r(A), r(B)) law; the acceptance
     # suite runs the full thousand pairs
@@ -173,6 +186,28 @@ def test_waterfill_powers_sum_and_positivity():
     assert abs(p.sum() - 5.0) <= 1e-8
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=4, max_size=4),
+        min_size=1, max_size=6),
+    power=st.floats(1e-3, 1e3),
+    noise=st.floats(1e-12, 10.0),
+)
+def test_waterfill_rows_are_nonnegative_and_spend_the_budget(rows, power, noise):
+    s = np.array(rows)
+    p = numkernel._waterfill_batch(s, power, noise)
+    assert p.shape == s.shape
+    assert np.all(p >= 0.0)
+    assert np.all(p[s == 0.0] == 0.0)
+    for row, alloc in zip(s, p):
+        if np.any(row > 0.0):
+            assert abs(alloc.sum() - power) <= 1e-9 * power
+        else:
+            # a row with no usable mode allocates nothing
+            assert np.all(alloc == 0.0)
+
+
 def test_capacity_monotone_in_power():
     rng = np.random.default_rng(5)
     h = _randc(rng, (3, 3))
@@ -219,6 +254,14 @@ def test_equal_modes_keep_the_power_budget():
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
+def test_modes_far_below_the_noise_keep_the_budget():
+    # level - 1/gain cancelled: 1.9000244 spent of 1.9, and a lone mode at
+    # gain 1e-20 got no power at all
+    p = numkernel.waterfill_powers([0.0, 0.0, 0.0, 1e-6], 1.9, 1.0)
+    assert p.tolist() == [0.0, 0.0, 0.0, 1.9]
+    assert numkernel.waterfill_powers([1e-10], 1.0, 1.0).tolist() == [1.0]
+
+
 def test_high_snr_two_mode_sweep_keeps_the_budget():
     rng = np.random.default_rng(2108)
     h = (rng.standard_normal((2000, 2, 2))
@@ -257,6 +300,23 @@ def test_rate_with_precoder_shape_check():
     h = _randc(rng, (2, 3))
     with pytest.raises(ValueError):
         numkernel.rate_with_precoder(h, _randc(rng, (2, 2)), 1.0)
+
+
+def test_stacked_precoder_and_rate_match_single_channels():
+    rng = np.random.default_rng(41)
+    h = _randc(rng, (2, 3, 3, 4))
+    h[0, 1] = 0.0
+    f = numkernel.waterfill_precoder(h, 5.0, 0.5)
+    rates = numkernel.rate_with_precoder(h[-1:], f, 0.5)
+    assert f.shape == (2, 3, 4, 3) and rates.shape == (2, 3)
+    for j in range(2):
+        for t in range(3):
+            one = numkernel.waterfill_precoder(h[j, t], 5.0, 0.5)
+            assert one.tobytes() == f[j, t].tobytes()
+            assert numkernel.rate_with_precoder(h[-1, t], one, 0.5) == rates[j, t]
+    h[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        numkernel.waterfill_precoder(h, 5.0, 0.5)
 
 
 def test_complex_normal_unit_variance():
