@@ -5,6 +5,8 @@ Usage::
     ris-sim <subcommand> --config cfg.yaml [--seed U64] [--threads N] [--out PATH]
 
 The subcommand must match the `experiment` declared in the config file.
+`--threads` must be at least 1 and changes neither results nor speed:
+trials always run one after another.
 Validation is strict: unknown fields anywhere in the config are errors,
 reported with their dotted path.  Logs go to stderr; result data goes to
 the output files, or to stdout as CSV when no output path is given.
@@ -110,16 +112,14 @@ def validate_config(raw: str) -> ExperimentConfig:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig, threads: int = 1, out_path: str | None = None
-) -> ResultTable:
+def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> ResultTable:
     """Dispatch a validated config and write outputs when a path is set.
 
     `out_path` overrides the config's own output path; with neither set
     the table is only returned.
     """
     runner = RUNNERS[cfg.experiment]
-    table = runner(cfg.scenario, cfg.seed, cfg.trials, threads)
+    table = runner(cfg.scenario, cfg.seed, cfg.trials)
     path = out_path if out_path is not None else cfg.output_path
     if path is not None:
         paths = write_outputs(table, path)
@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_u64, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trial fan-out (default 1)")
+                        help="accepted for compatibility, must be >= 1; no effect "
+                             "on results or speed")
         sp.add_argument("--out", default=None,
                         help="override the config output path")
     return parser
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     try:
-        table = run_experiment(cfg, threads=args.threads, out_path=args.out)
+        table = run_experiment(cfg, out_path=args.out)
     except OSError as exc:
         log.error("cannot write results: %s", exc)
         return 2

@@ -496,16 +496,6 @@ def adjacent_rates(scenario: CoexScenario, filt: BandFilter, trial_ids, seed: in
     return stale[0], stale[1], loss[0], loss[1]
 
 
-def adjacent_trial(scenario: CoexScenario, filt: BandFilter, trial: int, seed: int):
-    """One adjacent-channel trial: a one-trial call of `adjacent_rates`,
-    and so of the one stacked path, `stale_rates`.
-
-    Returns (rate_no_filter, rate_with_filter, loss_no_filter,
-    loss_with_filter) as floats.
-    """
-    return tuple(float(v[0]) for v in adjacent_rates(scenario, filt, (trial,), seed))
-
-
 def run_adjacent_channel_sim(
     scenario: CoexScenario, filt: BandFilter, trials: int, seed: int
 ) -> AdjacentChannelResult:

@@ -151,18 +151,6 @@ def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:
     return ok & (t_hi > 0.0) & (t_lo < 1.0) & inner
 
 
-def los_blocked(scene: Scene, p, q) -> bool:
-    """True when any obstacle interrupts the open sight segment p -> q."""
-    pa = np.asarray(p, dtype=float).reshape(-1)[:2]
-    qa = np.asarray(q, dtype=float).reshape(-1)[:2]
-    scene._check_inside(pa)
-    scene._check_inside(qa)
-    for rect in scene.obstacles:
-        if bool(_segment_blocked(pa[0], pa[1], qa[0], qa[1], rect)):
-            return True
-    return False
-
-
 def _blocked_toward(scene: Scene, px, py, q) -> np.ndarray:
     """Blocked mask of every point (px, py) toward a fixed endpoint q."""
     out = np.zeros(px.shape, dtype=bool)

@@ -3,9 +3,10 @@
 Every runner maps a flat scenario mapping to a long-format table with one
 row per trial per metric.  `SCHEMA` holds each scenario field's default
 and check, and `resolve_scenario` applies it for the runners and the
-command line alike.  All randomness is keyed on (seed, trial, label), so a table is a pure
-function of (scenario, seed, trials) and does not depend on the number
-of worker threads used to evaluate it.
+command line alike.  All randomness is keyed on (seed, trial, label), so a
+table is a pure function of (scenario, seed, trials).  Trials run one
+after another in one thread; the command line accepts `--threads` and
+ignores it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,19 +178,6 @@ def _table(experiment, seed, trials, params, rows) -> ResultTable:
         "config_sha256": config_digest(cfg),
     }
     return ResultTable(columns=_COLUMNS, rows=tuple(rows), metadata=meta)
-
-
-def _map_trials(fn, trials, threads):
-    """Evaluate fn(0..trials-1), rows gathered back in trial order.
-
-    `trials` and `threads` are checked by `check_run` beforehand.
-    """
-    if threads == 1:
-        nested = [fn(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(fn, range(trials)))
-    return [row for rows in nested for row in rows]
 
 
 def _trial_rows(metrics, columns):
@@ -534,17 +521,16 @@ def resolve_scenario(experiment: str, raw) -> dict:
     return p
 
 
-def check_run(seed, trials, threads=1) -> None:
-    """Reject a seed, trial count or thread count no runner can use.
+def check_run(seed, trials) -> None:
+    """Reject a seed or trial count no runner can use.
 
-    The seed must be an integer in [0, 2^64), `trials` and `threads`
-    integers >= 1; ConfigError names `seed`, `trials` or `threads`.
+    The seed must be an integer in [0, 2^64), `trials` an integer >= 1;
+    ConfigError names `seed` or `trials`.
     """
     _integer(seed, "seed", 0)
     if seed >= 1 << 64:
         raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
     _integer(trials, "trials", 1)
-    _integer(threads, "threads", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +562,7 @@ def _rank_scenario(p, seed) -> Scenario:
     )
 
 
-def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
+def run_rank(scenario, seed, trials) -> ResultTable:
     """Numerical rank and leading singular values of the effective channel.
 
     The incident hop is pure LoS; under the planar wavefront it is an
@@ -584,7 +570,7 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     how rich the departure hop is.  Switching `wavefront` to "spherical"
     (or "auto" inside the Fraunhofer distance) lifts the collapse.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     ones = np.ones(scn.n_elements, dtype=np.complex128)
@@ -600,7 +586,7 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
             (t, "sigma_2", s2),
         ]
 
-    rows = _map_trials(one, trials, threads)
+    rows = [row for t in range(trials) for row in one(t)]
     return _table("rank", seed, trials, p, rows)
 
 
@@ -608,14 +594,14 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
 # beamform: aligned-phase array gain and quantization loss
 
 
-def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
+def run_beamform(scenario, seed, trials) -> ResultTable:
     """Coherent power gain of an aligned panel, optionally quantized.
 
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
     channels each trial draws fresh coefficients; `quantization_bits`
     adds quantized-to-continuous gain ratio rows per bit width.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("beamform", scenario)
 
     def one(t):
@@ -637,7 +623,7 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
                 rows.append((t, f"ratio_b{b}_n{n}", ratio))
         return rows
 
-    rows = _map_trials(one, trials, threads)
+    rows = [row for t in range(trials) for row in one(t)]
     return _table("beamform", seed, trials, p, rows)
 
 
@@ -645,13 +631,13 @@ def run_beamform(scenario, seed, trials, threads=1) -> ResultTable:
 # multiuser: price of one shared reflection state
 
 
-def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
+def run_multiuser(scenario, seed, trials) -> ResultTable:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
     weight one for everybody.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("multiuser", scenario)
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
@@ -682,7 +668,7 @@ def run_multiuser(scenario, seed, trials, threads=1) -> ResultTable:
             (t, "gap_fraction", cmp.gap_fraction),
         ]
 
-    rows = _map_trials(one, trials, threads)
+    rows = [row for t in range(trials) for row in one(t)]
     return _table("multiuser", seed, trials, p, rows)
 
 
@@ -731,7 +717,7 @@ def _coex_scenario(p, same_frequency) -> CoexScenario:
     )
 
 
-def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
+def run_coexist(scenario, seed, trials) -> ResultTable:
     """Stale-CSI loss of the victim network, or a slotted LBT run.
 
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
@@ -739,7 +725,7 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
     call over all trials.  Mode "lbt" runs `trials` independent
     listen-before-talk simulations of `slots` slots each.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p, same_frequency=True)
 
@@ -764,18 +750,18 @@ def run_coexist(scenario, seed, trials, threads=1) -> ResultTable:
             (t, "mean_rate_b", res.mean_rate_b),
         ]
 
-    rows = _map_trials(one, trials, threads)
+    rows = [row for t in range(trials) for row in one(t)]
     return _table("coexist", seed, trials, p, rows)
 
 
-def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
+def run_adjacent(scenario, seed, trials) -> ResultTable:
     """Adjacent-band victim rates without and with surface band filtering.
 
     One `coexist.adjacent_rates` call evaluates every trial: both arms
     reuse the same channel and surface draws, and the filtered arm scales
     the bounce amplitude by the double-pass out-of-band budget.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("adjacent", scenario)
     scn = _coex_scenario(p, same_frequency=False)
     filt = BandFilter(
@@ -795,14 +781,14 @@ def run_adjacent(scenario, seed, trials, threads=1) -> ResultTable:
 # deploy: greedy panel placement on a blocked scene
 
 
-def run_deploy(scenario, seed, trials, threads=1) -> ResultTable:
+def run_deploy(scenario, seed, trials) -> ResultTable:
     """Greedy coverage-driven placement plus optional breathing sweep.
 
-    Deterministic given the scene, so `trials` and `threads` do not enter;
+    Deterministic given the scene, so `trials` does not enter;
     the trial column carries the placement step (and, for breathing rows,
     the sweep index).  Step 0 is the panel-free baseline with site -1.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("deploy", scenario)
     stations = tuple(
         BaseStation(

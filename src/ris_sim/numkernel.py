@@ -1,9 +1,9 @@
 """Complex linear-algebra kernel shared by every other module.
 
-Thin, validated layer over LAPACK: singular spectra, numerical rank,
-conditioning, and water-filling power allocation.  All channel blocks are
-plain 2-D complex128 ndarrays; `as_complex_matrix` is the single entry
-gate that enforces that contract.
+Thin, validated layer over LAPACK: singular spectra, numerical rank and
+water-filling power allocation.  All channel blocks are plain 2-D
+complex128 ndarrays; `as_complex_matrix` is the single entry gate that
+enforces that contract.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import numpy as np
 
 #: relative threshold under which a singular value does not count toward rank
 DEFAULT_RANK_TOL = 1e-8
-
-#: sigma_min below this fraction of sigma_max is treated as exact singularity
-_SINGULAR_FRACTION = 1e-14
 
 #: relative budget miss above which a water-filled row is recomputed
 #: without cancellation (see `_waterfill_batch`)
@@ -102,18 +99,6 @@ def spectrum_rank(svals, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * smax))
 
 
-def condition_number(a) -> float:
-    """sigma_max / sigma_min; math.inf once sigma_min underflows the
-    singularity threshold.  A zero matrix is rejected."""
-    s = singular_values(a)
-    smax, smin = s[0], s[-1]
-    if smax == 0.0:
-        raise ValueError("condition number of the zero matrix is undefined")
-    if smin < _SINGULAR_FRACTION * smax:
-        return np.inf
-    return float(smax / smin)
-
-
 def _check_powers(total_power: float, noise_power: float) -> None:
     if not (total_power > 0.0 and np.isfinite(total_power)):
         raise ValueError(f"total_power must be positive, got {total_power}")
@@ -194,29 +179,15 @@ def _waterfill_batch(svals: np.ndarray, total_power: float, noise_power: float) 
     return p
 
 
-def capacity_from_singular_values(svals, total_power: float, noise_power: float):
-    """Water-filled capacity in bits/s/Hz from singular values.
-
-    Accepts a single spectrum (k,) or a batch (b, k); returns a float or a
-    length-b vector accordingly.
-    """
-    s = np.asarray(svals, dtype=float)
-    single = s.ndim == 1
-    s2 = s[None, :] if single else s
-    p = _waterfill_batch(s2, total_power, noise_power)
-    gains = s2**2 / noise_power
-    cap = np.log2(1.0 + p * gains).sum(axis=1)
-    return float(cap[0]) if single else cap
-
-
 def capacity_closed_form(svals, total_power: float, noise_power: float):
     """Water-filled capacity straight from the exact sorted-mode water level.
 
     Skips the per-mode powers and sums log2(level * gain) over the active
     modes, so it is the evaluator of choice inside phase-sweep hot loops.
     It shares its water level with `waterfill_powers`, and the test suite
-    checks both against a grid-search oracle.  Accepts (k,) or (b, k)
-    spectra like `capacity_from_singular_values`.
+    checks both against a grid-search oracle.  Accepts a single spectrum
+    (k,) or a batch (b, k); returns a float or a length-b vector
+    accordingly.  A spectrum without a positive mode has capacity 0.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
@@ -237,11 +208,7 @@ def waterfill_capacity(h, total_power: float, noise_power: float) -> float:
 
     The zero matrix carries no information and returns 0.
     """
-    s = singular_values(h)
-    if s[0] == 0.0:
-        _check_powers(total_power, noise_power)
-        return 0.0
-    return capacity_from_singular_values(s, total_power, noise_power)
+    return capacity_closed_form(singular_values(h), total_power, noise_power)
 
 
 def waterfill_precoder(h, total_power: float, noise_power: float) -> np.ndarray:

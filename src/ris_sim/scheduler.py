@@ -1,4 +1,4 @@
-"""Multi-user scheduling under one shared reflection state.
+"""Price of one shared reflection state across FDM users.
 
 An FDM interval serves every scheduled user through literally the same
 surface setting, so the reflection diagonal is a shared resource: it is
@@ -9,13 +9,10 @@ sharing is measured against giving each user a private surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import ris
-from .channel import ChannelRealization, assemble_effective
-from .numkernel import waterfill_precoder
+from .channel import ChannelRealization
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,27 +31,6 @@ class UserContext:
         object.__setattr__(self, "subband", (float(lo), float(hi)))
         if not (self.qos_weight > 0.0 and math.isfinite(self.qos_weight)):
             raise ValueError(f"qos_weight must be positive, got {self.qos_weight}")
-
-
-@dataclass(frozen=True, eq=False)
-class UserAllocation:
-    """Per-user outcome of one scheduling decision."""
-
-    precoder: np.ndarray | None = None
-    capacity: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ScheduleDecision:
-    """Shared surface state plus per-user allocations.
-
-    `shared_theta` is the one panel state every user is served through;
-    `sum_metric` is the QoS-weighted sum capacity (bits/s/Hz).
-    """
-
-    shared_theta: ris.RisPanel
-    per_user: dict
-    sum_metric: float
 
 
 def _check_users(users, panel: ris.RisPanel) -> None:
@@ -90,38 +66,6 @@ def _shared_problem(users):
     return [(u.qos_weight, u.channel) for u in users], init
 
 
-def schedule_shared_theta(
-    users,
-    panel: ris.RisPanel,
-    power_per_user: float,
-    noise_power: float,
-    max_iters: int = 30,
-    rel_tol: float = 1e-6,
-    grid_points: int = ris.DEFAULT_GRID_POINTS,
-) -> ScheduleDecision:
-    """Joint phase ascent on the QoS-weighted sum of per-user capacities.
-
-    Every user sees the same resulting reflection state; per-user
-    precoders are water-filled on the individual effective channels.  A
-    single user reduces exactly to the single-user optimizer.
-    """
-    _check_users(users, panel)
-    entries, init = _shared_problem(users)
-    phases, caps, trace = ris.weighted_phase_ascent(
-        entries, panel.amplitudes, init, power_per_user, noise_power,
-        max_iters, rel_tol, grid_points,
-    )
-    panel_out = replace(panel, phases=phases, quantization_bits=None)
-    theta = panel_out.theta_diagonal()
-    per_user = {}
-    for u, cap in zip(users, caps):
-        h_t = assemble_effective(u.channel, theta)
-        f = waterfill_precoder(h_t, power_per_user, noise_power)
-        per_user[u.user_id] = UserAllocation(precoder=f, capacity=float(cap))
-    metric = float(sum(u.qos_weight * a.capacity for u, a in zip(users, per_user.values())))
-    return ScheduleDecision(shared_theta=panel_out, per_user=per_user, sum_metric=metric)
-
-
 @dataclass(frozen=True, eq=False)
 class SharedVsIdeal:
     """Sum-capacity comparison of shared against private surface states."""
@@ -142,8 +86,10 @@ def compare_shared_vs_ideal(
 ) -> SharedVsIdeal:
     """Quantify the price of sharing one reflection state.
 
-    shared_sum is the plain sum of the per-user capacities that
-    `schedule_shared_theta` reaches on the QoS-weighted objective.
+    shared_sum is the plain sum of the per-user capacities that one
+    shared reflection state reaches when the phase ascent maximises the
+    QoS-weighted sum capacity, starting from the aligned phases of the
+    highest-weight user.
     ideal_sum gives each user a private surface, optimized as
     `ris.optimize_phases_mimo` would.  The shared ascent and the K private
     ones run as one `ris.phase_ascent_batch` call, so each element costs

@@ -3,8 +3,8 @@
 Every stochastic routine takes an explicit integer seed and derives an
 independent stream from it.  Sub-streams are labelled with strings so that
 the draw order of one component never shifts another component's stream;
-this is what keeps multi-threaded trial fan-out byte-identical with the
-single-threaded run.
+this is what lets a runner evaluate trials in any order or grouping, for
+example stacked in chunks, with byte-identical results.
 """
 
 from __future__ import annotations

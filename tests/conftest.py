@@ -13,7 +13,7 @@ def multiuser_batch():
     """200-trial shared-vs-ideal comparison, 4 users, N = 32, seed 2024."""
     from ris_sim.experiments import run_multiuser
 
-    return run_multiuser({"n_elements": 32}, seed=2024, trials=200, threads=8)
+    return run_multiuser({"n_elements": 32}, seed=2024, trials=200)
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,23 @@ def jacobi_singular_values(a, tol: float = 1e-13, max_sweeps: int = 60):
     return np.sort(sv)[::-1]
 
 
+#: sigma_min below this fraction of sigma_max counts as exact singularity
+SINGULAR_FRACTION = 1e-14
+
+
+def condition_number(a) -> float:
+    """sigma_max / sigma_min from the Jacobi spectrum; math.inf once
+    sigma_min falls under `SINGULAR_FRACTION` of sigma_max.  A zero
+    matrix is rejected."""
+    s = jacobi_singular_values(a)
+    smax, smin = s[0], s[-1]
+    if smax == 0.0:
+        raise ValueError("condition number of the zero matrix is undefined")
+    if smin < SINGULAR_FRACTION * smax:
+        return math.inf
+    return float(smax / smin)
+
+
 # ---------------------------------------------------------------------------
 # brute-force water-filling
 

@@ -227,13 +227,6 @@ def test_library_runner_and_cli_check_seed_and_trials_alike(experiment, seed, tr
     assert lib_err.value.path == cli_err.value.path == path
 
 
-@pytest.mark.parametrize("experiment", sorted(_PARITY))
-def test_library_runner_rejects_zero_threads(experiment):
-    with pytest.raises(ConfigError) as err:
-        RUNNERS[experiment](_PARITY[experiment][0], 3, 2, threads=0)
-    assert err.value.path == "threads"
-
-
 def test_output_path_must_be_a_string():
     with pytest.raises(ConfigError, match="output"):
         validate_config("experiment: rank\noutput: 3\n")

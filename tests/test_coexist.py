@@ -20,7 +20,7 @@ from ris_sim.coexist import (
     CoexNetwork,
     CoexScenario,
     LbtConfig,
-    adjacent_trial,
+    adjacent_rates,
     apply_band_filter,
     lbt_decide,
     run_adjacent_channel_sim,
@@ -411,7 +411,7 @@ def test_adjacent_arms_match_separate_stale_trials():
                       inband_insertion_loss_db=p["insertion_loss_db"])
     scale = 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
     for t in range(5):
-        rate0, rate1, loss0, loss1 = adjacent_trial(scn, filt, t, 3)
+        rate0, rate1, loss0, loss1 = (float(v[0]) for v in adjacent_rates(scn, filt, (t,), 3))
         _, s0, l0 = stale_csi_trial(scn, t, 3)
         _, s1, l1 = stale_csi_trial(scn, t, 3, bounce_amp_scale=scale)
         assert (rate0, rate1, loss0, loss1) == (s0, s1, l0, l1)

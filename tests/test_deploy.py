@@ -22,7 +22,6 @@ from ris_sim.deploy import (
     Scene,
     cell_breathing,
     greedy_place,
-    los_blocked,
     snr_map,
 )
 from ris_sim.ris import RisPanel
@@ -60,6 +59,20 @@ TEMPLATE = RisPanel.uniform(256)
 
 # ---------------------------------------------------------------------------
 # line of sight
+
+def los_blocked(scene, p, q) -> bool:
+    """True when any obstacle interrupts the open sight segment p -> q.
+
+    One segment through the package's vectorised `_segment_blocked`
+    kernel, which the rational oracle below checks.
+    """
+    pa = np.asarray(p, dtype=float).reshape(-1)[:2]
+    qa = np.asarray(q, dtype=float).reshape(-1)[:2]
+    scene._check_inside(pa)
+    scene._check_inside(qa)
+    return any(bool(deploy._segment_blocked(pa[0], pa[1], qa[0], qa[1], rect))
+               for rect in scene.obstacles)
+
 
 def test_open_scene_never_blocks():
     scene = _small_scene()

@@ -11,9 +11,7 @@ from ris_sim.experiments import (
     config_digest,
     resolve_scenario,
     run_beamform,
-    run_coexist,
     run_deploy,
-    run_multiuser,
     run_rank,
     write_outputs,
 )
@@ -186,11 +184,9 @@ def test_deploy_requires_threshold():
         run_deploy({}, seed=0, trials=1)
 
 
-def test_trials_and_threads_validated():
+def test_trials_validated():
     with pytest.raises(ValueError):
         run_rank({}, seed=0, trials=0)
-    with pytest.raises(ValueError):
-        run_rank({}, seed=0, trials=1, threads=0)
 
 
 def test_deploy_runner_baseline_and_breathing_rows():
@@ -211,17 +207,3 @@ def test_same_config_twice_byte_identical():
     a = run_rank({"n_elements": 16}, seed=77, trials=10).to_csv()
     b = run_rank({"n_elements": 16}, seed=77, trials=10).to_csv()
     assert a == b
-
-
-def test_thread_count_does_not_change_rows():
-    scenario = {"mode": "stale_csi"}
-    t1 = run_coexist(scenario, seed=4, trials=12, threads=1)
-    t8 = run_coexist(scenario, seed=4, trials=12, threads=8)
-    assert t1.rows == t8.rows
-    assert t1.to_csv() == t8.to_csv()
-
-
-def test_multiuser_runner_threads_invariant():
-    t1 = run_multiuser({"n_elements": 8}, seed=1, trials=4, threads=1)
-    t8 = run_multiuser({"n_elements": 8}, seed=1, trials=4, threads=8)
-    assert t1.rows == t8.rows

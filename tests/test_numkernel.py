@@ -1,5 +1,7 @@
 """Linear-algebra kernel: spectra, rank, conditioning, water-filling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,25 +129,25 @@ def test_product_rank_inequality_sample():
 
 
 # ---------------------------------------------------------------------------
-# condition_number
+# condition_number (a test-side oracle; the package computes no conditioning)
 
 def test_condition_identity():
-    assert numkernel.condition_number(np.eye(3)) == pytest.approx(1.0)
+    assert oracles.condition_number(np.eye(3)) == pytest.approx(1.0)
 
 
 def test_condition_diagonal():
-    assert numkernel.condition_number(np.diag([10.0, 1.0])) == pytest.approx(10.0)
+    assert oracles.condition_number(np.diag([10.0, 1.0])) == pytest.approx(10.0)
 
 
 def test_condition_rank1_infinite():
     phases = np.exp(1j * np.linspace(0.0, 3.0, 4))
     los = np.outer(phases, phases.conj())
-    assert numkernel.condition_number(los) == np.inf
+    assert oracles.condition_number(los) == np.inf
 
 
 def test_condition_zero_matrix_rejected():
     with pytest.raises(ValueError):
-        numkernel.condition_number(np.zeros((2, 2)))
+        oracles.condition_number(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +238,31 @@ def test_waterfilling_dominates_uniform():
 
 
 def test_closed_form_agrees_with_gridsearch_oracle():
-    # both capacity routes share one water level; the oracle shares nothing
+    # the closed form shares its water level with waterfill_powers; the
+    # oracle shares nothing
     rng = np.random.default_rng(23)
     for _ in range(50):
         s = np.sort(np.abs(rng.normal(size=4)))[::-1]
         ref = oracles.gridsearch_waterfill_capacity(s, 7.0, 0.5, rounds=4)
-        c1 = numkernel.capacity_from_singular_values(s, 7.0, 0.5)
-        c2 = numkernel.capacity_closed_form(s, 7.0, 0.5)
-        assert abs(c1 - ref) <= 1e-7
-        assert abs(c2 - ref) <= 1e-7
+        c = numkernel.capacity_closed_form(s, 7.0, 0.5)
+        assert abs(c - ref) <= 1e-7
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    svals=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=4),
+    power=st.floats(1e-3, 1e3),
+    noise=st.floats(1e-12, 10.0),
+)
+def test_closed_form_matches_the_sum_over_water_filled_modes(svals, power, noise):
+    # log2(level * gain) summed over the active modes cancels when
+    # level * gain is near 1, far below the noise; this bounds that loss
+    # against the per-mode sum, whose log1p keeps every digit
+    s = np.array(svals)
+    p = numkernel.waterfill_powers(s, power, noise)
+    want = float(np.sum(np.log1p(p * s**2 / noise))) / math.log(2.0)
+    got = numkernel.capacity_closed_form(s, power, noise)
+    assert abs(got - want) <= 1e-12 + 1e-9 * want
 
 
 def test_equal_modes_keep_the_power_budget():
@@ -272,7 +290,7 @@ def test_high_snr_two_mode_sweep_keeps_the_budget():
     for hm, s, n in zip(h, spectra, noise):
         p = numkernel.waterfill_powers(s, 1.0, n)
         violations += bool(np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12)
-        cap = numkernel.capacity_from_singular_values(s, 1.0, n)
+        cap = numkernel.capacity_closed_form(s, 1.0, n)
         violations += abs(cap - oracles.capacity_2x2(hm, 1.0, n)) > 1e-9 * cap
     assert violations == 0
 

@@ -10,11 +10,7 @@ from ris_sim import ris, scheduler
 from ris_sim.channel import ChannelRealization, assemble_effective
 from ris_sim.numkernel import capacity_closed_form, singular_values
 from ris_sim.ris import RisPanel, optimize_phases_mimo
-from ris_sim.scheduler import (
-    UserContext,
-    compare_shared_vs_ideal,
-    schedule_shared_theta,
-)
+from ris_sim.scheduler import UserContext, compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
 POWER = 1.0
@@ -44,6 +40,15 @@ def _steering(n, k):
     return np.exp(2j * np.pi * k * np.arange(n) / n)
 
 
+def _shared_caps(users, panel):
+    """Per-user capacities of the shared ascent that
+    `compare_shared_vs_ideal` runs, as a one-problem engine call."""
+    entries, init = scheduler._shared_problem(users)
+    _, caps, _ = ris.weighted_phase_ascent(
+        entries, panel.amplitudes, init, POWER, NOISE, 30, 1e-6, ris.DEFAULT_GRID_POINTS)
+    return caps
+
+
 def _orthogonal_pair(n):
     """Two users whose departure vectors are exactly orthogonal."""
     r1 = _miso_real(_steering(n, 0))
@@ -61,10 +66,11 @@ def test_single_user_reduces_to_optimizer():
     rng = rng_from(101)
     real = _mimo_real(rng)
     user = UserContext("solo", real, (0.0, 1.0), 1.0)
-    dec = schedule_shared_theta([user], RisPanel.uniform(8), POWER, NOISE)
+    caps = _shared_caps([user], RisPanel.uniform(8))
+    cmp = compare_shared_vs_ideal([user], RisPanel.uniform(8), POWER, NOISE)
     ref = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE)
-    assert abs(dec.per_user["solo"].capacity - ref.capacity) <= 1e-9
-    assert dec.sum_metric == pytest.approx(ref.capacity, abs=1e-9)
+    assert abs(caps[0] - ref.capacity) <= 1e-9
+    assert cmp.shared_sum == pytest.approx(ref.capacity, abs=1e-9)
 
 
 def test_identical_channels_do_not_conflict():
@@ -74,10 +80,10 @@ def test_identical_channels_do_not_conflict():
         UserContext("a", real, (0.0, 1.0), 1.0),
         UserContext("b", real, (1.0, 2.0), 1.0),
     ]
-    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
+    caps = _shared_caps(users, RisPanel.uniform(8))
     solo = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE).capacity
-    for uid in ("a", "b"):
-        assert abs(dec.per_user[uid].capacity - solo) <= 1e-6
+    for cap in caps:
+        assert abs(cap - solo) <= 1e-6
 
 
 def test_orthogonal_users_pay_a_gap_vs_exhaustive():
@@ -109,25 +115,25 @@ def test_user_set_validation():
     rng = rng_from(107)
     real = _mimo_real(rng)
     with pytest.raises(ValueError):
-        schedule_shared_theta([], RisPanel.uniform(8), POWER, NOISE)
+        compare_shared_vs_ideal([], RisPanel.uniform(8), POWER, NOISE)
     dup = [
         UserContext("x", real, (0.0, 1.0), 1.0),
         UserContext("x", real, (1.0, 2.0), 1.0),
     ]
     with pytest.raises(ValueError):
-        schedule_shared_theta(dup, RisPanel.uniform(8), POWER, NOISE)
+        compare_shared_vs_ideal(dup, RisPanel.uniform(8), POWER, NOISE)
     overlap = [
         UserContext("a", real, (0.0, 1.5), 1.0),
         UserContext("b", real, (1.0, 2.0), 1.0),
     ]
     with pytest.raises(ValueError):
-        schedule_shared_theta(overlap, RisPanel.uniform(8), POWER, NOISE)
+        compare_shared_vs_ideal(overlap, RisPanel.uniform(8), POWER, NOISE)
     with pytest.raises(ValueError):
         UserContext("a", real, (2.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         UserContext("a", real, (0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
-        schedule_shared_theta(
+        compare_shared_vs_ideal(
             [UserContext("a", real, (0.0, 1.0), 1.0)],
             RisPanel.uniform(4), POWER, NOISE)
 
@@ -166,21 +172,6 @@ def test_four_user_gap_regression(multiuser_batch):
         assert r["shared_sum"] <= r["ideal_sum"] + 1e-6
 
 
-def test_one_theta_per_interval():
-    rng = rng_from(127)
-    users = [
-        UserContext("a", _mimo_real(rng), (0.0, 1.0), 1.0),
-        UserContext("b", _mimo_real(rng), (1.0, 2.0), 1.0),
-    ]
-    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
-    assert dec.shared_theta is not None
-    assert dec.shared_theta.n_elements == 8
-    # every user is served by the one stored object, none carries its own
-    for alloc in dec.per_user.values():
-        assert alloc.precoder is not None
-        assert not hasattr(alloc, "theta")
-
-
 # ---------------------------------------------------------------------------
 # one shared start, one engine call
 
@@ -202,19 +193,19 @@ def test_shared_start_is_the_heaviest_user_lowest_index_first():
 
 def test_compare_reuses_the_shared_schedule_bit_for_bit():
     users = _users(5, 8, [(2, 2, False, 1.0), (1, 2, True, 3.0), (2, 1, False, 3.0)])
-    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
+    caps = _shared_caps(users, RisPanel.uniform(8))
     cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
-    assert cmp.shared_sum == sum(dec.per_user[u.user_id].capacity for u in users)
+    assert cmp.shared_sum == sum(float(c) for c in caps)
 
 
 def test_compare_matches_the_private_optimizer_per_user():
     users = _users(9, 8, [(2, 2, False, 1.0), (1, 1, True, 2.0), (3, 2, False, 1.0)])
     cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
-    dec = schedule_shared_theta(users, RisPanel.uniform(8), POWER, NOISE)
+    caps = _shared_caps(users, RisPanel.uniform(8))
     ideal = [
         max(optimize_phases_mimo(u.channel, RisPanel.uniform(8), POWER, NOISE).capacity,
-            dec.per_user[u.user_id].capacity)
-        for u in users
+            float(cap))
+        for u, cap in zip(users, caps)
     ]
     assert cmp.ideal_sum == sum(ideal)
 
@@ -240,14 +231,16 @@ def test_multiuser_invariants(seed, n, specs, max_iters, grid_points, power):
     problems = [scheduler._shared_problem(users)] + [
         ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
     ]
-    for _, _, trace in ris.phase_ascent_batch(problems, panel.amplitudes, *args):
+    results = ris.phase_ascent_batch(problems, panel.amplitudes, *args)
+    for _, _, trace in results:
         assert np.all(np.diff(trace) >= 0.0)
     cmp = compare_shared_vs_ideal(users, panel, *args)
     assert cmp.shared_sum <= cmp.ideal_sum
-    dec = schedule_shared_theta(users, panel, *args)
-    theta = dec.shared_theta.theta_diagonal()
-    for u in users:
+    phases, caps, _ = results[0]
+    assert cmp.shared_sum == sum(float(c) for c in caps)
+    theta = panel.amplitudes * np.exp(1j * phases)
+    for u, cap in zip(users, caps):
         h = assemble_effective(u.channel, theta)
         # the ascent updates channels incrementally, so only rounding differs
         want = capacity_closed_form(singular_values(h), power, NOISE)
-        assert dec.per_user[u.user_id].capacity == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert cap == pytest.approx(want, rel=1e-9, abs=1e-12)
