@@ -22,16 +22,16 @@ from .seeding import complex_normal, rng_from, subseed
 
 
 class GeometryError(ValueError):
-    """Raised for inconsistent node placement or array layout."""
+    """Raised for inconsistent node placement or element counts."""
 
 
-_LAYOUTS = ("ula", "upa")
 _WAVEFRONTS = ("auto", "planar", "spherical")
 
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """Node positions plus per-node array layout.
+    """Node positions; every array is a line along z at half-wavelength
+    element spacing, centred on its node.
 
     Parameters
     ----------
@@ -39,18 +39,10 @@ class Geometry:
         Carrier wavelength in metres.
     positions : dict
         Node id -> 3-vector position (metres).
-    spacing : dict, optional
-        Node id -> element spacing; defaults to wavelength / 2.  Spacings
-        below half a wavelength are rejected.
-    layout : dict, optional
-        Node id -> "ula" (line along z) or "upa" (square grid in the y-z
-        plane, element count must be a perfect square).
     """
 
     wavelength: float
     positions: dict
-    spacing: dict = field(default_factory=dict)
-    layout: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
@@ -63,28 +55,12 @@ class Geometry:
             arr.setflags(write=False)
             pos[node] = arr
         object.__setattr__(self, "positions", pos)
-        half = 0.5 * self.wavelength
-        for node, s in self.spacing.items():
-            if node not in pos:
-                raise GeometryError(f"spacing given for unknown node {node!r}")
-            if s < half - 1e-12 * half:
-                raise GeometryError(
-                    f"element spacing at {node!r} is {s}, below half a wavelength {half}"
-                )
-        for node, lay in self.layout.items():
-            if node not in pos:
-                raise GeometryError(f"layout given for unknown node {node!r}")
-            if lay not in _LAYOUTS:
-                raise GeometryError(f"unknown layout {lay!r} for node {node!r}")
 
     def position(self, node: str) -> np.ndarray:
         try:
             return self.positions[node]
         except KeyError:
             raise GeometryError(f"unknown node {node!r}") from None
-
-    def node_spacing(self, node: str) -> float:
-        return float(self.spacing.get(node, 0.5 * self.wavelength))
 
     def distance(self, a: str, b: str) -> float:
         d = float(np.linalg.norm(self.position(a) - self.position(b)))
@@ -96,32 +72,13 @@ class Geometry:
         """(count, 3) element coordinates of the array at `node`."""
         if count < 1:
             raise GeometryError(f"element count at {node!r} must be >= 1, got {count}")
-        center = self.position(node)
-        s = self.node_spacing(node)
-        lay = self.layout.get(node, "ula")
-        if lay == "ula":
-            idx = np.arange(count) - (count - 1) / 2.0
-            offs = np.zeros((count, 3))
-            offs[:, 2] = idx * s
-        else:
-            side = math.isqrt(count)
-            if side * side != count:
-                raise GeometryError(
-                    f"upa at {node!r} needs a square element count, got {count}"
-                )
-            a, b = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-            offs = np.zeros((count, 3))
-            offs[:, 1] = (a.ravel() - (side - 1) / 2.0) * s
-            offs[:, 2] = (b.ravel() - (side - 1) / 2.0) * s
-        return center + offs
+        offs = np.zeros((count, 3))
+        offs[:, 2] = (np.arange(count) - (count - 1) / 2.0) * (0.5 * self.wavelength)
+        return self.position(node) + offs
 
-    def aperture(self, node: str, count: int) -> float:
-        """Largest physical extent of the array at `node`."""
-        s = self.node_spacing(node)
-        if self.layout.get(node, "ula") == "upa":
-            side = math.isqrt(count)
-            return math.sqrt(2.0) * (side - 1) * s
-        return (count - 1) * s
+    def aperture(self, count: int) -> float:
+        """Physical length of an array of `count` elements."""
+        return (count - 1) * (0.5 * self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -146,9 +103,9 @@ class ChannelParams:
             raise ValueError(f"unknown wavefront_model {self.wavefront_model!r}")
 
 
-def fraunhofer_distance(geometry: Geometry, a: str, b: str, rows: int, cols: int) -> float:
+def fraunhofer_distance(geometry: Geometry, rows: int, cols: int) -> float:
     """Far-field boundary 2 D^2 / lambda for the larger of the two arrays."""
-    ap = max(geometry.aperture(b, rows), geometry.aperture(a, cols))
+    ap = geometry.aperture(max(rows, cols))
     return 2.0 * ap * ap / geometry.wavelength
 
 
@@ -163,7 +120,7 @@ def resolve_wavefront(
     if model != "auto":
         return model
     d = geometry.distance(frm, to)
-    return "spherical" if d < fraunhofer_distance(geometry, frm, to, rows, cols) else "planar"
+    return "spherical" if d < fraunhofer_distance(geometry, rows, cols) else "planar"
 
 
 def gen_los(
@@ -235,7 +192,6 @@ class ChannelRealization:
     pl_nb_ris: float
     pl_ris_ue: float
     pl_nb_ue: float
-    seed: int = 0
 
     def __post_init__(self):
         g = as_complex_matrix(self.g_nb_ris, "g_nb_ris")
@@ -287,14 +243,14 @@ def _theta_vector(theta, n: int) -> np.ndarray:
     return _check_theta(np.asarray(theta, dtype=np.complex128).reshape(-1), n)
 
 
-def assemble_effective(real: ChannelRealization, theta, beta_gain: float = 1.0) -> np.ndarray:
+def assemble_effective(real: ChannelRealization, theta) -> np.ndarray:
     """Effective base-station -> user channel for one surface setting.
 
     `theta` is the surface's complex reflection diagonal, for example
     `RisPanel.theta_diagonal()`; every |theta_n| must be at most 1.
     """
     diag = _theta_vector(theta, real.n_elements)
-    return _assemble(real, real.g_nb_ris, real.h_ris_ue, real.h_nb_ue, diag, beta_gain)
+    return _assemble(real, real.g_nb_ris, real.h_ris_ue, real.h_nb_ue, diag, 1.0)
 
 
 def _assemble(gains, g, h, direct, diag, beta_gain: float) -> np.ndarray:
@@ -328,7 +284,7 @@ def assemble_stack(scenario: Scenario, g, h, direct, theta,
     return _assemble(scenario, g, h, direct, diag, beta_gain)
 
 
-def assemble_multi_panel(reals, thetas, beta_gains=None) -> np.ndarray:
+def assemble_multi_panel(reals, thetas) -> np.ndarray:
     """Superpose the reflected terms of several panels.
 
     Each realization describes the hop through one panel, whose reflection
@@ -338,15 +294,13 @@ def assemble_multi_panel(reals, thetas, beta_gains=None) -> np.ndarray:
     """
     if len(reals) != len(thetas) or not reals:
         raise ValueError("need one realization per panel, at least one pair")
-    if beta_gains is None:
-        beta_gains = [1.0] * len(reals)
     shape = (reals[0].u_antennas, reals[0].m_antennas)
     h_t = np.zeros(shape, dtype=np.complex128)
-    for real, theta, bg in zip(reals, thetas, beta_gains):
+    for real, theta in zip(reals, thetas):
         if (real.u_antennas, real.m_antennas) != shape:
             raise ValueError("all realizations must share (U, M)")
         diag = _theta_vector(theta, real.n_elements)
-        amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * bg
+        amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris)
         h_t += amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
     for real in reals:
         if real.h_nb_ue is not None:
@@ -434,5 +388,4 @@ def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
         pl_nb_ris=scenario.pl_nb_ris,
         pl_ris_ue=scenario.pl_ris_ue,
         pl_nb_ue=scenario.pl_nb_ue,
-        seed=base,
     )

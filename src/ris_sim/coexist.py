@@ -19,13 +19,12 @@ from .channel import (
     ChannelParams,
     Geometry,
     Scenario,
+    _fixed_link,
     assemble_effective,
     assemble_stack,
     draw_realization,
-    gen_los,
     gen_rician,
     path_gain,
-    resolve_wavefront,
 )
 from .numkernel import rate_with_precoder, waterfill_capacity, waterfill_precoder
 from .ris import _aligned_init_phases
@@ -210,19 +209,14 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     return fresh, stale, loss
 
 
-def stale_csi_trial(
-    scenario: CoexScenario,
-    trial: int,
-    seed: int,
-    bounce_amp_scale: float = 1.0,
-):
+def stale_csi_trial(scenario: CoexScenario, trial: int, seed: int):
     """One stale-CSI trial; returns (fresh_rate, stale_rate, loss_fraction).
 
     A one-trial call of `stale_rates`.  All randomness is keyed on
     (seed, trial), so trials may be evaluated in any order or grouping
     without changing a single bit.
     """
-    fresh, stale, loss = stale_rates(scenario, (trial,), seed, (bounce_amp_scale,))
+    fresh, stale, loss = stale_rates(scenario, (trial,), seed)
     return float(fresh[0, 0]), float(stale[0, 0]), float(loss[0, 0])
 
 
@@ -287,7 +281,6 @@ def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
     params = coex.params
     dp = coex.direct_params
     geom = coex.geometry
-    lam = geom.wavelength
     if net.ris is None:
         if coex.b_direct_blocked and net is coex.net_b:
             # shadowed victim: only the bounce off A's surface, whose state
@@ -298,11 +291,8 @@ def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
             h_t = assemble_effective(real, th)
             return waterfill_capacity(h_t, net.tx_power,
                                       params.noise_power + extra_noise)
-        wf = resolve_wavefront(geom, net.nb, net.ue, net.u_antennas,
-                               net.m_antennas, dp.wavefront_model)
-        los = gen_los(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, wf)
+        los, pl = _fixed_link(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, dp)
         h = gen_rician(dp, los, subseed(seed, f"direct/{net.name}"))
-        pl = path_gain(lam, geom.distance(net.nb, net.ue), dp.path_loss_exponent)
         h_t = math.sqrt(pl) * h
     else:
         link = Scenario(

@@ -9,7 +9,7 @@ keeps the link budget 2-D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ SERVING_RIS = 2
 class BaseStation:
     position: np.ndarray
     tx_power_dbm: float
-    antennas: int = 1
 
     def __post_init__(self):
         p = np.array(self.position, dtype=float).reshape(-1)[:2]
@@ -38,8 +37,6 @@ class BaseStation:
         object.__setattr__(self, "position", p)
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
-        if self.antennas < 1:
-            raise ValueError(f"antennas must be >= 1, got {self.antennas}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,11 +358,7 @@ def greedy_place(
                 best_site = idx
         if best_site < 0:
             break
-        panel = replace(
-            panel_template,
-            position=np.array([*scene.candidate_sites[best_site], 0.0]),
-        )
-        placed.append((best_site, panel))
+        placed.append((best_site, panel_template))
         free.remove(best_site)
         spent += cost_per_panel
         cov = best_cov

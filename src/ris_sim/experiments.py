@@ -282,7 +282,7 @@ def _rect(v, path):
     return (x0, y0, x1, y1)
 
 
-_STATION_FIELDS = ("position", "tx_power_dbm", "antennas")
+_STATION_FIELDS = ("position", "tx_power_dbm")
 
 
 def _station(st, path):
@@ -297,7 +297,6 @@ def _station(st, path):
     return {
         "position": _vec(2)(st["position"], f"{path}.position"),
         "tx_power_dbm": _number(st["tx_power_dbm"], f"{path}.tx_power_dbm"),
-        "antennas": _integer(st.get("antennas", 1), f"{path}.antennas", 1),
     }
 
 
@@ -652,12 +651,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
                 g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
                 pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
             )
-            users.append(UserContext(
-                user_id=f"ue{i}",
-                channel=real,
-                subband=(float(i), float(i + 1)),
-                qos_weight=weights[i],
-            ))
+            users.append(UserContext(channel=real, qos_weight=weights[i]))
         cmp = compare_shared_vs_ideal(
             users, panel, p["power_per_user"], p["noise_power"],
             p["max_iters"], p["rel_tol"], p["grid_points"],
@@ -794,7 +788,6 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         BaseStation(
             position=np.asarray(b["position"], dtype=float),
             tx_power_dbm=b["tx_power_dbm"],
-            antennas=b.get("antennas", 1),
         )
         for b in p["base_stations"]
     )

@@ -12,7 +12,7 @@ run the shared and the private ascents together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class RisPanel:
     amplitudes: np.ndarray
     phases: np.ndarray
     quantization_bits: int | None = None
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=float).reshape(-1)
@@ -72,9 +71,6 @@ class RisPanel:
             k = np.round(phi / step)
             if np.any(k * step != phi):
                 raise ValueError("phases are off the quantization grid")
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
 
     @property
     def n_elements(self) -> int:
@@ -84,12 +80,11 @@ class RisPanel:
         return self.amplitudes * np.exp(1j * self.phases)
 
     @classmethod
-    def uniform(cls, n_elements: int, position=None) -> "RisPanel":
+    def uniform(cls, n_elements: int) -> "RisPanel":
         """Fully reflective panel, all phases zero."""
         if n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-        pos = np.zeros(3) if position is None else position
-        return cls(np.ones(n_elements), np.zeros(n_elements), position=pos)
+        return cls(np.ones(n_elements), np.zeros(n_elements))
 
 
 # widest quantization whose 2^bits level indices fit in int64
@@ -115,7 +110,7 @@ def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
     return replace(panel, phases=k * step, quantization_bits=bits)
 
 
-def align_phases_miso(g, h, direct: complex = 0j, position=None) -> RisPanel:
+def align_phases_miso(g, h, direct: complex = 0j) -> RisPanel:
     """Coherent single-user alignment phi_n = arg(direct) - arg(h_n) - arg(g_n).
 
     `g` holds the per-element incident coefficients (base station side),
@@ -129,17 +124,16 @@ def align_phases_miso(g, h, direct: complex = 0j, position=None) -> RisPanel:
         raise ValueError(f"g has {gv.shape[0]} elements, h has {hv.shape[0]}")
     ref = np.angle(direct) if direct != 0 else 0.0
     phi = wrap_phase(ref - np.angle(hv) - np.angle(gv))
-    pos = np.zeros(3) if position is None else position
-    return RisPanel(np.ones(gv.shape[0]), phi, position=pos)
+    return RisPanel(np.ones(gv.shape[0]), phi)
 
 
-def composite_gain(g, h, panel: RisPanel, direct: complex = 0j) -> complex:
-    """Scalar end-to-end coefficient sum_n h_n theta_n g_n + direct."""
+def composite_gain(g, h, panel: RisPanel) -> complex:
+    """Scalar reflected coefficient sum_n h_n theta_n g_n."""
     gv = np.asarray(g, dtype=np.complex128).reshape(-1)
     hv = np.asarray(h, dtype=np.complex128).reshape(-1)
     if gv.shape[0] != panel.n_elements or hv.shape[0] != panel.n_elements:
         raise ValueError("channel vectors do not match the panel size")
-    return complex(np.sum(hv * panel.theta_diagonal() * gv) + direct)
+    return complex(np.sum(hv * panel.theta_diagonal() * gv))
 
 
 def effective_miso(real: ChannelRealization):
@@ -161,9 +155,7 @@ def effective_miso(real: ChannelRealization):
 
 def _aligned_init_phases(real: ChannelRealization) -> np.ndarray:
     """Aligned-MISO starting point for the capacity ascent."""
-    g_eff, h_eff, d_eff = effective_miso(real)
-    ref = np.angle(d_eff) if d_eff != 0 else 0.0
-    return wrap_phase(ref - np.angle(h_eff) - np.angle(g_eff))
+    return align_phases_miso(*effective_miso(real)).phases
 
 
 def _effective_terms(real: ChannelRealization):
@@ -375,15 +367,14 @@ def optimize_phases_mimo(
     panel: RisPanel,
     total_power: float,
     noise_power: float,
-    max_iters: int = 30,
-    rel_tol: float = 1e-6,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> PhaseOptResult:
     """Single-user capacity ascent over the panel phases.
 
     Alternates implicit water-filling (the capacity objective) with a
-    per-element sweep over a uniform phase grid, starting from the
-    aligned-MISO projection.  Amplitude-zero elements are skipped.
+    per-element sweep over a uniform grid of `DEFAULT_GRID_POINTS` phases,
+    starting from the aligned-MISO projection.  Amplitude-zero elements
+    are skipped.  The ascent stops after 30 sweeps, or once a sweep gains
+    no more than 1e-6 of the objective.
     """
     if panel.n_elements != real.n_elements:
         raise ValueError(
@@ -392,7 +383,7 @@ def optimize_phases_mimo(
     init = _aligned_init_phases(real)
     phases, caps, trace = weighted_phase_ascent(
         [(1.0, real)], panel.amplitudes, init, total_power, noise_power,
-        max_iters, rel_tol, grid_points,
+        30, 1e-6, DEFAULT_GRID_POINTS,
     )
     out = replace(panel, phases=phases, quantization_bits=None)
     return PhaseOptResult(

@@ -3,7 +3,9 @@
 An FDM interval serves every scheduled user through literally the same
 surface setting, so the reflection diagonal is a shared resource: it is
 optimized jointly on the QoS-weighted sum capacity, and the price of that
-sharing is measured against giving each user a private surface.
+sharing is measured against giving each user a private surface.  Users
+sit on disjoint FDM sub-bands by premise, so they do not interfere and no
+band value enters a number: a user is its channel and its QoS weight.
 """
 
 from __future__ import annotations
@@ -17,18 +19,12 @@ from .channel import ChannelRealization
 
 @dataclass(frozen=True, eq=False)
 class UserContext:
-    """One scheduled user: channel, FDM sub-band and QoS weight."""
+    """One scheduled user: channel and QoS weight."""
 
-    user_id: str
     channel: ChannelRealization
-    subband: tuple
     qos_weight: float
 
     def __post_init__(self):
-        lo, hi = self.subband
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"subband must be a (lo, hi) range with lo < hi, got {self.subband}")
-        object.__setattr__(self, "subband", (float(lo), float(hi)))
         if not (self.qos_weight > 0.0 and math.isfinite(self.qos_weight)):
             raise ValueError(f"qos_weight must be positive, got {self.qos_weight}")
 
@@ -36,21 +32,10 @@ class UserContext:
 def _check_users(users, panel: ris.RisPanel) -> None:
     if not users:
         raise ValueError("need at least one user")
-    seen = set()
-    for u in users:
-        if u.user_id in seen:
-            raise ValueError(f"duplicate user_id {u.user_id!r}")
-        seen.add(u.user_id)
-    bands = sorted((u.subband for u in users))
-    for (lo1, hi1), (lo2, hi2) in zip(bands, bands[1:]):
-        if lo2 < hi1:
-            raise ValueError(
-                f"sub-bands ({lo1}, {hi1}) and ({lo2}, {hi2}) overlap"
-            )
-    for u in users:
+    for i, u in enumerate(users):
         if u.channel.n_elements != panel.n_elements:
             raise ValueError(
-                f"user {u.user_id!r} channel has {u.channel.n_elements} elements, "
+                f"user {i} channel has {u.channel.n_elements} elements, "
                 f"panel has {panel.n_elements}"
             )
 

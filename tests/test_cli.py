@@ -300,6 +300,25 @@ def test_main_zero_rel_tol_exits_one(tmp_path, capsys):
     assert "invalid config" in captured.err and "scenario.rel_tol" in captured.err
 
 
+def test_main_station_antennas_exit_one(tmp_path, capsys):
+    # coverage is a per-station power budget; an antenna count enters no number
+    cfg = _cfg(tmp_path, (
+        "experiment: deploy\n"
+        "scenario:\n"
+        "  threshold_db: 24.0\n"
+        "  base_stations:\n"
+        "    - position: [10.0, 30.0]\n"
+        "      tx_power_dbm: 30.0\n"
+        "      antennas: 4\n"
+    ))
+    rc = main(["deploy", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "invalid config" in captured.err
+    assert "scenario.base_stations[0].antennas" in captured.err
+
+
 def test_main_subcommand_must_match_experiment(tmp_path, capsys):
     cfg = _cfg(tmp_path, _SMALL_RANK)
     rc = main(["beamform", "--config", cfg])

@@ -192,13 +192,13 @@ def test_trial_grouping_cannot_change_a_bit():
 
 def test_stale_rates_wrappers_agree():
     scn = _co_scenario()
-    fresh, stale, loss = stale_rates(scn, range(6), 9, (0.5,))
+    fresh, stale, loss = stale_rates(scn, range(6), 9, (0.5, 1.0))
     res = run_stale_csi(scn, 6, seed=9, bounce_amp_scale=0.5)
     assert np.array_equal(res.fresh_rates, fresh[0])
     assert np.array_equal(res.stale_rates, stale[0])
     assert np.array_equal(res.loss_fractions, loss[0])
-    one = stale_csi_trial(scn, 4, 9, bounce_amp_scale=0.5)
-    assert one == (fresh[0, 4], stale[0, 4], loss[0, 4])
+    one = stale_csi_trial(scn, 4, 9)
+    assert one == (fresh[1, 4], stale[1, 4], loss[1, 4])
     assert all(type(v) is float for v in one)
 
 
@@ -413,7 +413,7 @@ def test_adjacent_arms_match_separate_stale_trials():
     for t in range(5):
         rate0, rate1, loss0, loss1 = (float(v[0]) for v in adjacent_rates(scn, filt, (t,), 3))
         _, s0, l0 = stale_csi_trial(scn, t, 3)
-        _, s1, l1 = stale_csi_trial(scn, t, 3, bounce_amp_scale=scale)
+        _, s1, l1 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3, (scale,)))
         assert (rate0, rate1, loss0, loss1) == (s0, s1, l0, l1)
 
 

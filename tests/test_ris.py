@@ -145,7 +145,7 @@ def test_align_with_direct_term():
     h = complex_normal(rng, 6)
     direct = 0.4 - 0.9j
     panel = align_phases_miso(g, h, direct=direct)
-    got = abs(composite_gain(g, h, panel, direct=direct))
+    got = abs(composite_gain(g, h, panel) + direct)
     want = float(np.sum(np.abs(g * h))) + abs(direct)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -192,13 +192,14 @@ def test_optimize_traces_are_monotone():
     for seed in range(100):
         rng = rng_from(seed, "ascent")
         real = _real_from(complex_normal(rng, (4, 2)), complex_normal(rng, (2, 4)))
-        result = optimize_phases_mimo(real, RisPanel.uniform(4), 5.0, 1.0,
-                                      max_iters=6)
-        trace = np.asarray(result.trace)
+        _, caps, trace = weighted_phase_ascent(
+            [(1.0, real)], np.ones(4), ris._aligned_init_phases(real), 5.0, 1.0,
+            6, 1e-6, ris.DEFAULT_GRID_POINTS)
+        trace = np.asarray(trace)
         assert np.all(np.diff(trace) >= -1e-12)
-        assert result.capacity >= trace[0] - 1e-12
-        assert result.capacity == pytest.approx(trace[-1])
-        assert 1 <= result.iterations <= 6
+        assert caps[0] >= trace[0] - 1e-12
+        assert caps[0] == pytest.approx(trace[-1])
+        assert 1 <= len(trace) - 1 <= 6
 
 
 def test_optimize_never_below_initialization():
@@ -225,10 +226,11 @@ def test_optimize_close_to_exhaustive_fixture():
 def test_optimize_parameter_checks():
     rng = rng_from(37)
     real = _real_from(complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2)))
+    args = ([(1.0, real)], np.ones(2), np.zeros(2), 1.0, 1.0)
     with pytest.raises(ValueError):
-        optimize_phases_mimo(real, RisPanel.uniform(2), 1.0, 1.0, max_iters=0)
+        weighted_phase_ascent(*args, 0, 1e-6, ris.DEFAULT_GRID_POINTS)
     with pytest.raises(ValueError):
-        optimize_phases_mimo(real, RisPanel.uniform(2), 1.0, 1.0, rel_tol=0.0)
+        weighted_phase_ascent(*args, 30, 0.0, ris.DEFAULT_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------

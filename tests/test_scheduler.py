@@ -54,8 +54,8 @@ def _orthogonal_pair(n):
     r1 = _miso_real(_steering(n, 0))
     r2 = _miso_real(_steering(n, n // 2))
     return [
-        UserContext("a", r1, (0.0, 1.0), 1.0),
-        UserContext("b", r2, (1.0, 2.0), 1.0),
+        UserContext(r1, 1.0),
+        UserContext(r2, 1.0),
     ]
 
 
@@ -65,7 +65,7 @@ def _orthogonal_pair(n):
 def test_single_user_reduces_to_optimizer():
     rng = rng_from(101)
     real = _mimo_real(rng)
-    user = UserContext("solo", real, (0.0, 1.0), 1.0)
+    user = UserContext(real, 1.0)
     caps = _shared_caps([user], RisPanel.uniform(8))
     cmp = compare_shared_vs_ideal([user], RisPanel.uniform(8), POWER, NOISE)
     ref = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE)
@@ -77,8 +77,8 @@ def test_identical_channels_do_not_conflict():
     rng = rng_from(103)
     real = _mimo_real(rng)
     users = [
-        UserContext("a", real, (0.0, 1.0), 1.0),
-        UserContext("b", real, (1.0, 2.0), 1.0),
+        UserContext(real, 1.0),
+        UserContext(real, 1.0),
     ]
     caps = _shared_caps(users, RisPanel.uniform(8))
     solo = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE).capacity
@@ -116,26 +116,10 @@ def test_user_set_validation():
     real = _mimo_real(rng)
     with pytest.raises(ValueError):
         compare_shared_vs_ideal([], RisPanel.uniform(8), POWER, NOISE)
-    dup = [
-        UserContext("x", real, (0.0, 1.0), 1.0),
-        UserContext("x", real, (1.0, 2.0), 1.0),
-    ]
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal(dup, RisPanel.uniform(8), POWER, NOISE)
-    overlap = [
-        UserContext("a", real, (0.0, 1.5), 1.0),
-        UserContext("b", real, (1.0, 2.0), 1.0),
-    ]
+        UserContext(real, 0.0)
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal(overlap, RisPanel.uniform(8), POWER, NOISE)
-    with pytest.raises(ValueError):
-        UserContext("a", real, (2.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        UserContext("a", real, (0.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        compare_shared_vs_ideal(
-            [UserContext("a", real, (0.0, 1.0), 1.0)],
-            RisPanel.uniform(4), POWER, NOISE)
+        compare_shared_vs_ideal([UserContext(real, 1.0)], RisPanel.uniform(4), POWER, NOISE)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +127,7 @@ def test_user_set_validation():
 
 def test_gap_vanishes_for_one_user():
     rng = rng_from(109)
-    user = UserContext("solo", _mimo_real(rng), (0.0, 1.0), 1.0)
+    user = UserContext(_mimo_real(rng), 1.0)
     cmp = compare_shared_vs_ideal([user], RisPanel.uniform(8), POWER, NOISE)
     assert cmp.gap_fraction <= 1e-6
 
@@ -152,8 +136,8 @@ def test_gap_vanishes_for_identical_users():
     rng = rng_from(113)
     real = _mimo_real(rng)
     users = [
-        UserContext("a", real, (0.0, 1.0), 1.0),
-        UserContext("b", real, (1.0, 2.0), 1.0),
+        UserContext(real, 1.0),
+        UserContext(real, 1.0),
     ]
     cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
     assert cmp.gap_fraction <= 1e-6
@@ -179,7 +163,7 @@ def _users(seed, n, specs):
     """One user per (u, m, direct, weight) spec."""
     rng = rng_from(seed, "multiuser-props")
     return [
-        UserContext(f"ue{i}", _mimo_real(rng, n, m, u, direct), (float(i), i + 1.0), w)
+        UserContext(_mimo_real(rng, n, m, u, direct), w)
         for i, (u, m, direct, w) in enumerate(specs)
     ]
 
