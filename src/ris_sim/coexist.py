@@ -26,7 +26,12 @@ from .channel import (
     gen_rician,
     path_gain,
 )
-from .numkernel import rate_with_precoder, waterfill_capacity, waterfill_precoder
+from .numkernel import (
+    capacity_closed_form,
+    rate_with_precoder,
+    singular_values,
+    waterfill_precoder,
+)
 from .ris import _aligned_init_phases
 from .seeding import rng_from, subseed
 
@@ -275,9 +280,8 @@ def _watts_to_dbm(p: float) -> float:
     return 10.0 * math.log10(p * 1e3) if p > 0.0 else -math.inf
 
 
-def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
-                   extra_noise: float) -> float:
-    """Water-filled rate of one network's own link, surface aligned if owned."""
+def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int) -> np.ndarray:
+    """Singular values of one network's own link, surface aligned if owned."""
     params = coex.params
     dp = coex.direct_params
     geom = coex.geometry
@@ -288,9 +292,7 @@ def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
             link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
             real = draw_realization(link, 0)
             th = _foreign_theta(coex.net_a.n_elements, seed, f"own-theta/{net.name}")
-            h_t = assemble_effective(real, th)
-            return waterfill_capacity(h_t, net.tx_power,
-                                      params.noise_power + extra_noise)
+            return singular_values(assemble_effective(real, th))
         los, pl = _fixed_link(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, dp)
         h = gen_rician(dp, los, subseed(seed, f"direct/{net.name}"))
         h_t = math.sqrt(pl) * h
@@ -311,7 +313,7 @@ def _own_link_rate(coex: CoexScenario, net: CoexNetwork, seed: int,
         real = draw_realization(link, 0)
         aligned = np.exp(1j * _aligned_init_phases(real))
         h_t = assemble_effective(real, aligned)
-    return waterfill_capacity(h_t, net.tx_power, params.noise_power + extra_noise)
+    return singular_values(h_t)
 
 
 def _interference_power(coex: CoexScenario, victim: CoexNetwork,
@@ -386,8 +388,13 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
         else 0.0
         for i in range(2)
     ]
-    rate_alone = [_own_link_rate(scenario, nets[i], seed, 0.0) for i in range(2)]
-    rate_coll = [_own_link_rate(scenario, nets[i], seed, inter[i]) for i in range(2)]
+    # each own link is drawn once; a collision only adds interference noise
+    noise = scenario.params.noise_power
+    spectra = [_own_link_spectrum(scenario, net, seed) for net in nets]
+    rate_alone = [capacity_closed_form(s, net.tx_power, noise)
+                  for s, net in zip(spectra, nets)]
+    rate_coll = [capacity_closed_form(s, net.tx_power, noise + x)
+                 for s, net, x in zip(spectra, nets, inter)]
 
     rng = rng_from(seed, "lbt")
     backoff = [0, 0]

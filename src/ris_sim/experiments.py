@@ -350,9 +350,7 @@ SCHEMA = {
         "qos_weights": ((), _list_of(_positive)),
         "power_per_user": (10.0, _positive),
         "noise_power": (1.0, _positive),
-        "grid_points": (16, _int_ge(2)),
         "max_iters": (30, _int_ge(1)),
-        "rel_tol": (1e-6, _positive),
     },
     "coexist": {
         **_COEX_FIELDS,
@@ -491,7 +489,7 @@ def resolve_scenario(experiment: str, raw) -> dict:
 
     Unknown fields, rejected values, missing required fields and violated
     cross-field conditions raise ConfigError naming the dotted path, for
-    example `scenario.rel_tol`.  Given values come back normalised by
+    example `scenario.noise_power`.  Given values come back normalised by
     their checks (numbers as floats, lists as tuples); defaults are kept
     as written, so a resolved scenario resolves to itself.
     """
@@ -629,6 +627,9 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
 # ---------------------------------------------------------------------------
 # multiuser: price of one shared reflection state
 
+#: phase grid of the multiuser ascents, coarser than `ris.DEFAULT_GRID_POINTS`
+MULTIUSER_GRID_POINTS = 16
+
 
 def run_multiuser(scenario, seed, trials) -> ResultTable:
     """Shared-state sum capacity against per-user private optima.
@@ -654,7 +655,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
             users.append(UserContext(channel=real, qos_weight=weights[i]))
         cmp = compare_shared_vs_ideal(
             users, panel, p["power_per_user"], p["noise_power"],
-            p["max_iters"], p["rel_tol"], p["grid_points"],
+            p["max_iters"], MULTIUSER_GRID_POINTS,
         )
         return [
             (t, "shared_sum", cmp.shared_sum),

@@ -169,33 +169,6 @@ def _effective_terms(real: ChannelRealization):
     return a, b, d
 
 
-class _ShapeGroup:
-    """The entries of the running problems whose channels are U x M.
-
-    Row i is one entry: `owner[i]` is its problem's place among the running
-    problems, `slot[i]` its place among that problem's entries, `index[i]`
-    its flat entry index, `w[i]` its weight, `h[i]` its current channel and
-    `outer[n, i]` the change of that channel per unit change of element
-    n's reflection coefficient.
-    """
-
-    def __init__(self, rows):
-        owner, slot, index, w, hs, outers = zip(*rows)
-        self.owner = np.array(owner, dtype=np.intp)
-        self.slot = np.array(slot, dtype=np.intp)
-        self.index = np.array(index, dtype=np.intp)
-        self.w = np.array(w, dtype=float)[:, None]
-        self.h = np.stack(hs)
-        self.outer = np.stack(outers, axis=1)
-
-    def keep(self, running, place):
-        """Drop the rows of stopped problems; renumber owners by `place`."""
-        m = running[self.owner]
-        self.owner = place[self.owner[m]]
-        self.slot, self.index, self.w = self.slot[m], self.index[m], self.w[m]
-        self.h, self.outer = self.h[m], self.outer[:, m]
-
-
 def phase_ascent_batch(
     problems,
     amplitudes: np.ndarray,
@@ -208,18 +181,18 @@ def phase_ascent_batch(
     """Independent weighted phase ascents swept in lockstep.
 
     `problems` is a sequence of (entries, init_phases), where `entries` is
-    a sequence of (weight, realization) as in `weighted_phase_ascent`.
-    Every problem shares the panel `amplitudes`, the element count and the
-    ascent parameters.  For each live element, the `grid_points`
-    candidate channels of every entry of every running problem go through
-    one SVD call and one capacity call per (U, M) shape, so users with
-    different antenna counts can share a batch.
+    a sequence of (weight, realization).  Every problem shares the panel
+    `amplitudes`, and every realization the element count and the (U, M)
+    channel shape.  Each sweep sets every live element to the best of
+    `grid_points` uniform phases; the candidate channels of every entry of
+    every running problem go through one SVD call and one capacity call
+    per element.
 
-    Each problem keeps its own objective, accumulated over its entries in
-    entry order; it moves an element only when the best candidate strictly
-    improves that objective, records its own trace and stops on its own
-    `rel_tol` test.  Every problem's result is therefore bit for bit what
-    the per-problem sweep gives when run alone.
+    Each problem keeps its own objective, the weighted sum capacity
+    accumulated over its entries in entry order; it moves an element only
+    when the best candidate strictly improves that objective, records its
+    own trace and stops on its own `rel_tol` test.  Every problem's result
+    is therefore bit for bit what the sweep gives when run alone.
 
     Returns one (phases, per_entry_capacities, trace) per problem, where
     trace[i] is the objective after i sweeps and is non-decreasing.
@@ -230,34 +203,44 @@ def phase_ascent_batch(
         raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not problems:
+        return []
     n = amplitudes.shape[0]
     n_prob = len(problems)
     phases = np.empty((n_prob, n))
     theta = np.empty((n_prob, n), dtype=np.complex128)
-    shapes = {}
+    # one row per entry: its problem's place among the running problems,
+    # its place among that problem's entries, its flat index, its weight,
+    # its current channel, and outer[n, i], the change of that channel
+    # per unit change of element n's reflection coefficient
+    owner, slot, w, hs, outers = [], [], [], [], []
     bounds = [0]
     for p, (entries, init) in enumerate(problems):
-        terms = [_effective_terms(real) for _, real in entries]
-        for _, real in entries:
-            if real.n_elements != n:
-                raise ValueError("realizations disagree on the element count")
+        if any(real.n_elements != n for _, real in entries):
+            raise ValueError("realizations disagree on the element count")
         phases[p] = np.array(init, dtype=float)
         theta[p] = amplitudes * np.exp(1j * phases[p])
-        for k, ((w, _), (a, b, d)) in enumerate(zip(entries, terms)):
-            h = (a * theta[p][None, :]) @ b + d
-            outer = a.T[:, :, None] * b[:, None, :]  # (N, U, M)
-            shapes.setdefault(d.shape, []).append((p, k, bounds[-1] + k, w, h, outer))
+        for k, (weight, real) in enumerate(entries):
+            a, b, d = _effective_terms(real)
+            owner.append(p)
+            slot.append(k)
+            w.append(weight)
+            hs.append((a * theta[p][None, :]) @ b + d)
+            outers.append(a.T[:, :, None] * b[:, None, :])  # (N, U, M)
         bounds.append(bounds[-1] + len(entries))
-    groups = [_ShapeGroup(rows) for rows in shapes.values()]
+    if len({x.shape for x in hs}) > 1:
+        raise ValueError("realizations disagree on the (U, M) channel shape")
+    owner, slot = np.array(owner, dtype=np.intp), np.array(slot, dtype=np.intp)
+    index = np.arange(bounds[-1])
+    w = np.array(w, dtype=float)[:, None]
+    h, outer = np.stack(hs), np.stack(outers, axis=1)
 
-    caps = np.empty(bounds[-1])
-    for g in groups:
-        sv = np.linalg.svd(g.h, compute_uv=False)
-        caps[g.index] = numkernel.capacity_closed_form(sv, total_power, noise_power)
+    caps = numkernel.capacity_closed_form(
+        np.linalg.svd(h, compute_uv=False), total_power, noise_power)
     cur = np.empty(n_prob)
     for p, (entries, _) in enumerate(problems):
-        weights = np.array([w for w, _ in entries], dtype=float)
-        cur[p] = float(weights @ np.array(caps[bounds[p]:bounds[p + 1]]))
+        weights = np.array([wt for wt, _ in entries], dtype=float)
+        cur[p] = float(weights @ caps[bounds[p]:bounds[p + 1]])
     traces = [[c] for c in cur.tolist()]
     done = [None] * n_prob
     ids = np.arange(n_prob)  # problem index of each running problem
@@ -266,20 +249,16 @@ def phase_ascent_batch(
     rot = np.exp(1j * grid)
     # weighted candidate capacities by (entry slot, running problem); the
     # slots a problem lacks stay +0.0, which leaves its running sum as is
-    slots = max((len(entries) for entries, _ in problems), default=0)
-    weighted = np.zeros((slots, n_prob, grid_points))
+    weighted = np.zeros((int(slot.max()) + 1, n_prob, grid_points))
     for _ in range(max_iters):
         for nidx in live:
             cand = amplitudes[nidx] * rot
             delta = cand[None, :] - theta[:, nidx, None]
-            cand_caps = []
-            for g in groups:
-                hc = g.h[:, None] + delta[g.owner, :, None, None] * g.outer[nidx][:, None]
-                sv = np.linalg.svd(hc.reshape(-1, *g.h.shape[1:]), compute_uv=False)
-                cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
-                cg = cg.reshape(-1, grid_points)
-                weighted[g.slot, g.owner] = g.w * cg
-                cand_caps.append(cg)
+            hc = h[:, None] + delta[owner, :, None, None] * outer[nidx][:, None]
+            sv = np.linalg.svd(hc.reshape(-1, *h.shape[1:]), compute_uv=False)
+            cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
+            cg = cg.reshape(-1, grid_points)
+            weighted[slot, owner] = w * cg
             total = np.zeros(cur.shape + (grid_points,))
             for part in weighted:
                 total += part
@@ -288,13 +267,10 @@ def phase_ascent_batch(
             up = best_val > cur
             if not up.any():
                 continue
-            for g, cg in zip(groups, cand_caps):
-                m = up[g.owner]
-                if m.any():
-                    j = best[g.owner[m]]
-                    d = delta[g.owner[m], j, None, None]
-                    g.h[m] = g.h[m] + d * g.outer[nidx][m]
-                    caps[g.index[m]] = cg[m, j]
+            m = up[owner]
+            j = best[owner[m]]
+            h[m] = h[m] + delta[owner[m], j, None, None] * outer[nidx][m]
+            caps[index[m]] = cg[m, j]
             theta[up, nidx] = cand[best[up]]
             phases[up, nidx] = grid[best[up]]
             cur[up] = best_val[up]
@@ -307,10 +283,9 @@ def phase_ascent_batch(
                 running[i] = False
                 done[p] = phases[i].copy()
         if not running.all():
-            place = np.cumsum(running) - 1
-            for g in groups:
-                g.keep(running, place)
-            groups = [g for g in groups if g.owner.shape[0]]
+            keep = running[owner]
+            owner = (np.cumsum(running) - 1)[owner[keep]]
+            slot, index, w, h, outer = slot[keep], index[keep], w[keep], h[keep], outer[:, keep]
             ids, cur = ids[running], cur[running]
             theta, phases = theta[running], phases[running]
             weighted = weighted[:, running]
@@ -324,41 +299,10 @@ def phase_ascent_batch(
     ]
 
 
-def weighted_phase_ascent(
-    entries,
-    amplitudes: np.ndarray,
-    init_phases: np.ndarray,
-    total_power: float,
-    noise_power: float,
-    max_iters: int,
-    rel_tol: float,
-    grid_points: int,
-):
-    """Alternating per-element phase sweep on a weighted sum capacity.
-
-    `entries` is a sequence of (weight, realization); all realizations
-    must share the element count.  Each sweep sets every live element to
-    the best of `grid_points` uniform phases (keeping the current value
-    when no grid point strictly improves the objective), so the objective
-    trace is non-decreasing by construction.  This is the one-problem
-    case of `phase_ascent_batch`, which sweeps all entries of an element
-    in one SVD call per channel shape.
-
-    Returns (phases, per_entry_capacities, trace) where trace[i] is the
-    objective after i sweeps.
-    """
-    ((phases, caps, trace),) = phase_ascent_batch(
-        [(entries, init_phases)], amplitudes, total_power, noise_power,
-        max_iters, rel_tol, grid_points,
-    )
-    return phases, caps, trace
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseOptResult:
     panel: RisPanel
     capacity: float
-    iterations: int
     trace: tuple
 
 
@@ -372,23 +316,19 @@ def optimize_phases_mimo(
 
     Alternates implicit water-filling (the capacity objective) with a
     per-element sweep over a uniform grid of `DEFAULT_GRID_POINTS` phases,
-    starting from the aligned-MISO projection.  Amplitude-zero elements
-    are skipped.  The ascent stops after 30 sweeps, or once a sweep gains
-    no more than 1e-6 of the objective.
+    starting from the aligned-MISO projection; an element keeps its phase
+    when no grid point strictly improves the capacity, so the trace is
+    non-decreasing.  Amplitude-zero elements are skipped.  The ascent
+    stops after 30 sweeps, or once a sweep gains no more than 1e-6 of the
+    objective.
     """
     if panel.n_elements != real.n_elements:
         raise ValueError(
             f"panel has {panel.n_elements} elements, channel expects {real.n_elements}"
         )
-    init = _aligned_init_phases(real)
-    phases, caps, trace = weighted_phase_ascent(
-        [(1.0, real)], panel.amplitudes, init, total_power, noise_power,
-        30, 1e-6, DEFAULT_GRID_POINTS,
+    ((phases, caps, trace),) = phase_ascent_batch(
+        [([(1.0, real)], _aligned_init_phases(real))], panel.amplitudes,
+        total_power, noise_power, 30, 1e-6, DEFAULT_GRID_POINTS,
     )
     out = replace(panel, phases=phases, quantization_bits=None)
-    return PhaseOptResult(
-        panel=out,
-        capacity=float(caps[0]),
-        iterations=len(trace) - 1,
-        trace=tuple(trace),
-    )
+    return PhaseOptResult(panel=out, capacity=float(caps[0]), trace=tuple(trace))

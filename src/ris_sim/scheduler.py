@@ -29,17 +29,6 @@ class UserContext:
             raise ValueError(f"qos_weight must be positive, got {self.qos_weight}")
 
 
-def _check_users(users, panel: ris.RisPanel) -> None:
-    if not users:
-        raise ValueError("need at least one user")
-    for i, u in enumerate(users):
-        if u.channel.n_elements != panel.n_elements:
-            raise ValueError(
-                f"user {i} channel has {u.channel.n_elements} elements, "
-                f"panel has {panel.n_elements}"
-            )
-
-
 def _shared_problem(users):
     """Weighted entries and start phases of the shared ascent.
 
@@ -66,7 +55,6 @@ def compare_shared_vs_ideal(
     power_per_user: float,
     noise_power: float,
     max_iters: int = 30,
-    rel_tol: float = 1e-6,
     grid_points: int = ris.DEFAULT_GRID_POINTS,
 ) -> SharedVsIdeal:
     """Quantify the price of sharing one reflection state.
@@ -75,21 +63,25 @@ def compare_shared_vs_ideal(
     shared reflection state reaches when the phase ascent maximises the
     QoS-weighted sum capacity, starting from the aligned phases of the
     highest-weight user.
-    ideal_sum gives each user a private surface, optimized as
-    `ris.optimize_phases_mimo` would.  The shared ascent and the K private
-    ones run as one `ris.phase_ascent_batch` call, so each element costs
-    one SVD call for all of them.  Since a private state can always replay
-    the shared one, each user's ideal capacity is floored at its
-    shared-state capacity, which makes shared_sum <= ideal_sum hold by
+    ideal_sum gives each user a private surface, found by the same ascent
+    from that user's aligned phases, at the caller's grid and sweep cap.
+    Both ascents stop once a sweep gains no more than 1e-6 of the
+    objective.  The shared ascent and the K private ones run as one
+    `ris.phase_ascent_batch` call, so each element costs one SVD call for
+    all of them, and every user needs the panel's element count and one
+    common (U, M) shape.  Since a private state can always replay the
+    shared one, each user's ideal capacity is floored at its shared-state
+    capacity, which makes shared_sum <= ideal_sum hold by
     construction even with an approximate optimizer.
     """
-    _check_users(users, panel)
+    if not users:
+        raise ValueError("need at least one user")
     problems = [_shared_problem(users)] + [
         ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
     ]
     (_, shared, _), *private = ris.phase_ascent_batch(
         problems, panel.amplitudes, power_per_user, noise_power,
-        max_iters, rel_tol, grid_points,
+        max_iters, 1e-6, grid_points,
     )
     shared_caps = [float(c) for c in shared]
     ideal_caps = [max(float(c[0]), sc) for (_, c, _), sc in zip(private, shared_caps)]

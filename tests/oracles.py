@@ -343,11 +343,11 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
     """One weighted phase ascent, one entry and one element at a time.
 
     Unlike the rest of this file this is not an independent algorithm: it
-    is a frozen copy of the sweep `ris.weighted_phase_ascent` ran before
-    the batched engine, with one SVD call and one capacity call per entry
-    and element.  Bit-for-bit agreement with it shows that batching
+    is a frozen copy of the per-problem sweep the package ran before
+    `ris.phase_ascent_batch`, with one SVD call and one capacity call per
+    entry and element.  Bit-for-bit agreement with it shows that batching
     changed the bookkeeping and not the arithmetic.  Returns (phases,
-    per_entry_capacities, trace) like the package function.
+    per_entry_capacities, trace) like one problem of the engine.
     """
     from ris_sim import numkernel
 

@@ -139,7 +139,7 @@ def test_station_fields_validated_with_nested_path():
 
 
 def test_zero_rel_tol_rejected_at_dotted_path():
-    # the phase ascent needs a strictly positive stopping tolerance
+    # the multiuser ascent's stopping tolerance is fixed, not a config field
     text = "experiment: multiuser\nscenario:\n  rel_tol: 0\n"
     with pytest.raises(ConfigError, match=r"scenario\.rel_tol"):
         validate_config(text)
@@ -298,6 +298,16 @@ def test_main_zero_rel_tol_exits_one(tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert "invalid config" in captured.err and "scenario.rel_tol" in captured.err
+
+
+def test_main_multiuser_grid_points_exits_one(tmp_path, capsys):
+    # the multiuser ascent's phase grid is fixed, not a config field
+    cfg = _cfg(tmp_path, "experiment: multiuser\nscenario:\n  grid_points: 16\n")
+    rc = main(["multiuser", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "invalid config" in captured.err and "scenario.grid_points" in captured.err
 
 
 def test_main_station_antennas_exit_one(tmp_path, capsys):

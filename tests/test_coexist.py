@@ -314,6 +314,22 @@ def test_lbt_rejects_zero_slots():
                     0, seed=1)
 
 
+def test_lbt_draws_each_own_link_once(monkeypatch):
+    # A's surface link is a drawn realization, B's ground link one Rician
+    # block; the collided rate reuses the spectrum at the raised noise
+    calls = {"draw_realization": 0, "gen_rician": 0}
+    for name in calls:
+        fn = getattr(coexist, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(coexist, name, counted)
+    run_lbt_sim(_co_scenario(), LbtConfig(sense_threshold_dbm=-40.0), 50, seed=5)
+    assert calls == {"draw_realization": 1, "gen_rician": 1}
+
+
 # ---------------------------------------------------------------------------
 # band filtering
 

@@ -1,6 +1,7 @@
 """Result tables, output files, and the named experiment runners."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_beamform_quantization_ratios_bounded():
     r1 = np.mean([v for _, m, v in table.rows if m.startswith("ratio_b1")])
     r3 = np.mean([v for _, m, v in table.rows if m.startswith("ratio_b3")])
     assert r3 > r1
+
+
+def test_beamform_quantization_loss_matches_large_n_law():
+    # Wu & Zhang (IEEE TCOM 2020): b-bit phases keep a (sin(x) / x)^2
+    # share of the aligned power at large N, with x = pi / 2^b
+    scenario = {"n_list": (256,), "channel": "rayleigh", "quantization_bits": (1, 2, 3)}
+    table = run_beamform(scenario, seed=7, trials=50)
+    for b in (1, 2, 3):
+        x = math.pi / 2**b
+        mean = np.mean([v for _, m, v in table.rows if m == f"ratio_b{b}_n256"])
+        assert abs(mean - (math.sin(x) / x) ** 2) <= 0.01
 
 
 def test_runner_rejects_unknown_scenario_field():

@@ -20,7 +20,6 @@ from ris_sim.ris import (
     optimize_phases_mimo,
     phase_ascent_batch,
     quantize_phases,
-    weighted_phase_ascent,
     wrap_phase,
 )
 from ris_sim.seeding import complex_normal, rng_from
@@ -192,8 +191,8 @@ def test_optimize_traces_are_monotone():
     for seed in range(100):
         rng = rng_from(seed, "ascent")
         real = _real_from(complex_normal(rng, (4, 2)), complex_normal(rng, (2, 4)))
-        _, caps, trace = weighted_phase_ascent(
-            [(1.0, real)], np.ones(4), ris._aligned_init_phases(real), 5.0, 1.0,
+        ((_, caps, trace),) = phase_ascent_batch(
+            [([(1.0, real)], ris._aligned_init_phases(real))], np.ones(4), 5.0, 1.0,
             6, 1e-6, ris.DEFAULT_GRID_POINTS)
         trace = np.asarray(trace)
         assert np.all(np.diff(trace) >= -1e-12)
@@ -226,17 +225,17 @@ def test_optimize_close_to_exhaustive_fixture():
 def test_optimize_parameter_checks():
     rng = rng_from(37)
     real = _real_from(complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2)))
-    args = ([(1.0, real)], np.ones(2), np.zeros(2), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        weighted_phase_ascent(*args, 0, 1e-6, ris.DEFAULT_GRID_POINTS)
-    with pytest.raises(ValueError):
-        weighted_phase_ascent(*args, 30, 0.0, ris.DEFAULT_GRID_POINTS)
+    args = ([([(1.0, real)], np.zeros(2))], np.ones(2), 1.0, 1.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        phase_ascent_batch(*args, 0, 1e-6, ris.DEFAULT_GRID_POINTS)
+    with pytest.raises(ValueError, match="rel_tol"):
+        phase_ascent_batch(*args, 30, 0.0, ris.DEFAULT_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
 # batched ascent engine
 
-#: (U, M) channel shapes mixed inside one batch
+#: (U, M) channel shapes; every entry of one batch has the same one
 SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2))
 
 
@@ -253,12 +252,13 @@ def _random_entry(rng, n, shape, direct, weight):
     return weight, real
 
 
-def _random_problems(seed, n, specs):
-    """`specs` holds one list of (shape, direct, weight) per problem."""
+def _random_problems(seed, n, shape, specs):
+    """`specs` holds one list of (direct, weight) per problem; every
+    entry's channel is `shape` = (U, M)."""
     rng = rng_from(seed, "batch-ascent")
     problems = []
     for spec in specs:
-        entries = [_random_entry(rng, n, *e) for e in spec]
+        entries = [_random_entry(rng, n, shape, *e) for e in spec]
         problems.append((entries, rng.uniform(0.0, TWO_PI, n)))
     return problems
 
@@ -276,19 +276,19 @@ def _assert_batch_matches_per_problem(problems, amps, power, noise,
     for (entries, init), got in zip(problems, batched):
         want = per_problem_phase_ascent(entries, amps, init, *args)
         assert _bits(*got) == _bits(*want)
-        alone = weighted_phase_ascent(entries, amps, init, *args)
+        (alone,) = phase_ascent_batch([(entries, init)], amps, *args)
         assert _bits(*alone) == _bits(*want)
     return batched
 
 
-_entry_spec = st.tuples(st.sampled_from(SHAPES), st.booleans(),
-                        st.sampled_from((0.5, 1.0, 3.0)))
+_entry_spec = st.tuples(st.booleans(), st.sampled_from((0.5, 1.0, 3.0)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     amps=st.lists(st.sampled_from((0.0, 0.3, 1.0)), min_size=1, max_size=6),
+    shape=st.sampled_from(SHAPES),
     specs=st.lists(st.lists(_entry_spec, min_size=1, max_size=3),
                    min_size=1, max_size=4),
     max_iters=st.integers(1, 5),
@@ -297,9 +297,9 @@ _entry_spec = st.tuples(st.sampled_from(SHAPES), st.booleans(),
     power=st.sampled_from((0.1, 1.0, 10.0)),
 )
 def test_batch_matches_per_problem_sweep_bit_for_bit(
-        seed, amps, specs, max_iters, rel_tol, grid_points, power):
+        seed, amps, shape, specs, max_iters, rel_tol, grid_points, power):
     amps = np.array(amps)
-    problems = _random_problems(seed, amps.shape[0], specs)
+    problems = _random_problems(seed, amps.shape[0], shape, specs)
     _assert_batch_matches_per_problem(problems, amps, power, 1.0,
                                       max_iters, rel_tol, grid_points)
 
@@ -307,14 +307,10 @@ def test_batch_matches_per_problem_sweep_bit_for_bit(
 def test_batch_problems_stop_on_their_own():
     # the four problems settle after different sweep counts, all before
     # the cap; element 3 absorbs throughout and keeps its start phase
-    specs = [
-        [((2, 2), False, 1.0), ((1, 2), True, 2.0), ((3, 2), False, 0.5)],
-        [((1, 1), False, 1.0)],
-        [((2, 1), True, 1.0)],
-        [((2, 2), False, 1.0)],
-    ]
+    specs = [[(False, 1.0), (True, 2.0), (False, 0.5)], [(False, 1.0)],
+             [(True, 1.0)], [(False, 1.0)]]
     amps = np.array([1.0, 0.3, 1.0, 0.0, 1.0, 1.0])
-    problems = _random_problems(1, 6, specs)
+    problems = _random_problems(1, 6, (2, 2), specs)
     out = _assert_batch_matches_per_problem(problems, amps, 1.0, 1.0, 12, 1e-6, 16)
     sweeps = [len(trace) - 1 for _, _, trace in out]
     assert len(set(sweeps)) == 4 and max(sweeps) < 12
@@ -323,13 +319,13 @@ def test_batch_problems_stop_on_their_own():
 
 
 def test_batch_with_one_sweep():
-    specs = [[((2, 2), False, 1.0), ((1, 1), True, 1.0)], [((3, 2), True, 2.0)]]
-    problems = _random_problems(11, 5, specs)
+    specs = [[(False, 1.0), (True, 1.0)], [(True, 2.0)]]
+    problems = _random_problems(11, 5, (3, 2), specs)
     out = _assert_batch_matches_per_problem(problems, np.ones(5), 1.0, 1.0, 1, 1e-6, 8)
     assert [len(trace) for _, _, trace in out] == [2, 2]
 
 
-def test_batch_costs_one_capacity_call_per_element_and_shape(monkeypatch):
+def test_batch_costs_one_capacity_call_per_element(monkeypatch):
     calls = []
     real_capacity = numkernel.capacity_closed_form
 
@@ -338,20 +334,31 @@ def test_batch_costs_one_capacity_call_per_element_and_shape(monkeypatch):
         return real_capacity(*args)
 
     monkeypatch.setattr(ris.numkernel, "capacity_closed_form", counted)
-    specs = [[((2, 2), False, 1.0)] * 4] + [[((2, 2), False, 1.0)]] * 4
-    problems = _random_problems(13, 8, specs)
+    specs = [[(False, 1.0)] * 4] + [[(False, 1.0)]] * 4
+    problems = _random_problems(13, 8, (2, 2), specs)
     out = phase_ascent_batch(problems, np.ones(8), 1.0, 1.0, 3, 1e-12, 16)
     sweeps = max(len(trace) - 1 for _, _, trace in out)
     assert len(calls) == 1 + 8 * sweeps
 
 
 def test_batch_input_checks():
-    problems = _random_problems(17, 4, [[((2, 2), False, 1.0)]])
+    problems = _random_problems(17, 4, (2, 2), [[(False, 1.0)]])
     assert phase_ascent_batch([], np.ones(4), 1.0, 1.0, 3, 1e-6, 8) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element count"):
         phase_ascent_batch(problems, np.ones(5), 1.0, 1.0, 3, 1e-6, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid_points"):
         phase_ascent_batch(problems, np.ones(4), 1.0, 1.0, 3, 1e-6, 1)
+
+
+def test_batch_rejects_mixed_shapes():
+    # across problems and within one problem alike
+    square = _random_problems(19, 4, (2, 2), [[(False, 1.0)]])
+    ((entries, init),) = square
+    for other in ((1, 2), (2, 1), (3, 2)):
+        mixed = _random_problems(23, 4, other, [[(True, 1.0)]])
+        for problems in (square + mixed, [(entries + mixed[0][0], init)]):
+            with pytest.raises(ValueError, match="shape"):
+                phase_ascent_batch(problems, np.ones(4), 1.0, 1.0, 3, 1e-6, 8)
 
 
 # ---------------------------------------------------------------------------

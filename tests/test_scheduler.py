@@ -43,9 +43,9 @@ def _steering(n, k):
 def _shared_caps(users, panel):
     """Per-user capacities of the shared ascent that
     `compare_shared_vs_ideal` runs, as a one-problem engine call."""
-    entries, init = scheduler._shared_problem(users)
-    _, caps, _ = ris.weighted_phase_ascent(
-        entries, panel.amplitudes, init, POWER, NOISE, 30, 1e-6, ris.DEFAULT_GRID_POINTS)
+    ((_, caps, _),) = ris.phase_ascent_batch(
+        [scheduler._shared_problem(users)], panel.amplitudes, POWER, NOISE,
+        30, 1e-6, ris.DEFAULT_GRID_POINTS)
     return caps
 
 
@@ -159,31 +159,30 @@ def test_four_user_gap_regression(multiuser_batch):
 # ---------------------------------------------------------------------------
 # one shared start, one engine call
 
-def _users(seed, n, specs):
-    """One user per (u, m, direct, weight) spec."""
+def _users(seed, n, shape, specs):
+    """One user per (direct, weight) spec, each with a `shape` = (U, M)
+    channel."""
     rng = rng_from(seed, "multiuser-props")
-    return [
-        UserContext(_mimo_real(rng, n, m, u, direct), w)
-        for i, (u, m, direct, w) in enumerate(specs)
-    ]
+    u, m = shape
+    return [UserContext(_mimo_real(rng, n, m, u, direct), w) for direct, w in specs]
 
 
 def test_shared_start_is_the_heaviest_user_lowest_index_first():
-    users = _users(3, 6, [(2, 2, False, 1.0), (2, 2, False, 2.0), (2, 2, False, 2.0)])
+    users = _users(3, 6, (2, 2), [(False, 1.0), (False, 2.0), (False, 2.0)])
     entries, init = scheduler._shared_problem(users)
     assert [w for w, _ in entries] == [1.0, 2.0, 2.0]
     assert np.array_equal(init, ris._aligned_init_phases(users[1].channel))
 
 
 def test_compare_reuses_the_shared_schedule_bit_for_bit():
-    users = _users(5, 8, [(2, 2, False, 1.0), (1, 2, True, 3.0), (2, 1, False, 3.0)])
+    users = _users(5, 8, (1, 2), [(False, 1.0), (True, 3.0), (False, 3.0)])
     caps = _shared_caps(users, RisPanel.uniform(8))
     cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
     assert cmp.shared_sum == sum(float(c) for c in caps)
 
 
 def test_compare_matches_the_private_optimizer_per_user():
-    users = _users(9, 8, [(2, 2, False, 1.0), (1, 1, True, 2.0), (3, 2, False, 1.0)])
+    users = _users(9, 8, (3, 2), [(False, 1.0), (True, 2.0), (False, 1.0)])
     cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
     caps = _shared_caps(users, RisPanel.uniform(8))
     ideal = [
@@ -194,31 +193,31 @@ def test_compare_matches_the_private_optimizer_per_user():
     assert cmp.ideal_sum == sum(ideal)
 
 
-_user_spec = st.tuples(st.integers(1, 3), st.integers(1, 2), st.booleans(),
-                       st.sampled_from((0.5, 1.0, 2.0)))
+_user_spec = st.tuples(st.booleans(), st.sampled_from((0.5, 1.0, 2.0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 6),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 2)),
     specs=st.lists(_user_spec, min_size=1, max_size=3),
     max_iters=st.integers(1, 4),
     grid_points=st.sampled_from((4, 8)),
     power=st.sampled_from((0.1, 1.0, 10.0)),
 )
-def test_multiuser_invariants(seed, n, specs, max_iters, grid_points, power):
-    users = _users(seed, n, specs)
+def test_multiuser_invariants(seed, n, shape, specs, max_iters, grid_points, power):
+    users = _users(seed, n, shape, specs)
     panel = RisPanel.uniform(n)
-    args = (power, NOISE, max_iters, 1e-6, grid_points)
     # the problems compare_shared_vs_ideal hands to the engine
     problems = [scheduler._shared_problem(users)] + [
         ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
     ]
-    results = ris.phase_ascent_batch(problems, panel.amplitudes, *args)
+    results = ris.phase_ascent_batch(problems, panel.amplitudes, power, NOISE,
+                                     max_iters, 1e-6, grid_points)
     for _, _, trace in results:
         assert np.all(np.diff(trace) >= 0.0)
-    cmp = compare_shared_vs_ideal(users, panel, *args)
+    cmp = compare_shared_vs_ideal(users, panel, power, NOISE, max_iters, grid_points)
     assert cmp.shared_sum <= cmp.ideal_sum
     phases, caps, _ = results[0]
     assert cmp.shared_sum == sum(float(c) for c in caps)
