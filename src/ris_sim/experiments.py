@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -55,9 +56,12 @@ from .ris import (
     align_phases_miso,
     composite_gain,
     quantize_phases,
+    sweep_converged,
 )
-from .scheduler import UserContext, compare_shared_vs_ideal
+from .scheduler import ASCENT_REL_TOL, UserContext, compare_shared_vs_ideal
 from .seeding import complex_normal, rng_from, subseed
+
+log = logging.getLogger(__name__)
 
 _COLUMNS = (("trial", ""), ("metric", ""), ("value", "per metric"))
 
@@ -627,15 +631,23 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
 # ---------------------------------------------------------------------------
 # multiuser: price of one shared reflection state
 
-#: phase grid of the multiuser ascents, coarser than `ris.DEFAULT_GRID_POINTS`
+#: phase grid of the multiuser ascents
 MULTIUSER_GRID_POINTS = 16
+
+#: trials whose ascents share one `phase_ascent_batch` call; bounds the
+#: memory of the batch without changing any result, since the engine keeps
+#: each ascent bit for bit whatever else is in the batch
+MULTIUSER_CHUNK = 64
 
 
 def run_multiuser(scenario, seed, trials) -> ResultTable:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
-    weight one for everybody.
+    weight one for everybody.  The ascents of every trial run as one
+    batched ascent per chunk of `MULTIUSER_CHUNK` trials, and one INFO log
+    line reports their count, their sweeps and how many stopped at
+    `max_iters` without meeting the tolerance.
     """
     check_run(seed, trials)
     p = resolve_scenario("multiuser", scenario)
@@ -643,8 +655,8 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     weights = p["qos_weights"] or (1.0,) * k
     panel = RisPanel.uniform(n)
 
-    def one(t):
-        users = []
+    def users(t):
+        out = []
         for i in range(k):
             g = complex_normal(rng_from(seed, f"multiuser/{t}/ue{i}/g"), (n, m))
             h = complex_normal(rng_from(seed, f"multiuser/{t}/ue{i}/h"), (u, n))
@@ -652,18 +664,28 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
                 g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
                 pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
             )
-            users.append(UserContext(channel=real, qos_weight=weights[i]))
-        cmp = compare_shared_vs_ideal(
-            users, panel, p["power_per_user"], p["noise_power"],
+            out.append(UserContext(channel=real, qos_weight=weights[i]))
+        return out
+
+    rows, traces = [], []
+    for lo in range(0, trials, MULTIUSER_CHUNK):
+        chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
+        results = compare_shared_vs_ideal(
+            [users(t) for t in chunk], panel, p["power_per_user"], p["noise_power"],
             p["max_iters"], MULTIUSER_GRID_POINTS,
         )
-        return [
-            (t, "shared_sum", cmp.shared_sum),
-            (t, "ideal_sum", cmp.ideal_sum),
-            (t, "gap_fraction", cmp.gap_fraction),
-        ]
-
-    rows = [row for t in range(trials) for row in one(t)]
+        for t, cmp in zip(chunk, results):
+            rows += [
+                (t, "shared_sum", cmp.shared_sum),
+                (t, "ideal_sum", cmp.ideal_sum),
+                (t, "gap_fraction", cmp.gap_fraction),
+            ]
+            traces += cmp.traces
+    capped = sum(len(tr) - 1 == p["max_iters"] and not sweep_converged(tr, ASCENT_REL_TOL)
+                 for tr in traces)
+    log.info("multiuser: %d ascents, %d sweeps, %d stopped at max_iters=%d "
+             "without meeting rel_tol=%g", len(traces), sum(len(tr) - 1 for tr in traces),
+             capped, p["max_iters"], ASCENT_REL_TOL)
     return _table("multiuser", seed, trials, p, rows)
 
 

@@ -3,7 +3,10 @@
 Thin, validated layer over LAPACK: singular spectra, numerical rank and
 water-filling power allocation.  All channel blocks are plain 2-D
 complex128 ndarrays; `as_complex_matrix` is the single entry gate that
-enforces that contract.
+enforces that contract.  The phase ascent's hot loop makes one spectrum
+call (`stack_singular_values`, closed form for 2x2 blocks) and one
+capacity call (`capacity_closed_form`, closed form for two modes) per
+element.
 """
 
 from __future__ import annotations
@@ -77,6 +80,38 @@ def singular_values(a) -> np.ndarray:
     """Descending singular values of a validated complex matrix."""
     arr = as_complex_matrix(a)
     return np.linalg.svd(arr, compute_uv=False)
+
+
+def stack_singular_values(h) -> np.ndarray:
+    """Descending singular values of every matrix of a stack (..., r, c).
+
+    A stack of 2x2 blocks takes the closed form: with the Gram matrix
+    H^H H = [[p, q], [q*, r]], sigma_1^2 = (p + r)/2 + sqrt(((p - r)/2)^2
+    + |q|^2), which equals ||H||_F^2/2 + sqrt(||H||_F^4/4 - |det H|^2)
+    without its cancellation at equal singular values, and sigma_2 =
+    |det H| / sigma_1 (0 for a zero block).  Each block is first scaled
+    by the power of two of its largest entry, which is exact, so entries
+    far from unit scale neither overflow nor lose sigma_2 when squared.
+    Every other shape goes to LAPACK.  No validation: the ascent's hot
+    loop calls this on channels it built itself.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape[-2:] != (2, 2):
+        return np.linalg.svd(h, compute_uv=False)
+    # one row per entry (a, b; c, d) over all blocks, real and imaginary
+    # parts side by side in the float view
+    x = h.reshape(-1, 4).T.copy().view(float)
+    top = np.abs(x).max(axis=0)
+    _, e = np.frexp(np.maximum(top[0::2], top[1::2]))
+    a, b, c, d = np.ldexp(x, -np.repeat(e, 2)).view(np.complex128)
+    p = (a.real**2 + a.imag**2) + (c.real**2 + c.imag**2)
+    r = (b.real**2 + b.imag**2) + (d.real**2 + d.imag**2)
+    q = a.conj() * b + c.conj() * d
+    half = 0.5 * (p - r)
+    s1 = np.sqrt(0.5 * (p + r) + np.sqrt(half * half + (q.real**2 + q.imag**2)))
+    s2 = np.minimum(np.abs(a * d - b * c) / np.where(s1 > 0.0, s1, 1.0), s1)
+    s = np.ldexp(np.stack((s1, s2), axis=1), e[:, None])
+    return s.reshape(h.shape[:-1])
 
 
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -188,11 +223,15 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     checks both against a grid-search oracle.  Accepts a single spectrum
     (k,) or a batch (b, k); returns a float or a length-b vector
     accordingly.  A spectrum without a positive mode has capacity 0.
+    Two-mode spectra take `_two_mode_capacity`, which gives the same bits.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
     single = s.ndim == 1
     s2 = s[None, :] if single else s
+    if s2.shape[1] == 2:
+        cap = _two_mode_capacity(s2**2 / noise_power, total_power)
+        return float(cap[0]) if single else cap
     gains, pos, mu, nact = _water_level(s2**2 / noise_power, total_power)
     cap = np.zeros(gains.shape[0])
     usable = nact > 0
@@ -201,6 +240,28 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
         logsum = np.cumsum(np.log2(np.where(pos, gains, 1.0)), axis=1)[usable, idx]
         cap[usable] = nact[usable] * np.log2(mu[usable, idx]) + logsum
     return float(cap[0]) if single else cap
+
+
+def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
+    """Water-filled capacity of each row of two mode gains.
+
+    The `_water_level` route written out for two modes, with its levels,
+    active-mode count and log sums in the same operation order, so every
+    row is bit for bit what the sorted route gives; it skips the sort,
+    the cumulative sums and the fancy indexing.
+    """
+    g1 = np.maximum(gains[:, 0], gains[:, 1])
+    g2 = np.minimum(gains[:, 0], gains[:, 1])
+    pos1, pos2 = g1 > 0.0, g2 > 0.0
+    inv1 = np.where(pos1, 1.0 / np.where(pos1, g1, 1.0), 0.0)
+    inv2 = np.where(pos2, 1.0 / np.where(pos2, g2, 1.0), 0.0)
+    mu1 = total_power + inv1
+    mu2 = (total_power + (inv1 + inv2)) / 2.0
+    active = (pos1 & (mu1 > inv1)).astype(np.intp) + (pos2 & (mu2 > inv2))
+    nact = np.maximum(active, pos1)
+    log1 = np.log2(np.where(pos1, g1, 1.0))
+    both = 2 * np.log2(mu2) + (log1 + np.log2(np.where(pos2, g2, 1.0)))
+    return np.where(nact == 2, both, np.where(nact == 1, np.log2(mu1) + log1, 0.0))
 
 
 def waterfill_capacity(h, total_power: float, noise_power: float) -> float:

@@ -6,7 +6,9 @@ panel value type (its `theta_diagonal` is the form the channel assembly
 takes), phase quantization, closed-form MISO alignment, and the
 alternating capacity ascent used for MIMO links.  The ascent is one
 engine, `phase_ascent_batch`, which the multi-user scheduler also uses to
-run the shared and the private ascents together.
+run the shared and the private ascents of many trials together; each
+element step makes one spectrum call and one capacity call for all of
+them.
 """
 
 from __future__ import annotations
@@ -169,6 +171,12 @@ def _effective_terms(real: ChannelRealization):
     return a, b, d
 
 
+def sweep_converged(trace, rel_tol: float) -> bool:
+    """The ascent's stopping test: the last sweep of `trace` gained no
+    more than `rel_tol` of the objective before it."""
+    return trace[-1] - trace[-2] <= rel_tol * max(abs(trace[-2]), 1e-30)
+
+
 def phase_ascent_batch(
     problems,
     amplitudes: np.ndarray,
@@ -185,8 +193,8 @@ def phase_ascent_batch(
     `amplitudes`, and every realization the element count and the (U, M)
     channel shape.  Each sweep sets every live element to the best of
     `grid_points` uniform phases; the candidate channels of every entry of
-    every running problem go through one SVD call and one capacity call
-    per element.
+    every running problem go through one spectrum call
+    (`numkernel.stack_singular_values`) and one capacity call per element.
 
     Each problem keeps its own objective, the weighted sum capacity
     accumulated over its entries in entry order; it moves an element only
@@ -236,7 +244,7 @@ def phase_ascent_batch(
     h, outer = np.stack(hs), np.stack(outers, axis=1)
 
     caps = numkernel.capacity_closed_form(
-        np.linalg.svd(h, compute_uv=False), total_power, noise_power)
+        numkernel.stack_singular_values(h), total_power, noise_power)
     cur = np.empty(n_prob)
     for p, (entries, _) in enumerate(problems):
         weights = np.array([wt for wt, _ in entries], dtype=float)
@@ -255,8 +263,9 @@ def phase_ascent_batch(
             cand = amplitudes[nidx] * rot
             delta = cand[None, :] - theta[:, nidx, None]
             hc = h[:, None] + delta[owner, :, None, None] * outer[nidx][:, None]
-            sv = np.linalg.svd(hc.reshape(-1, *h.shape[1:]), compute_uv=False)
-            cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
+            sv = numkernel.stack_singular_values(hc)
+            cg = numkernel.capacity_closed_form(
+                sv.reshape(-1, sv.shape[-1]), total_power, noise_power)
             cg = cg.reshape(-1, grid_points)
             weighted[slot, owner] = w * cg
             total = np.zeros(cur.shape + (grid_points,))
@@ -276,10 +285,8 @@ def phase_ascent_batch(
             cur[up] = best_val[up]
         running = np.ones(ids.shape[0], dtype=bool)
         for i, p in enumerate(ids):
-            trace = traces[p]
-            trace.append(float(cur[i]))
-            gain = trace[-1] - trace[-2]
-            if gain <= rel_tol * max(abs(trace[-2]), 1e-30):
+            traces[p].append(float(cur[i]))
+            if sweep_converged(traces[p], rel_tol):
                 running[i] = False
                 done[p] = phases[i].copy()
         if not running.all():

@@ -344,10 +344,12 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
 
     Unlike the rest of this file this is not an independent algorithm: it
     is a frozen copy of the per-problem sweep the package ran before
-    `ris.phase_ascent_batch`, with one SVD call and one capacity call per
-    entry and element.  Bit-for-bit agreement with it shows that batching
-    changed the bookkeeping and not the arithmetic.  Returns (phases,
-    per_entry_capacities, trace) like one problem of the engine.
+    `ris.phase_ascent_batch`, with one spectrum call and one capacity call
+    per entry and element.  It takes its spectra from the package's
+    `numkernel.stack_singular_values`, so bit-for-bit agreement with it
+    shows that batching changed the bookkeeping and not the arithmetic;
+    `test_numkernel` checks that spectrum against LAPACK.  Returns
+    (phases, per_entry_capacities, trace) like one problem of the engine.
     """
     from ris_sim import numkernel
 
@@ -370,7 +372,7 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
     grid = TWO_PI * np.arange(grid_points) / grid_points
     per_caps = np.array([
         numkernel.capacity_closed_form(
-            np.linalg.svd(h, compute_uv=False), total_power, noise_power)
+            numkernel.stack_singular_values(h), total_power, noise_power)
         for h in hs
     ])
     cur = float(weights @ per_caps)
@@ -384,7 +386,7 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
             cand_caps = []
             for k in range(len(terms)):
                 hc = hs[k][None, :, :] + delta[:, None, None] * outers[k][nidx]
-                sv = np.linalg.svd(hc, compute_uv=False)
+                sv = numkernel.stack_singular_values(hc)
                 cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
                 cand_caps.append(cg)
                 total += weights[k] * cg

@@ -162,12 +162,12 @@ def test_criterion_07_shared_reflection_gap(multiuser_batch):
     solo = [UserContext(_reflected_only(
         complex_normal(rng_from(7, "solo/g"), (8, 2)),
         complex_normal(rng_from(7, "solo/h"), (2, 8))), 1.0)]
-    assert compare_shared_vs_ideal(solo, RisPanel.uniform(8), 1.0, 1.0).gap_fraction <= 1e-6
+    assert compare_shared_vs_ideal([solo], RisPanel.uniform(8), 1.0, 1.0)[0].gap_fraction <= 1e-6
     shared_real = _reflected_only(
         complex_normal(rng_from(7, "twin/g"), (8, 2)),
         complex_normal(rng_from(7, "twin/h"), (2, 8)))
     twins = [UserContext(shared_real, 1.0), UserContext(shared_real, 1.0)]
-    assert compare_shared_vs_ideal(twins, RisPanel.uniform(8), 1.0, 1.0).gap_fraction <= 1e-6
+    assert compare_shared_vs_ideal([twins], RisPanel.uniform(8), 1.0, 1.0)[0].gap_fraction <= 1e-6
     # four heterogeneous users pay a strictly positive average price
     rows = {}
     for trial, metric, value in multiuser_batch.rows:

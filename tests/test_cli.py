@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ris_sim import experiments
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -271,6 +272,32 @@ def test_main_two_runs_byte_identical(tmp_path, capsys):
     assert main(["rank", "--config", cfg, "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("max_iters", [1, 30])
+def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch, max_iters):
+    traces = []
+    compare = experiments.compare_shared_vs_ideal
+
+    def spy(*args):
+        out = compare(*args)
+        traces.extend(t for cmp in out for t in cmp.traces)
+        return out
+
+    monkeypatch.setattr(experiments, "compare_shared_vs_ideal", spy)
+    cfg = _cfg(tmp_path, "experiment: multiuser\ntrials: 4\nscenario:\n  n_users: 3\n"
+                         f"  n_elements: 6\n  max_iters: {max_iters}\n")
+    assert main(["multiuser", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "ascents" in ln]
+    sweeps = [len(t) - 1 for t in traces]
+    # an ascent stopped at the cap when its last sweep still gained more
+    # than the 1e-6 tolerance
+    capped = sum(s == max_iters and t[-1] - t[-2] > 1e-6 * abs(t[-2])
+                 for s, t in zip(sweeps, traces))
+    assert len(traces) == 4 * (3 + 1)
+    assert (capped > 0) == (max_iters == 1)
+    assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, {capped} stopped "
+                     f"at max_iters={max_iters} without meeting rel_tol=1e-06"]
 
 
 def test_main_seed_override_lands_in_sidecar(tmp_path, capsys):

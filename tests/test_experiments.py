@@ -8,11 +8,13 @@ import pytest
 
 import ris_sim
 from ris_sim.experiments import (
+    MULTIUSER_CHUNK,
     ResultTable,
     config_digest,
     resolve_scenario,
     run_beamform,
     run_deploy,
+    run_multiuser,
     run_rank,
     write_outputs,
 )
@@ -184,6 +186,18 @@ def test_beamform_quantization_loss_matches_large_n_law():
         x = math.pi / 2**b
         mean = np.mean([v for _, m, v in table.rows if m == f"ratio_b{b}_n256"])
         assert abs(mean - (math.sin(x) / x) ** 2) <= 0.01
+
+
+def test_multiuser_rows_do_not_depend_on_the_chunk():
+    # the long run batches trials 0-4 with a full chunk and spills into a
+    # second one; the short run batches them alone
+    scenario = {"n_users": 2, "n_elements": 4, "max_iters": 3}
+    long = run_multiuser(scenario, 3, MULTIUSER_CHUNK + 3)
+    short = run_multiuser(scenario, 3, 5)
+    assert len(long.rows) == 3 * (MULTIUSER_CHUNK + 3)
+    assert long.rows[:15] == short.rows
+    assert (np.array([v for _, _, v in long.rows[:15]]).tobytes()
+            == np.array([v for _, _, v in short.rows]).tobytes())
 
 
 def test_runner_rejects_unknown_scenario_field():

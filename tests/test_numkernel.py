@@ -57,6 +57,45 @@ def test_singular_values_rejects_nonfinite():
         numkernel.singular_values(a)
 
 
+# ---------------------------------------------------------------------------
+# stack_singular_values
+
+def _blocks(kind, seed, count):
+    rng = np.random.default_rng(seed)
+    if kind == "rayleigh":
+        return _randc(rng, (count, 2, 2))
+    if kind == "rank_one":  # planar LoS: an outer product
+        return _randc(rng, (count, 2))[:, :, None] * _randc(rng, (count, 2))[:, None, :]
+    if kind == "equal":  # a scaled unitary
+        return np.linalg.qr(_randc(rng, (count, 2, 2)))[0] * rng.uniform(0.5, 2.0, (count, 1, 1))
+    return np.zeros((count, 2, 2), dtype=complex)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("rayleigh", "rank_one", "equal", "zero")),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 6),
+    exponent=st.floats(-150.0, 150.0),
+)
+def test_closed_form_2x2_spectrum_matches_lapack(kind, seed, count, exponent):
+    h = _blocks(kind, seed, count) * 10.0**exponent
+    got = numkernel.stack_singular_values(h.reshape(1, count, 2, 2)).reshape(count, 2)
+    want = np.linalg.svd(h, compute_uv=False)
+    eps = np.finfo(float).eps
+    assert np.all(got >= 0.0) and np.all(got[:, 0] >= got[:, 1])
+    assert np.all(np.abs(got[:, 0] - want[:, 0]) <= 1e-13 * want[:, 0])
+    assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 8 * eps * want[:, 0])
+
+
+def test_other_spectrum_shapes_go_to_lapack():
+    rng = np.random.default_rng(3)
+    for shape in ((4, 3, 2), (2, 2, 3), (5, 1, 2)):
+        h = _randc(rng, shape)
+        want = np.linalg.svd(h, compute_uv=False)
+        assert numkernel.stack_singular_values(h).tobytes() == want.tobytes()
+
+
 def test_svd_reconstruction():
     rng = np.random.default_rng(3)
     a = _randc(rng, (5, 4))
@@ -263,6 +302,25 @@ def test_closed_form_matches_the_sum_over_water_filled_modes(svals, power, noise
     want = float(np.sum(np.log1p(p * s**2 / noise))) / math.log(2.0)
     got = numkernel.capacity_closed_form(s, power, noise)
     assert abs(got - want) <= 1e-12 + 1e-9 * want
+
+
+_mode = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(st.tuples(_mode, _mode), min_size=1, max_size=6),
+    power=st.floats(1e-3, 1e3),
+    noise=st.floats(1e-12, 10.0),
+)
+def test_two_mode_capacity_is_the_sorted_route_bit_for_bit(pairs, power, noise):
+    # a zero third mode sends a spectrum through `_water_level` without
+    # changing a level or a log sum
+    s = np.array(pairs)
+    got = numkernel.capacity_closed_form(s, power, noise)
+    want = numkernel.capacity_closed_form(np.c_[s, np.zeros(len(s))], power, noise)
+    assert got.tobytes() == want.tobytes()
+    assert numkernel.capacity_closed_form(s[0], power, noise) == want[0]
 
 
 def test_equal_modes_keep_the_power_budget():

@@ -326,19 +326,23 @@ def test_batch_with_one_sweep():
 
 
 def test_batch_costs_one_capacity_call_per_element(monkeypatch):
-    calls = []
-    real_capacity = numkernel.capacity_closed_form
+    calls = {"stack_singular_values": 0, "capacity_closed_form": 0}
 
-    def counted(*args):
-        calls.append(1)
-        return real_capacity(*args)
+    def counted(name):
+        real = getattr(numkernel, name)
 
-    monkeypatch.setattr(ris.numkernel, "capacity_closed_form", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ris.numkernel, name, counted(name))
     specs = [[(False, 1.0)] * 4] + [[(False, 1.0)]] * 4
     problems = _random_problems(13, 8, (2, 2), specs)
     out = phase_ascent_batch(problems, np.ones(8), 1.0, 1.0, 3, 1e-12, 16)
     sweeps = max(len(trace) - 1 for _, _, trace in out)
-    assert len(calls) == 1 + 8 * sweeps
+    assert calls == {name: 1 + 8 * sweeps for name in calls}
 
 
 def test_batch_input_checks():

@@ -67,7 +67,7 @@ def test_single_user_reduces_to_optimizer():
     real = _mimo_real(rng)
     user = UserContext(real, 1.0)
     caps = _shared_caps([user], RisPanel.uniform(8))
-    cmp = compare_shared_vs_ideal([user], RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([[user]], RisPanel.uniform(8), POWER, NOISE)
     ref = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE)
     assert abs(caps[0] - ref.capacity) <= 1e-9
     assert cmp.shared_sum == pytest.approx(ref.capacity, abs=1e-9)
@@ -91,7 +91,7 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
     # by one reflection state; the coarse 4-level sweep certifies that the
     # gap is physical rather than an optimizer artifact
     users = _orthogonal_pair(8)
-    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
     terms = []
     for u in users:
         c = u.channel.h_ris_ue[0, :] * u.channel.g_nb_ris[:, 0]
@@ -106,7 +106,7 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
 
 def test_orthogonal_users_strict_gap_n16():
     users = _orthogonal_pair(16)
-    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(16), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(16), POWER, NOISE)
     assert cmp.gap_fraction > 0.08
     assert cmp.shared_sum <= cmp.ideal_sum + 1e-6
 
@@ -115,11 +115,11 @@ def test_user_set_validation():
     rng = rng_from(107)
     real = _mimo_real(rng)
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal([], RisPanel.uniform(8), POWER, NOISE)
+        compare_shared_vs_ideal([[]], RisPanel.uniform(8), POWER, NOISE)
     with pytest.raises(ValueError):
         UserContext(real, 0.0)
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal([UserContext(real, 1.0)], RisPanel.uniform(4), POWER, NOISE)
+        compare_shared_vs_ideal([[UserContext(real, 1.0)]], RisPanel.uniform(4), POWER, NOISE)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_user_set_validation():
 def test_gap_vanishes_for_one_user():
     rng = rng_from(109)
     user = UserContext(_mimo_real(rng), 1.0)
-    cmp = compare_shared_vs_ideal([user], RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([[user]], RisPanel.uniform(8), POWER, NOISE)
     assert cmp.gap_fraction <= 1e-6
 
 
@@ -139,7 +139,7 @@ def test_gap_vanishes_for_identical_users():
         UserContext(real, 1.0),
         UserContext(real, 1.0),
     ]
-    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
     assert cmp.gap_fraction <= 1e-6
 
 
@@ -177,13 +177,13 @@ def test_shared_start_is_the_heaviest_user_lowest_index_first():
 def test_compare_reuses_the_shared_schedule_bit_for_bit():
     users = _users(5, 8, (1, 2), [(False, 1.0), (True, 3.0), (False, 3.0)])
     caps = _shared_caps(users, RisPanel.uniform(8))
-    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
     assert cmp.shared_sum == sum(float(c) for c in caps)
 
 
 def test_compare_matches_the_private_optimizer_per_user():
     users = _users(9, 8, (3, 2), [(False, 1.0), (True, 2.0), (False, 1.0)])
-    cmp = compare_shared_vs_ideal(users, RisPanel.uniform(8), POWER, NOISE)
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
     caps = _shared_caps(users, RisPanel.uniform(8))
     ideal = [
         max(optimize_phases_mimo(u.channel, RisPanel.uniform(8), POWER, NOISE).capacity,
@@ -217,7 +217,7 @@ def test_multiuser_invariants(seed, n, shape, specs, max_iters, grid_points, pow
                                      max_iters, 1e-6, grid_points)
     for _, _, trace in results:
         assert np.all(np.diff(trace) >= 0.0)
-    cmp = compare_shared_vs_ideal(users, panel, power, NOISE, max_iters, grid_points)
+    (cmp,) = compare_shared_vs_ideal([users], panel, power, NOISE, max_iters, grid_points)
     assert cmp.shared_sum <= cmp.ideal_sum
     phases, caps, _ = results[0]
     assert cmp.shared_sum == sum(float(c) for c in caps)
