@@ -43,9 +43,11 @@ class BaseStation:
 class Scene:
     """Service area, blockers, stations and candidate panel sites.
 
-    Positions are read-only copies, so the blocked-sight masks that the
-    coverage raster derives from them are built once per scene, on first
-    use, and kept in `_sight`.
+    Positions are read-only copies, so what the coverage raster derives
+    from them alone is built once per scene, on first use, and kept
+    read-only in `_sight`: the blocked-sight mask toward each base station
+    and each candidate site, and, per path-loss exponent, the direct-route
+    layer and each site's site-to-cell distance layer.
     """
 
     extent: tuple
@@ -93,6 +95,12 @@ class Scene:
         x0, y0, x1, y1 = self.extent
         if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
             raise GeometryError(f"point {tuple(p)} lies outside the extent")
+
+    def sight_endpoints(self) -> tuple:
+        """(stations, sites) whose blocked-sight masks this scene has built;
+        each cost one sweep per obstacle."""
+        kinds = [key[0] for key in self._sight]
+        return kinds.count("station"), kinds.count("site")
 
     def grid_points(self):
         """Cell-center coordinates (xs, ys) of the coverage raster."""
@@ -149,10 +157,26 @@ def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:
 
 
 def _blocked_toward(scene: Scene, px, py, q) -> np.ndarray:
-    """Blocked mask of every point (px, py) toward a fixed endpoint q."""
+    """Blocked mask of every point (px, py) toward a fixed endpoint q.
+
+    Each obstacle tests only the points whose segment bounding box
+    [min(p, q), max(p, q)] meets its closed rectangle.  A segment whose
+    box misses the rectangle cannot cross it, and `_segment_blocked`
+    agrees: the signs of its differences are exact, and a parameter that
+    rounds to 1 fails its `t_lo < 1` test.
+    """
+    qx, qy = float(q[0]), float(q[1])
     out = np.zeros(px.shape, dtype=bool)
     for rect in scene.obstacles:
-        out |= _segment_blocked(px, py, float(q[0]), float(q[1]), rect)
+        a, b, c, d = rect
+        near = np.ones(px.shape, dtype=bool)
+        for p, qv, lo, hi in ((px, qx, a, c), (py, qy, b, d)):
+            # min(p, q) <= hi and max(p, q) >= lo, with q fixed
+            if qv > hi:
+                near &= p <= hi
+            if qv < lo:
+                near &= p >= lo
+        out[near] |= _segment_blocked(px[near], py[near], qx, qy, rect)
     return out
 
 
@@ -238,14 +262,30 @@ def _seg_gain_db(scene: Scene, params: ChannelParams, dist):
 
 def _direct_dbm(scene: Scene, params: ChannelParams, gx, gy) -> np.ndarray:
     """Direct-route layer: received dBm from the strongest base station in
-    sight of each cell, -inf where none is."""
-    out = np.full(gx.shape, -np.inf)
-    for b, bs in enumerate(scene.base_stations):
-        d = np.hypot(gx - bs.position[0], gy - bs.position[1])
-        dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, d)
-        dbm[_station_sight(scene, b, gx, gy)] = -np.inf
-        np.maximum(out, dbm, out=out)
-    return out
+    sight of each cell, -inf where none is.  Cached on the scene, read-only."""
+    key = ("direct", params.path_loss_exponent)
+    if key not in scene._sight:
+        out = np.full(gx.shape, -np.inf)
+        for b, bs in enumerate(scene.base_stations):
+            d = np.hypot(gx - bs.position[0], gy - bs.position[1])
+            dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, d)
+            dbm[_station_sight(scene, b, gx, gy)] = -np.inf
+            np.maximum(out, dbm, out=out)
+        out.setflags(write=False)
+        scene._sight[key] = out
+    return scene._sight[key]
+
+
+def _to_grid_db(scene: Scene, s: int, params: ChannelParams, gx, gy) -> np.ndarray:
+    """Site-to-cell segment gain of candidate site s, cached on the scene
+    per path-loss exponent, the one field of `params` it reads."""
+    key = ("to_grid", s, params.path_loss_exponent)
+    if key not in scene._sight:
+        site = scene.candidate_sites[s]
+        layer = _seg_gain_db(scene, params, np.hypot(gx - site[0], gy - site[1]))
+        layer.setflags(write=False)
+        scene._sight[key] = layer
+    return scene._sight[key]
 
 
 def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
@@ -255,12 +295,12 @@ def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
     site = scene.candidate_sites[s]
     grid_blocked, hop_blocked = _site_sight(scene, s, gx, gy)
     out = np.full(gx.shape, -np.inf)
-    to_grid_db = _seg_gain_db(scene, params, np.hypot(gx - site[0], gy - site[1]))
     for bs, blocked in zip(scene.base_stations, hop_blocked):
         if blocked:
             continue
         hop1_db = _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
-        np.maximum(out, bs.tx_power_dbm + hop1_db + panel_gain_db + to_grid_db, out=out)
+        np.maximum(out, bs.tx_power_dbm + hop1_db + panel_gain_db
+                   + _to_grid_db(scene, s, params, gx, gy), out=out)
     out[grid_blocked] = -np.inf
     return out
 
@@ -279,9 +319,9 @@ def snr_map(
     budget with the coherent N^2 panel gain (scaled by gain_scale^2).
     Blocked routes contribute nothing.  The raster is the cell-wise maximum
     of a direct-route layer and one route layer per placed panel.  The
-    blocked-sight masks behind the layers are built once per scene and
-    cached on it, so repeated rasters of one scene redo only the distance
-    terms.
+    blocked-sight masks, the direct-route layer and each site's distance
+    layer are built once per scene and cached on it, so repeated rasters
+    of one scene, such as a breathing sweep, only combine cached layers.
     """
     if not (gain_scale >= 0.0 and math.isfinite(gain_scale)):
         raise ValueError(f"gain_scale must be non-negative, got {gain_scale}")
@@ -320,11 +360,13 @@ def greedy_place(
     remaining site strictly adds coverage.  Site ties resolve to the
     lowest index.
 
-    Incremental: the best-route dBm raster of the placed panels is kept
-    across steps, and a free site is scored by overlaying its own route
-    layer on it.  The maximum is exact, so every coverage fraction equals
-    that of `snr_map` on the same plan, while the blocked-sight masks come
-    from the scene's cache instead of being rebuilt per candidate.
+    Incremental on coverage masks: each free site's route layer becomes a
+    covered-cell mask the first time the site is scored, and a site is then
+    scored by the cells it covers that the placed panels do not.  Taking
+    the cell-wise maximum of route layers covers exactly the union of their
+    masks, since subtracting the noise and comparing are monotone, and a
+    fraction is its integer count over the cell count; so every coverage
+    fraction equals that of `snr_map` on the same plan.
     """
     if not (cost_per_panel > 0.0 and math.isfinite(cost_per_panel)):
         raise ValueError(f"cost_per_panel must be positive, got {cost_per_panel}")
@@ -335,35 +377,38 @@ def greedy_place(
     _, _, gx, gy = _grid(scene)
     noise_dbm = _noise_dbm(params)
     panel_gain_db = _panel_gain_db(panel_template.n_elements, 1.0)
+    masks: dict = {}
 
-    def coverage(dbm):
-        return float(((dbm - noise_dbm) >= threshold_db).mean())
+    def site_mask(idx):
+        if idx not in masks:
+            dbm = _site_dbm(scene, idx, panel_gain_db, params, gx, gy)
+            masks[idx] = (dbm - noise_dbm) >= threshold_db
+        return masks[idx]
 
-    best_dbm = _direct_dbm(scene, params, gx, gy)
-    trial = np.empty_like(best_dbm)
-    cov = coverage(best_dbm)
+    uncovered = (_direct_dbm(scene, params, gx, gy) - noise_dbm) < threshold_db
+    n = uncovered.size
+    count = n - int(np.count_nonzero(uncovered))
+    cov = count / n
     placed: list = []
     history = [(-1, cov)]
     spent = 0.0
     free = list(range(len(scene.candidate_sites)))
     while spent + cost_per_panel <= budget and cov < target_fraction and free:
         best_site = -1
-        best_cov = cov
+        best_gain = 0
         for idx in free:
-            np.maximum(best_dbm, _site_dbm(scene, idx, panel_gain_db, params, gx, gy),
-                       out=trial)
-            c = coverage(trial)
-            if c > best_cov:
-                best_cov = c
+            gain = int(np.count_nonzero(site_mask(idx) & uncovered))
+            if gain > best_gain:
+                best_gain = gain
                 best_site = idx
         if best_site < 0:
             break
         placed.append((best_site, panel_template))
         free.remove(best_site)
         spent += cost_per_panel
-        cov = best_cov
-        np.maximum(best_dbm, _site_dbm(scene, best_site, panel_gain_db, params, gx, gy),
-                   out=best_dbm)
+        count += best_gain
+        cov = count / n
+        uncovered &= ~masks[best_site]
         history.append((best_site, cov))
     return DeploymentPlan(
         placed=tuple(placed),

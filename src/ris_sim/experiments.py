@@ -17,6 +17,7 @@ import io
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,19 +153,25 @@ def write_outputs(table: ResultTable, out_path: str):
     For `results.csv` the mirror lands in `results.json` and the sidecar
     in `results.meta.json`; other extensions keep the full name as stem.
     Returns the three paths.
+
+    Each target is unlinked and then created afresh rather than truncated,
+    because truncating a large file in place can cost tens of milliseconds
+    on some filesystems.  So a hard link to an old file, or a reader that
+    holds it open, keeps the old bytes; a symlink is replaced by a regular
+    file instead of being written through; and the new file takes the
+    default mode, not the old file's.
     """
     root = out_path[:-4] if out_path.endswith(".csv") else out_path
-    csv_path = out_path
-    json_path = root + ".json"
-    meta_path = root + ".meta.json"
-    with open(csv_path, "wb") as f:
-        f.write(table.to_csv().encode("utf-8"))
-    with open(json_path, "wb") as f:
-        f.write(table.to_json().encode("utf-8"))
+    paths = (out_path, root + ".json", root + ".meta.json")
     meta = json.dumps(table.metadata, sort_keys=True, indent=2) + "\n"
-    with open(meta_path, "wb") as f:
-        f.write(meta.encode("utf-8"))
-    return csv_path, json_path, meta_path
+    for path, text in zip(paths, (table.to_csv(), table.to_json(), meta)):
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8"))
+    return paths
 
 
 def _table(experiment, seed, trials, params, rows) -> ResultTable:
@@ -804,6 +811,8 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
     Deterministic given the scene, so `trials` does not enter;
     the trial column carries the placement step (and, for breathing rows,
     the sweep index).  Step 0 is the panel-free baseline with site -1.
+    One INFO log line reports the raster cells, greedy steps, sites
+    scored, sight sweeps and breathing scales.
     """
     check_run(seed, trials)
     p = resolve_scenario("deploy", scenario)
@@ -841,6 +850,14 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         cm = cell_breathing(scene, plan, params, s, p["threshold_db"])
         rows.append((i, "gain_scale", s))
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
+    # greedy scores every site it builds a route layer for, and breathing
+    # rasters only placed sites, so the site sight masks count the sites scored
+    stations, sites = scene.sight_endpoints()
+    log.info("deploy: %d raster cells, %d greedy steps, %d sites scored, "
+             "%d sight sweeps, %d breathing scales",
+             math.prod(raster_shape(scene.extent, scene.grid_resolution)),
+             len(plan.history) - 1, sites, len(scene.obstacles) * (stations + sites),
+             len(p["gain_scales"]))
     return _table("deploy", seed, trials, p, rows)
 
 

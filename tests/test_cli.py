@@ -2,12 +2,13 @@
 
 import json
 import logging
+import math
 from pathlib import Path
 
 import pytest
 import yaml
 
-from ris_sim import experiments
+from ris_sim import deploy, experiments
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -298,6 +299,33 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
     assert (capped > 0) == (max_iters == 1)
     assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, {capped} stopped "
                      f"at max_iters={max_iters} without meeting rel_tol=1e-06"]
+
+
+def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
+    sweeps = []
+    segment_blocked = deploy._segment_blocked
+
+    def spy(*args):
+        sweeps.append(args)
+        return segment_blocked(*args)
+
+    monkeypatch.setattr(deploy, "_segment_blocked", spy)
+    out = tmp_path / "r.csv"
+    cfg = str(CONFIGS / "deploy.yaml")
+    assert main(["deploy", "--config", cfg, "--out", str(out)]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "raster cells" in ln]
+    p = validate_config(Path(cfg).read_text()).scenario
+    cells = math.prod(deploy.raster_shape(p["extent"], p["grid_resolution"]))
+    metrics = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
+    steps = metrics.count("greedy_site") - 1
+    assert steps >= 1
+    # one sweep per obstacle and endpoint: every station, and every site
+    # once greedy has scored them all
+    endpoints = len(p["base_stations"]) + len(p["candidate_sites"])
+    assert len(sweeps) == len(p["obstacles"]) * endpoints
+    assert lines == [f"INFO deploy: {cells} raster cells, {steps} greedy steps, "
+                     f"{len(p['candidate_sites'])} sites scored, {len(sweeps)} sight sweeps, "
+                     f"{metrics.count('gain_scale')} breathing scales"]
 
 
 def test_main_seed_override_lands_in_sidecar(tmp_path, capsys):

@@ -114,6 +114,58 @@ def test_blocking_matches_rational_oracle():
         assert got == want, (px, py, qx, qy)
 
 
+@st.composite
+def _sight_sweep(draw):
+    """Obstacles, a fixed endpoint and a batch of start points whose
+    coordinates favour the rectangles' edges, the endpoint's own axes and
+    the next floats either side of them."""
+    eighths = st.integers(0, 64).map(lambda k: k / 8.0)
+    rects = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0, x1 = sorted(draw(st.lists(eighths, min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(eighths, min_size=2, max_size=2, unique=True)))
+        rects.append((x0, y0, x1, y1))
+    a, b, c, d = rects[0]
+    # a free endpoint, a corner or a point on a face (a panel on a wall)
+    q = draw(st.one_of(
+        st.tuples(eighths, eighths),
+        st.tuples(st.sampled_from((a, c)), st.sampled_from((b, d))),
+        st.tuples(st.sampled_from((a, c)), eighths.filter(lambda v: b <= v <= d)),
+        st.tuples(eighths.filter(lambda v: a <= v <= c), st.sampled_from((b, d))),
+    ))
+
+    def axis_values(edges, qv):
+        base = sorted(set(edges) | {qv})
+        near = [np.nextafter(v, s) for v in base for s in (-np.inf, np.inf)]
+        return st.one_of(eighths, st.sampled_from(base), st.sampled_from(near))
+
+    xs = axis_values([r[0] for r in rects] + [r[2] for r in rects], q[0])
+    ys = axis_values([r[1] for r in rects] + [r[3] for r in rects], q[1])
+    pts = draw(st.lists(st.tuples(xs, ys), min_size=2, max_size=40).map(
+        lambda v: v if len(v) % 2 == 0 else v[:-1]))
+    px, py = (np.array(v, dtype=float) for v in zip(*pts))
+    if draw(st.booleans()):
+        # the raster's 2-D layout
+        px, py = px.reshape(2, -1), py.reshape(2, -1)
+    return tuple(rects), q, px, py
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(sweep=_sight_sweep())
+def test_sight_prefilter_matches_the_plain_sweep(sweep):
+    rects, q, px, py = sweep
+    scene = replace(_small_scene(), obstacles=rects)
+    # a segment a few subnormals long overflows its slab parameters to
+    # +-inf, which still compare correctly
+    with np.errstate(over="ignore"):
+        want = np.zeros(px.shape, dtype=bool)
+        for rect in rects:
+            want |= deploy._segment_blocked(px, py, q[0], q[1], rect)
+        got = deploy._blocked_toward(scene, px, py, q)
+    assert got.shape == px.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # snr raster
 
@@ -497,3 +549,32 @@ def test_tied_best_sites_resolve_to_the_lowest_index():
     assert plan.history == _rescan_greedy(scene, THRESHOLD, 3.0, 0.95)
     assert plan.placed[0][0] == 0
     assert 3 not in [s for s, _ in plan.placed]
+
+
+@pytest.mark.parametrize("seed, two_stations, blocked_hop", [(17, True, False), (0, False, True)])
+def test_each_distance_layer_is_built_once_per_scene(monkeypatch, seed, two_stations,
+                                                     blocked_hop):
+    # each scene has a site that no station sees (the wall site in the
+    # first, the site behind the first obstacle in the second), and both
+    # placements take two steps
+    scene, threshold, _ = _seeded_scene(seed, two_stations, blocked_hop, True, False)
+    seg_gain_db = deploy._seg_gain_db
+    layers = [0]
+
+    def counted(scene_, params, dist):
+        layers[0] += np.ndim(dist) > 0
+        return seg_gain_db(scene_, params, dist)
+
+    monkeypatch.setattr(deploy, "_seg_gain_db", counted)
+    plan = greedy_place(scene, TEMPLATE, PARAMS, 1.0, 3.0, threshold, 1.0)
+    assert len(plan.history) > 2
+    # the direct layer once per station, then one layer per scored site
+    # that some station sees
+    seen = [site for site in scene.candidate_sites
+            if not all(los_blocked(scene, bs.position, site) for bs in scene.base_stations)]
+    assert 0 < len(seen) < len(scene.candidate_sites)
+    built = len(scene.base_stations) + len(seen)
+    assert layers[0] == built
+    for scale in (0.5, 1.0, 1.5):
+        cell_breathing(scene, plan, PARAMS, scale, threshold)
+        assert layers[0] == built

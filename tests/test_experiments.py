@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_write_outputs_keeps_non_csv_stem(tmp_path):
     _, json_path, meta_path = write_outputs(_toy_table(), str(out))
     assert json_path.endswith("run.dat.json")
     assert meta_path.endswith("run.dat.meta.json")
+
+
+def test_rewrite_into_an_existing_path_leaves_no_stale_tail(tmp_path):
+    long_table = run_rank({}, seed=0, trials=3)
+    short = _toy_table()
+    fresh = write_outputs(short, str(tmp_path / "fresh.csv"))
+    longer = write_outputs(long_table, str(tmp_path / "reused.csv"))
+    sizes = [Path(p).stat().st_size for p in longer]
+    reused = write_outputs(short, str(tmp_path / "reused.csv"))
+    assert all(Path(p).stat().st_size < n for p, n in zip(reused, sizes))
+    for old, new in zip(fresh, reused):
+        assert Path(new).read_bytes() == Path(old).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,24 @@ def test_product_rank_inequality_sample():
         assert numkernel.numerical_rank(a @ b) <= min(ra, rb)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    widths=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_rank_is_at_most_either_factor_rank(dims, widths, seed):
+    # A = X Y and B = V W with inner widths r_a and r_b, so each factor has
+    # rank min(its shape, its width); a zero width gives the zero matrix
+    rng = np.random.default_rng(seed)
+    (m, k, n), (wa, wb) = dims, widths
+    a = _randc(rng, (m, wa)) @ _randc(rng, (wa, k))
+    b = _randc(rng, (k, wb)) @ _randc(rng, (wb, n))
+    ra, rb = numkernel.numerical_rank(a), numkernel.numerical_rank(b)
+    assert (ra, rb) == (min(m, k, wa), min(k, n, wb))
+    assert numkernel.numerical_rank(a @ b) <= min(ra, rb)
+
+
 # ---------------------------------------------------------------------------
 # condition_number (a test-side oracle; the package computes no conditioning)
 
