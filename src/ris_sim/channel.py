@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import as_complex_matrix
-from .seeding import complex_normal, rng_from, subseed
+from .seeding import KeyedStreams, complex_normal, rng_from, subseed
 
 
 class GeometryError(ValueError):
@@ -167,8 +167,14 @@ def gen_rician(params: ChannelParams, los_component, seed: int) -> np.ndarray:
     k = params.rician_k
     if math.isinf(k):
         return los.copy()
-    scatter = complex_normal(rng_from(seed), los.shape)
-    return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
+    return _rician_mix(k, los, complex_normal(rng_from(seed), los.shape), None)
+
+
+def _rician_mix(k: float, los: np.ndarray, scatter: np.ndarray, out) -> np.ndarray:
+    """Rician block of finite factor `k` from its LoS and Rayleigh parts,
+    written into `out`, or into a new array when `out` is None."""
+    return np.add(math.sqrt(k / (k + 1.0)) * los, math.sqrt(1.0 / (k + 1.0)) * scatter,
+                  out=out)
 
 
 def path_gain(wavelength: float, distance: float, exponent: float) -> float:
@@ -368,6 +374,16 @@ class Scenario:
             object.__setattr__(self, f"los_{name}", los)
             object.__setattr__(self, f"pl_{name}", gain)
 
+    def links(self):
+        """(params, LoS block) of nb_ris, ris_ue and nb_ue; (None, None)
+        for a missing direct link."""
+        return ((self.nb_ris, self.los_nb_ris), (self.ris_ue, self.los_ris_ue),
+                (self.nb_ue, self.los_nb_ue))
+
+
+#: stream labels of a trial's links, in the order of `Scenario.links`
+_LINK_LABELS = ("nb_ris", "ris_ue", "nb_ue")
+
 
 def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
     """Draw all channel blocks of one trial; deterministic in (seed, trial).
@@ -376,11 +392,10 @@ def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
     the scenario's own.  No returned block shares memory with them.
     """
     base = subseed(scenario.seed, f"trial/{trial}")
-    g = gen_rician(scenario.nb_ris, scenario.los_nb_ris, subseed(base, "nb_ris"))
-    h = gen_rician(scenario.ris_ue, scenario.los_ris_ue, subseed(base, "ris_ue"))
-    direct = None
-    if scenario.nb_ue is not None:
-        direct = gen_rician(scenario.nb_ue, scenario.los_nb_ue, subseed(base, "nb_ue"))
+    g, h, direct = (
+        None if params is None else gen_rician(params, los, subseed(base, label))
+        for label, (params, los) in zip(_LINK_LABELS, scenario.links())
+    )
     return ChannelRealization(
         g_nb_ris=g,
         h_ris_ue=h,
@@ -389,3 +404,43 @@ def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
         pl_ris_ue=scenario.pl_ris_ue,
         pl_nb_ue=scenario.pl_nb_ue,
     )
+
+
+def link_streams(scenario: Scenario, trials) -> KeyedStreams:
+    """Streams of the scattered parts of `trials`, keyed all at once.
+
+    Entry [l, i] is the stream that `draw_realization(scenario,
+    trials[i])` draws link l of `Scenario.links` from.
+    """
+    return KeyedStreams(scenario.seed, [[f"trial/{t}" for t in trials]],
+                        [[label] for label in _LINK_LABELS])
+
+
+def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
+    """Channel blocks of several trials of one scenario, stacked.
+
+    `streams` comes from `link_streams`, and `cols` holds positions in
+    the trials it was keyed for.  Returns (g, h, direct) of shapes (B, N, M), (B, U, N) and (B, U, M),
+    direct None without a direct link; each trial's blocks equal
+    `draw_realization`'s bit for bit.  A link with infinite Rician factor
+    is the scenario's read-only LoS block, broadcast along the stack.  The
+    fixed blocks are not scanned again and no `ChannelRealization` is
+    built.
+    """
+    cols = list(cols)
+    out = []
+    for row, (params, los) in enumerate(scenario.links()):
+        if params is None:
+            out.append(None)
+        elif math.isinf(params.rician_k):
+            out.append(np.broadcast_to(los, (len(cols),) + los.shape))
+        else:
+            stack = np.empty((len(cols),) + los.shape, dtype=np.complex128)
+            for i, t in enumerate(cols):
+                scatter = complex_normal(streams[row, t], los.shape)
+                # in place: one block-sized temporary fewer per trial, which in
+                # a long-lived process with a grown heap was enough to fault
+                # in fresh pages on every run
+                _rician_mix(params.rician_k, los, scatter, stack[i])
+            out.append(stack)
+    return tuple(out)

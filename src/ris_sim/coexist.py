@@ -10,6 +10,7 @@ adjacent-channel operation.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,9 @@ from .channel import (
     assemble_effective,
     assemble_stack,
     draw_realization,
+    draw_stack,
     gen_rician,
+    link_streams,
     path_gain,
 )
 from .numkernel import (
@@ -33,7 +36,9 @@ from .numkernel import (
     waterfill_precoder,
 )
 from .ris import _aligned_init_phases
-from .seeding import rng_from, subseed
+from .seeding import KeyedStreams, rng_from, subseed
+
+log = logging.getLogger(__name__)
 
 UPDATE_POLICIES = ("static", "rerandomize_each_slot", "frozen_during_foreign_slot")
 
@@ -120,10 +125,9 @@ def _bounce_scenario(coex: CoexScenario, seed: int) -> Scenario:
     )
 
 
-def _foreign_theta(n: int, seed: int, label: str) -> np.ndarray:
+def _foreign_state(rng: np.random.Generator, n: int) -> np.ndarray:
     """Surface state drawn by the foreign controller: uniform phases."""
-    phi = rng_from(seed, label).uniform(0.0, 2.0 * math.pi, n)
-    return np.exp(1j * phi)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,35 +164,33 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
 
     Returns (fresh, stale, loss) arrays of shape
     (len(scales), len(trial_ids)); column i belongs to trial_ids[i], and no
-    value depends on which other trials are evaluated with it.
+    value depends on which other trials are evaluated with it.  The streams
+    of every trial are keyed before the first pass, and one INFO log line
+    reports the trials, keyed draws and stacked passes.
     """
     b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
     ids = list(trial_ids)
-    n, m, u = b_link.n_elements, b_link.m_antennas, b_link.u_antennas
+    n = b_link.n_elements
     states = 2 if (scenario.ris_update_policy == "rerandomize_each_slot"
                    and scenario.t2 != scenario.t1) else 1
     slots = (scenario.t1, scenario.t2)[:states]
+    links = link_streams(b_link, ids)
+    surfaces = KeyedStreams(seed, [[f"theta/{t}/{slot}" for t in ids] for slot in slots])
     out = np.empty((3, len(scales), len(ids)))
-    size = min(STALE_CHUNK, len(ids))
-    g = np.empty((size, n, m), dtype=np.complex128)
-    h = np.empty((size, u, n), dtype=np.complex128)
-    d = None if b_link.nb_ue is None else np.empty((size, u, m), dtype=np.complex128)
-    theta = np.empty((states, size, n), dtype=np.complex128)
+    theta = np.empty((states, min(STALE_CHUNK, len(ids)), n), dtype=np.complex128)
     for lo in range(0, len(ids), STALE_CHUNK):
-        chunk = ids[lo:lo + STALE_CHUNK]
-        k = len(chunk)
-        for i, t in enumerate(chunk):
-            real = draw_realization(b_link, t)
-            g[i] = real.g_nb_ris
-            h[i] = real.h_ris_ue
-            if d is not None:
-                d[i] = real.h_nb_ue
-            for j, slot in enumerate(slots):
-                theta[j, i] = _foreign_theta(n, seed, f"theta/{t}/{slot}")
-        dk = None if d is None else d[:k]
+        hi = min(lo + STALE_CHUNK, len(ids))
+        cols = range(lo, hi)
+        blocks = draw_stack(b_link, links, cols)
+        for j in range(states):
+            for i, c in enumerate(cols):
+                theta[j, i] = _foreign_state(surfaces[j, c], n)
         for a, scale in enumerate(scales):
-            out[:, a, lo:lo + k] = _stacked_rates(
-                scenario, b_link, (g[:k], h[:k], dk), theta[:, :k], scale)
+            out[:, a, lo:hi] = _stacked_rates(
+                scenario, b_link, blocks, theta[:, :hi - lo], scale)
+    log.info("stale CSI: %d trials at %d bounce scales, %d keyed draws, %d stacked passes",
+             len(ids), len(scales), links.draws + surfaces.draws,
+             links.passes + surfaces.passes)
     return out[0], out[1], out[2]
 
 
@@ -291,7 +293,7 @@ def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int) -> np.nd
             # B does not control, so a seeded foreign draw stands in
             link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
             real = draw_realization(link, 0)
-            th = _foreign_theta(coex.net_a.n_elements, seed, f"own-theta/{net.name}")
+            th = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), coex.net_a.n_elements)
             return singular_values(assemble_effective(real, th))
         los, pl = _fixed_link(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, dp)
         h = gen_rician(dp, los, subseed(seed, f"direct/{net.name}"))

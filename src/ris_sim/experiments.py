@@ -28,8 +28,9 @@ from .channel import (
     ChannelRealization,
     Geometry,
     Scenario,
-    assemble_effective,
-    draw_realization,
+    assemble_stack,
+    draw_stack,
+    link_streams,
     path_gain,
 )
 from .coexist import (
@@ -60,7 +61,7 @@ from .ris import (
     sweep_converged,
 )
 from .scheduler import ASCENT_REL_TOL, UserContext, compare_shared_vs_ideal
-from .seeding import complex_normal, rng_from, subseed
+from .seeding import KeyedStreams, complex_normal, subseed
 
 log = logging.getLogger(__name__)
 
@@ -576,16 +577,19 @@ def run_rank(scenario, seed, trials) -> ResultTable:
     The incident hop is pure LoS; under the planar wavefront it is an
     outer product, so the reflected channel pinches to rank one no matter
     how rich the departure hop is.  Switching `wavefront` to "spherical"
-    (or "auto" inside the Fraunhofer distance) lifts the collapse.
+    (or "auto" inside the Fraunhofer distance) lifts the collapse.  Every
+    trial's streams are keyed up front and each trial is drawn on its own,
+    which keeps one trial's blocks in memory; one INFO log line reports
+    the trials, keyed draws and stacked passes.
     """
     check_run(seed, trials)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
-    ones = np.ones(scn.n_elements, dtype=np.complex128)
+    streams = link_streams(scn, range(trials))
+    ones = np.ones((1, scn.n_elements), dtype=np.complex128)
 
     def one(t):
-        real = draw_realization(scn, t)
-        h_t = assemble_effective(real, ones)
+        h_t = assemble_stack(scn, *draw_stack(scn, streams, (t,)), ones)[0]
         sv = singular_values(h_t)
         s2 = float(sv[1]) if sv.size > 1 else 0.0
         return [
@@ -595,6 +599,8 @@ def run_rank(scenario, seed, trials) -> ResultTable:
         ]
 
     rows = [row for t in range(trials) for row in one(t)]
+    log.info("rank: %d trials, %d keyed draws, %d stacked passes",
+             trials, streams.draws, streams.passes)
     return _table("rank", seed, trials, p, rows)
 
 
@@ -611,16 +617,19 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
     """
     check_run(seed, trials)
     p = resolve_scenario("beamform", scenario)
+    if p["channel"] != "unit":
+        streams = KeyedStreams(seed, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
+                                       for n in p["n_list"]] for t in range(trials)])
 
     def one(t):
         rows = []
-        for n in p["n_list"]:
+        for j, n in enumerate(p["n_list"]):
             if p["channel"] == "unit":
                 g = np.ones(n, dtype=np.complex128)
                 h = np.ones(n, dtype=np.complex128)
             else:
-                g = complex_normal(rng_from(seed, f"beamform/{t}/{n}/g"), n)
-                h = complex_normal(rng_from(seed, f"beamform/{t}/{n}/h"), n)
+                g = complex_normal(streams[t, j, 0], n)
+                h = complex_normal(streams[t, j, 1], n)
             panel = align_phases_miso(g, h)
             gain = abs(composite_gain(g, h, panel)) ** 2
             rows.append((t, f"gain_n{n}", gain))
@@ -661,12 +670,14 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
     panel = RisPanel.uniform(n)
+    streams = KeyedStreams(seed, [[[f"multiuser/{t}/ue{i}/{hop}" for hop in "gh"]
+                                   for i in range(k)] for t in range(trials)])
 
     def users(t):
         out = []
         for i in range(k):
-            g = complex_normal(rng_from(seed, f"multiuser/{t}/ue{i}/g"), (n, m))
-            h = complex_normal(rng_from(seed, f"multiuser/{t}/ue{i}/h"), (u, n))
+            g = complex_normal(streams[t, i, 0], (n, m))
+            h = complex_normal(streams[t, i, 1], (u, n))
             real = ChannelRealization(
                 g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
                 pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,

@@ -20,9 +20,11 @@ from ris_sim.channel import (
     assemble_multi_panel,
     assemble_stack,
     draw_realization,
+    draw_stack,
     fraunhofer_distance,
     gen_los,
     gen_rician,
+    link_streams,
     path_gain,
     resolve_wavefront,
 )
@@ -374,6 +376,27 @@ def test_infinite_k_realization_does_not_alias_the_scenario_block():
     assert not np.shares_memory(real.g_nb_ris, scn.los_nb_ris)
     real.g_nb_ris[0, 0] = 0.0
     assert draw_realization(scn, 0).g_nb_ris[0, 0] == scn.los_nb_ris[0, 0] != 0.0
+
+
+@pytest.mark.parametrize("k_incident, direct", [(math.inf, False), (math.inf, True),
+                                                 (0.0, True), (3.0, False)])
+def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
+    scn = _scenario(seed=2**40 + 7, k_incident=k_incident, direct=direct)
+    trials = [9, 0, 123456, 2]
+    streams = link_streams(scn, trials)
+    g, h, d = draw_stack(scn, streams, range(1, 4))
+    assert (d is None) == (not direct)
+    for i, t in enumerate(trials[1:]):
+        real = draw_realization(scn, t)
+        assert g[i].tobytes() == real.g_nb_ris.tobytes()
+        assert h[i].tobytes() == real.h_ris_ue.tobytes()
+        if direct:
+            assert d[i].tobytes() == real.h_nb_ue.tobytes()
+    if math.isinf(k_incident):
+        # the pure-LoS hop is the scenario's read-only block, never copied
+        assert np.shares_memory(g, scn.los_nb_ris) and not g.flags.writeable
+    # one stream per drawn block: the LoS hop draws none
+    assert streams.draws == 3 * (1 + direct + (not math.isinf(k_incident)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -3,12 +3,15 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from ris_sim import deploy, experiments
+from ris_sim import deploy, experiments, seeding
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -326,6 +329,58 @@ def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
     assert lines == [f"INFO deploy: {cells} raster cells, {steps} greedy steps, "
                      f"{len(p['candidate_sites'])} sites scored, {len(sweeps)} sight sweeps, "
                      f"{metrics.count('gain_scale')} breathing scales"]
+
+
+@pytest.mark.parametrize("experiment, scales", [("coexist", 1), ("adjacent", 2), ("rank", None)])
+def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
+                                                      experiment, scales):
+    draws, passes = [], []
+    init, getitem, subseeds = (seeding.KeyedStreams.__init__,
+                               seeding.KeyedStreams.__getitem__, seeding.subseeds)
+
+    def spy_init(self, *args):
+        passes.append("states")
+        init(self, *args)
+
+    def spy_getitem(self, index):
+        draws.append(index)
+        return getitem(self, index)
+
+    def spy_subseeds(*args):
+        passes.append("keys")
+        return subseeds(*args)
+
+    monkeypatch.setattr(seeding.KeyedStreams, "__init__", spy_init)
+    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", spy_getitem)
+    monkeypatch.setattr(seeding, "subseeds", spy_subseeds)
+    cfg = str(CONFIGS / f"{experiment}.yaml")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
+    trials = validate_config(Path(cfg).read_text()).trials
+    # every stream is keyed in a few vectorized passes, however many trials
+    assert len(draws) >= trials and len(passes) <= 5
+    if scales is None:
+        head = f"INFO rank: {trials} trials"
+    else:
+        head = f"INFO stale CSI: {trials} trials at {scales} bounce scales"
+    assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
+
+
+def test_startup_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; importing it at start-up would add
+    # to every run's set-up time
+    code = ("import pathlib, sys\n"
+            "import ris_sim.cli as cli\n"
+            "paths = sorted(pathlib.Path(sys.argv[1]).glob('*.yaml'))\n"
+            "for p in paths:\n"
+            "    cli.validate_config(p.read_text())\n"
+            "print(len(paths), 'numpy.random' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code, str(CONFIGS)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert res.stdout.split() == [str(len(RUNNERS)), "False"]
 
 
 def test_main_seed_override_lands_in_sidecar(tmp_path, capsys):

@@ -204,8 +204,8 @@ def test_stale_rates_wrappers_agree():
 
 def test_stale_rates_reject_active_foreign_surface():
     scn = _co_scenario()
-    with mock.patch.object(coexist, "_foreign_theta",
-                           lambda n, seed, label: np.full(n, 1.0 + 1e-9 + 0j)):
+    with mock.patch.object(coexist, "_foreign_state",
+                           lambda rng, n: np.full(n, 1.0 + 1e-9 + 0j)):
         with pytest.raises(ValueError, match="magnitude"):
             stale_rates(scn, range(3), 1)
 
@@ -409,16 +409,25 @@ def test_filter_dominates_under_rerandomization():
 
 
 def test_adjacent_draws_each_trial_once(monkeypatch):
-    calls = []
-    draw = coexist.draw_realization
+    keyed, made, drawn = [], [], []
+    link_streams, draw_stack = coexist.link_streams, coexist.draw_stack
 
-    def counted(*args):
-        calls.append(args[1])
-        return draw(*args)
+    def keys(scenario, trials):
+        keyed.append(list(trials))
+        made.append(link_streams(scenario, trials))
+        return made[-1]
 
-    monkeypatch.setattr(coexist, "draw_realization", counted)
+    def draw(scenario, streams, cols):
+        drawn.extend(streams.keys[1, c] for c in cols)
+        return draw_stack(scenario, streams, cols)
+
+    monkeypatch.setattr(coexist, "link_streams", keys)
+    monkeypatch.setattr(coexist, "draw_stack", draw)
     run_adjacent({}, 1, 50)
-    assert sorted(calls) == list(range(50))
+    assert keyed == [list(range(50))]
+    # the h stream of every trial is drawn exactly once
+    assert sorted(drawn) == sorted(made[0].keys[1].tolist())
+    assert len(set(drawn)) == 50
 
 
 def test_adjacent_arms_match_separate_stale_trials():
