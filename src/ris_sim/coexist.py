@@ -130,19 +130,6 @@ def _foreign_state(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
 
 
-@dataclass(frozen=True, eq=False)
-class StaleCsiResult:
-    """Per-trial rates of network B with measurement-time precoding."""
-
-    fresh_rates: np.ndarray
-    stale_rates: np.ndarray
-    loss_fractions: np.ndarray
-
-    @property
-    def mean_loss(self) -> float:
-        return float(self.loss_fractions.mean())
-
-
 #: trials per stacked pass of `stale_rates`; bounds the memory of the
 #: stacks without changing any result, since trials are independent
 STALE_CHUNK = 32
@@ -151,6 +138,7 @@ STALE_CHUNK = 32
 def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     """Network B's stale-CSI rates over many trials in stacked passes.
 
+    The one stale-CSI entry point, for the runner and `adjacent_rates`.
     B water-fills its precoder on the effective channel at t1 and transmits
     on the channel at t2, where A's surface has evolved per the update
     policy.  Each scale in `scales` multiplies the amplitude of the bounce
@@ -164,9 +152,10 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
 
     Returns (fresh, stale, loss) arrays of shape
     (len(scales), len(trial_ids)); column i belongs to trial_ids[i], and no
-    value depends on which other trials are evaluated with it.  The streams
-    of every trial are keyed before the first pass, and one INFO log line
-    reports the trials, keyed draws and stacked passes.
+    value depends on which other trials are evaluated with it, so one trial
+    is `trial_ids=(t,)`.  The streams of every trial are keyed before the
+    first pass, and one INFO log line reports the trials, keyed draws and
+    stacked passes.
     """
     b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
     ids = list(trial_ids)
@@ -214,37 +203,6 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     loss = np.divide(fresh - stale, fresh, out=np.zeros_like(fresh),
                      where=fresh != 0.0)
     return fresh, stale, loss
-
-
-def stale_csi_trial(scenario: CoexScenario, trial: int, seed: int):
-    """One stale-CSI trial; returns (fresh_rate, stale_rate, loss_fraction).
-
-    A one-trial call of `stale_rates`.  All randomness is keyed on
-    (seed, trial), so trials may be evaluated in any order or grouping
-    without changing a single bit.
-    """
-    fresh, stale, loss = stale_rates(scenario, (trial,), seed)
-    return float(fresh[0, 0]), float(stale[0, 0]), float(loss[0, 0])
-
-
-def run_stale_csi(
-    scenario: CoexScenario,
-    trials: int,
-    seed: int,
-    bounce_amp_scale: float = 1.0,
-) -> StaleCsiResult:
-    """Measure-at-t1, transmit-at-t2 rate loss of network B.
-
-    Trials 0..trials-1 of `stale_rates` at one bounce scale, evaluated in
-    stacked passes.  `bounce_amp_scale` attenuates the reflected term's
-    amplitude (used by the adjacent-channel experiment).  Under "static"
-    and "frozen_during_foreign_slot" the loss fraction is exactly zero.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    fresh, stale, loss = stale_rates(scenario, range(trials), seed, (bounce_amp_scale,))
-    return StaleCsiResult(fresh_rates=fresh[0], stale_rates=stale[0],
-                          loss_fractions=loss[0])
 
 
 @dataclass(frozen=True)
@@ -468,14 +426,6 @@ def apply_band_filter(
     return FilteredPower(inband_out_dbm=inband, oob_out_dbm=oob)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacentChannelResult:
-    """Paired per-trial rates of network B without and with A's filter."""
-
-    rates_no_filter: np.ndarray
-    rates_with_filter: np.ndarray
-
-
 def adjacent_rates(scenario: CoexScenario, filt: BandFilter, trial_ids, seed: int):
     """Adjacent-channel trials without and with A's surface filter.
 
@@ -493,17 +443,3 @@ def adjacent_rates(scenario: CoexScenario, filt: BandFilter, trial_ids, seed: in
     scale = 10.0 ** (scale_db / 20.0)
     _, stale, loss = stale_rates(scenario, trial_ids, seed, (1.0, scale))
     return stale[0], stale[1], loss[0], loss[1]
-
-
-def run_adjacent_channel_sim(
-    scenario: CoexScenario, filt: BandFilter, trials: int, seed: int
-) -> AdjacentChannelResult:
-    """Adjacent-channel operation with and without surface filtering.
-
-    Trials 0..trials-1 of `adjacent_rates`, which evaluates both arms in
-    one `stale_rates` call; keeps B's rates.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    base, filtered, _, _ = adjacent_rates(scenario, filt, range(trials), seed)
-    return AdjacentChannelResult(rates_no_filter=base, rates_with_filter=filtered)

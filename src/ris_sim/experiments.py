@@ -454,6 +454,14 @@ def _check_coex(p):
     _check_routes(p, routes)
 
 
+def _check_beamform(p):
+    """Each listed size and bit width names its own rows, so none repeats."""
+    for field in ("n_list", "quantization_bits"):
+        for i, v in enumerate(p[field]):
+            if v in p[field][:i]:
+                raise ConfigError(f"scenario.{field}[{i}]", f"repeats the entry {v}")
+
+
 def _check_multiuser(p):
     weights = p["qos_weights"]
     if weights and len(weights) != p["n_users"]:
@@ -489,6 +497,7 @@ def _check_deploy(p):
 
 _CROSS_CHECKS = {
     "rank": _check_rank,
+    "beamform": _check_beamform,
     "multiuser": _check_multiuser,
     "coexist": _check_coex,
     "adjacent": _check_coex,

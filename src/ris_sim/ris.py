@@ -5,10 +5,10 @@ theta_n = beta_n * exp(j phi_n), beta_n in [0, 1].  This module owns the
 panel value type (its `theta_diagonal` is the form the channel assembly
 takes), phase quantization, closed-form MISO alignment, and the
 alternating capacity ascent used for MIMO links.  The ascent is one
-engine, `phase_ascent_batch`, which the multi-user scheduler also uses to
-run the shared and the private ascents of many trials together; each
-element step makes one spectrum call and one capacity call for all of
-them.
+engine, `phase_ascent_batch`, at the caller's grid and sweep cap.
+`scheduler.compare_shared_vs_ideal` runs every ascent of many trials
+through it at once (a one-user trial is the single-user ascent), with one
+spectrum call and one capacity call per element step for all of them.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from . import numkernel
 from .channel import ChannelRealization
 
 TWO_PI = 2.0 * math.pi
-
-#: phase grid resolution of the per-element capacity sweep
-DEFAULT_GRID_POINTS = 64
 
 
 def wrap_phase(phi):
@@ -304,38 +301,3 @@ def phase_ascent_batch(
         (wrap_phase(done[p]), caps[bounds[p]:bounds[p + 1]].copy(), traces[p])
         for p in range(n_prob)
     ]
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseOptResult:
-    panel: RisPanel
-    capacity: float
-    trace: tuple
-
-
-def optimize_phases_mimo(
-    real: ChannelRealization,
-    panel: RisPanel,
-    total_power: float,
-    noise_power: float,
-) -> PhaseOptResult:
-    """Single-user capacity ascent over the panel phases.
-
-    Alternates implicit water-filling (the capacity objective) with a
-    per-element sweep over a uniform grid of `DEFAULT_GRID_POINTS` phases,
-    starting from the aligned-MISO projection; an element keeps its phase
-    when no grid point strictly improves the capacity, so the trace is
-    non-decreasing.  Amplitude-zero elements are skipped.  The ascent
-    stops after 30 sweeps, or once a sweep gains no more than 1e-6 of the
-    objective.
-    """
-    if panel.n_elements != real.n_elements:
-        raise ValueError(
-            f"panel has {panel.n_elements} elements, channel expects {real.n_elements}"
-        )
-    ((phases, caps, trace),) = phase_ascent_batch(
-        [([(1.0, real)], _aligned_init_phases(real))], panel.amplitudes,
-        total_power, noise_power, 30, 1e-6, DEFAULT_GRID_POINTS,
-    )
-    out = replace(panel, phases=phases, quantization_bits=None)
-    return PhaseOptResult(panel=out, capacity=float(caps[0]), trace=tuple(trace))

@@ -6,6 +6,8 @@ optimized jointly on the QoS-weighted sum capacity, and the price of that
 sharing is measured against giving each user a private surface.  Users
 sit on disjoint FDM sub-bands by premise, so they do not interfere and no
 band value enters a number: a user is its channel and its QoS weight.
+`compare_shared_vs_ideal` is the one entry point; the caller gives the
+grid and sweep cap, and a one-user trial is the single-user ascent.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ class UserContext:
             raise ValueError(f"qos_weight must be positive, got {self.qos_weight}")
 
 
-def _shared_problem(users):
+def _shared_problem(users, starts):
     """Weighted entries and start phases of the shared ascent.
 
-    The start is the aligned-MISO phase set of the highest-weight user,
-    the lowest index on ties.
+    Of the users' aligned-MISO `starts`, the shared ascent takes the
+    highest-weight user's, the lowest index on ties.
     """
     lead = max(range(len(users)), key=lambda i: (users[i].qos_weight, -i))
-    init = ris._aligned_init_phases(users[lead].channel)
-    return [(u.qos_weight, u.channel) for u in users], init
+    return [(u.qos_weight, u.channel) for u in users], starts[lead]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +65,8 @@ def compare_shared_vs_ideal(
     panel: ris.RisPanel,
     power_per_user: float,
     noise_power: float,
-    max_iters: int = 30,
-    grid_points: int = ris.DEFAULT_GRID_POINTS,
+    max_iters: int,
+    grid_points: int,
 ) -> list:
     """Quantify the price of sharing one reflection state, per trial.
 
@@ -92,9 +93,9 @@ def compare_shared_vs_ideal(
     for users in trials:
         if not users:
             raise ValueError("need at least one user")
-        problems.append(_shared_problem(users))
-        problems += [([(1.0, u.channel)], ris._aligned_init_phases(u.channel))
-                     for u in users]
+        starts = [ris._aligned_init_phases(u.channel) for u in users]
+        problems.append(_shared_problem(users, starts))
+        problems += [([(1.0, u.channel)], init) for u, init in zip(users, starts)]
     results = iter(ris.phase_ascent_batch(
         problems, panel.amplitudes, power_per_user, noise_power,
         max_iters, ASCENT_REL_TOL, grid_points,

@@ -18,12 +18,14 @@ def multiuser_batch():
 
 @pytest.fixture(scope="session")
 def rerand_stale_batch():
-    """10^4 stale-CSI trials under per-slot rerandomization, seed 2024."""
-    from ris_sim.coexist import run_stale_csi
+    """(fresh, stale, loss) rates of 10^4 stale-CSI trials under per-slot
+    rerandomization, seed 2024, from the runner's `stale_rates` call."""
+    from ris_sim.coexist import stale_rates
     from ris_sim.experiments import _coex_scenario, resolve_scenario
 
     scn = _coex_scenario(resolve_scenario("coexist", {}), same_frequency=True)
-    return run_stale_csi(scn, 10_000, seed=2024)
+    fresh, stale, loss = stale_rates(scn, range(10_000), 2024)
+    return fresh[0], stale[0], loss[0]
 
 
 @pytest.fixture(scope="session")

@@ -480,13 +480,17 @@ def test_main_bad_seed_text_is_a_usage_error(tmp_path, capsys):
 
 
 # Values whose runs used to overflow (path gain, 2^bits phase levels, raster
-# size) or hit coincident nodes; each now fails validation at its path.
+# size), hit coincident nodes or write one beamform row twice; each now fails
+# validation at its path.
 @pytest.mark.parametrize("experiment, scenario, path", [
     ("rank", "{wavelength: 1.0e+300}", "scenario.wavelength"),
     ("coexist", "{wavelength: 1.0e+300}", "scenario.wavelength"),
     ("adjacent", "{wavelength: 1.0e+300}", "scenario.wavelength"),
     ("coexist", "{mode: lbt, slots: 3, wavelength: 2.0e+79}", "scenario.wavelength"),
     ("beamform", "{quantization_bits: [63]}", "scenario.quantization_bits[0]"),
+    ("beamform", "{n_list: [4, 4]}", "scenario.n_list[1]"),
+    ("beamform", "{n_list: [4], quantization_bits: [1, 2, 1]}",
+     "scenario.quantization_bits[2]"),
     ("deploy", "{threshold_db: 24.0, grid_resolution: 1.0e-300}",
      "scenario.grid_resolution"),
     ("deploy", "{threshold_db: 24.0, extent: [0, 0, 1.0e+300, 1.0e+300]}",

@@ -23,10 +23,7 @@ from ris_sim.coexist import (
     adjacent_rates,
     apply_band_filter,
     lbt_decide,
-    run_adjacent_channel_sim,
     run_lbt_sim,
-    run_stale_csi,
-    stale_csi_trial,
     stale_rates,
 )
 from ris_sim.experiments import (
@@ -70,54 +67,48 @@ def _two_plain_networks(nb_b_x=100.0, same_frequency=True):
 # stale CSI
 
 def test_static_policy_loses_nothing():
-    res = run_stale_csi(_co_scenario("static"), 200, seed=7)
-    assert np.all(res.loss_fractions == 0.0)
-    assert np.array_equal(res.fresh_rates, res.stale_rates)
+    fresh, stale, loss = stale_rates(_co_scenario("static"), range(200), 7)
+    assert np.all(loss == 0.0)
+    assert np.array_equal(fresh, stale)
 
 
 def test_frozen_policy_loses_nothing():
     # TDM granted to B: A freezes its surface during the foreign slot
-    res = run_stale_csi(_co_scenario("frozen_during_foreign_slot"), 200, seed=7)
-    assert np.all(res.loss_fractions == 0.0)
-    assert np.array_equal(res.fresh_rates, res.stale_rates)
+    fresh, stale, loss = stale_rates(_co_scenario("frozen_during_foreign_slot"), range(200), 7)
+    assert np.all(loss == 0.0)
+    assert np.array_equal(fresh, stale)
 
 
 def test_same_slot_measurement_loses_nothing():
     scn = replace(_co_scenario(), t1=3, t2=3)
-    res = run_stale_csi(scn, 50, seed=7)
-    assert np.all(res.loss_fractions == 0.0)
+    _, _, loss = stale_rates(scn, range(50), 7)
+    assert np.all(loss == 0.0)
 
 
 def test_rerandomization_loss_regression(rerand_stale_batch):
     # frozen on first computation; the band is +-10%
-    res = rerand_stale_batch
-    assert res.mean_loss > 0.0
-    assert 0.1627780608 * 0.9 <= res.mean_loss <= 0.1627780608 * 1.1
-    assert np.all(res.fresh_rates >= res.stale_rates - 1e-12)
+    fresh, stale, loss = rerand_stale_batch
+    mean_loss = float(loss.mean())
+    assert mean_loss > 0.0
+    assert 0.1627780608 * 0.9 <= mean_loss <= 0.1627780608 * 1.1
+    assert np.all(fresh >= stale - 1e-12)
 
 
-def test_stale_csi_trial_deterministic():
+def test_stale_rates_deterministic():
     scn = _co_scenario()
-    a = stale_csi_trial(scn, 5, seed=11)
-    b = stale_csi_trial(scn, 5, seed=11)
-    assert a == b
-
-
-def test_stale_csi_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        run_stale_csi(_co_scenario(), 0, seed=1)
+    a = np.stack(stale_rates(scn, (5,), 11))
+    b = np.stack(stale_rates(scn, (5,), 11))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_static_beats_rerandomization_paired():
-    # shadowed victim served only through A's surface, 1000 paired draws
+    # shadowed victim served only through A's surface, 1000 paired draws;
+    # no trial's value depends on the others, so one call per policy pairs them
     scn_re = _co_scenario(m_antennas=8, u_antennas=1, b_direct_blocked=True)
     scn_st = replace(scn_re, ris_update_policy="static")
-    wins = 0
-    for t in range(1000):
-        _, r_re, _ = stale_csi_trial(scn_re, t, 2024)
-        _, r_st, _ = stale_csi_trial(scn_st, t, 2024)
-        wins += r_st >= r_re
-    assert wins / 1000 >= 0.95
+    _, (r_re,), _ = stale_rates(scn_re, range(1000), 2024)
+    _, (r_st,), _ = stale_rates(scn_st, range(1000), 2024)
+    assert np.mean(r_st >= r_re) >= 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +182,14 @@ def test_trial_grouping_cannot_change_a_bit():
 
 
 def test_stale_rates_wrappers_agree():
+    # a one-scale call and a one-trial call at the default scale read the
+    # rows and columns of a wider call bit for bit
     scn = _co_scenario()
-    fresh, stale, loss = stale_rates(scn, range(6), 9, (0.5, 1.0))
-    res = run_stale_csi(scn, 6, seed=9, bounce_amp_scale=0.5)
-    assert np.array_equal(res.fresh_rates, fresh[0])
-    assert np.array_equal(res.stale_rates, stale[0])
-    assert np.array_equal(res.loss_fractions, loss[0])
-    one = stale_csi_trial(scn, 4, 9)
-    assert one == (fresh[1, 4], stale[1, 4], loss[1, 4])
-    assert all(type(v) is float for v in one)
+    both = np.stack(stale_rates(scn, range(6), 9, (0.5, 1.0)))
+    half = np.stack(stale_rates(scn, range(6), 9, (0.5,)))
+    assert half.tobytes() == both[:, :1].tobytes()
+    one = np.stack(stale_rates(scn, (4,), 9))
+    assert one.tobytes() == both[:, 1:, 4:5].tobytes()
 
 
 def test_stale_rates_reject_active_foreign_surface():
@@ -380,19 +370,19 @@ def test_filter_validation():
 def test_infinite_attenuation_recovers_baseline():
     scn, p = _adj_scenario()
     filt = BandFilter(per_pass_oob_attenuation_db=math.inf)
-    res = run_adjacent_channel_sim(scn, filt, 50, seed=5)
-    base = run_stale_csi(scn, 50, seed=5, bounce_amp_scale=0.0)
-    assert np.max(np.abs(res.rates_with_filter - base.stale_rates)) <= 1e-9
+    _, filtered, _, _ = adjacent_rates(scn, filt, range(50), 5)
+    _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
+    assert np.max(np.abs(filtered - base)) <= 1e-9
 
 
 def test_adjacent_static_bounce_is_lossless():
     scn, p = _adj_scenario()
     scn = replace(scn, ris_update_policy="static")
     filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"])
-    res = run_adjacent_channel_sim(scn, filt, 50, seed=5)
-    base = run_stale_csi(scn, 50, seed=5)
-    assert np.array_equal(res.rates_no_filter, base.stale_rates)
-    assert np.array_equal(base.stale_rates, base.fresh_rates)
+    unfiltered, _, _, _ = adjacent_rates(scn, filt, range(50), 5)
+    fresh, stale, _ = stale_rates(scn, range(50), 5)
+    assert np.array_equal(unfiltered, stale[0])
+    assert np.array_equal(stale, fresh)
 
 
 def test_filter_dominates_under_rerandomization():
@@ -403,8 +393,8 @@ def test_filter_dominates_under_rerandomization():
     filt = BandFilter(per_pass_oob_attenuation_db=30.0,
                       inband_insertion_loss_db=p["insertion_loss_db"],
                       passes_on_reflection=2)
-    res = run_adjacent_channel_sim(scn, filt, 10_000, seed=11)
-    wins = np.mean(res.rates_with_filter >= res.rates_no_filter)
+    unfiltered, filtered, _, _ = adjacent_rates(scn, filt, range(10_000), 11)
+    wins = np.mean(filtered >= unfiltered)
     assert wins >= 0.95
 
 
@@ -437,7 +427,7 @@ def test_adjacent_arms_match_separate_stale_trials():
     scale = 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
     for t in range(5):
         rate0, rate1, loss0, loss1 = (float(v[0]) for v in adjacent_rates(scn, filt, (t,), 3))
-        _, s0, l0 = stale_csi_trial(scn, t, 3)
+        _, s0, l0 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3))
         _, s1, l1 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3, (scale,)))
         assert (rate0, rate1, loss0, loss1) == (s0, s1, l0, l1)
 
@@ -445,7 +435,7 @@ def test_adjacent_arms_match_separate_stale_trials():
 def test_adjacent_needs_distinct_bands():
     scn = _co_scenario()
     with pytest.raises(ValueError):
-        run_adjacent_channel_sim(scn, BandFilter(30.0), 10, seed=1)
+        adjacent_rates(scn, BandFilter(30.0), range(10), 1)
 
 
 # ---------------------------------------------------------------------------

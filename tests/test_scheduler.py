@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_phase_capacity
+from oracles import exhaustive_phase_capacity, per_problem_phase_ascent
 from ris_sim import ris, scheduler
 from ris_sim.channel import ChannelRealization, assemble_effective
 from ris_sim.numkernel import capacity_closed_form, singular_values
-from ris_sim.ris import RisPanel, optimize_phases_mimo
+from ris_sim.ris import RisPanel
 from ris_sim.scheduler import UserContext, compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
 POWER = 1.0
 NOISE = 1.0
+#: sweep cap and phase grid of the ascents, where a test does not vary them
+MAX_ITERS = 30
+GRID = 64
 
 
 def _miso_real(h_row, pl_ris_ue=1.0):
@@ -40,13 +43,33 @@ def _steering(n, k):
     return np.exp(2j * np.pi * k * np.arange(n) / n)
 
 
+def _starts(users):
+    return [ris._aligned_init_phases(u.channel) for u in users]
+
+
 def _shared_caps(users, panel):
     """Per-user capacities of the shared ascent that
     `compare_shared_vs_ideal` runs, as a one-problem engine call."""
     ((_, caps, _),) = ris.phase_ascent_batch(
-        [scheduler._shared_problem(users)], panel.amplitudes, POWER, NOISE,
-        30, 1e-6, ris.DEFAULT_GRID_POINTS)
+        [scheduler._shared_problem(users, _starts(users))], panel.amplitudes, POWER, NOISE,
+        MAX_ITERS, scheduler.ASCENT_REL_TOL, GRID)
     return caps
+
+
+def _private_capacity(real, panel):
+    """One user's private optimum from the frozen per-problem sweep."""
+    _, caps, _ = per_problem_phase_ascent(
+        [(1.0, real)], panel.amplitudes, ris._aligned_init_phases(real), POWER, NOISE,
+        MAX_ITERS, scheduler.ASCENT_REL_TOL, GRID)
+    return float(caps[0])
+
+
+def _compare(users, n):
+    """`compare_shared_vs_ideal` on one trial of `users` at the module's
+    power, noise, sweep cap and grid."""
+    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(n), POWER, NOISE,
+                                     MAX_ITERS, GRID)
+    return cmp
 
 
 def _orthogonal_pair(n):
@@ -67,10 +90,10 @@ def test_single_user_reduces_to_optimizer():
     real = _mimo_real(rng)
     user = UserContext(real, 1.0)
     caps = _shared_caps([user], RisPanel.uniform(8))
-    (cmp,) = compare_shared_vs_ideal([[user]], RisPanel.uniform(8), POWER, NOISE)
-    ref = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE)
-    assert abs(caps[0] - ref.capacity) <= 1e-9
-    assert cmp.shared_sum == pytest.approx(ref.capacity, abs=1e-9)
+    cmp = _compare([user], 8)
+    ref = _private_capacity(real, RisPanel.uniform(8))
+    assert abs(caps[0] - ref) <= 1e-9
+    assert cmp.shared_sum == pytest.approx(ref, abs=1e-9)
 
 
 def test_identical_channels_do_not_conflict():
@@ -81,7 +104,7 @@ def test_identical_channels_do_not_conflict():
         UserContext(real, 1.0),
     ]
     caps = _shared_caps(users, RisPanel.uniform(8))
-    solo = optimize_phases_mimo(real, RisPanel.uniform(8), POWER, NOISE).capacity
+    solo = _private_capacity(real, RisPanel.uniform(8))
     for cap in caps:
         assert abs(cap - solo) <= 1e-6
 
@@ -91,7 +114,7 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
     # by one reflection state; the coarse 4-level sweep certifies that the
     # gap is physical rather than an optimizer artifact
     users = _orthogonal_pair(8)
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
+    cmp = _compare(users, 8)
     terms = []
     for u in users:
         c = u.channel.h_ris_ue[0, :] * u.channel.g_nb_ris[:, 0]
@@ -106,7 +129,7 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
 
 def test_orthogonal_users_strict_gap_n16():
     users = _orthogonal_pair(16)
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(16), POWER, NOISE)
+    cmp = _compare(users, 16)
     assert cmp.gap_fraction > 0.08
     assert cmp.shared_sum <= cmp.ideal_sum + 1e-6
 
@@ -115,11 +138,11 @@ def test_user_set_validation():
     rng = rng_from(107)
     real = _mimo_real(rng)
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal([[]], RisPanel.uniform(8), POWER, NOISE)
+        _compare([], 8)
     with pytest.raises(ValueError):
         UserContext(real, 0.0)
     with pytest.raises(ValueError):
-        compare_shared_vs_ideal([[UserContext(real, 1.0)]], RisPanel.uniform(4), POWER, NOISE)
+        _compare([UserContext(real, 1.0)], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +151,7 @@ def test_user_set_validation():
 def test_gap_vanishes_for_one_user():
     rng = rng_from(109)
     user = UserContext(_mimo_real(rng), 1.0)
-    (cmp,) = compare_shared_vs_ideal([[user]], RisPanel.uniform(8), POWER, NOISE)
+    cmp = _compare([user], 8)
     assert cmp.gap_fraction <= 1e-6
 
 
@@ -139,7 +162,7 @@ def test_gap_vanishes_for_identical_users():
         UserContext(real, 1.0),
         UserContext(real, 1.0),
     ]
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
+    cmp = _compare(users, 8)
     assert cmp.gap_fraction <= 1e-6
 
 
@@ -169,25 +192,41 @@ def _users(seed, n, shape, specs):
 
 def test_shared_start_is_the_heaviest_user_lowest_index_first():
     users = _users(3, 6, (2, 2), [(False, 1.0), (False, 2.0), (False, 2.0)])
-    entries, init = scheduler._shared_problem(users)
+    starts = _starts(users)
+    entries, init = scheduler._shared_problem(users, starts)
     assert [w for w, _ in entries] == [1.0, 2.0, 2.0]
-    assert np.array_equal(init, ris._aligned_init_phases(users[1].channel))
+    assert init is starts[1]
+
+
+def test_compare_aligns_each_user_once(monkeypatch):
+    # the lead user's aligned start serves its private ascent and the shared one
+    calls = []
+    aligned = ris._aligned_init_phases
+
+    def counted(real):
+        calls.append(real)
+        return aligned(real)
+
+    monkeypatch.setattr(ris, "_aligned_init_phases", counted)
+    trials = [_users(seed, 6, (2, 2), [(False, 1.0), (False, 2.0), (False, 1.0)])
+              for seed in (1, 2)]
+    compare_shared_vs_ideal(trials, RisPanel.uniform(6), POWER, NOISE, 2, 8)
+    assert [id(r) for r in calls] == [id(u.channel) for users in trials for u in users]
 
 
 def test_compare_reuses_the_shared_schedule_bit_for_bit():
     users = _users(5, 8, (1, 2), [(False, 1.0), (True, 3.0), (False, 3.0)])
     caps = _shared_caps(users, RisPanel.uniform(8))
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
+    cmp = _compare(users, 8)
     assert cmp.shared_sum == sum(float(c) for c in caps)
 
 
 def test_compare_matches_the_private_optimizer_per_user():
     users = _users(9, 8, (3, 2), [(False, 1.0), (True, 2.0), (False, 1.0)])
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(8), POWER, NOISE)
+    cmp = _compare(users, 8)
     caps = _shared_caps(users, RisPanel.uniform(8))
     ideal = [
-        max(optimize_phases_mimo(u.channel, RisPanel.uniform(8), POWER, NOISE).capacity,
-            float(cap))
+        max(_private_capacity(u.channel, RisPanel.uniform(8)), float(cap))
         for u, cap in zip(users, caps)
     ]
     assert cmp.ideal_sum == sum(ideal)
@@ -210,8 +249,9 @@ def test_multiuser_invariants(seed, n, shape, specs, max_iters, grid_points, pow
     users = _users(seed, n, shape, specs)
     panel = RisPanel.uniform(n)
     # the problems compare_shared_vs_ideal hands to the engine
-    problems = [scheduler._shared_problem(users)] + [
-        ([(1.0, u.channel)], ris._aligned_init_phases(u.channel)) for u in users
+    starts = _starts(users)
+    problems = [scheduler._shared_problem(users, starts)] + [
+        ([(1.0, u.channel)], init) for u, init in zip(users, starts)
     ]
     results = ris.phase_ascent_batch(problems, panel.amplitudes, power, NOISE,
                                      max_iters, 1e-6, grid_points)
