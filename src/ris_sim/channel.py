@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import as_complex_matrix
-from .seeding import KeyedStreams, complex_normal, rng_from, subseed
+from .seeding import KeyedStreams, complex_normal_stack, rng_from, subseed
 
 
 class GeometryError(ValueError):
@@ -167,14 +167,22 @@ def gen_rician(params: ChannelParams, los_component, seed: int) -> np.ndarray:
     k = params.rician_k
     if math.isinf(k):
         return los.copy()
-    return _rician_mix(k, los, complex_normal(rng_from(seed), los.shape), None)
+    out = np.empty((1,) + los.shape, dtype=np.complex128)
+    return _rician_stack(k, los, (rng_from(seed),), out)[0]
 
 
-def _rician_mix(k: float, los: np.ndarray, scatter: np.ndarray, out) -> np.ndarray:
-    """Rician block of finite factor `k` from its LoS and Rayleigh parts,
-    written into `out`, or into a new array when `out` is None."""
-    return np.add(math.sqrt(k / (k + 1.0)) * los, math.sqrt(1.0 / (k + 1.0)) * scatter,
-                  out=out)
+def _rician_stack(k: float, los: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
+    """Rician blocks of finite factor `k` around `los`, one per generator
+    of `rngs`, written into the stack `out`.
+
+    The scattered part is drawn straight into `out` at its weight
+    sqrt(1/(k+1)); the LoS part sqrt(k/(k+1)) los is formed once per call
+    and added in place, and at K = 0, where it is zero, not at all.
+    """
+    complex_normal_stack(rngs, out, math.sqrt(1.0 / (k + 1.0)))
+    if k > 0.0:
+        out += math.sqrt(k / (k + 1.0)) * los
+    return out
 
 
 def path_gain(wavelength: float, distance: float, exponent: float) -> float:
@@ -267,9 +275,11 @@ def _assemble(gains, g, h, direct, diag, beta_gain: float) -> np.ndarray:
     amp = math.sqrt(gains.pl_ris_ue * gains.pl_nb_ris) * beta_gain
     # diag[..., None, :] has the ndim of h: numpy picks its elementwise loop
     # by operand layout, and only equal layouts round alike in every case
-    h_t = amp * (h * diag[..., None, :]) @ g
+    h_d = h * diag[..., None, :]
+    h_d *= amp
+    h_t = h_d @ g
     if direct is not None:
-        h_t = h_t + math.sqrt(gains.pl_nb_ue) * direct
+        h_t += math.sqrt(gains.pl_nb_ue) * direct
     return h_t
 
 
@@ -436,11 +446,6 @@ def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
             out.append(np.broadcast_to(los, (len(cols),) + los.shape))
         else:
             stack = np.empty((len(cols),) + los.shape, dtype=np.complex128)
-            for i, t in enumerate(cols):
-                scatter = complex_normal(streams[row, t], los.shape)
-                # in place: one block-sized temporary fewer per trial, which in
-                # a long-lived process with a grown heap was enough to fault
-                # in fresh pages on every run
-                _rician_mix(params.rician_k, los, scatter, stack[i])
-            out.append(stack)
+            out.append(_rician_stack(params.rician_k, los,
+                                     (streams[row, t] for t in cols), stack))
     return tuple(out)

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 config validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import re
 import sys
@@ -50,11 +51,14 @@ class ExperimentConfig:
     output_path: str | None = None
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-13 and 1.0e300.
+class _Loader(yaml.CSafeLoader):
+    """libyaml's SafeLoader that also reads YAML 1.2 floats such as 1e-13
+    and 1.0e300.
 
     PyYAML follows YAML 1.1, where a float needs a dot and a signed
-    exponent, so those spellings would otherwise load as strings.
+    exponent, so those spellings would otherwise load as strings.  Tags
+    are still resolved in Python, so the resolver below applies, and
+    syntax errors carry the same line and column marks.
     """
 
 
@@ -137,7 +141,9 @@ def _u64(text: str) -> int:
     return v
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="ris-sim",
         description="Reflective-surface link simulator, batch experiment harness.",
@@ -170,7 +176,7 @@ def main(argv=None) -> int:
     # object current at call time instead of whatever the first call saw
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s",
                         level=logging.INFO, force=True)
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             raw = f.read()

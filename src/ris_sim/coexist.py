@@ -125,9 +125,11 @@ def _bounce_scenario(coex: CoexScenario, seed: int) -> Scenario:
     )
 
 
-def _foreign_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Surface state drawn by the foreign controller: uniform phases."""
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+def _foreign_state(rng: np.random.Generator, n: int, out: np.ndarray) -> np.ndarray:
+    """Surface state drawn by the foreign controller, uniform phases on
+    its `n` elements, written into the complex vector `out`."""
+    np.multiply(1j, rng.uniform(0.0, 2.0 * math.pi, n), out=out)
+    return np.exp(out, out=out)
 
 
 #: trials per stacked pass of `stale_rates`; bounds the memory of the
@@ -173,7 +175,7 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
         blocks = draw_stack(b_link, links, cols)
         for j in range(states):
             for i, c in enumerate(cols):
-                theta[j, i] = _foreign_state(surfaces[j, c], n)
+                _foreign_state(surfaces[j, c], n, theta[j, i])
         for a, scale in enumerate(scales):
             out[:, a, lo:hi] = _stacked_rates(
                 scenario, b_link, blocks, theta[:, :hi - lo], scale)
@@ -251,7 +253,9 @@ def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int) -> np.nd
             # B does not control, so a seeded foreign draw stands in
             link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
             real = draw_realization(link, 0)
-            th = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), coex.net_a.n_elements)
+            n = coex.net_a.n_elements
+            th = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), n,
+                                np.empty(n, dtype=np.complex128))
             return singular_values(assemble_effective(real, th))
         los, pl = _fixed_link(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, dp)
         h = gen_rician(dp, los, subseed(seed, f"direct/{net.name}"))

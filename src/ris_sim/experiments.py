@@ -111,12 +111,32 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        """`json.dumps(doc, sort_keys=True, indent=2)` of columns, rows and
+        metadata, plus a newline.
+
+        `indent` selects `json`'s pure-Python encoder, so the rows, nearly
+        all of the text, go through its C encoder instead, with NUL as the
+        item separator: NUL can only be a separator there, since the
+        encoder escapes it inside strings.  Laying out the separators
+        gives the indented text, which is spliced in as the last key.
+        """
         doc = {
             "columns": [{"name": n, "unit": u} for n, u in self.columns],
-            "rows": [list(r) for r in self.rows],
+            "rows": [],
             "metadata": self.metadata,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if not self.columns:
+            # every row is empty, and this layout needs at least one cell
+            doc["rows"] = [list(r) for r in self.rows]
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        if not (self.rows and self.columns):
+            return text + "\n"
+        # "rows" sorts last, so the text ends with its empty list
+        head = text[:-len("[]\n}")]
+        flat = json.dumps(self.rows, separators=("\0", ":"))
+        cells = (flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ")
+                 .replace("\0", ",\n      "))
+        return head + "[\n    [\n      " + cells + "\n    ]\n  ]\n}\n"
 
 
 def _plain(v):

@@ -19,6 +19,8 @@ bit.
 
 from __future__ import annotations
 
+import math
+import operator
 import zlib
 
 import numpy as np
@@ -175,8 +177,48 @@ def rng_from(seed: int, label: str | None = None) -> np.random.Generator:
     return np.random.default_rng(int(seed) & _U64)
 
 
+#: what `(re + 1j * im) / sqrt(2)` multiplies each part by: numpy divides
+#: by a real scalar as a multiply by its reciprocal
+_PART_SCALE = 1.0 / math.sqrt(2.0)
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # unit-variance circularly symmetric entries: Re and Im each N(0, 1/2)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Unit-variance circularly symmetric complex normal entries of `shape`.
+
+    One `standard_normal` call draws the block of real parts, then the
+    block of imaginary parts, so Re and Im are each N(0, 1/2).  The result
+    equals `(re + 1j * im) / sqrt(2)` of two successive draws `re` and
+    `im` bit for bit, except for the sign of an exactly zero part.
+    `shape` is an int or a tuple.
+    """
+    shape = tuple(shape) if np.iterable(shape) else (operator.index(shape),)
+    parts = rng.standard_normal((2,) + shape)
+    out = np.empty(shape, dtype=np.complex128)
+    _combine_parts(parts[None], out[None], 1.0)
+    return out
+
+
+def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
+    """`scale` times one `complex_normal` block per generator, into `out`.
+
+    Block `out[i]` is drawn from the i-th generator of the iterable
+    `rngs`, which is consumed in order, so the reused generator of a
+    `KeyedStreams` serves.  Both parts of every block are drawn into one
+    float stack and written into `out`: no complex temporary is built.
+    Returns `out`.
+    """
+    parts = np.empty((len(out), 2) + out.shape[1:])
+    for part, rng in zip(parts, rngs):
+        rng.standard_normal(out=part)
+    _combine_parts(parts, out, scale)
+    return out
+
+
+def _combine_parts(parts: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Write the stacked Re and Im draws `parts[:, 0]` and `parts[:, 1]`,
+    scaled in place to variance 1/2 and then by `scale`, into `out`."""
+    parts *= _PART_SCALE
+    if scale != 1.0:
+        parts *= scale
+    out.real = parts[:, 0]
+    out.imag = parts[:, 1]

@@ -486,3 +486,24 @@ def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
     fresh = rate(h2, precoder(h2))
     loss = 0.0 if fresh == 0.0 else (fresh - stale) / fresh
     return fresh, stale, loss
+
+
+# ---------------------------------------------------------------------------
+# complex normal draws and the Rician mix, frozen
+
+def two_draw_complex_normal(rng, shape):
+    """The complex normal draw as it ran before the one-call draw: the real
+    parts, then the imaginary parts, in two `standard_normal` calls,
+    combined on complex temporaries."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def rician_block(k: float, los, rng):
+    """The Rician block of factor `k` around `los` as it was mixed before
+    the stacked draw: both weighted parts as temporaries, then their sum."""
+    if math.isinf(k):
+        return np.array(los)
+    scatter = two_draw_complex_normal(rng, los.shape)
+    return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter

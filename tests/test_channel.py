@@ -399,6 +399,32 @@ def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
     assert streams.draws == 3 * (1 + direct + (not math.isinf(k_incident)))
 
 
+# K = 3 weighs the scatter by 1/2, exactly; K = 2.5 by an inexact factor
+@pytest.mark.parametrize("k", [0.0, 2.5, 3.0, math.inf])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.lists(st.integers(0, 2**20), min_size=1, max_size=4),
+)
+def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials):
+    # every link at factor k: each block is the frozen mix of the scenario's
+    # LoS block and a two-draw scatter from its trial's key
+    geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
+    params = ChannelParams(rician_k=k)
+    scn = Scenario(geometry=geom, m_antennas=2, n_elements=16, u_antennas=3,
+                   nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
+    streams = link_streams(scn, trials)
+    stacks = draw_stack(scn, streams, range(len(trials)))
+    for row, (stack, (_, los)) in enumerate(zip(stacks, scn.links())):
+        assert stack.shape == (len(trials),) + los.shape
+        for i in range(len(trials)):
+            rng = np.random.default_rng(int(streams.keys[row, i]))
+            assert stack[i].tobytes() == oracles.rician_block(k, los, rng).tobytes()
+    rng = np.random.default_rng(int(streams.keys[1, 0]))
+    assert (gen_rician(params, scn.los_ris_ue, int(streams.keys[1, 0])).tobytes()
+            == oracles.rician_block(k, scn.los_ris_ue, rng).tobytes())
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -177,6 +177,36 @@ def test_shipped_configs_load_as_under_yaml_11(config):
     assert yaml.load(text, Loader=_Loader) == yaml.safe_load(text)
 
 
+class _PyLoader(yaml.SafeLoader):
+    """The pure-Python twin of `_Loader`: same resolvers, Python parser."""
+
+    yaml_implicit_resolvers = _Loader.yaml_implicit_resolvers
+
+
+_FLOAT_SPELLINGS = "a: 1e-13\nb: 1.0e300\nc: .5e3\nd: -2E+4\ne: [1e5, +3.e-2]\n"
+
+
+@pytest.mark.parametrize("text", [pytest.param(p.read_text(), id=p.stem)
+                                  for p in sorted(CONFIGS.glob("*.yaml"))]
+                         + [pytest.param(_FLOAT_SPELLINGS, id="float-spellings")])
+def test_libyaml_loader_reads_what_the_python_loader_reads(text):
+    got = yaml.load(text, Loader=_Loader)
+    assert got == yaml.load(text, Loader=_PyLoader)
+    assert repr(got) == repr(yaml.load(text, Loader=_PyLoader))
+
+
+@pytest.mark.parametrize("text", ["experiment: rank\nscenario: {m_antennas: 4\n",
+                                  "a: 1\n b: 2\n", "a: [1, 2\nb: 3\n", "a: 'open\n"])
+def test_libyaml_syntax_errors_keep_the_python_loader_marks(text):
+    marks = []
+    for loader in (_Loader, _PyLoader):
+        with pytest.raises(yaml.YAMLError) as err:
+            yaml.load(text, Loader=loader)
+        mark = err.value.problem_mark
+        marks.append((mark.line, mark.column))
+    assert marks[0] == marks[1]
+
+
 # The same scenario through a library runner and through the config file
 # path: one that runs, and one with a value both must reject.
 _PARITY = {
@@ -453,6 +483,18 @@ def test_main_rejects_bad_thread_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "--threads" in captured.err
+
+
+def test_main_reuses_its_parser_across_subcommands(tmp_path, capsys):
+    # the parser is built once per process; each call still parses afresh
+    rank = _cfg(tmp_path, _SMALL_RANK)
+    beam = _cfg(tmp_path, "experiment: beamform\ntrials: 2\n", name="beam.yaml")
+    assert main(["rank", "--config", rank, "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["beamform", "--config", beam, "--seed", "4"]) == 0
+    assert capsys.readouterr().out.startswith("trial,metric,value\n0,gain_n")
+    assert main(["rank", "--config", rank, "--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert (tmp_path / "r.csv").read_text().startswith("trial,metric,value\n0,rank,")
 
 
 def test_main_unreadable_config_exits_two(tmp_path, capsys):

@@ -194,8 +194,11 @@ def test_stale_rates_wrappers_agree():
 
 def test_stale_rates_reject_active_foreign_surface():
     scn = _co_scenario()
-    with mock.patch.object(coexist, "_foreign_state",
-                           lambda rng, n: np.full(n, 1.0 + 1e-9 + 0j)):
+    def active(rng, n, out):
+        out[:] = 1.0 + 1e-9
+        return out
+
+    with mock.patch.object(coexist, "_foreign_state", active):
         with pytest.raises(ValueError, match="magnitude"):
             stale_rates(scn, range(3), 1)
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ris_sim
 from ris_sim.experiments import (
@@ -75,6 +77,34 @@ def test_json_mirror_round_trips():
     assert doc["rows"][1] == [0, "sigma_1", 1.0 / 3.0]
     assert doc["metadata"]["experiment"] == "toy"
     assert table.to_json().endswith("\n")
+
+
+_SPECIAL_CELLS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308,
+                  True, False, 2**53 + 1, -(2**64), 'q"uo\\te', "ctl\x00\x1f\n\t",
+                  "été ∠ 😀", "]\x00[")
+_cells = st.one_of(st.floats(allow_subnormal=True), st.booleans(),
+                   st.integers(-(2**70), 2**70), st.text(max_size=8))
+_tables = st.integers(0, 4).flatmap(
+    lambda arity: st.tuples(st.just(arity), st.lists(st.tuples(*[_cells] * arity), max_size=6)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape_rows=_tables)
+@example(shape_rows=(len(_SPECIAL_CELLS), [_SPECIAL_CELLS, _SPECIAL_CELLS[::-1]]))
+@example(shape_rows=(3, []))
+@example(shape_rows=(0, []))
+@example(shape_rows=(0, [(), ()]))
+def test_json_mirror_equals_json_dumps(shape_rows):
+    arity, rows = shape_rows
+    columns = tuple((f"c{i}", "ü" * i) for i in range(arity))
+    table = ResultTable(columns=columns, rows=tuple(rows),
+                        metadata={"experiment": "toy", "note": "\x7f\"é"})
+    doc = {
+        "columns": [{"name": n, "unit": u} for n, u in table.columns],
+        "rows": [list(r) for r in table.rows],
+        "metadata": table.metadata,
+    }
+    assert table.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_numpy_scalars_collapse_to_plain_values():

@@ -1,5 +1,5 @@
-"""Golden sha256 digests of the result CSV and metadata sidecar of every
-shipped config, and of two LBT tables.
+"""Golden sha256 digests of the result CSV, JSON mirror and metadata
+sidecar of every shipped config, and of two LBT tables.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -42,6 +42,8 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[experiment]["csv"]
     meta = tmp_path / "results.meta.json"
     assert hashlib.sha256(meta.read_bytes()).hexdigest() == DIGESTS[experiment]["meta"]
+    mirror = tmp_path / "results.json"
+    assert hashlib.sha256(mirror.read_bytes()).hexdigest() == DIGESTS[experiment]["json"]
 
 
 # LBT tables (`run_coexist`, seed 5, 3 trials, 400 slots); no shipped config

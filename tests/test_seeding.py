@@ -8,7 +8,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ris_sim.seeding import KeyedStreams, rng_from, subseed, subseeds
+import oracles
+from ris_sim.seeding import (
+    KeyedStreams,
+    complex_normal,
+    complex_normal_stack,
+    rng_from,
+    subseed,
+    subseeds,
+)
 
 _EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
@@ -74,3 +82,22 @@ def test_nested_label_levels_follow_subseed_chains():
             assert int(streams.keys[r, c]) == key
             assert np.array_equal(streams[r, c].standard_normal(3),
                                   np.random.default_rng(key).standard_normal(3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, shape=st.sampled_from([5, 1, (0,), (3, 0, 2), (2, 2), (64, 2)]))
+@example(seed=2**64 - 1, shape=(64, 2))
+def test_one_call_complex_normal_equals_the_two_draw_oracle(seed, shape):
+    got = complex_normal(np.random.default_rng(seed), shape)
+    want = oracles.two_draw_complex_normal(np.random.default_rng(seed), shape)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_complex_normal_stack_draws_each_block_from_its_generator_in_order():
+    streams = KeyedStreams(3, [f"s{i}" for i in range(4)])
+    out = np.empty((4, 3, 2), dtype=np.complex128)
+    assert complex_normal_stack((streams[i] for i in range(4)), out, 0.3) is out
+    for i in range(4):
+        want = 0.3 * oracles.two_draw_complex_normal(rng_from(3, f"s{i}"), (3, 2))
+        assert out[i].tobytes() == want.tobytes()
