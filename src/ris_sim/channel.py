@@ -6,8 +6,8 @@ The effective downlink channel through a reflective surface is
           + sqrt(pl_nb_ue) * H_nb_ue
 
 with the direct term dropped when the base-station/user link is blocked.
-All blocks are complex128 ndarrays produced by `gen_los` / `gen_rician`
-and carried inside a `ChannelRealization`.
+All blocks are complex128 ndarrays: `gen_los` builds the fixed LoS blocks
+and `draw_stack` draws the Rician blocks of a stack of keyed trials.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import as_complex_matrix
-from .seeding import KeyedStreams, complex_normal_stack, rng_from, subseed
+from .seeding import KeyedStreams, complex_normal_stack
 
 
 class GeometryError(ValueError):
@@ -157,32 +157,24 @@ def gen_los(
     return np.exp(-2j * np.pi * d0 / lam) * np.outer(a, b)
 
 
-def gen_rician(params: ChannelParams, los_component, seed: int) -> np.ndarray:
-    """Mix a fixed LoS block with a seeded Rayleigh component.
+def _link_stack(params: ChannelParams, los: np.ndarray, rngs, count: int) -> np.ndarray:
+    """`count` Rician blocks of one link around its LoS block `los`, one
+    per generator of `rngs`, stacked.
 
-    K = 0 reduces to pure Rayleigh, K = inf returns the LoS block itself.
-    Same seed, same output, bit for bit.
+    At infinite factor K the stack is the read-only `los` broadcast along
+    it, and `rngs` is not consumed.  Otherwise the scattered part is drawn
+    straight into the stack at its weight sqrt(1/(K+1)); the LoS part
+    sqrt(K/(K+1)) los is formed once per call and added in place, and at
+    K = 0, where it is zero, not at all.
     """
-    los = as_complex_matrix(los_component, "los_component")
     k = params.rician_k
     if math.isinf(k):
-        return los.copy()
-    out = np.empty((1,) + los.shape, dtype=np.complex128)
-    return _rician_stack(k, los, (rng_from(seed),), out)[0]
-
-
-def _rician_stack(k: float, los: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
-    """Rician blocks of finite factor `k` around `los`, one per generator
-    of `rngs`, written into the stack `out`.
-
-    The scattered part is drawn straight into `out` at its weight
-    sqrt(1/(k+1)); the LoS part sqrt(k/(k+1)) los is formed once per call
-    and added in place, and at K = 0, where it is zero, not at all.
-    """
-    complex_normal_stack(rngs, out, math.sqrt(1.0 / (k + 1.0)))
+        return np.broadcast_to(los, (count,) + los.shape)
+    stack = np.empty((count,) + los.shape, dtype=np.complex128)
+    complex_normal_stack(rngs, stack, math.sqrt(1.0 / (k + 1.0)))
     if k > 0.0:
-        out += math.sqrt(k / (k + 1.0)) * los
-    return out
+        stack += math.sqrt(k / (k + 1.0)) * los
+    return stack
 
 
 def path_gain(wavelength: float, distance: float, exponent: float) -> float:
@@ -395,32 +387,12 @@ class Scenario:
 _LINK_LABELS = ("nb_ris", "ris_ue", "nb_ue")
 
 
-def draw_realization(scenario: Scenario, trial: int = 0) -> ChannelRealization:
-    """Draw all channel blocks of one trial; deterministic in (seed, trial).
-
-    Only the scattered parts are drawn; the LoS blocks and path gains are
-    the scenario's own.  No returned block shares memory with them.
-    """
-    base = subseed(scenario.seed, f"trial/{trial}")
-    g, h, direct = (
-        None if params is None else gen_rician(params, los, subseed(base, label))
-        for label, (params, los) in zip(_LINK_LABELS, scenario.links())
-    )
-    return ChannelRealization(
-        g_nb_ris=g,
-        h_ris_ue=h,
-        h_nb_ue=direct,
-        pl_nb_ris=scenario.pl_nb_ris,
-        pl_ris_ue=scenario.pl_ris_ue,
-        pl_nb_ue=scenario.pl_nb_ue,
-    )
-
-
 def link_streams(scenario: Scenario, trials) -> KeyedStreams:
     """Streams of the scattered parts of `trials`, keyed all at once.
 
-    Entry [l, i] is the stream that `draw_realization(scenario,
-    trials[i])` draws link l of `Scenario.links` from.
+    Entry [l, i] is the stream of link l of `Scenario.links` in trial
+    `trials[i]`, keyed `subseed(subseed(scenario.seed, f"trial/{t}"), label)`
+    with the link's label "nb_ris", "ris_ue" or "nb_ue".
     """
     return KeyedStreams(scenario.seed, [[f"trial/{t}" for t in trials]],
                         [[label] for label in _LINK_LABELS])
@@ -430,22 +402,14 @@ def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
     """Channel blocks of several trials of one scenario, stacked.
 
     `streams` comes from `link_streams`, and `cols` holds positions in
-    the trials it was keyed for.  Returns (g, h, direct) of shapes (B, N, M), (B, U, N) and (B, U, M),
-    direct None without a direct link; each trial's blocks equal
-    `draw_realization`'s bit for bit.  A link with infinite Rician factor
-    is the scenario's read-only LoS block, broadcast along the stack.  The
-    fixed blocks are not scanned again and no `ChannelRealization` is
-    built.
+    the trials it was keyed for.  Returns (g, h, direct) of shapes
+    (B, N, M), (B, U, N) and (B, U, M), direct None without a direct link;
+    each block is drawn from its own trial's stream of its link.  A link
+    with infinite Rician factor is the scenario's read-only LoS block,
+    broadcast along the stack.  The fixed blocks are not scanned again and
+    no `ChannelRealization` is built.
     """
     cols = list(cols)
-    out = []
-    for row, (params, los) in enumerate(scenario.links()):
-        if params is None:
-            out.append(None)
-        elif math.isinf(params.rician_k):
-            out.append(np.broadcast_to(los, (len(cols),) + los.shape))
-        else:
-            stack = np.empty((len(cols),) + los.shape, dtype=np.complex128)
-            out.append(_rician_stack(params.rician_k, los,
-                                     (streams[row, t] for t in cols), stack))
-    return tuple(out)
+    return tuple(None if params is None else
+                 _link_stack(params, los, (streams[row, t] for t in cols), len(cols))
+                 for row, (params, los) in enumerate(scenario.links()))

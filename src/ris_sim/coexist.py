@@ -18,14 +18,13 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
+    ChannelRealization,
     Geometry,
     Scenario,
     _fixed_link,
-    assemble_effective,
+    _link_stack,
     assemble_stack,
-    draw_realization,
     draw_stack,
-    gen_rician,
     link_streams,
     path_gain,
 )
@@ -242,42 +241,50 @@ def _watts_to_dbm(p: float) -> float:
     return 10.0 * math.log10(p * 1e3) if p > 0.0 else -math.inf
 
 
-def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int) -> np.ndarray:
-    """Singular values of one network's own link, surface aligned if owned."""
-    params = coex.params
+def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int):
+    """Singular values of one network's own link, surface aligned if owned,
+    and the number of channel blocks drawn for it.
+
+    A link through a surface is trial 0 of a scenario seeded
+    `subseed(seed, f"own/{name}")`; a ground-only link draws its block from
+    `rng_from(seed, f"direct/{name}")`.
+    """
     dp = coex.direct_params
-    geom = coex.geometry
-    if net.ris is None:
-        if coex.b_direct_blocked and net is coex.net_b:
-            # shadowed victim: only the bounce off A's surface, whose state
-            # B does not control, so a seeded foreign draw stands in
-            link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
-            real = draw_realization(link, 0)
-            n = coex.net_a.n_elements
-            th = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), n,
-                                np.empty(n, dtype=np.complex128))
-            return singular_values(assemble_effective(real, th))
-        los, pl = _fixed_link(geom, net.nb, net.ue, net.u_antennas, net.m_antennas, dp)
-        h = gen_rician(dp, los, subseed(seed, f"direct/{net.name}"))
-        h_t = math.sqrt(pl) * h
-    else:
+    if net.ris is not None:
         link = Scenario(
-            geometry=geom,
+            geometry=coex.geometry,
             m_antennas=net.m_antennas,
             n_elements=net.n_elements,
             u_antennas=net.u_antennas,
-            nb_ris=params,
-            ris_ue=params,
+            nb_ris=coex.params,
+            ris_ue=coex.params,
             nb_ue=dp,
             nb=net.nb,
             ris=net.ris,
             ue=net.ue,
             seed=subseed(seed, f"own/{net.name}"),
         )
-        real = draw_realization(link, 0)
-        aligned = np.exp(1j * _aligned_init_phases(real))
-        h_t = assemble_effective(real, aligned)
-    return singular_values(h_t)
+    elif coex.b_direct_blocked and net is coex.net_b:
+        # shadowed victim: only the bounce off A's surface, whose state
+        # B does not control, so a seeded foreign draw stands in
+        link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
+        n = link.n_elements
+        theta = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), n,
+                               np.empty(n, dtype=np.complex128))
+    else:
+        los, pl = _fixed_link(coex.geometry, net.nb, net.ue, net.u_antennas,
+                              net.m_antennas, dp)
+        h = _link_stack(dp, los, (rng_from(seed, f"direct/{net.name}"),), 1)[0]
+        return singular_values(math.sqrt(pl) * h), int(not math.isinf(dp.rician_k))
+    streams = link_streams(link, (0,))
+    blocks = draw_stack(link, streams, (0,))
+    if net.ris is not None:
+        g, h, direct = (None if b is None else b[0] for b in blocks)
+        real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
+                                  pl_nb_ris=link.pl_nb_ris, pl_ris_ue=link.pl_ris_ue,
+                                  pl_nb_ue=link.pl_nb_ue)
+        theta = np.exp(1j * _aligned_init_phases(real))
+    return singular_values(assemble_stack(link, *blocks, theta[None])[0]), streams.draws
 
 
 def _interference_power(coex: CoexScenario, victim: CoexNetwork,
@@ -326,6 +333,8 @@ class LbtResult:
     collision_fraction: float
     mean_rate_a: float
     mean_rate_b: float
+    #: channel blocks drawn for the two own links
+    keyed_draws: int
 
 
 def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -> LbtResult:
@@ -354,7 +363,7 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
     ]
     # each own link is drawn once; a collision only adds interference noise
     noise = scenario.params.noise_power
-    spectra = [_own_link_spectrum(scenario, net, seed) for net in nets]
+    spectra, draws = zip(*(_own_link_spectrum(scenario, net, seed) for net in nets))
     rate_alone = [capacity_closed_form(s, net.tx_power, noise)
                   for s, net in zip(spectra, nets)]
     rate_coll = [capacity_closed_form(s, net.tx_power, noise + x)
@@ -388,6 +397,7 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
         collision_fraction=collisions / slots,
         mean_rate_a=rate_sum[0] / slots,
         mean_rate_b=rate_sum[1] / slots,
+        keyed_draws=sum(draws),
     )
 
 

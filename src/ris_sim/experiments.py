@@ -61,7 +61,7 @@ from .ris import (
     sweep_converged,
 )
 from .scheduler import ASCENT_REL_TOL, UserContext, compare_shared_vs_ideal
-from .seeding import KeyedStreams, complex_normal, subseed
+from .seeding import KeyedStreams, complex_normal_stack, subseed
 
 log = logging.getLogger(__name__)
 
@@ -102,12 +102,13 @@ class ResultTable:
         object.__setattr__(self, "rows", tuple(norm))
 
     def to_csv(self) -> str:
-        """Comma-separated text, \\n endings, 17 significant digits."""
+        """Comma-separated text, \\n endings, 17 significant digits; the
+        writer turns int and bool cells into text with `str`."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([name for name, _ in self.columns])
         for row in self.rows:
-            w.writerow([_format_cell(v) for v in row])
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -150,16 +151,6 @@ def _plain(v):
     if isinstance(v, str):
         return v
     raise TypeError(f"unsupported cell type {type(v).__name__}")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return v
 
 
 def config_digest(mapping) -> str:
@@ -642,7 +633,8 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
 
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
     channels each trial draws fresh coefficients; `quantization_bits`
-    adds quantized-to-continuous gain ratio rows per bit width.
+    adds quantized-to-continuous gain ratio rows per bit width.  One INFO
+    log line reports the trials, sizes and keyed draws.
     """
     check_run(seed, trials)
     p = resolve_scenario("beamform", scenario)
@@ -657,8 +649,8 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
                 g = np.ones(n, dtype=np.complex128)
                 h = np.ones(n, dtype=np.complex128)
             else:
-                g = complex_normal(streams[t, j, 0], n)
-                h = complex_normal(streams[t, j, 1], n)
+                g, h = complex_normal_stack((streams[t, j, hop] for hop in range(2)),
+                                            np.empty((2, n), dtype=np.complex128), 1.0)
             panel = align_phases_miso(g, h)
             gain = abs(composite_gain(g, h, panel)) ** 2
             rows.append((t, f"gain_n{n}", gain))
@@ -670,6 +662,8 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
         return rows
 
     rows = [row for t in range(trials) for row in one(t)]
+    log.info("beamform: %d trials, %d sizes, %d keyed draws", trials, len(p["n_list"]),
+             0 if p["channel"] == "unit" else streams.draws)
     return _table("beamform", seed, trials, p, rows)
 
 
@@ -703,16 +697,15 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
                                    for i in range(k)] for t in range(trials)])
 
     def users(t):
-        out = []
-        for i in range(k):
-            g = complex_normal(streams[t, i, 0], (n, m))
-            h = complex_normal(streams[t, i, 1], (u, n))
-            real = ChannelRealization(
-                g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
-                pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
-            )
-            out.append(UserContext(channel=real, qos_weight=weights[i]))
-        return out
+        g = complex_normal_stack((streams[t, i, 0] for i in range(k)),
+                                 np.empty((k, n, m), dtype=np.complex128), 1.0)
+        h = complex_normal_stack((streams[t, i, 1] for i in range(k)),
+                                 np.empty((k, u, n), dtype=np.complex128), 1.0)
+        return [UserContext(
+                    channel=ChannelRealization(g_nb_ris=g[i], h_ris_ue=h[i], h_nb_ue=None,
+                                               pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0),
+                    qos_weight=weights[i])
+                for i in range(k)]
 
     rows, traces = [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
@@ -787,7 +780,8 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
     precoding on measurement-time state, from one `coexist.stale_rates`
     call over all trials.  Mode "lbt" runs `trials` independent
-    listen-before-talk simulations of `slots` slots each.
+    listen-before-talk simulations of `slots` slots each, and one INFO
+    log line reports the trials, slots and channel blocks drawn.
     """
     check_run(seed, trials)
     p = resolve_scenario("coexist", scenario)
@@ -804,17 +798,12 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
         backoff_slots_max=p["backoff_slots_max"],
     )
 
-    def one(t):
-        res = run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
-        return [
-            (t, "airtime_a", res.airtime_a),
-            (t, "airtime_b", res.airtime_b),
-            (t, "collision_fraction", res.collision_fraction),
-            (t, "mean_rate_a", res.mean_rate_a),
-            (t, "mean_rate_b", res.mean_rate_b),
-        ]
-
-    rows = [row for t in range(trials) for row in one(t)]
+    results = [run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
+               for t in range(trials)]
+    metrics = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
+    rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
+    log.info("lbt: %d trials of %d slots, %d keyed draws",
+             trials, p["slots"], sum(res.keyed_draws for res in results))
     return _table("coexist", seed, trials, p, rows)
 
 

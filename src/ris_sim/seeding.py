@@ -183,42 +183,37 @@ _PART_SCALE = 1.0 / math.sqrt(2.0)
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circularly symmetric complex normal entries of `shape`.
-
-    One `standard_normal` call draws the block of real parts, then the
-    block of imaginary parts, so Re and Im are each N(0, 1/2).  The result
-    equals `(re + 1j * im) / sqrt(2)` of two successive draws `re` and
-    `im` bit for bit, except for the sign of an exactly zero part.
-    `shape` is an int or a tuple.
-    """
+    """Unit-variance circularly symmetric complex normal entries of `shape`,
+    an int or a tuple: the one-block face of `complex_normal_stack`."""
     shape = tuple(shape) if np.iterable(shape) else (operator.index(shape),)
-    parts = rng.standard_normal((2,) + shape)
-    out = np.empty(shape, dtype=np.complex128)
-    _combine_parts(parts[None], out[None], 1.0)
-    return out
+    out = np.empty((1,) + shape, dtype=np.complex128)
+    return complex_normal_stack((rng,), out, 1.0)[0]
 
 
 def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
-    """`scale` times one `complex_normal` block per generator, into `out`.
+    """`scale` times a unit-variance complex normal block per generator,
+    written into `out`; returns `out`.
 
     Block `out[i]` is drawn from the i-th generator of the iterable
-    `rngs`, which is consumed in order, so the reused generator of a
-    `KeyedStreams` serves.  Both parts of every block are drawn into one
-    float stack and written into `out`: no complex temporary is built.
-    Returns `out`.
+    `rngs`, which is consumed in order, one generator per block.  Each
+    block takes one `standard_normal` call that draws its real parts, then
+    its imaginary parts, so Re and Im are each N(0, 1/2) before `scale`;
+    the block equals `scale * ((re + 1j * im) / sqrt(2))` of two successive
+    draws `re` and `im` bit for bit, except for the sign of an exactly
+    zero part.  Both parts of every block are drawn into one float stack
+    and written into `out`: no complex temporary is built.
+
+    When `rngs` indexes a `KeyedStreams`, it must be a lazy iterable such
+    as a generator expression: the streams hand out one reused generator,
+    so a tuple of indexed streams would leave every entry at the state of
+    the last key.
     """
     parts = np.empty((len(out), 2) + out.shape[1:])
     for part, rng in zip(parts, rngs):
         rng.standard_normal(out=part)
-    _combine_parts(parts, out, scale)
-    return out
-
-
-def _combine_parts(parts: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """Write the stacked Re and Im draws `parts[:, 0]` and `parts[:, 1]`,
-    scaled in place to variance 1/2 and then by `scale`, into `out`."""
     parts *= _PART_SCALE
     if scale != 1.0:
         parts *= scale
     out.real = parts[:, 0]
     out.imag = parts[:, 1]
+    return out

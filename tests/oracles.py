@@ -436,7 +436,7 @@ def per_trial_stale_draws(coex, trial: int, seed: int):
     def link(frm, to, rows, cols, p, label):
         wf = channel.resolve_wavefront(geom, frm, to, rows, cols, p.wavefront_model)
         los = channel.gen_los(geom, frm, to, rows, cols, wf)
-        block = channel.gen_rician(p, los, subseed(base, label))
+        block = rician_block(p.rician_k, los, np.random.default_rng(subseed(base, label)))
         gain = channel.path_gain(lam, geom.distance(frm, to), p.path_loss_exponent)
         return block, gain
 
@@ -507,3 +507,25 @@ def rician_block(k: float, los, rng):
         return np.array(los)
     scatter = two_draw_complex_normal(rng, los.shape)
     return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
+
+
+def keyed_blocks(scenario, trial: int):
+    """The channel blocks of one trial of `scenario` as the scalar draw
+    made them before the stacked route, in a `ChannelRealization`.
+
+    Link l's block is `rician_block` from `default_rng(key)`, keyed
+    `subseed(subseed(seed, f"trial/{trial}"), label)` by one `SeedSequence`
+    per call; a pure-LoS block is a copy of the scenario's.
+    """
+    from ris_sim.channel import ChannelRealization
+    from ris_sim.seeding import subseed
+
+    base = subseed(scenario.seed, f"trial/{trial}")
+    g, h, direct = (
+        None if params is None
+        else rician_block(params.rician_k, los, np.random.default_rng(subseed(base, label)))
+        for label, (params, los) in zip(("nb_ris", "ris_ue", "nb_ue"), scenario.links())
+    )
+    return ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
+                              pl_nb_ris=scenario.pl_nb_ris, pl_ris_ue=scenario.pl_ris_ue,
+                              pl_nb_ue=scenario.pl_nb_ue)

@@ -19,11 +19,9 @@ from ris_sim.channel import (
     assemble_effective,
     assemble_multi_panel,
     assemble_stack,
-    draw_realization,
     draw_stack,
     fraunhofer_distance,
     gen_los,
-    gen_rician,
     link_streams,
     path_gain,
     resolve_wavefront,
@@ -101,39 +99,56 @@ def test_los_rejects_unknown_wavefront():
 
 
 # ---------------------------------------------------------------------------
-# gen_rician
+# Rician draws
+
+def _rician_scenario(k, m=4, n=4, seed=9):
+    # every link at factor k, the direct one included
+    geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
+    params = ChannelParams(rician_k=k)
+    return Scenario(geometry=geom, m_antennas=m, n_elements=n, u_antennas=1,
+                    nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
+
+
+def _draw(scn, trials):
+    return draw_stack(scn, link_streams(scn, trials), range(len(trials)))
+
 
 def test_rician_high_k_limit():
-    rng = np.random.default_rng(0)
-    los = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 4)))
-    out = gen_rician(ChannelParams(rician_k=1e12), los, seed=9)
-    rel = np.linalg.norm(out - los) / np.linalg.norm(los)
-    assert rel <= 1e-5
+    scn = _rician_scenario(1e12)
+    for stack, (_, los) in zip(_draw(scn, [0, 1]), scn.links()):
+        rel = np.linalg.norm(stack - los) / np.linalg.norm(np.broadcast_to(los, stack.shape))
+        assert rel <= 1e-5
 
 
 def test_rician_infinite_k_is_los():
-    los = np.ones((3, 2), dtype=complex)
-    out = gen_rician(ChannelParams(rician_k=math.inf), los, seed=1)
-    assert np.array_equal(out, los)
-    assert out is not los
+    scn = _rician_scenario(math.inf)
+    streams = link_streams(scn, [0, 1, 2])
+    for stack, (_, los) in zip(draw_stack(scn, streams, range(3)), scn.links()):
+        assert stack.shape == (3,) + los.shape
+        assert np.array_equal(stack, np.broadcast_to(los, stack.shape))
+        assert not stack.flags.writeable
+    assert streams.draws == 0
 
 
 def test_rician_rayleigh_variance():
-    los = np.zeros((100, 100), dtype=complex)
-    params = ChannelParams(rician_k=0.0)
-    acc = 0.0
-    for s in range(100):
-        acc += float(np.mean(np.abs(gen_rician(params, los, seed=s)) ** 2))
-    var = acc / 100.0
+    scn = _rician_scenario(0.0, m=100, n=100)
+    g, _, _ = _draw(scn, range(100))
+    var = float(np.mean(np.abs(g) ** 2))
     assert abs(var - 1.0) <= 0.02
 
 
 def test_rician_deterministic():
-    los = np.ones((3, 3), dtype=complex)
-    params = ChannelParams(rician_k=2.0)
-    a = gen_rician(params, los, seed=77)
-    b = gen_rician(params, los, seed=77)
-    assert np.array_equal(a, b)
+    # a block is a function of (seed, trial, link) alone: redrawn from the
+    # same streams, from streams keyed anew, or at another stack position
+    scn = _rician_scenario(2.0)
+    streams = link_streams(scn, [3, 4])
+    first = draw_stack(scn, streams, (0,))
+    moved = tuple(b[1:] for b in _draw(scn, [5, 3]))
+    for again in (draw_stack(scn, streams, (0,)), _draw(scn, [3]), moved):
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(first[1], draw_stack(scn, streams, (1,))[1])
+    assert not np.array_equal(first[1], _draw(_rician_scenario(2.0, seed=10), [3])[1])
 
 
 def test_params_validation():
@@ -301,33 +316,31 @@ def _scenario(seed=0, wavefront="planar", k_incident=math.inf, direct=False):
 
 
 def test_draw_realization_deterministic():
+    # a scenario's trial is redrawn the same, and another trial differs
     scn = _scenario(seed=2024)
-    a = draw_realization(scn, trial=3)
-    b = draw_realization(scn, trial=3)
-    assert np.array_equal(a.g_nb_ris, b.g_nb_ris)
-    assert np.array_equal(a.h_ris_ue, b.h_ris_ue)
-    assert a.pl_nb_ris == b.pl_nb_ris
-    c = draw_realization(scn, trial=4)
-    assert not np.array_equal(a.h_ris_ue, c.h_ris_ue)
+    a = _draw(scn, [3])
+    b = _draw(scn, [3])
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    assert scn.pl_nb_ris == _scenario(seed=2024).pl_nb_ris
+    c = _draw(scn, [4])
+    assert not np.array_equal(a[1], c[1])
 
 
-def test_draw_realization_los_incident():
-    scn = _scenario(seed=1)
-    real = draw_realization(scn, 0)
-    assert np.allclose(np.abs(real.g_nb_ris), 1.0)
-    assert numkernel.numerical_rank(real.g_nb_ris) == 1
-    assert real.h_nb_ue is None
+def test_draw_stack_los_incident():
+    g, _, direct = _draw(_scenario(seed=1), [0])
+    assert np.allclose(np.abs(g[0]), 1.0)
+    assert numkernel.numerical_rank(g[0]) == 1
+    assert direct is None
 
 
 def test_keyhole_rank_spot_check():
     # planar LoS incident hop pinches the reflected channel to rank one;
     # the acceptance suite sweeps the full 500-draw grid
     scn = _scenario(seed=5)
-    rng = rng_from(80)
-    for t in range(25):
-        real = draw_realization(scn, t)
-        th = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
-        assert numkernel.numerical_rank(assemble_effective(real, th)) == 1
+    th = np.exp(1j * rng_from(80).uniform(0, 2 * np.pi, (25, 16)))
+    for h_t in assemble_stack(scn, *_draw(scn, range(25)), th):
+        assert numkernel.numerical_rank(h_t) == 1
 
 
 def test_dominant_reflection_regime():
@@ -367,27 +380,17 @@ def test_scenario_blocks_are_fixed_and_read_only():
     assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
 
 
-def test_infinite_k_realization_does_not_alias_the_scenario_block():
-    # the incident hop is pure LoS (K = inf): its drawn block is the LoS
-    # block's value, in memory of its own
-    scn = _scenario(seed=3)
-    real = draw_realization(scn, 0)
-    assert np.array_equal(real.g_nb_ris, scn.los_nb_ris)
-    assert not np.shares_memory(real.g_nb_ris, scn.los_nb_ris)
-    real.g_nb_ris[0, 0] = 0.0
-    assert draw_realization(scn, 0).g_nb_ris[0, 0] == scn.los_nb_ris[0, 0] != 0.0
-
-
 @pytest.mark.parametrize("k_incident, direct", [(math.inf, False), (math.inf, True),
                                                  (0.0, True), (3.0, False)])
 def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
+    # against the frozen scalar route: one subseed chain and one mix per block
     scn = _scenario(seed=2**40 + 7, k_incident=k_incident, direct=direct)
     trials = [9, 0, 123456, 2]
     streams = link_streams(scn, trials)
     g, h, d = draw_stack(scn, streams, range(1, 4))
     assert (d is None) == (not direct)
     for i, t in enumerate(trials[1:]):
-        real = draw_realization(scn, t)
+        real = oracles.keyed_blocks(scn, t)
         assert g[i].tobytes() == real.g_nb_ris.tobytes()
         assert h[i].tobytes() == real.h_ris_ue.tobytes()
         if direct:
@@ -420,9 +423,6 @@ def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials):
         for i in range(len(trials)):
             rng = np.random.default_rng(int(streams.keys[row, i]))
             assert stack[i].tobytes() == oracles.rician_block(k, los, rng).tobytes()
-    rng = np.random.default_rng(int(streams.keys[1, 0]))
-    assert (gen_rician(params, scn.los_ris_ue, int(streams.keys[1, 0])).tobytes()
-            == oracles.rician_block(k, scn.los_ris_ue, rng).tobytes())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -435,7 +435,7 @@ def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials):
 def test_stacked_assembly_matches_assemble_effective_and_its_passivity_check(
         seed, trials, direct, excess):
     scn = _scenario(seed=seed % 1000, k_incident=0.0, direct=direct)
-    reals = [draw_realization(scn, t) for t in range(trials)]
+    reals = [oracles.keyed_blocks(scn, t) for t in range(trials)]
     g = np.stack([r.g_nb_ris for r in reals])
     h = np.stack([r.h_ris_ue for r in reals])
     d = np.stack([r.h_nb_ue for r in reals]) if direct else None

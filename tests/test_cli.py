@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import deploy, experiments, seeding
+from ris_sim import channel, deploy, experiments, seeding
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -394,6 +394,32 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypa
     else:
         head = f"INFO stale CSI: {trials} trials at {scales} bounce scales"
     assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
+
+
+@pytest.mark.parametrize("experiment, scenario, head, blocks", [
+    ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 12),
+    ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 0),
+    # A's three surface-link blocks and B's ground block, or B's two bounce blocks
+    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots", 12),
+    ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true", "lbt: 3 trials of 40 slots", 15),
+    ("coexist", "mode: lbt, slots: 40, rician_k: .inf", "lbt: 3 trials of 40 slots", 0),
+])
+def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
+                                                         experiment, scenario, head, blocks):
+    drawn = []
+    stack = seeding.complex_normal_stack
+
+    def spy(rngs, out, scale):
+        drawn.append(len(out))
+        return stack(rngs, out, scale)
+
+    monkeypatch.setattr(channel, "complex_normal_stack", spy)
+    monkeypatch.setattr(experiments, "complex_normal_stack", spy)
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 3\nscenario: {{{scenario}}}\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
+    assert sum(drawn) == blocks
+    assert lines == [f"INFO {head}, {blocks} keyed draws"]
 
 
 def test_startup_leaves_numpy_random_unloaded():

@@ -308,9 +308,10 @@ def test_lbt_rejects_zero_slots():
 
 
 def test_lbt_draws_each_own_link_once(monkeypatch):
-    # A's surface link is a drawn realization, B's ground link one Rician
-    # block; the collided rate reuses the spectrum at the raised noise
-    calls = {"draw_realization": 0, "gen_rician": 0}
+    # A's surface link is one drawn stack, B's ground link one Rician
+    # block, and a shadowed B's bounce one more stack; the collided rate
+    # reuses the spectrum at the raised noise
+    calls = {"draw_stack": 0, "_link_stack": 0}
     for name in calls:
         fn = getattr(coexist, name)
 
@@ -320,7 +321,10 @@ def test_lbt_draws_each_own_link_once(monkeypatch):
 
         monkeypatch.setattr(coexist, name, counted)
     run_lbt_sim(_co_scenario(), LbtConfig(sense_threshold_dbm=-40.0), 50, seed=5)
-    assert calls == {"draw_realization": 1, "gen_rician": 1}
+    assert calls == {"draw_stack": 1, "_link_stack": 1}
+    run_lbt_sim(_co_scenario(b_direct_blocked=True), LbtConfig(sense_threshold_dbm=-40.0),
+                50, seed=5)
+    assert calls == {"draw_stack": 3, "_link_stack": 1}
 
 
 # ---------------------------------------------------------------------------

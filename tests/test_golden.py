@@ -1,5 +1,5 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
-sidecar of every shipped config, and of two LBT tables.
+sidecar of every shipped config, and of four LBT tables.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -9,6 +9,7 @@ sidecar.  Either updates `golden_digests.json` and says why in CHANGES.md.
 import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
 import pytest
@@ -56,8 +57,29 @@ LBT_DIGESTS = {
 }
 
 
+def _lbt_digest(threshold, **scenario):
+    table = run_coexist({"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold,
+                         **scenario}, seed=5, trials=3)
+    return hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("threshold", sorted(LBT_DIGESTS))
 def test_lbt_csv_matches_golden_digest(threshold):
-    table = run_coexist({"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold},
-                        seed=5, trials=3)
-    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == LBT_DIGESTS[threshold]
+    assert _lbt_digest(threshold) == LBT_DIGESTS[threshold]
+
+
+# Own-link branches the default scenario leaves out, at -82 dBm: a shadowed
+# victim sees its base station only through A's surface, and an infinite
+# Rician factor makes every own link its LoS block.
+LBT_BRANCH_DIGESTS = {
+    "shadowed": ({"b_direct_blocked": True},
+                 "7c373fa09557bf805eb0e2ac45afc2a8b098470032edde93730ac17750fd290e"),
+    "los_only": ({"rician_k": math.inf},
+                 "e785690c2b2d9d262605a816a802471506ecf1717e032fafbf4a0d5505dae28e"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(LBT_BRANCH_DIGESTS))
+def test_lbt_branch_csv_matches_golden_digest(branch):
+    scenario, digest = LBT_BRANCH_DIGESTS[branch]
+    assert _lbt_digest(-82.0, **scenario) == digest
