@@ -18,7 +18,6 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
-    ChannelRealization,
     Geometry,
     Scenario,
     _fixed_link,
@@ -34,7 +33,7 @@ from .numkernel import (
     singular_values,
     waterfill_precoder,
 )
-from .ris import _aligned_init_phases
+from .ris import aligned_phases
 from .seeding import KeyedStreams, rng_from, subseed
 
 log = logging.getLogger(__name__)
@@ -279,11 +278,7 @@ def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int):
     streams = link_streams(link, (0,))
     blocks = draw_stack(link, streams, (0,))
     if net.ris is not None:
-        g, h, direct = (None if b is None else b[0] for b in blocks)
-        real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
-                                  pl_nb_ris=link.pl_nb_ris, pl_ris_ue=link.pl_ris_ue,
-                                  pl_nb_ue=link.pl_nb_ue)
-        theta = np.exp(1j * _aligned_init_phases(real))
+        theta = np.exp(1j * aligned_phases(*blocks, gains=link)[0])
     return singular_values(assemble_stack(link, *blocks, theta[None])[0]), streams.draws
 
 

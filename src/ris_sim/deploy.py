@@ -416,15 +416,3 @@ def greedy_place(
         coverage_fraction=cov,
         history=tuple(history),
     )
-
-
-def cell_breathing(
-    scene: Scene,
-    plan: DeploymentPlan,
-    params: ChannelParams,
-    gain_scale: float,
-    threshold_db: float,
-) -> CoverageMap:
-    """Re-raster a fixed plan with every panel's power gain scaled by
-    gain_scale^2; scale > 1 breathes the served area out, < 1 pulls it in."""
-    return snr_map(scene, plan, params, threshold_db, gain_scale=gain_scale)

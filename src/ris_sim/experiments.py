@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .channel import (
     ChannelParams,
-    ChannelRealization,
     Geometry,
     Scenario,
     assemble_stack,
@@ -47,12 +46,13 @@ from .deploy import (
     MAX_RASTER_CELLS,
     BaseStation,
     Scene,
-    cell_breathing,
     greedy_place,
     raster_shape,
+    snr_map,
 )
 from .numkernel import singular_values, spectrum_rank
 from .ris import (
+    ASCENT_REL_TOL,
     MAX_QUANTIZATION_BITS,
     RisPanel,
     align_phases_miso,
@@ -60,7 +60,7 @@ from .ris import (
     quantize_phases,
     sweep_converged,
 )
-from .scheduler import ASCENT_REL_TOL, UserContext, compare_shared_vs_ideal
+from .scheduler import compare_shared_vs_ideal
 from .seeding import KeyedStreams, complex_normal_stack, subseed
 
 log = logging.getLogger(__name__)
@@ -72,31 +72,27 @@ _COLUMNS = (("trial", ""), ("metric", ""), ("value", "per metric"))
 class ResultTable:
     """Long-format experiment output plus provenance metadata.
 
+    Every table has the columns `_COLUMNS`: trial, metric and value.
+
     Parameters
     ----------
-    columns : tuple
-        (name, unit) pairs, one per column.
     rows : tuple
-        Row tuples; arity must match `columns`.  Values are plain Python
-        ints, floats, or strings.
+        (trial, metric, value) row tuples.  Values are plain Python ints,
+        floats, or strings.
     metadata : dict
         Provenance record: experiment name, seed, tool version, and the
         sha256 digest of the resolved configuration.
     """
 
-    columns: tuple
     rows: tuple
     metadata: dict
 
     def __post_init__(self):
-        cols = tuple((str(n), str(u)) for n, u in self.columns)
-        object.__setattr__(self, "columns", cols)
-        arity = len(cols)
         norm = []
         for row in self.rows:
-            if len(row) != arity:
+            if len(row) != len(_COLUMNS):
                 raise ValueError(
-                    f"row {row!r} has {len(row)} cells, table has {arity} columns"
+                    f"row {row!r} has {len(row)} cells, table has {len(_COLUMNS)} columns"
                 )
             norm.append(tuple(_plain(v) for v in row))
         object.__setattr__(self, "rows", tuple(norm))
@@ -106,7 +102,7 @@ class ResultTable:
         writer turns int and bool cells into text with `str`."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow([name for name, _ in self.columns])
+        w.writerow([name for name, _ in _COLUMNS])
         for row in self.rows:
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         return buf.getvalue()
@@ -122,15 +118,12 @@ class ResultTable:
         gives the indented text, which is spliced in as the last key.
         """
         doc = {
-            "columns": [{"name": n, "unit": u} for n, u in self.columns],
+            "columns": [{"name": n, "unit": u} for n, u in _COLUMNS],
             "rows": [],
             "metadata": self.metadata,
         }
-        if not self.columns:
-            # every row is empty, and this layout needs at least one cell
-            doc["rows"] = [list(r) for r in self.rows]
         text = json.dumps(doc, sort_keys=True, indent=2)
-        if not (self.rows and self.columns):
+        if not self.rows:
             return text + "\n"
         # "rows" sorts last, so the text ends with its empty list
         head = text[:-len("[]\n}")]
@@ -200,7 +193,7 @@ def _table(experiment, seed, trials, params, rows) -> ResultTable:
         "tool_version": __version__,
         "config_sha256": config_digest(cfg),
     }
-    return ResultTable(columns=_COLUMNS, rows=tuple(rows), metadata=meta)
+    return ResultTable(rows=tuple(rows), metadata=meta)
 
 
 def _trial_rows(metrics, columns):
@@ -683,36 +676,30 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
-    weight one for everybody.  The ascents of every trial run as one
-    batched ascent per chunk of `MULTIUSER_CHUNK` trials, and one INFO log
-    line reports their count, their sweeps and how many stopped at
-    `max_iters` without meeting the tolerance.
+    weight one for everybody.  Each chunk of `MULTIUSER_CHUNK` trials
+    draws its blocks as one stack per hop and runs its ascents as one
+    batched ascent, and one INFO log line reports their count, their
+    sweeps and how many stopped at `max_iters` without meeting the
+    tolerance.
     """
     check_run(seed, trials)
     p = resolve_scenario("multiuser", scenario)
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
-    panel = RisPanel.uniform(n)
     streams = KeyedStreams(seed, [[[f"multiuser/{t}/ue{i}/{hop}" for hop in "gh"]
                                    for i in range(k)] for t in range(trials)])
 
-    def users(t):
-        g = complex_normal_stack((streams[t, i, 0] for i in range(k)),
-                                 np.empty((k, n, m), dtype=np.complex128), 1.0)
-        h = complex_normal_stack((streams[t, i, 1] for i in range(k)),
-                                 np.empty((k, u, n), dtype=np.complex128), 1.0)
-        return [UserContext(
-                    channel=ChannelRealization(g_nb_ris=g[i], h_ris_ue=h[i], h_nb_ue=None,
-                                               pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0),
-                    qos_weight=weights[i])
-                for i in range(k)]
+    def blocks(chunk, hop, shape):
+        out = np.empty((len(chunk) * k,) + shape, dtype=np.complex128)
+        rngs = (streams[t, i, hop] for t in chunk for i in range(k))
+        return complex_normal_stack(rngs, out, 1.0).reshape((len(chunk), k) + shape)
 
     rows, traces = [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
         results = compare_shared_vs_ideal(
-            [users(t) for t in chunk], panel, p["power_per_user"], p["noise_power"],
-            p["max_iters"], MULTIUSER_GRID_POINTS,
+            blocks(chunk, 0, (n, m)), blocks(chunk, 1, (u, n)), weights,
+            p["power_per_user"], p["noise_power"], p["max_iters"], MULTIUSER_GRID_POINTS,
         )
         for t, cmp in zip(chunk, results):
             rows += [
@@ -721,7 +708,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
                 (t, "gap_fraction", cmp.gap_fraction),
             ]
             traces += cmp.traces
-    capped = sum(len(tr) - 1 == p["max_iters"] and not sweep_converged(tr, ASCENT_REL_TOL)
+    capped = sum(len(tr) - 1 == p["max_iters"] and not sweep_converged(tr)
                  for tr in traces)
     log.info("multiuser: %d ascents, %d sweeps, %d stopped at max_iters=%d "
              "without meeting rel_tol=%g", len(traces), sum(len(tr) - 1 for tr in traces),
@@ -876,7 +863,7 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         rows.append((step, "greedy_site", int(site)))
         rows.append((step, "greedy_coverage", float(cov)))
     for i, s in enumerate(p["gain_scales"]):
-        cm = cell_breathing(scene, plan, params, s, p["threshold_db"])
+        cm = snr_map(scene, plan, params, p["threshold_db"], gain_scale=s)
         rows.append((i, "gain_scale", s))
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
     # greedy scores every site it builds a route layer for, and breathing

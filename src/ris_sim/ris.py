@@ -4,11 +4,14 @@ A surface is a diagonal of per-element reflection coefficients
 theta_n = beta_n * exp(j phi_n), beta_n in [0, 1].  This module owns the
 panel value type (its `theta_diagonal` is the form the channel assembly
 takes), phase quantization, closed-form MISO alignment, and the
-alternating capacity ascent used for MIMO links.  The ascent is one
-engine, `phase_ascent_batch`, at the caller's grid and sweep cap.
-`scheduler.compare_shared_vs_ideal` runs every ascent of many trials
-through it at once (a one-user trial is the single-user ascent), with one
-spectrum call and one capacity call per element step for all of them.
+alternating capacity ascent used for MIMO links.  Links come as stacks of
+channel blocks: `aligned_phases` gives the aligned-MISO start of every
+link of a stack in one SVD pass per hop, and `phase_ascent_batch` is the
+one ascent engine, over fully reflective surfaces at the caller's grid and
+sweep cap.  `scheduler.compare_shared_vs_ideal` runs every ascent of many
+trials through it at once (a one-user trial is the single-user ascent),
+with one spectrum call and one capacity call per element step for all of
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkernel
-from .channel import ChannelRealization
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,21 +111,19 @@ def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
     return replace(panel, phases=k * step, quantization_bits=bits)
 
 
-def align_phases_miso(g, h, direct: complex = 0j) -> RisPanel:
-    """Coherent single-user alignment phi_n = arg(direct) - arg(h_n) - arg(g_n).
+def align_phases_miso(g, h) -> RisPanel:
+    """Coherent single-user alignment phi_n = -arg(h_n) - arg(g_n).
 
     `g` holds the per-element incident coefficients (base station side),
     `h` the per-element departure coefficients (user side); both accept
-    any shape with N entries.  With direct = 0 the composite is aligned to
-    phase zero.
+    any shape with N entries.  The composite is aligned to phase zero;
+    `aligned_phases` aligns stacks of MIMO links, to a direct term too.
     """
     gv = np.asarray(g, dtype=np.complex128).reshape(-1)
     hv = np.asarray(h, dtype=np.complex128).reshape(-1)
     if gv.shape != hv.shape:
         raise ValueError(f"g has {gv.shape[0]} elements, h has {hv.shape[0]}")
-    ref = np.angle(direct) if direct != 0 else 0.0
-    phi = wrap_phase(ref - np.angle(hv) - np.angle(gv))
-    return RisPanel(np.ones(gv.shape[0]), phi)
+    return RisPanel(np.ones(gv.shape[0]), wrap_phase(-np.angle(hv) - np.angle(gv)))
 
 
 def composite_gain(g, h, panel: RisPanel) -> complex:
@@ -135,130 +135,114 @@ def composite_gain(g, h, panel: RisPanel) -> complex:
     return complex(np.sum(hv * panel.theta_diagonal() * gv))
 
 
-def effective_miso(real: ChannelRealization):
-    """Collapse a MIMO hop to per-element MISO coefficients.
+def aligned_phases(g, h, direct, gains) -> np.ndarray:
+    """Aligned-MISO start phases of a stack of links, (..., N).
 
-    Projects onto the dominant right singular vector of the incident block
-    and the dominant left singular vector of the departure block; path
-    loss amplitudes are folded in.  Returns (g_eff, h_eff, direct_eff).
+    `g` (..., N, M) and `h` (..., U, N) stack the links' incident and
+    departure blocks, and `direct` (..., U, M) their direct blocks, or is
+    None.  Each link collapses to per-element MISO coefficients on the
+    dominant right singular vector v of its incident block and the dominant
+    left singular vector u of its departure block, g_n = (G v)_n,
+    h_n = (u^H H)_n and d = u^H D v, with the path-loss amplitudes of
+    `gains` folded in: a scenario's `pl_nb_ris`, `pl_ris_ue` and
+    `pl_nb_ue`, or unit gains when None.  Element n takes
+    phi_n = arg(d) - arg(h_n) - arg(g_n), with arg(d) = 0 when d is 0 or
+    absent.  One SVD pass per hop serves the whole stack.
     """
-    v = numkernel.svd(real.g_nb_ris).right_vectors[:, 0]
-    u = numkernel.svd(real.h_ris_ue).left_vectors[:, 0]
-    g_eff = math.sqrt(real.pl_nb_ris) * (real.g_nb_ris @ v)
-    h_eff = math.sqrt(real.pl_ris_ue) * (u.conj() @ real.h_ris_ue)
-    d_eff = 0j
-    if real.h_nb_ue is not None:
-        d_eff = complex(math.sqrt(real.pl_nb_ue) * (u.conj() @ real.h_nb_ue @ v))
-    return g_eff, h_eff, d_eff
+    pl = ((1.0, 1.0, 1.0) if gains is None
+          else (gains.pl_nb_ris, gains.pl_ris_ue, gains.pl_nb_ue))
+    v = numkernel.svd(g).right_vectors[..., 0][..., None]
+    u = numkernel.svd(h).left_vectors[..., 0].conj()[..., None, :]
+    g_eff = math.sqrt(pl[0]) * (g @ v)[..., 0]
+    h_eff = math.sqrt(pl[1]) * (u @ h)[..., 0, :]
+    ref = np.zeros(g_eff.shape[:-1])
+    if direct is not None:
+        d = math.sqrt(pl[2]) * (u @ direct @ v)[..., 0, 0]
+        ref = np.where(d != 0, np.angle(d), 0.0)
+    return wrap_phase(ref[..., None] - np.angle(h_eff) - np.angle(g_eff))
 
 
-def _aligned_init_phases(real: ChannelRealization) -> np.ndarray:
-    """Aligned-MISO starting point for the capacity ascent."""
-    return align_phases_miso(*effective_miso(real)).phases
+#: relative sweep gain at or below which an ascent stops
+ASCENT_REL_TOL = 1e-6
 
 
-def _effective_terms(real: ChannelRealization):
-    """Scaled blocks (a, b, d) with H(theta) = (a * theta) @ b + d."""
-    a = math.sqrt(real.pl_ris_ue * real.pl_nb_ris) * real.h_ris_ue
-    b = real.g_nb_ris
-    if real.h_nb_ue is not None:
-        d = math.sqrt(real.pl_nb_ue) * real.h_nb_ue
-    else:
-        d = np.zeros((real.u_antennas, real.m_antennas), dtype=np.complex128)
-    return a, b, d
-
-
-def sweep_converged(trace, rel_tol: float) -> bool:
+def sweep_converged(trace) -> bool:
     """The ascent's stopping test: the last sweep of `trace` gained no
-    more than `rel_tol` of the objective before it."""
-    return trace[-1] - trace[-2] <= rel_tol * max(abs(trace[-2]), 1e-30)
+    more than `ASCENT_REL_TOL` of the objective before it."""
+    return trace[-1] - trace[-2] <= ASCENT_REL_TOL * max(abs(trace[-2]), 1e-30)
 
 
-def phase_ascent_batch(
-    problems,
-    amplitudes: np.ndarray,
-    total_power: float,
-    noise_power: float,
-    max_iters: int,
-    rel_tol: float,
-    grid_points: int,
-):
+def phase_ascent_batch(problems, total_power: float, noise_power: float,
+                       max_iters: int, grid_points: int):
     """Independent weighted phase ascents swept in lockstep.
 
-    `problems` is a sequence of (entries, init_phases), where `entries` is
-    a sequence of (weight, realization).  Every problem shares the panel
-    `amplitudes`, and every realization the element count and the (U, M)
-    channel shape.  Each sweep sets every live element to the best of
-    `grid_points` uniform phases; the candidate channels of every entry of
-    every running problem go through one spectrum call
+    `problems` is a sequence of (weights, g, h, init_phases): E entries
+    with weights (E,), incident blocks g (E, N, M) and departure blocks
+    h (E, U, N), so that entry k's channel on the fully reflective surface
+    theta = exp(j phi) is h[k] diag(theta) g[k], and a start phi (N,).
+    Every problem has the same N, M and U.  Each sweep sets every element
+    to the best of `grid_points` uniform phases; the candidate channels of
+    every entry of every running problem go through one spectrum call
     (`numkernel.stack_singular_values`) and one capacity call per element.
 
     Each problem keeps its own objective, the weighted sum capacity
     accumulated over its entries in entry order; it moves an element only
     when the best candidate strictly improves that objective, records its
-    own trace and stops on its own `rel_tol` test.  Every problem's result
-    is therefore bit for bit what the sweep gives when run alone.
+    own trace and stops once a sweep passes `sweep_converged`.  Every
+    problem's result is therefore bit for bit what the sweep gives when
+    run alone.
 
     Returns one (phases, per_entry_capacities, trace) per problem, where
     trace[i] is the objective after i sweeps and is non-decreasing.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if not problems:
         return []
-    n = amplitudes.shape[0]
-    n_prob = len(problems)
-    phases = np.empty((n_prob, n))
-    theta = np.empty((n_prob, n), dtype=np.complex128)
+    if len({(np.shape(g)[1:], np.shape(h)[1:]) for _, g, h, _ in problems}) > 1:
+        raise ValueError("problems disagree on the (N, M) or (U, N) block shape")
+    for wts, g, h, init in problems:
+        if not len(wts) == len(g) == len(h) >= 1:
+            raise ValueError("a problem needs one weight, g and h block per entry")
+        if not np.shape(g)[1] == np.shape(h)[2] == np.shape(init)[0]:
+            raise ValueError("blocks and start phases disagree on the element count")
+    weights = [np.asarray(wts, dtype=float) for wts, *_ in problems]
+    # every entry's blocks, so that its channel is (a * theta) @ b
+    a = np.concatenate([h for _, _, h, _ in problems])
+    b = np.concatenate([g for _, g, _, _ in problems])
+    phases = np.array([init for *_, init in problems], dtype=float)
+    n_prob, n = phases.shape
+    theta = np.exp(1j * phases)
     # one row per entry: its problem's place among the running problems,
     # its place among that problem's entries, its flat index, its weight,
     # its current channel, and outer[n, i], the change of that channel
     # per unit change of element n's reflection coefficient
-    owner, slot, w, hs, outers = [], [], [], [], []
-    bounds = [0]
-    for p, (entries, init) in enumerate(problems):
-        if any(real.n_elements != n for _, real in entries):
-            raise ValueError("realizations disagree on the element count")
-        phases[p] = np.array(init, dtype=float)
-        theta[p] = amplitudes * np.exp(1j * phases[p])
-        for k, (weight, real) in enumerate(entries):
-            a, b, d = _effective_terms(real)
-            owner.append(p)
-            slot.append(k)
-            w.append(weight)
-            hs.append((a * theta[p][None, :]) @ b + d)
-            outers.append(a.T[:, :, None] * b[:, None, :])  # (N, U, M)
-        bounds.append(bounds[-1] + len(entries))
-    if len({x.shape for x in hs}) > 1:
-        raise ValueError("realizations disagree on the (U, M) channel shape")
-    owner, slot = np.array(owner, dtype=np.intp), np.array(slot, dtype=np.intp)
+    counts = [len(wts) for wts in weights]
+    bounds = [0] + np.cumsum(counts).tolist()
+    owner = np.repeat(np.arange(n_prob), counts)
+    slot = np.concatenate([np.arange(c) for c in counts])
     index = np.arange(bounds[-1])
-    w = np.array(w, dtype=float)[:, None]
-    h, outer = np.stack(hs), np.stack(outers, axis=1)
+    w = np.concatenate(weights)[:, None]
+    h = (a * theta[owner][:, None, :]) @ b
+    outer = a.transpose(2, 0, 1)[..., None] * b.transpose(1, 0, 2)[:, :, None, :]
 
     caps = numkernel.capacity_closed_form(
         numkernel.stack_singular_values(h), total_power, noise_power)
-    cur = np.empty(n_prob)
-    for p, (entries, _) in enumerate(problems):
-        weights = np.array([wt for wt, _ in entries], dtype=float)
-        cur[p] = float(weights @ caps[bounds[p]:bounds[p + 1]])
+    cur = np.array([float(wts @ caps[bounds[p]:bounds[p + 1]])
+                    for p, wts in enumerate(weights)])
     traces = [[c] for c in cur.tolist()]
     done = [None] * n_prob
     ids = np.arange(n_prob)  # problem index of each running problem
-    live = np.nonzero(amplitudes > 0.0)[0]
     grid = TWO_PI * np.arange(grid_points) / grid_points
     rot = np.exp(1j * grid)
     # weighted candidate capacities by (entry slot, running problem); the
     # slots a problem lacks stay +0.0, which leaves its running sum as is
-    weighted = np.zeros((int(slot.max()) + 1, n_prob, grid_points))
+    weighted = np.zeros((max(counts), n_prob, grid_points))
     for _ in range(max_iters):
-        for nidx in live:
-            cand = amplitudes[nidx] * rot
-            delta = cand[None, :] - theta[:, nidx, None]
+        for nidx in range(n):
+            delta = rot[None, :] - theta[:, nidx, None]
             hc = h[:, None] + delta[owner, :, None, None] * outer[nidx][:, None]
             sv = numkernel.stack_singular_values(hc)
             cg = numkernel.capacity_closed_form(
@@ -277,13 +261,13 @@ def phase_ascent_batch(
             j = best[owner[m]]
             h[m] = h[m] + delta[owner[m], j, None, None] * outer[nidx][m]
             caps[index[m]] = cg[m, j]
-            theta[up, nidx] = cand[best[up]]
+            theta[up, nidx] = rot[best[up]]
             phases[up, nidx] = grid[best[up]]
             cur[up] = best_val[up]
         running = np.ones(ids.shape[0], dtype=bool)
         for i, p in enumerate(ids):
             traces[p].append(float(cur[i]))
-            if sweep_converged(traces[p], rel_tol):
+            if sweep_converged(traces[p]):
                 running[i] = False
                 done[p] = phases[i].copy()
         if not running.all():

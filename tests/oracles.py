@@ -406,6 +406,45 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
     return np.where(out >= TWO_PI, 0.0, out), per_caps, trace
 
 
+def unit_gain_entries(weights, g, h):
+    """The (weight, realization) entries of `per_problem_phase_ascent` for
+    one `ris.phase_ascent_batch` problem given as (weights, g, h): unit
+    path gains and no direct link."""
+    from ris_sim.channel import ChannelRealization
+
+    return [(float(w), ChannelRealization(g_nb_ris=gk, h_ris_ue=hk, h_nb_ue=None,
+                                          pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0))
+            for w, gk, hk in zip(weights, g, h)]
+
+
+# ---------------------------------------------------------------------------
+# aligned-MISO start of one realization, frozen
+
+def aligned_start(real):
+    """Aligned-MISO start phases of one `ChannelRealization`, as the
+    package computed them one trial at a time before `ris.aligned_phases`
+    took stacks: the per-element MISO collapse `effective_miso`, then the
+    alignment `ris.align_phases_miso` made when it still took the direct
+    term.
+
+    Like `per_problem_phase_ascent` this is a frozen copy, not an
+    independent algorithm: it takes its singular vectors from the
+    package's `numkernel.svd`, one matrix at a time.
+    """
+    from ris_sim import numkernel
+    from ris_sim.ris import wrap_phase
+
+    v = numkernel.svd(real.g_nb_ris).right_vectors[:, 0]
+    u = numkernel.svd(real.h_ris_ue).left_vectors[:, 0]
+    g_eff = math.sqrt(real.pl_nb_ris) * (real.g_nb_ris @ v)
+    h_eff = math.sqrt(real.pl_ris_ue) * (u.conj() @ real.h_ris_ue)
+    direct = 0j
+    if real.h_nb_ue is not None:
+        direct = complex(math.sqrt(real.pl_nb_ue) * (u.conj() @ real.h_nb_ue @ v))
+    ref = np.angle(direct) if direct != 0 else 0.0
+    return wrap_phase(ref - np.angle(h_eff) - np.angle(g_eff))
+
+
 # ---------------------------------------------------------------------------
 # per-trial stale-CSI evaluation, frozen
 

@@ -34,14 +34,13 @@ from ris_sim.deploy import (
     DeploymentPlan,
     SERVING_NONE,
     Scene,
-    cell_breathing,
     greedy_place,
     snr_map,
 )
 from ris_sim.experiments import _coex_scenario, resolve_scenario
 from ris_sim.numkernel import numerical_rank, waterfill_capacity
 from ris_sim.ris import RisPanel, align_phases_miso, composite_gain
-from ris_sim.scheduler import UserContext, compare_shared_vs_ideal
+from ris_sim.scheduler import compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
 #: sweep cap and phase grid of the capacity ascents in criteria 6 and 7
@@ -145,11 +144,11 @@ def test_criterion_06_phase_ascent_reaches_exhaustive_optimum():
         return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
 
     for inst in doc["instances"]:
-        real = _reflected_only(unpack(inst["g"], (n, 2)), unpack(inst["h"], (2, n)))
+        g, h = unpack(inst["g"], (n, 2)), unpack(inst["h"], (2, n))
         # one user: the shared state is the single-user capacity ascent
         (res,) = compare_shared_vs_ideal(
-            [[UserContext(real, 1.0)]], RisPanel.uniform(n), doc["total_power"],
-            doc["noise_power"], MAX_ITERS, GRID)
+            g[None, None], h[None, None], (1.0,), doc["total_power"], doc["noise_power"],
+            MAX_ITERS, GRID)
         assert res.shared_sum >= 0.99 * inst["oracle_capacity"]
     assert time.perf_counter() - t0 < 60.0
 
@@ -157,16 +156,15 @@ def test_criterion_06_phase_ascent_reaches_exhaustive_optimum():
 def test_criterion_07_shared_reflection_gap(multiuser_batch):
     t0 = time.perf_counter()
     # degenerate regimes carry no price
-    solo = [UserContext(_reflected_only(
-        complex_normal(rng_from(7, "solo/g"), (8, 2)),
-        complex_normal(rng_from(7, "solo/h"), (2, 8))), 1.0)]
-    (cmp,) = compare_shared_vs_ideal([solo], RisPanel.uniform(8), 1.0, 1.0, MAX_ITERS, GRID)
+    g = complex_normal(rng_from(7, "solo/g"), (8, 2))
+    h = complex_normal(rng_from(7, "solo/h"), (2, 8))
+    (cmp,) = compare_shared_vs_ideal(g[None, None], h[None, None], (1.0,), 1.0, 1.0,
+                                     MAX_ITERS, GRID)
     assert cmp.gap_fraction <= 1e-6
-    shared_real = _reflected_only(
-        complex_normal(rng_from(7, "twin/g"), (8, 2)),
-        complex_normal(rng_from(7, "twin/h"), (2, 8)))
-    twins = [UserContext(shared_real, 1.0), UserContext(shared_real, 1.0)]
-    (cmp,) = compare_shared_vs_ideal([twins], RisPanel.uniform(8), 1.0, 1.0, MAX_ITERS, GRID)
+    g = complex_normal(rng_from(7, "twin/g"), (8, 2))
+    h = complex_normal(rng_from(7, "twin/h"), (2, 8))
+    twins_g, twins_h = np.stack([g, g])[None], np.stack([h, h])[None]
+    (cmp,) = compare_shared_vs_ideal(twins_g, twins_h, (1.0, 1.0), 1.0, 1.0, MAX_ITERS, GRID)
     assert cmp.gap_fraction <= 1e-6
     # four heterogeneous users pay a strictly positive average price
     rows = {}
@@ -251,7 +249,7 @@ def test_criterion_10_greedy_panel_lights_the_shadow():
     assert all(covs[i + 1] > covs[i] for i in range(len(covs) - 1))
 
     scales = (0.25, 0.5, 0.75, 1.0, 1.5)
-    breathing = [cell_breathing(scene, plan, params, s, threshold).coverage_fraction
+    breathing = [snr_map(scene, plan, params, threshold, gain_scale=s).coverage_fraction
                  for s in scales]
     assert all(breathing[i + 1] >= breathing[i] for i in range(len(scales) - 1))
     assert time.perf_counter() - t0 < 30.0

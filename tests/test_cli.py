@@ -422,6 +422,29 @@ def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monke
     assert lines == [f"INFO {head}, {blocks} keyed draws"]
 
 
+def _no_realization(*args, **kwargs):
+    raise AssertionError("a run built a ChannelRealization")
+
+
+# network A owns a surface in every coexistence scenario, so an LBT run
+# aligns that owned link
+_LBT_OWNED = "experiment: coexist\ntrials: 2\nscenario:\n  mode: lbt\n  slots: 50\n"
+
+
+@pytest.mark.parametrize("experiment, text", [
+    *(pytest.param(p.stem, p.read_text(), id=p.stem) for p in sorted(CONFIGS.glob("*.yaml"))),
+    pytest.param("coexist", _LBT_OWNED, id="lbt_owned"),
+])
+def test_runs_build_no_channel_realization(tmp_path, capsys, monkeypatch, experiment, text):
+    # every runner works on drawn block stacks; the one-trial library type
+    # is for `assemble_effective` and `assemble_multi_panel` callers only
+    monkeypatch.setattr(channel.ChannelRealization, "__post_init__", _no_realization)
+    monkeypatch.setattr(channel, "ChannelRealization", _no_realization)
+    cfg = _cfg(tmp_path, text)
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+
+
 def test_startup_leaves_numpy_random_unloaded():
     # numpy loads numpy.random lazily; importing it at start-up would add
     # to every run's set-up time

@@ -20,7 +20,6 @@ from ris_sim.deploy import (
     CoverageMap,
     DeploymentPlan,
     Scene,
-    cell_breathing,
     greedy_place,
     snr_map,
 )
@@ -339,7 +338,7 @@ def test_breathing_identity_at_full_gain():
     scene = _default_scene()
     plan = _greedy_plan(scene)
     direct = snr_map(scene, plan, PARAMS, THRESHOLD)
-    breathed = cell_breathing(scene, plan, PARAMS, 1.0, THRESHOLD)
+    breathed = snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=1.0)
     assert np.array_equal(direct.snr_db, breathed.snr_db)
     assert np.array_equal(direct.serving, breathed.serving)
 
@@ -348,7 +347,7 @@ def test_breathing_zero_reverts_to_bare_network():
     scene = _default_scene()
     plan = _greedy_plan(scene)
     bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
-    closed = cell_breathing(scene, plan, PARAMS, 0.0, THRESHOLD)
+    closed = snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=0.0)
     assert np.array_equal(bare.snr_db, closed.snr_db)
     assert np.array_equal(bare.covered, closed.covered)
 
@@ -356,7 +355,7 @@ def test_breathing_zero_reverts_to_bare_network():
 def test_breathing_monotone_in_gain():
     scene = _default_scene()
     plan = _greedy_plan(scene)
-    sweep = [cell_breathing(scene, plan, PARAMS, s, THRESHOLD)
+    sweep = [snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=s)
              for s in (0.25, 0.5, 0.75, 1.0, 1.5)]
     covs = [cm.coverage_fraction for cm in sweep]
     assert covs == sorted(covs)
@@ -503,7 +502,7 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
     deploy._segment_blocked = counted
     try:
         plan = greedy_place(scene, TEMPLATE, PARAMS, 1.0, budget, threshold, target)
-        sweep = [cell_breathing(scene, plan, PARAMS, s, threshold) for s in _SWEEP_SCALES]
+        sweep = [snr_map(scene, plan, PARAMS, threshold, gain_scale=s) for s in _SWEEP_SCALES]
         history = _rescan_greedy(scene, threshold, budget, target)
     finally:
         deploy._segment_blocked = _segment_blocked
@@ -576,5 +575,5 @@ def test_each_distance_layer_is_built_once_per_scene(monkeypatch, seed, two_stat
     built = len(scene.base_stations) + len(seen)
     assert layers[0] == built
     for scale in (0.5, 1.0, 1.5):
-        cell_breathing(scene, plan, PARAMS, scale, threshold)
+        snr_map(scene, plan, PARAMS, threshold, gain_scale=scale)
         assert layers[0] == built

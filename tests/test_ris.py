@@ -6,17 +6,25 @@ import pathlib
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_1bit_power, per_problem_phase_ascent
-from ris_sim import numkernel, ris
-from ris_sim.channel import ChannelRealization
+from oracles import (
+    aligned_start,
+    best_1bit_power,
+    per_problem_phase_ascent,
+    unit_gain_entries,
+)
+from ris_sim import coexist, numkernel, ris
+from ris_sim.channel import ChannelRealization, assemble_effective
+from ris_sim.experiments import run_coexist, run_multiuser
 from ris_sim.ris import (
+    ASCENT_REL_TOL,
     RisPanel,
     align_phases_miso,
+    aligned_phases,
     composite_gain,
-    effective_miso,
     phase_ascent_batch,
     quantize_phases,
     wrap_phase,
@@ -24,7 +32,8 @@ from ris_sim.ris import (
 from ris_sim.seeding import complex_normal, rng_from
 
 TWO_PI = 2.0 * math.pi
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 #: phase grid of the single-user capacity ascents below
 GRID = 64
@@ -33,14 +42,6 @@ GRID = 64
 def _unpack(pairs, shape):
     arr = np.asarray(pairs, dtype=float)
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
-
-
-def _real_from(g, h, direct=None):
-    return ChannelRealization(
-        g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
-        pl_nb_ris=1.0, pl_ris_ue=1.0,
-        pl_nb_ue=1.0 if direct is not None else 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +142,16 @@ def test_align_single_element_formula():
 
 
 def test_align_with_direct_term():
+    # one antenna at each end makes u and v unit phases, so the aligned
+    # reflection adds to the direct term coherently, path gains included
     rng = rng_from(17)
-    g = complex_normal(rng, 6)
-    h = complex_normal(rng, 6)
-    direct = 0.4 - 0.9j
-    panel = align_phases_miso(g, h, direct=direct)
-    got = abs(composite_gain(g, h, panel) + direct)
-    want = float(np.sum(np.abs(g * h))) + abs(direct)
+    g = complex_normal(rng, (6, 1))
+    h = complex_normal(rng, (1, 6))
+    real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=np.array([[0.4 - 0.9j]]),
+                              pl_nb_ris=0.5, pl_ris_ue=2.0, pl_nb_ue=0.3)
+    phases = aligned_phases(g[None], h[None], direct=real.h_nb_ue[None], gains=real)
+    got = abs(assemble_effective(real, np.exp(1j * phases[0]))[0, 0])
+    want = float(np.sum(np.abs(g[:, 0] * h[0]))) + math.sqrt(0.3) * abs(0.4 - 0.9j)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -176,47 +180,46 @@ def test_composite_gain_size_check():
 # ---------------------------------------------------------------------------
 # capacity ascent
 
-def _single_user_ascent(real, total_power, noise_power):
+def _single_user_ascent(g, h, total_power, noise_power, max_iters=30):
     """(phases, capacity, trace) of the single-user capacity ascent: one
-    engine problem from the aligned-MISO start, capped at 30 sweeps."""
+    engine problem from the aligned-MISO start."""
+    init = aligned_phases(g, h, direct=None, gains=None)
     ((phases, caps, trace),) = phase_ascent_batch(
-        [([(1.0, real)], ris._aligned_init_phases(real))], np.ones(real.n_elements),
-        total_power, noise_power, 30, 1e-6, GRID)
+        [(np.ones(1), g[None], h[None], init)], total_power, noise_power, max_iters, GRID)
     return phases, float(caps[0]), trace
 
 
-def test_optimize_single_element_matches_alignment():
-    # a direct term pins the otherwise arbitrary global phase
+def test_optimize_two_elements_match_alignment():
+    # only the relative phase matters without a direct term: from a start
+    # a quarter turn off it, the ascent lands within one grid step of the
+    # aligned relative phase
     rng = rng_from(29)
-    g = complex_normal(rng, (1, 1))
-    h = complex_normal(rng, (1, 1))
-    d = complex_normal(rng, (1, 1))
-    real = _real_from(g, h, direct=d)
-    phases, _, _ = _single_user_ascent(real, 1.0, 1.0)
-    aligned = align_phases_miso(g.reshape(-1), h.reshape(-1), direct=complex(d[0, 0]))
-    diff = wrap_phase(phases[0] - aligned.phases[0] + math.pi)
+    g = complex_normal(rng, (2, 1))
+    h = complex_normal(rng, (1, 2))
+    aligned = align_phases_miso(g, h).phases
+    init = wrap_phase(aligned + np.array([0.0, math.pi / 2]))
+    ((phases, _, _),) = phase_ascent_batch(
+        [(np.ones(1), g[None], h[None], init)], 1.0, 1.0, 30, GRID)
+    diff = wrap_phase(phases[0] - phases[1] - (aligned[0] - aligned[1]) + math.pi)
     assert abs(diff - math.pi) <= TWO_PI / GRID + 1e-9
 
 
 def test_optimize_traces_are_monotone():
     for seed in range(100):
         rng = rng_from(seed, "ascent")
-        real = _real_from(complex_normal(rng, (4, 2)), complex_normal(rng, (2, 4)))
-        ((_, caps, trace),) = phase_ascent_batch(
-            [([(1.0, real)], ris._aligned_init_phases(real))], np.ones(4), 5.0, 1.0,
-            6, 1e-6, GRID)
+        g, h = complex_normal(rng, (4, 2)), complex_normal(rng, (2, 4))
+        _, capacity, trace = _single_user_ascent(g, h, 5.0, 1.0, max_iters=6)
         trace = np.asarray(trace)
         assert np.all(np.diff(trace) >= -1e-12)
-        assert caps[0] >= trace[0] - 1e-12
-        assert caps[0] == pytest.approx(trace[-1])
+        assert capacity >= trace[0] - 1e-12
+        assert capacity == pytest.approx(trace[-1])
         assert 1 <= len(trace) - 1 <= 6
 
 
 def test_optimize_never_below_initialization():
     rng = rng_from(31)
-    real = _real_from(complex_normal(rng, (8, 2)), complex_normal(rng, (2, 8)),
-                      direct=complex_normal(rng, (2, 2)))
-    _, capacity, trace = _single_user_ascent(real, 10.0, 1.0)
+    g, h = complex_normal(rng, (8, 2)), complex_normal(rng, (2, 8))
+    _, capacity, trace = _single_user_ascent(g, h, 10.0, 1.0)
     assert capacity >= trace[0] - 1e-12
 
 
@@ -227,19 +230,85 @@ def test_optimize_close_to_exhaustive_fixture():
     inst = data["instances"][0]
     g = _unpack(inst["g"], (8, 2))
     h = _unpack(inst["h"], (2, 8))
-    real = _real_from(g, h)
-    _, capacity, _ = _single_user_ascent(real, data["total_power"], data["noise_power"])
+    _, capacity, _ = _single_user_ascent(g, h, data["total_power"], data["noise_power"])
     assert capacity >= 0.99 * inst["oracle_capacity"]
 
 
 def test_optimize_parameter_checks():
     rng = rng_from(37)
-    real = _real_from(complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2)))
-    args = ([([(1.0, real)], np.zeros(2))], np.ones(2), 1.0, 1.0)
+    problem = (np.ones(1), complex_normal(rng, (1, 2, 2)), complex_normal(rng, (1, 2, 2)),
+               np.zeros(2))
     with pytest.raises(ValueError, match="max_iters"):
-        phase_ascent_batch(*args, 0, 1e-6, GRID)
-    with pytest.raises(ValueError, match="rel_tol"):
-        phase_ascent_batch(*args, 30, 0.0, GRID)
+        phase_ascent_batch([problem], 1.0, 1.0, 0, GRID)
+
+
+# ---------------------------------------------------------------------------
+# aligned start on stacks
+
+def _spy_aligned(monkeypatch, module):
+    """Record every `aligned_phases` call made through `module`."""
+    calls = []
+    aligned = ris.aligned_phases
+
+    def spy(g, h, direct, gains):
+        out = aligned(g, h, direct=direct, gains=gains)
+        calls.append((g, h, direct, gains, out))
+        return out
+
+    monkeypatch.setattr(module, "aligned_phases", spy)
+    return calls
+
+
+_SHIPPED_MULTIUSER = yaml.safe_load((ROOT / "configs" / "multiuser.yaml").read_text())
+_WORKLOAD = {"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elements": 32,
+             "qos_weights": [1.0, 0.8, 0.6, 0.4], "max_iters": 4}
+
+
+@pytest.mark.parametrize("scenario, seed, trials", [
+    pytest.param(_SHIPPED_MULTIUSER["scenario"], _SHIPPED_MULTIUSER["seed"],
+                 _SHIPPED_MULTIUSER["trials"], id="shipped"),
+    pytest.param(_WORKLOAD, 5, 6, id="benchmark"),
+    pytest.param({"n_users": 2, "m_antennas": 3, "u_antennas": 4, "n_elements": 8,
+                  "max_iters": 1}, 11, 3, id="non_square"),
+])
+def test_stacked_start_matches_the_per_realization_route_bit_for_bit(
+        monkeypatch, scenario, seed, trials):
+    calls = _spy_aligned(monkeypatch, ris)
+    run_multiuser(scenario, seed, trials)
+    ((g, h, direct, gains, out),) = calls
+    assert direct is None and gains is None
+    assert out.shape == g.shape[:2] + (g.shape[2],) == (trials, scenario["n_users"],
+                                                         scenario["n_elements"])
+    for t, i in np.ndindex(*out.shape[:2]):
+        real = ChannelRealization(g_nb_ris=g[t, i], h_ris_ue=h[t, i], h_nb_ue=None,
+                                  pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0)
+        assert out[t, i].tobytes() == aligned_start(real).tobytes()
+
+
+def test_lbt_owned_start_matches_the_per_realization_route_bit_for_bit(monkeypatch):
+    calls = _spy_aligned(monkeypatch, coexist)
+    run_coexist({"mode": "lbt", "slots": 5}, seed=5, trials=2)
+    assert len(calls) == 2
+    for g, h, direct, link, out in calls:
+        assert direct is not None
+        assert 1.0 not in (link.pl_nb_ris, link.pl_ris_ue, link.pl_nb_ue)
+        real = ChannelRealization(g_nb_ris=g[0], h_ris_ue=h[0], h_nb_ue=direct[0],
+                                  pl_nb_ris=link.pl_nb_ris, pl_ris_ue=link.pl_ris_ue,
+                                  pl_nb_ue=link.pl_nb_ue)
+        assert out.shape == (1, g.shape[1])
+        assert out[0].tobytes() == aligned_start(real).tobytes()
+
+
+def test_aligned_phases_reach_the_coherent_sum():
+    # a rank-one link collapses to its MISO coefficients exactly, so every
+    # link of the stack reaches the coherent sum of its element gains
+    rng = rng_from(53)
+    g = complex_normal(rng, (3, 5, 1))
+    h = complex_normal(rng, (3, 1, 5))
+    theta = np.exp(1j * aligned_phases(g, h, direct=None, gains=None))
+    got = np.abs(np.sum(h[:, 0, :] * theta * g[:, :, 0], axis=1))
+    want = np.sum(np.abs(g[:, :, 0] * h[:, 0, :]), axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +318,16 @@ def test_optimize_parameter_checks():
 SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2))
 
 
-def _random_entry(rng, n, shape, direct, weight):
-    u, m = shape
-    real = ChannelRealization(
-        g_nb_ris=complex_normal(rng, (n, m)),
-        h_ris_ue=complex_normal(rng, (u, n)),
-        h_nb_ue=complex_normal(rng, (u, m)) if direct else None,
-        pl_nb_ris=float(rng.uniform(0.5, 2.0)),
-        pl_ris_ue=float(rng.uniform(0.5, 2.0)),
-        pl_nb_ue=float(rng.uniform(0.1, 1.0)) if direct else 0.0,
-    )
-    return weight, real
-
-
 def _random_problems(seed, n, shape, specs):
-    """`specs` holds one list of (direct, weight) per problem; every
-    entry's channel is `shape` = (U, M)."""
+    """`specs` holds one list of entry weights per problem; every entry's
+    channel is `shape` = (U, M)."""
     rng = rng_from(seed, "batch-ascent")
+    u, m = shape
     problems = []
-    for spec in specs:
-        entries = [_random_entry(rng, n, shape, *e) for e in spec]
-        problems.append((entries, rng.uniform(0.0, TWO_PI, n)))
+    for weights in specs:
+        blocks = [(complex_normal(rng, (n, m)), complex_normal(rng, (u, n))) for _ in weights]
+        g, h = (np.stack(b) for b in zip(*blocks))
+        problems.append((np.array(weights), g, h, rng.uniform(0.0, TWO_PI, n)))
     return problems
 
 
@@ -278,60 +336,52 @@ def _bits(phases, caps, trace):
             np.asarray(trace, dtype=float).tobytes())
 
 
-def _assert_batch_matches_per_problem(problems, amps, power, noise,
-                                      max_iters, rel_tol, grid_points):
-    args = (power, noise, max_iters, rel_tol, grid_points)
-    batched = phase_ascent_batch(problems, amps, *args)
+def _assert_batch_matches_per_problem(problems, power, noise, max_iters, grid_points):
+    args = (power, noise, max_iters, grid_points)
+    batched = phase_ascent_batch(problems, *args)
     assert len(batched) == len(problems)
-    for (entries, init), got in zip(problems, batched):
-        want = per_problem_phase_ascent(entries, amps, init, *args)
+    for (weights, g, h, init), got in zip(problems, batched):
+        want = per_problem_phase_ascent(
+            unit_gain_entries(weights, g, h), np.ones(init.shape[0]), init, power, noise,
+            max_iters, ASCENT_REL_TOL, grid_points)
         assert _bits(*got) == _bits(*want)
-        (alone,) = phase_ascent_batch([(entries, init)], amps, *args)
+        (alone,) = phase_ascent_batch([(weights, g, h, init)], *args)
         assert _bits(*alone) == _bits(*want)
     return batched
 
 
-_entry_spec = st.tuples(st.booleans(), st.sampled_from((0.5, 1.0, 3.0)))
+_weights = st.lists(st.sampled_from((0.5, 1.0, 3.0)), min_size=1, max_size=3)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    amps=st.lists(st.sampled_from((0.0, 0.3, 1.0)), min_size=1, max_size=6),
+    n=st.integers(1, 6),
     shape=st.sampled_from(SHAPES),
-    specs=st.lists(st.lists(_entry_spec, min_size=1, max_size=3),
-                   min_size=1, max_size=4),
+    specs=st.lists(_weights, min_size=1, max_size=4),
     max_iters=st.integers(1, 5),
-    rel_tol=st.sampled_from((1e-9, 1e-3, 5e-2)),
     grid_points=st.integers(2, 8),
     power=st.sampled_from((0.1, 1.0, 10.0)),
 )
 def test_batch_matches_per_problem_sweep_bit_for_bit(
-        seed, amps, shape, specs, max_iters, rel_tol, grid_points, power):
-    amps = np.array(amps)
-    problems = _random_problems(seed, amps.shape[0], shape, specs)
-    _assert_batch_matches_per_problem(problems, amps, power, 1.0,
-                                      max_iters, rel_tol, grid_points)
+        seed, n, shape, specs, max_iters, grid_points, power):
+    problems = _random_problems(seed, n, shape, specs)
+    _assert_batch_matches_per_problem(problems, power, 1.0, max_iters, grid_points)
 
 
 def test_batch_problems_stop_on_their_own():
     # the four problems settle after different sweep counts, all before
-    # the cap; element 3 absorbs throughout and keeps its start phase
-    specs = [[(False, 1.0), (True, 2.0), (False, 0.5)], [(False, 1.0)],
-             [(True, 1.0)], [(False, 1.0)]]
-    amps = np.array([1.0, 0.3, 1.0, 0.0, 1.0, 1.0])
-    problems = _random_problems(1, 6, (2, 2), specs)
-    out = _assert_batch_matches_per_problem(problems, amps, 1.0, 1.0, 12, 1e-6, 16)
+    # the cap
+    specs = [[1.0, 2.0, 0.5], [1.0], [1.0], [1.0]]
+    problems = _random_problems(34, 6, (2, 2), specs)
+    out = _assert_batch_matches_per_problem(problems, 1.0, 1.0, 12, 16)
     sweeps = [len(trace) - 1 for _, _, trace in out]
     assert len(set(sweeps)) == 4 and max(sweeps) < 12
-    for (_, init), (phases, _, _) in zip(problems, out):
-        assert phases[3] == wrap_phase(init)[3]
 
 
 def test_batch_with_one_sweep():
-    specs = [[(False, 1.0), (True, 1.0)], [(True, 2.0)]]
-    problems = _random_problems(11, 5, (3, 2), specs)
-    out = _assert_batch_matches_per_problem(problems, np.ones(5), 1.0, 1.0, 1, 1e-6, 8)
+    problems = _random_problems(11, 5, (3, 2), [[1.0, 1.0], [2.0]])
+    out = _assert_batch_matches_per_problem(problems, 1.0, 1.0, 1, 8)
     assert [len(trace) for _, _, trace in out] == [2, 2]
 
 
@@ -348,31 +398,31 @@ def test_batch_costs_one_capacity_call_per_element(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(ris.numkernel, name, counted(name))
-    specs = [[(False, 1.0)] * 4] + [[(False, 1.0)]] * 4
+    specs = [[1.0] * 4] + [[1.0]] * 4
     problems = _random_problems(13, 8, (2, 2), specs)
-    out = phase_ascent_batch(problems, np.ones(8), 1.0, 1.0, 3, 1e-12, 16)
+    out = phase_ascent_batch(problems, 1.0, 1.0, 3, 16)
     sweeps = max(len(trace) - 1 for _, _, trace in out)
     assert calls == {name: 1 + 8 * sweeps for name in calls}
 
 
 def test_batch_input_checks():
-    problems = _random_problems(17, 4, (2, 2), [[(False, 1.0)]])
-    assert phase_ascent_batch([], np.ones(4), 1.0, 1.0, 3, 1e-6, 8) == []
+    ((weights, g, h, init),) = _random_problems(17, 4, (2, 2), [[1.0]])
+    assert phase_ascent_batch([], 1.0, 1.0, 3, 8) == []
     with pytest.raises(ValueError, match="element count"):
-        phase_ascent_batch(problems, np.ones(5), 1.0, 1.0, 3, 1e-6, 8)
+        phase_ascent_batch([(weights, g, h, np.zeros(5))], 1.0, 1.0, 3, 8)
+    with pytest.raises(ValueError, match="per entry"):
+        phase_ascent_batch([(np.ones(2), g, h, init)], 1.0, 1.0, 3, 8)
     with pytest.raises(ValueError, match="grid_points"):
-        phase_ascent_batch(problems, np.ones(4), 1.0, 1.0, 3, 1e-6, 1)
+        phase_ascent_batch([(weights, g, h, init)], 1.0, 1.0, 3, 1)
 
 
 def test_batch_rejects_mixed_shapes():
-    # across problems and within one problem alike
-    square = _random_problems(19, 4, (2, 2), [[(False, 1.0)]])
-    ((entries, init),) = square
+    # a problem's blocks are one array each, so only problems can disagree
+    square = _random_problems(19, 4, (2, 2), [[1.0]])
     for other in ((1, 2), (2, 1), (3, 2)):
-        mixed = _random_problems(23, 4, other, [[(True, 1.0)]])
-        for problems in (square + mixed, [(entries + mixed[0][0], init)]):
-            with pytest.raises(ValueError, match="shape"):
-                phase_ascent_batch(problems, np.ones(4), 1.0, 1.0, 3, 1e-6, 8)
+        mixed = _random_problems(23, 4, other, [[1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            phase_ascent_batch(square + mixed, 1.0, 1.0, 3, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +485,3 @@ def test_whole_panel_beats_blocks():
 def test_one_bit_loss_matches_mc_oracle(quantization_ratio_pair):
     sim_ratio, oracle_ratio = quantization_ratio_pair
     assert abs(sim_ratio - oracle_ratio) <= 0.02
-
-
-def test_effective_miso_scalar_consistency():
-    rng = rng_from(53)
-    g = complex_normal(rng, (5, 1))
-    h = complex_normal(rng, (1, 5))
-    real = _real_from(g, h)
-    g_eff, h_eff, d_eff = effective_miso(real)
-    assert d_eff == 0j
-    total = abs(np.sum(np.abs(g_eff * h_eff))) ** 2
-    aligned = align_phases_miso(g.reshape(-1), h.reshape(-1))
-    direct_power = abs(composite_gain(g.reshape(-1), h.reshape(-1), aligned)) ** 2
-    assert total == pytest.approx(direct_power, rel=1e-9)

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_phase_capacity, per_problem_phase_ascent
-from ris_sim import ris, scheduler
-from ris_sim.channel import ChannelRealization, assemble_effective
+from oracles import exhaustive_phase_capacity, per_problem_phase_ascent, unit_gain_entries
+from ris_sim import ris
 from ris_sim.numkernel import capacity_closed_form, singular_values
-from ris_sim.ris import RisPanel
-from ris_sim.scheduler import UserContext, compare_shared_vs_ideal
+from ris_sim.scheduler import compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
 POWER = 1.0
@@ -20,91 +18,67 @@ MAX_ITERS = 30
 GRID = 64
 
 
-def _miso_real(h_row, pl_ris_ue=1.0):
-    n = h_row.shape[0]
-    return ChannelRealization(
-        g_nb_ris=np.ones((n, 1), dtype=complex),
-        h_ris_ue=h_row.reshape(1, n),
-        h_nb_ue=None,
-        pl_nb_ris=1.0, pl_ris_ue=pl_ris_ue, pl_nb_ue=0.0,
-    )
-
-
-def _mimo_real(rng, n=8, m=2, u=2, direct=False):
-    return ChannelRealization(
-        g_nb_ris=complex_normal(rng, (n, m)),
-        h_ris_ue=complex_normal(rng, (u, n)),
-        h_nb_ue=complex_normal(rng, (u, m)) if direct else None,
-        pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.5 if direct else 0.0,
-    )
+def _mimo_blocks(rng, k=1, n=8, m=2, u=2):
+    """Incident (K, N, M) and departure (K, U, N) blocks of K users."""
+    return complex_normal(rng, (k, n, m)), complex_normal(rng, (k, u, n))
 
 
 def _steering(n, k):
     return np.exp(2j * np.pi * k * np.arange(n) / n)
 
 
-def _starts(users):
-    return [ris._aligned_init_phases(u.channel) for u in users]
-
-
-def _shared_caps(users, panel):
+def _shared_caps(g, h, weights):
     """Per-user capacities of the shared ascent that
-    `compare_shared_vs_ideal` runs, as a one-problem engine call."""
+    `compare_shared_vs_ideal` runs, as a one-problem engine call from the
+    heaviest user's aligned start."""
+    starts = ris.aligned_phases(g, h, direct=None, gains=None)
     ((_, caps, _),) = ris.phase_ascent_batch(
-        [scheduler._shared_problem(users, _starts(users))], panel.amplitudes, POWER, NOISE,
-        MAX_ITERS, scheduler.ASCENT_REL_TOL, GRID)
+        [(np.asarray(weights, dtype=float), g, h, starts[int(np.argmax(weights))])],
+        POWER, NOISE, MAX_ITERS, GRID)
     return caps
 
 
-def _private_capacity(real, panel):
+def _private_capacity(g, h):
     """One user's private optimum from the frozen per-problem sweep."""
+    init = ris.aligned_phases(g[None], h[None], direct=None, gains=None)[0]
     _, caps, _ = per_problem_phase_ascent(
-        [(1.0, real)], panel.amplitudes, ris._aligned_init_phases(real), POWER, NOISE,
-        MAX_ITERS, scheduler.ASCENT_REL_TOL, GRID)
+        unit_gain_entries([1.0], g[None], h[None]), np.ones(g.shape[0]), init, POWER, NOISE,
+        MAX_ITERS, ris.ASCENT_REL_TOL, GRID)
     return float(caps[0])
 
 
-def _compare(users, n):
-    """`compare_shared_vs_ideal` on one trial of `users` at the module's
-    power, noise, sweep cap and grid."""
-    (cmp,) = compare_shared_vs_ideal([users], RisPanel.uniform(n), POWER, NOISE,
+def _compare(g, h, weights):
+    """`compare_shared_vs_ideal` on one trial of users with blocks `g`,
+    `h` at the module's power, noise, sweep cap and grid."""
+    (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, POWER, NOISE,
                                      MAX_ITERS, GRID)
     return cmp
 
 
 def _orthogonal_pair(n):
-    """Two users whose departure vectors are exactly orthogonal."""
-    r1 = _miso_real(_steering(n, 0))
-    r2 = _miso_real(_steering(n, n // 2))
-    return [
-        UserContext(r1, 1.0),
-        UserContext(r2, 1.0),
-    ]
+    """Two single-antenna users whose departure vectors are exactly
+    orthogonal, behind one all-ones incident column."""
+    g = np.ones((2, n, 1), dtype=complex)
+    h = np.stack([_steering(n, 0), _steering(n, n // 2)])[:, None, :]
+    return g, h
 
 
 # ---------------------------------------------------------------------------
 # shared reflection state
 
 def test_single_user_reduces_to_optimizer():
-    rng = rng_from(101)
-    real = _mimo_real(rng)
-    user = UserContext(real, 1.0)
-    caps = _shared_caps([user], RisPanel.uniform(8))
-    cmp = _compare([user], 8)
-    ref = _private_capacity(real, RisPanel.uniform(8))
+    g, h = _mimo_blocks(rng_from(101))
+    caps = _shared_caps(g, h, (1.0,))
+    cmp = _compare(g, h, (1.0,))
+    ref = _private_capacity(g[0], h[0])
     assert abs(caps[0] - ref) <= 1e-9
     assert cmp.shared_sum == pytest.approx(ref, abs=1e-9)
 
 
 def test_identical_channels_do_not_conflict():
-    rng = rng_from(103)
-    real = _mimo_real(rng)
-    users = [
-        UserContext(real, 1.0),
-        UserContext(real, 1.0),
-    ]
-    caps = _shared_caps(users, RisPanel.uniform(8))
-    solo = _private_capacity(real, RisPanel.uniform(8))
+    g, h = _mimo_blocks(rng_from(103))
+    caps = _shared_caps(np.repeat(g, 2, axis=0), np.repeat(h, 2, axis=0), (1.0, 1.0))
+    solo = _private_capacity(g[0], h[0])
     for cap in caps:
         assert abs(cap - solo) <= 1e-6
 
@@ -113,13 +87,12 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
     # two orthogonal departure directions cannot both be served coherently
     # by one reflection state; the coarse 4-level sweep certifies that the
     # gap is physical rather than an optimizer artifact
-    users = _orthogonal_pair(8)
-    cmp = _compare(users, 8)
+    g, h = _orthogonal_pair(8)
+    cmp = _compare(g, h, (1.0, 1.0))
     terms = []
-    for u in users:
-        c = u.channel.h_ris_ue[0, :] * u.channel.g_nb_ris[:, 0]
+    for gk, hk in zip(g, h):
         a = np.zeros((8, 4), dtype=complex)
-        a[:, 0] = c
+        a[:, 0] = hk[0, :] * gk[:, 0]
         terms.append((1.0, a, np.zeros(4, dtype=complex)))
     best, _, _ = exhaustive_phase_capacity(terms, 4, POWER, NOISE)
     assert cmp.shared_sum >= best - 1e-9
@@ -128,41 +101,38 @@ def test_orthogonal_users_pay_a_gap_vs_exhaustive():
 
 
 def test_orthogonal_users_strict_gap_n16():
-    users = _orthogonal_pair(16)
-    cmp = _compare(users, 16)
+    cmp = _compare(*_orthogonal_pair(16), (1.0, 1.0))
     assert cmp.gap_fraction > 0.08
     assert cmp.shared_sum <= cmp.ideal_sum + 1e-6
 
 
 def test_user_set_validation():
-    rng = rng_from(107)
-    real = _mimo_real(rng)
-    with pytest.raises(ValueError):
-        _compare([], 8)
-    with pytest.raises(ValueError):
-        UserContext(real, 0.0)
-    with pytest.raises(ValueError):
-        _compare([UserContext(real, 1.0)], 4)
+    g, h = _mimo_blocks(rng_from(107))
+    with pytest.raises(ValueError, match="zero dimension"):
+        _compare(g[:0], h[:0], ())
+    for weights in ((0.0,), (-1.0,), (float("nan"),), (float("inf"),), (1.0, 1.0), ()):
+        with pytest.raises(ValueError, match="QoS weights"):
+            _compare(g, h, weights)
+    # the departure blocks serve 4 elements, the incident ones 8
+    with pytest.raises(ValueError, match="trials, users"):
+        _compare(g, h[..., :4], (1.0,))
+    with pytest.raises(ValueError, match="trials, users"):
+        compare_shared_vs_ideal(g, h, (1.0,), POWER, NOISE, MAX_ITERS, GRID)
+    with pytest.raises(ValueError, match="non-finite"):
+        _compare(g * np.nan, h, (1.0,))
 
 
 # ---------------------------------------------------------------------------
 # shared vs ideal
 
 def test_gap_vanishes_for_one_user():
-    rng = rng_from(109)
-    user = UserContext(_mimo_real(rng), 1.0)
-    cmp = _compare([user], 8)
+    cmp = _compare(*_mimo_blocks(rng_from(109)), (1.0,))
     assert cmp.gap_fraction <= 1e-6
 
 
 def test_gap_vanishes_for_identical_users():
-    rng = rng_from(113)
-    real = _mimo_real(rng)
-    users = [
-        UserContext(real, 1.0),
-        UserContext(real, 1.0),
-    ]
-    cmp = _compare(users, 8)
+    g, h = _mimo_blocks(rng_from(113))
+    cmp = _compare(np.repeat(g, 2, axis=0), np.repeat(h, 2, axis=0), (1.0, 1.0))
     assert cmp.gap_fraction <= 1e-6
 
 
@@ -182,57 +152,73 @@ def test_four_user_gap_regression(multiuser_batch):
 # ---------------------------------------------------------------------------
 # one shared start, one engine call
 
-def _users(seed, n, shape, specs):
-    """One user per (direct, weight) spec, each with a `shape` = (U, M)
-    channel."""
-    rng = rng_from(seed, "multiuser-props")
+def _users(seed, k, n, shape):
+    """Blocks of K users, each with a `shape` = (U, M) channel."""
     u, m = shape
-    return [UserContext(_mimo_real(rng, n, m, u, direct), w) for direct, w in specs]
+    return _mimo_blocks(rng_from(seed, "multiuser-props"), k, n, m, u)
 
 
-def test_shared_start_is_the_heaviest_user_lowest_index_first():
-    users = _users(3, 6, (2, 2), [(False, 1.0), (False, 2.0), (False, 2.0)])
-    starts = _starts(users)
-    entries, init = scheduler._shared_problem(users, starts)
-    assert [w for w, _ in entries] == [1.0, 2.0, 2.0]
-    assert init is starts[1]
-
-
-def test_compare_aligns_each_user_once(monkeypatch):
-    # the lead user's aligned start serves its private ascent and the shared one
+def _spy_engine(monkeypatch):
+    """Record the problems of every `ris.phase_ascent_batch` call."""
     calls = []
-    aligned = ris._aligned_init_phases
+    engine = ris.phase_ascent_batch
 
-    def counted(real):
-        calls.append(real)
-        return aligned(real)
+    def spy(problems, *args):
+        calls.append(problems)
+        return engine(problems, *args)
 
-    monkeypatch.setattr(ris, "_aligned_init_phases", counted)
-    trials = [_users(seed, 6, (2, 2), [(False, 1.0), (False, 2.0), (False, 1.0)])
-              for seed in (1, 2)]
-    compare_shared_vs_ideal(trials, RisPanel.uniform(6), POWER, NOISE, 2, 8)
-    assert [id(r) for r in calls] == [id(u.channel) for users in trials for u in users]
+    monkeypatch.setattr(ris, "phase_ascent_batch", spy)
+    return calls
+
+
+def test_shared_start_is_the_heaviest_user_lowest_index_first(monkeypatch):
+    calls = _spy_engine(monkeypatch)
+    g, h = _users(3, 3, 6, (2, 2))
+    _compare(g, h, (1.0, 2.0, 2.0))
+    ((shared, *private),) = calls
+    starts = ris.aligned_phases(g, h, direct=None, gains=None)
+    weights, sg, sh, init = shared
+    assert weights.tolist() == [1.0, 2.0, 2.0]
+    assert np.array_equal(sg, g) and np.array_equal(sh, h)
+    assert init.tobytes() == starts[1].tobytes()
+    for i, (w, pg, ph, pinit) in enumerate(private):
+        assert w.tolist() == [1.0]
+        assert np.array_equal(pg, g[i:i + 1]) and np.array_equal(ph, h[i:i + 1])
+        assert pinit.tobytes() == starts[i].tobytes()
+
+
+def test_compare_aligns_every_user_in_one_call(monkeypatch):
+    # the lead user's aligned start serves its private ascent and the
+    # shared one, and every trial's starts come from one stacked call
+    calls = []
+    aligned = ris.aligned_phases
+
+    def counted(g, h, direct, gains):
+        calls.append(g.shape)
+        return aligned(g, h, direct=direct, gains=gains)
+
+    monkeypatch.setattr(ris, "aligned_phases", counted)
+    pairs = [_users(seed, 3, 6, (2, 2)) for seed in (1, 2)]
+    g, h = (np.stack(b) for b in zip(*pairs))
+    compare_shared_vs_ideal(g, h, (1.0, 2.0, 1.0), POWER, NOISE, 2, 8)
+    assert calls == [(2, 3, 6, 2)]
 
 
 def test_compare_reuses_the_shared_schedule_bit_for_bit():
-    users = _users(5, 8, (1, 2), [(False, 1.0), (True, 3.0), (False, 3.0)])
-    caps = _shared_caps(users, RisPanel.uniform(8))
-    cmp = _compare(users, 8)
+    g, h = _users(5, 3, 8, (1, 2))
+    weights = (1.0, 3.0, 3.0)
+    caps = _shared_caps(g, h, weights)
+    cmp = _compare(g, h, weights)
     assert cmp.shared_sum == sum(float(c) for c in caps)
 
 
 def test_compare_matches_the_private_optimizer_per_user():
-    users = _users(9, 8, (3, 2), [(False, 1.0), (True, 2.0), (False, 1.0)])
-    cmp = _compare(users, 8)
-    caps = _shared_caps(users, RisPanel.uniform(8))
-    ideal = [
-        max(_private_capacity(u.channel, RisPanel.uniform(8)), float(cap))
-        for u, cap in zip(users, caps)
-    ]
+    g, h = _users(9, 3, 8, (3, 2))
+    weights = (1.0, 2.0, 1.0)
+    cmp = _compare(g, h, weights)
+    caps = _shared_caps(g, h, weights)
+    ideal = [max(_private_capacity(gk, hk), float(cap)) for gk, hk, cap in zip(g, h, caps)]
     assert cmp.ideal_sum == sum(ideal)
-
-
-_user_spec = st.tuples(st.booleans(), st.sampled_from((0.5, 1.0, 2.0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -240,30 +226,29 @@ _user_spec = st.tuples(st.booleans(), st.sampled_from((0.5, 1.0, 2.0)))
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 6),
     shape=st.tuples(st.integers(1, 3), st.integers(1, 2)),
-    specs=st.lists(_user_spec, min_size=1, max_size=3),
+    weights=st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=1, max_size=3),
     max_iters=st.integers(1, 4),
     grid_points=st.sampled_from((4, 8)),
     power=st.sampled_from((0.1, 1.0, 10.0)),
 )
-def test_multiuser_invariants(seed, n, shape, specs, max_iters, grid_points, power):
-    users = _users(seed, n, shape, specs)
-    panel = RisPanel.uniform(n)
+def test_multiuser_invariants(seed, n, shape, weights, max_iters, grid_points, power):
+    g, h = _users(seed, len(weights), n, shape)
     # the problems compare_shared_vs_ideal hands to the engine
-    starts = _starts(users)
-    problems = [scheduler._shared_problem(users, starts)] + [
-        ([(1.0, u.channel)], init) for u, init in zip(users, starts)
+    starts = ris.aligned_phases(g, h, direct=None, gains=None)
+    w = np.array(weights)
+    problems = [(w, g, h, starts[int(np.argmax(w))])] + [
+        (np.ones(1), g[i:i + 1], h[i:i + 1], starts[i]) for i in range(len(weights))
     ]
-    results = ris.phase_ascent_batch(problems, panel.amplitudes, power, NOISE,
-                                     max_iters, 1e-6, grid_points)
+    results = ris.phase_ascent_batch(problems, power, NOISE, max_iters, grid_points)
     for _, _, trace in results:
         assert np.all(np.diff(trace) >= 0.0)
-    (cmp,) = compare_shared_vs_ideal([users], panel, power, NOISE, max_iters, grid_points)
+    (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, power, NOISE,
+                                     max_iters, grid_points)
     assert cmp.shared_sum <= cmp.ideal_sum
     phases, caps, _ = results[0]
     assert cmp.shared_sum == sum(float(c) for c in caps)
-    theta = panel.amplitudes * np.exp(1j * phases)
-    for u, cap in zip(users, caps):
-        h = assemble_effective(u.channel, theta)
+    theta = np.exp(1j * phases)
+    for gk, hk, cap in zip(g, h, caps):
         # the ascent updates channels incrementally, so only rounding differs
-        want = capacity_closed_form(singular_values(h), power, NOISE)
+        want = capacity_closed_form(singular_values((hk * theta) @ gk), power, NOISE)
         assert cap == pytest.approx(want, rel=1e-9, abs=1e-12)
