@@ -21,6 +21,7 @@ import functools
 import logging
 import re
 import sys
+import time
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -116,14 +117,18 @@ def validate_config(raw: str) -> ExperimentConfig:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> ResultTable:
+def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
+                   stages: dict | None = None) -> ResultTable:
     """Dispatch a validated config and write outputs when a path is set.
 
     `out_path` overrides the config's own output path; with neither set
-    the table is only returned.
+    the table is only returned.  A `stages` dict receives the runner's
+    wall time in seconds under "run".
     """
-    runner = RUNNERS[cfg.experiment]
-    table = runner(cfg.scenario, cfg.seed, cfg.trials)
+    start = time.perf_counter()
+    table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
+    if stages is not None:
+        stages["run"] = time.perf_counter() - start
     path = out_path if out_path is not None else cfg.output_path
     if path is not None:
         paths = write_outputs(table, path)
@@ -183,6 +188,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("cannot read config %s: %s", args.config, exc)
         return 2
+    start = time.perf_counter()
     try:
         cfg = validate_config(raw)
         if cfg.experiment != args.command:
@@ -198,8 +204,9 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    stages = {"validate": time.perf_counter() - start}
     try:
-        table = run_experiment(cfg, out_path=args.out)
+        table = run_experiment(cfg, out_path=args.out, stages=stages)
     except OSError as exc:
         log.error("cannot write results: %s", exc)
         return 2
@@ -208,6 +215,9 @@ def main(argv=None) -> int:
         return 2
     if args.out is None and cfg.output_path is None:
         sys.stdout.write(table.to_csv())
+    # the write stage is all the time after the run: files or stdout
+    stages["write"] = time.perf_counter() - start - sum(stages.values())
+    log.info("stages: %s", ", ".join(f"{k} {v * 1e3:.2f} ms" for k, v in stages.items()))
     return 0
 
 

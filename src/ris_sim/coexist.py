@@ -123,11 +123,17 @@ def _bounce_scenario(coex: CoexScenario, seed: int) -> Scenario:
     )
 
 
-def _foreign_state(rng: np.random.Generator, n: int, out: np.ndarray) -> np.ndarray:
-    """Surface state drawn by the foreign controller, uniform phases on
-    its `n` elements, written into the complex vector `out`."""
-    np.multiply(1j, rng.uniform(0.0, 2.0 * math.pi, n), out=out)
-    return np.exp(out, out=out)
+def _foreign_states(rngs, shape) -> np.ndarray:
+    """Surface states drawn by the foreign controller: a complex stack of
+    `shape` whose rows along the last axis take one generator of `rngs`
+    each, in order.  Each row is `np.exp(1j * rng.uniform(0, 2 pi, n))`
+    bit for bit, since `uniform(0, b)` is `0.0 + b * random()`."""
+    phases = np.empty(shape)
+    for row, rng in zip(phases.reshape(-1, shape[-1]), rngs):
+        rng.random(out=row)
+    phases *= 2.0 * math.pi
+    theta = 1j * phases
+    return np.exp(theta, out=theta)
 
 
 #: trials per stacked pass of `stale_rates`; bounds the memory of the
@@ -166,17 +172,14 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     links = link_streams(b_link, ids)
     surfaces = KeyedStreams(seed, [[f"theta/{t}/{slot}" for t in ids] for slot in slots])
     out = np.empty((3, len(scales), len(ids)))
-    theta = np.empty((states, min(STALE_CHUNK, len(ids)), n), dtype=np.complex128)
     for lo in range(0, len(ids), STALE_CHUNK):
         hi = min(lo + STALE_CHUNK, len(ids))
         cols = range(lo, hi)
         blocks = draw_stack(b_link, links, cols)
-        for j in range(states):
-            for i, c in enumerate(cols):
-                _foreign_state(surfaces[j, c], n, theta[j, i])
+        theta = _foreign_states((surfaces[j, c] for j in range(states) for c in cols),
+                                (states, hi - lo, n))
         for a, scale in enumerate(scales):
-            out[:, a, lo:hi] = _stacked_rates(
-                scenario, b_link, blocks, theta[:, :hi - lo], scale)
+            out[:, a, lo:hi] = _stacked_rates(scenario, b_link, blocks, theta, scale)
     log.info("stale CSI: %d trials at %d bounce scales, %d keyed draws, %d stacked passes",
              len(ids), len(scales), links.draws + surfaces.draws,
              links.passes + surfaces.passes)
@@ -267,9 +270,7 @@ def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int):
         # shadowed victim: only the bounce off A's surface, whose state
         # B does not control, so a seeded foreign draw stands in
         link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
-        n = link.n_elements
-        theta = _foreign_state(rng_from(seed, f"own-theta/{net.name}"), n,
-                               np.empty(n, dtype=np.complex128))
+        theta = _foreign_states((rng_from(seed, f"own-theta/{net.name}"),), (1, link.n_elements))
     else:
         los, pl = _fixed_link(coex.geometry, net.nb, net.ue, net.u_antennas,
                               net.m_antennas, dp)
@@ -278,8 +279,8 @@ def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int):
     streams = link_streams(link, (0,))
     blocks = draw_stack(link, streams, (0,))
     if net.ris is not None:
-        theta = np.exp(1j * aligned_phases(*blocks, gains=link)[0])
-    return singular_values(assemble_stack(link, *blocks, theta[None])[0]), streams.draws
+        theta = np.exp(1j * aligned_phases(*blocks, gains=link))
+    return singular_values(assemble_stack(link, *blocks, theta)[0]), streams.draws
 
 
 def _interference_power(coex: CoexScenario, victim: CoexNetwork,

@@ -7,6 +7,10 @@ command line alike.  All randomness is keyed on (seed, trial, label), so a
 table is a pure function of (scenario, seed, trials).  Trials run one
 after another in one thread; the command line accepts `--threads` and
 ignores it.
+
+Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
+imported at module level; each runner and cross-field check imports its
+own question's module where it is used.
 """
 
 from __future__ import annotations
@@ -32,35 +36,7 @@ from .channel import (
     link_streams,
     path_gain,
 )
-from .coexist import (
-    UPDATE_POLICIES,
-    BandFilter,
-    CoexNetwork,
-    CoexScenario,
-    LbtConfig,
-    adjacent_rates,
-    run_lbt_sim,
-    stale_rates,
-)
-from .deploy import (
-    MAX_RASTER_CELLS,
-    BaseStation,
-    Scene,
-    greedy_place,
-    raster_shape,
-    snr_map,
-)
 from .numkernel import singular_values, spectrum_rank
-from .ris import (
-    ASCENT_REL_TOL,
-    MAX_QUANTIZATION_BITS,
-    RisPanel,
-    align_phases_miso,
-    composite_gain,
-    quantize_phases,
-    sweep_converged,
-)
-from .scheduler import compare_shared_vs_ideal
 from .seeding import KeyedStreams, complex_normal_stack, subseed
 
 log = logging.getLogger(__name__)
@@ -334,7 +310,7 @@ _COEX_FIELDS = {
     "noise_power": (1e-13, _positive),
     "t1": (0, _int_ge(0)),
     "t2": (1, _int_ge(0)),
-    "policy": ("rerandomize_each_slot", _choice(*UPDATE_POLICIES)),
+    "policy": ("rerandomize_each_slot", lambda v, path: v),  # checked in _check_coex
     "b_direct_blocked": (False, _boolean),
 }
 
@@ -356,7 +332,7 @@ SCHEMA = {
     "beamform": {
         "n_list": ((1, 4, 16, 64), _list_of(_int_ge(1), nonempty=True)),
         "channel": ("unit", _choice("unit", "rayleigh")),
-        "quantization_bits": ((), _list_of(_int_ge(1, MAX_QUANTIZATION_BITS))),
+        "quantization_bits": ((), _list_of(_int_ge(1))),
     },
     "multiuser": {
         "n_users": (4, _int_ge(1)),
@@ -436,6 +412,8 @@ def _check_rank(p):
 
 
 def _check_coex(p):
+    from .coexist import UPDATE_POLICIES
+    _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
     if p["t1"] > p["t2"]:
         raise ConfigError("scenario.t2",
                           f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
@@ -459,7 +437,10 @@ def _check_coex(p):
 
 
 def _check_beamform(p):
-    """Each listed size and bit width names its own rows, so none repeats."""
+    """Bit widths `quantize_phases` takes, and no repeated size or width."""
+    from .ris import MAX_QUANTIZATION_BITS
+    for i, b in enumerate(p["quantization_bits"]):
+        _integer(b, f"scenario.quantization_bits[{i}]", 1, MAX_QUANTIZATION_BITS)
     for field in ("n_list", "quantization_bits"):
         for i, v in enumerate(p[field]):
             if v in p[field][:i]:
@@ -475,6 +456,7 @@ def _check_multiuser(p):
 
 def _check_deploy(p):
     """Scene geometry inside the extent, and a raster numpy can hold."""
+    from .deploy import MAX_RASTER_CELLS, raster_shape
     extent = p["extent"]
     x0, y0, x1, y1 = extent
     for i, (a, b, c, d) in enumerate(p["obstacles"]):
@@ -629,6 +611,7 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
     adds quantized-to-continuous gain ratio rows per bit width.  One INFO
     log line reports the trials, sizes and keyed draws.
     """
+    from .ris import align_phases_miso, composite_gain, quantize_phases
     check_run(seed, trials)
     p = resolve_scenario("beamform", scenario)
     if p["channel"] != "unit":
@@ -682,6 +665,8 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     sweeps and how many stopped at `max_iters` without meeting the
     tolerance.
     """
+    from . import scheduler
+    from .ris import ASCENT_REL_TOL, sweep_converged
     check_run(seed, trials)
     p = resolve_scenario("multiuser", scenario)
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
@@ -697,7 +682,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     rows, traces = [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
-        results = compare_shared_vs_ideal(
+        results = scheduler.compare_shared_vs_ideal(
             blocks(chunk, 0, (n, m)), blocks(chunk, 1, (u, n)), weights,
             p["power_per_user"], p["noise_power"], p["max_iters"], MULTIUSER_GRID_POINTS,
         )
@@ -720,7 +705,8 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
 # coexist and adjacent: two operators around one uncoordinated surface
 
 
-def _coex_scenario(p, same_frequency) -> CoexScenario:
+def _coex_scenario(p, same_frequency):
+    from .coexist import CoexNetwork, CoexScenario
     geom = Geometry(
         wavelength=p["wavelength"],
         positions={
@@ -770,22 +756,23 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
     listen-before-talk simulations of `slots` slots each, and one INFO
     log line reports the trials, slots and channel blocks drawn.
     """
+    from . import coexist
     check_run(seed, trials)
     p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p, same_frequency=True)
 
     if p["mode"] == "stale_csi":
-        arms = stale_rates(scn, range(trials), seed)
+        arms = coexist.stale_rates(scn, range(trials), seed)
         rows = _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
                            [a[0] for a in arms])
         return _table("coexist", seed, trials, p, rows)
 
-    cfg = LbtConfig(
+    cfg = coexist.LbtConfig(
         sense_threshold_dbm=p["sense_threshold_dbm"],
         backoff_slots_max=p["backoff_slots_max"],
     )
 
-    results = [run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
+    results = [coexist.run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
                for t in range(trials)]
     metrics = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
     rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
@@ -801,10 +788,11 @@ def run_adjacent(scenario, seed, trials) -> ResultTable:
     reuse the same channel and surface draws, and the filtered arm scales
     the bounce amplitude by the double-pass out-of-band budget.
     """
+    from . import coexist
     check_run(seed, trials)
     p = resolve_scenario("adjacent", scenario)
     scn = _coex_scenario(p, same_frequency=False)
-    filt = BandFilter(
+    filt = coexist.BandFilter(
         per_pass_oob_attenuation_db=p["oob_attenuation_db"],
         inband_insertion_loss_db=p["insertion_loss_db"],
         passes_on_reflection=p["filter_passes"],
@@ -812,7 +800,7 @@ def run_adjacent(scenario, seed, trials) -> ResultTable:
 
     rows = _trial_rows(
         ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),
-        adjacent_rates(scn, filt, range(trials), seed),
+        coexist.adjacent_rates(scn, filt, range(trials), seed),
     )
     return _table("adjacent", seed, trials, p, rows)
 
@@ -830,16 +818,18 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
     One INFO log line reports the raster cells, greedy steps, sites
     scored, sight sweeps and breathing scales.
     """
+    from . import deploy
+    from .ris import RisPanel
     check_run(seed, trials)
     p = resolve_scenario("deploy", scenario)
     stations = tuple(
-        BaseStation(
+        deploy.BaseStation(
             position=np.asarray(b["position"], dtype=float),
             tx_power_dbm=b["tx_power_dbm"],
         )
         for b in p["base_stations"]
     )
-    scene = Scene(
+    scene = deploy.Scene(
         extent=p["extent"],
         obstacles=p["obstacles"],
         base_stations=stations,
@@ -854,7 +844,7 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         wavefront_model="planar",
     )
     template = RisPanel.uniform(p["n_elements"])
-    plan = greedy_place(
+    plan = deploy.greedy_place(
         scene, template, params,
         p["cost_per_panel"], p["budget"], p["threshold_db"], p["target_fraction"],
     )
@@ -863,7 +853,7 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         rows.append((step, "greedy_site", int(site)))
         rows.append((step, "greedy_coverage", float(cov)))
     for i, s in enumerate(p["gain_scales"]):
-        cm = snr_map(scene, plan, params, p["threshold_db"], gain_scale=s)
+        cm = deploy.snr_map(scene, plan, params, p["threshold_db"], gain_scale=s)
         rows.append((i, "gain_scale", s))
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
     # greedy scores every site it builds a route layer for, and breathing
@@ -871,7 +861,7 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
     stations, sites = scene.sight_endpoints()
     log.info("deploy: %d raster cells, %d greedy steps, %d sites scored, "
              "%d sight sweeps, %d breathing scales",
-             math.prod(raster_shape(scene.extent, scene.grid_resolution)),
+             math.prod(deploy.raster_shape(scene.extent, scene.grid_resolution)),
              len(plan.history) - 1, sites, len(scene.obstacles) * (stations + sites),
              len(p["gain_scales"]))
     return _table("deploy", seed, trials, p, rows)

@@ -201,7 +201,7 @@ def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
     the block equals `scale * ((re + 1j * im) / sqrt(2))` of two successive
     draws `re` and `im` bit for bit, except for the sign of an exactly
     zero part.  Both parts of every block are drawn into one float stack
-    and written into `out`: no complex temporary is built.
+    and scaled straight into `out`: no complex temporary is built.
 
     When `rngs` indexes a `KeyedStreams`, it must be a lazy iterable such
     as a generator expression: the streams hand out one reused generator,
@@ -211,9 +211,8 @@ def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
     parts = np.empty((len(out), 2) + out.shape[1:])
     for part, rng in zip(parts, rngs):
         rng.standard_normal(out=part)
-    parts *= _PART_SCALE
-    if scale != 1.0:
-        parts *= scale
-    out.real = parts[:, 0]
-    out.imag = parts[:, 1]
+    for dst, src in ((out.real, parts[:, 0]), (out.imag, parts[:, 1])):
+        np.multiply(src, _PART_SCALE, out=dst)
+        if scale != 1.0:
+            dst *= scale
     return out

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import channel, deploy, experiments, seeding
+from ris_sim import channel, coexist, deploy, experiments, scheduler, seeding
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -286,6 +287,22 @@ def test_main_writes_outputs_and_keeps_stdout_clean(tmp_path, capsys):
     assert "wrote" in captured.err
 
 
+@pytest.mark.parametrize("to_files", [True, False])
+def test_main_logs_its_stage_times_to_stderr(tmp_path, capsys, to_files):
+    cfg = _cfg(tmp_path, _SMALL_RANK)
+    out = tmp_path / "res.csv"
+    assert main(["rank", "--config", cfg, *(["--out", str(out)] if to_files else [])]) == 0
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.err.splitlines() if "stages" in ln]
+    assert len(lines) == 1
+    assert re.fullmatch(r"INFO stages: validate \d+\.\d\d ms, run \d+\.\d\d ms, "
+                        r"write \d+\.\d\d ms", lines[0]), lines[0]
+    # timings are run facts, not results: no output carries them
+    outputs = ([p.read_text() for p in (out, tmp_path / "res.json", tmp_path / "res.meta.json")]
+               if to_files else [captured.out])
+    assert not any("stage" in text or "validate" in text for text in outputs)
+
+
 def test_main_streams_csv_to_stdout_without_out(tmp_path, capsys):
     cfg = _cfg(tmp_path, _SMALL_RANK)
     rc = main(["rank", "--config", cfg])
@@ -311,14 +328,14 @@ def test_main_two_runs_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("max_iters", [1, 30])
 def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch, max_iters):
     traces = []
-    compare = experiments.compare_shared_vs_ideal
+    compare = scheduler.compare_shared_vs_ideal
 
     def spy(*args):
         out = compare(*args)
         traces.extend(t for cmp in out for t in cmp.traces)
         return out
 
-    monkeypatch.setattr(experiments, "compare_shared_vs_ideal", spy)
+    monkeypatch.setattr(scheduler, "compare_shared_vs_ideal", spy)
     cfg = _cfg(tmp_path, "experiment: multiuser\ntrials: 4\nscenario:\n  n_users: 3\n"
                          f"  n_elements: 6\n  max_iters: {max_iters}\n")
     assert main(["multiuser", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
@@ -445,6 +462,15 @@ def test_runs_build_no_channel_realization(tmp_path, capsys, monkeypatch, experi
     capsys.readouterr()
 
 
+def _fresh_python(code, *args):
+    """stdout of `code` run by a new interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
 def test_startup_leaves_numpy_random_unloaded():
     # numpy loads numpy.random lazily; importing it at start-up would add
     # to every run's set-up time
@@ -454,12 +480,43 @@ def test_startup_leaves_numpy_random_unloaded():
             "for p in paths:\n"
             "    cli.validate_config(p.read_text())\n"
             "print(len(paths), 'numpy.random' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", code, str(CONFIGS)], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert res.stdout.split() == [str(len(RUNNERS)), "False"]
+    assert _fresh_python(code, CONFIGS).split() == [str(len(RUNNERS)), "False"]
+
+
+#: the ris_sim modules every config loads
+_CORE_MODULES = {"ris_sim", "ris_sim.cli", "ris_sim.experiments", "ris_sim.channel",
+                 "ris_sim.numkernel", "ris_sim.seeding"}
+
+#: experiment -> (modules validation adds to the core, modules the run adds)
+_QUESTION_MODULES = {
+    "rank": ((), ()),
+    "beamform": (("ris",), ("ris",)),
+    "multiuser": ((), ("scheduler", "ris")),
+    "coexist": (("coexist", "ris"), ("coexist", "ris")),
+    "adjacent": (("coexist", "ris"), ("coexist", "ris")),
+    "deploy": (("deploy", "ris"), ("deploy", "ris")),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_QUESTION_MODULES))
+def test_a_run_loads_only_its_question_modules(tmp_path, experiment):
+    # every process compiles and executes each module it imports, so
+    # validation and the run load the core and their own question's modules
+    code = ("import json, sys\n"
+            "import ris_sim.cli as cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'ris_sim')\n"
+            "cli.validate_config(open(sys.argv[2]).read())\n"
+            "validated = loaded(), 'numpy.random' in sys.modules\n"
+            "code = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+            "print(json.dumps([*validated, loaded(), code]))\n")
+    out = _fresh_python(code, experiment, CONFIGS / f"{experiment}.yaml", tmp_path / "r.csv")
+    validated, random_loaded, ran, exit_code = json.loads(out)
+    at_validation, at_run = _QUESTION_MODULES[experiment]
+    assert set(validated) == _CORE_MODULES | {f"ris_sim.{m}" for m in at_validation}
+    assert not random_loaded
+    assert exit_code == 0
+    assert set(ran) == _CORE_MODULES | {f"ris_sim.{m}" for m in at_run}
 
 
 def test_main_seed_override_lands_in_sidecar(tmp_path, capsys):
@@ -595,6 +652,14 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     captured = capsys.readouterr()
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
+
+
+@pytest.mark.parametrize("experiment", ["coexist", "adjacent"])
+def test_unknown_policy_exits_one_with_the_runtime_choices(tmp_path, capsys, experiment):
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\nscenario: {{policy: sometimes}}\n")
+    assert main([experiment, "--config", cfg]) == 1
+    assert (f"invalid config: scenario.policy: must be one of {coexist.UPDATE_POLICIES}, "
+            "got 'sometimes'") in capsys.readouterr().err
 
 
 def test_widest_quantization_still_runs(tmp_path, capsys):

@@ -194,13 +194,27 @@ def test_stale_rates_wrappers_agree():
 
 def test_stale_rates_reject_active_foreign_surface():
     scn = _co_scenario()
-    def active(rng, n, out):
-        out[:] = 1.0 + 1e-9
-        return out
+    def active(rngs, shape):
+        return np.full(shape, 1.0 + 1e-9, dtype=np.complex128)
 
-    with mock.patch.object(coexist, "_foreign_state", active):
+    with mock.patch.object(coexist, "_foreign_states", active):
         with pytest.raises(ValueError, match="magnitude"):
             stale_rates(scn, range(3), 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), states=st.integers(1, 2), rows=st.integers(1, 5),
+       n=st.integers(1, 70))
+def test_foreign_states_match_per_row_uniform_draws_bit_for_bit(seed, states, rows, n):
+    # one stack of random() draws scaled by 2 pi gives every row the phases
+    # of its own uniform(0, 2 pi) call, rows taken in C order
+    shape = (states, rows, n)
+    keys = range(states * rows)
+    stack = coexist._foreign_states((np.random.default_rng([seed, k]) for k in keys), shape)
+    rows_one_by_one = [np.exp(1j * np.random.default_rng([seed, k]).uniform(0, 2 * math.pi, n))
+                       for k in keys]
+    assert stack.shape == shape
+    assert stack.tobytes() == np.stack(rows_one_by_one).tobytes()
 
 
 def test_stale_rates_reject_negative_bounce_scale():

@@ -2,9 +2,9 @@
 
 Deleting code tends to leave imports behind that nothing reads any more.
 This check parses each `src/ris_sim/*.py` file with the standard-library
-`ast` module, so it needs no linter.  The package `__init__.py` re-exports
-its submodules with `from . import ...`; that line is the public surface,
-not a stale import, and is exempt.
+`ast` module, so it needs no linter.  No import is exempt: the package
+`__init__.py` loads no submodule, so an eager `from . import ...` added
+there fails as unused.
 """
 
 import ast
@@ -15,16 +15,14 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ris_sim"
 
 
-def _imported_names(tree, module):
-    """(bound name, line) of every import outside the exempt ones."""
+def _imported_names(tree):
+    """(bound name, line) of every import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield (alias.asname or alias.name.split(".")[0]), node.lineno
         elif isinstance(node, ast.ImportFrom):
             if node.module == "__future__":
-                continue
-            if module == "__init__" and node.level == 1 and node.module is None:
                 continue
             for alias in node.names:
                 yield (alias.asname or alias.name), node.lineno
@@ -47,5 +45,5 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     unused = [f"{path.name}:{line} {name}"
-              for name, line in _imported_names(tree, path.stem) if name not in used]
+              for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
