@@ -123,6 +123,22 @@ def resolve_wavefront(
     return "spherical" if d < fraunhofer_distance(geometry, rows, cols) else "planar"
 
 
+def element_distances(geometry: Geometry, frm: str, to: str, rows: int,
+                      cols: int) -> np.ndarray:
+    """(rows, cols) distances from transmit element c at `frm` to receive
+    element r at `to`: the path lengths of the spherical LoS block.
+
+    Each axis takes one (rows, cols) plane, and the squares are summed in
+    the order `np.linalg.norm(rx[:, None] - tx[None], axis=2)` sums them,
+    so the distances equal it bit for bit without its (rows, cols, 3)
+    temporaries.
+    """
+    tx = geometry.element_positions(frm, cols)
+    rx = geometry.element_positions(to, rows)
+    dx, dy, dz = (np.subtract.outer(rx[:, k], tx[:, k]) for k in range(3))
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def gen_los(
     geometry: Geometry, frm: str, to: str, rows: int, cols: int, wavefront: str = "planar"
 ) -> np.ndarray:
@@ -137,14 +153,13 @@ def gen_los(
     if wavefront not in ("planar", "spherical"):
         raise GeometryError(f"unknown wavefront {wavefront!r}")
     lam = geometry.wavelength
-    tx = geometry.element_positions(frm, cols)
-    rx = geometry.element_positions(to, rows)
     if wavefront == "spherical":
-        diff = rx[:, None, :] - tx[None, :, :]
-        d = np.linalg.norm(diff, axis=2)
+        d = element_distances(geometry, frm, to, rows, cols)
         if np.any(d <= 0.0):
             raise GeometryError(f"coincident element positions between {frm!r} and {to!r}")
         return np.exp(-2j * np.pi * d / lam)
+    tx = geometry.element_positions(frm, cols)
+    rx = geometry.element_positions(to, rows)
     d0 = geometry.distance(frm, to)
     u = (geometry.position(to) - geometry.position(frm)) / d0
     ctx = geometry.position(frm)

@@ -5,8 +5,8 @@ Usage::
     ris-sim <subcommand> --config cfg.yaml [--seed U64] [--threads N] [--out PATH]
 
 The subcommand must match the `experiment` declared in the config file.
-`--threads` must be at least 1 and changes neither results nor speed:
-trials always run one after another.
+`--threads N` (at least 1) lets `rank` run its trials on up to N threads;
+results never depend on N, and every other experiment runs in one thread.
 Validation is strict: unknown fields anywhere in the config are errors,
 reported with their dotted path.  Logs go to stderr; result data goes to
 the output files, or to stdout as CSV when no output path is given.
@@ -33,6 +33,7 @@ from .experiments import (
     ResultTable,
     check_run,
     resolve_scenario,
+    run_rank,
     write_outputs,
 )
 
@@ -118,15 +119,19 @@ def validate_config(raw: str) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
-                   stages: dict | None = None) -> ResultTable:
+                   stages: dict | None = None, threads: int = 1) -> ResultTable:
     """Dispatch a validated config and write outputs when a path is set.
 
     `out_path` overrides the config's own output path; with neither set
     the table is only returned.  A `stages` dict receives the runner's
-    wall time in seconds under "run".
+    wall time in seconds under "run".  `threads` reaches `run_rank`, the
+    one runner that spreads its trials over threads.
     """
     start = time.perf_counter()
-    table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
+    if cfg.experiment == "rank":
+        table = run_rank(cfg.scenario, cfg.seed, cfg.trials, threads)
+    else:
+        table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
     if stages is not None:
         stages["run"] = time.perf_counter() - start
     path = out_path if out_path is not None else cfg.output_path
@@ -169,8 +174,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_u64, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility, must be >= 1; no effect "
-                             "on results or speed")
+                        help="worker threads for rank's trials, >= 1; results never "
+                             "depend on it, and other experiments run in one thread")
         sp.add_argument("--out", default=None,
                         help="override the config output path")
     return parser
@@ -206,7 +211,7 @@ def main(argv=None) -> int:
         cfg = replace(cfg, seed=args.seed)
     stages = {"validate": time.perf_counter() - start}
     try:
-        table = run_experiment(cfg, out_path=args.out, stages=stages)
+        table = run_experiment(cfg, out_path=args.out, stages=stages, threads=args.threads)
     except OSError as exc:
         log.error("cannot write results: %s", exc)
         return 2

@@ -4,9 +4,9 @@ Every runner maps a flat scenario mapping to a long-format table with one
 row per trial per metric.  `SCHEMA` holds each scenario field's default
 and check, and `resolve_scenario` applies it for the runners and the
 command line alike.  All randomness is keyed on (seed, trial, label), so a
-table is a pure function of (scenario, seed, trials).  Trials run one
-after another in one thread; the command line accepts `--threads` and
-ignores it.
+table is a pure function of (scenario, seed, trials).  `run_rank` spreads
+its trials over up to `threads` threads, and its table never depends on
+how many; every other runner works in one thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
 imported at module level; each runner and cross-field check imports its
@@ -33,11 +33,13 @@ from .channel import (
     Scenario,
     assemble_stack,
     draw_stack,
+    element_distances,
     link_streams,
     path_gain,
+    resolve_wavefront,
 )
 from .numkernel import singular_values, spectrum_rank
-from .seeding import KeyedStreams, complex_normal_stack, subseed
+from .seeding import KeyedStreams, complex_normal_stack, fan_out, subseed
 
 log = logging.getLogger(__name__)
 
@@ -403,12 +405,26 @@ def _check_routes(p, routes):
 
 
 def _check_rank(p):
+    """Finite route gains, and no spherical link with coincident elements."""
     alpha = ChannelParams().path_loss_exponent
     nb, ris, ue = "nb_position", "ris_position", "ue_position"
     routes = [(1.0, [(nb, ris, alpha), (ris, ue, alpha)])]
     if p["include_direct"]:
         routes.append((1.0, [(nb, ue, alpha)]))
     _check_routes(p, routes)
+    geom = _rank_geometry(p)
+    m, n, u = p["m_antennas"], p["n_elements"], p["u_antennas"]
+    # (from, to, rows, cols) of each link, as `Scenario` builds it
+    links = [("nb", "ris", n, m), ("ris", "ue", u, n)]
+    if p["include_direct"]:
+        links.append(("nb", "ue", u, m))
+    for frm, to, rows, cols in links:
+        if (resolve_wavefront(geom, frm, to, rows, cols, p["wavefront"]) == "spherical"
+                and not element_distances(geom, frm, to, rows, cols).all()):
+            raise ConfigError(f"scenario.{to}_position",
+                              f"an element of this array coincides with one at "
+                              f"scenario.{frm}_position, and the spherical wavefront "
+                              "needs every pair apart")
 
 
 def _check_coex(p):
@@ -525,24 +541,25 @@ def resolve_scenario(experiment: str, raw) -> dict:
     return p
 
 
-def check_run(seed, trials) -> None:
-    """Reject a seed or trial count no runner can use.
+def check_run(seed, trials, threads=1) -> None:
+    """Reject a seed, trial count or thread count no runner can use.
 
-    The seed must be an integer in [0, 2^64), `trials` an integer >= 1;
-    ConfigError names `seed` or `trials`.
+    The seed must be an integer in [0, 2^64), `trials` and `threads`
+    integers >= 1; ConfigError names `seed`, `trials` or `threads`.
     """
     _integer(seed, "seed", 0)
     if seed >= 1 << 64:
         raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
     _integer(trials, "trials", 1)
+    _integer(threads, "threads", 1)
 
 
 # ---------------------------------------------------------------------------
 # rank: cascaded-channel rank collapse and its near-field escape
 
 
-def _rank_scenario(p, seed) -> Scenario:
-    geom = Geometry(
+def _rank_geometry(p) -> Geometry:
+    return Geometry(
         wavelength=p["wavelength"],
         positions={
             "nb": p["nb_position"],
@@ -550,6 +567,10 @@ def _rank_scenario(p, seed) -> Scenario:
             "ue": p["ue_position"],
         },
     )
+
+
+def _rank_scenario(p, seed) -> Scenario:
+    geom = _rank_geometry(p)
     wf = p["wavefront"]
     nb_ris = ChannelParams(rician_k=math.inf, wavefront_model=wf)
     ris_ue = ChannelParams(rician_k=p["ris_ue_rician_k"], wavefront_model=wf)
@@ -566,36 +587,43 @@ def _rank_scenario(p, seed) -> Scenario:
     )
 
 
-def run_rank(scenario, seed, trials) -> ResultTable:
+def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     """Numerical rank and leading singular values of the effective channel.
 
     The incident hop is pure LoS; under the planar wavefront it is an
     outer product, so the reflected channel pinches to rank one no matter
     how rich the departure hop is.  Switching `wavefront` to "spherical"
-    (or "auto" inside the Fraunhofer distance) lifts the collapse.  Every
-    trial's streams are keyed up front and each trial is drawn on its own,
-    which keeps one trial's blocks in memory; one INFO log line reports
-    the trials, keyed draws and stacked passes.
+    (or "auto" inside the Fraunhofer distance) lifts the collapse.
+
+    Every trial's streams are keyed up front.  `seeding.fan_out` spreads
+    the trials over up to `threads` threads, and each thread draws,
+    assembles and decomposes its trials one at a time, so it keeps one
+    trial's blocks in memory; each spectrum lands in its trial's row, and
+    the table is the same for every thread count.  One INFO log line
+    reports the trials, threads, keyed draws and stacked passes.
     """
-    check_run(seed, trials)
+    check_run(seed, trials, threads)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     streams = link_streams(scn, range(trials))
     ones = np.ones((1, scn.n_elements), dtype=np.complex128)
+    spectra = np.empty((trials, min(scn.m_antennas, scn.u_antennas)))
 
-    def one(t):
-        h_t = assemble_stack(scn, *draw_stack(scn, streams, (t,)), ones)[0]
-        sv = singular_values(h_t)
-        s2 = float(sv[1]) if sv.size > 1 else 0.0
-        return [
+    def work(first, step):
+        for t in range(first, trials, step):
+            h_t = assemble_stack(scn, *draw_stack(scn, streams, (t,)), ones)[0]
+            spectra[t] = singular_values(h_t)
+
+    workers = fan_out(work, trials, threads)
+    rows = []
+    for t, sv in enumerate(spectra):
+        rows += [
             (t, "rank", spectrum_rank(sv)),
             (t, "sigma_1", float(sv[0])),
-            (t, "sigma_2", s2),
+            (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0),
         ]
-
-    rows = [row for t in range(trials) for row in one(t)]
-    log.info("rank: %d trials, %d keyed draws, %d stacked passes",
-             trials, streams.draws, streams.passes)
+    log.info("rank: %d trials on %d threads, %d keyed draws, %d stacked passes",
+             trials, workers, streams.draws, streams.passes)
     return _table("rank", seed, trials, p, rows)
 
 

@@ -20,6 +20,7 @@ from ris_sim.channel import (
     assemble_multi_panel,
     assemble_stack,
     draw_stack,
+    element_distances,
     fraunhofer_distance,
     gen_los,
     link_streams,
@@ -90,6 +91,23 @@ def test_los_rejects_overlapping_arrays():
     g = _geom(a=(0.0, 0.0, 0.0), b=(0.0, 0.0, 0.0))
     with pytest.raises(GeometryError):
         gen_los(g, "a", "b", 2, 2, "spherical")
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.tuples(_coord, _coord, _coord), b=st.tuples(_coord, _coord, _coord),
+       rows=st.integers(1, 40), cols=st.integers(1, 40),
+       wavelength=st.floats(1e-3, 10.0), same_line=st.booleans())
+def test_element_distances_equal_the_norm_of_the_differences(a, b, rows, cols,
+                                                            wavelength, same_line):
+    # on one line the arrays interleave, and some element pairs coincide
+    b = (a[0], a[1], b[2]) if same_line else b
+    g = Geometry(wavelength=wavelength, positions={"a": a, "b": b})
+    tx, rx = g.element_positions("a", cols), g.element_positions("b", rows)
+    want = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
+    assert element_distances(g, "a", "b", rows, cols).tobytes() == want.tobytes()
 
 
 def test_los_rejects_unknown_wavefront():

@@ -1,5 +1,7 @@
 """Config validation and the command-line entry point."""
 
+import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -7,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -407,7 +410,7 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypa
     # every stream is keyed in a few vectorized passes, however many trials
     assert len(draws) >= trials and len(passes) <= 5
     if scales is None:
-        head = f"INFO rank: {trials} trials"
+        head = f"INFO rank: {trials} trials on 1 threads"
     else:
         head = f"INFO stale CSI: {trials} trials at {scales} bounce scales"
     assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
@@ -644,6 +647,12 @@ def test_main_bad_seed_text_is_a_usage_error(tmp_path, capsys):
     ("deploy", "{threshold_db: 24.0, extent: [0, 0, 1.0e+300, 1.0e+300]}",
      "scenario.extent"),
     ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
+    # an element of one array on an element of the other, on a link whose
+    # wavefront is or resolves to spherical
+    ("rank", "{wavefront: spherical, m_antennas: 2, n_elements: 4, "
+             "nb_position: [0, 0, 10], ris_position: [0, 0, 10.1]}", "scenario.ris_position"),
+    ("rank", "{wavefront: auto, include_direct: true, nb_position: [0, 0, 10], "
+             "ue_position: [0, 0, 10.1]}", "scenario.ue_position"),
 ])
 def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
                                                    scenario, path):
@@ -652,6 +661,22 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     captured = capsys.readouterr()
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
+
+
+@pytest.mark.parametrize("experiment, scenario", [
+    ("coexist", "{nb_b_position: [40, 0, 12.1]}"),
+    ("coexist", "{mode: lbt, slots: 20, nb_a_position: [40, 0, 12.1], "
+                "nb_b_position: [40, 0, 11.9]}"),
+    ("adjacent", "{nb_b_position: [40, 0, 12.1]}"),
+])
+def test_coexistence_links_run_with_coincident_elements(tmp_path, capsys, experiment,
+                                                        scenario):
+    # these runners build every link with the planar wavefront, which needs
+    # only distinct nodes, so the rank rule on coincident elements does not
+    # apply to them and what validates runs
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 2\nscenario: {scenario}\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("experiment", ["coexist", "adjacent"])
@@ -667,3 +692,83 @@ def test_widest_quantization_still_runs(tmp_path, capsys):
                          "  quantization_bits: [62]\n")
     assert main(["beamform", "--config", cfg]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# rank on worker threads
+
+#: near field, with the direct link and a finite Rician factor, so that the
+#: workers draw both scattered links; 7 trials split unevenly over 2 and 3
+_THREADED_RANK = ("experiment: rank\nseed: 11\ntrials: 7\nscenario:\n"
+                  "  m_antennas: 3\n  u_antennas: 2\n  n_elements: 48\n"
+                  "  wavefront: spherical\n  include_direct: true\n  ris_ue_rician_k: 2.5\n")
+
+
+def test_rank_tables_match_at_every_thread_count(tmp_path, capsys, monkeypatch):
+    # enough CPUs that every thread count below is the worker count
+    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 64)
+    cfg = _cfg(tmp_path, _THREADED_RANK)
+    tables, lines = [], []
+    for threads in (1, 2, 3, 8):
+        before = threading.active_count()
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["rank", "--config", cfg, "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        assert threading.active_count() == before
+        tables.append(out.read_bytes())
+        lines += [ln for ln in capsys.readouterr().err.splitlines() if "INFO rank:" in ln]
+    assert tables == [tables[0]] * 4
+    # each trial draws its ris_ue and nb_ue blocks; nb_ris is pure LoS
+    assert lines == [f"INFO rank: 7 trials on {workers} threads, 14 keyed draws, "
+                     "3 stacked passes" for workers in (1, 2, 3, 7)]
+
+
+class _CountingExecutor:
+    """Stands in for `ThreadPoolExecutor`: records the workers asked for
+    and runs each submitted call at once, starting no thread."""
+
+    def __init__(self, requested, max_workers):
+        requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus", [None, 3, 10**6])
+def test_huge_thread_count_asks_for_no_more_workers_than_trials_and_cpus(
+        tmp_path, capsys, monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(seeding, "_usable_cpus", lambda: cpus)
+    limit = min(7, seeding._usable_cpus())
+    requested = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        functools.partial(_CountingExecutor, requested))
+    cfg = _cfg(tmp_path, _THREADED_RANK)
+    before = threading.active_count()
+    assert main(["rank", "--config", cfg, "--threads", "1000000",
+                 "--out", str(tmp_path / "many.csv")]) == 0
+    assert threading.active_count() == before
+    # the calling thread is worker 0; the pool holds the others
+    assert requested == ([limit - 1] if limit > 1 else [])
+    assert f"INFO rank: 7 trials on {limit} threads" in capsys.readouterr().err
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.5, True])
+def test_library_rank_checks_its_thread_count(threads):
+    cfg = validate_config(_THREADED_RANK)
+    with pytest.raises(ConfigError) as err:
+        experiments.run_rank(cfg.scenario, cfg.seed, cfg.trials, threads)
+    assert err.value.path == "threads"
+    with pytest.raises(ConfigError, match="threads"):
+        run_experiment(cfg, threads=threads)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and one
+module runs work concurrently.
 
 Deleting code tends to leave imports behind that nothing reads any more.
 This check parses each `src/ris_sim/*.py` file with the standard-library
@@ -47,3 +48,24 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+#: top-level modules that start threads or processes
+_CONCURRENCY = {"_thread", "threading", "concurrent", "multiprocessing"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_one_module_fans_out_trials():
+    # `seeding.fan_out` is the one way to run trials concurrently, next to
+    # the per-thread generators of `KeyedStreams`
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if any(name.split(".")[0] in _CONCURRENCY
+                    for name in _imported_modules(ast.parse(path.read_text())))]
+    assert users == ["seeding.py"]
