@@ -4,17 +4,40 @@ Obstacles are axis-aligned rectangles that block line of sight entirely;
 a panel fills a shadow only when it sees both a base station and the
 shadowed point.  Heights are folded into the planar distances, which
 keeps the link budget 2-D.
+
+Blocked sight toward an endpoint q (a base station or a candidate site)
+is built row by row of the raster.  For one obstacle, the cells of a row
+whose segment to q crosses it form one x interval.  The segment runs in
+the obstacle's y band between two heights, and the interval's ends are
+the projections from q onto the row of the obstacle's x faces at those
+heights: its corners, its faces themselves on rows inside the band, or
+infinity when q is in the band (every row is blocked when q is inside
+the obstacle).  A row whose segment stays out of the band, or only
+touches it at a segment end, has no interval.  The
+interval decides every cell farther than the margin (`_SIGHT_MARGIN`
+times the scene's scale) from both of its ends.  The slab test
+`_segment_blocked` decides the rest:
+
+* cells within the margin of an interval end;
+* whole rows within the margin of q's y, where the projection breaks
+  down;
+* every cell, for an obstacle with any of its four edge lines within
+  the margin of q (a site on a wall or at a corner).
+
+So every mask equals the slab test over every cell and obstacle, bit for
+bit.  Station -> site hops take one slab test over all (site, station,
+obstacle) triples.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelParams, GeometryError
-from .ris import RisPanel
 
 #: clamp for degenerate zero-length links on the grid
 _MIN_LINK_DISTANCE = 1e-3
@@ -46,8 +69,12 @@ class Scene:
     Positions are read-only copies, so what the coverage raster derives
     from them alone is built once per scene, on first use, and kept
     read-only in `_sight`: the blocked-sight mask toward each base station
-    and each candidate site, and, per path-loss exponent, the direct-route
-    layer and each site's site-to-cell distance layer.
+    and each candidate site, the blocked station -> site hops, and, per
+    path-loss exponent, the direct-route layer and each site's site-to-cell
+    distance layer.  A sight mask is built from per-row shadow intervals,
+    and only the cells near an interval end or the endpoint's row, and
+    those of an obstacle whose edge line passes near the endpoint, take
+    the slab test (see the module docstring).
     """
 
     extent: tuple
@@ -96,11 +123,14 @@ class Scene:
         if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
             raise GeometryError(f"point {tuple(p)} lies outside the extent")
 
-    def sight_endpoints(self) -> tuple:
-        """(stations, sites) whose blocked-sight masks this scene has built;
-        each cost one sweep per obstacle."""
+    def sight_work(self) -> tuple:
+        """(stations, sites, cells): the endpoints whose blocked-sight masks
+        this scene has built, and how many raster cells the slab test
+        decided for them."""
         kinds = [key[0] for key in self._sight]
-        return kinds.count("station"), kinds.count("site")
+        tested = sum(entry[1] for key, entry in self._sight.items()
+                     if key[0] in ("station", "site"))
+        return kinds.count("station"), kinds.count("site"), tested
 
     def grid_points(self):
         """Cell-center coordinates (xs, ys) of the coverage raster."""
@@ -129,7 +159,8 @@ def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:
 
     Touching the boundary mid-segment blocks (grazing counts); touching
     only at a segment endpoint does not, so a panel mounted on a wall
-    still sees outward.
+    still sees outward.  The endpoints and the four bounds of `rect`
+    broadcast against the shape of `px`.
     """
     a, b, c, d = rect
     px = np.asarray(px, dtype=float)
@@ -156,56 +187,124 @@ def _segment_blocked(px, py, qx, qy, rect) -> np.ndarray:
     return ok & (t_hi > 0.0) & (t_lo < 1.0) & inner
 
 
-def _blocked_toward(scene: Scene, px, py, q) -> np.ndarray:
-    """Blocked mask of every point (px, py) toward a fixed endpoint q.
+#: Margin of the shadow intervals, as a fraction of the scene scale S, the
+#: largest of the extent's spans and coordinate magnitudes.  A cell decided
+#: by an interval gets the slab test's answer because of this bound.  The
+#: slab test's parameters t = (bound - p) / (q - p) carry a relative error
+#: of at most 3u (u = 2**-53), and its answer follows only the order of
+#: these parameters among themselves and against 0 and 1, so it can
+#: differ from exact geometry only where two of them lie within that
+#: error.  A parameter is 0 only on a face line, where differences of
+#: floats keep their sign exactly; it is 1 only with q on an edge line,
+#: which falls back.  Off the fallback rows and obstacles, a y parameter
+#: is below 2S / m in size (the row is more than m from q's) and more
+#: than m / 2S from 1 (q is more than m from the edge line), so its order
+#: against 1 holds once m**2 > 12 u S**2.  An x parameter meets a y parameter
+#: only where the segment passes a corner, at an interval end X; at a
+#: cell x it differs from that y parameter by
+#: |qx - a| |x - X| / (|qx - x| |qx - X|), with |qx - a| > m for the face
+#: line a, so the order holds once |x - X| > 6u (2 |qx - x| |qx - X| / m
+#: + |qx - x| + |qx - X|), below 30 u S**2 / m for an end inside the
+#: extent.  The closed-form ends round to within 10 u S of the exact ones.
+#: At m = 2**-20 S both bounds stay below 2**-28 S, under m / 200.
+_SIGHT_MARGIN = 2.0 ** -20
 
-    Each obstacle tests only the points whose segment bounding box
-    [min(p, q), max(p, q)] meets its closed rectangle.  A segment whose
-    box misses the rectangle cannot cross it, and `_segment_blocked`
-    agrees: the signs of its differences are exact, and a parameter that
-    rounds to 1 fails its `t_lo < 1` test.
-    """
+
+def _sight_raster(scene: Scene, q) -> tuple:
+    """(mask, cells slab-tested): the raster cells whose segment to q some
+    obstacle blocks, equal to `_segment_blocked` over every cell and
+    obstacle.  See the module docstring for the route."""
+    xs, ys = scene.grid_points()
+    nx, ny = xs.size, ys.size
+    blocked = np.zeros((ny, nx), dtype=bool)
+    if not scene.obstacles:
+        return blocked, 0
     qx, qy = float(q[0]), float(q[1])
-    out = np.zeros(px.shape, dtype=bool)
-    for rect in scene.obstacles:
-        a, b, c, d = rect
-        near = np.ones(px.shape, dtype=bool)
-        for p, qv, lo, hi in ((px, qx, a, c), (py, qy, b, d)):
-            # min(p, q) <= hi and max(p, q) >= lo, with q fixed
-            if qv > hi:
-                near &= p <= hi
-            if qv < lo:
-                near &= p >= lo
-        out[near] |= _segment_blocked(px[near], py[near], qx, qy, rect)
-    return out
+    m = _SIGHT_MARGIN * max(scene.extent[2] - scene.extent[0],
+                            scene.extent[3] - scene.extent[1], *map(abs, scene.extent))
+    # one row per obstacle, one column per raster row
+    a, b, c, d = np.array(scene.obstacles)[:, :, None].transpose(1, 0, 2)
+    # an obstacle with an edge line near q falls back whole
+    at_q = np.array([[min(abs(qx - x0), abs(qx - x1), abs(qy - y0), abs(qy - y1)) <= m]
+                     for x0, y0, x1, y1 in scene.obstacles])
+    dy = np.abs(ys - qy)
+    fallback = at_q | (dy <= m)
+    # the heights where the segment enters and leaves the obstacle's band
+    y_in = np.maximum(np.minimum(ys, qy), b)
+    y_out = np.minimum(np.maximum(ys, qy), d)
+    cross = (y_in < y_out) & ~fallback
+    faces = np.array([a, c])
+    # the low end projects face a, the high end face c, each from the
+    # height that puts it farthest out
+    near = (faces > qx) == np.array([True, False])[:, None, None]
+    # rows and obstacles that fall back may divide by zero here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # projection scale from q onto the row, infinite from q's height
+        r_in = dy / np.abs(y_in - qy)
+        r_out = dy / np.abs(y_out - qy)
+        r_near, r_far = np.minimum(r_in, r_out), np.maximum(r_in, r_out)
+        ends = qx + (faces - qx) * np.where(near, r_near, r_far)
+    # [[i1, i2], [i3, i4]]: the first cell at or past lo - m, lo + m,
+    # hi - m and hi + m
+    idx = np.searchsorted(xs, ends[:, None] + np.array([-m, m])[:, None, None])
+    idx *= cross
+    idx[1, 1][fallback] = nx
+    (i1, i2), (i3, i4) = idx
+    row0 = np.arange(ny) * (nx + 1)
+    run = i3 > i2
+    # cells [i2, i3) are blocked: mark each run on a raster padded by one
+    # column and count the open runs along each row
+    open_runs = np.zeros(ny * (nx + 1), dtype=np.intp)
+    np.add.at(open_runs, (row0 + i2)[run], 1)
+    np.subtract.at(open_runs, (row0 + i3)[run], 1)
+    np.greater(np.cumsum(open_runs).reshape(ny, nx + 1)[:, :nx], 0, out=blocked)
+    # cells [i1, i2) and [max(i2, i3), i4) take the slab test
+    starts = np.concatenate((i1, np.maximum(i2, i3)))
+    counts = (np.concatenate((i2, i4)) - starts).ravel()
+    tested = int(counts.sum())
+    if tested:
+        keep = counts > 0
+        first = (np.arange(ny) * nx + starts).ravel()[keep]
+        counts = counts[keep]
+        cells = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(tested)
+        owner = np.tile(np.arange(len(scene.obstacles)).repeat(ny), 2)[keep].repeat(counts)
+        rect = tuple(v[owner, 0] for v in (a, b, c, d))
+        hit = _segment_blocked(xs[cells % nx], ys[cells // nx], qx, qy, rect)
+        blocked.flat[cells[hit]] = True
+    return blocked, tested
 
 
-def _station_sight(scene: Scene, b: int, gx, gy) -> np.ndarray:
-    """Grid cells with no sight of base station b, cached on the scene."""
-    key = ("station", b)
+def _cached_sight(scene: Scene, key: tuple, q) -> np.ndarray:
+    """Raster sight mask toward q, cached on the scene under `key` with
+    the count of cells the slab test decided."""
     if key not in scene._sight:
-        mask = _blocked_toward(scene, gx, gy, scene.base_stations[b].position)
+        mask, tested = _sight_raster(scene, q)
         mask.setflags(write=False)
-        scene._sight[key] = mask
-    return scene._sight[key]
+        scene._sight[key] = (mask, tested)
+    return scene._sight[key][0]
 
 
-def _site_sight(scene: Scene, s: int, gx, gy):
+def _station_sight(scene: Scene, b: int) -> np.ndarray:
+    """Grid cells with no sight of base station b, cached on the scene."""
+    return _cached_sight(scene, ("station", b), scene.base_stations[b].position)
+
+
+def _site_sight(scene: Scene, s: int):
     """(grid mask, per-station hop mask) of blocked sight toward candidate
-    site s, cached on the scene.
-
-    The base stations ride along with the grid cells in the same sweep, each
-    as the start point of its station -> site hop.
-    """
-    key = ("site", s)
-    if key not in scene._sight:
+    site s, cached on the scene; the hops of every site are tested at once."""
+    if ("hops",) not in scene._sight:
+        # (site, station, obstacle) triples, each segment from its station
         stations = np.array([bs.position for bs in scene.base_stations])
-        px = np.concatenate((gx.ravel(), stations[:, 0]))
-        py = np.concatenate((gy.ravel(), stations[:, 1]))
-        blocked = _blocked_toward(scene, px, py, scene.candidate_sites[s])
-        blocked.setflags(write=False)
-        scene._sight[key] = (blocked[:gx.size].reshape(gx.shape), blocked[gx.size:])
-    return scene._sight[key]
+        sites = np.array(scene.candidate_sites)
+        shape = (len(sites), len(stations), len(scene.obstacles))
+        px, py = (np.broadcast_to(v[:, None], shape) for v in stations.T)
+        qx, qy = (np.broadcast_to(v[:, None, None], shape) for v in sites.T)
+        rect = np.array(scene.obstacles).reshape(-1, 4).T
+        hops = _segment_blocked(px, py, qx, qy, rect).any(axis=2)
+        hops.setflags(write=False)
+        scene._sight[("hops",)] = hops
+    grid = _cached_sight(scene, ("site", s), scene.candidate_sites[s])
+    return grid, scene._sight[("hops",)][s]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +325,7 @@ class CoverageMap:
 
 @dataclass(frozen=True, eq=False)
 class DeploymentPlan:
-    """Placed panels as (site_index, panel) pairs plus plan economics."""
+    """Placed panels as (site_index, n_elements) pairs plus plan economics."""
 
     placed: tuple = ()
     cost: float = 0.0
@@ -269,7 +368,7 @@ def _direct_dbm(scene: Scene, params: ChannelParams, gx, gy) -> np.ndarray:
         for b, bs in enumerate(scene.base_stations):
             d = np.hypot(gx - bs.position[0], gy - bs.position[1])
             dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, d)
-            dbm[_station_sight(scene, b, gx, gy)] = -np.inf
+            dbm[_station_sight(scene, b)] = -np.inf
             np.maximum(out, dbm, out=out)
         out.setflags(write=False)
         scene._sight[key] = out
@@ -293,7 +392,7 @@ def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
     """Route layer of a panel at candidate site s: the best two-hop budget
     over the stations the site sees, -inf where either hop is blocked."""
     site = scene.candidate_sites[s]
-    grid_blocked, hop_blocked = _site_sight(scene, s, gx, gy)
+    grid_blocked, hop_blocked = _site_sight(scene, s)
     out = np.full(gx.shape, -np.inf)
     for bs, blocked in zip(scene.base_stations, hop_blocked):
         if blocked:
@@ -329,8 +428,8 @@ def snr_map(
     direct_dbm = _direct_dbm(scene, params, gx, gy)
     ris_dbm = np.full(gx.shape, -np.inf)
     placed = plan.placed if gain_scale > 0.0 else ()
-    for site_idx, panel in placed:
-        gain_db = _panel_gain_db(panel.n_elements, gain_scale)
+    for site_idx, n_elements in placed:
+        gain_db = _panel_gain_db(n_elements, gain_scale)
         np.maximum(ris_dbm, _site_dbm(scene, site_idx, gain_db, params, gx, gy), out=ris_dbm)
 
     best_dbm = np.maximum(direct_dbm, ris_dbm)
@@ -347,7 +446,7 @@ def snr_map(
 
 def greedy_place(
     scene: Scene,
-    panel_template: RisPanel,
+    n_elements: int,
     params: ChannelParams,
     cost_per_panel: float,
     budget: float,
@@ -355,6 +454,8 @@ def greedy_place(
     target_fraction: float,
 ) -> DeploymentPlan:
     """Iterative placement: always take the site covering the most cells.
+
+    Every placed panel has `n_elements` elements.
 
     Stops at the coverage target, at budget exhaustion, or as soon as no
     remaining site strictly adds coverage.  Site ties resolve to the
@@ -368,6 +469,8 @@ def greedy_place(
     fraction is its integer count over the cell count; so every coverage
     fraction equals that of `snr_map` on the same plan.
     """
+    if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
+        raise ValueError(f"n_elements must be a positive integer, got {n_elements!r}")
     if not (cost_per_panel > 0.0 and math.isfinite(cost_per_panel)):
         raise ValueError(f"cost_per_panel must be positive, got {cost_per_panel}")
     if budget < 0.0:
@@ -376,7 +479,7 @@ def greedy_place(
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
     _, _, gx, gy = _grid(scene)
     noise_dbm = _noise_dbm(params)
-    panel_gain_db = _panel_gain_db(panel_template.n_elements, 1.0)
+    panel_gain_db = _panel_gain_db(n_elements, 1.0)
     masks: dict = {}
 
     def site_mask(idx):
@@ -403,7 +506,7 @@ def greedy_place(
                 best_site = idx
         if best_site < 0:
             break
-        placed.append((best_site, panel_template))
+        placed.append((best_site, n_elements))
         free.remove(best_site)
         spent += cost_per_panel
         count += best_gain

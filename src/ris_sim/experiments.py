@@ -471,7 +471,8 @@ def _check_multiuser(p):
 
 
 def _check_deploy(p):
-    """Scene geometry inside the extent, and a raster numpy can hold."""
+    """Scene geometry inside the extent, a raster numpy can hold, and an
+    element count that converts to a float for the panel gain."""
     from .deploy import MAX_RASTER_CELLS, raster_shape
     extent = p["extent"]
     x0, y0, x1, y1 = extent
@@ -485,6 +486,11 @@ def _check_deploy(p):
     for path, (x, y) in points:
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             raise ConfigError(path, f"lies outside the extent {extent}")
+    try:
+        float(p["n_elements"])
+    except OverflowError:
+        raise ConfigError("scenario.n_elements",
+                          f"{p['n_elements']} does not convert to a float") from None
     try:
         cells = math.prod(raster_shape(extent, p["grid_resolution"]))
     except OverflowError:
@@ -844,10 +850,10 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
     the trial column carries the placement step (and, for breathing rows,
     the sweep index).  Step 0 is the panel-free baseline with site -1.
     One INFO log line reports the raster cells, greedy steps, sites
-    scored, sight sweeps and breathing scales.
+    scored, sight sweeps (one per obstacle and endpoint), raster cells the
+    slab test decided, and breathing scales.
     """
     from . import deploy
-    from .ris import RisPanel
     check_run(seed, trials)
     p = resolve_scenario("deploy", scenario)
     stations = tuple(
@@ -871,9 +877,8 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         noise_power=p["noise_power"],
         wavefront_model="planar",
     )
-    template = RisPanel.uniform(p["n_elements"])
     plan = deploy.greedy_place(
-        scene, template, params,
+        scene, p["n_elements"], params,
         p["cost_per_panel"], p["budget"], p["threshold_db"], p["target_fraction"],
     )
     rows = []
@@ -886,12 +891,12 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
     # greedy scores every site it builds a route layer for, and breathing
     # rasters only placed sites, so the site sight masks count the sites scored
-    stations, sites = scene.sight_endpoints()
+    stations, sites, tested = scene.sight_work()
     log.info("deploy: %d raster cells, %d greedy steps, %d sites scored, "
-             "%d sight sweeps, %d breathing scales",
+             "%d sight sweeps, %d cells slab-tested, %d breathing scales",
              math.prod(deploy.raster_shape(scene.extent, scene.grid_resolution)),
              len(plan.history) - 1, sites, len(scene.obstacles) * (stations + sites),
-             len(p["gain_scales"]))
+             tested, len(p["gain_scales"]))
     return _table("deploy", seed, trials, p, rows)
 
 

@@ -39,7 +39,7 @@ from ris_sim.deploy import (
 )
 from ris_sim.experiments import _coex_scenario, resolve_scenario
 from ris_sim.numkernel import numerical_rank, waterfill_capacity
-from ris_sim.ris import RisPanel, align_phases_miso, composite_gain
+from ris_sim.ris import align_phases_miso, composite_gain
 from ris_sim.scheduler import compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
@@ -238,7 +238,7 @@ def test_criterion_10_greedy_panel_lights_the_shadow():
     assert shadow.sum() > 0
     assert not bare.covered[shadow].any()
 
-    plan = greedy_place(scene, RisPanel.uniform(256), params, 1.0, 3.0,
+    plan = greedy_place(scene, 256, params, 1.0, 3.0,
                         threshold, 0.95)
     # the first pick is the site with line of sight to both the base
     # station and the shadowed pocket behind the obstacle

@@ -355,14 +355,14 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
 
 
 def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
-    sweeps = []
-    segment_blocked = deploy._segment_blocked
+    builds = []
+    sight_raster = deploy._sight_raster
 
     def spy(*args):
-        sweeps.append(args)
-        return segment_blocked(*args)
+        builds.append(sight_raster(*args))
+        return builds[-1]
 
-    monkeypatch.setattr(deploy, "_segment_blocked", spy)
+    monkeypatch.setattr(deploy, "_sight_raster", spy)
     out = tmp_path / "r.csv"
     cfg = str(CONFIGS / "deploy.yaml")
     assert main(["deploy", "--config", cfg, "--out", str(out)]) == 0
@@ -372,12 +372,16 @@ def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
     metrics = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
     steps = metrics.count("greedy_site") - 1
     assert steps >= 1
-    # one sweep per obstacle and endpoint: every station, and every site
-    # once greedy has scored them all
+    # one raster sight build per endpoint: every station, and every site
+    # once greedy has scored them all; a sweep is one endpoint and obstacle
     endpoints = len(p["base_stations"]) + len(p["candidate_sites"])
-    assert len(sweeps) == len(p["obstacles"]) * endpoints
+    assert len(builds) == endpoints
+    tested = sum(n for _, n in builds)
+    assert 0 < tested < cells * len(p["obstacles"]) * endpoints
     assert lines == [f"INFO deploy: {cells} raster cells, {steps} greedy steps, "
-                     f"{len(p['candidate_sites'])} sites scored, {len(sweeps)} sight sweeps, "
+                     f"{len(p['candidate_sites'])} sites scored, "
+                     f"{len(p['obstacles']) * endpoints} sight sweeps, "
+                     f"{tested} cells slab-tested, "
                      f"{metrics.count('gain_scale')} breathing scales"]
 
 
@@ -497,7 +501,7 @@ _QUESTION_MODULES = {
     "multiuser": ((), ("scheduler", "ris")),
     "coexist": (("coexist", "ris"), ("coexist", "ris")),
     "adjacent": (("coexist", "ris"), ("coexist", "ris")),
-    "deploy": (("deploy", "ris"), ("deploy", "ris")),
+    "deploy": (("deploy",), ("deploy",)),
 }
 
 
@@ -646,6 +650,7 @@ def test_main_bad_seed_text_is_a_usage_error(tmp_path, capsys):
      "scenario.grid_resolution"),
     ("deploy", "{threshold_db: 24.0, extent: [0, 0, 1.0e+300, 1.0e+300]}",
      "scenario.extent"),
+    ("deploy", "{threshold_db: 24.0, n_elements: 1" + "0" * 400 + "}", "scenario.n_elements"),
     ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
     # an element of one array on an element of the other, on a link whose
     # wavefront is or resolves to spherical
@@ -661,6 +666,18 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     captured = capsys.readouterr()
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
+
+
+def test_deploy_element_count_beyond_any_array_runs(tmp_path, capsys):
+    # the count enters only the panel gain, so a count no array could
+    # hold still runs
+    cfg = _cfg(tmp_path, "experiment: deploy\nscenario:\n  threshold_db: 24.0\n"
+                         "  n_elements: 100000000000000000000000000\n")
+    out = tmp_path / "r.csv"
+    assert main(["deploy", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [float(v) for _, m, v in rows if m == "greedy_coverage"][-1] >= 0.95
 
 
 @pytest.mark.parametrize("experiment, scenario", [

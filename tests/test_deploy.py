@@ -23,7 +23,6 @@ from ris_sim.deploy import (
     greedy_place,
     snr_map,
 )
-from ris_sim.ris import RisPanel
 
 PARAMS = ChannelParams(rician_k=0.0, path_loss_exponent=2.0,
                        noise_power=1e-13, wavefront_model="planar")
@@ -53,7 +52,7 @@ def _small_scene(obstacles=()):
     )
 
 
-TEMPLATE = RisPanel.uniform(256)
+N_ELEMENTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -114,55 +113,67 @@ def test_blocking_matches_rational_oracle():
 
 
 @st.composite
-def _sight_sweep(draw):
-    """Obstacles, a fixed endpoint and a batch of start points whose
-    coordinates favour the rectangles' edges, the endpoint's own axes and
-    the next floats either side of them."""
-    eighths = st.integers(0, 64).map(lambda k: k / 8.0)
+def _sight_raster_case(draw):
+    """A scene and an endpoint q whose coordinates favour cell-centre rows
+    and columns, obstacle edge lines, and the values next to them: the next
+    floats either side, and a few sight margins either side."""
+    res = draw(st.sampled_from((0.5, 1.0, 0.3, 0.7)))
+    nx, ny = draw(st.integers(2, 16)), draw(st.integers(2, 12))
+    x0, y0 = draw(st.sampled_from(((0.0, 0.0), (-3.25, 1.5), (40.0, -7.0))))
+    scene = Scene(extent=(x0, y0, x0 + nx * res, y0 + ny * res), obstacles=(),
+                  base_stations=(BaseStation(position=(x0, y0), tx_power_dbm=30.0),),
+                  candidate_sites=(), grid_resolution=res, wavelength=0.1)
+    xs, ys = scene.grid_points()
+    margin = deploy._SIGHT_MARGIN * max(nx * res, ny * res, *map(abs, scene.extent))
+
+    def near(values, lo, hi):
+        out = set(values)
+        out |= {np.nextafter(v, s) for v in values for s in (-np.inf, np.inf)}
+        out |= {v + k * margin for v in values for k in (-3.0, -1.5, -1.0, 1.0, 1.5, 3.0)}
+        return st.sampled_from(sorted(float(v) for v in out if lo <= v <= hi))
+
+    def axis(lo, hi, centres):
+        eighths = st.integers(0, math.floor((hi - lo) * 8.0)).map(lambda k: lo + k / 8.0)
+        return st.one_of(eighths, near(list(centres), lo, hi))
+
+    x_axis, y_axis = axis(*scene.extent[::2], xs), axis(*scene.extent[1::2], ys)
     rects = []
     for _ in range(draw(st.integers(1, 3))):
-        x0, x1 = sorted(draw(st.lists(eighths, min_size=2, max_size=2, unique=True)))
-        y0, y1 = sorted(draw(st.lists(eighths, min_size=2, max_size=2, unique=True)))
-        rects.append((x0, y0, x1, y1))
+        a, c = sorted(draw(st.lists(x_axis, min_size=2, max_size=2, unique=True)))
+        b, d = sorted(draw(st.lists(y_axis, min_size=2, max_size=2, unique=True)))
+        rects.append((a, b, c, d))
     a, b, c, d = rects[0]
-    # a free endpoint, a corner or a point on a face (a panel on a wall)
+    edges_x = near([a, c], *scene.extent[::2])
+    edges_y = near([b, d], *scene.extent[1::2])
+    # along a face: its ends, its middle and the cell centres it spans
+    inside_x = near([a, c, (a + c) / 2.0, *xs[(xs >= a) & (xs <= c)]], a, c)
+    inside_y = near([b, d, (b + d) / 2.0, *ys[(ys >= b) & (ys <= d)]], b, d)
     q = draw(st.one_of(
-        st.tuples(eighths, eighths),
-        st.tuples(st.sampled_from((a, c)), st.sampled_from((b, d))),
-        st.tuples(st.sampled_from((a, c)), eighths.filter(lambda v: b <= v <= d)),
-        st.tuples(eighths.filter(lambda v: a <= v <= c), st.sampled_from((b, d))),
+        # free, or on (or next to) a cell-centre row or column
+        st.tuples(x_axis, y_axis),
+        # a corner, a face, and an edge line extended
+        st.tuples(edges_x, edges_y),
+        st.tuples(edges_x, inside_y),
+        st.tuples(inside_x, edges_y),
+        st.tuples(edges_x, y_axis),
+        st.tuples(x_axis, edges_y),
     ))
-
-    def axis_values(edges, qv):
-        base = sorted(set(edges) | {qv})
-        near = [np.nextafter(v, s) for v in base for s in (-np.inf, np.inf)]
-        return st.one_of(eighths, st.sampled_from(base), st.sampled_from(near))
-
-    xs = axis_values([r[0] for r in rects] + [r[2] for r in rects], q[0])
-    ys = axis_values([r[1] for r in rects] + [r[3] for r in rects], q[1])
-    pts = draw(st.lists(st.tuples(xs, ys), min_size=2, max_size=40).map(
-        lambda v: v if len(v) % 2 == 0 else v[:-1]))
-    px, py = (np.array(v, dtype=float) for v in zip(*pts))
-    if draw(st.booleans()):
-        # the raster's 2-D layout
-        px, py = px.reshape(2, -1), py.reshape(2, -1)
-    return tuple(rects), q, px, py
+    return replace(scene, obstacles=tuple(rects)), q
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(sweep=_sight_sweep())
-def test_sight_prefilter_matches_the_plain_sweep(sweep):
-    rects, q, px, py = sweep
-    scene = replace(_small_scene(), obstacles=rects)
-    # a segment a few subnormals long overflows its slab parameters to
-    # +-inf, which still compare correctly
-    with np.errstate(over="ignore"):
-        want = np.zeros(px.shape, dtype=bool)
-        for rect in rects:
-            want |= deploy._segment_blocked(px, py, q[0], q[1], rect)
-        got = deploy._blocked_toward(scene, px, py, q)
-    assert got.shape == px.shape
+@given(case=_sight_raster_case())
+def test_sight_raster_matches_the_slab_test_on_every_cell(case):
+    scene, q = case
+    xs, ys = scene.grid_points()
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    want = np.zeros(gx.shape, dtype=bool)
+    for rect in scene.obstacles:
+        want |= deploy._segment_blocked(gx, gy, q[0], q[1], rect)
+    got, tested = deploy._sight_raster(scene, q)
+    assert got.shape == gx.shape
     assert np.array_equal(got, want)
+    assert 0 <= tested <= len(scene.obstacles) * gx.size
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +201,7 @@ def test_enclosed_cell_unreachable():
         grid_resolution=4.0,
         wavelength=0.1,
     )
-    panel = RisPanel.uniform(64)
-    cm = snr_map(scene, DeploymentPlan(placed=((0, panel),)), PARAMS, THRESHOLD)
+    cm = snr_map(scene, DeploymentPlan(placed=((0, 64),)), PARAMS, THRESHOLD)
     assert cm.serving[2, 2] == SERVING_NONE
     assert not cm.covered[2, 2]
     assert cm.snr_db[2, 2] == -np.inf
@@ -199,7 +209,7 @@ def test_enclosed_cell_unreachable():
 
 def test_shadowed_cell_budget_matches_hand_computation():
     scene = _default_scene()
-    plan = DeploymentPlan(placed=((0, TEMPLATE),))
+    plan = DeploymentPlan(placed=((0, N_ELEMENTS),))
     cm = snr_map(scene, plan, PARAMS, THRESHOLD)
     # cell centre (61, 31): hidden from the station, dual line of sight
     # through the site at (60, 8)
@@ -220,7 +230,7 @@ def test_shadowed_cell_budget_matches_hand_computation():
 
 def test_ris_serving_label_is_strict():
     scene = _default_scene()
-    plan = DeploymentPlan(placed=((0, TEMPLATE), (1, TEMPLATE)))
+    plan = DeploymentPlan(placed=((0, N_ELEMENTS), (1, N_ELEMENTS)))
     bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
     full = snr_map(scene, plan, PARAMS, THRESHOLD)
     ris_cells = full.serving == SERVING_RIS
@@ -239,7 +249,7 @@ def test_edge_panel_raises_far_corner_snr():
         wavelength=0.1,
     )
     bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
-    with_panel = snr_map(scene, DeploymentPlan(placed=((0, TEMPLATE),)),
+    with_panel = snr_map(scene, DeploymentPlan(placed=((0, N_ELEMENTS),)),
                          PARAMS, THRESHOLD)
     ix = int(np.argmin(np.abs(bare.xs - 95.0)))
     iy = int(np.argmin(np.abs(bare.ys - 5.0)))
@@ -259,7 +269,7 @@ def test_scene_validation():
               base_stations=(BaseStation(position=(1, 1), tx_power_dbm=0.0),),
               candidate_sites=(), grid_resolution=0.0, wavelength=0.1)
     with pytest.raises(ValueError):
-        DeploymentPlan(placed=((0, TEMPLATE), (0, TEMPLATE)))
+        DeploymentPlan(placed=((0, N_ELEMENTS), (0, N_ELEMENTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,7 @@ def test_scene_validation():
 
 def test_saturated_scene_places_nothing():
     scene = _small_scene()
-    plan = greedy_place(scene, TEMPLATE, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD, target_fraction=0.95)
     assert plan.placed == ()
     assert plan.cost == 0.0
@@ -277,7 +287,7 @@ def test_saturated_scene_places_nothing():
 
 def test_shadow_site_chosen_first():
     scene = _default_scene()
-    plan = greedy_place(scene, TEMPLATE, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD, target_fraction=0.95)
     assert plan.placed[0][0] == 0
     covs = [c for _, c in plan.history]
@@ -288,13 +298,13 @@ def test_shadow_site_chosen_first():
 
 def test_greedy_against_subset_enumeration():
     scene = _default_scene()
-    plan = greedy_place(scene, TEMPLATE, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
                         budget=2.0, threshold_db=THRESHOLD, target_fraction=1.0)
     best_subset = 0.0
     best_single = 0.0
     for k in (0, 1, 2):
         for sites in itertools.combinations(range(3), k):
-            trial = DeploymentPlan(placed=tuple((s, TEMPLATE) for s in sites))
+            trial = DeploymentPlan(placed=tuple((s, N_ELEMENTS) for s in sites))
             cov = snr_map(scene, trial, PARAMS, THRESHOLD).coverage_fraction
             best_subset = max(best_subset, cov)
             if k == 1:
@@ -307,8 +317,8 @@ def test_greedy_is_deterministic():
     scene = _default_scene()
     kw = dict(cost_per_panel=1.0, budget=3.0, threshold_db=THRESHOLD,
               target_fraction=0.95)
-    a = greedy_place(scene, TEMPLATE, PARAMS, **kw)
-    b = greedy_place(scene, TEMPLATE, PARAMS, **kw)
+    a = greedy_place(scene, N_ELEMENTS, PARAMS, **kw)
+    b = greedy_place(scene, N_ELEMENTS, PARAMS, **kw)
     assert [s for s, _ in a.placed] == [s for s, _ in b.placed]
     assert a.cost == b.cost
     assert a.coverage_fraction == b.coverage_fraction
@@ -318,18 +328,21 @@ def test_greedy_is_deterministic():
 def test_greedy_parameter_checks():
     scene = _default_scene()
     with pytest.raises(ValueError):
-        greedy_place(scene, TEMPLATE, PARAMS, 0.0, 3.0, THRESHOLD, 0.95)
+        greedy_place(scene, N_ELEMENTS, PARAMS, 0.0, 3.0, THRESHOLD, 0.95)
     with pytest.raises(ValueError):
-        greedy_place(scene, TEMPLATE, PARAMS, 1.0, -1.0, THRESHOLD, 0.95)
+        greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, -1.0, THRESHOLD, 0.95)
     with pytest.raises(ValueError):
-        greedy_place(scene, TEMPLATE, PARAMS, 1.0, 3.0, THRESHOLD, 0.0)
+        greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, 3.0, THRESHOLD, 0.0)
+    for n_elements in (0, 2.5, "256"):
+        with pytest.raises(ValueError):
+            greedy_place(scene, n_elements, PARAMS, 1.0, 3.0, THRESHOLD, 0.95)
 
 
 # ---------------------------------------------------------------------------
 # cell breathing
 
 def _greedy_plan(scene):
-    return greedy_place(scene, TEMPLATE, PARAMS, cost_per_panel=1.0,
+    return greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD,
                         target_fraction=0.95)
 
@@ -445,7 +458,7 @@ def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
         dbm[blocked(bs.position)] = -np.inf
         direct = np.maximum(direct, dbm)
     ris = np.full(gx.shape, -np.inf)
-    for idx, panel in plan.placed if gain_scale > 0.0 else ():
+    for idx, n_elements in plan.placed if gain_scale > 0.0 else ():
         site = scene.candidate_sites[idx]
         to_grid = gain_db(np.hypot(gx - site[0], gy - site[1]))
         for bs in scene.base_stations:
@@ -453,7 +466,7 @@ def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
                    for r in scene.obstacles):
                 continue
             dbm = (bs.tx_power_dbm + gain_db(float(np.hypot(*(bs.position - site))))
-                   + 20.0 * math.log10(panel.n_elements * gain_scale) + to_grid)
+                   + 20.0 * math.log10(n_elements * gain_scale) + to_grid)
             ris = np.maximum(ris, np.where(blocked(site), -np.inf, dbm))
     snr = np.maximum(direct, ris) - 10.0 * math.log10(params.noise_power * 1e3)
     serving = np.where(ris > direct, SERVING_RIS,
@@ -464,7 +477,7 @@ def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
 def _rescan_greedy(scene, threshold_db, budget, target):
     """Greedy history with every free site rescored by a full `snr_map`."""
     def cov(sites):
-        plan = DeploymentPlan(placed=tuple((s, TEMPLATE) for s in sites))
+        plan = DeploymentPlan(placed=tuple((s, N_ELEMENTS) for s in sites))
         return snr_map(scene, plan, PARAMS, threshold_db).coverage_fraction
 
     placed, spent = [], 0.0
@@ -494,18 +507,19 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
         hop_site = scene.candidate_sites[-1 - wall_site - twin]
         assert los_blocked(scene, scene.base_stations[0].position, hop_site)
     calls = [0]
+    sight_raster = deploy._sight_raster
 
     def counted(*args):
         calls[0] += 1
-        return _segment_blocked(*args)
+        return sight_raster(*args)
 
-    deploy._segment_blocked = counted
+    deploy._sight_raster = counted
     try:
-        plan = greedy_place(scene, TEMPLATE, PARAMS, 1.0, budget, threshold, target)
+        plan = greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, budget, threshold, target)
         sweep = [snr_map(scene, plan, PARAMS, threshold, gain_scale=s) for s in _SWEEP_SCALES]
         history = _rescan_greedy(scene, threshold, budget, target)
     finally:
-        deploy._segment_blocked = _segment_blocked
+        deploy._sight_raster = sight_raster
 
     assert plan.history == history
     assert [s for s, _ in plan.placed] == [s for s, _ in history[1:]]
@@ -513,7 +527,7 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
         # the twin ties site 0 and never adds coverage next to it
         assert len(scene.candidate_sites) - 1 not in [s for s, _ in plan.placed]
     every_site = DeploymentPlan(
-        placed=tuple((i, TEMPLATE) for i in range(len(scene.candidate_sites))))
+        placed=tuple((i, N_ELEMENTS) for i in range(len(scene.candidate_sites))))
     checks = [(plan, s, cm) for s, cm in zip(_SWEEP_SCALES, sweep)]
     checks.append((every_site, 1.0, snr_map(scene, every_site, PARAMS, threshold)))
     for placed, scale, cm in checks:
@@ -521,11 +535,11 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
         assert np.array_equal(cm.snr_db, snr)
         assert np.array_equal(cm.covered, covered)
         assert np.array_equal(cm.serving, serving)
-    # one mask sweep per obstacle and endpoint; greedy scores every site
-    # as soon as it runs one step
+    # one raster sight build per endpoint; greedy scores every site as
+    # soon as it runs one step
     scored = len(history) > 1 or (budget >= 1.0 and history[0][1] < target)
     endpoints = len(scene.base_stations) + (len(scene.candidate_sites) if scored else 0)
-    assert calls[0] == len(scene.obstacles) * endpoints
+    assert calls[0] == endpoints
 
 
 def test_candidate_site_positions_are_read_only_copies():
@@ -565,7 +579,7 @@ def test_each_distance_layer_is_built_once_per_scene(monkeypatch, seed, two_stat
         return seg_gain_db(scene_, params, dist)
 
     monkeypatch.setattr(deploy, "_seg_gain_db", counted)
-    plan = greedy_place(scene, TEMPLATE, PARAMS, 1.0, 3.0, threshold, 1.0)
+    plan = greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, 3.0, threshold, 1.0)
     assert len(plan.history) > 2
     # the direct layer once per station, then one layer per scored site
     # that some station sees

@@ -1,6 +1,6 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
 sidecar of every shipped config, of four LBT tables and of the multiuser
-benchmark workload.
+and deploy benchmark workloads.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.cli import main
-from ris_sim.experiments import RUNNERS, run_coexist, run_multiuser
+from ris_sim.experiments import RUNNERS, run_coexist, run_deploy, run_multiuser
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -97,4 +97,29 @@ WORKLOAD_MULTIUSER = ({"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elemen
 def test_workload_multiuser_csv_matches_golden_digest():
     scenario, digest = WORKLOAD_MULTIUSER
     table = run_multiuser(scenario, seed=5, trials=6)
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+# A scene like the deploy-dense benchmark workload's: four obstacles,
+# twelve sites and a 0.5 m raster, where the shipped config has one
+# obstacle on a 2 m raster.  The second obstacle's bottom edge lies at the
+# station's y and carries site 4; the third has its edges on cell-centre
+# rows and columns and site 5 on its corner.
+WORKLOAD_DEPLOY = ({"extent": [0.0, 0.0, 100.0, 60.0],
+                    "obstacles": [[81.81, 6.462, 87.874, 13.167], [51.232, 30.0, 57.906, 36.577],
+                                  [60.25, 23.25, 69.25, 27.75], [33.365, 3.752, 41.971, 14.307]],
+                    "base_stations": [{"position": [10.0, 30.0], "tx_power_dbm": 30.0}],
+                    "candidate_sites": [[57.122, 15.266], [71.923, 6.713], [84.683, 15.993],
+                                        [89.175, 17.499], [54.0, 30.0], [69.25, 27.75],
+                                        [81.639, 28.148], [96.457, 31.428], [59.937, 48.811],
+                                        [66.881, 46.682], [80.417, 59.41], [96.199, 54.172]],
+                    "grid_resolution": 0.5, "n_elements": 2048, "threshold_db": 56.0,
+                    "budget": 6.0, "target_fraction": 1.0,
+                    "gain_scales": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]},
+                   "d37fabf81471820bc173f22ae49b85d1794b8328f5a374e267511e4815ebbeb2")
+
+
+def test_workload_deploy_csv_matches_golden_digest():
+    scenario, digest = WORKLOAD_DEPLOY
+    table = run_deploy(scenario, seed=5, trials=1)
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
