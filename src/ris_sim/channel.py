@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkernel import as_complex_matrix
 from .seeding import KeyedStreams, complex_normal_stack
 
 
@@ -199,136 +198,36 @@ def path_gain(wavelength: float, distance: float, exponent: float) -> float:
     return float((wavelength / (4.0 * math.pi * distance)) ** exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One drawn set of channel blocks plus their path-loss scalars.
-
-    `h_nb_ue` is None when the direct link is blocked; the assembly then
-    consists of the reflected term alone.
-    """
-
-    g_nb_ris: np.ndarray
-    h_ris_ue: np.ndarray
-    h_nb_ue: np.ndarray | None
-    pl_nb_ris: float
-    pl_ris_ue: float
-    pl_nb_ue: float
-
-    def __post_init__(self):
-        g = as_complex_matrix(self.g_nb_ris, "g_nb_ris")
-        h = as_complex_matrix(self.h_ris_ue, "h_ris_ue")
-        object.__setattr__(self, "g_nb_ris", g)
-        object.__setattr__(self, "h_ris_ue", h)
-        if h.shape[1] != g.shape[0]:
-            raise ValueError(
-                f"element count mismatch: h_ris_ue has {h.shape[1]} columns, "
-                f"g_nb_ris has {g.shape[0]} rows"
-            )
-        if self.h_nb_ue is not None:
-            d = as_complex_matrix(self.h_nb_ue, "h_nb_ue")
-            object.__setattr__(self, "h_nb_ue", d)
-            if d.shape != (h.shape[0], g.shape[1]):
-                raise ValueError(
-                    f"h_nb_ue shape {d.shape} does not match (U, M) = "
-                    f"({h.shape[0]}, {g.shape[1]})"
-                )
-        for name in ("pl_nb_ris", "pl_ris_ue", "pl_nb_ue"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-    @property
-    def n_elements(self) -> int:
-        return self.g_nb_ris.shape[0]
-
-    @property
-    def m_antennas(self) -> int:
-        return self.g_nb_ris.shape[1]
-
-    @property
-    def u_antennas(self) -> int:
-        return self.h_ris_ue.shape[0]
-
-
-def _check_theta(diag: np.ndarray, n: int) -> np.ndarray:
-    """Check reflection diagonals stacked along the last axis of `diag`."""
-    if diag.shape[-1] != n:
-        raise ValueError(f"surface has {diag.shape[-1]} elements, channel expects {n}")
-    if np.any(np.abs(diag) > 1.0 + 1e-12):
-        raise ValueError("reflection coefficients must have magnitude <= 1")
-    return diag
-
-
-def _theta_vector(theta, n: int) -> np.ndarray:
-    """Check a surface given as its complex reflection diagonal."""
-    return _check_theta(np.asarray(theta, dtype=np.complex128).reshape(-1), n)
-
-
-def assemble_effective(real: ChannelRealization, theta) -> np.ndarray:
-    """Effective base-station -> user channel for one surface setting.
-
-    `theta` is the surface's complex reflection diagonal, for example
-    `RisPanel.theta_diagonal()`; every |theta_n| must be at most 1.
-    """
-    diag = _theta_vector(theta, real.n_elements)
-    return _assemble(real, real.g_nb_ris, real.h_ris_ue, real.h_nb_ue, diag, 1.0)
-
-
-def _assemble(gains, g, h, direct, diag, beta_gain: float) -> np.ndarray:
-    """The assembly formula for one trial or a stack; `gains` is the
-    realization or scenario that carries the path gains `pl_*`."""
-    if beta_gain < 0.0:
-        raise ValueError(f"beta_gain must be >= 0, got {beta_gain}")
-    amp = math.sqrt(gains.pl_ris_ue * gains.pl_nb_ris) * beta_gain
-    # diag[..., None, :] has the ndim of h: numpy picks its elementwise loop
-    # by operand layout, and only equal layouts round alike in every case
-    h_d = h * diag[..., None, :]
-    h_d *= amp
-    h_t = h_d @ g
-    if direct is not None:
-        h_t += math.sqrt(gains.pl_nb_ue) * direct
-    return h_t
-
-
 def assemble_stack(scenario: Scenario, g, h, direct, theta,
                    beta_gain: float = 1.0) -> np.ndarray:
     """Effective channels of a stack of trials drawn from one scenario.
 
     `g` (B, N, M), `h` (B, U, N) and `direct` (B, U, M), or None when the
     scenario has no direct link, stack the blocks of B realizations of
-    `scenario`, which supplies the path gains.  `theta` (B, N) holds one
-    reflection diagonal per trial; every |theta_n| must be at most 1.
-    Returns (B, U, M), and each entry equals `assemble_effective` on that
-    trial's realization and diagonal bit for bit.
+    `scenario`, which supplies the element count `n_elements` and the path
+    gains `pl_*`.  `theta` (B, N) holds one reflection diagonal per trial;
+    every |theta_n| must be at most 1.  Returns (B, U, M): trial b's entry
+    is sqrt(pl_ris_ue pl_nb_ris) beta_gain h[b] diag(theta[b]) g[b] plus
+    sqrt(pl_nb_ue) direct[b], the reflected term scaled before the product.
     """
-    diag = _check_theta(np.asarray(theta, dtype=np.complex128), scenario.n_elements)
+    diag = np.asarray(theta, dtype=np.complex128)
     if diag.ndim != 2:
         raise ValueError(f"theta must be (trials, elements), got shape {diag.shape}")
-    return _assemble(scenario, g, h, direct, diag, beta_gain)
-
-
-def assemble_multi_panel(reals, thetas) -> np.ndarray:
-    """Superpose the reflected terms of several panels.
-
-    Each realization describes the hop through one panel, whose reflection
-    diagonal is the matching entry of `thetas`; the direct term is taken
-    from the first realization that carries one (the direct link does not
-    depend on any panel).
-    """
-    if len(reals) != len(thetas) or not reals:
-        raise ValueError("need one realization per panel, at least one pair")
-    shape = (reals[0].u_antennas, reals[0].m_antennas)
-    h_t = np.zeros(shape, dtype=np.complex128)
-    for real, theta in zip(reals, thetas):
-        if (real.u_antennas, real.m_antennas) != shape:
-            raise ValueError("all realizations must share (U, M)")
-        diag = _theta_vector(theta, real.n_elements)
-        amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris)
-        h_t += amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
-    for real in reals:
-        if real.h_nb_ue is not None:
-            h_t = h_t + math.sqrt(real.pl_nb_ue) * real.h_nb_ue
-            break
+    if diag.shape[-1] != scenario.n_elements:
+        raise ValueError(f"surface has {diag.shape[-1]} elements, "
+                         f"channel expects {scenario.n_elements}")
+    if np.any(np.abs(diag) > 1.0 + 1e-12):
+        raise ValueError("reflection coefficients must have magnitude <= 1")
+    if beta_gain < 0.0:
+        raise ValueError(f"beta_gain must be >= 0, got {beta_gain}")
+    amp = math.sqrt(scenario.pl_ris_ue * scenario.pl_nb_ris) * beta_gain
+    # diag[..., None, :] has the ndim of h: numpy picks its elementwise loop
+    # by operand layout, and only equal layouts round alike in every case
+    h_d = h * diag[..., None, :]
+    h_d *= amp
+    h_t = h_d @ g
+    if direct is not None:
+        h_t += math.sqrt(scenario.pl_nb_ue) * direct
     return h_t
 
 
@@ -421,8 +320,7 @@ def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
     (B, N, M), (B, U, N) and (B, U, M), direct None without a direct link;
     each block is drawn from its own trial's stream of its link.  A link
     with infinite Rician factor is the scenario's read-only LoS block,
-    broadcast along the stack.  The fixed blocks are not scanned again and
-    no `ChannelRealization` is built.
+    broadcast along the stack.  The fixed blocks are not scanned again.
     """
     cols = list(cols)
     return tuple(None if params is None else

@@ -637,41 +637,49 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
 # beamform: aligned-phase array gain and quantization loss
 
 
+#: coefficients per hop in one beamform stack: a size's trials are taken
+#: in chunks of at most this many coefficients, and at least one trial,
+#: so that memory does not grow with the trial count
+BEAMFORM_CHUNK = 1 << 16
+
+
 def run_beamform(scenario, seed, trials) -> ResultTable:
     """Coherent power gain of an aligned panel, optionally quantized.
 
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
     channels each trial draws fresh coefficients; `quantization_bits`
-    adds quantized-to-continuous gain ratio rows per bit width.  One INFO
-    log line reports the trials, sizes and keyed draws.
+    adds quantized-to-continuous gain ratio rows per bit width.  A chunk
+    of trials of one size is one stack: their incident coefficients, then
+    their departure coefficients, (2, trials, N), every row from its own
+    keyed stream, so no value depends on the chunking.  One INFO log line
+    reports the trials, sizes and keyed draws.
     """
-    from .ris import align_phases_miso, composite_gain, quantize_phases
+    from .ris import align_miso, miso_gains, quantize_phases
     check_run(seed, trials)
     p = resolve_scenario("beamform", scenario)
+    bits = p["quantization_bits"]
     if p["channel"] != "unit":
         streams = KeyedStreams(seed, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
                                        for n in p["n_list"]] for t in range(trials)])
-
-    def one(t):
-        rows = []
-        for j, n in enumerate(p["n_list"]):
-            if p["channel"] == "unit":
-                g = np.ones(n, dtype=np.complex128)
-                h = np.ones(n, dtype=np.complex128)
-            else:
-                g, h = complex_normal_stack((streams[t, j, hop] for hop in range(2)),
-                                            np.empty((2, n), dtype=np.complex128), 1.0)
-            panel = align_phases_miso(g, h)
-            gain = abs(composite_gain(g, h, panel)) ** 2
-            rows.append((t, f"gain_n{n}", gain))
-            for b in p["quantization_bits"]:
-                q = quantize_phases(panel, b)
-                qgain = abs(composite_gain(g, h, q)) ** 2
-                ratio = qgain / gain if gain > 0.0 else 0.0
-                rows.append((t, f"ratio_b{b}_n{n}", ratio))
-        return rows
-
-    rows = [row for t in range(trials) for row in one(t)]
+    columns = []
+    for j, n in enumerate(p["n_list"]):
+        gains, ratios = [], [[] for _ in bits]
+        step = max(1, BEAMFORM_CHUNK // n)
+        for lo in range(0, trials, step):
+            chunk = range(lo, min(lo + step, trials))
+            gh = np.ones((2, len(chunk), n), dtype=np.complex128)
+            if p["channel"] != "unit":
+                complex_normal_stack((streams[t, j, hop] for hop in range(2) for t in chunk),
+                                     gh.reshape(-1, n), 1.0)
+            phases = align_miso(*gh)
+            cont = miso_gains(*gh, phases)
+            gains += cont
+            for b, column in zip(bits, ratios):
+                column += [q / c if c > 0.0 else 0.0
+                           for q, c in zip(miso_gains(*gh, quantize_phases(phases, b)), cont)]
+        columns += [(f"gain_n{n}", gains)]
+        columns += [(f"ratio_b{b}_n{n}", column) for b, column in zip(bits, ratios)]
+    rows = [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
     log.info("beamform: %d trials, %d sizes, %d keyed draws", trials, len(p["n_list"]),
              0 if p["channel"] == "unit" else streams.draws)
     return _table("beamform", seed, trials, p, rows)

@@ -23,7 +23,7 @@ DEFAULT_RANK_TOL = 1e-8
 _BUDGET_RTOL = 1e-12
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a) -> np.ndarray:
     """Validate and return `a` as a 2-D complex128 array.
 
     Raises ValueError for wrong dimensionality, zero-sized axes, or
@@ -31,8 +31,8 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    return _check_entries(arr, name)
+        raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
+    return _check_entries(arr, "matrix")
 
 
 def as_complex_stack(a, name: str = "matrix") -> np.ndarray:
@@ -262,14 +262,6 @@ def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
     log1 = np.log2(np.where(pos1, g1, 1.0))
     both = 2 * np.log2(mu2) + (log1 + np.log2(np.where(pos2, g2, 1.0)))
     return np.where(nact == 2, both, np.where(nact == 1, np.log2(mu1) + log1, 0.0))
-
-
-def waterfill_capacity(h, total_power: float, noise_power: float) -> float:
-    """Capacity of channel `h` under optimal power allocation.
-
-    The zero matrix carries no information and returns 0.
-    """
-    return capacity_closed_form(singular_values(h), total_power, noise_power)
 
 
 def waterfill_precoder(h, total_power: float, noise_power: float) -> np.ndarray:

@@ -1,23 +1,23 @@
 """Reflective-surface state and passive beamforming.
 
 A surface is a diagonal of per-element reflection coefficients
-theta_n = beta_n * exp(j phi_n), beta_n in [0, 1].  This module owns the
-panel value type (its `theta_diagonal` is the form the channel assembly
-takes), phase quantization, closed-form MISO alignment, and the
-alternating capacity ascent used for MIMO links.  Links come as stacks of
-channel blocks: `aligned_phases` gives the aligned-MISO start of every
-link of a stack in one SVD pass per hop, and `phase_ascent_batch` is the
-one ascent engine, over fully reflective surfaces at the caller's grid and
-sweep cap.  `scheduler.compare_shared_vs_ideal` runs every ascent of many
-trials through it at once (a one-user trial is the single-user ascent),
-with one spectrum call and one capacity call per element step for all of
-them.
+theta_n = beta_n * exp(j phi_n), beta_n in [0, 1], held as a plain array:
+the channel assembly `channel.assemble_stack` takes one such diagonal per
+trial.  This module owns phase quantization (`quantize_phases`), the
+closed-form MISO alignment and coherent gain of stacked links
+(`align_miso`, `miso_gains`), and the alternating capacity ascent used for
+MIMO links.  Links come as stacks of channel blocks: `aligned_phases`
+gives the aligned-MISO start of every link of a stack in one SVD pass per
+hop, and `phase_ascent_batch` is the one ascent engine, over fully
+reflective surfaces at the caller's grid and sweep cap.
+`scheduler.compare_shared_vs_ideal` runs every ascent of many trials
+through it at once (a one-user trial is the single-user ascent), with one
+spectrum call and one capacity call per element step for all of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,107 +32,58 @@ def wrap_phase(phi):
     return np.where(out >= TWO_PI, 0.0, out)
 
 
-@dataclass(frozen=True, eq=False)
-class RisPanel:
-    """Immutable per-element state of one reflective panel.
-
-    An element with amplitude zero absorbs.  When `quantization_bits` is
-    set, all phases must sit exactly on the 2 pi k / 2^bits grid.
-    """
-
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    quantization_bits: int | None = None
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=float).reshape(-1)
-        phi = np.asarray(self.phases, dtype=float).reshape(-1)
-        if amp.shape != phi.shape:
-            raise ValueError(
-                f"amplitudes ({amp.shape[0]}) and phases ({phi.shape[0]}) disagree"
-            )
-        if amp.shape[0] == 0:
-            raise ValueError("panel needs at least one element")
-        if not np.all(np.isfinite(amp)) or not np.all(np.isfinite(phi)):
-            raise ValueError("panel state must be finite")
-        if np.any(amp < 0.0) or np.any(amp > 1.0):
-            raise ValueError("amplitudes must lie in [0, 1]")
-        if np.any(phi < 0.0) or np.any(phi >= TWO_PI):
-            raise ValueError("phases must lie in [0, 2 pi)")
-        amp.setflags(write=False)
-        phi.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", phi)
-        if self.quantization_bits is not None:
-            bits = int(self.quantization_bits)
-            if bits < 1:
-                raise ValueError(f"quantization_bits must be >= 1, got {bits}")
-            levels = 1 << bits
-            step = TWO_PI / levels
-            k = np.round(phi / step)
-            if np.any(k * step != phi):
-                raise ValueError("phases are off the quantization grid")
-
-    @property
-    def n_elements(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def theta_diagonal(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
-
-    @classmethod
-    def uniform(cls, n_elements: int) -> "RisPanel":
-        """Fully reflective panel, all phases zero."""
-        if n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-        return cls(np.ones(n_elements), np.zeros(n_elements))
-
-
 # widest quantization whose 2^bits level indices fit in int64
 MAX_QUANTIZATION_BITS = int(np.iinfo(np.int64).max).bit_length() - 1
 
 
-def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
-    """Snap every phase to the nearest of 2^bits uniform levels.
+def quantize_phases(phases, bits: int) -> np.ndarray:
+    """Snap phases in [0, 2 pi) to the nearest of 2^bits uniform levels.
 
-    Exact midpoints go to the smaller level index; the wrap-around
-    midpoint between the top level and 2 pi therefore goes to level 0.
+    Level k sits at k * step, step = 2 pi / 2^bits.  A phase goes to the
+    integer k nearest x = phase / step; an exact midpoint goes to the
+    smaller of its two indices, floor(x), so the midpoint between the top
+    level and 2 pi stays on the top level, and k = 2^bits is level 0.  The
+    result is wrapped into [0, 2 pi): past 2^53 levels the top level
+    indices round to 2 pi itself, which folds to 0.
     """
     bits = int(bits)
     if not 1 <= bits <= MAX_QUANTIZATION_BITS:
         raise ValueError(f"bits must lie in [1, {MAX_QUANTIZATION_BITS}], got {bits}")
-    levels = 1 << bits
-    step = TWO_PI / levels
-    x = panel.phases / step
-    k = np.floor(x + 0.5)
-    tie = (x - np.floor(x)) == 0.5
-    k[tie] = np.floor(x[tie])
-    k = k.astype(np.int64) % levels
-    return replace(panel, phases=k * step, quantization_bits=bits)
+    step = TWO_PI / (1 << bits)
+    x = np.asarray(phases, dtype=float) / step
+    k = np.floor(x)
+    # x - k is exact, so only a fraction strictly above one half rounds up
+    k += (x - k) > 0.5
+    return wrap_phase(k * step)
 
 
-def align_phases_miso(g, h) -> RisPanel:
-    """Coherent single-user alignment phi_n = -arg(h_n) - arg(g_n).
+def align_miso(g, h) -> np.ndarray:
+    """Coherent MISO alignment phi_n = -arg(h_n) - arg(g_n), elementwise.
 
-    `g` holds the per-element incident coefficients (base station side),
-    `h` the per-element departure coefficients (user side); both accept
-    any shape with N entries.  The composite is aligned to phase zero;
-    `aligned_phases` aligns stacks of MIMO links, to a direct term too.
+    `g` holds the per-element incident coefficients (base station side)
+    and `h` the per-element departure coefficients (user side) of a link,
+    or of a stack of links (..., N); every composite is aligned to phase
+    zero.  `aligned_phases` aligns stacks of MIMO links, to a direct term
+    too.
     """
-    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
-    hv = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if gv.shape != hv.shape:
-        raise ValueError(f"g has {gv.shape[0]} elements, h has {hv.shape[0]}")
-    return RisPanel(np.ones(gv.shape[0]), wrap_phase(-np.angle(hv) - np.angle(gv)))
+    return wrap_phase(-np.angle(h) - np.angle(g))
 
 
-def composite_gain(g, h, panel: RisPanel) -> complex:
-    """Scalar reflected coefficient sum_n h_n theta_n g_n."""
-    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
-    hv = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if gv.shape[0] != panel.n_elements or hv.shape[0] != panel.n_elements:
-        raise ValueError("channel vectors do not match the panel size")
-    return complex(np.sum(hv * panel.theta_diagonal() * gv))
+def miso_gains(g, h, phases) -> list:
+    """Power |sum_n h_n exp(j phi_n) g_n|^2 of each link of a stack (..., N).
+
+    The surface is fully reflective.  Returns one Python float per link,
+    in C order of the leading axes.  Each term is (h_n exp(j phi_n)) g_n,
+    multiplied in that order, and each link's terms are summed by their
+    own `np.sum`: a single reduction over the stack may add them in
+    another order.
+    """
+    # np.multiply, not `*`: on a large temporary operand numpy reuses its
+    # buffer with the operands swapped, and a complex product with fused
+    # multiply-adds is not commutative in the last bit
+    terms = np.multiply(h, np.exp(1j * phases))
+    terms *= g
+    return [abs(complex(np.sum(row))) ** 2 for row in terms.reshape(-1, terms.shape[-1])]
 
 
 def aligned_phases(g, h, direct, gains) -> np.ndarray:

@@ -32,26 +32,27 @@ def rerand_stale_batch():
 def quantization_ratio_pair():
     """(simulated, oracle) mean 1-bit power loss over 16-element channels.
 
-    The simulated route goes through align + quantize + composite on 10^4
-    seeded draws; the oracle is an independent dense Monte Carlo estimate
-    of the same expectation.
+    The simulated route draws 10^4 seeded trials one at a time, then
+    aligns, quantizes and takes both gains on the stacked draws; the
+    oracle is an independent dense Monte Carlo estimate of the same
+    expectation.
     """
     import numpy as np
 
     from oracles import quantization_ratio_oracle
-    from ris_sim.ris import align_phases_miso, composite_gain, quantize_phases
+    from ris_sim.ris import align_miso, miso_gains, quantize_phases
     from ris_sim.seeding import complex_normal, rng_from
 
     n, trials = 16, 10_000
     rng = rng_from(321, "quantloss")
-    cont = np.empty(trials)
-    coarse = np.empty(trials)
+    g = np.empty((trials, n), dtype=np.complex128)
+    h = np.empty((trials, n), dtype=np.complex128)
     for t in range(trials):
-        g = complex_normal(rng, n)
-        h = complex_normal(rng, n)
-        panel = align_phases_miso(g, h)
-        cont[t] = abs(composite_gain(g, h, panel)) ** 2
-        coarse[t] = abs(composite_gain(g, h, quantize_phases(panel, 1))) ** 2
+        g[t] = complex_normal(rng, n)
+        h[t] = complex_normal(rng, n)
+    phases = align_miso(g, h)
+    cont = np.array(miso_gains(g, h, phases))
+    coarse = np.array(miso_gains(g, h, quantize_phases(phases, 1)))
     sim_ratio = float(coarse.mean() / cont.mean())
     oracle_ratio = quantization_ratio_oracle(n, 1, 200_000, seed=99)
     return sim_ratio, oracle_ratio

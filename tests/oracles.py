@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -410,8 +411,6 @@ def unit_gain_entries(weights, g, h):
     """The (weight, realization) entries of `per_problem_phase_ascent` for
     one `ris.phase_ascent_batch` problem given as (weights, g, h): unit
     path gains and no direct link."""
-    from ris_sim.channel import ChannelRealization
-
     return [(float(w), ChannelRealization(g_nb_ris=gk, h_ris_ue=hk, h_nb_ue=None,
                                           pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0))
             for w, gk, hk in zip(weights, g, h)]
@@ -424,8 +423,7 @@ def aligned_start(real):
     """Aligned-MISO start phases of one `ChannelRealization`, as the
     package computed them one trial at a time before `ris.aligned_phases`
     took stacks: the per-element MISO collapse `effective_miso`, then the
-    alignment `ris.align_phases_miso` made when it still took the direct
-    term.
+    alignment `align_phases_miso` made when it still took the direct term.
 
     Like `per_problem_phase_ascent` this is a frozen copy, not an
     independent algorithm: it takes its singular vectors from the
@@ -556,7 +554,6 @@ def keyed_blocks(scenario, trial: int):
     `subseed(subseed(seed, f"trial/{trial}"), label)` by one `SeedSequence`
     per call; a pure-LoS block is a copy of the scenario's.
     """
-    from ris_sim.channel import ChannelRealization
     from ris_sim.seeding import subseed
 
     base = subseed(scenario.seed, f"trial/{trial}")
@@ -568,3 +565,249 @@ def keyed_blocks(scenario, trial: int):
     return ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
                               pl_nb_ris=scenario.pl_nb_ris, pl_ris_ue=scenario.pl_ris_ue,
                               pl_nb_ue=scenario.pl_nb_ue)
+
+# ---------------------------------------------------------------------------
+# one-trial panel and channel layer, frozen
+#
+# Like `per_problem_phase_ascent` these are frozen copies, not independent
+# algorithms: the panel value type, its quantizer, the MISO alignment and
+# gain, the one-trial realization and its assembly, as the package ran them
+# before beamforming and the assembly went to stacked arrays.  The array
+# route (`ris.align_miso`, `ris.miso_gains`, `ris.quantize_phases`,
+# `channel.assemble_stack`) is pinned against them byte for byte.
+
+@dataclass(frozen=True, eq=False)
+class RisPanel:
+    """Immutable per-element state of one reflective panel.
+
+    An element with amplitude zero absorbs.  When `quantization_bits` is
+    set, all phases must sit exactly on the 2 pi k / 2^bits grid.
+    """
+
+    amplitudes: np.ndarray
+    phases: np.ndarray
+    quantization_bits: int | None = None
+
+    def __post_init__(self):
+        amp = np.asarray(self.amplitudes, dtype=float).reshape(-1)
+        phi = np.asarray(self.phases, dtype=float).reshape(-1)
+        if amp.shape != phi.shape:
+            raise ValueError(
+                f"amplitudes ({amp.shape[0]}) and phases ({phi.shape[0]}) disagree"
+            )
+        if amp.shape[0] == 0:
+            raise ValueError("panel needs at least one element")
+        if not np.all(np.isfinite(amp)) or not np.all(np.isfinite(phi)):
+            raise ValueError("panel state must be finite")
+        if np.any(amp < 0.0) or np.any(amp > 1.0):
+            raise ValueError("amplitudes must lie in [0, 1]")
+        if np.any(phi < 0.0) or np.any(phi >= TWO_PI):
+            raise ValueError("phases must lie in [0, 2 pi)")
+        amp.setflags(write=False)
+        phi.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "phases", phi)
+        if self.quantization_bits is not None:
+            bits = int(self.quantization_bits)
+            if bits < 1:
+                raise ValueError(f"quantization_bits must be >= 1, got {bits}")
+            levels = 1 << bits
+            step = TWO_PI / levels
+            k = np.round(phi / step)
+            if np.any(k * step != phi):
+                raise ValueError("phases are off the quantization grid")
+
+    @property
+    def n_elements(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def theta_diagonal(self) -> np.ndarray:
+        return self.amplitudes * np.exp(1j * self.phases)
+
+    @classmethod
+    def uniform(cls, n_elements: int) -> "RisPanel":
+        """Fully reflective panel, all phases zero."""
+        if n_elements < 1:
+            raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+        return cls(np.ones(n_elements), np.zeros(n_elements))
+
+
+#: the widest quantization the package took when this copy was frozen
+MAX_QUANTIZATION_BITS = int(np.iinfo(np.int64).max).bit_length() - 1
+
+
+def quantize_phases(panel: RisPanel, bits: int) -> RisPanel:
+    """Snap every phase to the nearest of 2^bits uniform levels.
+
+    Exact midpoints go to the smaller level index; the wrap-around
+    midpoint between the top level and 2 pi therefore goes to level 0.
+    """
+    bits = int(bits)
+    if not 1 <= bits <= MAX_QUANTIZATION_BITS:
+        raise ValueError(f"bits must lie in [1, {MAX_QUANTIZATION_BITS}], got {bits}")
+    levels = 1 << bits
+    step = TWO_PI / levels
+    x = panel.phases / step
+    k = np.floor(x + 0.5)
+    tie = (x - np.floor(x)) == 0.5
+    k[tie] = np.floor(x[tie])
+    k = k.astype(np.int64) % levels
+    return replace(panel, phases=k * step, quantization_bits=bits)
+
+
+def align_phases_miso(g, h) -> RisPanel:
+    """Coherent single-user alignment phi_n = -arg(h_n) - arg(g_n).
+
+    `g` holds the per-element incident coefficients (base station side),
+    `h` the per-element departure coefficients (user side); both accept
+    any shape with N entries.  The composite is aligned to phase zero;
+    `aligned_phases` aligns stacks of MIMO links, to a direct term too.
+    """
+    from ris_sim.ris import wrap_phase
+
+    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
+    hv = np.asarray(h, dtype=np.complex128).reshape(-1)
+    if gv.shape != hv.shape:
+        raise ValueError(f"g has {gv.shape[0]} elements, h has {hv.shape[0]}")
+    return RisPanel(np.ones(gv.shape[0]), wrap_phase(-np.angle(hv) - np.angle(gv)))
+
+
+def composite_gain(g, h, panel: RisPanel) -> complex:
+    """Scalar reflected coefficient sum_n h_n theta_n g_n."""
+    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
+    hv = np.asarray(h, dtype=np.complex128).reshape(-1)
+    if gv.shape[0] != panel.n_elements or hv.shape[0] != panel.n_elements:
+        raise ValueError("channel vectors do not match the panel size")
+    return complex(np.sum(hv * panel.theta_diagonal() * gv))
+
+
+def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return `a` as a 2-D complex128 array.
+
+    Raises ValueError for wrong dimensionality, zero-sized axes, or
+    non-finite entries.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ValueError(f"{name} has a zero dimension: shape={arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelRealization:
+    """One drawn set of channel blocks plus their path-loss scalars.
+
+    `h_nb_ue` is None when the direct link is blocked; the assembly then
+    consists of the reflected term alone.
+    """
+
+    g_nb_ris: np.ndarray
+    h_ris_ue: np.ndarray
+    h_nb_ue: np.ndarray | None
+    pl_nb_ris: float
+    pl_ris_ue: float
+    pl_nb_ue: float
+
+    def __post_init__(self):
+        g = as_complex_matrix(self.g_nb_ris, "g_nb_ris")
+        h = as_complex_matrix(self.h_ris_ue, "h_ris_ue")
+        object.__setattr__(self, "g_nb_ris", g)
+        object.__setattr__(self, "h_ris_ue", h)
+        if h.shape[1] != g.shape[0]:
+            raise ValueError(
+                f"element count mismatch: h_ris_ue has {h.shape[1]} columns, "
+                f"g_nb_ris has {g.shape[0]} rows"
+            )
+        if self.h_nb_ue is not None:
+            d = as_complex_matrix(self.h_nb_ue, "h_nb_ue")
+            object.__setattr__(self, "h_nb_ue", d)
+            if d.shape != (h.shape[0], g.shape[1]):
+                raise ValueError(
+                    f"h_nb_ue shape {d.shape} does not match (U, M) = "
+                    f"({h.shape[0]}, {g.shape[1]})"
+                )
+        for name in ("pl_nb_ris", "pl_ris_ue", "pl_nb_ue"):
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+    @property
+    def n_elements(self) -> int:
+        return self.g_nb_ris.shape[0]
+
+    @property
+    def m_antennas(self) -> int:
+        return self.g_nb_ris.shape[1]
+
+    @property
+    def u_antennas(self) -> int:
+        return self.h_ris_ue.shape[0]
+
+
+def _check_theta(diag: np.ndarray, n: int) -> np.ndarray:
+    """Check reflection diagonals stacked along the last axis of `diag`."""
+    if diag.shape[-1] != n:
+        raise ValueError(f"surface has {diag.shape[-1]} elements, channel expects {n}")
+    if np.any(np.abs(diag) > 1.0 + 1e-12):
+        raise ValueError("reflection coefficients must have magnitude <= 1")
+    return diag
+
+
+def _theta_vector(theta, n: int) -> np.ndarray:
+    """Check a surface given as its complex reflection diagonal."""
+    return _check_theta(np.asarray(theta, dtype=np.complex128).reshape(-1), n)
+
+
+def assemble_effective(real: ChannelRealization, theta) -> np.ndarray:
+    """Effective base-station -> user channel for one surface setting.
+
+    `theta` is the surface's complex reflection diagonal, for example
+    `RisPanel.theta_diagonal()`; every |theta_n| must be at most 1.
+    """
+    diag = _theta_vector(theta, real.n_elements)
+    return _assemble(real, real.g_nb_ris, real.h_ris_ue, real.h_nb_ue, diag, 1.0)
+
+
+def _assemble(gains, g, h, direct, diag, beta_gain: float) -> np.ndarray:
+    """The assembly formula for one trial or a stack; `gains` is the
+    realization or scenario that carries the path gains `pl_*`."""
+    if beta_gain < 0.0:
+        raise ValueError(f"beta_gain must be >= 0, got {beta_gain}")
+    amp = math.sqrt(gains.pl_ris_ue * gains.pl_nb_ris) * beta_gain
+    # diag[..., None, :] has the ndim of h: numpy picks its elementwise loop
+    # by operand layout, and only equal layouts round alike in every case
+    h_d = h * diag[..., None, :]
+    h_d *= amp
+    h_t = h_d @ g
+    if direct is not None:
+        h_t += math.sqrt(gains.pl_nb_ue) * direct
+    return h_t
+
+
+def assemble_multi_panel(reals, thetas) -> np.ndarray:
+    """Superpose the reflected terms of several panels.
+
+    Each realization describes the hop through one panel, whose reflection
+    diagonal is the matching entry of `thetas`; the direct term is taken
+    from the first realization that carries one (the direct link does not
+    depend on any panel).
+    """
+    if len(reals) != len(thetas) or not reals:
+        raise ValueError("need one realization per panel, at least one pair")
+    shape = (reals[0].u_antennas, reals[0].m_antennas)
+    h_t = np.zeros(shape, dtype=np.complex128)
+    for real, theta in zip(reals, thetas):
+        if (real.u_antennas, real.m_antennas) != shape:
+            raise ValueError("all realizations must share (U, M)")
+        diag = _theta_vector(theta, real.n_elements)
+        amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris)
+        h_t += amp * (real.h_ris_ue * diag[None, :]) @ real.g_nb_ris
+    for real in reals:
+        if real.h_nb_ue is not None:
+            h_t = h_t + math.sqrt(real.pl_nb_ue) * real.h_nb_ue
+            break
+    return h_t

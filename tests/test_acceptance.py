@@ -11,17 +11,12 @@ import math
 import pathlib
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from ris_sim.channel import (
-    ChannelParams,
-    ChannelRealization,
-    Geometry,
-    assemble_effective,
-    assemble_multi_panel,
-    gen_los,
-)
+import oracles
+from ris_sim.channel import ChannelParams, Geometry, assemble_stack, gen_los
 from ris_sim.cli import main
 from ris_sim.coexist import (
     BandFilter,
@@ -38,8 +33,8 @@ from ris_sim.deploy import (
     snr_map,
 )
 from ris_sim.experiments import _coex_scenario, resolve_scenario
-from ris_sim.numkernel import numerical_rank, waterfill_capacity
-from ris_sim.ris import align_phases_miso, composite_gain
+from ris_sim.numkernel import capacity_closed_form, numerical_rank, singular_values
+from ris_sim.ris import align_miso, miso_gains
 from ris_sim.scheduler import compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
@@ -47,8 +42,15 @@ from ris_sim.seeding import complex_normal, rng_from
 MAX_ITERS, GRID = 30, 64
 
 
+def _unit_gains(n):
+    """What `assemble_stack` reads of a scenario: N elements, unit path
+    gains and no direct link."""
+    return SimpleNamespace(n_elements=n, pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0)
+
+
 def _reflected_only(g, h):
-    return ChannelRealization(
+    """The frozen one-trial realization of the same blocks."""
+    return oracles.ChannelRealization(
         g_nb_ris=g, h_ris_ue=h, h_nb_ue=None,
         pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
     )
@@ -66,7 +68,10 @@ def test_criterion_01_planar_los_incident_collapses_to_rank_one():
         g = gen_los(geom, "nb", "ris", n, m, "planar")
         h = complex_normal(rng_from(1, f"c1/{i}/h"), (u, n))
         phi = rng_from(1, f"c1/{i}/phase").uniform(0.0, 2.0 * math.pi, n)
-        h_t = assemble_effective(_reflected_only(g, h), np.exp(1j * phi))
+        theta = np.exp(1j * phi)
+        h_t = assemble_stack(_unit_gains(n), g[None], h[None], None, theta[None])[0]
+        want = oracles.assemble_effective(_reflected_only(g, h), theta)
+        assert h_t.tobytes() == want.tobytes()
         if numerical_rank(h_t, rel_tol=1e-8) != 1:
             failures += 1
     assert failures == 0
@@ -96,19 +101,25 @@ def test_criterion_03_extra_panels_restore_rank_and_capacity():
     rank_failures = 0
     monotone_ok = 0
     for t in range(trials):
-        reals = []
+        blocks = []
         for k in range(4):
             rg = rng_from(seed, f"mp/{t}/{k}/steer")
             a = np.exp(1j * rg.uniform(0.0, 2.0 * math.pi, 16))
             b = np.exp(1j * rg.uniform(0.0, 2.0 * math.pi, 4))
             h = complex_normal(rng_from(seed, f"mp/{t}/{k}/h"), (4, 16))
-            reals.append(_reflected_only(np.outer(a, b), h))
+            blocks.append((np.outer(a, b), h))
+        g, h = (np.stack(b) for b in zip(*blocks))
+        # one reflected term per panel, summed in panel order
+        terms = assemble_stack(_unit_gains(16), g, h, None, np.ones((4, 16)))
+        reals = [_reflected_only(*b) for b in blocks]
         caps = []
         for kk in range(1, 5):
-            h_t = assemble_multi_panel(reals[:kk], [ones] * kk)
+            h_t = sum(terms[:kk], np.zeros((4, 4), dtype=np.complex128))
+            want = oracles.assemble_multi_panel(reals[:kk], [ones] * kk)
+            assert h_t.tobytes() == want.tobytes()
             if numerical_rank(h_t) != min(kk, 4):
                 rank_failures += 1
-            caps.append(waterfill_capacity(h_t, 1.0, 0.01))
+            caps.append(capacity_closed_form(singular_values(h_t), 1.0, 0.01))
         monotone_ok += all(caps[i + 1] > caps[i] for i in range(3))
     assert rank_failures == 0
     assert monotone_ok >= 0.99 * trials
@@ -121,7 +132,11 @@ def test_criterion_04_aligned_gain_follows_square_law():
         rng = rng_from(4, f"sq/{n}")
         g = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
         h = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-        gain = abs(composite_gain(g, h, align_phases_miso(g, h))) ** 2
+        phases = align_miso(g, h)
+        (gain,) = miso_gains(g, h, phases)
+        panel = oracles.align_phases_miso(g, h)
+        assert phases.tobytes() == panel.phases.tobytes()
+        assert gain == abs(oracles.composite_gain(g, h, panel)) ** 2
         assert abs(gain - n * n) <= 1e-9 * n * n
     assert time.perf_counter() - t0 < 1.0
 

@@ -1,7 +1,7 @@
 """Channel synthesis: LoS blocks, Rician mixing, path loss, assembly."""
 
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from ris_sim import numkernel
+from oracles import ChannelRealization, assemble_effective, assemble_multi_panel
 from ris_sim.channel import (
     ChannelParams,
-    ChannelRealization,
     Geometry,
     GeometryError,
     Scenario,
-    assemble_effective,
-    assemble_multi_panel,
     assemble_stack,
     draw_stack,
     element_distances,
@@ -222,19 +220,28 @@ def test_resolve_wavefront_auto():
 
 
 # ---------------------------------------------------------------------------
-# realization and assembly
+# assembly
 
-def _random_real(rng, n=4, m=2, u=2, direct=True, pls=(1.0, 1.0, 1.0)):
-    g = complex_normal(rng, (n, m))
-    h = complex_normal(rng, (u, n))
-    d = complex_normal(rng, (u, m)) if direct else None
+def _random_link(rng, n=4, m=2, u=2, direct=True, pls=(1.0, 1.0, 1.0)):
+    """(gains, g, h, d) of one trial: the path gains and element count
+    `assemble_stack` reads of a scenario, and blocks stacked one deep."""
+    g = complex_normal(rng, (1, n, m))
+    h = complex_normal(rng, (1, u, n))
+    d = complex_normal(rng, (1, u, m)) if direct else None
+    gains = SimpleNamespace(n_elements=n, pl_nb_ris=pls[0], pl_ris_ue=pls[1],
+                            pl_nb_ue=pls[2] if direct else 0.0)
+    return gains, g, h, d
+
+
+def _realization(gains, g, h, d, trial=0):
+    """The frozen one-trial realization of one trial of a stack."""
     return ChannelRealization(
-        g_nb_ris=g, h_ris_ue=h, h_nb_ue=d,
-        pl_nb_ris=pls[0], pl_ris_ue=pls[1], pl_nb_ue=pls[2] if direct else 0.0,
-    )
+        g_nb_ris=g[trial], h_ris_ue=h[trial], h_nb_ue=None if d is None else d[trial],
+        pl_nb_ris=gains.pl_nb_ris, pl_ris_ue=gains.pl_ris_ue, pl_nb_ue=gains.pl_nb_ue)
 
 
 def test_realization_shape_checks():
+    # the frozen realization keeps its own checks
     g = np.ones((4, 2), dtype=complex)
     h = np.ones((2, 4), dtype=complex)
     with pytest.raises(ValueError):
@@ -251,67 +258,77 @@ def test_realization_shape_checks():
 
 def test_assemble_identity_reflection():
     rng = rng_from(41)
-    real = _random_real(rng, direct=False)
-    h_t = assemble_effective(real, np.ones(4, dtype=complex))
-    assert np.array_equal(h_t, real.h_ris_ue @ real.g_nb_ris)
+    gains, g, h, _ = _random_link(rng, direct=False)
+    h_t = assemble_stack(gains, g, h, None, np.ones((1, 4), dtype=complex))
+    assert np.array_equal(h_t, h @ g)
 
 
 def test_assemble_scalar_case():
-    h = np.array([[0.3 + 0.4j]])
-    g = np.array([[1.0 - 2.0j]])
-    d = np.array([[0.5 + 0.1j]])
+    h = np.array([[[0.3 + 0.4j]]])
+    g = np.array([[[1.0 - 2.0j]]])
+    d = np.array([[[0.5 + 0.1j]]])
     th = 0.8 * np.exp(1j * 0.7)
-    real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=d,
-                              pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=1.0)
-    h_t = assemble_effective(real, np.array([th]))
-    want = h[0, 0] * th * g[0, 0] + d[0, 0]
-    assert h_t[0, 0] == pytest.approx(want, abs=1e-15)
+    gains = SimpleNamespace(n_elements=1, pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=1.0)
+    h_t = assemble_stack(gains, g, h, d, np.array([[th]]))
+    want = h[0, 0, 0] * th * g[0, 0, 0] + d[0, 0, 0]
+    assert h_t[0, 0, 0] == pytest.approx(want, abs=1e-15)
 
 
 def test_assemble_matches_triple_loop():
     rng = rng_from(43)
-    real = _random_real(rng, n=4, m=2, u=2, pls=(0.5, 0.25, 0.81))
+    gains, g, h, d = _random_link(rng, n=4, m=2, u=2, pls=(0.5, 0.25, 0.81))
     th = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    h_t = assemble_effective(real, th)
-    amp = math.sqrt(real.pl_ris_ue * real.pl_nb_ris)
+    h_t = assemble_stack(gains, g, h, d, th[None])[0]
+    amp = math.sqrt(gains.pl_ris_ue * gains.pl_nb_ris)
     want = np.zeros((2, 2), dtype=complex)
     for u in range(2):
         for m in range(2):
             acc = 0j
             for n in range(4):
-                acc += real.h_ris_ue[u, n] * th[n] * real.g_nb_ris[n, m]
-            want[u, m] = amp * acc + math.sqrt(real.pl_nb_ue) * real.h_nb_ue[u, m]
+                acc += h[0, u, n] * th[n] * g[0, n, m]
+            want[u, m] = amp * acc + math.sqrt(gains.pl_nb_ue) * d[0, u, m]
     assert np.max(np.abs(h_t - want)) <= 1e-12
 
 
 def test_assemble_dimension_mismatch():
     rng = rng_from(47)
-    real = _random_real(rng)
+    gains, g, h, d = _random_link(rng)
     with pytest.raises(ValueError):
-        assemble_effective(real, np.ones(5, dtype=complex))
+        assemble_stack(gains, g, h, d, np.ones((1, 5), dtype=complex))
+    with pytest.raises(ValueError):
+        assemble_stack(gains, g, h, d, np.ones(4, dtype=complex))
 
 
 def test_assemble_rejects_active_surface():
     rng = rng_from(53)
-    real = _random_real(rng)
+    gains, g, h, d = _random_link(rng)
     with pytest.raises(ValueError):
-        assemble_effective(real, 1.5 * np.ones(4, dtype=complex))
+        assemble_stack(gains, g, h, d, 1.5 * np.ones((1, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        assemble_stack(gains, g, h, d, np.ones((1, 4), dtype=complex), beta_gain=-1.0)
 
 
 def test_multi_panel_superposition():
+    # several panels superpose: the reflected term of each, in panel order,
+    # plus the direct term once, as the frozen multi-panel assembly summed
     rng = rng_from(61)
-    r1 = _random_real(rng, direct=False)
-    r2 = _random_real(rng, direct=True)
-    th = np.ones(4, dtype=complex)
-    h_t = assemble_multi_panel([r1, r2], [th, th])
-    want = (assemble_effective(r1, th) + assemble_effective(r2, th))
-    assert np.max(np.abs(h_t - want)) <= 1e-14
+    link1 = _random_link(rng, direct=False)
+    link2 = _random_link(rng, direct=True)
+    th = np.ones((1, 4), dtype=complex)
+    gains2, g2, h2, d2 = link2
+    h_t = (np.zeros((2, 2), dtype=complex)
+           + assemble_stack(link1[0], *link1[1:], th)[0]
+           + assemble_stack(gains2, g2, h2, None, th)[0]
+           + math.sqrt(gains2.pl_nb_ue) * d2[0])
+    want = assemble_multi_panel([_realization(*link1), _realization(*link2)], [th[0]] * 2)
+    assert h_t.tobytes() == want.tobytes()
 
 
 def test_multi_panel_shape_guard():
+    # the frozen multi-panel assembly keeps its own checks
     rng = rng_from(67)
-    r1 = _random_real(rng, u=2)
-    r2 = _random_real(rng, u=3)
+    r1 = _realization(*_random_link(rng, u=2))
+    r2 = _realization(*_random_link(rng, u=3))
     with pytest.raises(ValueError):
         assemble_multi_panel([r1, r2], [np.ones(4)] * 2)
     with pytest.raises(ValueError):
@@ -365,21 +382,18 @@ def test_dominant_reflection_regime():
     # once the reflected term carries 100x the direct Frobenius weight,
     # the direct term no longer moves the spectrum by more than 2%
     rng = rng_from(83)
-    real = _random_real(rng, n=8, m=3, u=3, pls=(1.0, 1.0, 1.0))
-    bare = ChannelRealization(
-        g_nb_ris=real.g_nb_ris, h_ris_ue=real.h_ris_ue, h_nb_ue=None,
-        pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0,
-    )
-    th = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+    gains, g, h, d = _random_link(rng, n=8, m=3, u=3, pls=(1.0, 1.0, 1.0))
+    th = np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 8)))
     # raise the reflected path gain until the reflected term dominates
     pl = 1.0
     while True:
-        ris_only = assemble_effective(replace(bare, pl_ris_ue=pl), th)
-        direct_norm = np.linalg.norm(real.h_nb_ue)
+        gains.pl_ris_ue = pl
+        ris_only = assemble_stack(gains, g, h, None, th)[0]
+        direct_norm = np.linalg.norm(d[0])
         if np.linalg.norm(ris_only) > 100.0 * direct_norm:
             break
         pl *= 4.0
-    full = assemble_effective(replace(real, pl_ris_ue=pl), th)
+    full = assemble_stack(gains, g, h, d, th)[0]
     s_full = numkernel.singular_values(full)
     s_ris = numkernel.singular_values(ris_only)
     assert np.max(np.abs(s_full - s_ris)) / s_ris[0] < 0.02

@@ -1,6 +1,6 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
-sidecar of every shipped config, of four LBT tables and of the multiuser
-and deploy benchmark workloads.
+sidecar of every shipped config, of four LBT tables, of the multiuser
+and deploy benchmark workloads and of two wide beamform scenarios.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.cli import main
-from ris_sim.experiments import RUNNERS, run_coexist, run_deploy, run_multiuser
+from ris_sim.experiments import RUNNERS, run_beamform, run_coexist, run_deploy, run_multiuser
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -122,4 +122,24 @@ WORKLOAD_DEPLOY = ({"extent": [0.0, 0.0, 100.0, 60.0],
 def test_workload_deploy_csv_matches_golden_digest():
     scenario, digest = WORKLOAD_DEPLOY
     table = run_deploy(scenario, seed=5, trials=1)
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+# Beamform past the shipped config: sizes from 1 to 1024 elements and bit
+# widths up to the widest each channel ran before the array quantizer,
+# 51 bits on Rayleigh draws and 62 on unit channels, seed 3, 20 trials.
+WIDE_BEAMFORM = {
+    "unit": ({"channel": "unit", "n_list": [1, 2, 3, 17, 64, 1024],
+              "quantization_bits": [1, 2, 3, 62]},
+             "b1fb9e95c8714b87d18a8a8dd59e4591598017e94139b8ebae43b1814adc27f8"),
+    "rayleigh": ({"channel": "rayleigh", "n_list": [1, 2, 3, 17, 64, 1024],
+                  "quantization_bits": [1, 2, 3, 51]},
+                 "8b77f73e3b6b29447e7c37e4600a1d4c9d068416753f0d94f56eb3eb385d021b"),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(WIDE_BEAMFORM))
+def test_wide_beamform_csv_matches_golden_digest(channel):
+    scenario, digest = WIDE_BEAMFORM[channel]
+    table = run_beamform(scenario, seed=3, trials=20)
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest

@@ -34,7 +34,7 @@ def _used_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        # quoted annotations such as -> "RisPanel" name things too
+        # quoted annotations such as -> "Scenario" name things too
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             used |= _used_names(ast.parse(annotation.value, mode="eval"))

@@ -16,6 +16,12 @@ def _randc(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _capacity(h, total_power, noise_power):
+    """Water-filled capacity of channel `h`."""
+    return numkernel.capacity_closed_form(numkernel.singular_values(h), total_power,
+                                          noise_power)
+
+
 # ---------------------------------------------------------------------------
 # singular_values
 
@@ -211,31 +217,31 @@ def test_condition_zero_matrix_rejected():
 # water-filling
 
 def test_capacity_scalar_awgn():
-    assert numkernel.waterfill_capacity(np.array([[1.0]]), 1.0, 1.0) == pytest.approx(1.0)
+    assert _capacity(np.array([[1.0]]), 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_capacity_identity_2x2():
-    c = numkernel.waterfill_capacity(np.eye(2), 2.0, 1.0)
+    c = _capacity(np.eye(2), 2.0, 1.0)
     assert c == pytest.approx(2.0, abs=1e-9)
 
 
 def test_capacity_matches_gridsearch_oracle():
     rng = np.random.default_rng(2024)
     h = _randc(rng, (4, 4))
-    c = numkernel.waterfill_capacity(h, 10.0, 1.0)
+    c = _capacity(h, 10.0, 1.0)
     ref = oracles.gridsearch_waterfill_capacity(
         numkernel.singular_values(h), 10.0, 1.0)
     assert abs(c - ref) <= 1e-3
 
 
 def test_capacity_zero_matrix():
-    assert numkernel.waterfill_capacity(np.zeros((3, 3)), 5.0, 1.0) == 0.0
+    assert _capacity(np.zeros((3, 3)), 5.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("p, n", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
 def test_capacity_rejects_bad_powers(p, n):
     with pytest.raises(ValueError):
-        numkernel.waterfill_capacity(np.eye(2), p, n)
+        _capacity(np.eye(2), p, n)
 
 
 def test_waterfill_powers_sum_and_positivity():
@@ -270,7 +276,7 @@ def test_waterfill_rows_are_nonnegative_and_spend_the_budget(rows, power, noise)
 def test_capacity_monotone_in_power():
     rng = np.random.default_rng(5)
     h = _randc(rng, (3, 3))
-    caps = [numkernel.waterfill_capacity(h, p, 1.0) for p in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    caps = [_capacity(h, p, 1.0) for p in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(c2 >= c1 for c1, c2 in zip(caps, caps[1:]))
 
 
@@ -289,7 +295,7 @@ def test_waterfilling_dominates_uniform():
     for _ in range(20):
         h = _randc(rng, (3, 4))
         s = numkernel.singular_values(h)
-        c_wf = numkernel.waterfill_capacity(h, 6.0, 1.0)
+        c_wf = _capacity(h, 6.0, 1.0)
         c_eq = float(np.sum(np.log2(1.0 + (6.0 / s.size) * s**2)))
         assert c_wf >= c_eq - 1e-9
 
@@ -386,7 +392,7 @@ def test_precoder_power_budget_and_rate():
     f = numkernel.waterfill_precoder(h, 5.0, 1.0)
     assert float(np.sum(np.abs(f) ** 2)) <= 5.0 + 1e-8
     rate = numkernel.rate_with_precoder(h, f, 1.0)
-    assert rate == pytest.approx(numkernel.waterfill_capacity(h, 5.0, 1.0), abs=1e-7)
+    assert rate == pytest.approx(_capacity(h, 5.0, 1.0), abs=1e-7)
 
 
 def test_rate_with_precoder_shape_check():

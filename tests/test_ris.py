@@ -3,33 +3,38 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
+    ChannelRealization,
+    RisPanel,
     aligned_start,
     best_1bit_power,
     per_problem_phase_ascent,
     unit_gain_entries,
 )
-from ris_sim import coexist, numkernel, ris
-from ris_sim.channel import ChannelRealization, assemble_effective
-from ris_sim.experiments import run_coexist, run_multiuser
+from ris_sim import coexist, experiments, numkernel, ris
+from ris_sim.channel import assemble_stack
+from ris_sim.experiments import run_beamform, run_coexist, run_multiuser
 from ris_sim.ris import (
     ASCENT_REL_TOL,
-    RisPanel,
-    align_phases_miso,
+    MAX_QUANTIZATION_BITS,
+    align_miso,
     aligned_phases,
-    composite_gain,
+    miso_gains,
     phase_ascent_batch,
     quantize_phases,
     wrap_phase,
 )
-from ris_sim.seeding import complex_normal, rng_from
+from ris_sim.seeding import KeyedStreams, complex_normal, complex_normal_stack, rng_from
 
 TWO_PI = 2.0 * math.pi
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -52,6 +57,9 @@ def test_wrap_phase_range():
     assert wrap_phase(TWO_PI + 0.25) == pytest.approx(0.25)
     assert 0.0 <= wrap_phase(TWO_PI) < TWO_PI
 
+
+# The frozen one-trial panel of `oracles` keeps its own checks: the array
+# route is pinned against it, so it must still be the type it was.
 
 def test_theta_identity_reflection():
     panel = RisPanel.uniform(4)
@@ -89,37 +97,110 @@ def test_panel_validation():
 # quantization
 
 def test_quantize_one_bit_examples():
-    panel = RisPanel(np.ones(2), np.array([0.1, math.pi - 0.1]))
-    q = quantize_phases(panel, 1)
-    assert q.phases[0] == 0.0
-    assert q.phases[1] == math.pi
-    assert q.quantization_bits == 1
-    assert np.array_equal(q.amplitudes, panel.amplitudes)
+    q = quantize_phases(np.array([0.1, math.pi - 0.1]), 1)
+    assert q.tolist() == [0.0, math.pi]
 
 
 def test_quantize_tie_goes_to_smaller_index():
     # pi/4 sits exactly between levels 0 and pi/2 of the 2-bit grid;
     # pi/2 sits exactly between the two 1-bit levels
-    q2 = quantize_phases(RisPanel(np.ones(1), np.array([math.pi / 4])), 2)
-    assert q2.phases[0] == 0.0
-    q1 = quantize_phases(RisPanel(np.ones(1), np.array([math.pi / 2])), 1)
-    assert q1.phases[0] == 0.0
+    assert quantize_phases(np.array([math.pi / 4]), 2)[0] == 0.0
+    assert quantize_phases(np.array([math.pi / 2]), 1)[0] == 0.0
+    # the midpoint between the top level and 2 pi stays on the top level,
+    # as in the frozen panel quantizer
+    assert quantize_phases(np.array([1.5 * math.pi]), 1)[0] == math.pi
+    frozen = oracles.quantize_phases(RisPanel(np.ones(1), np.array([1.5 * math.pi])), 1)
+    assert frozen.phases[0] == math.pi
 
 
 def test_quantize_two_bit_grid_sweep():
     grid = TWO_PI * np.arange(360) / 360.0
-    panel = RisPanel(np.ones(360), grid)
-    q = quantize_phases(panel, 2)
-    err = np.abs(wrap_phase(q.phases - grid + math.pi) - math.pi)
+    q = quantize_phases(grid, 2)
+    err = np.abs(wrap_phase(q - grid + math.pi) - math.pi)
     assert np.max(err) <= math.pi / 4 + 1e-12
     step = TWO_PI / 4
-    assert np.all(np.isin(np.round(q.phases / step), [0, 1, 2, 3]))
-    assert np.allclose(np.round(q.phases / step) * step, q.phases)
+    assert np.all(np.isin(np.round(q / step), [0, 1, 2, 3]))
+    assert np.allclose(np.round(q / step) * step, q)
 
 
 def test_quantize_rejects_zero_bits():
     with pytest.raises(ValueError):
-        quantize_phases(RisPanel.uniform(2), 0)
+        quantize_phases(np.zeros(2), 0)
+    with pytest.raises(ValueError):
+        quantize_phases(np.zeros(2), MAX_QUANTIZATION_BITS + 1)
+
+
+#: widest quantization the frozen panel can hold: from 52 bits on its
+#: grid re-check fails on float division
+PANEL_BITS = 51
+
+
+def _level_index(phase, bits):
+    """The quantizer's level for `phase` in exact arithmetic: the integer
+    nearest x = phase / step as the float division gives it, ties to the
+    smaller, the top wrapping to 0."""
+    step = TWO_PI / (1 << bits)
+    x = Fraction(float(np.float64(phase) / step))
+    k = math.floor(x)
+    k += x - k > Fraction(1, 2)
+    return k % (1 << bits)
+
+
+@st.composite
+def _phase_and_bits(draw):
+    bits = draw(st.integers(1, MAX_QUANTIZATION_BITS))
+    step = TWO_PI / (1 << bits)
+    index = st.integers(0, (1 << bits) - 1)
+    phase = draw(st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.just(float(np.nextafter(TWO_PI, 0.0))),
+        # midpoints between levels k and k + 1, and levels, as floats
+        index.map(lambda k: (k + 0.5) * step),
+        index.map(lambda k: k * step),
+    ))
+    return min(phase, float(np.nextafter(TWO_PI, 0.0))), bits
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_phase_and_bits())
+@example((float(np.nextafter(TWO_PI, 0.0)), 1))
+@example((float(np.nextafter(TWO_PI, 0.0)), 62))
+@example((1.5 * math.pi, 1))
+@example((float(np.nextafter(math.pi / 2, 0.0)), 1))
+@example((TWO_PI / (1 << 40) * 0.5, 40))
+def test_quantizer_gives_the_nearest_level(case):
+    phase, bits = case
+    (out,) = quantize_phases(np.array([phase]), bits)
+    assert 0.0 <= out < TWO_PI
+    step = TWO_PI / (1 << bits)
+    k = _level_index(phase, bits)
+    assert out == wrap_phase(float(k) * step)
+    # within half a step of the phase, around the circle, up to the
+    # rounding of the level's own value
+    dist = abs(wrap_phase(out - phase + math.pi) - math.pi)
+    assert dist <= 0.5 * step + 4 * np.spacing(TWO_PI)
+    if bits <= PANEL_BITS:
+        frozen = oracles.quantize_phases(RisPanel(np.ones(1), np.array([phase])), bits)
+        x = np.float64(phase) / step
+        if x == np.nextafter(0.5, 0.0):
+            # the one float the frozen panel rounds the wrong way:
+            # fl(x + 0.5) is 1.0, so it took level 1 over the nearer 0
+            assert frozen.phases[0] == step and out == 0.0
+        else:
+            assert out.tobytes() == frozen.phases[0].tobytes()
+
+
+def test_frozen_quantizer_rounds_the_float_below_a_half_step_up():
+    # documents the one phase where the array quantizer departs from the
+    # frozen one: just below half a step, x = phase / step is the float
+    # below 0.5, and floor(x + 0.5) rounded it to level 1
+    for bits in (1, 2, 17, PANEL_BITS):
+        step = TWO_PI / (1 << bits)
+        phase = float(np.nextafter(0.5 * step, 0.0))
+        assert phase / step == np.nextafter(0.5, 0.0)
+        frozen = oracles.quantize_phases(RisPanel(np.ones(1), np.array([phase])), bits)
+        assert frozen.phases[0] == step
+        assert quantize_phases(np.array([phase]), bits)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +209,17 @@ def test_quantize_rejects_zero_bits():
 def test_align_all_ones_square_law():
     g = np.ones(16, dtype=complex)
     h = np.ones(16, dtype=complex)
-    panel = align_phases_miso(g, h)
-    power = abs(composite_gain(g, h, panel)) ** 2
+    (power,) = miso_gains(g, h, align_miso(g, h))
     assert power == pytest.approx(256.0, rel=1e-12)
 
 
 def test_align_single_element_formula():
     g = np.array([np.exp(1j * math.pi / 6)])
     h = np.array([np.exp(1j * math.pi / 3)])
-    panel = align_phases_miso(g, h)
-    assert panel.phases[0] == pytest.approx(3 * math.pi / 2, abs=1e-12)
-    assert abs(composite_gain(g, h, panel)) == pytest.approx(1.0, rel=1e-12)
+    phases = align_miso(g, h)
+    assert phases[0] == pytest.approx(3 * math.pi / 2, abs=1e-12)
+    (power,) = miso_gains(g, h, phases)
+    assert power == pytest.approx(1.0, rel=1e-12)
 
 
 def test_align_with_direct_term():
@@ -147,10 +228,11 @@ def test_align_with_direct_term():
     rng = rng_from(17)
     g = complex_normal(rng, (6, 1))
     h = complex_normal(rng, (1, 6))
-    real = ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=np.array([[0.4 - 0.9j]]),
-                              pl_nb_ris=0.5, pl_ris_ue=2.0, pl_nb_ue=0.3)
-    phases = aligned_phases(g[None], h[None], direct=real.h_nb_ue[None], gains=real)
-    got = abs(assemble_effective(real, np.exp(1j * phases[0]))[0, 0])
+    direct = np.array([[0.4 - 0.9j]])
+    link = SimpleNamespace(n_elements=6, pl_nb_ris=0.5, pl_ris_ue=2.0, pl_nb_ue=0.3)
+    phases = aligned_phases(g[None], h[None], direct=direct[None], gains=link)
+    got = abs(assemble_stack(link, g[None], h[None], direct[None],
+                             np.exp(1j * phases))[0, 0, 0])
     want = float(np.sum(np.abs(g[:, 0] * h[0]))) + math.sqrt(0.3) * abs(0.4 - 0.9j)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -159,22 +241,87 @@ def test_align_one_bit_matches_exhaustive():
     rng = rng_from(0)
     g = complex_normal(rng, 4)
     h = complex_normal(rng, 4)
-    panel = quantize_phases(align_phases_miso(g, h), 1)
-    power = abs(composite_gain(g, h, panel)) ** 2
+    (power,) = miso_gains(g, h, quantize_phases(align_miso(g, h), 1))
     best = best_1bit_power(g, h)
     assert power == pytest.approx(best, rel=1e-12)
 
 
 def test_align_input_checks():
+    # links of a stack must agree on the element count
     with pytest.raises(ValueError):
-        align_phases_miso(np.ones(0), np.ones(0))
+        align_miso(np.ones((2, 3)), np.ones((2, 4)))
     with pytest.raises(ValueError):
-        align_phases_miso(np.ones(3), np.ones(4))
+        align_miso(np.ones(3), np.ones(4))
 
 
 def test_composite_gain_size_check():
     with pytest.raises(ValueError):
-        composite_gain(np.ones(3), np.ones(3), RisPanel.uniform(4))
+        miso_gains(np.ones(3), np.ones(3), np.zeros(4))
+
+
+def test_stacked_miso_route_matches_frozen_panels_bit_for_bit():
+    # every link of a stack: the aligned phases, the quantized phases and
+    # both gains equal the frozen panel route on that link alone
+    rng = rng_from(61, "miso-stack")
+    for n in (1, 2, 3, 17, 64, 300):
+        g = complex_normal(rng, (5, n))
+        h = complex_normal(rng, (5, n))
+        phases = align_miso(g, h)
+        gains = miso_gains(g, h, phases)
+        for bits in (1, 2, 3, 8, PANEL_BITS):
+            q = quantize_phases(phases, bits)
+            qgains = miso_gains(g, h, q)
+            for t in range(5):
+                panel = oracles.align_phases_miso(g[t], h[t])
+                frozen = oracles.quantize_phases(panel, bits)
+                assert phases[t].tobytes() == panel.phases.tobytes()
+                assert q[t].tobytes() == frozen.phases.tobytes()
+                assert gains[t] == abs(oracles.composite_gain(g[t], h[t], panel)) ** 2
+                assert qgains[t] == abs(oracles.composite_gain(g[t], h[t], frozen)) ** 2
+
+
+def test_one_bit_fixture_route_matches_frozen_panels():
+    # the first 400 draws of the one-bit loss fixture, through the array
+    # route and through the frozen panels
+    n, trials = 16, 400
+    rng = rng_from(321, "quantloss")
+    g = np.empty((trials, n), dtype=np.complex128)
+    h = np.empty((trials, n), dtype=np.complex128)
+    for t in range(trials):
+        g[t] = complex_normal(rng, n)
+        h[t] = complex_normal(rng, n)
+    phases = align_miso(g, h)
+    cont = miso_gains(g, h, phases)
+    coarse = miso_gains(g, h, quantize_phases(phases, 1))
+    for t in range(trials):
+        panel = oracles.align_phases_miso(g[t], h[t])
+        assert cont[t] == abs(oracles.composite_gain(g[t], h[t], panel)) ** 2
+        one_bit = oracles.quantize_phases(panel, 1)
+        assert coarse[t] == abs(oracles.composite_gain(g[t], h[t], one_bit)) ** 2
+
+
+@pytest.mark.parametrize("chunk", [experiments.BEAMFORM_CHUNK, 50])
+def test_beamform_runner_matches_frozen_panels_bit_for_bit(monkeypatch, chunk):
+    # the runner's table against the per-trial panel route it replaced; at
+    # 50 coefficients per chunk the 40-element size takes one trial a chunk
+    monkeypatch.setattr(experiments, "BEAMFORM_CHUNK", chunk)
+    scenario = {"channel": "rayleigh", "n_list": [1, 3, 40], "quantization_bits": [1, 4, 51]}
+    table = run_beamform(scenario, seed=8, trials=6)
+    keys = KeyedStreams(8, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
+                             for n in scenario["n_list"]] for t in range(6)])
+    want = []
+    for t in range(6):
+        for j, n in enumerate(scenario["n_list"]):
+            g, h = complex_normal_stack((keys[t, j, hop] for hop in range(2)),
+                                        np.empty((2, n), dtype=np.complex128), 1.0)
+            panel = oracles.align_phases_miso(g, h)
+            gain = abs(oracles.composite_gain(g, h, panel)) ** 2
+            want.append((t, f"gain_n{n}", gain))
+            for b in scenario["quantization_bits"]:
+                q = oracles.quantize_phases(panel, b)
+                want.append((t, f"ratio_b{b}_n{n}",
+                             abs(oracles.composite_gain(g, h, q)) ** 2 / gain))
+    assert list(table.rows) == want
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +343,7 @@ def test_optimize_two_elements_match_alignment():
     rng = rng_from(29)
     g = complex_normal(rng, (2, 1))
     h = complex_normal(rng, (1, 2))
-    aligned = align_phases_miso(g, h).phases
+    aligned = align_miso(g[:, 0], h[0])
     init = wrap_phase(aligned + np.array([0.0, math.pi / 2]))
     ((phases, _, _),) = phase_ascent_batch(
         [(np.ones(1), g[None], h[None], init)], 1.0, 1.0, 30, GRID)
@@ -429,14 +576,13 @@ def test_batch_rejects_mixed_shapes():
 # element blocks
 
 def test_partition_single_block_gain_fraction():
+    # elements outside the block absorb: their coefficients drop out
     g = np.ones(64, dtype=complex)
     h = np.ones(64, dtype=complex)
-    whole = abs(composite_gain(g, h, align_phases_miso(g, h))) ** 2
-    lo, hi = 0, 16
+    (whole,) = miso_gains(g, h, align_miso(g, h))
     amp = np.zeros(64)
-    amp[lo:hi] = 1.0
-    block_only = RisPanel(amp, np.zeros(64))
-    block = abs(composite_gain(g, h, block_only)) ** 2
+    amp[0:16] = 1.0
+    (block,) = miso_gains(amp * g, h, np.zeros(64))
     assert whole == pytest.approx(4096.0)
     assert block == pytest.approx(whole / 16.0)
 
@@ -445,17 +591,20 @@ def test_partition_single_block_gain_fraction():
 # invariants
 
 def test_passivity_everywhere():
+    # every surface the array route builds passes the assembly's check
     rng = rng_from(41)
     g = complex_normal(rng, 8)
     h = complex_normal(rng, 8)
-    for panel in (
-        RisPanel.uniform(8),
-        align_phases_miso(g, h),
-        quantize_phases(align_phases_miso(g, h), 2),
-        # elements 6 and 7 absorb
-        RisPanel(np.r_[np.ones(6), np.zeros(2)], np.zeros(8)),
+    link = SimpleNamespace(n_elements=8, pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0)
+    absorbing = np.r_[np.ones(6), np.zeros(2)]  # elements 6 and 7 absorb
+    for theta in (
+        np.ones(8, dtype=complex),
+        np.exp(1j * align_miso(g, h)),
+        np.exp(1j * quantize_phases(align_miso(g, h), 2)),
+        absorbing * np.exp(1j * np.zeros(8)),
     ):
-        assert np.all(np.abs(panel.theta_diagonal()) <= 1.0 + 1e-12)
+        assert np.all(np.abs(theta) <= 1.0 + 1e-12)
+        assemble_stack(link, g[None, :, None], h[None, None], None, theta[None])
 
 
 def test_square_law_across_sizes():
@@ -463,8 +612,7 @@ def test_square_law_across_sizes():
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         g = np.exp(1j * rng.uniform(0, TWO_PI, n))
         h = np.exp(1j * rng.uniform(0, TWO_PI, n))
-        panel = align_phases_miso(g, h)
-        power = abs(composite_gain(g, h, panel)) ** 2
+        (power,) = miso_gains(g, h, align_miso(g, h))
         assert abs(power - n * n) <= 1e-9 * n * n
 
 
@@ -473,12 +621,12 @@ def test_whole_panel_beats_blocks():
     for _ in range(10):
         g = complex_normal(rng, 32)
         h = complex_normal(rng, 32)
-        aligned = align_phases_miso(g, h)
-        whole = abs(composite_gain(g, h, aligned)) ** 2
+        aligned = align_miso(g, h)
+        (whole,) = miso_gains(g, h, aligned)
         for lo, hi in ((0, 16), (16, 24)):
             amp = np.zeros(32)
             amp[lo:hi] = 1.0
-            block = abs(composite_gain(g, h, RisPanel(amp, aligned.phases))) ** 2
+            (block,) = miso_gains(amp * g, h, aligned)
             assert whole >= block - 1e-9
 
 
