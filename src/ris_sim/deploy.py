@@ -71,10 +71,11 @@ class Scene:
     read-only in `_sight`: the blocked-sight mask toward each base station
     and each candidate site, the blocked station -> site hops, and, per
     path-loss exponent, the direct-route layer and each site's site-to-cell
-    distance layer.  A sight mask is built from per-row shadow intervals,
-    and only the cells near an interval end or the endpoint's row, and
-    those of an obstacle whose edge line passes near the endpoint, take
-    the slab test (see the module docstring).
+    gain layer, -inf already on the cells the site cannot see.  A sight
+    mask is built from per-row shadow intervals, and only the cells near
+    an interval end or the endpoint's row, and those of an obstacle whose
+    edge line passes near the endpoint, take the slab test (see the module
+    docstring).
     """
 
     extent: tuple
@@ -338,12 +339,6 @@ class DeploymentPlan:
             raise ValueError("panels placed on duplicate sites")
 
 
-def _grid(scene: Scene):
-    xs, ys = scene.grid_points()
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    return xs, ys, gx, gy
-
-
 def _noise_dbm(params: ChannelParams) -> float:
     return 10.0 * math.log10(params.noise_power * 1e3)
 
@@ -359,49 +354,58 @@ def _seg_gain_db(scene: Scene, params: ChannelParams, dist):
         scene.wavelength / (4.0 * math.pi * d))
 
 
-def _direct_dbm(scene: Scene, params: ChannelParams, gx, gy) -> np.ndarray:
+def _distances(scene: Scene, p) -> np.ndarray:
+    """Planar distance from point p to every raster cell center."""
+    xs, ys = scene.grid_points()
+    return np.hypot(xs[None, :] - p[0], ys[:, None] - p[1])
+
+
+def _direct_dbm(scene: Scene, params: ChannelParams) -> np.ndarray:
     """Direct-route layer: received dBm from the strongest base station in
     sight of each cell, -inf where none is.  Cached on the scene, read-only."""
     key = ("direct", params.path_loss_exponent)
     if key not in scene._sight:
-        out = np.full(gx.shape, -np.inf)
+        out = None
         for b, bs in enumerate(scene.base_stations):
-            d = np.hypot(gx - bs.position[0], gy - bs.position[1])
-            dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, d)
+            dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, _distances(scene, bs.position))
             dbm[_station_sight(scene, b)] = -np.inf
-            np.maximum(out, dbm, out=out)
+            out = dbm if out is None else np.maximum(out, dbm, out=out)
         out.setflags(write=False)
         scene._sight[key] = out
     return scene._sight[key]
 
 
-def _to_grid_db(scene: Scene, s: int, params: ChannelParams, gx, gy) -> np.ndarray:
-    """Site-to-cell segment gain of candidate site s, cached on the scene
-    per path-loss exponent, the one field of `params` it reads."""
+def _to_grid_db(scene: Scene, s: int, params: ChannelParams) -> np.ndarray:
+    """Site-to-cell segment gain of candidate site s, -inf on the cells the
+    site cannot see; cached on the scene per path-loss exponent, the one
+    field of `params` it reads, and read-only."""
     key = ("to_grid", s, params.path_loss_exponent)
     if key not in scene._sight:
-        site = scene.candidate_sites[s]
-        layer = _seg_gain_db(scene, params, np.hypot(gx - site[0], gy - site[1]))
+        layer = _seg_gain_db(scene, params, _distances(scene, scene.candidate_sites[s]))
+        layer[_site_sight(scene, s)[0]] = -np.inf
         layer.setflags(write=False)
         scene._sight[key] = layer
     return scene._sight[key]
 
 
 def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
-              params: ChannelParams, gx, gy) -> np.ndarray:
+              params: ChannelParams) -> np.ndarray:
     """Route layer of a panel at candidate site s: the best two-hop budget
-    over the stations the site sees, -inf where either hop is blocked."""
+    over the stations the site sees, -inf where either hop is blocked.
+
+    Rounding is monotone, so the best station's budget plus the layer
+    is the cell-wise best of every station's: one add per call.
+    """
     site = scene.candidate_sites[s]
-    grid_blocked, hop_blocked = _site_sight(scene, s)
-    out = np.full(gx.shape, -np.inf)
-    for bs, blocked in zip(scene.base_stations, hop_blocked):
-        if blocked:
-            continue
-        hop1_db = _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
-        np.maximum(out, bs.tx_power_dbm + hop1_db + panel_gain_db
-                   + _to_grid_db(scene, s, params, gx, gy), out=out)
-    out[grid_blocked] = -np.inf
-    return out
+    hop_blocked = _site_sight(scene, s)[1]
+    budgets = [bs.tx_power_dbm
+               + _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
+               + panel_gain_db
+               for bs, blocked in zip(scene.base_stations, hop_blocked) if not blocked]
+    if not budgets:
+        nx, ny = raster_shape(scene.extent, scene.grid_resolution)
+        return np.full((ny, nx), -np.inf)
+    return max(budgets) + _to_grid_db(scene, s, params)
 
 
 def snr_map(
@@ -418,23 +422,25 @@ def snr_map(
     budget with the coherent N^2 panel gain (scaled by gain_scale^2).
     Blocked routes contribute nothing.  The raster is the cell-wise maximum
     of a direct-route layer and one route layer per placed panel.  The
-    blocked-sight masks, the direct-route layer and each site's distance
-    layer are built once per scene and cached on it, so repeated rasters
-    of one scene, such as a breathing sweep, only combine cached layers.
+    blocked-sight masks, the direct-route layer and each site's
+    sight-masked site-to-cell layer are built once per scene and cached on
+    it, so a route layer is one add to a cached layer, and repeated
+    rasters of one scene, such as a breathing sweep, only combine cached
+    layers.
     """
     if not (gain_scale >= 0.0 and math.isfinite(gain_scale)):
         raise ValueError(f"gain_scale must be non-negative, got {gain_scale}")
-    xs, ys, gx, gy = _grid(scene)
-    direct_dbm = _direct_dbm(scene, params, gx, gy)
-    ris_dbm = np.full(gx.shape, -np.inf)
+    xs, ys = scene.grid_points()
+    direct_dbm = _direct_dbm(scene, params)
+    ris_dbm = np.full(direct_dbm.shape, -np.inf)
     placed = plan.placed if gain_scale > 0.0 else ()
     for site_idx, n_elements in placed:
         gain_db = _panel_gain_db(n_elements, gain_scale)
-        np.maximum(ris_dbm, _site_dbm(scene, site_idx, gain_db, params, gx, gy), out=ris_dbm)
+        np.maximum(ris_dbm, _site_dbm(scene, site_idx, gain_db, params), out=ris_dbm)
 
     best_dbm = np.maximum(direct_dbm, ris_dbm)
     snr = best_dbm - _noise_dbm(params)
-    serving = np.full(gx.shape, SERVING_NONE, dtype=np.int8)
+    serving = np.full(snr.shape, SERVING_NONE, dtype=np.int8)
     serving[direct_dbm > -np.inf] = SERVING_DIRECT
     serving[ris_dbm > direct_dbm] = SERVING_RIS
     covered = snr >= threshold_db
@@ -477,18 +483,17 @@ def greedy_place(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if not (0.0 < target_fraction <= 1.0):
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
-    _, _, gx, gy = _grid(scene)
     noise_dbm = _noise_dbm(params)
     panel_gain_db = _panel_gain_db(n_elements, 1.0)
     masks: dict = {}
 
     def site_mask(idx):
         if idx not in masks:
-            dbm = _site_dbm(scene, idx, panel_gain_db, params, gx, gy)
+            dbm = _site_dbm(scene, idx, panel_gain_db, params)
             masks[idx] = (dbm - noise_dbm) >= threshold_db
         return masks[idx]
 
-    uncovered = (_direct_dbm(scene, params, gx, gy) - noise_dbm) < threshold_db
+    uncovered = (_direct_dbm(scene, params) - noise_dbm) < threshold_db
     n = uncovered.size
     count = n - int(np.count_nonzero(uncovered))
     cov = count / n

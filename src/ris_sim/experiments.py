@@ -704,7 +704,9 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     weight one for everybody.  Each chunk of `MULTIUSER_CHUNK` trials
     draws its blocks as one stack per hop and runs its ascents as one
     batched ascent, and one INFO log line reports their count, their
-    sweeps and how many stopped at `max_iters` without meeting the
+    sweeps, the element steps and candidate capacities those sweeps
+    evaluated (sweeps x N, and that times the ascent's entries x the
+    grid), and how many stopped at `max_iters` without meeting the
     tolerance.
     """
     from . import scheduler
@@ -721,7 +723,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
         rngs = (streams[t, i, hop] for t in chunk for i in range(k))
         return complex_normal_stack(rngs, out, 1.0).reshape((len(chunk), k) + shape)
 
-    rows, traces = [], []
+    rows, traces, entries = [], [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
         results = scheduler.compare_shared_vs_ideal(
@@ -735,10 +737,15 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
                 (t, "gap_fraction", cmp.gap_fraction),
             ]
             traces += cmp.traces
+            # the shared ascent weighs every user, a private one its own
+            entries += [k] + [1] * k
     capped = sum(len(tr) - 1 == p["max_iters"] and not sweep_converged(tr)
                  for tr in traces)
-    log.info("multiuser: %d ascents, %d sweeps, %d stopped at max_iters=%d "
-             "without meeting rel_tol=%g", len(traces), sum(len(tr) - 1 for tr in traces),
+    sweeps = [len(tr) - 1 for tr in traces]
+    log.info("multiuser: %d ascents, %d sweeps, %d element steps, %d candidate "
+             "capacities, %d stopped at max_iters=%d without meeting rel_tol=%g",
+             len(traces), sum(sweeps), n * sum(sweeps),
+             n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
              capped, p["max_iters"], ASCENT_REL_TOL)
     return _table("multiuser", seed, trials, p, rows)
 

@@ -3,10 +3,11 @@
 Thin, validated layer over LAPACK: singular spectra, numerical rank and
 water-filling power allocation.  All channel blocks are plain 2-D
 complex128 ndarrays; `as_complex_matrix` is the single entry gate that
-enforces that contract.  The phase ascent's hot loop makes one spectrum
-call (`stack_singular_values`, closed form for 2x2 blocks) and one
-capacity call (`capacity_closed_form`, closed form for two modes) per
-element.
+enforces that contract.  The phase ascent's hot loop makes one call per
+element step, `stack_capacity`: for 2x2 blocks one fused closed form
+from the Gram spectrum to the two-mode water level, for other shapes
+the spectrum (`stack_singular_values`) and then `capacity_closed_form`,
+with the same bits either way.
 """
 
 from __future__ import annotations
@@ -85,33 +86,69 @@ def singular_values(a) -> np.ndarray:
 def stack_singular_values(h) -> np.ndarray:
     """Descending singular values of every matrix of a stack (..., r, c).
 
-    A stack of 2x2 blocks takes the closed form: with the Gram matrix
-    H^H H = [[p, q], [q*, r]], sigma_1^2 = (p + r)/2 + sqrt(((p - r)/2)^2
-    + |q|^2), which equals ||H||_F^2/2 + sqrt(||H||_F^4/4 - |det H|^2)
-    without its cancellation at equal singular values, and sigma_2 =
-    |det H| / sigma_1 (0 for a zero block).  Each block is first scaled
-    by the power of two of its largest entry, which is exact, so entries
-    far from unit scale neither overflow nor lose sigma_2 when squared.
-    Every other shape goes to LAPACK.  No validation: the ascent's hot
+    A stack of 2x2 blocks takes the closed form of `_two_by_two_spectrum`;
+    every other shape goes to LAPACK.  No validation: the ascent's hot
     loop calls this on channels it built itself.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape[-2:] != (2, 2):
         return np.linalg.svd(h, compute_uv=False)
-    # one row per entry (a, b; c, d) over all blocks, real and imaginary
-    # parts side by side in the float view
-    x = h.reshape(-1, 4).T.copy().view(float)
+    return _two_by_two_spectrum(h).T.reshape(h.shape[:-1])
+
+
+def _two_by_two_spectrum(h: np.ndarray) -> np.ndarray:
+    """Rows (sigma_1, sigma_2), one column per 2x2 block of `h` in C order.
+
+    With the Gram matrix H^H H = [[p, q], [q*, r]], sigma_1^2 = (p + r)/2
+    + sqrt(((p - r)/2)^2 + |q|^2), which equals ||H||_F^2/2 +
+    sqrt(||H||_F^4/4 - |det H|^2) without its cancellation at equal
+    singular values, and sigma_2 = |det H| / sigma_1 (0 for a zero block),
+    capped at sigma_1 so that sigma_1 >= sigma_2 always.  Each block is
+    first scaled by the power of two of its largest entry, which is exact,
+    so entries far from unit scale neither overflow nor lose sigma_2 when
+    squared.  Paired terms are computed as one two-row operation.
+    """
+    # rows a, b, c, d: the entries (0, 0), (0, 1), (1, 0), (1, 1) of every
+    # block; a stack of entry planes is already such rows and is not copied
+    z = np.ascontiguousarray(h.reshape(-1, 4).T)
+    x = z.view(float)  # each block's real and imaginary parts side by side
     top = np.abs(x).max(axis=0)
     _, e = np.frexp(np.maximum(top[0::2], top[1::2]))
-    a, b, c, d = np.ldexp(x, -np.repeat(e, 2)).view(np.complex128)
-    p = (a.real**2 + a.imag**2) + (c.real**2 + c.imag**2)
-    r = (b.real**2 + b.imag**2) + (d.real**2 + d.imag**2)
-    q = a.conj() * b + c.conj() * d
+    x = np.ldexp(x, -np.repeat(e, 2))
+    z = x.view(np.complex128)
+    sq = x * x
+    mag = sq[:, 0::2] + sq[:, 1::2]  # |a|^2, |b|^2, |c|^2, |d|^2
+    p, r = mag[:2] + mag[2:]
+    ab, cd = z[0::2].conj() * z[1::2]  # conj(a) b, conj(c) d
+    q = (ab + cd).view(float)
+    q *= q
+    ad, bc = z[:2] * z[3:1:-1]  # a d, b c
     half = 0.5 * (p - r)
-    s1 = np.sqrt(0.5 * (p + r) + np.sqrt(half * half + (q.real**2 + q.imag**2)))
-    s2 = np.minimum(np.abs(a * d - b * c) / np.where(s1 > 0.0, s1, 1.0), s1)
-    s = np.ldexp(np.stack((s1, s2), axis=1), e[:, None])
-    return s.reshape(h.shape[:-1])
+    s = np.empty((2, e.shape[0]))
+    s1 = np.sqrt(0.5 * (p + r) + np.sqrt(half * half + (q[0::2] + q[1::2])), out=s[0])
+    np.minimum(np.abs(ad - bc) / np.where(s1 > 0.0, s1, 1.0), s1, out=s[1])
+    return np.ldexp(s, e, out=s)
+
+
+def stack_capacity(h, total_power: float, noise_power: float) -> np.ndarray:
+    """Water-filled capacity of every matrix of a stack (..., r, c).
+
+    Equals `capacity_closed_form(stack_singular_values(h))` bit for bit,
+    shaped like the stack's leading axes.  A stack of 2x2 blocks takes one
+    fused closed form: its two ordered singular values go straight into
+    the two-mode water level, with no spectrum array and one power check.
+    No validation of `h`, as for `stack_singular_values`.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape[-2:] != (2, 2):
+        sv = stack_singular_values(h)
+        cap = capacity_closed_form(sv.reshape(-1, sv.shape[-1]), total_power, noise_power)
+        return cap.reshape(h.shape[:-2])
+    _check_powers(total_power, noise_power)
+    gains = _two_by_two_spectrum(h)
+    gains *= gains
+    gains /= noise_power
+    return _two_mode_capacity(gains, total_power).reshape(h.shape[:-2])
 
 
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -230,7 +267,8 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     single = s.ndim == 1
     s2 = s[None, :] if single else s
     if s2.shape[1] == 2:
-        cap = _two_mode_capacity(s2**2 / noise_power, total_power)
+        g = (s2**2 / noise_power).T
+        cap = _two_mode_capacity(np.stack((np.maximum(*g), np.minimum(*g))), total_power)
         return float(cap[0]) if single else cap
     gains, pos, mu, nact = _water_level(s2**2 / noise_power, total_power)
     cap = np.zeros(gains.shape[0])
@@ -243,25 +281,31 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
 
 
 def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
-    """Water-filled capacity of each row of two mode gains.
+    """Water-filled capacity of each column of sorted mode gains, rows
+    g1 >= g2.
 
-    The `_water_level` route written out for two modes, with its levels,
-    active-mode count and log sums in the same operation order, so every
-    row is bit for bit what the sorted route gives; it skips the sort,
-    the cumulative sums and the fancy indexing.
+    The `_water_level` route written out for two sorted modes, with its
+    levels and log sums in the same operation order, so every column is
+    bit for bit what the sorted route gives; it skips the sort, the
+    cumulative sums and the fancy indexing.  Both modes are active when
+    each level clears its inverse gain; otherwise the stronger mode takes
+    the whole budget when it is positive (see `_water_level`).  A level
+    or log of a mode that is not used may come from a stand-in gain, but
+    it is never selected.
     """
-    g1 = np.maximum(gains[:, 0], gains[:, 1])
-    g2 = np.minimum(gains[:, 0], gains[:, 1])
-    pos1, pos2 = g1 > 0.0, g2 > 0.0
-    inv1 = np.where(pos1, 1.0 / np.where(pos1, g1, 1.0), 0.0)
-    inv2 = np.where(pos2, 1.0 / np.where(pos2, g2, 1.0), 0.0)
-    mu1 = total_power + inv1
-    mu2 = (total_power + (inv1 + inv2)) / 2.0
-    active = (pos1 & (mu1 > inv1)).astype(np.intp) + (pos2 & (mu2 > inv2))
-    nact = np.maximum(active, pos1)
-    log1 = np.log2(np.where(pos1, g1, 1.0))
-    both = 2 * np.log2(mu2) + (log1 + np.log2(np.where(pos2, g2, 1.0)))
-    return np.where(nact == 2, both, np.where(nact == 1, np.log2(mu1) + log1, 0.0))
+    pos = gains > 0.0
+    safe = np.where(pos, gains, 1.0)
+    inv = 1.0 / safe
+    log = np.log2(safe)
+    mu = np.empty_like(inv)
+    np.add(total_power, inv[0], out=mu[0])
+    np.add(total_power, inv[0] + inv[1], out=mu[1])
+    mu[1] /= 2.0
+    clear = mu > inv
+    log_mu = np.log2(mu)
+    both = 2 * log_mu[1] + (log[0] + log[1])
+    one = log_mu[0] + log[0]
+    return np.where(clear[0] & clear[1] & pos[1], both, np.where(pos[0], one, 0.0))
 
 
 def waterfill_precoder(h, total_power: float, noise_power: float) -> np.ndarray:

@@ -12,7 +12,7 @@ hop, and `phase_ascent_batch` is the one ascent engine, over fully
 reflective surfaces at the caller's grid and sweep cap.
 `scheduler.compare_shared_vs_ideal` runs every ascent of many trials
 through it at once (a one-user trial is the single-user ascent), with one
-spectrum call and one capacity call per element step for all of them.
+`numkernel.stack_capacity` call per element step for all of them.
 """
 
 from __future__ import annotations
@@ -133,8 +133,11 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     theta = exp(j phi) is h[k] diag(theta) g[k], and a start phi (N,).
     Every problem has the same N, M and U.  Each sweep sets every element
     to the best of `grid_points` uniform phases; the candidate channels of
-    every entry of every running problem go through one spectrum call
-    (`numkernel.stack_singular_values`) and one capacity call per element.
+    every entry of every running problem go through one capacity call
+    (`numkernel.stack_capacity`) per element, and the start channels
+    through one more.  An accepted candidate's channel is taken from the
+    candidate stack, and each problem's candidate objectives are the
+    weighted capacities of its entries summed in entry order.
 
     Each problem keeps its own objective, the weighted sum capacity
     accumulated over its entries in entry order; it moves an element only
@@ -166,10 +169,12 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     phases = np.array([init for *_, init in problems], dtype=float)
     n_prob, n = phases.shape
     theta = np.exp(1j * phases)
-    # one row per entry: its problem's place among the running problems,
-    # its place among that problem's entries, its flat index, its weight,
-    # its current channel, and outer[n, i], the change of that channel
-    # per unit change of element n's reflection coefficient
+    # per entry: its problem's place among the running problems, its place
+    # among that problem's entries, its flat index, its weight, its current
+    # channel and outer[n], the change of that channel per unit change of
+    # element n's reflection coefficient; channels are held as U*M planes
+    # with the entries along the contiguous axis, so that the candidate
+    # blocks of a step are built, and read by the kernel, without a copy
     counts = [len(wts) for wts in weights]
     bounds = [0] + np.cumsum(counts).tolist()
     owner = np.repeat(np.arange(n_prob), counts)
@@ -177,10 +182,11 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     index = np.arange(bounds[-1])
     w = np.concatenate(weights)[:, None]
     h = (a * theta[owner][:, None, :]) @ b
-    outer = a.transpose(2, 0, 1)[..., None] * b.transpose(1, 0, 2)[:, :, None, :]
-
-    caps = numkernel.capacity_closed_form(
-        numkernel.stack_singular_values(h), total_power, noise_power)
+    u, m = h.shape[1:]
+    caps = numkernel.stack_capacity(h, total_power, noise_power)
+    h = np.ascontiguousarray(h.transpose(1, 2, 0).reshape(u * m, -1))
+    outer = a.transpose(2, 1, 0)[:, :, None, :] * b.transpose(1, 2, 0)[:, None, :, :]
+    outer = outer.reshape(n, u * m, -1)
     cur = np.array([float(wts @ caps[bounds[p]:bounds[p + 1]])
                     for p, wts in enumerate(weights)])
     traces = [[c] for c in cur.tolist()]
@@ -189,29 +195,27 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     grid = TWO_PI * np.arange(grid_points) / grid_points
     rot = np.exp(1j * grid)
     # weighted candidate capacities by (entry slot, running problem); the
-    # slots a problem lacks stay +0.0, which leaves its running sum as is
+    # slots a problem lacks stay +0.0, which leaves its sum as is
     weighted = np.zeros((max(counts), n_prob, grid_points))
     for _ in range(max_iters):
         for nidx in range(n):
-            delta = rot[None, :] - theta[:, nidx, None]
-            hc = h[:, None] + delta[owner, :, None, None] * outer[nidx][:, None]
-            sv = numkernel.stack_singular_values(hc)
-            cg = numkernel.capacity_closed_form(
-                sv.reshape(-1, sv.shape[-1]), total_power, noise_power)
-            cg = cg.reshape(-1, grid_points)
-            weighted[slot, owner] = w * cg
-            total = np.zeros(cur.shape + (grid_points,))
-            for part in weighted:
-                total += part
+            # candidate planes (U*M, grid, entry), read as (grid, entry) blocks
+            delta = rot[:, None] - theta[owner, nidx]
+            hc = h[:, None] + delta * outer[nidx][:, None]
+            cg = numkernel.stack_capacity(
+                hc.transpose(1, 2, 0).reshape(grid_points, -1, u, m), total_power, noise_power)
+            weighted[slot, owner] = w * cg.T
+            # summed slot by slot in slot order, the entry order
+            total = weighted.sum(axis=0)
             best = np.argmax(total, axis=1)
             best_val = total[np.arange(best.shape[0]), best]
             up = best_val > cur
             if not up.any():
                 continue
-            m = up[owner]
-            j = best[owner[m]]
-            h[m] = h[m] + delta[owner[m], j, None, None] * outer[nidx][m]
-            caps[index[m]] = cg[m, j]
+            sel = up[owner]
+            j = best[owner[sel]]
+            h[:, sel] = hc[:, j, sel]
+            caps[index[sel]] = cg[j, sel]
             theta[up, nidx] = rot[best[up]]
             phases[up, nidx] = grid[best[up]]
             cur[up] = best_val[up]
@@ -224,7 +228,8 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
         if not running.all():
             keep = running[owner]
             owner = (np.cumsum(running) - 1)[owner[keep]]
-            slot, index, w, h, outer = slot[keep], index[keep], w[keep], h[keep], outer[:, keep]
+            slot, index, w = slot[keep], index[keep], w[keep]
+            h, outer = h[:, keep], outer[:, :, keep]
             ids, cur = ids[running], cur[running]
             theta, phases = theta[running], phases[running]
             weighted = weighted[:, running]

@@ -59,7 +59,8 @@ def compare_shared_vs_ideal(
     `ris.ASCENT_REL_TOL` of its objective.  The aligned starts of every
     user of every trial come from one `ris.aligned_phases` call, and the
     shared ascent and the K private ones of every trial run as one
-    `ris.phase_ascent_batch` call.  The engine keeps each ascent bit for
+    `ris.phase_ascent_batch` call, with one `numkernel.stack_capacity`
+    call per element step for all of them.  The engine keeps each ascent bit for
     bit whatever else is in the batch, so a trial's result does not
     depend on the other trials.  Since a private state can always replay
     the shared one, each user's ideal capacity is floored at its

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import channel, coexist, deploy, experiments, scheduler, seeding
+from ris_sim import channel, coexist, deploy, experiments, numkernel, scheduler, seeding
 from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
 from ris_sim.experiments import RUNNERS
 
@@ -338,7 +338,18 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
         traces.extend(t for cmp in out for t in cmp.traces)
         return out
 
+    # candidate stacks are (grid, entries, U, M); a batch's starting
+    # channels are one (entries, U, M) stack
+    evaluated = []
+    capacity = numkernel.stack_capacity
+
+    def counted(h, *args):
+        if h.ndim == 4:
+            evaluated.append(h.shape[0] * h.shape[1])
+        return capacity(h, *args)
+
     monkeypatch.setattr(scheduler, "compare_shared_vs_ideal", spy)
+    monkeypatch.setattr(numkernel, "stack_capacity", counted)
     cfg = _cfg(tmp_path, "experiment: multiuser\ntrials: 4\nscenario:\n  n_users: 3\n"
                          f"  n_elements: 6\n  max_iters: {max_iters}\n")
     assert main(["multiuser", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
@@ -348,10 +359,15 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
     # than the 1e-6 tolerance
     capped = sum(s == max_iters and t[-1] - t[-2] > 1e-6 * abs(t[-2])
                  for s, t in zip(sweeps, traces))
+    # each trial's shared ascent over its 3 users, then one per user
+    entries = [3, 1, 1, 1] * 4
+    candidates = 6 * 16 * sum(s * e for s, e in zip(sweeps, entries))
+    assert sum(evaluated) == candidates
     assert len(traces) == 4 * (3 + 1)
     assert (capped > 0) == (max_iters == 1)
-    assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, {capped} stopped "
-                     f"at max_iters={max_iters} without meeting rel_tol=1e-06"]
+    assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, "
+                     f"{6 * sum(sweeps)} element steps, {candidates} candidate capacities, "
+                     f"{capped} stopped at max_iters={max_iters} without meeting rel_tol=1e-06"]
 
 
 def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):

@@ -102,6 +102,48 @@ def test_other_spectrum_shapes_go_to_lapack():
         assert numkernel.stack_singular_values(h).tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=st.lists(st.sampled_from(("rayleigh", "rank_one", "equal", "zero")),
+                   min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=6),
+    mixed=st.booleans(),
+    planes=st.booleans(),
+    power=st.floats(1e-3, 1e3),
+    noise=st.floats(1e-3, 10.0),
+)
+def test_stack_capacity_is_the_two_call_route_bit_for_bit(
+        kinds, seed, exponents, mixed, planes, power, noise):
+    # a (kinds, blocks) stack, one decade scale per block; `mixed` gives
+    # every entry its own scale in the same 300 decades instead, and
+    # `planes` passes the stack as a strided view of entry planes, the
+    # layout the phase ascent hands in
+    rng = np.random.default_rng(seed)
+    count = len(exponents)
+    h = np.stack([_blocks(kind, int(rng.integers(2**32)), count) for kind in kinds])
+    scale = rng.uniform(-150.0, 150.0, h.shape) if mixed else np.array(exponents)[:, None, None]
+    h = h * 10.0**scale
+    if planes:
+        h = np.ascontiguousarray(h.reshape(len(kinds), count, 4).transpose(2, 0, 1))
+        h = h.transpose(1, 2, 0).reshape(len(kinds), count, 2, 2)
+    got = numkernel.stack_capacity(h, power, noise)
+    sv = numkernel.stack_singular_values(h)
+    want = numkernel.capacity_closed_form(sv.reshape(-1, 2), power, noise)
+    assert got.shape == (len(kinds), count)
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (2, 2, 3), (5, 1, 2), (3, 2, 4, 4), (2, 1, 1)])
+def test_stack_capacity_of_other_shapes_is_the_two_call_route(shape):
+    rng = np.random.default_rng(5)
+    h = _randc(rng, shape) * 10.0 ** rng.uniform(-100.0, 100.0, shape[:-2] + (1, 1))
+    got = numkernel.stack_capacity(h, 2.0, 0.5)
+    sv = numkernel.stack_singular_values(h)
+    want = numkernel.capacity_closed_form(sv.reshape(-1, sv.shape[-1]), 2.0, 0.5)
+    assert got.tobytes() == want.reshape(shape[:-2]).tobytes()
+
+
 def test_svd_reconstruction():
     rng = np.random.default_rng(3)
     a = _randc(rng, (5, 4))
