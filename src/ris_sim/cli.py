@@ -141,16 +141,6 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
     return table
 
 
-def _u64(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= v < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
-    return v
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
@@ -171,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         sp = sub.add_parser(name, help=briefs[name])
         sp.add_argument("--config", required=True, help="YAML experiment config")
-        sp.add_argument("--seed", type=_u64, default=None,
+        sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads for rank's trials, >= 1; results never "
@@ -204,11 +194,12 @@ def main(argv=None) -> int:
             )
         if args.threads < 1:
             raise ConfigError("", f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+            check_run(cfg.seed, cfg.trials)
     except ConfigError as exc:
         log.error("invalid config: %s", exc)
         return 1
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     stages = {"validate": time.perf_counter() - start}
     try:
         table = run_experiment(cfg, out_path=args.out, stages=stages, threads=args.threads)

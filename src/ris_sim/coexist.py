@@ -346,12 +346,10 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     nets = (scenario.net_a, scenario.net_b)
-    sensed = {
-        (i, j): _sensed_sources(scenario, nets[i], nets[j])
-        for i in range(2)
-        for j in range(2)
-        if i != j
-    }
+    # within a slot the only transmission a network can sense is the other
+    # network's, so each network's sensing outcome is decided once
+    clear = [lbt_decide(cfg, _sensed_sources(scenario, nets[i], nets[1 - i]))
+             for i in range(2)]
     inter = [
         _interference_power(scenario, nets[i], nets[1 - i]) if scenario.same_frequency
         else 0.0
@@ -377,7 +375,7 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
             if backoff[i] > 0:
                 backoff[i] -= 1
                 continue
-            if lbt_decide(cfg, [s for j in granted for s in sensed[(i, j)]]):
+            if not granted or clear[i]:
                 granted.append(i)
             else:
                 backoff[i] = int(rng.integers(0, cfg.backoff_slots_max + 1))

@@ -1,13 +1,13 @@
 """Complex linear-algebra kernel shared by every other module.
 
 Thin, validated layer over LAPACK: singular spectra, numerical rank and
-water-filling power allocation.  All channel blocks are plain 2-D
-complex128 ndarrays; `as_complex_matrix` is the single entry gate that
-enforces that contract.  The phase ascent's hot loop makes one call per
-element step, `stack_capacity`: for 2x2 blocks one fused closed form
-from the Gram spectrum to the two-mode water level, for other shapes
-the spectrum (`stack_singular_values`) and then `capacity_closed_form`,
-with the same bits either way.
+water-filling power allocation.  All channel blocks are complex128
+ndarrays, one matrix or a stack (..., r, c); `as_complex_stack` is the
+single entry gate that enforces that contract.  The phase ascent's hot
+loop makes one call per element step, `stack_capacity`: for 2x2 blocks
+one fused closed form from the Gram spectrum to the two-mode water
+level, for other shapes the LAPACK spectrum and then
+`capacity_closed_form`, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -24,31 +24,15 @@ DEFAULT_RANK_TOL = 1e-8
 _BUDGET_RTOL = 1e-12
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a 2-D complex128 array.
-
-    Raises ValueError for wrong dimensionality, zero-sized axes, or
-    non-finite entries.
-    """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
-    return _check_entries(arr, "matrix")
-
-
 def as_complex_stack(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a complex128 matrix or stack (..., r, c).
 
-    The checks are those of `as_complex_matrix`, applied to every matrix
-    of the stack at once.
+    Raises ValueError for fewer than two axes, zero-sized axes, or
+    non-finite entries.
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim < 2:
         raise ValueError(f"{name} must be at least 2-D, got ndim={arr.ndim}")
-    return _check_entries(arr, name)
-
-
-def _check_entries(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} has a zero dimension: shape={arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -79,21 +63,10 @@ def svd(a) -> SvdResult:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values of a validated complex matrix."""
-    arr = as_complex_matrix(a)
-    return np.linalg.svd(arr, compute_uv=False)
-
-
-def stack_singular_values(h) -> np.ndarray:
-    """Descending singular values of every matrix of a stack (..., r, c).
-
-    A stack of 2x2 blocks takes the closed form of `_two_by_two_spectrum`;
-    every other shape goes to LAPACK.  No validation: the ascent's hot
-    loop calls this on channels it built itself.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape[-2:] != (2, 2):
-        return np.linalg.svd(h, compute_uv=False)
-    return _two_by_two_spectrum(h).T.reshape(h.shape[:-1])
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
+    return np.linalg.svd(as_complex_stack(arr), compute_uv=False)
 
 
 def _two_by_two_spectrum(h: np.ndarray) -> np.ndarray:
@@ -133,15 +106,16 @@ def _two_by_two_spectrum(h: np.ndarray) -> np.ndarray:
 def stack_capacity(h, total_power: float, noise_power: float) -> np.ndarray:
     """Water-filled capacity of every matrix of a stack (..., r, c).
 
-    Equals `capacity_closed_form(stack_singular_values(h))` bit for bit,
-    shaped like the stack's leading axes.  A stack of 2x2 blocks takes one
-    fused closed form: its two ordered singular values go straight into
-    the two-mode water level, with no spectrum array and one power check.
-    No validation of `h`, as for `stack_singular_values`.
+    Equals `capacity_closed_form` of each matrix's singular values bit for
+    bit, shaped like the stack's leading axes.  A stack of 2x2 blocks takes
+    one fused closed form: its two ordered singular values go straight
+    into the two-mode water level, with no spectrum array and one power
+    check.  Other shapes take the LAPACK spectrum.  No validation of `h`:
+    the ascent's hot loop calls this on channels it built itself.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape[-2:] != (2, 2):
-        sv = stack_singular_values(h)
+        sv = np.linalg.svd(h, compute_uv=False)
         cap = capacity_closed_form(sv.reshape(-1, sv.shape[-1]), total_power, noise_power)
         return cap.reshape(h.shape[:-2])
     _check_powers(total_power, noise_power)
@@ -260,16 +234,11 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     checks both against a grid-search oracle.  Accepts a single spectrum
     (k,) or a batch (b, k); returns a float or a length-b vector
     accordingly.  A spectrum without a positive mode has capacity 0.
-    Two-mode spectra take `_two_mode_capacity`, which gives the same bits.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
     single = s.ndim == 1
     s2 = s[None, :] if single else s
-    if s2.shape[1] == 2:
-        g = (s2**2 / noise_power).T
-        cap = _two_mode_capacity(np.stack((np.maximum(*g), np.minimum(*g))), total_power)
-        return float(cap[0]) if single else cap
     gains, pos, mu, nact = _water_level(s2**2 / noise_power, total_power)
     cap = np.zeros(gains.shape[0])
     usable = nact > 0

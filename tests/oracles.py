@@ -337,6 +337,52 @@ def quantization_ratio_oracle(n: int, bits: int, samples: int, seed: int) -> flo
 
 
 # ---------------------------------------------------------------------------
+# stacked spectrum with the 2x2 closed form, frozen
+
+def stack_singular_values(h) -> np.ndarray:
+    """Descending singular values of every matrix of a stack (..., r, c).
+
+    A frozen copy of the package's old spectrum call, not an independent
+    algorithm: a stack of 2x2 blocks takes the Gram closed form below and
+    every other shape goes to LAPACK.  `capacity_closed_form` of this
+    spectrum is the two-call route that `numkernel.stack_capacity` fuses,
+    so the engine is checked against it bit for bit.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape[-2:] != (2, 2):
+        return np.linalg.svd(h, compute_uv=False)
+    return _two_by_two_spectrum(h).T.reshape(h.shape[:-1])
+
+
+def _two_by_two_spectrum(h: np.ndarray) -> np.ndarray:
+    """Rows (sigma_1, sigma_2), one column per 2x2 block of `h` in C order.
+
+    With the Gram matrix H^H H = [[p, q], [q*, r]], sigma_1^2 = (p + r)/2
+    + sqrt(((p - r)/2)^2 + |q|^2) and sigma_2 = |det H| / sigma_1 (0 for
+    a zero block), capped at sigma_1.  Each block is first scaled by the
+    power of two of its largest entry, which is exact.
+    """
+    z = np.ascontiguousarray(h.reshape(-1, 4).T)
+    x = z.view(float)
+    top = np.abs(x).max(axis=0)
+    _, e = np.frexp(np.maximum(top[0::2], top[1::2]))
+    x = np.ldexp(x, -np.repeat(e, 2))
+    z = x.view(np.complex128)
+    sq = x * x
+    mag = sq[:, 0::2] + sq[:, 1::2]
+    p, r = mag[:2] + mag[2:]
+    ab, cd = z[0::2].conj() * z[1::2]
+    q = (ab + cd).view(float)
+    q *= q
+    ad, bc = z[:2] * z[3:1:-1]
+    half = 0.5 * (p - r)
+    s = np.empty((2, e.shape[0]))
+    s1 = np.sqrt(0.5 * (p + r) + np.sqrt(half * half + (q[0::2] + q[1::2])), out=s[0])
+    np.minimum(np.abs(ad - bc) / np.where(s1 > 0.0, s1, 1.0), s1, out=s[1])
+    return np.ldexp(s, e, out=s)
+
+
+# ---------------------------------------------------------------------------
 # per-problem phase sweep, frozen
 
 def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
@@ -346,10 +392,12 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
     Unlike the rest of this file this is not an independent algorithm: it
     is a frozen copy of the per-problem sweep the package ran before
     `ris.phase_ascent_batch`, with one spectrum call and one capacity call
-    per entry and element.  It takes its spectra from the package's
-    `numkernel.stack_singular_values`, so bit-for-bit agreement with it
-    shows that batching changed the bookkeeping and not the arithmetic;
-    `test_numkernel` checks that spectrum against LAPACK.  Returns
+    per entry and element.  It takes its spectra from the frozen
+    `stack_singular_values` above and its capacities from the package's
+    `numkernel.capacity_closed_form`, so bit-for-bit agreement with it
+    shows that batching and the fused kernel changed the bookkeeping and
+    not the arithmetic; `test_numkernel` checks the package's 2x2 spectrum
+    against LAPACK.  Returns
     (phases, per_entry_capacities, trace) like one problem of the engine.
     """
     from ris_sim import numkernel
@@ -373,7 +421,7 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
     grid = TWO_PI * np.arange(grid_points) / grid_points
     per_caps = np.array([
         numkernel.capacity_closed_form(
-            numkernel.stack_singular_values(h), total_power, noise_power)
+            stack_singular_values(h), total_power, noise_power)
         for h in hs
     ])
     cur = float(weights @ per_caps)
@@ -387,7 +435,7 @@ def per_problem_phase_ascent(entries, amplitudes, init_phases, total_power,
             cand_caps = []
             for k in range(len(terms)):
                 hc = hs[k][None, :, :] + delta[:, None, None] * outers[k][nidx]
-                sv = numkernel.stack_singular_values(hc)
+                sv = stack_singular_values(hc)
                 cg = numkernel.capacity_closed_form(sv, total_power, noise_power)
                 cand_caps.append(cg)
                 total += weights[k] * cg

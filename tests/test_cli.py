@@ -627,6 +627,17 @@ def test_main_bad_seed_text_is_a_usage_error(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
+    # the same rule as `seed:` in a config: exit 1, naming the field
+    cfg = _cfg(tmp_path, _SMALL_RANK)
+    rc = main(["rank", "--config", cfg, "--seed", seed])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "invalid config: seed" in captured.err
+    assert captured.out == ""
+
+
 # Values whose runs used to overflow (path gain, 2^bits phase levels, raster
 # size), hit coincident nodes or write one beamform row twice; each now fails
 # validation at its path.

@@ -533,7 +533,7 @@ def test_batch_with_one_sweep():
 
 
 def test_batch_costs_one_capacity_call_per_element(monkeypatch):
-    calls = {"stack_capacity": 0, "stack_singular_values": 0, "capacity_closed_form": 0}
+    calls = {"stack_capacity": 0, "capacity_closed_form": 0}
 
     def counted(name):
         real = getattr(numkernel, name)
@@ -549,10 +549,9 @@ def test_batch_costs_one_capacity_call_per_element(monkeypatch):
     problems = _random_problems(13, 8, (2, 2), specs)
     out = phase_ascent_batch(problems, 1.0, 1.0, 3, 16)
     sweeps = max(len(trace) - 1 for _, _, trace in out)
-    # the fused 2x2 route calls neither two-step kernel, not even from
-    # inside `stack_capacity`
-    assert calls == {"stack_capacity": 1 + 8 * sweeps,
-                     "stack_singular_values": 0, "capacity_closed_form": 0}
+    # the fused 2x2 route makes no `capacity_closed_form` call, not even
+    # from inside `stack_capacity`
+    assert calls == {"stack_capacity": 1 + 8 * sweeps, "capacity_closed_form": 0}
 
 
 def test_batch_input_checks():
