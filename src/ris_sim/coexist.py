@@ -2,10 +2,13 @@
 
 Network B's effective channel bounces off network A's surface, so A's
 reconfigurations move B's channel between B's measurement slot t1 and its
-transmit slot t2.  The module quantifies that stale-CSI loss, runs a
-slotted listen-before-talk medium access simulation with omnidirectional
-energy sensing, and models two-pass band filtering at the surface for
-adjacent-channel operation.
+transmit slot t2.  `stale_rates` quantifies that stale-CSI loss, at any
+set of bounce scales; `run_lbt_sim` runs a slotted listen-before-talk
+medium access simulation with omnidirectional energy sensing; and
+`filter_budget_db` gives the out-of-band budget of a band filter at the
+surface, whose amplitude scale the adjacent-band runner hands to
+`stale_rates`.  One `CoexScenario` describes both networks, with fixed
+roles: A owns the surface, B owns none.
 """
 
 from __future__ import annotations
@@ -41,84 +44,56 @@ log = logging.getLogger(__name__)
 UPDATE_POLICIES = ("static", "rerandomize_each_slot", "frozen_during_foreign_slot")
 
 
-@dataclass(frozen=True)
-class CoexNetwork:
-    """One operator: base station, user, and an optional own surface."""
-
-    name: str
-    nb: str
-    ue: str
-    m_antennas: int
-    u_antennas: int
-    tx_power: float
-    ris: str | None = None
-    n_elements: int = 0
-
-    def __post_init__(self):
-        if self.m_antennas < 1 or self.u_antennas < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if not (self.tx_power > 0.0 and math.isfinite(self.tx_power)):
-            raise ValueError(f"tx_power must be positive, got {self.tx_power}")
-        if (self.ris is None) != (self.n_elements == 0):
-            raise ValueError("ris node and n_elements must be given together")
-        if self.n_elements < 0:
-            raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
-
-
 @dataclass(frozen=True, eq=False)
 class CoexScenario:
-    """Two networks in one geometry plus the surface update policy of A.
+    """Two networks in one geometry on one frequency.
 
-    `direct_params` describes the base-station/user ground links; it
-    defaults to `params` but usually carries a higher path-loss exponent
-    than the elevated reflected segments.  `b_direct_blocked` obstructs
-    network B's ground path entirely, leaving B connected only through
-    the bounce off A's surface (the victim-in-shadow case).
+    Network A serves `ue_a` from `nb_a` and owns the surface `ris_a` of
+    `n_elements` elements; network B serves `ue_b` from `nb_b` and owns
+    no surface.  Both base stations have `m_antennas` antennas and both
+    users `u_antennas`.  `params` describes the reflected segments and
+    `direct_params` the base-station/user ground links, which usually
+    carry a higher path-loss exponent.  A's surface moves per `policy`
+    between B's measurement slot `t1` and its transmit slot `t2`.
+    `b_direct_blocked` obstructs B's ground path entirely, leaving B
+    connected only through the bounce off A's surface (the victim-in-shadow
+    case).
     """
 
     geometry: Geometry
     params: ChannelParams
-    net_a: CoexNetwork
-    net_b: CoexNetwork
-    same_frequency: bool = True
-    t1: int = 0
-    t2: int = 1
-    ris_update_policy: str = "rerandomize_each_slot"
-    direct_params: ChannelParams | None = None
-    b_direct_blocked: bool = False
+    direct_params: ChannelParams
+    m_antennas: int
+    u_antennas: int
+    n_elements: int
+    tx_power_a: float
+    tx_power_b: float
+    t1: int
+    t2: int
+    policy: str
+    b_direct_blocked: bool
 
     def __post_init__(self):
         if self.t1 > self.t2:
             raise ValueError(f"need t1 <= t2, got t1={self.t1}, t2={self.t2}")
-        if self.ris_update_policy not in UPDATE_POLICIES:
-            raise ValueError(
-                f"unknown ris_update_policy {self.ris_update_policy!r}; "
-                f"choose one of {UPDATE_POLICIES}"
-            )
-        if self.direct_params is None:
-            object.__setattr__(self, "direct_params", self.params)
-        for net in (self.net_a, self.net_b):
-            self.geometry.position(net.nb)
-            self.geometry.position(net.ue)
-            if net.ris is not None:
-                self.geometry.position(net.ris)
+        if self.policy not in UPDATE_POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}; choose one of {UPDATE_POLICIES}")
 
 
-def _bounce_scenario(coex: CoexScenario, seed: int) -> Scenario:
-    """Network B's link as seen through network A's surface."""
-    if coex.net_a.ris is None:
-        raise ValueError("network A must own a surface for the bounce channel")
+def _surface_link(coex: CoexScenario, net: str, direct: bool, seed: int) -> Scenario:
+    """Network `net`'s ("a" or "b") link through A's surface, plus its
+    ground path when `direct`."""
     return Scenario(
         geometry=coex.geometry,
-        m_antennas=coex.net_b.m_antennas,
-        n_elements=coex.net_a.n_elements,
-        u_antennas=coex.net_b.u_antennas,
+        m_antennas=coex.m_antennas,
+        n_elements=coex.n_elements,
+        u_antennas=coex.u_antennas,
         nb_ris=coex.params,
         ris_ue=coex.params,
-        nb_ue=None if coex.b_direct_blocked else coex.direct_params,
-        nb=coex.net_b.nb,
-        ris=coex.net_a.ris,
-        ue=coex.net_b.ue,
+        nb_ue=coex.direct_params if direct else None,
+        nb=f"nb_{net}",
+        ris="ris_a",
+        ue=f"ue_{net}",
         seed=seed,
     )
 
@@ -144,7 +119,7 @@ STALE_CHUNK = 32
 def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     """Network B's stale-CSI rates over many trials in stacked passes.
 
-    The one stale-CSI entry point, for the runner and `adjacent_rates`.
+    The one stale-CSI entry point, for the coexist and adjacent runners.
     B water-fills its precoder on the effective channel at t1 and transmits
     on the channel at t2, where A's surface has evolved per the update
     policy.  Each scale in `scales` multiplies the amplitude of the bounce
@@ -163,10 +138,11 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     first pass, and one INFO log line reports the trials, keyed draws and
     stacked passes.
     """
-    b_link = _bounce_scenario(scenario, subseed(seed, "b-link"))
+    b_link = _surface_link(scenario, "b", not scenario.b_direct_blocked,
+                           subseed(seed, "b-link"))
     ids = list(trial_ids)
     n = b_link.n_elements
-    states = 2 if (scenario.ris_update_policy == "rerandomize_each_slot"
+    states = 2 if (scenario.policy == "rerandomize_each_slot"
                    and scenario.t2 != scenario.t1) else 1
     slots = (scenario.t1, scenario.t2)[:states]
     links = link_streams(b_link, ids)
@@ -194,7 +170,7 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     channels at all held states take one stacked SVD and water-filling,
     and both rates one stacked determinant.
     """
-    p_b = scenario.net_b.tx_power
+    p_b = scenario.tx_power_b
     noise = scenario.params.noise_power
     hs = np.stack([assemble_stack(b_link, *blocks, th, beta_gain=bounce_amp_scale)
                    for th in theta])
@@ -208,118 +184,81 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     return fresh, stale, loss
 
 
-@dataclass(frozen=True)
-class LbtConfig:
-    """Listen-before-talk sensing parameters.
+def _budgets(coex: CoexScenario, threshold_dbm: float):
+    """Carrier-sensing outcomes and interference powers of networks A and B.
 
-    The summed sensed power is compared against `sense_threshold_dbm`.
-    """
-
-    sense_threshold_dbm: float
-    backoff_slots_max: int = 8
-
-    def __post_init__(self):
-        if self.backoff_slots_max < 0:
-            raise ValueError(
-                f"backoff_slots_max must be >= 0, got {self.backoff_slots_max}"
-            )
-
-
-def lbt_decide(cfg: LbtConfig, powers_dbm) -> bool:
-    """True when the summed sensed power stays below the threshold.
-
-    `powers_dbm` is a sequence of sensed powers; an empty medium always
-    clears.
-    """
-    total_mw = 0.0
-    for power_dbm in powers_dbm:
-        total_mw += 10.0 ** (power_dbm / 10.0)
-    if total_mw == 0.0:
-        return True
-    return 10.0 * math.log10(total_mw) < cfg.sense_threshold_dbm
-
-
-def _watts_to_dbm(p: float) -> float:
-    return 10.0 * math.log10(p * 1e3) if p > 0.0 else -math.inf
-
-
-def _own_link_spectrum(coex: CoexScenario, net: CoexNetwork, seed: int):
-    """Singular values of one network's own link, surface aligned if owned,
-    and the number of channel blocks drawn for it.
-
-    A link through a surface is trial 0 of a scenario seeded
-    `subseed(seed, f"own/{name}")`; a ground-only link draws its block from
-    `rng_from(seed, f"direct/{name}")`.
-    """
-    dp = coex.direct_params
-    if net.ris is not None:
-        link = Scenario(
-            geometry=coex.geometry,
-            m_antennas=net.m_antennas,
-            n_elements=net.n_elements,
-            u_antennas=net.u_antennas,
-            nb_ris=coex.params,
-            ris_ue=coex.params,
-            nb_ue=dp,
-            nb=net.nb,
-            ris=net.ris,
-            ue=net.ue,
-            seed=subseed(seed, f"own/{net.name}"),
-        )
-    elif coex.b_direct_blocked and net is coex.net_b:
-        # shadowed victim: only the bounce off A's surface, whose state
-        # B does not control, so a seeded foreign draw stands in
-        link = _bounce_scenario(coex, subseed(seed, f"own/{net.name}"))
-        theta = _foreign_states((rng_from(seed, f"own-theta/{net.name}"),), (1, link.n_elements))
-    else:
-        los, pl = _fixed_link(coex.geometry, net.nb, net.ue, net.u_antennas,
-                              net.m_antennas, dp)
-        h = _link_stack(dp, los, (rng_from(seed, f"direct/{net.name}"),), 1)[0]
-        return singular_values(math.sqrt(pl) * h), int(not math.isinf(dp.rician_k))
-    streams = link_streams(link, (0,))
-    blocks = draw_stack(link, streams, (0,))
-    if net.ris is not None:
-        theta = np.exp(1j * aligned_phases(*blocks, gains=link))
-    return singular_values(assemble_stack(link, *blocks, theta)[0]), streams.draws
-
-
-def _interference_power(coex: CoexScenario, victim: CoexNetwork,
-                        source: CoexNetwork) -> float:
-    """Mean received power at the victim's user from the source network.
-
-    The ground path takes the `direct_params` exponent, as the victim's own
-    ground link does.  The bounce off the source's own surface adds
-    incoherently, hence the factor N rather than N^2.
+    Returns (clear, interference), each a pair ordered (A, B).  `clear[i]`
+    tells whether network i's base station reads the medium clear while
+    the other network transmits: the powers it senses, converted to dBm
+    and summed in mW, stay below `threshold_dbm`, or sum to zero.
+    `interference[i]` is the mean power the other network's transmission
+    adds at network i's user.  A transmission reaches a station or user
+    over the ground path and, from A, also over the incoherent bounce off
+    A's surface, hence the factor N rather than N^2.  Sensing takes the
+    reflected exponent on the ground path, interference the direct one.
     """
     geom = coex.geometry
     lam = geom.wavelength
     alpha = coex.params.path_loss_exponent
     ground = coex.direct_params.path_loss_exponent
-    p = path_gain(lam, geom.distance(source.nb, victim.ue), ground)
-    if source.ris is not None:
-        p += (
-            path_gain(lam, geom.distance(source.nb, source.ris), alpha)
-            * source.n_elements
-            * path_gain(lam, geom.distance(source.ris, victim.ue), alpha)
-        )
-    return source.tx_power * p
+    tx_a, tx_b, n = coex.tx_power_a, coex.tx_power_b, coex.n_elements
+
+    def gain(frm, to, exponent):
+        return path_gain(lam, geom.distance(frm, to), exponent)
+
+    sensed = (
+        (tx_b * gain("nb_b", "nb_a", alpha),),
+        (tx_a * gain("nb_a", "nb_b", alpha),
+         tx_a * gain("nb_a", "ris_a", alpha) * n * gain("ris_a", "nb_b", alpha)),
+    )
+    clear = []
+    for powers in sensed:
+        total_mw = 0.0
+        for p in powers:
+            if p > 0.0:
+                power_dbm = 10.0 * math.log10(p * 1e3)
+                total_mw += 10.0 ** (power_dbm / 10.0)
+        clear.append(total_mw == 0.0 or 10.0 * math.log10(total_mw) < threshold_dbm)
+    interference = (
+        tx_b * gain("nb_b", "ue_a", ground),
+        tx_a * (gain("nb_a", "ue_b", ground)
+                + gain("nb_a", "ris_a", alpha) * n * gain("ris_a", "ue_b", alpha)),
+    )
+    return tuple(clear), interference
 
 
-def _sensed_sources(coex: CoexScenario, listener: CoexNetwork,
-                    source: CoexNetwork):
-    """Powers (dBm) a transmission presents to a listener's base station."""
-    geom = coex.geometry
-    lam = geom.wavelength
-    alpha = coex.params.path_loss_exponent
-    out = [_watts_to_dbm(source.tx_power
-                         * path_gain(lam, geom.distance(source.nb, listener.nb), alpha))]
-    if source.ris is not None:
-        p = (source.tx_power
-             * path_gain(lam, geom.distance(source.nb, source.ris), alpha)
-             * source.n_elements
-             * path_gain(lam, geom.distance(source.ris, listener.nb), alpha))
-        out.append(_watts_to_dbm(p))
-    return out
+def _own_spectra(coex: CoexScenario, seed: int):
+    """Singular values of network A's and network B's own links, and the
+    number of channel blocks drawn for them.
+
+    A's link is its aligned surface plus its ground path, trial 0 of a
+    scenario seeded `subseed(seed, "own/a")`.  B's ground link draws its
+    block from `rng_from(seed, "direct/b")`; a shadowed B's link is the
+    bounce off A's surface, trial 0 of a scenario seeded
+    `subseed(seed, "own/b")`.
+    """
+    def surface_link(net, direct):
+        link = _surface_link(coex, net, direct, subseed(seed, f"own/{net}"))
+        streams = link_streams(link, (0,))
+        return link, draw_stack(link, streams, (0,)), streams.draws
+
+    link, blocks, draws_a = surface_link("a", True)
+    theta = np.exp(1j * aligned_phases(*blocks, gains=link))
+    s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
+    if coex.b_direct_blocked:
+        # only the bounce off A's surface, whose state B does not control,
+        # so a seeded foreign draw stands in
+        link, blocks, draws_b = surface_link("b", False)
+        theta = _foreign_states((rng_from(seed, "own-theta/b"),), (1, coex.n_elements))
+        s_b = singular_values(assemble_stack(link, *blocks, theta)[0])
+    else:
+        dp = coex.direct_params
+        los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", coex.u_antennas,
+                              coex.m_antennas, dp)
+        h = _link_stack(dp, los, (rng_from(seed, "direct/b"),), 1)[0]
+        s_b = singular_values(math.sqrt(pl) * h)
+        draws_b = int(not math.isinf(dp.rician_k))
+    return (s_a, s_b), draws_a + draws_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,35 +272,28 @@ class LbtResult:
     keyed_draws: int
 
 
-def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -> LbtResult:
+def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
+                slots: int, seed: int) -> LbtResult:
     """Slotted medium access with carrier sensing and random backoff.
 
     Both networks are saturated.  Per slot, contenders are polled in a
-    random order; each sums the power of transmissions already granted in
-    the slot and defers with a uniform backoff of up to
-    `backoff_slots_max` slots when the medium reads busy.  Collisions are
-    slots where both networks transmit on the same frequency; mean rates
-    count idle slots as zero (throughput).
+    random order; each senses the transmissions already granted in the
+    slot against `threshold_dbm` and defers with a uniform backoff of up
+    to `backoff_max` slots when the medium reads busy.  Collisions are
+    slots where both networks transmit; mean rates count idle slots as
+    zero (throughput).
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    nets = (scenario.net_a, scenario.net_b)
     # within a slot the only transmission a network can sense is the other
     # network's, so each network's sensing outcome is decided once
-    clear = [lbt_decide(cfg, _sensed_sources(scenario, nets[i], nets[1 - i]))
-             for i in range(2)]
-    inter = [
-        _interference_power(scenario, nets[i], nets[1 - i]) if scenario.same_frequency
-        else 0.0
-        for i in range(2)
-    ]
+    clear, inter = _budgets(scenario, threshold_dbm)
     # each own link is drawn once; a collision only adds interference noise
     noise = scenario.params.noise_power
-    spectra, draws = zip(*(_own_link_spectrum(scenario, net, seed) for net in nets))
-    rate_alone = [capacity_closed_form(s, net.tx_power, noise)
-                  for s, net in zip(spectra, nets)]
-    rate_coll = [capacity_closed_form(s, net.tx_power, noise + x)
-                 for s, net, x in zip(spectra, nets, inter)]
+    spectra, draws = _own_spectra(scenario, seed)
+    tx = (scenario.tx_power_a, scenario.tx_power_b)
+    rate_alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]
+    rate_coll = [capacity_closed_form(s, p, noise + x) for s, p, x in zip(spectra, tx, inter)]
 
     rng = rng_from(seed, "lbt")
     backoff = [0, 0]
@@ -378,8 +310,8 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
             if not granted or clear[i]:
                 granted.append(i)
             else:
-                backoff[i] = int(rng.integers(0, cfg.backoff_slots_max + 1))
-        collided = len(granted) == 2 and scenario.same_frequency
+                backoff[i] = int(rng.integers(0, backoff_max + 1))
+        collided = len(granted) == 2
         if collided:
             collisions += 1
         for i in granted:
@@ -391,63 +323,16 @@ def run_lbt_sim(scenario: CoexScenario, cfg: LbtConfig, slots: int, seed: int) -
         collision_fraction=collisions / slots,
         mean_rate_a=rate_sum[0] / slots,
         mean_rate_b=rate_sum[1] / slots,
-        keyed_draws=sum(draws),
+        keyed_draws=draws,
     )
 
 
-@dataclass(frozen=True)
-class BandFilter:
-    """Band-limiting layer in front of a surface.
+def filter_budget_db(oob_db: float, insertion_db: float, passes: int) -> float:
+    """Out-of-band level, in dB relative to the input, after `passes`
+    traversals of a band-limiting layer in front of a surface.
 
-    Reflection passes the layer twice, so out-of-band rejection and
-    insertion loss both double on the reflected path.
+    Each pass costs `oob_db` of out-of-band rejection and `insertion_db`
+    of insertion loss; a reflection traverses the layer twice.  A
+    lossless layer gives +0.0 dB.
     """
-
-    per_pass_oob_attenuation_db: float
-    inband_insertion_loss_db: float = 0.0
-    passes_on_reflection: int = 2
-
-    def __post_init__(self):
-        if self.per_pass_oob_attenuation_db < 0.0:
-            raise ValueError("per_pass_oob_attenuation_db must be >= 0")
-        if self.inband_insertion_loss_db < 0.0 or not math.isfinite(self.inband_insertion_loss_db):
-            raise ValueError("inband_insertion_loss_db must be finite and >= 0")
-        if self.passes_on_reflection < 1:
-            raise ValueError("passes_on_reflection must be >= 1")
-
-
-@dataclass(frozen=True)
-class FilteredPower:
-    inband_out_dbm: float
-    oob_out_dbm: float
-
-
-def apply_band_filter(
-    filt: BandFilter, inband_power_dbm: float, oob_power_dbm: float, reflective: bool
-) -> FilteredPower:
-    """dB budget of one traversal (or double-pass reflection) of the layer."""
-    passes = filt.passes_on_reflection if reflective else 1
-    inband = inband_power_dbm - filt.inband_insertion_loss_db * passes
-    oob = (oob_power_dbm
-           - filt.per_pass_oob_attenuation_db * passes
-           - filt.inband_insertion_loss_db * passes)
-    return FilteredPower(inband_out_dbm=inband, oob_out_dbm=oob)
-
-
-def adjacent_rates(scenario: CoexScenario, filt: BandFilter, trial_ids, seed: int):
-    """Adjacent-channel trials without and with A's surface filter.
-
-    Requires `same_frequency` False.  Network B is out of band for A's
-    surface, so the filtered bounce is attenuated by the double-pass
-    budget.  One `stale_rates` call evaluates both arms on the same drawn
-    channels and surface states, leaving the filter as the only
-    difference.  Returns arrays (rate_no_filter, rate_with_filter,
-    loss_no_filter, loss_with_filter) over `trial_ids`, where the rates
-    are B's stale-CSI rates.
-    """
-    if scenario.same_frequency:
-        raise ValueError("adjacent-channel experiment needs same_frequency=False")
-    scale_db = apply_band_filter(filt, 0.0, 0.0, reflective=True).oob_out_dbm
-    scale = 10.0 ** (scale_db / 20.0)
-    _, stale, loss = stale_rates(scenario, trial_ids, seed, (1.0, scale))
-    return stale[0], stale[1], loss[0], loss[1]
+    return 0.0 - oob_db * passes - insertion_db * passes

@@ -351,7 +351,8 @@ SCHEMA = {
         "mode": ("stale_csi", _choice("stale_csi", "lbt")),
         "slots": (2000, _int_ge(1)),
         "sense_threshold_dbm": (-82.0, _real()),
-        "backoff_slots_max": (8, _int_ge(0)),
+        # the backoff is drawn as a numpy int64
+        "backoff_slots_max": (8, _int_ge(0, 2**63 - 1)),
     },
     "adjacent": {
         **_COEX_FIELDS,
@@ -427,6 +428,14 @@ def _check_rank(p):
                               "needs every pair apart")
 
 
+def _check_float(p, field):
+    """An integer count the runner multiplies into a float converts to one."""
+    try:
+        float(p[field])
+    except OverflowError:
+        raise ConfigError(f"scenario.{field}", f"{p[field]} does not convert to a float") from None
+
+
 def _check_coex(p):
     from .coexist import UPDATE_POLICIES
     _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
@@ -486,11 +495,7 @@ def _check_deploy(p):
     for path, (x, y) in points:
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             raise ConfigError(path, f"lies outside the extent {extent}")
-    try:
-        float(p["n_elements"])
-    except OverflowError:
-        raise ConfigError("scenario.n_elements",
-                          f"{p['n_elements']} does not convert to a float") from None
+    _check_float(p, "n_elements")
     try:
         cells = math.prod(raster_shape(extent, p["grid_resolution"]))
     except OverflowError:
@@ -503,12 +508,17 @@ def _check_deploy(p):
                           f"number over {MAX_RASTER_CELLS}, more than numpy can hold")
 
 
+def _check_adjacent(p):
+    _check_coex(p)
+    _check_float(p, "filter_passes")
+
+
 _CROSS_CHECKS = {
     "rank": _check_rank,
     "beamform": _check_beamform,
     "multiuser": _check_multiuser,
     "coexist": _check_coex,
-    "adjacent": _check_coex,
+    "adjacent": _check_adjacent,
     "deploy": _check_deploy,
 }
 
@@ -754,8 +764,8 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
 # coexist and adjacent: two operators around one uncoordinated surface
 
 
-def _coex_scenario(p, same_frequency):
-    from .coexist import CoexNetwork, CoexScenario
+def _coex_scenario(p):
+    from .coexist import CoexScenario
     geom = Geometry(
         wavelength=p["wavelength"],
         positions={
@@ -772,26 +782,18 @@ def _coex_scenario(p, same_frequency):
         noise_power=p["noise_power"],
         wavefront_model="planar",
     )
-    direct = replace(params, path_loss_exponent=p["alpha_direct"])
-    m, u = p["m_antennas"], p["u_antennas"]
-    net_a = CoexNetwork(
-        name="a", nb="nb_a", ue="ue_a", m_antennas=m, u_antennas=u,
-        tx_power=p["tx_power_a"], ris="ris_a", n_elements=p["n_elements_a"],
-    )
-    net_b = CoexNetwork(
-        name="b", nb="nb_b", ue="ue_b", m_antennas=m, u_antennas=u,
-        tx_power=p["tx_power_b"],
-    )
     return CoexScenario(
         geometry=geom,
         params=params,
-        net_a=net_a,
-        net_b=net_b,
-        same_frequency=same_frequency,
+        direct_params=replace(params, path_loss_exponent=p["alpha_direct"]),
+        m_antennas=p["m_antennas"],
+        u_antennas=p["u_antennas"],
+        n_elements=p["n_elements_a"],
+        tx_power_a=p["tx_power_a"],
+        tx_power_b=p["tx_power_b"],
         t1=p["t1"],
         t2=p["t2"],
-        ris_update_policy=p["policy"],
-        direct_params=direct,
+        policy=p["policy"],
         b_direct_blocked=p["b_direct_blocked"],
     )
 
@@ -808,7 +810,7 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
     from . import coexist
     check_run(seed, trials)
     p = resolve_scenario("coexist", scenario)
-    scn = _coex_scenario(p, same_frequency=True)
+    scn = _coex_scenario(p)
 
     if p["mode"] == "stale_csi":
         arms = coexist.stale_rates(scn, range(trials), seed)
@@ -816,12 +818,8 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
                            [a[0] for a in arms])
         return _table("coexist", seed, trials, p, rows)
 
-    cfg = coexist.LbtConfig(
-        sense_threshold_dbm=p["sense_threshold_dbm"],
-        backoff_slots_max=p["backoff_slots_max"],
-    )
-
-    results = [coexist.run_lbt_sim(scn, cfg, p["slots"], subseed(seed, f"run/{t}"))
+    results = [coexist.run_lbt_sim(scn, p["sense_threshold_dbm"], p["backoff_slots_max"],
+                                   p["slots"], subseed(seed, f"run/{t}"))
                for t in range(trials)]
     metrics = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
     rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
@@ -833,23 +831,23 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
 def run_adjacent(scenario, seed, trials) -> ResultTable:
     """Adjacent-band victim rates without and with surface band filtering.
 
-    One `coexist.adjacent_rates` call evaluates every trial: both arms
-    reuse the same channel and surface draws, and the filtered arm scales
-    the bounce amplitude by the double-pass out-of-band budget.
+    Network B is out of band for A's surface, so a band filter there
+    attenuates B's bounce by its `coexist.filter_budget_db` over
+    `filter_passes` traversals.  One `coexist.stale_rates` call evaluates
+    every trial at bounce amplitude scales 1 and that budget's: both arms
+    reuse the same channel and surface draws, leaving the filter as the
+    only difference.  The rates are B's stale-CSI rates.
     """
     from . import coexist
     check_run(seed, trials)
     p = resolve_scenario("adjacent", scenario)
-    scn = _coex_scenario(p, same_frequency=False)
-    filt = coexist.BandFilter(
-        per_pass_oob_attenuation_db=p["oob_attenuation_db"],
-        inband_insertion_loss_db=p["insertion_loss_db"],
-        passes_on_reflection=p["filter_passes"],
-    )
-
+    budget_db = coexist.filter_budget_db(p["oob_attenuation_db"], p["insertion_loss_db"],
+                                         p["filter_passes"])
+    _, stale, loss = coexist.stale_rates(_coex_scenario(p), range(trials), seed,
+                                         (1.0, 10.0 ** (budget_db / 20.0)))
     rows = _trial_rows(
         ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),
-        coexist.adjacent_rates(scn, filt, range(trials), seed),
+        (stale[0], stale[1], loss[0], loss[1]),
     )
     return _table("adjacent", seed, trials, p, rows)
 

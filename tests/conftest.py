@@ -23,7 +23,7 @@ def rerand_stale_batch():
     from ris_sim.coexist import stale_rates
     from ris_sim.experiments import _coex_scenario, resolve_scenario
 
-    scn = _coex_scenario(resolve_scenario("coexist", {}), same_frequency=True)
+    scn = _coex_scenario(resolve_scenario("coexist", {}))
     fresh, stale, loss = stale_rates(scn, range(10_000), 2024)
     return fresh[0], stale[0], loss[0]
 

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -513,8 +514,8 @@ def per_trial_stale_draws(coex, trial: int, seed: int):
     geom = coex.geometry
     params = coex.params
     direct_params = None if coex.b_direct_blocked else coex.direct_params
-    nb, ris, ue = coex.net_b.nb, coex.net_a.ris, coex.net_b.ue
-    m, n, u = coex.net_b.m_antennas, coex.net_a.n_elements, coex.net_b.u_antennas
+    nb, ris, ue = "nb_b", "ris_a", "ue_b"
+    m, n, u = coex.m_antennas, coex.n_elements, coex.u_antennas
     base = subseed(subseed(seed, "b-link"), f"trial/{trial}")
     lam = geom.wavelength
 
@@ -531,7 +532,7 @@ def per_trial_stale_draws(coex, trial: int, seed: int):
     if direct_params is not None:
         direct, pl_d = link(nb, ue, u, m, direct_params, "nb_ue")
     th1 = foreign_theta(f"theta/{trial}/{coex.t1}")
-    if coex.ris_update_policy == "rerandomize_each_slot" and coex.t2 != coex.t1:
+    if coex.policy == "rerandomize_each_slot" and coex.t2 != coex.t1:
         th2 = foreign_theta(f"theta/{trial}/{coex.t2}")
     else:
         th2 = th1
@@ -544,7 +545,7 @@ def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
     from ris_sim.numkernel import waterfill_powers
 
     (g, h, direct, pl_g, pl_h, pl_d), th1, th2 = draws
-    p_b = coex.net_b.tx_power
+    p_b = coex.tx_power_b
     noise = coex.params.noise_power
 
     def assemble(theta):
@@ -859,3 +860,83 @@ def assemble_multi_panel(reals, thetas) -> np.ndarray:
             h_t = h_t + math.sqrt(real.pl_nb_ue) * real.h_nb_ue
             break
     return h_t
+
+
+# ---------------------------------------------------------------------------
+# carrier-sensing and band-filter budgets, frozen
+
+def coex_networks(coex):
+    """Networks A and B of a coexistence scenario in the form the frozen
+    budgets read: A owns surface `ris_a`, B owns none."""
+    net_a = SimpleNamespace(nb="nb_a", ue="ue_a", ris="ris_a", n_elements=coex.n_elements,
+                            tx_power=coex.tx_power_a)
+    net_b = SimpleNamespace(nb="nb_b", ue="ue_b", ris=None, n_elements=0,
+                            tx_power=coex.tx_power_b)
+    return net_a, net_b
+
+
+def lbt_decide(sense_threshold_dbm: float, powers_dbm) -> bool:
+    """True when the summed sensed power stays below the threshold; an
+    empty medium always clears."""
+    total_mw = 0.0
+    for power_dbm in powers_dbm:
+        total_mw += 10.0 ** (power_dbm / 10.0)
+    if total_mw == 0.0:
+        return True
+    return 10.0 * math.log10(total_mw) < sense_threshold_dbm
+
+
+def watts_to_dbm(p: float) -> float:
+    return 10.0 * math.log10(p * 1e3) if p > 0.0 else -math.inf
+
+
+def interference_power(coex, victim, source) -> float:
+    """Mean received power at the victim's user from the source network:
+    the ground path at the direct exponent, plus the incoherent bounce
+    off the source's own surface."""
+    from ris_sim.channel import path_gain
+
+    geom = coex.geometry
+    lam = geom.wavelength
+    alpha = coex.params.path_loss_exponent
+    ground = coex.direct_params.path_loss_exponent
+    p = path_gain(lam, geom.distance(source.nb, victim.ue), ground)
+    if source.ris is not None:
+        p += (
+            path_gain(lam, geom.distance(source.nb, source.ris), alpha)
+            * source.n_elements
+            * path_gain(lam, geom.distance(source.ris, victim.ue), alpha)
+        )
+    return source.tx_power * p
+
+
+def sensed_sources(coex, listener, source):
+    """Powers (dBm) a transmission presents to a listener's base station."""
+    from ris_sim.channel import path_gain
+
+    geom = coex.geometry
+    lam = geom.wavelength
+    alpha = coex.params.path_loss_exponent
+    out = [watts_to_dbm(source.tx_power
+                        * path_gain(lam, geom.distance(source.nb, listener.nb), alpha))]
+    if source.ris is not None:
+        p = (source.tx_power
+             * path_gain(lam, geom.distance(source.nb, source.ris), alpha)
+             * source.n_elements
+             * path_gain(lam, geom.distance(source.ris, listener.nb), alpha))
+        out.append(watts_to_dbm(p))
+    return out
+
+
+def apply_band_filter(filt, inband_power_dbm: float, oob_power_dbm: float,
+                      reflective: bool):
+    """(in-band, out-of-band) output levels in dBm of one traversal, or a
+    reflection's `passes_on_reflection` traversals, of a band filter with
+    fields `per_pass_oob_attenuation_db`, `inband_insertion_loss_db` and
+    `passes_on_reflection`."""
+    passes = filt.passes_on_reflection if reflective else 1
+    inband = inband_power_dbm - filt.inband_insertion_loss_db * passes
+    oob = (oob_power_dbm
+           - filt.per_pass_oob_attenuation_db * passes
+           - filt.inband_insertion_loss_db * passes)
+    return inband, oob

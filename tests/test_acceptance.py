@@ -18,12 +18,7 @@ import numpy as np
 import oracles
 from ris_sim.channel import ChannelParams, Geometry, assemble_stack, gen_los
 from ris_sim.cli import main
-from ris_sim.coexist import (
-    BandFilter,
-    adjacent_rates,
-    apply_band_filter,
-    stale_rates,
-)
+from ris_sim.coexist import filter_budget_db, stale_rates
 from ris_sim.deploy import (
     BaseStation,
     DeploymentPlan,
@@ -32,7 +27,7 @@ from ris_sim.deploy import (
     greedy_place,
     snr_map,
 )
-from ris_sim.experiments import _coex_scenario, resolve_scenario
+from ris_sim.experiments import _coex_scenario, resolve_scenario, run_adjacent
 from ris_sim.numkernel import capacity_closed_form, numerical_rank, singular_values
 from ris_sim.ris import align_miso, miso_gains
 from ris_sim.scheduler import compare_shared_vs_ideal
@@ -194,9 +189,9 @@ def test_criterion_07_shared_reflection_gap(multiuser_batch):
 
 def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     t0 = time.perf_counter()
-    scn_re = _coex_scenario(resolve_scenario("coexist", {}), same_frequency=True)
+    scn_re = _coex_scenario(resolve_scenario("coexist", {}))
     for policy in ("static", "frozen_during_foreign_slot"):
-        _, _, loss = stale_rates(replace(scn_re, ris_update_policy=policy), range(100), 8)
+        _, _, loss = stale_rates(replace(scn_re, policy=policy), range(100), 8)
         assert np.all(loss == 0.0)
     _, _, loss = rerand_stale_batch
     assert float(np.mean(loss)) > 0.0
@@ -204,8 +199,8 @@ def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     # paired draws: holding the surface still is (weakly) better nearly always
     scn_re = replace(_coex_scenario(
         {**resolve_scenario("coexist", {}), "m_antennas": 8, "u_antennas": 1,
-         "b_direct_blocked": True}, same_frequency=True))
-    scn_st = replace(scn_re, ris_update_policy="static")
+         "b_direct_blocked": True}))
+    scn_st = replace(scn_re, policy="static")
     # no trial's value depends on the others evaluated with it, so one
     # call per policy pairs the same 1000 trials
     _, (r_re,), _ = stale_rates(scn_re, range(1000), 2024)
@@ -218,12 +213,11 @@ def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
 def test_criterion_09_band_filter_budget_and_baseline():
     t0 = time.perf_counter()
     for atten in (5.0, 20.0, 33.5):
-        filt = BandFilter(per_pass_oob_attenuation_db=atten)
-        assert apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm == -2.0 * atten
-        assert apply_band_filter(filt, 0.0, 0.0, False).oob_out_dbm == -atten
-    scn = _coex_scenario(resolve_scenario("adjacent", {}), same_frequency=False)
-    _, filtered, _, _ = adjacent_rates(
-        scn, BandFilter(per_pass_oob_attenuation_db=math.inf), range(50), 5)
+        assert filter_budget_db(atten, 0.0, 2) == -2.0 * atten
+        assert filter_budget_db(atten, 0.0, 1) == -atten
+    table = run_adjacent({"oob_attenuation_db": math.inf}, 5, 50)
+    filtered = np.array([v for _, metric, v in table.rows if metric == "rate_with_filter"])
+    scn = _coex_scenario(resolve_scenario("adjacent", {}))
     _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
     assert np.max(np.abs(filtered - base)) <= 1e-9
     assert time.perf_counter() - t0 < 10.0

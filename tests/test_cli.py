@@ -655,6 +655,9 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     ("deploy", "{threshold_db: 24.0, extent: [0, 0, 1.0e+300, 1.0e+300]}",
      "scenario.extent"),
     ("deploy", "{threshold_db: 24.0, n_elements: 1" + "0" * 400 + "}", "scenario.n_elements"),
+    ("coexist", f"{{mode: lbt, slots: 3, backoff_slots_max: {2**63}}}",
+     "scenario.backoff_slots_max"),
+    ("adjacent", "{filter_passes: 1" + "0" * 400 + "}", "scenario.filter_passes"),
     ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
     # an element of one array on an element of the other, on a link whose
     # wavefront is or resolves to spherical
@@ -682,6 +685,19 @@ def test_deploy_element_count_beyond_any_array_runs(tmp_path, capsys):
     capsys.readouterr()
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [float(v) for _, m, v in rows if m == "greedy_coverage"][-1] >= 0.95
+
+
+@pytest.mark.parametrize("experiment, scenario", [
+    # the widest backoff numpy's int64 draw takes; at the default threshold
+    # every contended slot defers, so it is drawn
+    ("coexist", f"{{mode: lbt, slots: 40, backoff_slots_max: {2**63 - 1}}}"),
+    # the largest pass count that converts to a float
+    ("adjacent", f"{{filter_passes: {int(sys.float_info.max)}}}"),
+])
+def test_counts_at_their_largest_accepted_value_run(tmp_path, capsys, experiment, scenario):
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 2\nscenario: {scenario}\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("experiment, scenario", [

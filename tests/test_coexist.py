@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,22 +12,17 @@ from hypothesis import strategies as st
 
 import oracles
 from ris_sim import channel, coexist
-from ris_sim.channel import ChannelParams, Geometry, path_gain
+from ris_sim.channel import path_gain
 from ris_sim.coexist import (
     STALE_CHUNK,
     UPDATE_POLICIES,
-    BandFilter,
-    _interference_power,
-    CoexNetwork,
-    CoexScenario,
-    LbtConfig,
-    adjacent_rates,
-    apply_band_filter,
-    lbt_decide,
+    _budgets,
+    filter_budget_db,
     run_lbt_sim,
     stale_rates,
 )
 from ris_sim.experiments import (
+    ConfigError,
     _coex_scenario,
     resolve_scenario,
     run_adjacent,
@@ -38,29 +34,17 @@ from ris_sim.experiments import (
 def _co_scenario(policy="rerandomize_each_slot", **overrides):
     p = resolve_scenario("coexist", {})
     p.update(overrides)
-    scn = _coex_scenario(p, same_frequency=True)
-    return replace(scn, ris_update_policy=policy)
+    return replace(_coex_scenario(p), policy=policy)
 
 
 def _adj_scenario(**overrides):
     p = resolve_scenario("adjacent", {})
     p.update(overrides)
-    return _coex_scenario(p, same_frequency=False), p
+    return _coex_scenario(p), p
 
 
-def _two_plain_networks(nb_b_x=100.0, same_frequency=True):
-    geom = Geometry(wavelength=0.1, positions={
-        "nb_a": (0.0, 0.0, 10.0), "ue_a": (5.0, 8.0, 1.5),
-        "nb_b": (nb_b_x, 0.0, 10.0), "ue_b": (nb_b_x - 5.0, 8.0, 1.5),
-    })
-    params = ChannelParams(rician_k=0.0, path_loss_exponent=2.0,
-                           noise_power=1e-13)
-    return CoexScenario(
-        geometry=geom, params=params,
-        net_a=CoexNetwork("A", "nb_a", "ue_a", 2, 2, 1.0),
-        net_b=CoexNetwork("B", "nb_b", "ue_b", 2, 2, 1.0),
-        same_frequency=same_frequency,
-    )
+def _column(table, metric):
+    return np.array([v for _, m, v in table.rows if m == metric])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +89,7 @@ def test_static_beats_rerandomization_paired():
     # shadowed victim served only through A's surface, 1000 paired draws;
     # no trial's value depends on the others, so one call per policy pairs them
     scn_re = _co_scenario(m_antennas=8, u_antennas=1, b_direct_blocked=True)
-    scn_st = replace(scn_re, ris_update_policy="static")
+    scn_st = replace(scn_re, policy="static")
     _, (r_re,), _ = stale_rates(scn_re, range(1000), 2024)
     _, (r_st,), _ = stale_rates(scn_st, range(1000), 2024)
     assert np.mean(r_st >= r_re) >= 0.95
@@ -116,10 +100,9 @@ def test_static_beats_rerandomization_paired():
 
 def _filter_scale():
     p = resolve_scenario("adjacent", {})
-    filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"],
-                      inband_insertion_loss_db=p["insertion_loss_db"],
-                      passes_on_reflection=p["filter_passes"])
-    return 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
+    budget_db = filter_budget_db(p["oob_attenuation_db"], p["insertion_loss_db"],
+                                 p["filter_passes"])
+    return 10.0 ** (budget_db / 20.0)
 
 
 def _oracle_rates(scn, trial_ids, seed, scales):
@@ -262,43 +245,126 @@ def test_interference_ground_term_uses_the_direct_exponent():
     alpha_direct = scn.direct_params.path_loss_exponent
     alpha = scn.params.path_loss_exponent
     assert (alpha_direct, alpha) == (3.5, 2.0)
+    _, (inter_a, inter_b) = _budgets(scn, -82.0)
     # network B owns no surface: the ground path is all of it
     ground_b = path_gain(lam, geom.distance("nb_b", "ue_a"), alpha_direct)
-    assert _interference_power(scn, scn.net_a, scn.net_b) == scn.net_b.tx_power * ground_b
+    assert inter_a == scn.tx_power_b * ground_b
     # network A adds the incoherent bounce off its own surface
     ground_a = path_gain(lam, geom.distance("nb_a", "ue_b"), alpha_direct)
-    bounce = (path_gain(lam, geom.distance("nb_a", "ris_a"), alpha) * scn.net_a.n_elements
+    bounce = (path_gain(lam, geom.distance("nb_a", "ris_a"), alpha) * scn.n_elements
               * path_gain(lam, geom.distance("ris_a", "ue_b"), alpha))
-    assert (_interference_power(scn, scn.net_b, scn.net_a)
-            == scn.net_a.tx_power * (ground_a + bounce))
+    assert inter_b == scn.tx_power_a * (ground_a + bounce)
 
 
 def test_lbt_silence_clears():
-    cfg = LbtConfig(sense_threshold_dbm=-72.0)
-    assert lbt_decide(cfg, []) is True
+    # so far off and so steep a reflected exponent that every sensed power
+    # underflows to zero: silence clears even at a threshold of -inf
+    far = (1e60, 0.0, 10.0)
+    scn = _co_scenario(nb_b_position=far, ue_b_position=far[:2] + (1.5,),
+                       alpha_reflected=5.5)
+    assert _budgets(scn, -math.inf)[0] == (True, True)
 
 
 def test_lbt_defers_above_threshold():
-    cfg = LbtConfig(sense_threshold_dbm=-72.0)
-    assert lbt_decide(cfg, [-60.0]) is False
+    # the default networks sense each other at about -51 dBm
+    assert _budgets(_co_scenario(), -60.0)[0] == (False, False)
+    assert _budgets(_co_scenario(), -45.0)[0] == (True, True)
+
+
+def _sensed_dbm(scn):
+    """What each base station senses of the other network, in dBm, from
+    the frozen per-source powers: (A's list, B's list)."""
+    net_a, net_b = oracles.coex_networks(scn)
+    return (oracles.sensed_sources(scn, net_a, net_b),
+            oracles.sensed_sources(scn, net_b, net_a))
+
+
+def _summed_dbm(powers_dbm):
+    total_mw = 0.0
+    for power_dbm in powers_dbm:
+        total_mw += 10.0 ** (power_dbm / 10.0)
+    return 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
+
+
+def _positions(extent):
+    """Five distinct node positions inside +-extent metres, above ground."""
+    point = st.tuples(st.floats(-extent, extent), st.floats(-extent, extent),
+                      st.floats(0.5, extent + 0.5))
+    return st.lists(point, min_size=5, max_size=5, unique=True)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+# nodes within a metre of each other: A's bounce outweighs the ground path
+# at B's station and the sum sits near 0 dBm, where the dBm round trip
+# keeps the last bits of each power, so a regrouped product moves the sum
+# and flips the decision at this threshold
+@example(positions=[(-0.535, 0.254, 0.861), (-0.143, -0.27, 1.018), (-0.279, 0.911, 0.886),
+                    (-0.106, -0.911, 0.988), (0.177, -0.988, 1.051)],
+         tx=(46.714235, 1.0), exponents=(2.07, 3.5), n=255, threshold="b")
+@example(positions=[(-0.723, -0.88, 1.185), (-0.303, -0.609, 1.406), (-0.458, 0.06, 1.497),
+                    (-0.154, 0.504, 0.747), (-0.956, 0.665, 0.645)],
+         tx=(117.522638, 1.0), exponents=(2.0, 3.5), n=462, threshold="b")
+@given(
+    positions=st.one_of(_positions(300.0), _positions(1.0)),
+    tx=st.tuples(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3)),
+    exponents=st.tuples(st.floats(2.0, 5.0), st.floats(2.0, 5.0)),
+    n=st.integers(1, 1024),
+    threshold=st.one_of(st.sampled_from(["a0", "b0", "b1", "a", "b", "a+", "b+", "a-", "b-"]),
+                        st.floats(-200.0, 60.0)),
+)
+def test_budgets_match_the_frozen_sensing_oracle_bit_for_bit(positions, tx, exponents,
+                                                            n, threshold):
+    nodes = ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b")
+    p = {**resolve_scenario("coexist", {}), "tx_power_a": tx[0], "tx_power_b": tx[1],
+         "alpha_reflected": exponents[0], "alpha_direct": exponents[1], "n_elements_a": n,
+         **{f"{node}_position": pos for node, pos in zip(nodes, positions)}}
+    scn = _coex_scenario(p)
+    sensed = _sensed_dbm(scn)
+    # a label puts the threshold exactly on one sensed power of network A's
+    # or B's station, on their sum, or one float above (+) or below (-) it
+    if isinstance(threshold, str):
+        powers = sensed[0] if threshold[0] == "a" else sensed[1]
+        label = threshold[1:]
+        if label.isdigit():
+            threshold = powers[int(label)]
+        else:
+            threshold = _summed_dbm(powers)
+            if label:
+                threshold = math.nextafter(threshold, math.inf if label == "+" else -math.inf)
+    net_a, net_b = oracles.coex_networks(scn)
+    want_clear = tuple(oracles.lbt_decide(threshold, powers) for powers in sensed)
+    want_inter = (oracles.interference_power(scn, net_a, net_b),
+                  oracles.interference_power(scn, net_b, net_a))
+    clear, inter = _budgets(scn, threshold)
+    assert clear == want_clear
+    assert [x.hex() for x in inter] == [x.hex() for x in want_inter]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(oob=st.one_of(st.floats(0.0, 1e3), st.just(math.inf)),
+       insertion=st.floats(0.0, 1e3), passes=st.integers(1, 10**6))
+def test_filter_budget_matches_the_frozen_band_filter_bit_for_bit(oob, insertion, passes):
+    filt = SimpleNamespace(per_pass_oob_attenuation_db=oob,
+                           inband_insertion_loss_db=insertion, passes_on_reflection=passes)
+    _, want = oracles.apply_band_filter(filt, 0.0, 0.0, reflective=True)
+    assert filter_budget_db(oob, insertion, passes).hex() == want.hex()
 
 
 def test_lbt_config_validation():
-    with pytest.raises(ValueError):
-        LbtConfig(sense_threshold_dbm=-72.0, backoff_slots_max=-1)
+    with pytest.raises(ConfigError, match="scenario.backoff_slots_max"):
+        resolve_scenario("coexist", {"backoff_slots_max": -1})
 
 
 def test_uncontended_network_owns_the_channel():
-    # the foreign operator is both out of band and out of sensing range
-    scn = _two_plain_networks(nb_b_x=1e6, same_frequency=False)
-    res = run_lbt_sim(scn, LbtConfig(sense_threshold_dbm=-72.0), 2000, seed=3)
+    # the foreign operator is out of sensing range
+    far = (1e6, 0.0, 10.0)
+    scn = _co_scenario(nb_b_position=far, ue_b_position=(far[0] - 5.0, 8.0, 1.5))
+    res = run_lbt_sim(scn, -72.0, 8, 2000, seed=3)
     assert res.airtime_a == 1.0
-    assert res.collision_fraction == 0.0
 
 
 def test_symmetric_networks_share_fairly():
-    scn = _two_plain_networks()
-    res = run_lbt_sim(scn, LbtConfig(sense_threshold_dbm=-60.0), 100_000, seed=3)
+    res = run_lbt_sim(_co_scenario(), -60.0, 8, 100_000, seed=3)
     assert abs(res.airtime_a - res.airtime_b) < 0.05
     # carrier sensing forms a natural TDM pattern
     assert res.collision_fraction == 0.0
@@ -306,9 +372,8 @@ def test_symmetric_networks_share_fairly():
 
 
 def test_lbt_threshold_monotonicity():
-    scn = _two_plain_networks()
-    sweep = [run_lbt_sim(scn, LbtConfig(sense_threshold_dbm=thr), 5000, seed=3)
-             for thr in (-70.0, -60.0, -45.0, -40.0)]
+    scn = _co_scenario()
+    sweep = [run_lbt_sim(scn, thr, 8, 5000, seed=3) for thr in (-70.0, -60.0, -45.0, -40.0)]
     for lo, hi in zip(sweep, sweep[1:]):
         assert hi.airtime_a >= lo.airtime_a
         assert hi.airtime_b >= lo.airtime_b
@@ -317,8 +382,7 @@ def test_lbt_threshold_monotonicity():
 
 def test_lbt_rejects_zero_slots():
     with pytest.raises(ValueError):
-        run_lbt_sim(_two_plain_networks(), LbtConfig(sense_threshold_dbm=-72.0),
-                    0, seed=1)
+        run_lbt_sim(_co_scenario(), -72.0, 8, 0, seed=1)
 
 
 def test_lbt_draws_each_own_link_once(monkeypatch):
@@ -334,10 +398,9 @@ def test_lbt_draws_each_own_link_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(coexist, name, counted)
-    run_lbt_sim(_co_scenario(), LbtConfig(sense_threshold_dbm=-40.0), 50, seed=5)
+    run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5)
     assert calls == {"draw_stack": 1, "_link_stack": 1}
-    run_lbt_sim(_co_scenario(b_direct_blocked=True), LbtConfig(sense_threshold_dbm=-40.0),
-                50, seed=5)
+    run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, seed=5)
     assert calls == {"draw_stack": 3, "_link_stack": 1}
 
 
@@ -345,44 +408,30 @@ def test_lbt_draws_each_own_link_once(monkeypatch):
 # band filtering
 
 def test_filter_reflective_double_pass():
-    filt = BandFilter(per_pass_oob_attenuation_db=20.0)
-    out = apply_band_filter(filt, 0.0, 0.0, reflective=True)
-    assert out.oob_out_dbm == -40.0
-    assert out.inband_out_dbm == 0.0
+    assert filter_budget_db(20.0, 0.0, 2) == -40.0
 
 
 def test_filter_transmissive_single_pass():
-    filt = BandFilter(per_pass_oob_attenuation_db=20.0)
-    out = apply_band_filter(filt, 0.0, 0.0, reflective=False)
-    assert out.oob_out_dbm == -20.0
+    assert filter_budget_db(20.0, 0.0, 1) == -20.0
 
 
 def test_filter_insertion_loss():
-    filt = BandFilter(per_pass_oob_attenuation_db=0.0,
-                      inband_insertion_loss_db=1.0)
-    out = apply_band_filter(filt, 0.0, -10.0, reflective=True)
-    assert out.inband_out_dbm == -2.0
-    assert out.oob_out_dbm == -12.0
+    assert filter_budget_db(0.0, 1.0, 2) == -2.0
+    assert filter_budget_db(10.0, 1.0, 2) == -22.0
 
 
 def test_filter_is_affine_in_attenuation():
-    for passes, reflective in ((2, True), (1, False), (3, True)):
-        outs = []
-        for atten in (5.0, 15.0, 40.0):
-            filt = BandFilter(per_pass_oob_attenuation_db=atten,
-                              inband_insertion_loss_db=0.7,
-                              passes_on_reflection=passes)
-            outs.append(apply_band_filter(filt, 0.0, 0.0, reflective).oob_out_dbm)
-        eff = passes if reflective else 1
-        assert outs[1] - outs[0] == pytest.approx(-eff * 10.0)
-        assert outs[2] - outs[1] == pytest.approx(-eff * 25.0)
+    for passes in (2, 1, 3):
+        outs = [filter_budget_db(atten, 0.7, passes) for atten in (5.0, 15.0, 40.0)]
+        assert outs[1] - outs[0] == pytest.approx(-passes * 10.0)
+        assert outs[2] - outs[1] == pytest.approx(-passes * 25.0)
 
 
 def test_filter_validation():
-    with pytest.raises(ValueError):
-        BandFilter(per_pass_oob_attenuation_db=-1.0)
-    with pytest.raises(ValueError):
-        BandFilter(per_pass_oob_attenuation_db=1.0, passes_on_reflection=0)
+    with pytest.raises(ConfigError, match="scenario.oob_attenuation_db"):
+        resolve_scenario("adjacent", {"oob_attenuation_db": -1.0})
+    with pytest.raises(ConfigError, match="scenario.filter_passes"):
+        resolve_scenario("adjacent", {"filter_passes": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +439,15 @@ def test_filter_validation():
 
 def test_infinite_attenuation_recovers_baseline():
     scn, p = _adj_scenario()
-    filt = BandFilter(per_pass_oob_attenuation_db=math.inf)
-    _, filtered, _, _ = adjacent_rates(scn, filt, range(50), 5)
+    filtered = _column(run_adjacent({"oob_attenuation_db": math.inf}, 5, 50),
+                       "rate_with_filter")
     _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
     assert np.max(np.abs(filtered - base)) <= 1e-9
 
 
 def test_adjacent_static_bounce_is_lossless():
-    scn, p = _adj_scenario()
-    scn = replace(scn, ris_update_policy="static")
-    filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"])
-    unfiltered, _, _, _ = adjacent_rates(scn, filt, range(50), 5)
+    scn, p = _adj_scenario(policy="static")
+    unfiltered = _column(run_adjacent({"policy": "static"}, 5, 50), "rate_no_filter")
     fresh, stale, _ = stale_rates(scn, range(50), 5)
     assert np.array_equal(unfiltered, stale[0])
     assert np.array_equal(stale, fresh)
@@ -411,10 +458,8 @@ def test_filter_dominates_under_rerandomization():
     # ground path, so the uncontrolled bounce actually moves the channel
     scn, p = _adj_scenario(m_antennas=64, u_antennas=1, alpha_direct=3.5,
                            n_elements_a=64)
-    filt = BandFilter(per_pass_oob_attenuation_db=30.0,
-                      inband_insertion_loss_db=p["insertion_loss_db"],
-                      passes_on_reflection=2)
-    unfiltered, filtered, _, _ = adjacent_rates(scn, filt, range(10_000), 11)
+    scale = 10.0 ** (filter_budget_db(30.0, p["insertion_loss_db"], 2) / 20.0)
+    _, (unfiltered, filtered), _ = stale_rates(scn, range(10_000), 11, (1.0, scale))
     wins = np.mean(filtered >= unfiltered)
     assert wins >= 0.95
 
@@ -443,20 +488,13 @@ def test_adjacent_draws_each_trial_once(monkeypatch):
 
 def test_adjacent_arms_match_separate_stale_trials():
     scn, p = _adj_scenario()
-    filt = BandFilter(per_pass_oob_attenuation_db=p["oob_attenuation_db"],
-                      inband_insertion_loss_db=p["insertion_loss_db"])
-    scale = 10.0 ** (apply_band_filter(filt, 0.0, 0.0, True).oob_out_dbm / 20.0)
+    table = run_adjacent({}, 3, 5)
+    arms = [_column(table, metric) for metric in ("rate_no_filter", "rate_with_filter",
+                                                  "loss_no_filter", "loss_with_filter")]
     for t in range(5):
-        rate0, rate1, loss0, loss1 = (float(v[0]) for v in adjacent_rates(scn, filt, (t,), 3))
         _, s0, l0 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3))
-        _, s1, l1 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3, (scale,)))
-        assert (rate0, rate1, loss0, loss1) == (s0, s1, l0, l1)
-
-
-def test_adjacent_needs_distinct_bands():
-    scn = _co_scenario()
-    with pytest.raises(ValueError):
-        adjacent_rates(scn, BandFilter(30.0), range(10), 1)
+        _, s1, l1 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3, (_filter_scale(),)))
+        assert tuple(float(a[t]) for a in arms) == (s0, s1, l0, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +505,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         replace(scn, t1=5, t2=2)
     with pytest.raises(ValueError):
-        replace(scn, ris_update_policy="sometimes")
-    with pytest.raises(ValueError):
-        CoexNetwork("A", "nb_a", "ue_a", 0, 1, 1.0)
-    with pytest.raises(ValueError):
-        CoexNetwork("A", "nb_a", "ue_a", 1, 1, 0.0)
-    with pytest.raises(ValueError):
-        CoexNetwork("A", "nb_a", "ue_a", 1, 1, 1.0, ris="ris_a", n_elements=0)
+        replace(scn, policy="sometimes")
+    # network sizes and powers are checked once, by the schema
+    for field, value in (("m_antennas", 0), ("u_antennas", 0), ("tx_power_a", 0.0),
+                         ("tx_power_b", 0.0), ("n_elements_a", 0)):
+        with pytest.raises(ConfigError, match=f"scenario.{field}"):
+            resolve_scenario("coexist", {field: value})

@@ -1,6 +1,7 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
-sidecar of every shipped config, of four LBT tables, of the multiuser
-and deploy benchmark workloads and of two wide beamform scenarios.
+sidecar of every shipped config, of four LBT tables, of eight stale-CSI
+branch tables, of the multiuser and deploy benchmark workloads and of two
+wide beamform scenarios.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from ris_sim.cli import main
-from ris_sim.experiments import RUNNERS, run_beamform, run_coexist, run_deploy, run_multiuser
+from ris_sim.experiments import (RUNNERS, run_adjacent, run_beamform, run_coexist, run_deploy,
+                                 run_multiuser)
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -84,6 +86,38 @@ LBT_BRANCH_DIGESTS = {
 def test_lbt_branch_csv_matches_golden_digest(branch):
     scenario, digest = LBT_BRANCH_DIGESTS[branch]
     assert _lbt_digest(-82.0, **scenario) == digest
+
+
+# Stale-CSI branches no shipped config runs (seed 5, 20 trials): the two
+# policies that hold the surface still, a measurement in the transmit slot,
+# a shadowed victim and pure LoS on coexist; one filter pass, an opaque
+# filter and a lossless one on adjacent.  Both still-surface policies give
+# the same table, since B's channel never moves under either.
+STALE_BRANCH_DIGESTS = {
+    "static": (run_coexist, {"policy": "static"},
+               "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
+    "frozen": (run_coexist, {"policy": "frozen_during_foreign_slot"},
+               "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
+    "same_slot": (run_coexist, {"t1": 3, "t2": 3},
+                  "27354db8942f71c95c5b32dc5d4ab3836df5d7bb28e42f50b7a6b8aad18eaf9d"),
+    "shadowed": (run_coexist, {"b_direct_blocked": True},
+                 "543ae142d0a4d55531e53312b9082ecb3d346302e9a2ff5fe17dcddbdf969db3"),
+    "los_only": (run_coexist, {"rician_k": math.inf},
+                 "18f72d8450f8ef423565896abdccf6f36e80a825c23a9e882072fbf3796933fe"),
+    "one_pass": (run_adjacent, {"filter_passes": 1},
+                 "edc948457769f75e7d68026c93d7dae3ee230633963df1443051b4178bacba35"),
+    "opaque_filter": (run_adjacent, {"oob_attenuation_db": math.inf},
+                      "0dfb7301c4a0d0d63625f938725339ab123f414406e9a6b907334454087aa329"),
+    "lossless_filter": (run_adjacent, {"insertion_loss_db": 0},
+                        "8e3edf2b17a2f5395d237e981b7305e8663696d310cf782dc22829212ae99572"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(STALE_BRANCH_DIGESTS))
+def test_stale_branch_csv_matches_golden_digest(branch):
+    runner, scenario, digest = STALE_BRANCH_DIGESTS[branch]
+    table = runner(scenario, seed=5, trials=20)
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
 
 # The multiuser-shared benchmark workload's scenario at seed 5, 6 trials.
