@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -31,14 +32,12 @@ from .channel import (
     ChannelParams,
     Geometry,
     Scenario,
-    assemble_stack,
-    draw_stack,
     element_distances,
     link_streams,
     path_gain,
     resolve_wavefront,
 )
-from .numkernel import singular_values, spectrum_rank
+from .numkernel import singular_values, spectrum_rank, svd
 from .seeding import KeyedStreams, complex_normal_stack, fan_out, subseed
 
 log = logging.getLogger(__name__)
@@ -66,14 +65,18 @@ class ResultTable:
     metadata: dict
 
     def __post_init__(self):
-        norm = []
         for row in self.rows:
             if len(row) != len(_COLUMNS):
                 raise ValueError(
                     f"row {row!r} has {len(row)} cells, table has {len(_COLUMNS)} columns"
                 )
-            norm.append(tuple(_plain(v) for v in row))
-        object.__setattr__(self, "rows", tuple(norm))
+        # exact types: numpy scalars such as np.float64 subclass float and
+        # must still be collapsed
+        if _PLAIN_TYPES.issuperset(map(type, itertools.chain.from_iterable(self.rows))):
+            rows = tuple(map(tuple, self.rows))
+        else:
+            rows = tuple(tuple(_plain(v) for v in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
         """Comma-separated text, \\n endings, 17 significant digits; the
@@ -81,8 +84,8 @@ class ResultTable:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([name for name, _ in _COLUMNS])
-        for row in self.rows:
-            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        w.writerows([format(v, ".17g") if type(v) is float else v for v in row]
+                    for row in self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -109,6 +112,10 @@ class ResultTable:
         cells = (flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ")
                  .replace("\0", ",\n      "))
         return head + "[\n    [\n      " + cells + "\n    ]\n  ]\n}\n"
+
+
+#: cell types a table keeps as they are
+_PLAIN_TYPES = frozenset((int, float, str, bool))
 
 
 def _plain(v):
@@ -405,14 +412,43 @@ def _check_routes(p, routes):
             raise ConfigError("scenario.wavelength", f"{lam} m overflows the gain along {route}")
 
 
+#: entries of the largest array a run builds from count fields: under it a
+#: complex128 block, and an array's (count, 3) element coordinates, stay
+#: inside the byte count numpy can index
+MAX_BLOCK_ENTRIES = np.iinfo(np.intp).max // 32
+
+
+def _check_blocks(p, blocks):
+    """Every block, a tuple of count fields whose product is its entry
+    count, holds at most `MAX_BLOCK_ENTRIES` entries; an oversized block
+    is rejected at its largest count."""
+    for block in blocks:
+        entries = math.prod(p[f] for f in block)
+        if entries > MAX_BLOCK_ENTRIES:
+            field = max(block, key=p.get)
+            raise ConfigError(f"scenario.{field}",
+                              f"{p[field]} makes a {' x '.join(str(p[f]) for f in block)} "
+                              f"block, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
+                              "can hold")
+
+
+def _check_links(p, n_field):
+    """The incident, departure and direct blocks of links through a
+    surface of `n_field` elements fit `MAX_BLOCK_ENTRIES`."""
+    _check_blocks(p, [(n_field, "m_antennas"), ("u_antennas", n_field),
+                      ("u_antennas", "m_antennas")])
+
+
 def _check_rank(p):
-    """Finite route gains, and no spherical link with coincident elements."""
+    """Finite route gains, blocks numpy can hold, and no spherical link
+    with coincident elements."""
     alpha = ChannelParams().path_loss_exponent
     nb, ris, ue = "nb_position", "ris_position", "ue_position"
     routes = [(1.0, [(nb, ris, alpha), (ris, ue, alpha)])]
     if p["include_direct"]:
         routes.append((1.0, [(nb, ue, alpha)]))
     _check_routes(p, routes)
+    _check_links(p, "n_elements")
     geom = _rank_geometry(p)
     m, n, u = p["m_antennas"], p["n_elements"], p["u_antennas"]
     # (from, to, rows, cols) of each link, as `Scenario` builds it
@@ -439,6 +475,7 @@ def _check_float(p, field):
 def _check_coex(p):
     from .coexist import UPDATE_POLICIES
     _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
+    _check_links(p, "n_elements_a")
     if p["t1"] > p["t2"]:
         raise ConfigError("scenario.t2",
                           f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
@@ -462,8 +499,14 @@ def _check_coex(p):
 
 
 def _check_beamform(p):
-    """Bit widths `quantize_phases` takes, and no repeated size or width."""
+    """Bit widths `quantize_phases` takes, sizes whose two hop rows numpy
+    can hold, and no repeated size or width."""
     from .ris import MAX_QUANTIZATION_BITS
+    for i, n in enumerate(p["n_list"]):
+        if 2 * n > MAX_BLOCK_ENTRIES:
+            raise ConfigError(f"scenario.n_list[{i}]", f"{n} elements make a 2 x {n} "
+                              f"stack, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
+                              "can hold")
     for i, b in enumerate(p["quantization_bits"]):
         _integer(b, f"scenario.quantization_bits[{i}]", 1, MAX_QUANTIZATION_BITS)
     for field in ("n_list", "quantization_bits"):
@@ -473,6 +516,8 @@ def _check_beamform(p):
 
 
 def _check_multiuser(p):
+    _check_blocks(p, [("n_users", "n_elements", "m_antennas"),
+                      ("n_users", "u_antennas", "n_elements")])
     weights = p["qos_weights"]
     if weights and len(weights) != p["n_users"]:
         raise ConfigError("scenario.qos_weights",
@@ -611,24 +656,59 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     how rich the departure hop is.  Switching `wavefront` to "spherical"
     (or "auto" inside the Fraunhofer distance) lifts the collapse.
 
+    With the surface all ones, the reflected channel is amp h G, where G
+    is the fixed N x M incident block and amp the two hops' amplitude
+    gain.  G is factored once per run, G = U_G S V^H with r = min(N, M)
+    columns, and only h U_G reaches the channel.  The departure hop is
+    h = b h_s + a L, with L its LoS block, a = sqrt(K/(K+1)) and
+    b = sqrt(1/(K+1)) of its Rician factor K; the rows of h_s are iid
+    CN(0, I_N) and U_G has orthonormal columns, so W = h_s U_G is iid
+    CN(0, 1) of shape U x r.  A trial therefore draws W, U x r normals
+    instead of U x N, from its own departure-hop stream, and its channel
+    is amp (b W S V^H + a L G) + sqrt(pl_nb_ue) D, D the direct block
+    drawn as the direct link's Rayleigh block.  This is the distribution
+    of drawing h whole, for every K, wavefront, N against M and direct
+    link; at K = inf the reflected term is fixed and nothing is drawn
+    for it.
+
     Every trial's streams are keyed up front.  `seeding.fan_out` spreads
-    the trials over up to `threads` threads, and each thread draws,
-    assembles and decomposes its trials one at a time, so it keeps one
-    trial's blocks in memory; each spectrum lands in its trial's row, and
-    the table is the same for every thread count.  One INFO log line
+    the trials over up to `threads` threads; each thread draws its trials
+    into one stack and takes one matrix product and one stacked SVD, and
+    each matrix's spectrum is computed on its own, so it lands in its
+    trial's row the same for every thread count.  One INFO log line
     reports the trials, threads, keyed draws and stacked passes.
     """
     check_run(seed, trials, threads)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     streams = link_streams(scn, range(trials))
-    ones = np.ones((1, scn.n_elements), dtype=np.complex128)
-    spectra = np.empty((trials, min(scn.m_antennas, scn.u_antennas)))
+    u, m = scn.u_antennas, scn.m_antennas
+    k = scn.ris_ue.rician_k
+    amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
+    fac = svd(scn.los_nb_ris)
+    # S V^H, r x M, with the scattered part's weight and amp folded in
+    spread = (amp * math.sqrt(1.0 / (k + 1.0)) * fac.singular_values[:, None]
+              * fac.right_vectors.conj().T)
+    fixed = None
+    if k > 0.0:
+        fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
+                 * (scn.los_ris_ue @ scn.los_nb_ris))
+    spectra = np.empty((trials, min(u, m)))
 
     def work(first, step):
-        for t in range(first, trials, step):
-            h_t = assemble_stack(scn, *draw_stack(scn, streams, (t,)), ones)[0]
-            spectra[t] = singular_values(h_t)
+        cols = range(first, trials, step)
+        if math.isinf(k):
+            h = np.broadcast_to(fixed, (len(cols), u, m))
+        else:
+            w = np.empty((len(cols), u, len(spread)), dtype=np.complex128)
+            h = complex_normal_stack((streams[1, t] for t in cols), w, 1.0) @ spread
+            if fixed is not None:
+                h += fixed
+        if scn.nb_ue is not None:
+            d = np.empty((len(cols), u, m), dtype=np.complex128)
+            h = h + complex_normal_stack((streams[2, t] for t in cols), d,
+                                         math.sqrt(scn.pl_nb_ue))
+        spectra[first::step] = singular_values(h)
 
     workers = fan_out(work, trials, threads)
     rows = []

@@ -62,11 +62,13 @@ def svd(a) -> SvdResult:
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values of a validated complex matrix."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
-    return np.linalg.svd(as_complex_stack(arr), compute_uv=False)
+    """Descending singular values of a validated complex matrix, or of
+    every matrix of a stack (..., r, c), shaped (..., min(r, c)).
+
+    A stack's rows equal the calls on its matrices one by one, bit for
+    bit: LAPACK decomposes each matrix of the stack on its own.
+    """
+    return np.linalg.svd(as_complex_stack(a), compute_uv=False)
 
 
 def _two_by_two_spectrum(h: np.ndarray) -> np.ndarray:
@@ -139,6 +141,8 @@ def spectrum_rank(svals, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     s = np.asarray(svals, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"svals must be one spectrum, got shape {s.shape}")
     smax = s[0]
     if smax == 0.0:
         return 0

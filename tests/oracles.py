@@ -940,3 +940,24 @@ def apply_band_filter(filt, inband_power_dbm: float, oob_power_dbm: float,
            - filt.per_pass_oob_attenuation_db * passes
            - filt.inband_insertion_loss_db * passes)
     return inband, oob
+
+
+# ---------------------------------------------------------------------------
+# rank's full-draw route, frozen
+
+def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
+    """(trials, min(M, U)) singular values of the rank runner's channels as
+    it made them before it drew only the departure hop's projection onto
+    the incident hop: every trial draws its whole U x N departure block
+    (and its direct block) from its keyed streams, the blocks go through an
+    all-ones surface with `channel.assemble_stack`, and each channel takes
+    its own SVD.  The trials are drawn as one stack; `draw_stack` gives
+    each trial the blocks its per-trial call gave."""
+    from ris_sim.channel import assemble_stack, draw_stack, link_streams
+    from ris_sim.experiments import _rank_scenario, resolve_scenario
+
+    scn = _rank_scenario(resolve_scenario("rank", scenario), seed)
+    streams = link_streams(scn, range(trials))
+    ones = np.ones((trials, scn.n_elements), dtype=np.complex128)
+    h = assemble_stack(scn, *draw_stack(scn, streams, range(trials)), ones)
+    return np.linalg.svd(h, compute_uv=False)

@@ -639,8 +639,8 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
 
 
 # Values whose runs used to overflow (path gain, 2^bits phase levels, raster
-# size), hit coincident nodes or write one beamform row twice; each now fails
-# validation at its path.
+# size, array dimensions), hit coincident nodes or write one beamform row
+# twice; each now fails validation at its path.
 @pytest.mark.parametrize("experiment, scenario, path", [
     ("rank", "{wavelength: 1.0e+300}", "scenario.wavelength"),
     ("coexist", "{wavelength: 1.0e+300}", "scenario.wavelength"),
@@ -659,6 +659,13 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
      "scenario.backoff_slots_max"),
     ("adjacent", "{filter_passes: 1" + "0" * 400 + "}", "scenario.filter_passes"),
     ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
+    # counts that would make a block with more entries than numpy can index
+    ("rank", "{n_elements: 1" + "0" * 30 + "}", "scenario.n_elements"),
+    ("beamform", "{n_list: [4, 1" + "0" * 30 + "]}", "scenario.n_list[1]"),
+    ("multiuser", "{n_users: 1" + "0" * 30 + "}", "scenario.n_users"),
+    ("coexist", "{n_elements_a: 1" + "0" * 30 + "}", "scenario.n_elements_a"),
+    ("coexist", "{m_antennas: 1" + "0" * 30 + "}", "scenario.m_antennas"),
+    ("adjacent", "{n_elements_a: 1" + "0" * 30 + "}", "scenario.n_elements_a"),
     # an element of one array on an element of the other, on a link whose
     # wavefront is or resolves to spherical
     ("rank", "{wavefront: spherical, m_antennas: 2, n_elements: 4, "

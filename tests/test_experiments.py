@@ -9,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ris_sim
+from ris_sim import numkernel, seeding
 from ris_sim.experiments import (
     MULTIUSER_CHUNK,
     ResultTable,
+    _rank_scenario,
     config_digest,
     resolve_scenario,
     run_beamform,
@@ -21,6 +24,7 @@ from ris_sim.experiments import (
     run_rank,
     write_outputs,
 )
+from ris_sim.seeding import complex_normal, rng_from
 
 
 def _toy_table():
@@ -101,11 +105,13 @@ def test_json_mirror_equals_json_dumps(rows):
 
 def test_numpy_scalars_collapse_to_plain_values():
     table = ResultTable(
-        rows=((np.int64(3), "x", np.float64(0.5)),),
+        rows=((0, "plain", 0.25), (np.int64(3), "x", np.float64(0.5)),
+              (1, "flag", np.bool_(True))),
         metadata={},
     )
-    assert table.rows[0][0] == 3 and type(table.rows[0][0]) is int
-    assert type(table.rows[0][2]) is float
+    assert table.rows == ((0, "plain", 0.25), (3, "x", 0.5), (1, "flag", True))
+    assert [type(v) for row in table.rows for v in row] == [int, str, float] * 2 + [int, str, bool]
+    assert table.to_csv().endswith("3,x,0.5\n1,flag,True\n")
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +172,70 @@ def test_rank_runner_collapses_to_rank_one():
     assert all(r == 1 for r in ranks)
 
 
-def test_rank_runner_takes_one_svd_per_trial(monkeypatch):
+def test_rank_runner_takes_one_stacked_svd_per_worker(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 2)
+    # the incident block's factors, then one spectrum stack per worker
     run_rank({}, seed=3, trials=5)
-    assert calls == [False] * 5
+    assert calls == [((64, 4), True), ((5, 4, 4), False)]
+    calls.clear()
+    run_rank({}, seed=3, trials=5, threads=2)
+    assert calls[0] == ((64, 4), True)
+    assert sorted(calls[1:]) == [((2, 4, 4), False), ((3, 4, 4), False)]
+
+
+def _rank_columns(table):
+    return [np.array([v for _, m, v in table.rows if m == name])
+            for name in ("rank", "sigma_1", "sigma_2")]
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("wavefront", ["planar", "spherical"])
+@pytest.mark.parametrize("k", [0.0, 2.0, math.inf])
+def test_rank_projection_draw_matches_the_full_draw_in_distribution(k, wavefront, n, direct):
+    # N = 3 < M puts the whole departure hop in the incident block's span;
+    # N = 64 projects it onto 4 of 64 dimensions
+    scenario = {"m_antennas": 4, "u_antennas": 4, "n_elements": n, "wavefront": wavefront,
+                "ris_ue_rician_k": k, "include_direct": direct}
+    trials = 2000
+    _, s1, s2 = _rank_columns(run_rank(scenario, seed=41, trials=trials))
+    full = oracles.rank_spectra_full_draw(scenario, seed=42, trials=trials)
+    # a deterministic channel has no spread, and the two routes round it
+    # differently; rounding sits far below this floor
+    floor = 1e-9 * full[:, 0].mean()
+    for new, old in ((s1, full[:, 0]), (s2, full[:, 1])):
+        se = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / trials)
+        assert abs(new.mean() - old.mean()) <= 5.0 * se + floor
+
+
+@pytest.mark.parametrize("wavefront", ["planar", "spherical"])
+@pytest.mark.parametrize("n", [3, 64])
+def test_projection_through_the_incident_factors_is_the_product(wavefront, n):
+    scn = _rank_scenario(resolve_scenario("rank", {"n_elements": n, "wavefront": wavefront}), 7)
+    g = scn.los_nb_ris
+    fac = numkernel.svd(g)
+    assert fac.left_vectors.shape == (n, min(n, 4))
+    h = complex_normal(rng_from(7, f"projection/{n}"), (4, n))
+    split = (h @ fac.left_vectors) @ (fac.singular_values[:, None] * fac.right_vectors.conj().T)
+    whole = h @ g
+    assert np.linalg.norm(split - whole) <= 1e-12 * np.linalg.norm(whole)
+
+
+def test_near_field_panel_reaches_full_rank():
+    # the benchmark's near-field scenario: `auto` resolves to spherical
+    table = run_rank({"m_antennas": 8, "u_antennas": 8, "n_elements": 1024,
+                      "wavefront": "auto"}, seed=1, trials=6)
+    ranks, _, s2 = _rank_columns(table)
+    assert ranks.tolist() == [8] * 6
+    assert (s2 > 0.0).all()
 
 
 def test_rank_runner_metadata_and_digest():

@@ -51,6 +51,27 @@ def test_singular_values_match_jacobi_oracle():
     assert np.max(np.abs(s - ref)) <= 1e-9 * ref[0]
 
 
+@pytest.mark.parametrize("shape", [(7, 4, 4), (3, 2, 5, 3), (6, 1, 3)])
+def test_singular_values_of_a_stack_equal_each_matrix_bit_for_bit(shape):
+    stack = _randc(np.random.default_rng(sum(shape)), shape)
+    s = numkernel.singular_values(stack)
+    assert s.shape == shape[:-2] + (min(shape[-2:]),)
+    one_by_one = [numkernel.singular_values(a) for a in stack.reshape((-1,) + shape[-2:])]
+    assert s.tobytes() == np.stack(one_by_one).tobytes()
+
+
+def test_singular_values_of_a_stack_reject_a_nonfinite_matrix():
+    stack = np.ones((3, 2, 2), dtype=complex)
+    stack[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        numkernel.singular_values(stack)
+
+
+def test_numerical_rank_takes_one_matrix():
+    with pytest.raises(ValueError, match="one spectrum"):
+        numkernel.numerical_rank(np.ones((2, 3, 3)))
+
+
 def test_singular_values_rejects_zero_dimension():
     with pytest.raises(ValueError):
         numkernel.singular_values(np.zeros((0, 3)))
