@@ -249,8 +249,8 @@ class Scenario:
     they are computed once, on construction, and kept read-only in
     `los_nb_ris`, `los_ris_ue`, `los_nb_ue` (None without a direct link)
     and `pl_nb_ris`, `pl_ris_ue`, `pl_nb_ue` (0.0 without a direct link).
-    A constructed scenario is never mutated, so concurrent trials can read
-    these blocks without a lock.
+    A constructed scenario is never mutated, so every trial of a run reads
+    the same blocks.
     """
 
     geometry: Geometry

@@ -5,8 +5,8 @@ Usage::
     ris-sim <subcommand> --config cfg.yaml [--seed U64] [--threads N] [--out PATH]
 
 The subcommand must match the `experiment` declared in the config file.
-`--threads N` (at least 1) lets `rank` run its trials on up to N threads;
-results never depend on N, and every other experiment runs in one thread.
+Every experiment runs in one thread; `--threads N` is accepted and must be
+at least 1, and it changes neither results nor speed.
 Validation is strict: unknown fields anywhere in the config are errors,
 reported with their dotted path.  Logs go to stderr; result data goes to
 the output files, or to stdout as CSV when no output path is given.
@@ -33,7 +33,6 @@ from .experiments import (
     ResultTable,
     check_run,
     resolve_scenario,
-    run_rank,
     write_outputs,
 )
 
@@ -119,19 +118,15 @@ def validate_config(raw: str) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
-                   stages: dict | None = None, threads: int = 1) -> ResultTable:
+                   stages: dict | None = None) -> ResultTable:
     """Dispatch a validated config and write outputs when a path is set.
 
     `out_path` overrides the config's own output path; with neither set
     the table is only returned.  A `stages` dict receives the runner's
-    wall time in seconds under "run".  `threads` reaches `run_rank`, the
-    one runner that spreads its trials over threads.
+    wall time in seconds under "run".
     """
     start = time.perf_counter()
-    if cfg.experiment == "rank":
-        table = run_rank(cfg.scenario, cfg.seed, cfg.trials, threads)
-    else:
-        table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
+    table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
     if stages is not None:
         stages["run"] = time.perf_counter() - start
     path = out_path if out_path is not None else cfg.output_path
@@ -164,8 +159,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for rank's trials, >= 1; results never "
-                             "depend on it, and other experiments run in one thread")
+                        help="accepted for compatibility, >= 1; every experiment "
+                             "runs in one thread, so it changes neither results nor speed")
         sp.add_argument("--out", default=None,
                         help="override the config output path")
     return parser
@@ -202,7 +197,7 @@ def main(argv=None) -> int:
         return 1
     stages = {"validate": time.perf_counter() - start}
     try:
-        table = run_experiment(cfg, out_path=args.out, stages=stages, threads=args.threads)
+        table = run_experiment(cfg, out_path=args.out, stages=stages)
     except OSError as exc:
         log.error("cannot write results: %s", exc)
         return 2

@@ -4,9 +4,8 @@ Every runner maps a flat scenario mapping to a long-format table with one
 row per trial per metric.  `SCHEMA` holds each scenario field's default
 and check, and `resolve_scenario` applies it for the runners and the
 command line alike.  All randomness is keyed on (seed, trial, label), so a
-table is a pure function of (scenario, seed, trials).  `run_rank` spreads
-its trials over up to `threads` threads, and its table never depends on
-how many; every other runner works in one thread.
+table is a pure function of (scenario, seed, trials).  Every runner
+works in one thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
 imported at module level; each runner and cross-field check imports its
@@ -38,7 +37,7 @@ from .channel import (
     resolve_wavefront,
 )
 from .numkernel import singular_values, spectrum_rank, svd
-from .seeding import KeyedStreams, complex_normal_stack, fan_out, subseed
+from .seeding import KeyedStreams, complex_normal_stack, subseed
 
 log = logging.getLogger(__name__)
 
@@ -207,7 +206,10 @@ _REQUIRED = object()
 def _number(v, path, minimum=None, maximum=None, allow_inf=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(path, "too large for a float") from None
     if math.isnan(x):
         raise ConfigError(path, "must not be NaN")
     if not allow_inf and math.isinf(x):
@@ -388,20 +390,33 @@ SCHEMA = {
 
 
 def _distance(p, a, b) -> float:
-    d = float(np.linalg.norm(np.subtract(p[a], p[b])))
+    """The distance between two position fields, as `Geometry.distance`
+    forms it; one that overflows is rejected at the farther-out field."""
+    with np.errstate(over="ignore"):
+        d = float(np.linalg.norm(np.subtract(p[a], p[b])))
+    if not math.isfinite(d):
+        far, near = sorted((a, b), key=lambda f: max(map(abs, p[f])), reverse=True)
+        raise ConfigError(f"scenario.{far}",
+                          f"lies too far from scenario.{near} for a finite distance")
     if not d > 0.0:
         raise ConfigError(f"scenario.{b}", f"coincides with scenario.{a}")
     return d
 
 
-def _check_routes(p, routes):
-    """Every (scale, hops) route needs a finite power gain.
+def _check_routes(p, routes, phased=True):
+    """Every (scale, hops) route needs a finite power gain, and with
+    `phased` every hop a finite LoS phase 2 pi d / lambda.
 
     A hop is (from field, to field, path-loss exponent); the gain is the
-    scale times the product of the hop path gains, as the runner forms it.
+    scale times the product of the hop path gains, and the phase that of
+    the hop's LoS block, as the runner forms them.
     """
     lam = p["wavelength"]
     for scale, hops in routes:
+        for a, b, _ in hops:
+            if phased and not math.isfinite(2.0 * math.pi * _distance(p, a, b) / lam):
+                raise ConfigError("scenario.wavelength",
+                                  f"{lam} m overflows the phase from {a} to {b}")
         try:
             gain = scale * math.prod(path_gain(lam, _distance(p, a, b), alpha)
                                      for a, b, alpha in hops)
@@ -486,16 +501,20 @@ def _check_coex(p):
     routes = [(1.0, [(nb_b, ris, refl), (ris, ue_b, refl)])]
     if not p["b_direct_blocked"]:
         routes.append((1.0, [(nb_b, ue_b, ground)]))
-    if p.get("mode") == "lbt":
-        # A's own link, then what each network's transmission delivers to
-        # the other's user (interference) and base station (sensing)
+    lbt = p.get("mode") == "lbt"
+    if lbt:
+        # A's own link
+        routes += [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]), (1.0, [(nb_a, ue_a, ground)])]
+    _check_routes(p, routes)
+    if lbt:
+        # what each network's transmission delivers to the other's user
+        # (interference) and base station (sensing): gains, not LoS blocks
         tx_a, tx_b = p["tx_power_a"], p["tx_power_b"]
-        routes += [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]), (1.0, [(nb_a, ue_a, ground)]),
-                   (tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
-                   (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
+        routes = [(tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
+                  (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
         routes += [(tx_a * p["n_elements_a"], [(nb_a, ris, refl), (ris, far, refl)])
                    for far in (ue_b, nb_b)]
-    _check_routes(p, routes)
+        _check_routes(p, routes, phased=False)
 
 
 def _check_beamform(p):
@@ -602,17 +621,16 @@ def resolve_scenario(experiment: str, raw) -> dict:
     return p
 
 
-def check_run(seed, trials, threads=1) -> None:
-    """Reject a seed, trial count or thread count no runner can use.
+def check_run(seed, trials) -> None:
+    """Reject a seed or trial count no runner can use.
 
-    The seed must be an integer in [0, 2^64), `trials` and `threads`
-    integers >= 1; ConfigError names `seed`, `trials` or `threads`.
+    The seed must be an integer in [0, 2^64) and `trials` an integer
+    >= 1; ConfigError names `seed` or `trials`.
     """
     _integer(seed, "seed", 0)
     if seed >= 1 << 64:
         raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
     _integer(trials, "trials", 1)
-    _integer(threads, "threads", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +666,7 @@ def _rank_scenario(p, seed) -> Scenario:
     )
 
 
-def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
+def run_rank(scenario, seed, trials) -> ResultTable:
     """Numerical rank and leading singular values of the effective channel.
 
     The incident hop is pure LoS; under the planar wavefront it is an
@@ -671,14 +689,13 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     link; at K = inf the reflected term is fixed and nothing is drawn
     for it.
 
-    Every trial's streams are keyed up front.  `seeding.fan_out` spreads
-    the trials over up to `threads` threads; each thread draws its trials
-    into one stack and takes one matrix product and one stacked SVD, and
-    each matrix's spectrum is computed on its own, so it lands in its
-    trial's row the same for every thread count.  One INFO log line
-    reports the trials, threads, keyed draws and stacked passes.
+    Every trial's streams are keyed up front.  The run draws all trials
+    into one stack and takes one matrix product and one stacked SVD; each
+    matrix's spectrum is computed on its own, so a trial's row does not
+    depend on the other trials.  One INFO log line reports the trials,
+    keyed draws and stacked passes.
     """
-    check_run(seed, trials, threads)
+    check_run(seed, trials)
     p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     streams = link_streams(scn, range(trials))
@@ -693,24 +710,18 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
     if k > 0.0:
         fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
                  * (scn.los_ris_ue @ scn.los_nb_ris))
-    spectra = np.empty((trials, min(u, m)))
-
-    def work(first, step):
-        cols = range(first, trials, step)
-        if math.isinf(k):
-            h = np.broadcast_to(fixed, (len(cols), u, m))
-        else:
-            w = np.empty((len(cols), u, len(spread)), dtype=np.complex128)
-            h = complex_normal_stack((streams[1, t] for t in cols), w, 1.0) @ spread
-            if fixed is not None:
-                h += fixed
-        if scn.nb_ue is not None:
-            d = np.empty((len(cols), u, m), dtype=np.complex128)
-            h = h + complex_normal_stack((streams[2, t] for t in cols), d,
-                                         math.sqrt(scn.pl_nb_ue))
-        spectra[first::step] = singular_values(h)
-
-    workers = fan_out(work, trials, threads)
+    if math.isinf(k):
+        h = np.broadcast_to(fixed, (trials, u, m))
+    else:
+        w = np.empty((trials, u, len(spread)), dtype=np.complex128)
+        h = complex_normal_stack((streams[1, t] for t in range(trials)), w, 1.0) @ spread
+        if fixed is not None:
+            h += fixed
+    if scn.nb_ue is not None:
+        d = np.empty((trials, u, m), dtype=np.complex128)
+        h = h + complex_normal_stack((streams[2, t] for t in range(trials)), d,
+                                     math.sqrt(scn.pl_nb_ue))
+    spectra = singular_values(h)
     rows = []
     for t, sv in enumerate(spectra):
         rows += [
@@ -718,8 +729,8 @@ def run_rank(scenario, seed, trials, threads=1) -> ResultTable:
             (t, "sigma_1", float(sv[0])),
             (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0),
         ]
-    log.info("rank: %d trials on %d threads, %d keyed draws, %d stacked passes",
-             trials, workers, streams.draws, streams.passes)
+    log.info("rank: %d trials, %d keyed draws, %d stacked passes",
+             trials, streams.draws, streams.passes)
     return _table("rank", seed, trials, p, rows)
 
 

@@ -16,18 +16,14 @@ pass each; both algorithms are fixed by numpy's stream-stability policy
 (NEP 19), and `tests/test_seeding.py` checks them against numpy bit for
 bit.
 
-Because every trial's streams are keyed, trials can also be spread over
-threads: `KeyedStreams` hands each thread its own generator, and
-`fan_out` splits a range of trials over worker threads.  This is the
-package's one way to run trials concurrently.
+Every run draws in one thread: a runner keys all of its trials' streams
+up front and draws them into stacks, through one reused generator.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 import zlib
 
 import numpy as np
@@ -137,12 +133,10 @@ class KeyedStreams:
     `labels` in turn; `KeyedStreams(seed, label)[()]` draws what
     `rng_from(seed, label)` draws.  All keys and their PCG64 seeding words
     are derived up front, in one vectorized pass per level and one for the
-    states.  Indexing sets the calling thread's own reused generator to the
-    state of the indexed key and returns it, so a drawn generator is valid
-    until that thread's next index, and threads index one set of streams
-    without a lock.  `keys` holds the uint64 keys, `passes` counts the
-    vectorized passes and `draws` the generators handed out, over all
-    threads.
+    states.  Indexing sets the one reused generator to the state of the
+    indexed key and returns it, so a drawn generator is valid until the
+    next index.  `keys` holds the uint64 keys, `passes` counts the
+    vectorized passes and `draws` the generators handed out.
     """
 
     def __init__(self, seeds, *labels):
@@ -159,75 +153,24 @@ class KeyedStreams:
                                 | (words[2 * i + 1].astype(np.uint64) << np.uint64(32))
                                 for i in range(_POOL)], axis=-1)
         self.passes = len(labels) + 1
-        # thread id -> that thread's handle; a thread only writes its own
-        self._handles = {}
-
-    @property
-    def draws(self) -> int:
-        return sum(handle.draws for handle in list(self._handles.values()))
+        self.draws = 0
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
 
     def __getitem__(self, index) -> np.random.Generator:
-        thread = threading.get_ident()
-        handle = self._handles.get(thread)
-        if handle is None:
-            handle = self._handles[thread] = _Handle()
         s_hi, s_lo, i_hi, i_lo = self._words[index].tolist()
         # PCG64 seeding: inc = (seq << 1) | 1, then two LCG steps around
         # adding the initial state
         inc = (((i_hi << 64) | i_lo) << 1 | 1) & _U128
         state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _U128
-        handle.bit_generator.state = {
+        self._bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        handle.draws += 1
-        return handle.generator
-
-
-class _Handle:
-    """One thread's reused generator on a `KeyedStreams`, and its draws."""
-
-    __slots__ = ("bit_generator", "generator", "draws")
-
-    def __init__(self):
-        self.bit_generator = np.random.PCG64(0)
-        self.generator = np.random.Generator(self.bit_generator)
-        self.draws = 0
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def fan_out(work, trials: int, threads: int) -> int:
-    """Run `work(first, step)` over min(threads, trials, usable CPUs)
-    workers and return that count.
-
-    Worker w takes trials w, w + step, ... of range(trials), with the
-    worker count as step.  Worker 0 runs in the calling thread, so one
-    worker starts no thread; the others run on a pool that is shut down
-    before this returns, and an exception raised in any worker is raised
-    here.  `work` must give every trial the same result wherever it runs,
-    as drawing from `KeyedStreams` does; it is called from several threads
-    at once, so it writes only its own trials' outputs.
-    """
-    workers = min(threads, trials, _usable_cpus())
-    if workers == 1:
-        work(0, 1)
-        return 1
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(work, w, workers) for w in range(1, workers)]
-        work(0, workers)
-        for future in futures:
-            future.result()
-    return workers
+        self.draws += 1
+        return self._generator
 
 
 def rng_from(seed: int, label: str | None = None) -> np.random.Generator:
@@ -264,9 +207,9 @@ def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
     and scaled straight into `out`: no complex temporary is built.
 
     When `rngs` indexes a `KeyedStreams`, it must be a lazy iterable such
-    as a generator expression: the streams hand each thread one reused
-    generator, so a tuple of indexed streams would leave every entry at
-    the state of the last key.
+    as a generator expression: the streams hand out one reused generator,
+    so a tuple of indexed streams would leave every entry at the state of
+    the last key.
     """
     parts = np.empty((len(out), 2) + out.shape[1:])
     for part, rng in zip(parts, rngs):

@@ -430,7 +430,7 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypa
     # every stream is keyed in a few vectorized passes, however many trials
     assert len(draws) >= trials and len(passes) <= 5
     if scales is None:
-        head = f"INFO rank: {trials} trials on 1 threads"
+        head = f"INFO rank: {trials} trials"
     else:
         head = f"INFO stale CSI: {trials} trials at {scales} bounce scales"
     assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
@@ -672,6 +672,20 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
              "nb_position: [0, 0, 10], ris_position: [0, 0, 10.1]}", "scenario.ris_position"),
     ("rank", "{wavefront: auto, include_direct: true, nb_position: [0, 0, 10], "
              "ue_position: [0, 0, 10.1]}", "scenario.ue_position"),
+    # integers too large for a float, in a float field of each experiment
+    # that has one (beamform's fields are all counts and choices)
+    ("rank", "{wavelength: 1" + "0" * 400 + "}", "scenario.wavelength"),
+    ("rank", "{nb_position: [1" + "0" * 400 + ", 0, 0]}", "scenario.nb_position[0]"),
+    ("multiuser", "{noise_power: 1" + "0" * 400 + "}", "scenario.noise_power"),
+    ("coexist", "{tx_power_a: 1" + "0" * 400 + "}", "scenario.tx_power_a"),
+    ("adjacent", "{oob_attenuation_db: 1" + "0" * 400 + "}", "scenario.oob_attenuation_db"),
+    ("deploy", "{threshold_db: 1" + "0" * 400 + "}", "scenario.threshold_db"),
+    # a distance whose norm overflows, and a phase d / lambda that does
+    ("rank", "{nb_position: [1.0e+300, 0, 0]}", "scenario.nb_position"),
+    ("coexist", "{ue_b_position: [-1.0e+300, 0, 0]}", "scenario.ue_b_position"),
+    ("rank", "{wavelength: 5.0e-324}", "scenario.wavelength"),
+    ("adjacent", "{wavelength: 5.0e-324}", "scenario.wavelength"),
+    ("coexist", "{mode: lbt, slots: 3, wavelength: 5.0e-324}", "scenario.wavelength"),
 ])
 def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
                                                    scenario, path):
@@ -680,6 +694,18 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     captured = capsys.readouterr()
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lbt_gain_only_hops_need_no_finite_phase(tmp_path, capsys):
+    # the two base stations hear each other only as a path gain, so a
+    # phase 2 pi d / lambda that overflows between them alone still runs
+    cfg = _cfg(tmp_path, "experiment: coexist\nscenario: {mode: lbt, slots: 3, "
+                         "wavelength: 1.0e-300, ris_a_position: [0, 0, 0], "
+                         "nb_a_position: [1.5e+7, 0, 0], ue_a_position: [1, 0, 0], "
+                         "nb_b_position: [-1.5e+7, 0, 0], ue_b_position: [-1, 0, 0]}\n")
+    assert main(["coexist", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
 
 
 def test_deploy_element_count_beyond_any_array_runs(tmp_path, capsys):
@@ -756,18 +782,17 @@ def test_wide_quantization_runs_on_rayleigh_channels(tmp_path, capsys, bits):
 
 
 # ---------------------------------------------------------------------------
-# rank on worker threads
+# rank at every --threads value
 
 #: near field, with the direct link and a finite Rician factor, so that the
-#: workers draw both scattered links; 7 trials split unevenly over 2 and 3
+#: run draws both scattered links
 _THREADED_RANK = ("experiment: rank\nseed: 11\ntrials: 7\nscenario:\n"
                   "  m_antennas: 3\n  u_antennas: 2\n  n_elements: 48\n"
                   "  wavefront: spherical\n  include_direct: true\n  ris_ue_rician_k: 2.5\n")
 
 
-def test_rank_tables_match_at_every_thread_count(tmp_path, capsys, monkeypatch):
-    # enough CPUs that every thread count below is the worker count
-    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 64)
+def test_rank_tables_match_at_every_thread_count(tmp_path, capsys):
+    # --threads is accepted and checked, and every run is one thread
     cfg = _cfg(tmp_path, _THREADED_RANK)
     tables, lines = [], []
     for threads in (1, 2, 3, 8):
@@ -780,15 +805,14 @@ def test_rank_tables_match_at_every_thread_count(tmp_path, capsys, monkeypatch):
         lines += [ln for ln in capsys.readouterr().err.splitlines() if "INFO rank:" in ln]
     assert tables == [tables[0]] * 4
     # each trial draws its ris_ue and nb_ue blocks; nb_ris is pure LoS
-    assert lines == [f"INFO rank: 7 trials on {workers} threads, 14 keyed draws, "
-                     "3 stacked passes" for workers in (1, 2, 3, 7)]
+    assert lines == ["INFO rank: 7 trials, 14 keyed draws, 3 stacked passes"] * 4
 
 
 class _CountingExecutor:
-    """Stands in for `ThreadPoolExecutor`: records the workers asked for
-    and runs each submitted call at once, starting no thread."""
+    """Stands in for a pool executor: records the workers asked for and
+    runs each submitted call at once, starting no thread or process."""
 
-    def __init__(self, requested, max_workers):
+    def __init__(self, requested, max_workers=None, *args, **kwargs):
         requested.append(max_workers)
 
     def __enter__(self):
@@ -797,39 +821,31 @@ class _CountingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
+    def submit(self, fn, *args, **kwargs):
         future = concurrent.futures.Future()
-        future.set_result(fn(*args))
+        future.set_result(fn(*args, **kwargs))
         return future
 
 
 @pytest.mark.parametrize("cpus", [None, 3, 10**6])
 def test_huge_thread_count_asks_for_no_more_workers_than_trials_and_cpus(
         tmp_path, capsys, monkeypatch, cpus):
+    # every run is one thread: whatever the CPU count, a huge --threads
+    # asks no pool for a worker and starts no thread
     if cpus is not None:
-        monkeypatch.setattr(seeding, "_usable_cpus", lambda: cpus)
-    limit = min(7, seeding._usable_cpus())
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
     requested = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        functools.partial(_CountingExecutor, requested))
+    for pool in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, pool,
+                            functools.partial(_CountingExecutor, requested))
     cfg = _cfg(tmp_path, _THREADED_RANK)
     before = threading.active_count()
     assert main(["rank", "--config", cfg, "--threads", "1000000",
                  "--out", str(tmp_path / "many.csv")]) == 0
     assert threading.active_count() == before
-    # the calling thread is worker 0; the pool holds the others
-    assert requested == ([limit - 1] if limit > 1 else [])
-    assert f"INFO rank: 7 trials on {limit} threads" in capsys.readouterr().err
+    assert requested == []
+    assert "INFO rank: 7 trials, 14 keyed draws" in capsys.readouterr().err
     assert main(["rank", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-
-
-@pytest.mark.parametrize("threads", [0, -2, 1.5, True])
-def test_library_rank_checks_its_thread_count(threads):
-    cfg = validate_config(_THREADED_RANK)
-    with pytest.raises(ConfigError) as err:
-        experiments.run_rank(cfg.scenario, cfg.seed, cfg.trials, threads)
-    assert err.value.path == "threads"
-    with pytest.raises(ConfigError, match="threads"):
-        run_experiment(cfg, threads=threads)

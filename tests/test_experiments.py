@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 import ris_sim
-from ris_sim import numkernel, seeding
+from ris_sim import numkernel
+from ris_sim.cli import main
 from ris_sim.experiments import (
     MULTIUSER_CHUNK,
     ResultTable,
@@ -172,7 +173,7 @@ def test_rank_runner_collapses_to_rank_one():
     assert all(r == 1 for r in ranks)
 
 
-def test_rank_runner_takes_one_stacked_svd_per_worker(monkeypatch):
+def test_rank_runner_takes_one_stacked_svd_per_run(tmp_path, capsys, monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -181,14 +182,16 @@ def test_rank_runner_takes_one_stacked_svd_per_worker(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 2)
-    # the incident block's factors, then one spectrum stack per worker
+    # the incident block's factors, then one spectrum stack of all trials
     run_rank({}, seed=3, trials=5)
     assert calls == [((64, 4), True), ((5, 4, 4), False)]
     calls.clear()
-    run_rank({}, seed=3, trials=5, threads=2)
-    assert calls[0] == ((64, 4), True)
-    assert sorted(calls[1:]) == [((2, 4, 4), False), ((3, 4, 4), False)]
+    cfg = tmp_path / "rank.yaml"
+    cfg.write_text("experiment: rank\nseed: 3\ntrials: 5\n")
+    assert main(["rank", "--config", str(cfg), "--threads", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert calls == [((64, 4), True), ((5, 4, 4), False)]
 
 
 def _rank_columns(table):

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, and one
+"""Every name a package module imports is used in that module, and no
 module runs work concurrently.
 
 Deleting code tends to leave imports behind that nothing reads any more.
@@ -62,10 +62,9 @@ def _imported_modules(tree):
             yield node.module
 
 
-def test_one_module_fans_out_trials():
-    # `seeding.fan_out` is the one way to run trials concurrently, next to
-    # the per-thread generators of `KeyedStreams`
+def test_no_module_starts_threads():
+    # every run works in one thread
     users = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if any(name.split(".")[0] in _CONCURRENCY
                     for name in _imported_modules(ast.parse(path.read_text())))]
-    assert users == ["seeding.py"]
+    assert users == []

@@ -4,9 +4,6 @@
 arrays; `subseed`, `rng_from` and `default_rng` are the reference.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +14,6 @@ from ris_sim.seeding import (
     KeyedStreams,
     complex_normal,
     complex_normal_stack,
-    fan_out,
     rng_from,
     subseed,
     subseeds,
@@ -39,6 +35,20 @@ def test_stacked_keys_equal_subseed(seed_list, label):
     got = subseeds(np.array(seed_list, dtype=np.uint64), label)
     assert got.dtype == np.uint64
     assert got.tolist() == [subseed(s, label) for s in seed_list]
+
+
+def test_keyed_streams_hand_out_one_reused_generator():
+    # indexing re-seeds one generator, so indexed streams must be drawn
+    # from before the next index: a tuple of them all sits at the last key
+    streams = KeyedStreams(4, ["a", "b", "c"])
+    held = tuple(streams[i] for i in range(3))
+    assert all(rng is held[0] for rng in held)
+    assert streams.draws == 3
+    last = np.random.default_rng(int(streams.keys[2]))
+    assert held[0].bit_generator.state == last.bit_generator.state
+    assert [streams[i].standard_normal() for i in (2, 0)] == [
+        rng_from(4, "c").standard_normal(), rng_from(4, "a").standard_normal()]
+    assert streams.draws == 5
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -106,83 +116,3 @@ def test_complex_normal_stack_draws_each_block_from_its_generator_in_order():
     for i in range(4):
         want = 0.3 * oracles.two_draw_complex_normal(rng_from(3, f"s{i}"), (3, 2))
         assert out[i].tobytes() == want.tobytes()
-
-
-def _run_threads(target, count):
-    """Run `target(i)` on `count` threads and join them, each join timed out."""
-    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=seeds, n_keys=st.integers(1, 9), n=st.integers(1, 40))
-@example(seed=2**64 - 1, n_keys=2, n=1)
-def test_threads_draw_interleaved_keys_through_their_own_generators(seed, n_keys, n):
-    # two threads take alternate keys of one set of streams; in every
-    # round both index before either draws, so a generator shared between
-    # them would hand one thread the other's state
-    streams = KeyedStreams(seed, [f"k{i}" for i in range(n_keys)])
-    barrier = threading.Barrier(2, timeout=60)
-    blocks = {}
-
-    def worker(first):
-        for i in range(first, first + n_keys + n_keys % 2, 2):
-            rng = streams[i] if i < n_keys else None
-            barrier.wait()
-            if rng is not None:
-                blocks[i] = rng.standard_normal(n)
-            barrier.wait()
-
-    _run_threads(worker, 2)
-    assert sorted(blocks) == list(range(n_keys))
-    for i, block in blocks.items():
-        want = np.random.default_rng(int(streams.keys[i])).standard_normal(n)
-        assert block.tobytes() == want.tobytes()
-    assert streams.draws == n_keys
-
-
-def test_draw_count_survives_thread_switches_between_indexings():
-    # more threads than cores, switching as often as the interpreter
-    # allows: the count stays exact without a lock
-    streams = KeyedStreams(5, [f"k{i}" for i in range(8)])
-    per_thread = 400
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _run_threads(lambda i: [streams[(i + j) % 8] for j in range(per_thread)], 6)
-    finally:
-        sys.setswitchinterval(interval)
-    assert streams.draws == 6 * per_thread
-
-
-@pytest.mark.parametrize("trials, threads", [(1, 4), (7, 1), (7, 2), (7, 3), (2, 8)])
-def test_fan_out_gives_each_trial_to_one_worker(monkeypatch, trials, threads):
-    monkeypatch.setattr("ris_sim.seeding._usable_cpus", lambda: 64)
-    seen = []
-
-    def work(first, step):
-        seen.extend((t, first, step, threading.get_ident()) for t in range(first, trials, step))
-
-    before = threading.active_count()
-    workers = fan_out(work, trials, threads)
-    assert workers == min(trials, threads)
-    assert sorted(t for t, *_ in seen) == list(range(trials))
-    assert {(first, step) for _, first, step, _ in seen} == {(w, workers) for w in range(workers)}
-    # a pool thread that is idle again may take a second share
-    assert len({ident for *_, ident in seen}) <= workers
-    assert threading.active_count() == before
-
-
-def test_fan_out_raises_what_a_worker_raised(monkeypatch):
-    monkeypatch.setattr("ris_sim.seeding._usable_cpus", lambda: 64)
-
-    def work(first, step):
-        if first == 2:
-            raise ValueError("trial 2")
-
-    with pytest.raises(ValueError, match="trial 2"):
-        fan_out(work, 4, 4)
