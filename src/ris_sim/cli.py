@@ -8,7 +8,10 @@ The subcommand must match the `experiment` declared in the config file.
 Every experiment runs in one thread; `--threads N` is accepted and must be
 at least 1, and it changes neither results nor speed.
 Validation is strict: unknown fields anywhere in the config are errors,
-reported with their dotted path.  Logs go to stderr; result data goes to
+reported with their dotted path.  A config is validated once:
+`validate_config` returns `experiments.prepare`'s record of the run, a
+`--seed` replaces only its seed and re-checks it, and `main` hands the
+record to `experiments.run`.  Logs go to stderr; result data goes to
 the output files, or to stdout as CSV when no output path is given.
 
 Exit codes: 0 success, 1 config validation error, 2 runtime error.
@@ -22,34 +25,24 @@ import logging
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import yaml
 
 from . import __version__
 from .experiments import (
-    RUNNERS,
+    SCHEMA,
     ConfigError,
-    ResultTable,
+    PreparedRun,
     check_run,
-    resolve_scenario,
+    prepare,
+    run,
     write_outputs,
 )
 
 log = logging.getLogger("ris_sim")
 
 _TOP_LEVEL = ("experiment", "seed", "trials", "output", "scenario")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated experiment description with all defaults applied."""
-
-    experiment: str
-    seed: int = 0
-    trials: int = 1
-    scenario: dict = field(default_factory=dict)
-    output_path: str | None = None
 
 
 class _Loader(yaml.CSafeLoader):
@@ -70,11 +63,12 @@ _Loader.add_implicit_resolver(
 )
 
 
-def validate_config(raw: str) -> ExperimentConfig:
+def validate_config(raw: str) -> PreparedRun:
     """Parse and fully validate a YAML config, applying defaults.
 
-    Raises ConfigError naming the offending field path; YAML syntax
-    errors are reported with their line and column.
+    Returns `experiments.prepare`'s record of the run.  Raises ConfigError
+    naming the offending field path; YAML syntax errors are reported with
+    their line and column, and a value Python cannot build is one too.
     """
     try:
         doc = yaml.load(raw, Loader=_Loader)
@@ -83,6 +77,10 @@ def validate_config(raw: str) -> ExperimentConfig:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ConfigError("", f"not well-formed YAML{where}: {problem}") from None
+    except ValueError as exc:
+        # a value Python cannot build, such as an integer past the
+        # interpreter's digit limit or the date 2024-13-45
+        raise ConfigError("", f"a value cannot be read: {exc}") from None
     if doc is None:
         raise ConfigError("", "config file is empty")
     if not isinstance(doc, dict):
@@ -95,45 +93,8 @@ def validate_config(raw: str) -> ExperimentConfig:
             )
     if "experiment" not in doc:
         raise ConfigError("experiment", "required field is missing")
-    experiment = doc["experiment"]
-    if experiment not in RUNNERS:
-        raise ConfigError(
-            "experiment",
-            f"must be one of {tuple(RUNNERS)}, got {experiment!r}",
-        )
-    seed = doc.get("seed", 0)
-    trials = doc.get("trials", 1)
-    check_run(seed, trials)
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output", f"expected a path string, got {output!r}")
-    scenario = resolve_scenario(experiment, doc.get("scenario"))
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=seed,
-        trials=trials,
-        scenario=scenario,
-        output_path=output,
-    )
-
-
-def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
-                   stages: dict | None = None) -> ResultTable:
-    """Dispatch a validated config and write outputs when a path is set.
-
-    `out_path` overrides the config's own output path; with neither set
-    the table is only returned.  A `stages` dict receives the runner's
-    wall time in seconds under "run".
-    """
-    start = time.perf_counter()
-    table = RUNNERS[cfg.experiment](cfg.scenario, cfg.seed, cfg.trials)
-    if stages is not None:
-        stages["run"] = time.perf_counter() - start
-    path = out_path if out_path is not None else cfg.output_path
-    if path is not None:
-        paths = write_outputs(table, path)
-        log.info("wrote %s, %s, %s", *paths)
-    return table
+    return prepare(doc["experiment"], doc.get("scenario"), doc.get("seed", 0),
+                   doc.get("trials", 1), doc.get("output"))
 
 
 @functools.cache
@@ -153,7 +114,7 @@ def _parser() -> argparse.ArgumentParser:
         "adjacent": "adjacent-band rates with surface band filtering",
         "deploy": "greedy coverage-driven panel placement",
     }
-    for name in RUNNERS:
+    for name in SCHEMA:
         sp = sub.add_parser(name, help=briefs[name])
         sp.add_argument("--config", required=True, help="YAML experiment config")
         sp.add_argument("--seed", type=int, default=None,
@@ -180,31 +141,35 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
-        cfg = validate_config(raw)
-        if cfg.experiment != args.command:
+        prepared = validate_config(raw)
+        if prepared.experiment != args.command:
             raise ConfigError(
                 "experiment",
-                f"config declares {cfg.experiment!r} but the "
+                f"config declares {prepared.experiment!r} but the "
                 f"{args.command!r} subcommand was invoked",
             )
         if args.threads < 1:
             raise ConfigError("", f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-            check_run(cfg.seed, cfg.trials)
+            prepared = replace(prepared, seed=args.seed)
+            check_run(prepared.seed, prepared.trials)
     except ConfigError as exc:
         log.error("invalid config: %s", exc)
         return 1
     stages = {"validate": time.perf_counter() - start}
+    path = args.out if args.out is not None else prepared.output_path
     try:
-        table = run_experiment(cfg, out_path=args.out, stages=stages)
+        table = run(prepared)
+        stages["run"] = time.perf_counter() - start - stages["validate"]
+        if path is not None:
+            log.info("wrote %s, %s, %s", *write_outputs(table, path))
     except OSError as exc:
         log.error("cannot write results: %s", exc)
         return 2
     except Exception as exc:
         log.error("experiment failed: %s", exc)
         return 2
-    if args.out is None and cfg.output_path is None:
+    if path is None:
         sys.stdout.write(table.to_csv())
     # the write stage is all the time after the run: files or stdout
     stages["write"] = time.perf_counter() - start - sum(stages.values())

@@ -1,15 +1,17 @@
-"""Named experiment runners producing reproducible result tables.
+"""Named experiments: one validated run from a scenario to a table.
 
-Every runner maps a flat scenario mapping to a long-format table with one
-row per trial per metric.  `SCHEMA` holds each scenario field's default
-and check, and `resolve_scenario` applies it for the runners and the
-command line alike.  All randomness is keyed on (seed, trial, label), so a
-table is a pure function of (scenario, seed, trials).  Every runner
-works in one thread.
+`prepare` is the one validator.  It checks the experiment name, the seed
+and trial count, and the output path, and resolves the scenario once
+against `SCHEMA`, which holds each field's default and check.  `run`
+hands the resolved scenario to the experiment's row builder, which
+validates nothing, and wraps the long-format rows, one per trial per
+metric, in a `ResultTable` with its provenance.  All randomness is keyed
+on (seed, trial, label), so a table is a pure function of (scenario,
+seed, trials).  Every run works in one thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
-imported at module level; each runner and cross-field check imports its
-own question's module where it is used.
+imported at module level; each row builder and cross-field check imports
+its own question's module where it is used.
 """
 
 from __future__ import annotations
@@ -161,23 +163,6 @@ def write_outputs(table: ResultTable, out_path: str):
         with open(path, "wb") as f:
             f.write(text.encode("utf-8"))
     return paths
-
-
-def _table(experiment, seed, trials, params, rows) -> ResultTable:
-    cfg = {
-        "experiment": experiment,
-        "seed": int(seed),
-        "trials": int(trials),
-        "scenario": params,
-    }
-    meta = {
-        "experiment": experiment,
-        "seed": int(seed),
-        "trials": int(trials),
-        "tool_version": __version__,
-        "config_sha256": config_digest(cfg),
-    }
-    return ResultTable(rows=tuple(rows), metadata=meta)
 
 
 def _trial_rows(metrics, columns):
@@ -624,13 +609,14 @@ def resolve_scenario(experiment: str, raw) -> dict:
 def check_run(seed, trials) -> None:
     """Reject a seed or trial count no runner can use.
 
-    The seed must be an integer in [0, 2^64) and `trials` an integer
-    >= 1; ConfigError names `seed` or `trials`.
+    The seed must be an integer in [0, 2^64) and `trials` an integer in
+    [1, `MAX_BLOCK_ENTRIES`], the most rows of a per-trial array; a
+    ConfigError names `seed` or `trials`.
     """
     _integer(seed, "seed", 0)
     if seed >= 1 << 64:
         raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
-    _integer(trials, "trials", 1)
+    _integer(trials, "trials", 1, MAX_BLOCK_ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +652,7 @@ def _rank_scenario(p, seed) -> Scenario:
     )
 
 
-def run_rank(scenario, seed, trials) -> ResultTable:
+def _rank_rows(p, seed, trials) -> list:
     """Numerical rank and leading singular values of the effective channel.
 
     The incident hop is pure LoS; under the planar wavefront it is an
@@ -695,8 +681,6 @@ def run_rank(scenario, seed, trials) -> ResultTable:
     depend on the other trials.  One INFO log line reports the trials,
     keyed draws and stacked passes.
     """
-    check_run(seed, trials)
-    p = resolve_scenario("rank", scenario)
     scn = _rank_scenario(p, seed)
     streams = link_streams(scn, range(trials))
     u, m = scn.u_antennas, scn.m_antennas
@@ -731,7 +715,7 @@ def run_rank(scenario, seed, trials) -> ResultTable:
         ]
     log.info("rank: %d trials, %d keyed draws, %d stacked passes",
              trials, streams.draws, streams.passes)
-    return _table("rank", seed, trials, p, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +728,7 @@ def run_rank(scenario, seed, trials) -> ResultTable:
 BEAMFORM_CHUNK = 1 << 16
 
 
-def run_beamform(scenario, seed, trials) -> ResultTable:
+def _beamform_rows(p, seed, trials) -> list:
     """Coherent power gain of an aligned panel, optionally quantized.
 
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
@@ -756,8 +740,6 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
     reports the trials, sizes and keyed draws.
     """
     from .ris import align_miso, miso_gains, quantize_phases
-    check_run(seed, trials)
-    p = resolve_scenario("beamform", scenario)
     bits = p["quantization_bits"]
     if p["channel"] != "unit":
         streams = KeyedStreams(seed, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
@@ -783,7 +765,7 @@ def run_beamform(scenario, seed, trials) -> ResultTable:
     rows = [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
     log.info("beamform: %d trials, %d sizes, %d keyed draws", trials, len(p["n_list"]),
              0 if p["channel"] == "unit" else streams.draws)
-    return _table("beamform", seed, trials, p, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +780,7 @@ MULTIUSER_GRID_POINTS = 16
 MULTIUSER_CHUNK = 64
 
 
-def run_multiuser(scenario, seed, trials) -> ResultTable:
+def _multiuser_rows(p, seed, trials) -> list:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
@@ -812,8 +794,6 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
     """
     from . import scheduler
     from .ris import ASCENT_REL_TOL, sweep_converged
-    check_run(seed, trials)
-    p = resolve_scenario("multiuser", scenario)
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
     streams = KeyedStreams(seed, [[[f"multiuser/{t}/ue{i}/{hop}" for hop in "gh"]
@@ -848,7 +828,7 @@ def run_multiuser(scenario, seed, trials) -> ResultTable:
              len(traces), sum(sweeps), n * sum(sweeps),
              n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
              capped, p["max_iters"], ASCENT_REL_TOL)
-    return _table("multiuser", seed, trials, p, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +869,7 @@ def _coex_scenario(p):
     )
 
 
-def run_coexist(scenario, seed, trials) -> ResultTable:
+def _coexist_rows(p, seed, trials) -> list:
     """Stale-CSI loss of the victim network, or a slotted LBT run.
 
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
@@ -899,15 +879,12 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
     log line reports the trials, slots and channel blocks drawn.
     """
     from . import coexist
-    check_run(seed, trials)
-    p = resolve_scenario("coexist", scenario)
     scn = _coex_scenario(p)
 
     if p["mode"] == "stale_csi":
         arms = coexist.stale_rates(scn, range(trials), seed)
-        rows = _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
+        return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
                            [a[0] for a in arms])
-        return _table("coexist", seed, trials, p, rows)
 
     results = [coexist.run_lbt_sim(scn, p["sense_threshold_dbm"], p["backoff_slots_max"],
                                    p["slots"], subseed(seed, f"run/{t}"))
@@ -916,10 +893,10 @@ def run_coexist(scenario, seed, trials) -> ResultTable:
     rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
     log.info("lbt: %d trials of %d slots, %d keyed draws",
              trials, p["slots"], sum(res.keyed_draws for res in results))
-    return _table("coexist", seed, trials, p, rows)
+    return rows
 
 
-def run_adjacent(scenario, seed, trials) -> ResultTable:
+def _adjacent_rows(p, seed, trials) -> list:
     """Adjacent-band victim rates without and with surface band filtering.
 
     Network B is out of band for A's surface, so a band filter there
@@ -930,24 +907,21 @@ def run_adjacent(scenario, seed, trials) -> ResultTable:
     only difference.  The rates are B's stale-CSI rates.
     """
     from . import coexist
-    check_run(seed, trials)
-    p = resolve_scenario("adjacent", scenario)
     budget_db = coexist.filter_budget_db(p["oob_attenuation_db"], p["insertion_loss_db"],
                                          p["filter_passes"])
     _, stale, loss = coexist.stale_rates(_coex_scenario(p), range(trials), seed,
                                          (1.0, 10.0 ** (budget_db / 20.0)))
-    rows = _trial_rows(
+    return _trial_rows(
         ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),
         (stale[0], stale[1], loss[0], loss[1]),
     )
-    return _table("adjacent", seed, trials, p, rows)
 
 
 # ---------------------------------------------------------------------------
 # deploy: greedy panel placement on a blocked scene
 
 
-def run_deploy(scenario, seed, trials) -> ResultTable:
+def _deploy_rows(p, seed, trials) -> list:
     """Greedy coverage-driven placement plus optional breathing sweep.
 
     Deterministic given the scene, so `trials` does not enter;
@@ -958,8 +932,6 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
     slab test decided, and breathing scales.
     """
     from . import deploy
-    check_run(seed, trials)
-    p = resolve_scenario("deploy", scenario)
     stations = tuple(
         deploy.BaseStation(
             position=np.asarray(b["position"], dtype=float),
@@ -1001,14 +973,69 @@ def run_deploy(scenario, seed, trials) -> ResultTable:
              math.prod(deploy.raster_shape(scene.extent, scene.grid_resolution)),
              len(plan.history) - 1, sites, len(scene.obstacles) * (stations + sites),
              tested, len(p["gain_scales"]))
-    return _table("deploy", seed, trials, p, rows)
+    return rows
 
 
-RUNNERS = {
-    "rank": run_rank,
-    "beamform": run_beamform,
-    "multiuser": run_multiuser,
-    "coexist": run_coexist,
-    "adjacent": run_adjacent,
-    "deploy": run_deploy,
+# ---------------------------------------------------------------------------
+# one run: validated once, then built into a table
+
+
+#: experiment -> its row builder, which takes a resolved scenario, the
+#: seed and the trial count, and validates nothing
+_ROW_BUILDERS = {
+    "rank": _rank_rows,
+    "beamform": _beamform_rows,
+    "multiuser": _multiuser_rows,
+    "coexist": _coexist_rows,
+    "adjacent": _adjacent_rows,
+    "deploy": _deploy_rows,
 }
+
+
+@dataclass(frozen=True)
+class PreparedRun:
+    """A validated run: the experiment, its seed and trial count, its
+    scenario with every default applied, and the output path or None."""
+
+    experiment: str
+    seed: int
+    trials: int
+    scenario: dict
+    output_path: str | None
+
+
+def prepare(experiment, scenario, seed, trials, output_path=None) -> PreparedRun:
+    """Validate a run once and return it as a `PreparedRun`.
+
+    Checks the experiment name, the seed and trial count (`check_run`),
+    the output path and the scenario (`resolve_scenario`), in that order;
+    the first rejected value raises ConfigError naming its dotted path.
+    """
+    if not isinstance(experiment, str) or experiment not in SCHEMA:
+        raise ConfigError("experiment", f"must be one of {tuple(SCHEMA)}, got {experiment!r}")
+    check_run(seed, trials)
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output", f"expected a path string, got {output_path!r}")
+    return PreparedRun(experiment, seed, trials, resolve_scenario(experiment, scenario),
+                       output_path)
+
+
+def run(prepared: PreparedRun) -> ResultTable:
+    """The result table of a prepared run, with its provenance metadata.
+
+    `config_sha256` is the digest of the experiment, seed, trial count and
+    resolved scenario, so a table names the exact run that made it.  A run
+    whose rows hold an infinite or NaN value raises FloatingPointError
+    naming the first such trial and metric, and returns no table.
+    """
+    head = {"experiment": prepared.experiment, "seed": prepared.seed,
+            "trials": prepared.trials}
+    rows = _ROW_BUILDERS[prepared.experiment](prepared.scenario, prepared.seed,
+                                              prepared.trials)
+    meta = {**head, "tool_version": __version__,
+            "config_sha256": config_digest({**head, "scenario": prepared.scenario})}
+    table = ResultTable(rows=tuple(rows), metadata=meta)
+    for t, metric, value in table.rows:
+        if type(value) is float and not math.isfinite(value):
+            raise FloatingPointError(f"trial {t}: {metric} is {value}, not a finite number")
+    return table

@@ -23,6 +23,10 @@ DEFAULT_RANK_TOL = 1e-8
 #: without cancellation (see `_waterfill_batch`)
 _BUDGET_RTOL = 1e-12
 
+#: 2^-1024, the largest mode gain whose inverse overflows a float: a mode
+#: at or below it cannot be water-filled and is unusable, like a zero one
+_UNUSABLE_GAIN = 1.0 / np.finfo(float).max
+
 
 def as_complex_stack(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a complex128 matrix or stack (..., r, c).
@@ -185,13 +189,14 @@ def _water_level(gains: np.ndarray, total_power: float):
     a mode stays active while that level clears its inverse gain.  Returns
     the sorted gains, their positivity mask, the candidate levels mu and
     the active-mode count per row; a row's water level is
-    mu[nact - 1], and a row with nact == 0 has no usable mode.  The
-    strongest positive mode always counts: its level P + 1/g exceeds 1/g,
-    even where P is below the rounding step of 1/g and the test cannot
-    see it.
+    mu[nact - 1], and a row with nact == 0 has no usable mode.  A mode is
+    usable when its gain is above `_UNUSABLE_GAIN`, so that its inverse is
+    finite.  The strongest usable mode always counts: its level P + 1/g
+    exceeds 1/g, even where P is below the rounding step of 1/g and the
+    test cannot see it.
     """
     g = np.sort(gains, axis=1)[:, ::-1]
-    pos = g > 0.0
+    pos = g > _UNUSABLE_GAIN
     inv = np.where(pos, 1.0 / np.where(pos, g, 1.0), 0.0)
     csum = np.cumsum(inv, axis=1)
     m = np.arange(1, g.shape[1] + 1, dtype=float)
@@ -208,11 +213,12 @@ def _waterfill_batch(svals: np.ndarray, total_power: float, noise_power: float) 
     cancels: the row misses the budget, down to giving a usable mode no
     power.  Rows off the budget by more than `_BUDGET_RTOL` take the
     cancellation-free form p_i = (P + sum_j (1/g_j - 1/g_i)) / m over
-    their m active modes; every other row keeps the plain difference.
+    their m active modes; every other row keeps the plain difference.  An
+    unusable mode (see `_water_level`) gets no power.
     """
     _check_powers(total_power, noise_power)
     gains = svals.astype(float) ** 2 / noise_power
-    active = gains > 0.0
+    active = gains > _UNUSABLE_GAIN
     inv = np.where(active, 1.0 / np.where(active, gains, 1.0), 0.0)
     _, _, mu, nact = _water_level(gains, total_power)
     usable = nact > 0
@@ -237,7 +243,8 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     It shares its water level with `waterfill_powers`, and the test suite
     checks both against a grid-search oracle.  Accepts a single spectrum
     (k,) or a batch (b, k); returns a float or a length-b vector
-    accordingly.  A spectrum without a positive mode has capacity 0.
+    accordingly.  A spectrum without a usable mode (see `_water_level`)
+    has capacity 0.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
@@ -262,11 +269,11 @@ def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
     bit for bit what the sorted route gives; it skips the sort, the
     cumulative sums and the fancy indexing.  Both modes are active when
     each level clears its inverse gain; otherwise the stronger mode takes
-    the whole budget when it is positive (see `_water_level`).  A level
+    the whole budget when it is usable (see `_water_level`).  A level
     or log of a mode that is not used may come from a stand-in gain, but
     it is never selected.
     """
-    pos = gains > 0.0
+    pos = gains > _UNUSABLE_GAIN
     safe = np.where(pos, gains, 1.0)
     inv = 1.0 / safe
     log = np.log2(safe)

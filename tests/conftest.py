@@ -11,9 +11,9 @@ import pytest
 @pytest.fixture(scope="session")
 def multiuser_batch():
     """200-trial shared-vs-ideal comparison, 4 users, N = 32, seed 2024."""
-    from ris_sim.experiments import run_multiuser
+    from ris_sim.experiments import prepare, run
 
-    return run_multiuser({"n_elements": 32}, seed=2024, trials=200)
+    return run(prepare("multiuser", {"n_elements": 32}, seed=2024, trials=200))
 
 
 @pytest.fixture(scope="session")

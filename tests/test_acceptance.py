@@ -27,7 +27,7 @@ from ris_sim.deploy import (
     greedy_place,
     snr_map,
 )
-from ris_sim.experiments import _coex_scenario, resolve_scenario, run_adjacent
+from ris_sim.experiments import _coex_scenario, prepare, resolve_scenario, run
 from ris_sim.numkernel import capacity_closed_form, numerical_rank, singular_values
 from ris_sim.ris import align_miso, miso_gains
 from ris_sim.scheduler import compare_shared_vs_ideal
@@ -215,7 +215,7 @@ def test_criterion_09_band_filter_budget_and_baseline():
     for atten in (5.0, 20.0, 33.5):
         assert filter_budget_db(atten, 0.0, 2) == -2.0 * atten
         assert filter_budget_db(atten, 0.0, 1) == -atten
-    table = run_adjacent({"oob_attenuation_db": math.inf}, 5, 50)
+    table = run(prepare("adjacent", {"oob_attenuation_db": math.inf}, 5, 50))
     filtered = np.array([v for _, metric, v in table.rows if metric == "rate_with_filter"])
     scn = _coex_scenario(resolve_scenario("adjacent", {}))
     _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import channel, coexist, deploy, experiments, numkernel, scheduler, seeding
-from ris_sim.cli import ConfigError, _Loader, main, run_experiment, validate_config
-from ris_sim.experiments import RUNNERS
+from ris_sim import channel, cli, coexist, deploy, experiments, numkernel, scheduler, seeding
+from ris_sim.cli import ConfigError, _Loader, main, validate_config
+from ris_sim.experiments import SCHEMA, prepare, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,6 +90,8 @@ def test_experiment_field_required_and_checked():
         validate_config("seed: 3\n")
     with pytest.raises(ConfigError, match="warp"):
         validate_config("experiment: warp\n")
+    with pytest.raises(ConfigError, match=r"must be one of .*, got \['rank'\]"):
+        validate_config("experiment: [rank]\n")
 
 
 def test_seed_and_trials_bounds():
@@ -211,7 +213,7 @@ def test_libyaml_syntax_errors_keep_the_python_loader_marks(text):
     assert marks[0] == marks[1]
 
 
-# The same scenario through a library runner and through the config file
+# The same scenario through the library entry and through the config file
 # path: one that runs, and one with a value both must reject.
 _PARITY = {
     "rank": ({"wavelength": 1, "n_elements": 8}, {"wavelength": 0}, "scenario.wavelength"),
@@ -237,20 +239,22 @@ def _config_text(experiment, scenario):
 @pytest.mark.parametrize("experiment", sorted(_PARITY))
 def test_library_runner_and_cli_resolve_alike(experiment):
     good, bad, path = _PARITY[experiment]
-    via_cli = run_experiment(validate_config(_config_text(experiment, good)))
-    via_lib = RUNNERS[experiment](good, 3, 2)
+    via_cli = run(validate_config(_config_text(experiment, good)))
+    via_lib = run(prepare(experiment, good, 3, 2))
     assert via_lib.to_csv() == via_cli.to_csv()
     assert via_lib.metadata == via_cli.metadata
     with pytest.raises(ConfigError) as lib_err:
-        RUNNERS[experiment](bad, 3, 2)
+        prepare(experiment, bad, 3, 2)
     with pytest.raises(ConfigError) as cli_err:
         validate_config(_config_text(experiment, bad))
     assert lib_err.value.path == cli_err.value.path == path
 
 
-# (seed, trials) pairs both entry points reject, and the path they name.
+# (seed, trials) pairs both entry points reject, and the path they name;
+# a run of 2^63 trials could not end, so validation must stop it
 _BAD_RUNS = [(-1, 1, "seed"), (1 << 64, 1, "seed"), (1.5, 1, "seed"),
-             (0, 0, "trials"), (0, True, "trials")]
+             (0, 0, "trials"), (0, True, "trials"), (0, 1 << 63, "trials"),
+             (0, 1 << 64, "trials")]
 
 
 @pytest.mark.parametrize("experiment", sorted(_PARITY))
@@ -258,7 +262,7 @@ _BAD_RUNS = [(-1, 1, "seed"), (1 << 64, 1, "seed"), (1.5, 1, "seed"),
 def test_library_runner_and_cli_check_seed_and_trials_alike(experiment, seed, trials, path):
     good = _PARITY[experiment][0]
     with pytest.raises(ConfigError) as lib_err:
-        RUNNERS[experiment](good, seed, trials)
+        prepare(experiment, good, seed, trials)
     text = yaml.safe_dump({"experiment": experiment, "seed": seed, "trials": trials,
                            "scenario": good})
     with pytest.raises(ConfigError) as cli_err:
@@ -480,7 +484,7 @@ def test_startup_leaves_numpy_random_unloaded():
             "for p in paths:\n"
             "    cli.validate_config(p.read_text())\n"
             "print(len(paths), 'numpy.random' in sys.modules)\n")
-    assert _fresh_python(code, CONFIGS).split() == [str(len(RUNNERS)), "False"]
+    assert _fresh_python(code, CONFIGS).split() == [str(len(SCHEMA)), "False"]
 
 
 #: the ris_sim modules every config loads
@@ -517,6 +521,35 @@ def test_a_run_loads_only_its_question_modules(tmp_path, experiment):
     assert not random_loaded
     assert exit_code == 0
     assert set(ran) == _CORE_MODULES | {f"ris_sim.{m}" for m in at_run}
+
+
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "9"]], ids=["config-seed", "seed-flag"])
+@pytest.mark.parametrize("experiment", sorted(SCHEMA))
+def test_one_cli_run_resolves_its_scenario_once(tmp_path, capsys, monkeypatch,
+                                                experiment, seed_args):
+    resolved, checked = [], []
+    resolve, check = experiments.resolve_scenario, experiments.check_run
+
+    def counted_resolve(*args):
+        resolved.append(args[0])
+        return resolve(*args)
+
+    def counted_check(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(experiments, "resolve_scenario", counted_resolve)
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "check_run", counted_check)
+    cfg = str(CONFIGS / f"{experiment}.yaml")
+    out = tmp_path / "r.csv"
+    assert main([experiment, "--config", cfg, *seed_args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert resolved == [experiment]
+    # --seed re-checks the seed it brings, and resolves nothing again
+    assert len(checked) == 1 + len(seed_args) // 2
+    if seed_args:
+        assert checked[-1][0] == 9
 
 
 def test_main_seed_override_lands_in_sidecar(tmp_path, capsys):
@@ -695,6 +728,70 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
     assert "Traceback" not in captured.err
+
+
+# YAML values PyYAML resolves but Python cannot build: an integer past the
+# interpreter's 4300-digit limit for str to int, and a date without a month
+@pytest.mark.parametrize("text", [
+    "experiment: rank\nscenario: {wavelength: 1" + "0" * 5000 + "}\n",
+    "experiment: rank\nscenario: {wavelength: 2024-13-45}\n",
+    "experiment: rank\nseed: 2024-13-45\n",
+], ids=["5001-digit-wavelength", "date-wavelength", "date-seed"])
+def test_values_python_cannot_build_exit_one(tmp_path, capsys, text):
+    rc = main(["rank", "--config", _cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "invalid config: a value cannot be read: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _rows(path):
+    return [(m, float(v)) for _, m, v in (row.split(",") for row in
+                                          path.read_text().splitlines()[1:])]
+
+
+@pytest.mark.parametrize("experiment, scenario", [
+    ("coexist", "{noise_power: 1.0e+300}"),
+    ("coexist", "{noise_power: 1.7e+308}"),
+    ("adjacent", "{noise_power: 1.0e+300}"),
+    ("adjacent", "{noise_power: 1.7e+308}"),
+    ("coexist", "{mode: lbt, slots: 20, noise_power: 1.0e+300}"),
+])
+def test_noise_past_every_mode_gain_gives_zero_rates(tmp_path, capsys, experiment, scenario):
+    # each mode's gain over the noise is so small that its inverse
+    # overflows a float: water-filling counts it unusable, so no rate
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 2\nscenario: {scenario}\n")
+    out = tmp_path / "r.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rates = [v for m, v in _rows(out) if "rate" in m]
+    # two trials of two rates: fresh and stale, unfiltered and filtered, or A's and B's
+    assert rates == [0.0] * 4
+    assert all(v == 0.0 for m, v in _rows(out) if m.startswith("loss"))
+
+
+# Values the validator still accepts whose runs reach an infinite or NaN
+# rate; the run names the first one and writes no table.
+@pytest.mark.parametrize("experiment, scenario, metric", [
+    ("multiuser", "{noise_power: 5.0e-324, max_iters: 2}", "shared_sum"),
+    ("coexist", "{noise_power: 5.0e-324}", "fresh_rate"),
+    ("adjacent", "{noise_power: 5.0e-324}", "rate_no_filter"),
+    ("coexist", "{mode: lbt, slots: 20, noise_power: 5.0e-324}", "mean_rate_a"),
+    ("coexist", "{tx_power_b: 1.7e+308}", "fresh_rate"),
+    ("adjacent", "{tx_power_b: 1.7e+308}", "rate_no_filter"),
+])
+def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, experiment, scenario,
+                                                 metric):
+    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 1\nscenario: {scenario}\n")
+    out = tmp_path / "r.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.search(rf"ERROR experiment failed: trial 0: {metric} is (inf|nan), "
+                     "not a finite number", captured.err)
+    assert not out.exists() and captured.out == ""
+    assert main([experiment, "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_lbt_gain_only_hops_need_no_finite_phase(tmp_path, capsys):

@@ -24,10 +24,9 @@ from ris_sim.coexist import (
 from ris_sim.experiments import (
     ConfigError,
     _coex_scenario,
+    prepare,
     resolve_scenario,
-    run_adjacent,
-    run_coexist,
-    run_rank,
+    run,
 )
 
 
@@ -221,17 +220,17 @@ def _count_gen_los(monkeypatch):
 
 
 @pytest.mark.parametrize("trials", [1, 7])
-@pytest.mark.parametrize("runner, scenario, links", [
-    (run_rank, {}, 2),
-    (run_rank, {"include_direct": True}, 3),
-    (run_coexist, {"mode": "stale_csi"}, 3),
-    (run_coexist, {"mode": "stale_csi", "b_direct_blocked": True}, 2),
-    (run_adjacent, {}, 3),
+@pytest.mark.parametrize("experiment, scenario, links", [
+    ("rank", {}, 2),
+    ("rank", {"include_direct": True}, 3),
+    ("coexist", {"mode": "stale_csi"}, 3),
+    ("coexist", {"mode": "stale_csi", "b_direct_blocked": True}, 2),
+    ("adjacent", {}, 3),
 ])
-def test_each_link_los_block_is_built_once_per_run(monkeypatch, runner, scenario,
+def test_each_link_los_block_is_built_once_per_run(monkeypatch, experiment, scenario,
                                                    links, trials):
     calls = _count_gen_los(monkeypatch)
-    runner(scenario, 1, trials)
+    run(prepare(experiment, scenario, 1, trials))
     assert len(calls) == links
     assert len(set(calls)) == links
 
@@ -439,7 +438,7 @@ def test_filter_validation():
 
 def test_infinite_attenuation_recovers_baseline():
     scn, p = _adj_scenario()
-    filtered = _column(run_adjacent({"oob_attenuation_db": math.inf}, 5, 50),
+    filtered = _column(run(prepare("adjacent", {"oob_attenuation_db": math.inf}, 5, 50)),
                        "rate_with_filter")
     _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
     assert np.max(np.abs(filtered - base)) <= 1e-9
@@ -447,7 +446,7 @@ def test_infinite_attenuation_recovers_baseline():
 
 def test_adjacent_static_bounce_is_lossless():
     scn, p = _adj_scenario(policy="static")
-    unfiltered = _column(run_adjacent({"policy": "static"}, 5, 50), "rate_no_filter")
+    unfiltered = _column(run(prepare("adjacent", {"policy": "static"}, 5, 50)), "rate_no_filter")
     fresh, stale, _ = stale_rates(scn, range(50), 5)
     assert np.array_equal(unfiltered, stale[0])
     assert np.array_equal(stale, fresh)
@@ -479,7 +478,7 @@ def test_adjacent_draws_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(coexist, "link_streams", keys)
     monkeypatch.setattr(coexist, "draw_stack", draw)
-    run_adjacent({}, 1, 50)
+    run(prepare("adjacent", {}, 1, 50))
     assert keyed == [list(range(50))]
     # the h stream of every trial is drawn exactly once
     assert sorted(drawn) == sorted(made[0].keys[1].tolist())
@@ -488,7 +487,7 @@ def test_adjacent_draws_each_trial_once(monkeypatch):
 
 def test_adjacent_arms_match_separate_stale_trials():
     scn, p = _adj_scenario()
-    table = run_adjacent({}, 3, 5)
+    table = run(prepare("adjacent", {}, 3, 5))
     arms = [_column(table, metric) for metric in ("rate_no_filter", "rate_with_filter",
                                                   "loss_no_filter", "loss_with_filter")]
     for t in range(5):

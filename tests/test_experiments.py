@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,17 @@ from hypothesis import strategies as st
 
 import oracles
 import ris_sim
-from ris_sim import numkernel
+from ris_sim import experiments, numkernel
 from ris_sim.cli import main
 from ris_sim.experiments import (
     MULTIUSER_CHUNK,
+    ConfigError,
     ResultTable,
     _rank_scenario,
     config_digest,
+    prepare,
     resolve_scenario,
-    run_beamform,
-    run_deploy,
-    run_multiuser,
-    run_rank,
+    run,
     write_outputs,
 )
 from ris_sim.seeding import complex_normal, rng_from
@@ -151,7 +151,7 @@ def test_write_outputs_keeps_non_csv_stem(tmp_path):
 
 
 def test_rewrite_into_an_existing_path_leaves_no_stale_tail(tmp_path):
-    long_table = run_rank({}, seed=0, trials=3)
+    long_table = run(prepare("rank", {}, seed=0, trials=3))
     short = _toy_table()
     fresh = write_outputs(short, str(tmp_path / "fresh.csv"))
     longer = write_outputs(long_table, str(tmp_path / "reused.csv"))
@@ -167,7 +167,7 @@ def test_rewrite_into_an_existing_path_leaves_no_stale_tail(tmp_path):
 
 
 def test_rank_runner_collapses_to_rank_one():
-    table = run_rank({}, seed=2024, trials=100)
+    table = run(prepare("rank", {}, seed=2024, trials=100))
     ranks = [v for _, m, v in table.rows if m == "rank"]
     assert len(ranks) == 100
     assert all(r == 1 for r in ranks)
@@ -183,7 +183,7 @@ def test_rank_runner_takes_one_stacked_svd_per_run(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     # the incident block's factors, then one spectrum stack of all trials
-    run_rank({}, seed=3, trials=5)
+    run(prepare("rank", {}, seed=3, trials=5))
     assert calls == [((64, 4), True), ((5, 4, 4), False)]
     calls.clear()
     cfg = tmp_path / "rank.yaml"
@@ -209,7 +209,7 @@ def test_rank_projection_draw_matches_the_full_draw_in_distribution(k, wavefront
     scenario = {"m_antennas": 4, "u_antennas": 4, "n_elements": n, "wavefront": wavefront,
                 "ris_ue_rician_k": k, "include_direct": direct}
     trials = 2000
-    _, s1, s2 = _rank_columns(run_rank(scenario, seed=41, trials=trials))
+    _, s1, s2 = _rank_columns(run(prepare("rank", scenario, seed=41, trials=trials)))
     full = oracles.rank_spectra_full_draw(scenario, seed=42, trials=trials)
     # a deterministic channel has no spread, and the two routes round it
     # differently; rounding sits far below this floor
@@ -234,15 +234,15 @@ def test_projection_through_the_incident_factors_is_the_product(wavefront, n):
 
 def test_near_field_panel_reaches_full_rank():
     # the benchmark's near-field scenario: `auto` resolves to spherical
-    table = run_rank({"m_antennas": 8, "u_antennas": 8, "n_elements": 1024,
-                      "wavefront": "auto"}, seed=1, trials=6)
+    table = run(prepare("rank", {"m_antennas": 8, "u_antennas": 8, "n_elements": 1024,
+                                 "wavefront": "auto"}, seed=1, trials=6))
     ranks, _, s2 = _rank_columns(table)
     assert ranks.tolist() == [8] * 6
     assert (s2 > 0.0).all()
 
 
 def test_rank_runner_metadata_and_digest():
-    table = run_rank({}, seed=5, trials=3)
+    table = run(prepare("rank", {}, seed=5, trials=3))
     meta = table.metadata
     assert meta["experiment"] == "rank"
     assert meta["seed"] == 5 and meta["trials"] == 3
@@ -253,7 +253,7 @@ def test_rank_runner_metadata_and_digest():
 
 
 def test_beamform_unit_channels_square_law():
-    table = run_beamform({"n_list": (1, 4, 16)}, seed=0, trials=2)
+    table = run(prepare("beamform", {"n_list": (1, 4, 16)}, seed=0, trials=2))
     gains = {m: v for _, m, v in table.rows}
     assert gains["gain_n1"] == 1.0
     assert gains["gain_n4"] == 16.0
@@ -263,7 +263,7 @@ def test_beamform_unit_channels_square_law():
 def test_beamform_quantization_ratios_bounded():
     scenario = {"n_list": (8, 32), "channel": "rayleigh",
                 "quantization_bits": (1, 3)}
-    table = run_beamform(scenario, seed=9, trials=20)
+    table = run(prepare("beamform", scenario, seed=9, trials=20))
     ratios = [v for _, m, v in table.rows if m.startswith("ratio_")]
     assert len(ratios) == 20 * 2 * 2
     assert all(0.0 < r <= 1.0 + 1e-12 for r in ratios)
@@ -277,7 +277,7 @@ def test_beamform_quantization_loss_matches_large_n_law():
     # Wu & Zhang (IEEE TCOM 2020): b-bit phases keep a (sin(x) / x)^2
     # share of the aligned power at large N, with x = pi / 2^b
     scenario = {"n_list": (256,), "channel": "rayleigh", "quantization_bits": (1, 2, 3)}
-    table = run_beamform(scenario, seed=7, trials=50)
+    table = run(prepare("beamform", scenario, seed=7, trials=50))
     for b in (1, 2, 3):
         x = math.pi / 2**b
         mean = np.mean([v for _, m, v in table.rows if m == f"ratio_b{b}_n256"])
@@ -288,8 +288,8 @@ def test_multiuser_rows_do_not_depend_on_the_chunk():
     # the long run batches trials 0-4 with a full chunk and spills into a
     # second one; the short run batches them alone
     scenario = {"n_users": 2, "n_elements": 4, "max_iters": 3}
-    long = run_multiuser(scenario, 3, MULTIUSER_CHUNK + 3)
-    short = run_multiuser(scenario, 3, 5)
+    long = run(prepare("multiuser", scenario, 3, MULTIUSER_CHUNK + 3))
+    short = run(prepare("multiuser", scenario, 3, 5))
     assert len(long.rows) == 3 * (MULTIUSER_CHUNK + 3)
     assert long.rows[:15] == short.rows
     assert (np.array([v for _, _, v in long.rows[:15]]).tobytes()
@@ -298,22 +298,45 @@ def test_multiuser_rows_do_not_depend_on_the_chunk():
 
 def test_runner_rejects_unknown_scenario_field():
     with pytest.raises(ValueError, match="trails"):
-        run_rank({"trails": 10}, seed=0, trials=1)
+        prepare("rank", {"trails": 10}, seed=0, trials=1)
 
 
 def test_deploy_requires_threshold():
     with pytest.raises(ValueError, match="threshold_db"):
-        run_deploy({}, seed=0, trials=1)
+        prepare("deploy", {}, seed=0, trials=1)
 
 
 def test_trials_validated():
     with pytest.raises(ValueError):
-        run_rank({}, seed=0, trials=0)
+        prepare("rank", {}, seed=0, trials=0)
+
+
+@pytest.mark.parametrize("trials", [2**63, 2**64])
+def test_trials_past_the_block_cap_are_rejected_before_any_allocation(trials):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            prepare("rank", {}, 0, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "trials"
+    assert peak < 1 << 16
+
+
+def test_run_refuses_a_nonfinite_value(monkeypatch):
+    rows = [(0, "a", 1.0), (1, "a", 2), (1, "b", math.nan), (2, "c", -math.inf)]
+    monkeypatch.setitem(experiments._ROW_BUILDERS, "rank", lambda p, seed, trials: rows)
+    with pytest.raises(FloatingPointError, match=r"^trial 1: b is nan, not a finite number$"):
+        run(prepare("rank", {}, 0, 3))
+    del rows[2]
+    with pytest.raises(FloatingPointError, match=r"^trial 2: c is -inf"):
+        run(prepare("rank", {}, 0, 3))
 
 
 def test_deploy_runner_baseline_and_breathing_rows():
-    table = run_deploy({"threshold_db": 24.0, "gain_scales": (1.0,)},
-                       seed=0, trials=1)
+    table = run(prepare("deploy", {"threshold_db": 24.0, "gain_scales": (1.0,)},
+                        seed=0, trials=1))
     rows = {(t, m): v for t, m, v in table.rows}
     assert rows[(0, "greedy_site")] == -1
     final_step = max(t for t, m in rows if m == "greedy_coverage")
@@ -326,6 +349,6 @@ def test_deploy_runner_baseline_and_breathing_rows():
 
 
 def test_same_config_twice_byte_identical():
-    a = run_rank({"n_elements": 16}, seed=77, trials=10).to_csv()
-    b = run_rank({"n_elements": 16}, seed=77, trials=10).to_csv()
+    a = run(prepare("rank", {"n_elements": 16}, seed=77, trials=10)).to_csv()
+    b = run(prepare("rank", {"n_elements": 16}, seed=77, trials=10)).to_csv()
     assert a == b

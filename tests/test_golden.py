@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.cli import main
-from ris_sim.experiments import (RUNNERS, run_adjacent, run_beamform, run_coexist, run_deploy,
-                                 run_multiuser)
+from ris_sim.experiments import SCHEMA, prepare, run
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -34,7 +33,7 @@ def _restore_root_handlers():
 
 def test_every_shipped_config_has_a_digest():
     shipped = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
-    assert shipped == sorted(DIGESTS) == sorted(RUNNERS)
+    assert shipped == sorted(DIGESTS) == sorted(SCHEMA)
 
 
 @pytest.mark.parametrize("experiment", sorted(DIGESTS))
@@ -50,7 +49,7 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
     assert hashlib.sha256(mirror.read_bytes()).hexdigest() == DIGESTS[experiment]["json"]
 
 
-# LBT tables (`run_coexist`, seed 5, 3 trials, 400 slots); no shipped config
+# LBT tables (coexist, seed 5, 3 trials, 400 slots); no shipped config
 # runs LBT, so these pin it.  At the default -82 dBm threshold every
 # contended slot defers, so the backoff draws run; at -40 dBm every slot
 # collides, so the interference term runs.
@@ -61,8 +60,8 @@ LBT_DIGESTS = {
 
 
 def _lbt_digest(threshold, **scenario):
-    table = run_coexist({"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold,
-                         **scenario}, seed=5, trials=3)
+    scenario = {"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold, **scenario}
+    table = run(prepare("coexist", scenario, seed=5, trials=3))
     return hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
 
 
@@ -94,29 +93,29 @@ def test_lbt_branch_csv_matches_golden_digest(branch):
 # filter and a lossless one on adjacent.  Both still-surface policies give
 # the same table, since B's channel never moves under either.
 STALE_BRANCH_DIGESTS = {
-    "static": (run_coexist, {"policy": "static"},
+    "static": ("coexist", {"policy": "static"},
                "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
-    "frozen": (run_coexist, {"policy": "frozen_during_foreign_slot"},
+    "frozen": ("coexist", {"policy": "frozen_during_foreign_slot"},
                "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
-    "same_slot": (run_coexist, {"t1": 3, "t2": 3},
+    "same_slot": ("coexist", {"t1": 3, "t2": 3},
                   "27354db8942f71c95c5b32dc5d4ab3836df5d7bb28e42f50b7a6b8aad18eaf9d"),
-    "shadowed": (run_coexist, {"b_direct_blocked": True},
+    "shadowed": ("coexist", {"b_direct_blocked": True},
                  "543ae142d0a4d55531e53312b9082ecb3d346302e9a2ff5fe17dcddbdf969db3"),
-    "los_only": (run_coexist, {"rician_k": math.inf},
+    "los_only": ("coexist", {"rician_k": math.inf},
                  "18f72d8450f8ef423565896abdccf6f36e80a825c23a9e882072fbf3796933fe"),
-    "one_pass": (run_adjacent, {"filter_passes": 1},
+    "one_pass": ("adjacent", {"filter_passes": 1},
                  "edc948457769f75e7d68026c93d7dae3ee230633963df1443051b4178bacba35"),
-    "opaque_filter": (run_adjacent, {"oob_attenuation_db": math.inf},
+    "opaque_filter": ("adjacent", {"oob_attenuation_db": math.inf},
                       "0dfb7301c4a0d0d63625f938725339ab123f414406e9a6b907334454087aa329"),
-    "lossless_filter": (run_adjacent, {"insertion_loss_db": 0},
+    "lossless_filter": ("adjacent", {"insertion_loss_db": 0},
                         "8e3edf2b17a2f5395d237e981b7305e8663696d310cf782dc22829212ae99572"),
 }
 
 
 @pytest.mark.parametrize("branch", sorted(STALE_BRANCH_DIGESTS))
 def test_stale_branch_csv_matches_golden_digest(branch):
-    runner, scenario, digest = STALE_BRANCH_DIGESTS[branch]
-    table = runner(scenario, seed=5, trials=20)
+    experiment, scenario, digest = STALE_BRANCH_DIGESTS[branch]
+    table = run(prepare(experiment, scenario, seed=5, trials=20))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
 
@@ -130,7 +129,7 @@ WORKLOAD_MULTIUSER = ({"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elemen
 
 def test_workload_multiuser_csv_matches_golden_digest():
     scenario, digest = WORKLOAD_MULTIUSER
-    table = run_multiuser(scenario, seed=5, trials=6)
+    table = run(prepare("multiuser", scenario, seed=5, trials=6))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
 
@@ -155,7 +154,7 @@ WORKLOAD_DEPLOY = ({"extent": [0.0, 0.0, 100.0, 60.0],
 
 def test_workload_deploy_csv_matches_golden_digest():
     scenario, digest = WORKLOAD_DEPLOY
-    table = run_deploy(scenario, seed=5, trials=1)
+    table = run(prepare("deploy", scenario, seed=5, trials=1))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
 
@@ -175,5 +174,5 @@ WIDE_BEAMFORM = {
 @pytest.mark.parametrize("channel", sorted(WIDE_BEAMFORM))
 def test_wide_beamform_csv_matches_golden_digest(channel):
     scenario, digest = WIDE_BEAMFORM[channel]
-    table = run_beamform(scenario, seed=3, trials=20)
+    table = run(prepare("beamform", scenario, seed=3, trials=20))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest

@@ -421,6 +421,35 @@ def test_modes_far_below_the_noise_keep_the_budget():
     assert numkernel.waterfill_powers([1e-10], 1.0, 1.0).tolist() == [1.0]
 
 
+def test_modes_below_the_noise_by_more_than_the_float_range_are_unusable():
+    # gains of 1e-310: their inverses overflow, and the level came out inf
+    assert numkernel.capacity_closed_form([1e-5, 3e-6], 1.0, 1e300) == 0.0
+    assert numkernel.waterfill_powers([1e-5, 3e-6], 1.0, 1e300).tolist() == [0.0, 0.0]
+    h = np.full((3, 2, 2), 1e-5 + 0j)
+    assert numkernel.stack_capacity(h, 1.0, 1e300).tolist() == [0.0] * 3
+
+
+#: a singular value whose square, 2^-1024, is the largest gain at unit
+#: noise whose inverse overflows
+_EDGE = 2.0**-512
+
+
+@pytest.mark.parametrize("noise", [1.0, 1e300, 1.7e308])
+def test_the_three_routes_drop_the_same_unusable_modes(noise):
+    values = [0.0, _EDGE, np.nextafter(_EDGE, 1.0), 1e-200, 3e-6, 1e-5, 1.0, 1e150]
+    s = np.array([(a, b) for a in values for b in values])
+    g = (s**2 / noise).T
+    fused = numkernel._two_mode_capacity(np.stack((np.maximum(*g), np.minimum(*g))), 1.0)
+    closed = numkernel.capacity_closed_form(s, 1.0, noise)
+    assert fused.tobytes() == closed.tobytes()
+    p = numkernel.waterfill_powers(s, 1.0, noise)
+    usable = s**2 / noise > 2.0**-1024
+    assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+    assert np.all(p[~usable] == 0.0)
+    assert np.all(closed[~usable.any(axis=1)] == 0.0)
+    assert np.all(p[usable.any(axis=1)].sum(axis=1) > 0.0)
+
+
 def test_high_snr_two_mode_sweep_keeps_the_budget():
     rng = np.random.default_rng(2108)
     h = (rng.standard_normal((2000, 2, 2))

@@ -23,7 +23,7 @@ from oracles import (
 )
 from ris_sim import coexist, experiments, numkernel, ris
 from ris_sim.channel import assemble_stack
-from ris_sim.experiments import run_beamform, run_coexist, run_multiuser
+from ris_sim.experiments import prepare, run
 from ris_sim.ris import (
     ASCENT_REL_TOL,
     MAX_QUANTIZATION_BITS,
@@ -306,7 +306,7 @@ def test_beamform_runner_matches_frozen_panels_bit_for_bit(monkeypatch, chunk):
     # 50 coefficients per chunk the 40-element size takes one trial a chunk
     monkeypatch.setattr(experiments, "BEAMFORM_CHUNK", chunk)
     scenario = {"channel": "rayleigh", "n_list": [1, 3, 40], "quantization_bits": [1, 4, 51]}
-    table = run_beamform(scenario, seed=8, trials=6)
+    table = run(prepare("beamform", scenario, seed=8, trials=6))
     keys = KeyedStreams(8, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
                              for n in scenario["n_list"]] for t in range(6)])
     want = []
@@ -421,7 +421,7 @@ _WORKLOAD = {"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elements": 32,
 def test_stacked_start_matches_the_per_realization_route_bit_for_bit(
         monkeypatch, scenario, seed, trials):
     calls = _spy_aligned(monkeypatch, ris)
-    run_multiuser(scenario, seed, trials)
+    run(prepare("multiuser", scenario, seed, trials))
     ((g, h, direct, gains, out),) = calls
     assert direct is None and gains is None
     assert out.shape == g.shape[:2] + (g.shape[2],) == (trials, scenario["n_users"],
@@ -434,7 +434,7 @@ def test_stacked_start_matches_the_per_realization_route_bit_for_bit(
 
 def test_lbt_owned_start_matches_the_per_realization_route_bit_for_bit(monkeypatch):
     calls = _spy_aligned(monkeypatch, coexist)
-    run_coexist({"mode": "lbt", "slots": 5}, seed=5, trials=2)
+    run(prepare("coexist", {"mode": "lbt", "slots": 5}, seed=5, trials=2))
     assert len(calls) == 2
     for g, h, direct, link, out in calls:
         assert direct is not None
