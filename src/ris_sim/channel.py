@@ -171,20 +171,20 @@ def gen_los(
     return np.exp(-2j * np.pi * d0 / lam) * np.outer(a, b)
 
 
-def _link_stack(params: ChannelParams, los: np.ndarray, rngs, count: int) -> np.ndarray:
-    """`count` Rician blocks of one link around its LoS block `los`, one
-    per generator of `rngs`, stacked.
+def _link_stack(params: ChannelParams, los, shape: tuple, rngs, count: int) -> np.ndarray:
+    """`count` Rician blocks of `shape` of one link around its LoS block
+    `los`, one per generator of `rngs`, stacked.
 
     At infinite factor K the stack is the read-only `los` broadcast along
     it, and `rngs` is not consumed.  Otherwise the scattered part is drawn
     straight into the stack at its weight sqrt(1/(K+1)); the LoS part
     sqrt(K/(K+1)) los is formed once per call and added in place, and at
-    K = 0, where it is zero, not at all.
+    K = 0, where it is zero and `los` is None, not at all.
     """
     k = params.rician_k
     if math.isinf(k):
-        return np.broadcast_to(los, (count,) + los.shape)
-    stack = np.empty((count,) + los.shape, dtype=np.complex128)
+        return np.broadcast_to(los, (count,) + shape)
+    stack = np.empty((count,) + shape, dtype=np.complex128)
     complex_normal_stack(rngs, stack, math.sqrt(1.0 / (k + 1.0)))
     if k > 0.0:
         stack += math.sqrt(k / (k + 1.0)) * los
@@ -233,10 +233,14 @@ def assemble_stack(scenario: Scenario, g, h, direct, theta,
 
 def _fixed_link(geom: Geometry, frm: str, to: str, rows: int, cols: int,
                 params: ChannelParams):
-    """Read-only LoS block and path gain of one link; neither depends on a trial."""
-    wf = resolve_wavefront(geom, frm, to, rows, cols, params.wavefront_model)
-    los = gen_los(geom, frm, to, rows, cols, wf)
-    los.setflags(write=False)
+    """Read-only LoS block and path gain of one link; neither depends on a
+    trial.  A link of Rician factor 0 gives its LoS block no weight, so it
+    builds none: its block is None."""
+    los = None
+    if params.rician_k > 0.0:
+        wf = resolve_wavefront(geom, frm, to, rows, cols, params.wavefront_model)
+        los = gen_los(geom, frm, to, rows, cols, wf)
+        los.setflags(write=False)
     gain = path_gain(geom.wavelength, geom.distance(frm, to), params.path_loss_exponent)
     return los, gain
 
@@ -247,7 +251,8 @@ class Scenario:
 
     The LoS block and path gain of each link do not depend on the trial;
     they are computed once, on construction, and kept read-only in
-    `los_nb_ris`, `los_ris_ue`, `los_nb_ue` (None without a direct link)
+    `los_nb_ris`, `los_ris_ue`, `los_nb_ue` (None without a direct link,
+    and for a link of Rician factor 0, which gives the block no weight)
     and `pl_nb_ris`, `pl_ris_ue`, `pl_nb_ue` (0.0 without a direct link).
     A constructed scenario is never mutated, so every trial of a run reads
     the same blocks.
@@ -323,6 +328,8 @@ def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
     broadcast along the stack.  The fixed blocks are not scanned again.
     """
     cols = list(cols)
+    m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
     return tuple(None if params is None else
-                 _link_stack(params, los, (streams[row, t] for t in cols), len(cols))
-                 for row, (params, los) in enumerate(scenario.links()))
+                 _link_stack(params, los, shape, (streams[row, t] for t in cols), len(cols))
+                 for row, ((params, los), shape)
+                 in enumerate(zip(scenario.links(), ((n, m), (u, n), (u, m)))))

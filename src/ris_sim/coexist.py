@@ -255,7 +255,8 @@ def _own_spectra(coex: CoexScenario, seed: int):
         dp = coex.direct_params
         los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", coex.u_antennas,
                               coex.m_antennas, dp)
-        h = _link_stack(dp, los, (rng_from(seed, "direct/b"),), 1)[0]
+        h = _link_stack(dp, los, (coex.u_antennas, coex.m_antennas),
+                        (rng_from(seed, "direct/b"),), 1)[0]
         s_b = singular_values(math.sqrt(pl) * h)
         draws_b = int(not math.isinf(dp.rician_k))
     return (s_a, s_b), draws_a + draws_b

@@ -26,7 +26,9 @@ times the scene's scale) from both of its ends.  The slab test
 
 So every mask equals the slab test over every cell and obstacle, bit for
 bit.  Station -> site hops take one slab test over all (site, station,
-obstacle) triples.
+obstacle) triples.  A scene builds its masks once per path-loss exponent,
+with its route table (see `Scene`): one toward each base station and one
+toward each site that some station sees.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,15 +70,15 @@ class Scene:
     """Service area, blockers, stations and candidate panel sites.
 
     Positions are read-only copies, so what the coverage raster derives
-    from them alone is built once per scene, on first use, and kept
-    read-only in `_sight`: the blocked-sight mask toward each base station
-    and each candidate site, the blocked station -> site hops, and, per
-    path-loss exponent, the direct-route layer and each site's site-to-cell
-    gain layer, -inf already on the cells the site cannot see.  A sight
-    mask is built from per-row shadow intervals, and only the cells near
-    an interval end or the endpoint's row, and those of an obstacle whose
-    edge line passes near the endpoint, take the slab test (see the module
-    docstring).
+    from them is built once per scene and path-loss exponent, on first
+    use, and kept read-only in `_routes`: the direct-route layer, the
+    blocked station -> site hops, and each site's best station budget and
+    site-to-cell gain layer, -inf already on the cells the site cannot
+    see.  A site that no station sees gets no layer and no sight mask.  A
+    sight mask is built from per-row shadow intervals, and only the cells
+    near an interval end or the endpoint's row, and those of an obstacle
+    whose edge line passes near the endpoint, take the slab test (see the
+    module docstring).
     """
 
     extent: tuple
@@ -84,7 +87,7 @@ class Scene:
     candidate_sites: tuple
     grid_resolution: float
     wavelength: float
-    _sight: dict = field(default_factory=dict, init=False, repr=False)
+    _routes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         x0, y0, x1, y1 = (float(v) for v in self.extent)
@@ -125,13 +128,13 @@ class Scene:
             raise GeometryError(f"point {tuple(p)} lies outside the extent")
 
     def sight_work(self) -> tuple:
-        """(stations, sites, cells): the endpoints whose blocked-sight masks
-        this scene has built, and how many raster cells the slab test
-        decided for them."""
-        kinds = [key[0] for key in self._sight]
-        tested = sum(entry[1] for key, entry in self._sight.items()
-                     if key[0] in ("station", "site"))
-        return kinds.count("station"), kinds.count("site"), tested
+        """(stations, sites, cells): the blocked-sight masks this scene's
+        route tables have built toward base stations and toward candidate
+        sites, and how many raster cells the slab test decided for them."""
+        tables = self._routes.values()
+        return (len(self.base_stations) * len(tables),
+                sum(layer is not None for t in tables for layer in t.layers),
+                sum(t.tested for t in tables))
 
     def grid_points(self):
         """Cell-center coordinates (xs, ys) of the coverage raster."""
@@ -275,39 +278,6 @@ def _sight_raster(scene: Scene, q) -> tuple:
     return blocked, tested
 
 
-def _cached_sight(scene: Scene, key: tuple, q) -> np.ndarray:
-    """Raster sight mask toward q, cached on the scene under `key` with
-    the count of cells the slab test decided."""
-    if key not in scene._sight:
-        mask, tested = _sight_raster(scene, q)
-        mask.setflags(write=False)
-        scene._sight[key] = (mask, tested)
-    return scene._sight[key][0]
-
-
-def _station_sight(scene: Scene, b: int) -> np.ndarray:
-    """Grid cells with no sight of base station b, cached on the scene."""
-    return _cached_sight(scene, ("station", b), scene.base_stations[b].position)
-
-
-def _site_sight(scene: Scene, s: int):
-    """(grid mask, per-station hop mask) of blocked sight toward candidate
-    site s, cached on the scene; the hops of every site are tested at once."""
-    if ("hops",) not in scene._sight:
-        # (site, station, obstacle) triples, each segment from its station
-        stations = np.array([bs.position for bs in scene.base_stations])
-        sites = np.array(scene.candidate_sites)
-        shape = (len(sites), len(stations), len(scene.obstacles))
-        px, py = (np.broadcast_to(v[:, None], shape) for v in stations.T)
-        qx, qy = (np.broadcast_to(v[:, None, None], shape) for v in sites.T)
-        rect = np.array(scene.obstacles).reshape(-1, 4).T
-        hops = _segment_blocked(px, py, qx, qy, rect).any(axis=2)
-        hops.setflags(write=False)
-        scene._sight[("hops",)] = hops
-    grid = _cached_sight(scene, ("site", s), scene.candidate_sites[s])
-    return grid, scene._sight[("hops",)][s]
-
-
 @dataclass(frozen=True, eq=False)
 class CoverageMap:
     """Rasterised SNR with the serving-route label per cell."""
@@ -360,52 +330,68 @@ def _distances(scene: Scene, p) -> np.ndarray:
     return np.hypot(xs[None, :] - p[0], ys[:, None] - p[1])
 
 
-def _direct_dbm(scene: Scene, params: ChannelParams) -> np.ndarray:
-    """Direct-route layer: received dBm from the strongest base station in
-    sight of each cell, -inf where none is.  Cached on the scene, read-only."""
-    key = ("direct", params.path_loss_exponent)
-    if key not in scene._sight:
-        out = None
-        for b, bs in enumerate(scene.base_stations):
-            dbm = bs.tx_power_dbm + _seg_gain_db(scene, params, _distances(scene, bs.position))
-            dbm[_station_sight(scene, b)] = -np.inf
-            out = dbm if out is None else np.maximum(out, dbm, out=out)
-        out.setflags(write=False)
-        scene._sight[key] = out
-    return scene._sight[key]
+class _Routes(NamedTuple):
+    """A scene's route table at one path-loss exponent; every array is
+    read-only.  A site that no base station sees has no budget and no
+    layer (None)."""
+
+    #: received dBm from the strongest base station in sight of each cell,
+    #: -inf where none is
+    direct: np.ndarray
+    #: (site, station) hops that an obstacle blocks
+    hops: np.ndarray
+    #: per site, the best tx_power_dbm plus hop gain over the stations it sees
+    budgets: tuple
+    #: per site, the site-to-cell gain, -inf on the cells the site cannot see
+    layers: tuple
+    #: raster cells the slab test decided for the sight masks built
+    tested: int
 
 
-def _to_grid_db(scene: Scene, s: int, params: ChannelParams) -> np.ndarray:
-    """Site-to-cell segment gain of candidate site s, -inf on the cells the
-    site cannot see; cached on the scene per path-loss exponent, the one
-    field of `params` it reads, and read-only."""
-    key = ("to_grid", s, params.path_loss_exponent)
-    if key not in scene._sight:
-        layer = _seg_gain_db(scene, params, _distances(scene, scene.candidate_sites[s]))
-        layer[_site_sight(scene, s)[0]] = -np.inf
-        layer.setflags(write=False)
-        scene._sight[key] = layer
-    return scene._sight[key]
+def _routes(scene: Scene, params: ChannelParams) -> _Routes:
+    """The route table of `scene` at the path-loss exponent of `params`,
+    the one field it reads; built on first use and cached on the scene.
 
-
-def _site_dbm(scene: Scene, s: int, panel_gain_db: float,
-              params: ChannelParams) -> np.ndarray:
-    """Route layer of a panel at candidate site s: the best two-hop budget
-    over the stations the site sees, -inf where either hop is blocked.
-
-    Rounding is monotone, so the best station's budget plus the layer
-    is the cell-wise best of every station's: one add per call.
+    One sight mask is built toward each base station and toward each site
+    that some station sees, and the hops of every site take one slab test.
     """
-    site = scene.candidate_sites[s]
-    hop_blocked = _site_sight(scene, s)[1]
-    budgets = [bs.tx_power_dbm
-               + _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
-               + panel_gain_db
-               for bs, blocked in zip(scene.base_stations, hop_blocked) if not blocked]
-    if not budgets:
-        nx, ny = raster_shape(scene.extent, scene.grid_resolution)
-        return np.full((ny, nx), -np.inf)
-    return max(budgets) + _to_grid_db(scene, s, params)
+    alpha = params.path_loss_exponent
+    if alpha in scene._routes:
+        return scene._routes[alpha]
+    tested = 0
+
+    def seen_gain_db(q):
+        # segment gain from q to every cell, -inf where q is out of sight
+        nonlocal tested
+        blocked, cells = _sight_raster(scene, q)
+        tested += cells
+        layer = _seg_gain_db(scene, params, _distances(scene, q))
+        layer[blocked] = -np.inf
+        return layer
+
+    direct = None
+    for bs in scene.base_stations:
+        dbm = bs.tx_power_dbm + seen_gain_db(bs.position)
+        direct = dbm if direct is None else np.maximum(direct, dbm, out=direct)
+    # (site, station, obstacle) triples, each segment from its station
+    stations = np.array([bs.position for bs in scene.base_stations])
+    sites = np.array(scene.candidate_sites).reshape(-1, 2)
+    shape = (len(sites), len(stations), len(scene.obstacles))
+    px, py = (np.broadcast_to(v[:, None], shape) for v in stations.T)
+    qx, qy = (np.broadcast_to(v[:, None, None], shape) for v in sites.T)
+    rect = np.array(scene.obstacles).reshape(-1, 4).T
+    hops = _segment_blocked(px, py, qx, qy, rect).any(axis=2)
+    budgets, layers = [], []
+    for site, blocked in zip(scene.candidate_sites, hops):
+        seen = [bs.tx_power_dbm
+                + _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
+                for bs, hop_blocked in zip(scene.base_stations, blocked) if not hop_blocked]
+        budgets.append(max(seen) if seen else None)
+        layers.append(seen_gain_db(site) if seen else None)
+    for array in [direct, hops] + [layer for layer in layers if layer is not None]:
+        array.setflags(write=False)
+    scene._routes[alpha] = _Routes(direct, hops, tuple(budgets), tuple(layers), tested)
+    return scene._routes[alpha]
 
 
 def snr_map(
@@ -421,22 +407,25 @@ def snr_map(
     panel route needs sight on both hops and contributes the two-segment
     budget with the coherent N^2 panel gain (scaled by gain_scale^2).
     Blocked routes contribute nothing.  The raster is the cell-wise maximum
-    of a direct-route layer and one route layer per placed panel.  The
-    blocked-sight masks, the direct-route layer and each site's
-    sight-masked site-to-cell layer are built once per scene and cached on
-    it, so a route layer is one add to a cached layer, and repeated
-    rasters of one scene, such as a breathing sweep, only combine cached
-    layers.
+    of the direct-route layer and one route layer per placed panel, read
+    from the scene's route table (see `Scene`): a panel's route layer is
+    its site's best station budget plus the panel gain, added to the
+    site's layer.  Rounding is monotone, so that is the cell-wise best
+    over the stations the site sees.  Repeated rasters of one scene, such
+    as a breathing sweep, only combine cached layers.
     """
     if not (gain_scale >= 0.0 and math.isfinite(gain_scale)):
         raise ValueError(f"gain_scale must be non-negative, got {gain_scale}")
     xs, ys = scene.grid_points()
-    direct_dbm = _direct_dbm(scene, params)
+    routes = _routes(scene, params)
+    direct_dbm = routes.direct
     ris_dbm = np.full(direct_dbm.shape, -np.inf)
     placed = plan.placed if gain_scale > 0.0 else ()
     for site_idx, n_elements in placed:
-        gain_db = _panel_gain_db(n_elements, gain_scale)
-        np.maximum(ris_dbm, _site_dbm(scene, site_idx, gain_db, params), out=ris_dbm)
+        layer = routes.layers[site_idx]
+        if layer is not None:
+            budget = routes.budgets[site_idx] + _panel_gain_db(n_elements, gain_scale)
+            np.maximum(ris_dbm, budget + layer, out=ris_dbm)
 
     best_dbm = np.maximum(direct_dbm, ris_dbm)
     snr = best_dbm - _noise_dbm(params)
@@ -467,13 +456,14 @@ def greedy_place(
     remaining site strictly adds coverage.  Site ties resolve to the
     lowest index.
 
-    Incremental on coverage masks: each free site's route layer becomes a
-    covered-cell mask the first time the site is scored, and a site is then
-    scored by the cells it covers that the placed panels do not.  Taking
-    the cell-wise maximum of route layers covers exactly the union of their
-    masks, since subtracting the noise and comparing are monotone, and a
-    fraction is its integer count over the cell count; so every coverage
-    fraction equals that of `snr_map` on the same plan.
+    Incremental on coverage masks: each site's route layer becomes a
+    covered-cell mask, all in one pass over the scene's route table, and a
+    site is then scored by the cells it covers that the placed panels do
+    not.  A site that no station sees covers nothing and is never taken.
+    Taking the cell-wise maximum of route layers covers exactly the union
+    of their masks, since subtracting the noise and comparing are
+    monotone, and a fraction is its integer count over the cell count; so
+    every coverage fraction equals that of `snr_map` on the same plan.
     """
     if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
         raise ValueError(f"n_elements must be a positive integer, got {n_elements!r}")
@@ -485,27 +475,23 @@ def greedy_place(
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
     noise_dbm = _noise_dbm(params)
     panel_gain_db = _panel_gain_db(n_elements, 1.0)
-    masks: dict = {}
-
-    def site_mask(idx):
-        if idx not in masks:
-            dbm = _site_dbm(scene, idx, panel_gain_db, params)
-            masks[idx] = (dbm - noise_dbm) >= threshold_db
-        return masks[idx]
-
-    uncovered = (_direct_dbm(scene, params) - noise_dbm) < threshold_db
+    routes = _routes(scene, params)
+    masks = {idx: ((budget_db + panel_gain_db) + layer - noise_dbm) >= threshold_db
+             for idx, (budget_db, layer) in enumerate(zip(routes.budgets, routes.layers))
+             if layer is not None}
+    uncovered = (routes.direct - noise_dbm) < threshold_db
     n = uncovered.size
     count = n - int(np.count_nonzero(uncovered))
     cov = count / n
     placed: list = []
     history = [(-1, cov)]
     spent = 0.0
-    free = list(range(len(scene.candidate_sites)))
+    free = list(masks)
     while spent + cost_per_panel <= budget and cov < target_fraction and free:
         best_site = -1
         best_gain = 0
         for idx in free:
-            gain = int(np.count_nonzero(site_mask(idx) & uncovered))
+            gain = int(np.count_nonzero(masks[idx] & uncovered))
             if gain > best_gain:
                 best_gain = gain
                 best_site = idx

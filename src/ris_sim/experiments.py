@@ -388,16 +388,19 @@ def _distance(p, a, b) -> float:
     return d
 
 
-def _check_routes(p, routes, phased=True):
+def _check_routes(p, routes, phased=True) -> list:
     """Every (scale, hops) route needs a finite power gain, and with
     `phased` every hop a finite LoS phase 2 pi d / lambda.
 
     A hop is (from field, to field, path-loss exponent); the gain is the
     scale times the product of the hop path gains, and the phase that of
-    the hop's LoS block, as the runner forms them.
+    the hop's LoS block, as the runner forms them.  Returns each route's
+    (name, gain).
     """
     lam = p["wavelength"]
+    gains = []
     for scale, hops in routes:
+        route = " -> ".join([hops[0][0]] + [b for _, b, _ in hops])
         for a, b, _ in hops:
             if phased and not math.isfinite(2.0 * math.pi * _distance(p, a, b) / lam):
                 raise ConfigError("scenario.wavelength",
@@ -408,8 +411,34 @@ def _check_routes(p, routes, phased=True):
         except OverflowError:
             gain = math.inf
         if not math.isfinite(gain):
-            route = " -> ".join([hops[0][0]] + [b for _, b, _ in hops])
             raise ConfigError("scenario.wavelength", f"{lam} m overflows the gain along {route}")
+        gains.append((route, gain))
+    return gains
+
+
+#: Ceiling on a route's power gain over the noise, and on the transmit
+#: power times that.  A rate multiplies these by the array gain, at most
+#: N^2 < 2^116 under `MAX_BLOCK_ENTRIES`, and by the drawn block entries;
+#: 2^512 leaves those about 2^500 of the float range (2^1024), so no Gram
+#: entry, water level or determinant overflows.
+MAX_ROUTE_SNR = 2.0**512
+
+
+def _check_snr(p, power, gains):
+    """Each (name, gain) route's gain over `noise_power`, and the transmit
+    power in field `power` times that, stay under `MAX_ROUTE_SNR`; a
+    route past it is rejected at the noise or at the power."""
+    noise = p["noise_power"]
+    for route, gain in gains:
+        snr = gain / noise
+        if not snr < MAX_ROUTE_SNR:
+            raise ConfigError("scenario.noise_power",
+                              f"the gain {gain:.3g} along {route} over a noise of {noise} "
+                              "exceeds 2^512")
+        if not p[power] * snr < MAX_ROUTE_SNR:
+            raise ConfigError(f"scenario.{power}",
+                              f"{p[power]} times the gain {gain:.3g} along {route} over "
+                              f"the noise {noise} exceeds 2^512")
 
 
 #: entries of the largest array a run builds from count fields: under it a
@@ -486,12 +515,12 @@ def _check_coex(p):
     routes = [(1.0, [(nb_b, ris, refl), (ris, ue_b, refl)])]
     if not p["b_direct_blocked"]:
         routes.append((1.0, [(nb_b, ue_b, ground)]))
+    signal = {"tx_power_b": _check_routes(p, routes)}
     lbt = p.get("mode") == "lbt"
     if lbt:
         # A's own link
-        routes += [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]), (1.0, [(nb_a, ue_a, ground)])]
-    _check_routes(p, routes)
-    if lbt:
+        signal["tx_power_a"] = _check_routes(p, [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]),
+                                                 (1.0, [(nb_a, ue_a, ground)])])
         # what each network's transmission delivers to the other's user
         # (interference) and base station (sensing): gains, not LoS blocks
         tx_a, tx_b = p["tx_power_a"], p["tx_power_b"]
@@ -500,6 +529,8 @@ def _check_coex(p):
         routes += [(tx_a * p["n_elements_a"], [(nb_a, ris, refl), (ris, far, refl)])
                    for far in (ue_b, nb_b)]
         _check_routes(p, routes, phased=False)
+    for power, gains in signal.items():
+        _check_snr(p, power, gains)
 
 
 def _check_beamform(p):
@@ -526,6 +557,8 @@ def _check_multiuser(p):
     if weights and len(weights) != p["n_users"]:
         raise ConfigError("scenario.qos_weights",
                           f"{len(weights)} weights given for {p['n_users']} users")
+    # every hop is a unit-variance Rayleigh block, with no path loss
+    _check_snr(p, "power_per_user", [("each user's hops", 1.0)])
 
 
 def _check_deploy(p):
@@ -965,8 +998,8 @@ def _deploy_rows(p, seed, trials) -> list:
         cm = deploy.snr_map(scene, plan, params, p["threshold_db"], gain_scale=s)
         rows.append((i, "gain_scale", s))
         rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
-    # greedy scores every site it builds a route layer for, and breathing
-    # rasters only placed sites, so the site sight masks count the sites scored
+    # the route table builds a sight mask toward every site some station
+    # sees, and those are the sites greedy scores
     stations, sites, tested = scene.sight_work()
     log.info("deploy: %d raster cells, %d greedy steps, %d sites scored, "
              "%d sight sweeps, %d cells slab-tested, %d breathing scales",

@@ -244,7 +244,9 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     checks both against a grid-search oracle.  Accepts a single spectrum
     (k,) or a batch (b, k); returns a float or a length-b vector
     accordingly.  A spectrum without a usable mode (see `_water_level`)
-    has capacity 0.
+    has capacity 0.  Far below the noise, nact log2(level) + sum log2(gain)
+    cancels to the rounding of log2 values near +-1000, which may fall
+    below zero; the capacity is clamped at +0.0.
     """
     _check_powers(total_power, noise_power)
     s = np.asarray(svals, dtype=float)
@@ -256,7 +258,7 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     if np.any(usable):
         idx = nact[usable] - 1
         logsum = np.cumsum(np.log2(np.where(pos, gains, 1.0)), axis=1)[usable, idx]
-        cap[usable] = nact[usable] * np.log2(mu[usable, idx]) + logsum
+        cap[usable] = np.maximum(nact[usable] * np.log2(mu[usable, idx]) + logsum, 0.0)
     return float(cap[0]) if single else cap
 
 
@@ -271,7 +273,7 @@ def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
     each level clears its inverse gain; otherwise the stronger mode takes
     the whole budget when it is usable (see `_water_level`).  A level
     or log of a mode that is not used may come from a stand-in gain, but
-    it is never selected.
+    it is never selected.  The capacity is clamped at +0.0, as there.
     """
     pos = gains > _UNUSABLE_GAIN
     safe = np.where(pos, gains, 1.0)
@@ -285,7 +287,8 @@ def _two_mode_capacity(gains: np.ndarray, total_power: float) -> np.ndarray:
     log_mu = np.log2(mu)
     both = 2 * log_mu[1] + (log[0] + log[1])
     one = log_mu[0] + log[0]
-    return np.where(clear[0] & clear[1] & pos[1], both, np.where(pos[0], one, 0.0))
+    cap = np.where(clear[0] & clear[1] & pos[1], both, np.where(pos[0], one, 0.0))
+    return np.maximum(cap, 0.0, out=cap)
 
 
 def waterfill_precoder(h, total_power: float, noise_power: float) -> np.ndarray:

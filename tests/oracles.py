@@ -586,11 +586,16 @@ def two_draw_complex_normal(rng, shape):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def rician_block(k: float, los, rng):
+def rician_block(k: float, los, rng, shape=None):
     """The Rician block of factor `k` around `los` as it was mixed before
-    the stacked draw: both weighted parts as temporaries, then their sum."""
+    the stacked draw: both weighted parts as temporaries, then their sum.
+    A link at k = 0 builds no LoS block: `los` is None, and the block is
+    the weighted scatter of `shape` alone, which the zero-weight LoS part
+    left as it was."""
     if math.isinf(k):
         return np.array(los)
+    if los is None:
+        return math.sqrt(1.0 / (k + 1.0)) * two_draw_complex_normal(rng, shape)
     scatter = two_draw_complex_normal(rng, los.shape)
     return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
 
@@ -606,10 +611,13 @@ def keyed_blocks(scenario, trial: int):
     from ris_sim.seeding import subseed
 
     base = subseed(scenario.seed, f"trial/{trial}")
+    m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
     g, h, direct = (
         None if params is None
-        else rician_block(params.rician_k, los, np.random.default_rng(subseed(base, label)))
-        for label, (params, los) in zip(("nb_ris", "ris_ue", "nb_ue"), scenario.links())
+        else rician_block(params.rician_k, los, np.random.default_rng(subseed(base, label)),
+                          shape)
+        for label, (params, los), shape in zip(("nb_ris", "ris_ue", "nb_ue"), scenario.links(),
+                                               ((n, m), (u, n), (u, m)))
     )
     return ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
                               pl_nb_ris=scenario.pl_nb_ris, pl_ris_ue=scenario.pl_ris_ue,

@@ -1,6 +1,7 @@
 """Channel synthesis: LoS blocks, Rician mixing, path loss, assembly."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,13 +401,19 @@ def test_dominant_reflection_regime():
 
 
 def test_scenario_blocks_are_fixed_and_read_only():
+    # the departure and direct links are at Rician factor 0, which gives a
+    # LoS block no weight: they build only their path gains
     scn = _scenario(wavefront="spherical", direct=True)
     geom = scn.geometry
     assert np.array_equal(scn.los_nb_ris, gen_los(geom, "nb", "ris", 16, 2, "spherical"))
-    assert np.array_equal(scn.los_ris_ue, gen_los(geom, "ris", "ue", 2, 16, "spherical"))
-    assert np.array_equal(scn.los_nb_ue, gen_los(geom, "nb", "ue", 2, 2, "spherical"))
+    assert scn.los_ris_ue is None and scn.los_nb_ue is None
     assert scn.pl_nb_ris == path_gain(LAM, geom.distance("nb", "ris"), 2.0)
-    for block in (scn.los_nb_ris, scn.los_ris_ue, scn.los_nb_ue):
+    assert scn.pl_nb_ue == path_gain(LAM, geom.distance("nb", "ue"), 2.0)
+    rician = replace(scn, ris_ue=replace(scn.ris_ue, rician_k=2.5),
+                     nb_ue=replace(scn.nb_ue, rician_k=2.5))
+    assert np.array_equal(rician.los_ris_ue, gen_los(geom, "ris", "ue", 2, 16, "spherical"))
+    assert np.array_equal(rician.los_nb_ue, gen_los(geom, "nb", "ue", 2, 2, "spherical"))
+    for block in (scn.los_nb_ris, rician.los_ris_ue, rician.los_nb_ue):
         assert not block.flags.writeable
     bare = _scenario()
     assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
@@ -450,11 +457,12 @@ def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials):
                    nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
     streams = link_streams(scn, trials)
     stacks = draw_stack(scn, streams, range(len(trials)))
-    for row, (stack, (_, los)) in enumerate(zip(stacks, scn.links())):
-        assert stack.shape == (len(trials),) + los.shape
+    shapes = ((16, 2), (3, 16), (3, 2))
+    for row, (stack, (_, los), shape) in enumerate(zip(stacks, scn.links(), shapes)):
+        assert stack.shape == (len(trials),) + shape
         for i in range(len(trials)):
             rng = np.random.default_rng(int(streams.keys[row, i]))
-            assert stack[i].tobytes() == oracles.rician_block(k, los, rng).tobytes()
+            assert stack[i].tobytes() == oracles.rician_block(k, los, rng, shape).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -171,10 +171,10 @@ def test_deploy_geometry_checked_like_the_scene(field, value, path):
 
 
 def test_yaml_12_scientific_notation_reads_as_float():
-    text = "experiment: multiuser\nscenario:\n  noise_power: 1e-13\n  power_per_user: 1.0e300\n"
+    text = "experiment: multiuser\nscenario:\n  noise_power: 1.0e300\n  power_per_user: 1e-13\n"
     cfg = validate_config(text)
-    assert cfg.scenario["noise_power"] == 1e-13
-    assert cfg.scenario["power_per_user"] == 1.0e300
+    assert cfg.scenario["noise_power"] == 1.0e300
+    assert cfg.scenario["power_per_user"] == 1e-13
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
@@ -393,13 +393,18 @@ def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
     steps = metrics.count("greedy_site") - 1
     assert steps >= 1
     # one raster sight build per endpoint: every station, and every site
-    # once greedy has scored them all; a sweep is one endpoint and obstacle
-    endpoints = len(p["base_stations"]) + len(p["candidate_sites"])
+    # that some station sees (2 of the 3); a sweep is one endpoint and
+    # obstacle
+    seen = [site for site in p["candidate_sites"]
+            if not all(any(deploy._segment_blocked(*st["position"], *site, rect)
+                           for rect in p["obstacles"]) for st in p["base_stations"])]
+    assert len(seen) == 2
+    endpoints = len(p["base_stations"]) + len(seen)
     assert len(builds) == endpoints
     tested = sum(n for _, n in builds)
     assert 0 < tested < cells * len(p["obstacles"]) * endpoints
     assert lines == [f"INFO deploy: {cells} raster cells, {steps} greedy steps, "
-                     f"{len(p['candidate_sites'])} sites scored, "
+                     f"{len(seen)} sites scored, "
                      f"{len(p['obstacles']) * endpoints} sight sweeps, "
                      f"{tested} cells slab-tested, "
                      f"{metrics.count('gain_scale')} breathing scales"]
@@ -719,6 +724,14 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     ("rank", "{wavelength: 5.0e-324}", "scenario.wavelength"),
     ("adjacent", "{wavelength: 5.0e-324}", "scenario.wavelength"),
     ("coexist", "{mode: lbt, slots: 3, wavelength: 5.0e-324}", "scenario.wavelength"),
+    # a route gain over the noise, or the transmit power times it, past
+    # MAX_ROUTE_SNR: these runs reached an infinite or NaN rate and exited 2
+    ("multiuser", "{noise_power: 5.0e-324}", "scenario.noise_power"),
+    ("coexist", "{noise_power: 5.0e-324}", "scenario.noise_power"),
+    ("adjacent", "{noise_power: 5.0e-324}", "scenario.noise_power"),
+    ("coexist", "{mode: lbt, slots: 20, noise_power: 5.0e-324}", "scenario.noise_power"),
+    ("coexist", "{tx_power_b: 1.7e+308}", "scenario.tx_power_b"),
+    ("adjacent", "{tx_power_b: 1.7e+308}", "scenario.tx_power_b"),
 ])
 def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
                                                    scenario, path):
@@ -772,14 +785,14 @@ def test_noise_past_every_mode_gain_gives_zero_rates(tmp_path, capsys, experimen
 
 
 # Values the validator still accepts whose runs reach an infinite or NaN
-# rate; the run names the first one and writes no table.
+# rate: a transmit power and a noise power both near the float maximum
+# overflow the water level or the Gram matrix while every route stays
+# under MAX_ROUTE_SNR.  The run names the first one and writes no table.
 @pytest.mark.parametrize("experiment, scenario, metric", [
-    ("multiuser", "{noise_power: 5.0e-324, max_iters: 2}", "shared_sum"),
-    ("coexist", "{noise_power: 5.0e-324}", "fresh_rate"),
-    ("adjacent", "{noise_power: 5.0e-324}", "rate_no_filter"),
-    ("coexist", "{mode: lbt, slots: 20, noise_power: 5.0e-324}", "mean_rate_a"),
-    ("coexist", "{tx_power_b: 1.7e+308}", "fresh_rate"),
-    ("adjacent", "{tx_power_b: 1.7e+308}", "rate_no_filter"),
+    ("multiuser", "{power_per_user: 1.7e+308, noise_power: 1.0e+308, max_iters: 2}",
+     "shared_sum"),
+    ("coexist", "{tx_power_b: 1.7e+308, noise_power: 1.7e+308, wavelength: 700}",
+     "fresh_rate"),
 ])
 def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, experiment, scenario,
                                                  metric):
@@ -792,6 +805,41 @@ def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, experiment, sc
     assert not out.exists() and captured.out == ""
     assert main([experiment, "--config", cfg]) == 2
     assert capsys.readouterr().out == ""
+
+
+# Every field of every experiment's shipped config, one at a time, at
+# each of these values, with `trials: 1`: the run exits 0 or 1 and raises
+# nothing.
+_WALK_VALUES = (0, 1, -1, 5e-324, 1e300, 1.7e308, math.inf, -math.inf, math.nan,
+                2**63, 10**30, 10**400, True, "text", [1], None)
+
+#: fields whose count is a loop's length, capped by nothing but time: a
+#: large count there is run only where validation rejects it
+_LOOP_FIELDS = ("slots", "max_iters")
+
+
+@pytest.mark.parametrize("experiment", sorted(SCHEMA))
+def test_every_field_at_extreme_values_exits_zero_or_one(tmp_path, capsys, experiment):
+    shipped = yaml.safe_load((CONFIGS / f"{experiment}.yaml").read_text())
+    cfg = tmp_path / "cfg.yaml"
+    exits = {}
+    for field in SCHEMA[experiment]:
+        for value in _WALK_VALUES:
+            text = yaml.safe_dump({**shipped, "trials": 1,
+                                   "scenario": {**shipped["scenario"], field: value}})
+            if field in _LOOP_FIELDS and type(value) is int and value > 1000:
+                try:
+                    validate_config(text)
+                except ConfigError:
+                    pass
+                else:
+                    continue
+            cfg.write_text(text)
+            rc = main([experiment, "--config", str(cfg)])
+            capsys.readouterr()
+            exits[field, repr(value)] = rc
+    assert {key: rc for key, rc in exits.items() if rc not in (0, 1)} == {}
+    assert 0 in exits.values() and 1 in exits.values()
 
 
 def test_lbt_gain_only_hops_need_no_finite_phase(tmp_path, capsys):

@@ -226,13 +226,24 @@ def _count_gen_los(monkeypatch):
     ("coexist", {"mode": "stale_csi"}, 3),
     ("coexist", {"mode": "stale_csi", "b_direct_blocked": True}, 2),
     ("adjacent", {}, 3),
+    ("rank", {"include_direct": True, "ris_ue_rician_k": 2.0}, 3),
+    ("coexist", {"mode": "stale_csi", "rician_k": 2.0}, 3),
+    ("adjacent", {"rician_k": 2.0}, 3),
 ])
 def test_each_link_los_block_is_built_once_per_run(monkeypatch, experiment, scenario,
                                                    links, trials):
+    # a run's `links` links build a LoS block only at a nonzero Rician
+    # factor: rank's incident hop (always pure LoS) and departure hop at
+    # `ris_ue_rician_k`, but never its direct link (factor 0); every
+    # coexistence link at `rician_k`
+    if experiment == "rank":
+        built = 1 + (scenario.get("ris_ue_rician_k", 0.0) > 0.0)
+    else:
+        built = links if scenario.get("rician_k", 0.0) > 0.0 else 0
     calls = _count_gen_los(monkeypatch)
     run(prepare(experiment, scenario, 1, trials))
-    assert len(calls) == links
-    assert len(set(calls)) == links
+    assert len(calls) == built
+    assert len(set(calls)) == built
 
 
 # ---------------------------------------------------------------------------

@@ -535,11 +535,11 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
         assert np.array_equal(cm.snr_db, snr)
         assert np.array_equal(cm.covered, covered)
         assert np.array_equal(cm.serving, serving)
-    # one raster sight build per endpoint; greedy scores every site as
-    # soon as it runs one step
-    scored = len(history) > 1 or (budget >= 1.0 and history[0][1] < target)
-    endpoints = len(scene.base_stations) + (len(scene.candidate_sites) if scored else 0)
-    assert calls[0] == endpoints
+    # one raster sight build per endpoint: every station, and every site
+    # that some station sees, whether or not greedy takes a step
+    seen = [site for site in scene.candidate_sites
+            if not all(los_blocked(scene, bs.position, site) for bs in scene.base_stations)]
+    assert calls[0] == len(scene.base_stations) + len(seen)
 
 
 def test_candidate_site_positions_are_read_only_copies():

@@ -450,6 +450,22 @@ def test_the_three_routes_drop_the_same_unusable_modes(noise):
     assert np.all(p[usable.any(axis=1)].sum(axis=1) > 0.0)
 
 
+def test_capacity_far_below_the_noise_is_never_negative():
+    # nact log2(level) + sum log2(gain) cancels to the rounding of log2
+    # values near +-990: 3 of these spectra came out negative, the least
+    # at -1.137e-13, on every route
+    s = -np.sort(-np.abs(np.random.default_rng(0).standard_normal((20000, 2))) * 10, axis=1)
+    closed = numkernel.capacity_closed_form(s, 10.0, 1e300)
+    fused = numkernel._two_mode_capacity((s**2 / 1e300).T, 10.0)
+    assert np.all(closed >= 0.0) and np.any(closed == 0.0)
+    assert fused.tobytes() == closed.tobytes()
+    for cols in (2, 3):
+        # a 2x2 stack takes the fused route, a 2x3 one the LAPACK route
+        h = np.zeros((len(s), 2, cols), dtype=np.complex128)
+        h[:, 0, 0], h[:, 1, 1] = s.T
+        assert np.all(numkernel.stack_capacity(h, 10.0, 1e300) >= 0.0)
+
+
 def test_high_snr_two_mode_sweep_keeps_the_budget():
     rng = np.random.default_rng(2108)
     h = (rng.standard_normal((2000, 2, 2))
