@@ -7,7 +7,8 @@ The effective downlink channel through a reflective surface is
 
 with the direct term dropped when the base-station/user link is blocked.
 All blocks are complex128 ndarrays: `gen_los` builds the fixed LoS blocks
-and `draw_stack` draws the Rician blocks of a stack of keyed trials.
+and `draw_stack` draws the Rician blocks and random surface states of a
+stack of trials, each from its own keyed stream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import KeyedStreams, complex_normal_stack
+from .seeding import KeyedStreams, complex_from_parts
 
 
 class GeometryError(ValueError):
@@ -171,26 +172,6 @@ def gen_los(
     return np.exp(-2j * np.pi * d0 / lam) * np.outer(a, b)
 
 
-def _link_stack(params: ChannelParams, los, shape: tuple, rngs, count: int) -> np.ndarray:
-    """`count` Rician blocks of `shape` of one link around its LoS block
-    `los`, one per generator of `rngs`, stacked.
-
-    At infinite factor K the stack is the read-only `los` broadcast along
-    it, and `rngs` is not consumed.  Otherwise the scattered part is drawn
-    straight into the stack at its weight sqrt(1/(K+1)); the LoS part
-    sqrt(K/(K+1)) los is formed once per call and added in place, and at
-    K = 0, where it is zero and `los` is None, not at all.
-    """
-    k = params.rician_k
-    if math.isinf(k):
-        return np.broadcast_to(los, (count,) + shape)
-    stack = np.empty((count,) + shape, dtype=np.complex128)
-    complex_normal_stack(rngs, stack, math.sqrt(1.0 / (k + 1.0)))
-    if k > 0.0:
-        stack += math.sqrt(k / (k + 1.0)) * los
-    return stack
-
-
 def path_gain(wavelength: float, distance: float, exponent: float) -> float:
     """Power path gain (lambda / 4 pi d)^alpha of a single segment."""
     if distance <= 0.0:
@@ -307,29 +288,80 @@ _LINK_LABELS = ("nb_ris", "ris_ue", "nb_ue")
 
 
 def link_streams(scenario: Scenario, trials) -> KeyedStreams:
-    """Streams of the scattered parts of `trials`, keyed all at once.
+    """Rank's streams of the scattered parts of `trials`, keyed all at once.
 
     Entry [l, i] is the stream of link l of `Scenario.links` in trial
     `trials[i]`, keyed `subseed(subseed(scenario.seed, f"trial/{t}"), label)`
-    with the link's label "nb_ris", "ris_ue" or "nb_ue".
+    with the link's label "nb_ris", "ris_ue" or "nb_ue".  `draw_stack`
+    takes one stream per trial instead.
     """
     return KeyedStreams(scenario.seed, [[f"trial/{t}" for t in trials]],
                         [[label] for label in _LINK_LABELS])
 
 
-def draw_stack(scenario: Scenario, streams: KeyedStreams, cols):
-    """Channel blocks of several trials of one scenario, stacked.
+def draw_links(links, streams: KeyedStreams, cols, uniforms: int = 0):
+    """Rician blocks of several trials, each trial from one stream.
 
-    `streams` comes from `link_streams`, and `cols` holds positions in
-    the trials it was keyed for.  Returns (g, h, direct) of shapes
-    (B, N, M), (B, U, N) and (B, U, M), direct None without a direct link;
-    each block is drawn from its own trial's stream of its link.  A link
-    with infinite Rician factor is the scenario's read-only LoS block,
-    broadcast along the stack.  The fixed blocks are not scanned again.
+    `links` holds a (params, LoS block, shape) triple per link, params None
+    for a missing link; `streams` holds one stream per trial, and `cols`
+    positions in it.  Each trial's stream is set once, by
+    `KeyedStreams.fill`: one `standard_normal` call draws the real, then
+    the imaginary parts of every scattered block in link order, and one
+    `random` call draws `uniforms` values in [0, 1).  A scattered part is
+    iid CN(0, 1), scaled straight into its stack at its weight
+    sqrt(1/(K+1)); the LoS part sqrt(K/(K+1)) los is formed once per call
+    and added in place at K > 0.  A link at infinite K draws nothing: its
+    stack is the read-only `los` broadcast along it.
+
+    Returns the stacks, (len(cols),) + shape each and None for a missing
+    link, and the (len(cols), uniforms) uniform draws.
     """
     cols = list(cols)
+    count = len(cols)
+    sizes = [math.prod(shape) for params, _, shape in links
+             if params is not None and not math.isinf(params.rician_k)]
+    normals = np.empty((count, 2 * sum(sizes)))
+    drawn = np.empty((count, uniforms))
+    streams.fill(cols, normals, drawn)
+    stacks, offset = [], 0
+    for params, los, shape in links:
+        if params is None:
+            stacks.append(None)
+            continue
+        k = params.rician_k
+        if math.isinf(k):
+            stacks.append(np.broadcast_to(los, (count,) + shape))
+            continue
+        size = 2 * math.prod(shape)
+        parts = normals[:, offset:offset + size].reshape((count, 2) + shape)
+        offset += size
+        stack = complex_from_parts(parts, np.empty((count,) + shape, dtype=np.complex128),
+                                   math.sqrt(1.0 / (k + 1.0)))
+        if k > 0.0:
+            stack += math.sqrt(k / (k + 1.0)) * los
+        stacks.append(stack)
+    return stacks, drawn
+
+
+def draw_stack(scenario: Scenario, streams: KeyedStreams, cols, surfaces: int = 0):
+    """Channel blocks and random surface states of several trials of one
+    scenario, stacked.
+
+    `streams` holds one stream per trial and `cols` positions in it; a
+    trial's blocks and states come from its own stream alone, through
+    `draw_links`: first the scattered parts of nb_ris, ris_ue and nb_ue,
+    then `surfaces` x N uniforms u, one state after the other.  Returns
+    (g, h, direct, theta) of shapes (B, N, M), (B, U, N), (B, U, M) and
+    (surfaces, B, N), direct None without a direct link; theta holds
+    unit-modulus states exp(2 pi j u), whose phases are iid U(0, 2 pi).  A
+    link with infinite Rician factor is the scenario's read-only LoS block,
+    broadcast along the stack.  The fixed blocks are not scanned again.
+    """
     m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
-    return tuple(None if params is None else
-                 _link_stack(params, los, shape, (streams[row, t] for t in cols), len(cols))
-                 for row, ((params, los), shape)
-                 in enumerate(zip(scenario.links(), ((n, m), (u, n), (u, m)))))
+    links = [(params, los, shape) for (params, los), shape
+             in zip(scenario.links(), ((n, m), (u, n), (u, m)))]
+    (g, h, direct), drawn = draw_links(links, streams, cols, surfaces * n)
+    theta = np.zeros((surfaces, len(drawn), n), dtype=np.complex128)
+    np.multiply(drawn.reshape(len(drawn), surfaces, n).transpose(1, 0, 2), 2.0 * math.pi,
+                out=theta.imag)
+    return g, h, direct, np.exp(theta, out=theta)

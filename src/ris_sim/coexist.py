@@ -9,6 +9,10 @@ medium access simulation with omnidirectional energy sensing; and
 surface, whose amplitude scale the adjacent-band runner hands to
 `stale_rates`.  One `CoexScenario` describes both networks, with fixed
 roles: A owns the surface, B owns none.
+
+Every draw is keyed: a stale-CSI trial takes one stream, keyed on the run
+seed and the trial id, for B's channel blocks and A's surface states, and
+an LBT run one stream per own link.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from .channel import (
     Geometry,
     Scenario,
     _fixed_link,
-    _link_stack,
     assemble_stack,
+    draw_links,
     draw_stack,
-    link_streams,
     path_gain,
 )
 from .numkernel import (
@@ -37,7 +40,7 @@ from .numkernel import (
     waterfill_precoder,
 )
 from .ris import aligned_phases
-from .seeding import KeyedStreams, rng_from, subseed
+from .seeding import KeyedStreams, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +83,7 @@ class CoexScenario:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {UPDATE_POLICIES}")
 
 
-def _surface_link(coex: CoexScenario, net: str, direct: bool, seed: int) -> Scenario:
+def _surface_link(coex: CoexScenario, net: str, direct: bool) -> Scenario:
     """Network `net`'s ("a" or "b") link through A's surface, plus its
     ground path when `direct`."""
     return Scenario(
@@ -94,21 +97,7 @@ def _surface_link(coex: CoexScenario, net: str, direct: bool, seed: int) -> Scen
         nb=f"nb_{net}",
         ris="ris_a",
         ue=f"ue_{net}",
-        seed=seed,
     )
-
-
-def _foreign_states(rngs, shape) -> np.ndarray:
-    """Surface states drawn by the foreign controller: a complex stack of
-    `shape` whose rows along the last axis take one generator of `rngs`
-    each, in order.  Each row is `np.exp(1j * rng.uniform(0, 2 pi, n))`
-    bit for bit, since `uniform(0, b)` is `0.0 + b * random()`."""
-    phases = np.empty(shape)
-    for row, rng in zip(phases.reshape(-1, shape[-1]), rngs):
-        rng.random(out=row)
-    phases *= 2.0 * math.pi
-    theta = 1j * phases
-    return np.exp(theta, out=theta)
 
 
 #: trials per stacked pass of `stale_rates`; bounds the memory of the
@@ -125,8 +114,9 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     policy.  Each scale in `scales` multiplies the amplitude of the bounce
     off A's surface (the adjacent-band filter uses this).
 
-    Each trial's channel and surface states are keyed on (seed, trial) and
-    drawn once; every scale is evaluated on them.  Under "static" and
+    Each trial's channel and surface states are drawn once, from one
+    stream keyed `subseed(seed, f"stale/{trial}")` (see `draw_stack`);
+    every scale is evaluated on them.  Under "static" and
     "frozen_during_foreign_slot", or when t1 == t2, the t2 state is the t1
     state, so the stale rate equals the fresh one and the loss is exactly
     zero.  A trial with zero fresh rate has zero loss.
@@ -134,31 +124,23 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     Returns (fresh, stale, loss) arrays of shape
     (len(scales), len(trial_ids)); column i belongs to trial_ids[i], and no
     value depends on which other trials are evaluated with it, so one trial
-    is `trial_ids=(t,)`.  The streams of every trial are keyed before the
-    first pass, and one INFO log line reports the trials, keyed draws and
-    stacked passes.
+    is `trial_ids=(t,)`.  Every trial's stream is keyed before the first
+    pass, and one INFO log line reports the trials, the keyed draws (one
+    stream state set per trial) and the stacked passes.
     """
-    b_link = _surface_link(scenario, "b", not scenario.b_direct_blocked,
-                           subseed(seed, "b-link"))
+    b_link = _surface_link(scenario, "b", not scenario.b_direct_blocked)
     ids = list(trial_ids)
-    n = b_link.n_elements
     states = 2 if (scenario.policy == "rerandomize_each_slot"
                    and scenario.t2 != scenario.t1) else 1
-    slots = (scenario.t1, scenario.t2)[:states]
-    links = link_streams(b_link, ids)
-    surfaces = KeyedStreams(seed, [[f"theta/{t}/{slot}" for t in ids] for slot in slots])
+    streams = KeyedStreams(seed, [f"stale/{t}" for t in ids])
     out = np.empty((3, len(scales), len(ids)))
     for lo in range(0, len(ids), STALE_CHUNK):
         hi = min(lo + STALE_CHUNK, len(ids))
-        cols = range(lo, hi)
-        blocks = draw_stack(b_link, links, cols)
-        theta = _foreign_states((surfaces[j, c] for j in range(states) for c in cols),
-                                (states, hi - lo, n))
+        *blocks, theta = draw_stack(b_link, streams, range(lo, hi), states)
         for a, scale in enumerate(scales):
             out[:, a, lo:hi] = _stacked_rates(scenario, b_link, blocks, theta, scale)
     log.info("stale CSI: %d trials at %d bounce scales, %d keyed draws, %d stacked passes",
-             len(ids), len(scales), links.draws + surfaces.draws,
-             links.passes + surfaces.passes)
+             len(ids), len(scales), streams.draws, streams.passes)
     return out[0], out[1], out[2]
 
 
@@ -229,37 +211,29 @@ def _budgets(coex: CoexScenario, threshold_dbm: float):
 
 def _own_spectra(coex: CoexScenario, seed: int):
     """Singular values of network A's and network B's own links, and the
-    number of channel blocks drawn for them.
+    number of stream states set to draw them.
 
-    A's link is its aligned surface plus its ground path, trial 0 of a
-    scenario seeded `subseed(seed, "own/a")`.  B's ground link draws its
-    block from `rng_from(seed, "direct/b")`; a shadowed B's link is the
-    bounce off A's surface, trial 0 of a scenario seeded
-    `subseed(seed, "own/b")`.
+    Each own link draws from one stream, keyed `subseed(seed, "own/a")` or
+    `subseed(seed, "own/b")`.  A's link is its aligned surface plus its
+    ground path.  B's link is its ground path; a shadowed B's link is the
+    bounce off A's surface, whose state B does not control, so its stream
+    also draws one random surface state.
     """
-    def surface_link(net, direct):
-        link = _surface_link(coex, net, direct, subseed(seed, f"own/{net}"))
-        streams = link_streams(link, (0,))
-        return link, draw_stack(link, streams, (0,)), streams.draws
-
-    link, blocks, draws_a = surface_link("a", True)
+    streams = KeyedStreams(seed, ["own/a", "own/b"])
+    link = _surface_link(coex, "a", True)
+    *blocks, _ = draw_stack(link, streams, (0,))
     theta = np.exp(1j * aligned_phases(*blocks, gains=link))
     s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
     if coex.b_direct_blocked:
-        # only the bounce off A's surface, whose state B does not control,
-        # so a seeded foreign draw stands in
-        link, blocks, draws_b = surface_link("b", False)
-        theta = _foreign_states((rng_from(seed, "own-theta/b"),), (1, coex.n_elements))
-        s_b = singular_values(assemble_stack(link, *blocks, theta)[0])
+        link = _surface_link(coex, "b", False)
+        *blocks, theta = draw_stack(link, streams, (1,), surfaces=1)
+        s_b = singular_values(assemble_stack(link, *blocks, theta[0])[0])
     else:
-        dp = coex.direct_params
-        los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", coex.u_antennas,
-                              coex.m_antennas, dp)
-        h = _link_stack(dp, los, (coex.u_antennas, coex.m_antennas),
-                        (rng_from(seed, "direct/b"),), 1)[0]
-        s_b = singular_values(math.sqrt(pl) * h)
-        draws_b = int(not math.isinf(dp.rician_k))
-    return (s_a, s_b), draws_a + draws_b
+        dp, u, m = coex.direct_params, coex.u_antennas, coex.m_antennas
+        los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, dp)
+        (h,), _ = draw_links([(dp, los, (u, m))], streams, (1,))
+        s_b = singular_values(math.sqrt(pl) * h[0])
+    return (s_a, s_b), streams.draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +243,8 @@ class LbtResult:
     collision_fraction: float
     mean_rate_a: float
     mean_rate_b: float
-    #: channel blocks drawn for the two own links
+    #: stream states set to draw the two own links, one per link that
+    #: draws anything
     keyed_draws: int
 
 

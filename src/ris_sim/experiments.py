@@ -389,45 +389,55 @@ def _distance(p, a, b) -> float:
 
 
 def _check_routes(p, routes, phased=True) -> list:
-    """Every (scale, hops) route needs a finite power gain, and with
+    """Every (scale fields, hops) route needs a finite power gain, and with
     `phased` every hop a finite LoS phase 2 pi d / lambda.
 
     A hop is (from field, to field, path-loss exponent); the gain is the
-    scale times the product of the hop path gains, and the phase that of
-    the hop's LoS block, as the runner forms them.  Returns each route's
-    (name, gain).
+    product of the hop path gains times the scale, the product of the
+    scale fields' values (1 for none), and the phase that of the hop's LoS
+    block, as the runner forms them.  A gain that overflows in its hops is
+    rejected at the wavelength.  One whose hop product is finite but
+    overflows once scaled is rejected at the larger factor: at the first
+    scale field when the scale exceeds the hop product, else at the
+    wavelength.  Returns each route's (name, gain).
     """
     lam = p["wavelength"]
     gains = []
-    for scale, hops in routes:
+    for fields, hops in routes:
         route = " -> ".join([hops[0][0]] + [b for _, b, _ in hops])
         for a, b, _ in hops:
             if phased and not math.isfinite(2.0 * math.pi * _distance(p, a, b) / lam):
                 raise ConfigError("scenario.wavelength",
                                   f"{lam} m overflows the phase from {a} to {b}")
         try:
-            gain = scale * math.prod(path_gain(lam, _distance(p, a, b), alpha)
-                                     for a, b, alpha in hops)
+            gain = math.prod(path_gain(lam, _distance(p, a, b), alpha) for a, b, alpha in hops)
         except OverflowError:
             gain = math.inf
-        if not math.isfinite(gain):
+        scale = math.prod(p[f] for f in fields)
+        if not math.isfinite(scale * gain):
+            if scale > gain:
+                raise ConfigError(f"scenario.{fields[0]}",
+                                  f"{' x '.join(str(p[f]) for f in fields)} times the gain "
+                                  f"{gain:.3g} along {route} overflows")
             raise ConfigError("scenario.wavelength", f"{lam} m overflows the gain along {route}")
-        gains.append((route, gain))
+        gains.append((route, scale * gain))
     return gains
 
 
-#: Ceiling on a route's power gain over the noise, and on the transmit
-#: power times that.  A rate multiplies these by the array gain, at most
-#: N^2 < 2^116 under `MAX_BLOCK_ENTRIES`, and by the drawn block entries;
-#: 2^512 leaves those about 2^500 of the float range (2^1024), so no Gram
-#: entry, water level or determinant overflows.
+#: Ceiling on a route's power gain over the noise, on the transmit power
+#: times that, and on the transmit power times the gain itself, the power
+#: received before the division by the noise.  A rate multiplies these by
+#: the array gain, at most N^2 < 2^116 under `MAX_BLOCK_ENTRIES`, and by
+#: the drawn block entries; 2^512 leaves those about 2^500 of the float
+#: range (2^1024), so no Gram entry, water level or determinant overflows.
 MAX_ROUTE_SNR = 2.0**512
 
 
 def _check_snr(p, power, gains):
-    """Each (name, gain) route's gain over `noise_power`, and the transmit
-    power in field `power` times that, stay under `MAX_ROUTE_SNR`; a
-    route past it is rejected at the noise or at the power."""
+    """Each (name, gain) route's gain over `noise_power`, the transmit
+    power in field `power` times that, and that power times the gain stay
+    under `MAX_ROUTE_SNR`; a route past it is rejected at the noise or at
+    the power."""
     noise = p["noise_power"]
     for route, gain in gains:
         snr = gain / noise
@@ -439,6 +449,10 @@ def _check_snr(p, power, gains):
             raise ConfigError(f"scenario.{power}",
                               f"{p[power]} times the gain {gain:.3g} along {route} over "
                               f"the noise {noise} exceeds 2^512")
+        if not p[power] * gain < MAX_ROUTE_SNR:
+            raise ConfigError(f"scenario.{power}",
+                              f"{p[power]} times the gain {gain:.3g} along {route} "
+                              "exceeds 2^512")
 
 
 #: entries of the largest array a run builds from count fields: under it a
@@ -473,9 +487,9 @@ def _check_rank(p):
     with coincident elements."""
     alpha = ChannelParams().path_loss_exponent
     nb, ris, ue = "nb_position", "ris_position", "ue_position"
-    routes = [(1.0, [(nb, ris, alpha), (ris, ue, alpha)])]
+    routes = [((), [(nb, ris, alpha), (ris, ue, alpha)])]
     if p["include_direct"]:
-        routes.append((1.0, [(nb, ue, alpha)]))
+        routes.append(((), [(nb, ue, alpha)]))
     _check_routes(p, routes)
     _check_links(p, "n_elements")
     geom = _rank_geometry(p)
@@ -512,21 +526,21 @@ def _check_coex(p):
     nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
                                    for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
     # network B's link: the bounce off A's surface, plus its ground path
-    routes = [(1.0, [(nb_b, ris, refl), (ris, ue_b, refl)])]
+    routes = [((), [(nb_b, ris, refl), (ris, ue_b, refl)])]
     if not p["b_direct_blocked"]:
-        routes.append((1.0, [(nb_b, ue_b, ground)]))
+        routes.append(((), [(nb_b, ue_b, ground)]))
     signal = {"tx_power_b": _check_routes(p, routes)}
     lbt = p.get("mode") == "lbt"
     if lbt:
         # A's own link
-        signal["tx_power_a"] = _check_routes(p, [(1.0, [(nb_a, ris, refl), (ris, ue_a, refl)]),
-                                                 (1.0, [(nb_a, ue_a, ground)])])
+        signal["tx_power_a"] = _check_routes(p, [((), [(nb_a, ris, refl), (ris, ue_a, refl)]),
+                                                 ((), [(nb_a, ue_a, ground)])])
         # what each network's transmission delivers to the other's user
         # (interference) and base station (sensing): gains, not LoS blocks
-        tx_a, tx_b = p["tx_power_a"], p["tx_power_b"]
+        tx_a, tx_b = ("tx_power_a",), ("tx_power_b",)
         routes = [(tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
                   (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
-        routes += [(tx_a * p["n_elements_a"], [(nb_a, ris, refl), (ris, far, refl)])
+        routes += [(tx_a + ("n_elements_a",), [(nb_a, ris, refl), (ris, far, refl)])
                    for far in (ue_b, nb_b)]
         _check_routes(p, routes, phased=False)
     for power, gains in signal.items():

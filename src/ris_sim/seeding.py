@@ -18,6 +18,10 @@ bit.
 
 Every run draws in one thread: a runner keys all of its trials' streams
 up front and draws them into stacks, through one reused generator.
+Rank, beamform and multiuser key one stream per (trial, block) and draw
+each through `complex_normal_stack`; the stale-CSI and LBT runs key one
+stream per trial or own link and draw all of its normals and uniforms
+through `KeyedStreams.fill`, two calls per stream.
 """
 
 from __future__ import annotations
@@ -172,6 +176,21 @@ class KeyedStreams:
         self.draws += 1
         return self._generator
 
+    def fill(self, cols, normals: np.ndarray, uniforms: np.ndarray) -> None:
+        """Row i of `normals` and of `uniforms`, both (len(cols), ...),
+        from the stream at position `cols[i]`.
+
+        Each row's stream is set once and makes one `standard_normal` call
+        into its normals row, then one `random` call into its uniforms
+        row; a stream with nothing to draw is not set.
+        """
+        if not (normals.size or uniforms.size):
+            return
+        for index, normal, uniform in zip(cols, normals, uniforms):
+            rng = self[index]
+            rng.standard_normal(out=normal)
+            rng.random(out=uniform)
+
 
 def rng_from(seed: int, label: str | None = None) -> np.random.Generator:
     """Generator seeded from `seed`, optionally forked by a stream label."""
@@ -214,6 +233,14 @@ def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
     parts = np.empty((len(out), 2) + out.shape[1:])
     for part, rng in zip(parts, rngs):
         rng.standard_normal(out=part)
+    return complex_from_parts(parts, out, scale)
+
+
+def complex_from_parts(parts: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+    """`scale * ((re + 1j * im) / sqrt(2))` of the standard normal parts
+    `re = parts[:, 0]` and `im = parts[:, 1]`, written into `out`; returns
+    `out`.  Each part is multiplied by 1 / sqrt(2), then by `scale` unless
+    it is 1, straight into `out`: no complex temporary is built."""
     for dst, src in ((out.real, parts[:, 0]), (out.imag, parts[:, 1])):
         np.multiply(src, _PART_SCALE, out=dst)
         if scale != 1.0:

@@ -539,6 +539,86 @@ def per_trial_stale_draws(coex, trial: int, seed: int):
     return (g, h, direct, pl_g, pl_h, pl_d), th1, th2
 
 
+def one_stream_draw(rng, links, uniforms: int):
+    """One trial's blocks and uniforms from its one stream, block by block.
+
+    `links` holds (Rician factor, LoS block, shape) per link, None for a
+    missing one.  One `standard_normal` call draws the real, then the
+    imaginary parts of every block at finite factor, in link order; one
+    `random` call then draws `uniforms` values.  Each part is multiplied by
+    1/sqrt(2), then by the scatter weight sqrt(1/(K+1)); at K > 0 the
+    block adds sqrt(K/(K+1)) los, and at K = inf it is a copy of `los`.
+    Returns (blocks, uniforms).
+    """
+    scattered = [math.prod(link[2]) for link in links
+                 if link is not None and not math.isinf(link[0])]
+    normals = rng.standard_normal(2 * sum(scattered))
+    drawn = rng.random(uniforms)
+    blocks, offset = [], 0
+    for link in links:
+        if link is None:
+            blocks.append(None)
+            continue
+        k, los, shape = link
+        if math.isinf(k):
+            blocks.append(np.array(los))
+            continue
+        size = math.prod(shape)
+        re = normals[offset:offset + size].reshape(shape)
+        im = normals[offset + size:offset + 2 * size].reshape(shape)
+        offset += 2 * size
+        weight = math.sqrt(1.0 / (k + 1.0))
+        block = np.empty(shape, dtype=np.complex128)
+        block.real = re * (1.0 / math.sqrt(2.0)) * weight
+        block.imag = im * (1.0 / math.sqrt(2.0)) * weight
+        if k > 0.0:
+            block = block + math.sqrt(k / (k + 1.0)) * los
+        blocks.append(block)
+    return blocks, drawn
+
+
+def surface_states(drawn, n: int):
+    """The unit-modulus surface states exp(j 2 pi u) of a trial's uniforms,
+    N at a time."""
+    return [np.exp(1j * (drawn[i:i + n] * TWO_PI)) for i in range(0, len(drawn), n)]
+
+
+def per_trial_keyed_stale_draws(coex, trial: int, seed: int):
+    """Network B's channel blocks and A's surface states of one trial,
+    drawn from the trial's one stream `default_rng(subseed(seed,
+    f"stale/{trial}"))` with `one_stream_draw`, without the stacked code.
+
+    The blocks are nb_ris, ris_ue and nb_ue, and the uniforms A's surface
+    at t1, then at t2 when it moves.  LoS blocks and path gains are
+    rebuilt on every call.  Returns what `per_trial_stale_draws` returns.
+    """
+    from ris_sim import channel
+    from ris_sim.seeding import subseed
+
+    geom = coex.geometry
+    direct_params = None if coex.b_direct_blocked else coex.direct_params
+    m, n, u = coex.m_antennas, coex.n_elements, coex.u_antennas
+
+    def link(frm, to, rows, cols, p):
+        los = None
+        if p.rician_k > 0.0:
+            wf = channel.resolve_wavefront(geom, frm, to, rows, cols, p.wavefront_model)
+            los = channel.gen_los(geom, frm, to, rows, cols, wf)
+        gain = channel.path_gain(geom.wavelength, geom.distance(frm, to), p.path_loss_exponent)
+        return (p.rician_k, los, (rows, cols)), gain
+
+    links = [link("nb_b", "ris_a", n, m, coex.params), link("ris_a", "ue_b", u, n, coex.params)]
+    links.append((None, 0.0) if direct_params is None
+                 else link("nb_b", "ue_b", u, m, direct_params))
+    moves = coex.policy == "rerandomize_each_slot" and coex.t2 != coex.t1
+    rng = np.random.default_rng(subseed(seed, f"stale/{trial}"))
+    (g, h, direct), drawn = one_stream_draw(rng, [spec for spec, _ in links],
+                                            (1 + moves) * n)
+    states = surface_states(drawn, n)
+    gains = tuple(gain for _, gain in links)
+    return (g, h, direct) + gains, states[0], states[-1]
+
+
 def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
     """(fresh_rate, stale_rate, loss_fraction) of one trial's draws, one
     channel at a time: the frozen per-trial assembly, precoder and rate."""
@@ -959,13 +1039,28 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
     the incident hop: every trial draws its whole U x N departure block
     (and its direct block) from its keyed streams, the blocks go through an
     all-ones surface with `channel.assemble_stack`, and each channel takes
-    its own SVD.  The trials are drawn as one stack; `draw_stack` gives
-    each trial the blocks its per-trial call gave."""
-    from ris_sim.channel import assemble_stack, draw_stack, link_streams
+    its own SVD.  The trials are drawn as one stack, each block from its
+    own (trial, link) stream of `link_streams`, as the stacked draw then
+    drew them."""
+    from ris_sim.channel import assemble_stack, link_streams
     from ris_sim.experiments import _rank_scenario, resolve_scenario
+    from ris_sim.seeding import complex_normal_stack
 
     scn = _rank_scenario(resolve_scenario("rank", scenario), seed)
     streams = link_streams(scn, range(trials))
+    m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
+    blocks = []
+    for row, ((params, los), shape) in enumerate(zip(scn.links(), ((n, m), (u, n), (u, m)))):
+        k = None if params is None else params.rician_k
+        if k is None or math.isinf(k):
+            blocks.append(None if k is None else np.broadcast_to(los, (trials,) + shape))
+            continue
+        stack = complex_normal_stack((streams[row, t] for t in range(trials)),
+                                     np.empty((trials,) + shape, dtype=np.complex128),
+                                     math.sqrt(1.0 / (k + 1.0)))
+        if k > 0.0:
+            stack += math.sqrt(k / (k + 1.0)) * los
+        blocks.append(stack)
     ones = np.ones((trials, scn.n_elements), dtype=np.complex128)
-    h = assemble_stack(scn, *draw_stack(scn, streams, range(trials)), ones)
+    h = assemble_stack(scn, *blocks, ones)
     return np.linalg.svd(h, compute_uv=False)

@@ -22,11 +22,10 @@ from ris_sim.channel import (
     element_distances,
     fraunhofer_distance,
     gen_los,
-    link_streams,
     path_gain,
     resolve_wavefront,
 )
-from ris_sim.seeding import complex_normal, rng_from
+from ris_sim.seeding import KeyedStreams, complex_normal, rng_from
 
 LAM = 0.1
 
@@ -126,8 +125,13 @@ def _rician_scenario(k, m=4, n=4, seed=9):
                     nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
 
 
+def _streams(scn, trials):
+    """One stream per trial, keyed on the scenario's seed and the trial."""
+    return KeyedStreams(scn.seed, [f"trial/{t}" for t in trials])
+
+
 def _draw(scn, trials):
-    return draw_stack(scn, link_streams(scn, trials), range(len(trials)))
+    return draw_stack(scn, _streams(scn, trials), range(len(trials)))[:3]
 
 
 def test_rician_high_k_limit():
@@ -139,8 +143,8 @@ def test_rician_high_k_limit():
 
 def test_rician_infinite_k_is_los():
     scn = _rician_scenario(math.inf)
-    streams = link_streams(scn, [0, 1, 2])
-    for stack, (_, los) in zip(draw_stack(scn, streams, range(3)), scn.links()):
+    streams = _streams(scn, [0, 1, 2])
+    for stack, (_, los) in zip(draw_stack(scn, streams, range(3))[:3], scn.links()):
         assert stack.shape == (3,) + los.shape
         assert np.array_equal(stack, np.broadcast_to(los, stack.shape))
         assert not stack.flags.writeable
@@ -155,13 +159,14 @@ def test_rician_rayleigh_variance():
 
 
 def test_rician_deterministic():
-    # a block is a function of (seed, trial, link) alone: redrawn from the
-    # same streams, from streams keyed anew, or at another stack position
+    # a block is a function of its trial's key and its link alone: redrawn
+    # from the same streams, from streams keyed anew, or at another stack
+    # position
     scn = _rician_scenario(2.0)
-    streams = link_streams(scn, [3, 4])
-    first = draw_stack(scn, streams, (0,))
+    streams = _streams(scn, [3, 4])
+    first = draw_stack(scn, streams, (0,))[:3]
     moved = tuple(b[1:] for b in _draw(scn, [5, 3]))
-    for again in (draw_stack(scn, streams, (0,)), _draw(scn, [3]), moved):
+    for again in (draw_stack(scn, streams, (0,))[:3], _draw(scn, [3]), moved):
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
     assert not np.array_equal(first[1], draw_stack(scn, streams, (1,))[1])
@@ -419,26 +424,40 @@ def test_scenario_blocks_are_fixed_and_read_only():
     assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
 
 
+def _check_one_stream_draw(scn, trials, cols, surfaces):
+    """`draw_stack` of `cols` against the scalar one-stream draw of each
+    trial, from `default_rng(subseed(seed, f"trial/{t}"))`."""
+    m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
+    streams = _streams(scn, trials)
+    *stacks, theta = draw_stack(scn, streams, cols, surfaces)
+    links = [None if params is None else (params.rician_k, los, shape)
+             for (params, los), shape in zip(scn.links(), ((n, m), (u, n), (u, m)))]
+    assert theta.shape == (surfaces, len(cols), n)
+    for i, c in enumerate(cols):
+        blocks, drawn = oracles.one_stream_draw(rng_from(scn.seed, f"trial/{trials[c]}"),
+                                                links, surfaces * n)
+        for stack, block in zip(stacks, blocks):
+            assert (stack is None) == (block is None)
+            if block is not None:
+                assert stack[i].tobytes() == block.tobytes()
+        for j, state in enumerate(oracles.surface_states(drawn, n)):
+            assert theta[j, i].tobytes() == state.tobytes()
+    return streams, stacks
+
+
 @pytest.mark.parametrize("k_incident, direct", [(math.inf, False), (math.inf, True),
                                                  (0.0, True), (3.0, False)])
 def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
-    # against the frozen scalar route: one subseed chain and one mix per block
+    # against the scalar per-trial draw: one stream, one normal call and
+    # one uniform call per trial, here for two surface states
     scn = _scenario(seed=2**40 + 7, k_incident=k_incident, direct=direct)
-    trials = [9, 0, 123456, 2]
-    streams = link_streams(scn, trials)
-    g, h, d = draw_stack(scn, streams, range(1, 4))
+    streams, (g, _, d) = _check_one_stream_draw(scn, [9, 0, 123456, 2], range(1, 4), 2)
     assert (d is None) == (not direct)
-    for i, t in enumerate(trials[1:]):
-        real = oracles.keyed_blocks(scn, t)
-        assert g[i].tobytes() == real.g_nb_ris.tobytes()
-        assert h[i].tobytes() == real.h_ris_ue.tobytes()
-        if direct:
-            assert d[i].tobytes() == real.h_nb_ue.tobytes()
     if math.isinf(k_incident):
         # the pure-LoS hop is the scenario's read-only block, never copied
         assert np.shares_memory(g, scn.los_nb_ris) and not g.flags.writeable
-    # one stream per drawn block: the LoS hop draws none
-    assert streams.draws == 3 * (1 + direct + (not math.isinf(k_incident)))
+    # one stream state per drawn trial: the departure hop always scatters
+    assert streams.draws == 3
 
 
 # K = 3 weighs the scatter by 1/2, exactly; K = 2.5 by an inexact factor
@@ -447,22 +466,21 @@ def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
 @given(
     seed=st.integers(0, 2**64 - 1),
     trials=st.lists(st.integers(0, 2**20), min_size=1, max_size=4),
+    surfaces=st.integers(0, 2),
 )
-def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials):
-    # every link at factor k: each block is the frozen mix of the scenario's
-    # LoS block and a two-draw scatter from its trial's key
+def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials, surfaces):
+    # every link at factor k: each block is the oracle's mix of the
+    # scenario's LoS block and its share of the normals of its trial's
+    # first draw; the second draw gives the surface states
     geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
     params = ChannelParams(rician_k=k)
     scn = Scenario(geometry=geom, m_antennas=2, n_elements=16, u_antennas=3,
                    nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
-    streams = link_streams(scn, trials)
-    stacks = draw_stack(scn, streams, range(len(trials)))
-    shapes = ((16, 2), (3, 16), (3, 2))
-    for row, (stack, (_, los), shape) in enumerate(zip(stacks, scn.links(), shapes)):
+    streams, stacks = _check_one_stream_draw(scn, trials, range(len(trials)), surfaces)
+    for stack, shape in zip(stacks, ((16, 2), (3, 16), (3, 2))):
         assert stack.shape == (len(trials),) + shape
-        for i in range(len(trials)):
-            rng = np.random.default_rng(int(streams.keys[row, i]))
-            assert stack[i].tobytes() == oracles.rician_block(k, los, rng, shape).tobytes()
+    # a trial with nothing to draw sets no stream
+    assert streams.draws == (0 if math.isinf(k) and not surfaces else len(trials))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import channel, cli, coexist, deploy, experiments, numkernel, scheduler, seeding
+from ris_sim import cli, coexist, deploy, experiments, numkernel, scheduler, seeding
 from ris_sim.cli import ConfigError, _Loader, main, validate_config
 from ris_sim.experiments import SCHEMA, prepare, run
 
@@ -445,30 +445,31 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypa
     assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
 
 
-@pytest.mark.parametrize("experiment, scenario, head, blocks", [
+@pytest.mark.parametrize("experiment, scenario, head, draws", [
     ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 12),
     ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 0),
-    # A's three surface-link blocks and B's ground block, or B's two bounce blocks
-    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots", 12),
-    ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true", "lbt: 3 trials of 40 slots", 15),
+    # one stream per own link: A's surface link and B's ground link, or
+    # B's bounce with its surface state; at K = inf neither draws
+    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots", 6),
+    ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true", "lbt: 3 trials of 40 slots", 6),
     ("coexist", "mode: lbt, slots: 40, rician_k: .inf", "lbt: 3 trials of 40 slots", 0),
 ])
 def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
-                                                         experiment, scenario, head, blocks):
-    drawn = []
-    stack = seeding.complex_normal_stack
+                                                         experiment, scenario, head, draws):
+    # a beamform block and an LBT own link each set one stream state
+    sets = []
+    getitem = seeding.KeyedStreams.__getitem__
 
-    def spy(rngs, out, scale):
-        drawn.append(len(out))
-        return stack(rngs, out, scale)
+    def spy(self, index):
+        sets.append(index)
+        return getitem(self, index)
 
-    monkeypatch.setattr(channel, "complex_normal_stack", spy)
-    monkeypatch.setattr(experiments, "complex_normal_stack", spy)
+    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", spy)
     cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 3\nscenario: {{{scenario}}}\n")
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
-    assert sum(drawn) == blocks
-    assert lines == [f"INFO {head}, {blocks} keyed draws"]
+    assert len(sets) == draws
+    assert lines == [f"INFO {head}, {draws} keyed draws"]
 
 
 def _fresh_python(code, *args):
@@ -732,6 +733,18 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     ("coexist", "{mode: lbt, slots: 20, noise_power: 5.0e-324}", "scenario.noise_power"),
     ("coexist", "{tx_power_b: 1.7e+308}", "scenario.tx_power_b"),
     ("adjacent", "{tx_power_b: 1.7e+308}", "scenario.tx_power_b"),
+    # a transmit power and a noise power both near the float maximum: every
+    # route's gain over the noise stays under the bound, but the power
+    # times the gain does not, and these runs overflowed the water level
+    # or the Gram matrix and exited 2
+    ("multiuser", "{power_per_user: 1.7e+308, noise_power: 1.0e+308, max_iters: 2}",
+     "scenario.power_per_user"),
+    ("coexist", "{tx_power_b: 1.7e+308, noise_power: 1.7e+308, wavelength: 700}",
+     "scenario.tx_power_b"),
+    # finite hop gains whose route scale, a transmit power times the
+    # surface's element count, overflows: named at the power, not the
+    # wavelength
+    ("coexist", "{mode: lbt, slots: 3, tx_power_a: 1.7e+308}", "scenario.tx_power_a"),
 ])
 def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
                                                    scenario, path):
@@ -784,26 +797,20 @@ def test_noise_past_every_mode_gain_gives_zero_rates(tmp_path, capsys, experimen
     assert all(v == 0.0 for m, v in _rows(out) if m.startswith("loss"))
 
 
-# Values the validator still accepts whose runs reach an infinite or NaN
-# rate: a transmit power and a noise power both near the float maximum
-# overflow the water level or the Gram matrix while every route stays
-# under MAX_ROUTE_SNR.  The run names the first one and writes no table.
-@pytest.mark.parametrize("experiment, scenario, metric", [
-    ("multiuser", "{power_per_user: 1.7e+308, noise_power: 1.0e+308, max_iters: 2}",
-     "shared_sum"),
-    ("coexist", "{tx_power_b: 1.7e+308, noise_power: 1.7e+308, wavelength: 700}",
-     "fresh_rate"),
-])
-def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, experiment, scenario,
-                                                 metric):
-    cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 1\nscenario: {scenario}\n")
+def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, monkeypatch):
+    # no valid config is known to reach an infinite or NaN rate; a runner
+    # that made one is named with its trial and metric, and no table is
+    # written
+    monkeypatch.setitem(experiments._ROW_BUILDERS, "rank",
+                        lambda p, seed, trials: [(0, "rank", 1.0), (0, "sigma_1", math.inf)])
+    cfg = _cfg(tmp_path, "experiment: rank\ntrials: 1\n")
     out = tmp_path / "r.csv"
-    assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    assert main(["rank", "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert re.search(rf"ERROR experiment failed: trial 0: {metric} is (inf|nan), "
-                     "not a finite number", captured.err)
+    assert ("ERROR experiment failed: trial 0: sigma_1 is inf, not a finite number"
+            in captured.err)
     assert not out.exists() and captured.out == ""
-    assert main([experiment, "--config", cfg]) == 2
+    assert main(["rank", "--config", cfg]) == 2
     assert capsys.readouterr().out == ""
 
 

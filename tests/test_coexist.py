@@ -1,5 +1,6 @@
 """Two-operator coexistence: stale CSI, LBT access, band filtering."""
 
+import logging
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ris_sim import channel, coexist
+from ris_sim import channel, coexist, seeding
 from ris_sim.channel import path_gain
 from ris_sim.coexist import (
     STALE_CHUNK,
@@ -95,7 +96,7 @@ def test_static_beats_rerandomization_paired():
 
 
 # ---------------------------------------------------------------------------
-# stacked stale-CSI path against the frozen per-trial evaluation
+# stacked stale-CSI path against the per-trial evaluation
 
 def _filter_scale():
     p = resolve_scenario("adjacent", {})
@@ -104,10 +105,10 @@ def _filter_scale():
     return 10.0 ** (budget_db / 20.0)
 
 
-def _oracle_rates(scn, trial_ids, seed, scales):
+def _oracle_rates(scn, trial_ids, seed, scales, draw=oracles.per_trial_keyed_stale_draws):
     out = np.empty((3, len(scales), len(trial_ids)))
     for i, t in enumerate(trial_ids):
-        draws = oracles.per_trial_stale_draws(scn, t, seed)
+        draws = draw(scn, t, seed)
         for a, scale in enumerate(scales):
             out[:, a, i] = oracles.per_trial_stale_rates(scn, draws, scale)
     return out
@@ -152,6 +153,50 @@ def test_stacked_rates_match_oracle_around_the_chunk_size(trials):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("scenario", [
+    {},
+    {"rician_k": 3.0},
+    {"b_direct_blocked": True},
+], ids=["rerandomize", "rician_direct", "shadowed"])
+def test_one_stream_route_matches_the_per_hop_route_in_distribution(scenario):
+    # the per-(trial, hop) streams the stacked path keyed before it took one
+    # stream per trial: every entry is iid CN(0, 1) and every phase iid
+    # U(0, 2 pi) on both routes, so each metric's mean agrees to sampling
+    scn = _co_scenario(**scenario)
+    trials = 400
+    new = np.stack(stale_rates(scn, range(trials), 41))[:, 0]
+    old = _oracle_rates(scn, range(trials), 42, (1.0,), oracles.per_trial_stale_draws)[:, 0]
+    # from one seed the two routes draw different channels, so this
+    # compares two routes, not one route with itself
+    same_seed = _oracle_rates(scn, range(5), 41, (1.0,), oracles.per_trial_stale_draws)[:, 0]
+    assert not np.any(new[:2, :5] == same_seed[:2])
+    for a, b in zip(new, old):
+        se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / trials)
+        assert abs(a.mean() - b.mean()) <= 5.0 * se
+
+
+@pytest.mark.parametrize("experiment, scenario", [
+    ("coexist", {}),
+    ("coexist", {"policy": "static", "b_direct_blocked": True}),
+    ("adjacent", {"rician_k": math.inf}),
+], ids=["coexist", "shadowed_static", "adjacent_los"])
+def test_a_stale_run_sets_one_stream_state_per_trial(monkeypatch, caplog, experiment,
+                                                     scenario):
+    sets = []
+    getitem = seeding.KeyedStreams.__getitem__
+
+    def counted(self, index):
+        sets.append(index)
+        return getitem(self, index)
+
+    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", counted)
+    with caplog.at_level(logging.INFO, logger="ris_sim.coexist"):
+        run(prepare(experiment, scenario, 3, 37))
+    assert len(sets) == 37
+    lines = [r.getMessage() for r in caplog.records if "keyed draws" in r.getMessage()]
+    assert len(lines) == 1 and ", 37 keyed draws," in lines[0]
+
+
 def test_trial_grouping_cannot_change_a_bit():
     scn = _co_scenario(n_elements_a=8)
     ids = list(range(2 * STALE_CHUNK + 5))
@@ -176,27 +221,15 @@ def test_stale_rates_wrappers_agree():
 
 def test_stale_rates_reject_active_foreign_surface():
     scn = _co_scenario()
-    def active(rngs, shape):
-        return np.full(shape, 1.0 + 1e-9, dtype=np.complex128)
+    draw_stack = coexist.draw_stack
 
-    with mock.patch.object(coexist, "_foreign_states", active):
+    def active(*args):
+        *blocks, theta = draw_stack(*args)
+        return (*blocks, theta * (1.0 + 1e-9))
+
+    with mock.patch.object(coexist, "draw_stack", active):
         with pytest.raises(ValueError, match="magnitude"):
             stale_rates(scn, range(3), 1)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**64 - 1), states=st.integers(1, 2), rows=st.integers(1, 5),
-       n=st.integers(1, 70))
-def test_foreign_states_match_per_row_uniform_draws_bit_for_bit(seed, states, rows, n):
-    # one stack of random() draws scaled by 2 pi gives every row the phases
-    # of its own uniform(0, 2 pi) call, rows taken in C order
-    shape = (states, rows, n)
-    keys = range(states * rows)
-    stack = coexist._foreign_states((np.random.default_rng([seed, k]) for k in keys), shape)
-    rows_one_by_one = [np.exp(1j * np.random.default_rng([seed, k]).uniform(0, 2 * math.pi, n))
-                       for k in keys]
-    assert stack.shape == shape
-    assert stack.tobytes() == np.stack(rows_one_by_one).tobytes()
 
 
 def test_stale_rates_reject_negative_bounce_scale():
@@ -396,22 +429,24 @@ def test_lbt_rejects_zero_slots():
 
 
 def test_lbt_draws_each_own_link_once(monkeypatch):
-    # A's surface link is one drawn stack, B's ground link one Rician
-    # block, and a shadowed B's bounce one more stack; the collided rate
+    # A's surface link is one drawn stack and B's ground link one drawn
+    # block, or a shadowed B's bounce one more stack with its surface
+    # state; each own link sets its one stream once, and the collided rate
     # reuses the spectrum at the raised noise
-    calls = {"draw_stack": 0, "_link_stack": 0}
+    calls = {"draw_stack": 0, "draw_links": 0}
     for name in calls:
         fn = getattr(coexist, name)
 
-        def counted(*args, _fn=fn, _name=name):
+        def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(coexist, name, counted)
-    run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5)
-    assert calls == {"draw_stack": 1, "_link_stack": 1}
-    run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, seed=5)
-    assert calls == {"draw_stack": 3, "_link_stack": 1}
+    assert run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5).keyed_draws == 2
+    assert calls == {"draw_stack": 1, "draw_links": 1}
+    assert run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50,
+                       seed=5).keyed_draws == 2
+    assert calls == {"draw_stack": 3, "draw_links": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +510,21 @@ def test_filter_dominates_under_rerandomization():
 
 
 def test_adjacent_draws_each_trial_once(monkeypatch):
-    keyed, made, drawn = [], [], []
-    link_streams, draw_stack = coexist.link_streams, coexist.draw_stack
+    keyed, drawn = [], []
+    draw_stack = coexist.draw_stack
 
-    def keys(scenario, trials):
-        keyed.append(list(trials))
-        made.append(link_streams(scenario, trials))
-        return made[-1]
+    def draw(scenario, streams, cols, surfaces):
+        keyed.append(streams)
+        drawn.extend(streams.keys[c] for c in cols)
+        return draw_stack(scenario, streams, cols, surfaces)
 
-    def draw(scenario, streams, cols):
-        drawn.extend(streams.keys[1, c] for c in cols)
-        return draw_stack(scenario, streams, cols)
-
-    monkeypatch.setattr(coexist, "link_streams", keys)
     monkeypatch.setattr(coexist, "draw_stack", draw)
     run(prepare("adjacent", {}, 1, 50))
-    assert keyed == [list(range(50))]
-    # the h stream of every trial is drawn exactly once
-    assert sorted(drawn) == sorted(made[0].keys[1].tolist())
-    assert len(set(drawn)) == 50
+    # one stream per trial, keyed once, and each drawn exactly once
+    streams = keyed[0]
+    assert all(s is streams for s in keyed) and streams.keys.shape == (50,)
+    assert sorted(drawn) == sorted(streams.keys.tolist())
+    assert len(set(drawn)) == 50 and streams.draws == 50
 
 
 def test_adjacent_arms_match_separate_stale_trials():

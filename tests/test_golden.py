@@ -54,8 +54,8 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
 # contended slot defers, so the backoff draws run; at -40 dBm every slot
 # collides, so the interference term runs.
 LBT_DIGESTS = {
-    -82.0: "61d309e3657a875bf3e9790c2fe048c4cd7ac3fc343f7f0008e73590e9f08ca2",
-    -40.0: "953fecd26cae6bd4d1779b85ede57582effdcf6e18a2f486e5048e2a723ea319",
+    -82.0: "b92143cc99c75594cf882e638bb8a4b5fb5ebcf59792af4605c958d26ccaf1b0",
+    -40.0: "346e3637ef63b029d3b3578e001f1a14e8504e269c5c80b90a501915f58b83cb",
 }
 
 
@@ -75,7 +75,7 @@ def test_lbt_csv_matches_golden_digest(threshold):
 # Rician factor makes every own link its LoS block.
 LBT_BRANCH_DIGESTS = {
     "shadowed": ({"b_direct_blocked": True},
-                 "7c373fa09557bf805eb0e2ac45afc2a8b098470032edde93730ac17750fd290e"),
+                 "dc410002b6c3be69d39d2f5b0b26f31228cdf2556ab41dd90c9e0d5385739256"),
     "los_only": ({"rician_k": math.inf},
                  "e785690c2b2d9d262605a816a802471506ecf1717e032fafbf4a0d5505dae28e"),
 }
@@ -90,25 +90,27 @@ def test_lbt_branch_csv_matches_golden_digest(branch):
 # Stale-CSI branches no shipped config runs (seed 5, 20 trials): the two
 # policies that hold the surface still, a measurement in the transmit slot,
 # a shadowed victim and pure LoS on coexist; one filter pass, an opaque
-# filter and a lossless one on adjacent.  Both still-surface policies give
-# the same table, since B's channel never moves under either.
+# filter and a lossless one on adjacent.  Both still-surface policies and
+# the transmit-slot measurement give the same table: B's channel never
+# moves under any of them, and a trial's one held surface state is drawn
+# from its one stream whatever the slot.
 STALE_BRANCH_DIGESTS = {
     "static": ("coexist", {"policy": "static"},
-               "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
+               "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
     "frozen": ("coexist", {"policy": "frozen_during_foreign_slot"},
-               "886db711f4bff7d69f361f063048c3d5c14052e1cb8fb531f6a245a9bb1f34cc"),
+               "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
     "same_slot": ("coexist", {"t1": 3, "t2": 3},
-                  "27354db8942f71c95c5b32dc5d4ab3836df5d7bb28e42f50b7a6b8aad18eaf9d"),
+                  "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
     "shadowed": ("coexist", {"b_direct_blocked": True},
-                 "543ae142d0a4d55531e53312b9082ecb3d346302e9a2ff5fe17dcddbdf969db3"),
+                 "e407e5b0e21135160a693efaa51c2748eca7a8f45078a77185cdf0e3bb2b1d22"),
     "los_only": ("coexist", {"rician_k": math.inf},
-                 "18f72d8450f8ef423565896abdccf6f36e80a825c23a9e882072fbf3796933fe"),
+                 "3b80087a160d54ecdff9c4c714d937b0cea5635767756bdbc809798dcc567d89"),
     "one_pass": ("adjacent", {"filter_passes": 1},
-                 "edc948457769f75e7d68026c93d7dae3ee230633963df1443051b4178bacba35"),
+                 "f3ea6bd1a0130378e07fc8af8ddcc96dfdc4cade8101116c4aada695d1408deb"),
     "opaque_filter": ("adjacent", {"oob_attenuation_db": math.inf},
-                      "0dfb7301c4a0d0d63625f938725339ab123f414406e9a6b907334454087aa329"),
+                      "472ea9869b17905a5b84d71efdf26d84984d5271df79d9e9d9ce8c7bbe4002c8"),
     "lossless_filter": ("adjacent", {"insertion_loss_db": 0},
-                        "8e3edf2b17a2f5395d237e981b7305e8663696d310cf782dc22829212ae99572"),
+                        "291c53827ff01f473907dcecd1757d8af3a9f8f17a18ea82f933717515ce77bd"),
 }
 
 

@@ -116,3 +116,17 @@ def test_complex_normal_stack_draws_each_block_from_its_generator_in_order():
     for i in range(4):
         want = 0.3 * oracles.two_draw_complex_normal(rng_from(3, f"s{i}"), (3, 2))
         assert out[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("normals, uniforms", [(6, 4), (6, 0), (0, 3), (0, 0)])
+def test_fill_draws_each_row_from_its_stream_in_two_calls(normals, uniforms):
+    streams = KeyedStreams(5, [f"stale/{t}" for t in range(4)])
+    cols = [3, 0, 2]
+    drawn_n, drawn_u = np.empty((3, normals)), np.empty((3, uniforms))
+    streams.fill(cols, drawn_n, drawn_u)
+    for i, c in enumerate(cols):
+        rng = rng_from(5, f"stale/{c}")
+        assert drawn_n[i].tobytes() == rng.standard_normal(normals).tobytes()
+        assert drawn_u[i].tobytes() == rng.random(uniforms).tobytes()
+    # one state set per row, and none when there is nothing to draw
+    assert streams.draws == (3 if normals or uniforms else 0)
