@@ -283,28 +283,13 @@ class Scenario:
                 (self.nb_ue, self.los_nb_ue))
 
 
-#: stream labels of a trial's links, in the order of `Scenario.links`
-_LINK_LABELS = ("nb_ris", "ris_ue", "nb_ue")
-
-
-def link_streams(scenario: Scenario, trials) -> KeyedStreams:
-    """Rank's streams of the scattered parts of `trials`, keyed all at once.
-
-    Entry [l, i] is the stream of link l of `Scenario.links` in trial
-    `trials[i]`, keyed `subseed(subseed(scenario.seed, f"trial/{t}"), label)`
-    with the link's label "nb_ris", "ris_ue" or "nb_ue".  `draw_stack`
-    takes one stream per trial instead.
-    """
-    return KeyedStreams(scenario.seed, [[f"trial/{t}" for t in trials]],
-                        [[label] for label in _LINK_LABELS])
-
-
 def draw_links(links, streams: KeyedStreams, cols, uniforms: int = 0):
-    """Rician blocks of several trials, each trial from one stream.
+    """Rician blocks of several trials, each trial from one stream: the
+    one keyed draw of every runner.
 
     `links` holds a (params, LoS block, shape) triple per link, params None
-    for a missing link; `streams` holds one stream per trial, and `cols`
-    positions in it.  Each trial's stream is set once, by
+    for a missing link and the LoS block None at K = 0; `streams` holds
+    one stream per row group, and `cols` positions in it.  Each trial's stream is set once, by
     `KeyedStreams.fill`: one `standard_normal` call draws the real, then
     the imaginary parts of every scattered block in link order, and one
     `random` call draws `uniforms` values in [0, 1).  A scattered part is

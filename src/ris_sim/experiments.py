@@ -33,15 +33,18 @@ from .channel import (
     ChannelParams,
     Geometry,
     Scenario,
+    draw_links,
     element_distances,
-    link_streams,
     path_gain,
     resolve_wavefront,
 )
 from .numkernel import singular_values, spectrum_rank, svd
-from .seeding import KeyedStreams, complex_normal_stack, subseed
+from .seeding import KeyedStreams, subseed
 
 log = logging.getLogger(__name__)
+
+#: the statistics of an iid CN(0, 1) block to `draw_links`: Rician factor 0
+_RAYLEIGH = ChannelParams()
 
 _COLUMNS = (("trial", ""), ("metric", ""), ("value", "per metric"))
 
@@ -483,8 +486,9 @@ def _check_links(p, n_field):
 
 
 def _check_rank(p):
-    """Finite route gains, blocks numpy can hold, and no spherical link
-    with coincident elements."""
+    """Finite route gains, blocks numpy can hold, and no spherical LoS
+    block with coincident elements.  Only nb_ris and, at a Rician factor
+    above 0, ris_ue build a LoS block; the direct link is Rayleigh."""
     alpha = ChannelParams().path_loss_exponent
     nb, ris, ue = "nb_position", "ris_position", "ue_position"
     routes = [((), [(nb, ris, alpha), (ris, ue, alpha)])]
@@ -494,10 +498,10 @@ def _check_rank(p):
     _check_links(p, "n_elements")
     geom = _rank_geometry(p)
     m, n, u = p["m_antennas"], p["n_elements"], p["u_antennas"]
-    # (from, to, rows, cols) of each link, as `Scenario` builds it
-    links = [("nb", "ris", n, m), ("ris", "ue", u, n)]
-    if p["include_direct"]:
-        links.append(("nb", "ue", u, m))
+    # (from, to, rows, cols) of each LoS block, as `Scenario` builds it
+    links = [("nb", "ris", n, m)]
+    if p["ris_ue_rician_k"] > 0.0:
+        links.append(("ris", "ue", u, n))
     for frm, to, rows, cols in links:
         if (resolve_wavefront(geom, frm, to, rows, cols, p["wavefront"]) == "spherical"
                 and not element_distances(geom, frm, to, rows, cols).all()):
@@ -715,21 +719,21 @@ def _rank_rows(p, seed, trials) -> list:
     b = sqrt(1/(K+1)) of its Rician factor K; the rows of h_s are iid
     CN(0, I_N) and U_G has orthonormal columns, so W = h_s U_G is iid
     CN(0, 1) of shape U x r.  A trial therefore draws W, U x r normals
-    instead of U x N, from its own departure-hop stream, and its channel
-    is amp (b W S V^H + a L G) + sqrt(pl_nb_ue) D, D the direct block
-    drawn as the direct link's Rayleigh block.  This is the distribution
-    of drawing h whole, for every K, wavefront, N against M and direct
-    link; at K = inf the reflected term is fixed and nothing is drawn
-    for it.
+    instead of U x N, and its channel is amp (b W S V^H + a L G) +
+    sqrt(pl_nb_ue) D, D the direct link's Rayleigh block.  This is the
+    distribution of drawing h whole, for every K, wavefront, N against M
+    and direct link; at K = inf the reflected term is fixed and no W is
+    drawn.
 
-    Every trial's streams are keyed up front.  The run draws all trials
-    into one stack and takes one matrix product and one stacked SVD; each
-    matrix's spectrum is computed on its own, so a trial's row does not
-    depend on the other trials.  One INFO log line reports the trials,
-    keyed draws and stacked passes.
+    Trial t draws W, then D, from its one stream, keyed
+    `subseed(seed, f"rank/{t}")` up front, through `draw_links`.  The run
+    draws all trials into one stack and takes one matrix product and one
+    stacked SVD; each matrix's spectrum is computed on its own, so a
+    trial's row does not depend on the other trials.  One INFO log line
+    reports the trials, keyed draws and stacked passes.
     """
     scn = _rank_scenario(p, seed)
-    streams = link_streams(scn, range(trials))
+    streams = KeyedStreams(seed, [f"rank/{t}" for t in range(trials)])
     u, m = scn.u_antennas, scn.m_antennas
     k = scn.ris_ue.rician_k
     amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
@@ -741,17 +745,18 @@ def _rank_rows(p, seed, trials) -> list:
     if k > 0.0:
         fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
                  * (scn.los_ris_ue @ scn.los_nb_ris))
-    if math.isinf(k):
+    links = [(None if math.isinf(k) else _RAYLEIGH, None, (u, len(spread))),
+             (scn.nb_ue, None, (u, m))]
+    (w, d), _ = draw_links(links, streams, range(trials))
+    if w is None:
         h = np.broadcast_to(fixed, (trials, u, m))
     else:
-        w = np.empty((trials, u, len(spread)), dtype=np.complex128)
-        h = complex_normal_stack((streams[1, t] for t in range(trials)), w, 1.0) @ spread
+        h = w @ spread
         if fixed is not None:
             h += fixed
-    if scn.nb_ue is not None:
-        d = np.empty((trials, u, m), dtype=np.complex128)
-        h = h + complex_normal_stack((streams[2, t] for t in range(trials)), d,
-                                     math.sqrt(scn.pl_nb_ue))
+    if d is not None:
+        d *= math.sqrt(scn.pl_nb_ue)
+        h = h + d
     spectra = singular_values(h)
     rows = []
     for t, sv in enumerate(spectra):
@@ -781,32 +786,35 @@ def _beamform_rows(p, seed, trials) -> list:
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
     channels each trial draws fresh coefficients; `quantization_bits`
     adds quantized-to-continuous gain ratio rows per bit width.  A chunk
-    of trials of one size is one stack: their incident coefficients, then
-    their departure coefficients, (2, trials, N), every row from its own
-    keyed stream, so no value depends on the chunking.  One INFO log line
-    reports the trials, sizes and keyed draws.
+    of trials of one size is one stack of incident and one of departure
+    coefficients, (trials, N) each; trial t at size N draws its incident,
+    then its departure coefficients from its one stream, keyed
+    `subseed(seed, f"beamform/{t}/{N}")`, through `draw_links`, so no
+    value depends on the chunking.  One INFO log line reports the trials,
+    sizes and keyed draws.
     """
     from .ris import align_miso, miso_gains, quantize_phases
     bits = p["quantization_bits"]
     if p["channel"] != "unit":
-        streams = KeyedStreams(seed, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
-                                       for n in p["n_list"]] for t in range(trials)])
+        streams = KeyedStreams(seed, [[f"beamform/{t}/{n}" for n in p["n_list"]]
+                                      for t in range(trials)])
     columns = []
     for j, n in enumerate(p["n_list"]):
         gains, ratios = [], [[] for _ in bits]
         step = max(1, BEAMFORM_CHUNK // n)
         for lo in range(0, trials, step):
             chunk = range(lo, min(lo + step, trials))
-            gh = np.ones((2, len(chunk), n), dtype=np.complex128)
-            if p["channel"] != "unit":
-                complex_normal_stack((streams[t, j, hop] for hop in range(2) for t in chunk),
-                                     gh.reshape(-1, n), 1.0)
-            phases = align_miso(*gh)
-            cont = miso_gains(*gh, phases)
+            if p["channel"] == "unit":
+                g = h = np.ones((len(chunk), n), dtype=np.complex128)
+            else:
+                (g, h), _ = draw_links([(_RAYLEIGH, None, (n,))] * 2, streams,
+                                       [(t, j) for t in chunk])
+            phases = align_miso(g, h)
+            cont = miso_gains(g, h, phases)
             gains += cont
             for b, column in zip(bits, ratios):
                 column += [q / c if c > 0.0 else 0.0
-                           for q, c in zip(miso_gains(*gh, quantize_phases(phases, b)), cont)]
+                           for q, c in zip(miso_gains(g, h, quantize_phases(phases, b)), cont)]
         columns += [(f"gain_n{n}", gains)]
         columns += [(f"ratio_b{b}_n{n}", column) for b, column in zip(bits, ratios)]
     rows = [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
@@ -831,32 +839,29 @@ def _multiuser_rows(p, seed, trials) -> list:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
-    weight one for everybody.  Each chunk of `MULTIUSER_CHUNK` trials
-    draws its blocks as one stack per hop and runs its ascents as one
-    batched ascent, and one INFO log line reports their count, their
-    sweeps, the element steps and candidate capacities those sweeps
-    evaluated (sweeps x N, and that times the ascent's entries x the
-    grid), and how many stopped at `max_iters` without meeting the
-    tolerance.
+    weight one for everybody.  Trial t draws all its users' incident
+    hops, then all their departure hops, from its one stream, keyed
+    `subseed(seed, f"multiuser/{t}")`, through `draw_links`.  Each chunk
+    of `MULTIUSER_CHUNK` trials draws its blocks as one stack per hop and
+    runs its ascents as one batched ascent, and one INFO log line reports
+    their count, their sweeps, the element steps and candidate capacities
+    those sweeps evaluated (sweeps x N, and that times the ascent's
+    entries x the grid), how many stopped at `max_iters` without meeting
+    the tolerance, and the keyed draws.
     """
     from . import scheduler
     from .ris import ASCENT_REL_TOL, sweep_converged
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
-    streams = KeyedStreams(seed, [[[f"multiuser/{t}/ue{i}/{hop}" for hop in "gh"]
-                                   for i in range(k)] for t in range(trials)])
-
-    def blocks(chunk, hop, shape):
-        out = np.empty((len(chunk) * k,) + shape, dtype=np.complex128)
-        rngs = (streams[t, i, hop] for t in chunk for i in range(k))
-        return complex_normal_stack(rngs, out, 1.0).reshape((len(chunk), k) + shape)
-
+    streams = KeyedStreams(seed, [f"multiuser/{t}" for t in range(trials)])
+    links = [(_RAYLEIGH, None, (k, n, m)), (_RAYLEIGH, None, (k, u, n))]
     rows, traces, entries = [], [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
+        (g, h), _ = draw_links(links, streams, chunk)
         results = scheduler.compare_shared_vs_ideal(
-            blocks(chunk, 0, (n, m)), blocks(chunk, 1, (u, n)), weights,
-            p["power_per_user"], p["noise_power"], p["max_iters"], MULTIUSER_GRID_POINTS,
+            g, h, weights, p["power_per_user"], p["noise_power"], p["max_iters"],
+            MULTIUSER_GRID_POINTS,
         )
         for t, cmp in zip(chunk, results):
             rows += [
@@ -871,10 +876,11 @@ def _multiuser_rows(p, seed, trials) -> list:
                  for tr in traces)
     sweeps = [len(tr) - 1 for tr in traces]
     log.info("multiuser: %d ascents, %d sweeps, %d element steps, %d candidate "
-             "capacities, %d stopped at max_iters=%d without meeting rel_tol=%g",
+             "capacities, %d stopped at max_iters=%d without meeting rel_tol=%g, "
+             "%d keyed draws",
              len(traces), sum(sweeps), n * sum(sweeps),
              n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
-             capped, p["max_iters"], ASCENT_REL_TOL)
+             capped, p["max_iters"], ASCENT_REL_TOL, streams.draws)
     return rows
 
 

@@ -17,11 +17,10 @@ pass each; both algorithms are fixed by numpy's stream-stability policy
 bit.
 
 Every run draws in one thread: a runner keys all of its trials' streams
-up front and draws them into stacks, through one reused generator.
-Rank, beamform and multiuser key one stream per (trial, block) and draw
-each through `complex_normal_stack`; the stale-CSI and LBT runs key one
-stream per trial or own link and draw all of its normals and uniforms
-through `KeyedStreams.fill`, two calls per stream.
+up front and draws them into stacks, through one reused generator.  Each
+runner keys one stream per row group (a trial, a trial and panel size,
+or an own link) and draws all of its normals and uniforms through
+`KeyedStreams.fill`, one call of each kind per stream.
 """
 
 from __future__ import annotations
@@ -133,21 +132,18 @@ def subseeds(seeds, labels) -> np.ndarray:
 class KeyedStreams:
     """Generators at the `default_rng(key)` state of every key of an array.
 
-    The keys are `seeds` followed through `subseeds` with each level of
-    `labels` in turn; `KeyedStreams(seed, label)[()]` draws what
-    `rng_from(seed, label)` draws.  All keys and their PCG64 seeding words
-    are derived up front, in one vectorized pass per level and one for the
-    states.  Indexing sets the one reused generator to the state of the
-    indexed key and returns it, so a drawn generator is valid until the
-    next index.  `keys` holds the uint64 keys, `passes` counts the
-    vectorized passes and `draws` the generators handed out.
+    The keys are `subseeds(seeds, labels)`, or `seeds` themselves without
+    labels; `KeyedStreams(seed, label)[()]` draws what `rng_from(seed,
+    label)` draws.  All keys and their PCG64 seeding words are derived up
+    front, in one vectorized pass for the keys and one for the states.
+    Indexing sets the one reused generator to the state of the indexed
+    key and returns it, so a drawn generator is valid until the next
+    index.  `keys` holds the uint64 keys, `passes` counts the vectorized
+    passes and `draws` the generators handed out.
     """
 
-    def __init__(self, seeds, *labels):
-        keys = _as_seeds(seeds)
-        for level in labels:
-            keys = subseeds(keys, level)
-        self.keys = keys
+    def __init__(self, seeds, labels=None):
+        self.keys = keys = _as_seeds(seeds) if labels is None else subseeds(seeds, labels)
         lo, hi = _words64(keys)
         zero = np.zeros_like(lo)
         with np.errstate(over="ignore"):
@@ -156,7 +152,7 @@ class KeyedStreams:
         self._words = np.stack([words[2 * i].astype(np.uint64)
                                 | (words[2 * i + 1].astype(np.uint64) << np.uint64(32))
                                 for i in range(_POOL)], axis=-1)
-        self.passes = len(labels) + 1
+        self.passes = 1 if labels is None else 2
         self.draws = 0
         self._bit_generator = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bit_generator)
@@ -206,34 +202,16 @@ _PART_SCALE = 1.0 / math.sqrt(2.0)
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-variance circularly symmetric complex normal entries of `shape`,
-    an int or a tuple: the one-block face of `complex_normal_stack`."""
+    an int or a tuple.
+
+    One `standard_normal` call draws the real parts, then the imaginary
+    parts, so Re and Im are each N(0, 1/2); the result equals
+    `(re + 1j * im) / sqrt(2)` of two successive draws `re` and `im` bit
+    for bit, except for the sign of an exactly zero part.
+    """
     shape = tuple(shape) if np.iterable(shape) else (operator.index(shape),)
     out = np.empty((1,) + shape, dtype=np.complex128)
-    return complex_normal_stack((rng,), out, 1.0)[0]
-
-
-def complex_normal_stack(rngs, out: np.ndarray, scale: float) -> np.ndarray:
-    """`scale` times a unit-variance complex normal block per generator,
-    written into `out`; returns `out`.
-
-    Block `out[i]` is drawn from the i-th generator of the iterable
-    `rngs`, which is consumed in order, one generator per block.  Each
-    block takes one `standard_normal` call that draws its real parts, then
-    its imaginary parts, so Re and Im are each N(0, 1/2) before `scale`;
-    the block equals `scale * ((re + 1j * im) / sqrt(2))` of two successive
-    draws `re` and `im` bit for bit, except for the sign of an exactly
-    zero part.  Both parts of every block are drawn into one float stack
-    and scaled straight into `out`: no complex temporary is built.
-
-    When `rngs` indexes a `KeyedStreams`, it must be a lazy iterable such
-    as a generator expression: the streams hand out one reused generator,
-    so a tuple of indexed streams would leave every entry at the state of
-    the last key.
-    """
-    parts = np.empty((len(out), 2) + out.shape[1:])
-    for part, rng in zip(parts, rngs):
-        rng.standard_normal(out=part)
-    return complex_from_parts(parts, out, scale)
+    return complex_from_parts(rng.standard_normal((1, 2) + shape), out, 1.0)[0]
 
 
 def complex_from_parts(parts: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:

@@ -1031,6 +1031,130 @@ def apply_band_filter(filt, inband_power_dbm: float, oob_power_dbm: float,
 
 
 # ---------------------------------------------------------------------------
+# one keyed stream per row group: the scalar reference of rank, beamform
+# and multiuser
+
+def rayleigh_trial_blocks(seed: int, label: str, shapes):
+    """Unit CN(0, 1) blocks of `shapes`, in order, from the one stream
+    `default_rng(subseed(seed, label))`, drawn by `one_stream_draw`: one
+    `standard_normal` call gives each block's real, then imaginary parts,
+    block after block.  A None shape gives a None block and draws nothing.
+    """
+    from ris_sim.seeding import subseed
+
+    rng = np.random.default_rng(subseed(seed, label))
+    links = [None if shape is None else (0.0, None, shape) for shape in shapes]
+    blocks, _ = one_stream_draw(rng, links, 0)
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# rank, beamform and multiuser keyed per (trial, block), frozen
+#
+# The three runners as they drew before they keyed one stream per row
+# group: every block from its own stream, one `standard_normal` call each,
+# scaled straight from its parts.
+
+def block_keyed_draw(seed: int, label: str, shape, scale: float = 1.0):
+    """`scale` times a unit CN(0, 1) block of `shape` from its own stream
+    `default_rng(subseed(seed, label))`."""
+    from ris_sim.seeding import complex_from_parts, subseed
+
+    rng = np.random.default_rng(subseed(seed, label))
+    out = np.empty((1,) + shape, dtype=np.complex128)
+    return complex_from_parts(rng.standard_normal((1, 2) + shape), out, scale)[0]
+
+
+def block_keyed_rows(experiment: str, scenario, seed: int, trials: int) -> list:
+    """The (trial, metric, value) rows of a rank, beamform or multiuser run
+    on the per-(trial, block) route, each block drawn on its own.
+
+    Rank draws its departure projection from `subseed(subseed(seed,
+    f"trial/{t}"), "ris_ue")` and its direct block, scaled by its path
+    amplitude, from the same chain with "nb_ue"; beamform draws size N's
+    incident and departure coefficients from `f"beamform/{t}/{N}/g"` and
+    `".../h"`; multiuser draws user i's hops from `f"multiuser/{t}/ue{i}/g"`
+    and `".../h"`.  Rank evaluates each trial on its own; beamform scores
+    each size's trials, and multiuser all trials, as one stack.
+    """
+    from ris_sim.experiments import resolve_scenario
+
+    p = resolve_scenario(experiment, scenario)
+    build = {"rank": _block_keyed_rank, "beamform": _block_keyed_beamform,
+             "multiuser": _block_keyed_multiuser}[experiment]
+    return build(p, seed, trials)
+
+
+def _block_keyed_rank(p, seed, trials):
+    from ris_sim.experiments import _rank_scenario
+    from ris_sim.numkernel import spectrum_rank, svd
+    from ris_sim.seeding import subseed
+
+    scn = _rank_scenario(p, seed)
+    u, m = scn.u_antennas, scn.m_antennas
+    k = scn.ris_ue.rician_k
+    amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
+    fac = svd(scn.los_nb_ris)
+    spread = (amp * math.sqrt(1.0 / (k + 1.0)) * fac.singular_values[:, None]
+              * fac.right_vectors.conj().T)
+    fixed = None
+    if k > 0.0:
+        fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
+                 * (scn.los_ris_ue @ scn.los_nb_ris))
+    rows = []
+    for t in range(trials):
+        base = subseed(seed, f"trial/{t}")
+        if math.isinf(k):
+            h = fixed
+        else:
+            h = block_keyed_draw(base, "ris_ue", (u, len(spread))) @ spread
+            if fixed is not None:
+                h += fixed
+        if scn.nb_ue is not None:
+            h = h + block_keyed_draw(base, "nb_ue", (u, m), math.sqrt(scn.pl_nb_ue))
+        sv = np.linalg.svd(h, compute_uv=False)
+        rows += [(t, "rank", spectrum_rank(sv)), (t, "sigma_1", float(sv[0])),
+                 (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0)]
+    return rows
+
+
+def _block_keyed_beamform(p, seed, trials):
+    from ris_sim.ris import align_miso, miso_gains, quantize_phases
+
+    columns = []
+    for n in p["n_list"]:
+        # one stack per size, as the runner scores them: `miso_gains`
+        # rounds by the layout of its operands
+        g, h = (np.array([block_keyed_draw(seed, f"beamform/{t}/{n}/{hop}", (n,))
+                          for t in range(trials)]) for hop in "gh")
+        phases = align_miso(g, h)
+        gains = miso_gains(g, h, phases)
+        columns.append((f"gain_n{n}", gains))
+        for b in p["quantization_bits"]:
+            quantized = miso_gains(g, h, quantize_phases(phases, b))
+            columns.append((f"ratio_b{b}_n{n}",
+                            [q / c if c > 0.0 else 0.0 for q, c in zip(quantized, gains)]))
+    return [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
+
+
+def _block_keyed_multiuser(p, seed, trials):
+    from ris_sim.experiments import MULTIUSER_GRID_POINTS
+    from ris_sim.scheduler import compare_shared_vs_ideal
+
+    k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
+    g, h = (np.array([[block_keyed_draw(seed, f"multiuser/{t}/ue{i}/{hop}", shape)
+                       for i in range(k)] for t in range(trials)])
+            for hop, shape in (("g", (n, m)), ("h", (u, n))))
+    # the batched ascent keeps every trial's ascents bit for bit whatever
+    # else is in the batch, so the trials are evaluated in one call
+    results = compare_shared_vs_ideal(g, h, p["qos_weights"] or (1.0,) * k,
+                                      p["power_per_user"], p["noise_power"],
+                                      p["max_iters"], MULTIUSER_GRID_POINTS)
+    return [(t, metric, getattr(cmp, metric)) for t, cmp in enumerate(results)
+            for metric in ("shared_sum", "ideal_sum", "gap_fraction")]
+
+
+# ---------------------------------------------------------------------------
 # rank's full-draw route, frozen
 
 def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
@@ -1039,25 +1163,29 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
     the incident hop: every trial draws its whole U x N departure block
     (and its direct block) from its keyed streams, the blocks go through an
     all-ones surface with `channel.assemble_stack`, and each channel takes
-    its own SVD.  The trials are drawn as one stack, each block from its
-    own (trial, link) stream of `link_streams`, as the stacked draw then
-    drew them."""
-    from ris_sim.channel import assemble_stack, link_streams
+    its own SVD.  Each block is drawn as `block_keyed_draw` draws it, from
+    its own (trial, link) stream, keyed `subseed(subseed(seed,
+    f"trial/{t}"), label)` with the link's label "nb_ris", "ris_ue" or
+    "nb_ue", as the stacked draw then drew them."""
+    from ris_sim.channel import assemble_stack
     from ris_sim.experiments import _rank_scenario, resolve_scenario
-    from ris_sim.seeding import complex_normal_stack
+    from ris_sim.seeding import KeyedStreams, complex_from_parts, subseeds
 
     scn = _rank_scenario(resolve_scenario("rank", scenario), seed)
-    streams = link_streams(scn, range(trials))
+    bases = subseeds(seed, [f"trial/{t}" for t in range(trials)])
     m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
     blocks = []
-    for row, ((params, los), shape) in enumerate(zip(scn.links(), ((n, m), (u, n), (u, m)))):
+    for label, (params, los), shape in zip(("nb_ris", "ris_ue", "nb_ue"), scn.links(),
+                                           ((n, m), (u, n), (u, m))):
         k = None if params is None else params.rician_k
         if k is None or math.isinf(k):
             blocks.append(None if k is None else np.broadcast_to(los, (trials,) + shape))
             continue
-        stack = complex_normal_stack((streams[row, t] for t in range(trials)),
-                                     np.empty((trials,) + shape, dtype=np.complex128),
-                                     math.sqrt(1.0 / (k + 1.0)))
+        streams = KeyedStreams(bases, label)
+        stack = np.empty((trials,) + shape, dtype=np.complex128)
+        for t in range(trials):
+            complex_from_parts(streams[t].standard_normal((1, 2) + shape), stack[t:t + 1],
+                               math.sqrt(1.0 / (k + 1.0)))
         if k > 0.0:
             stack += math.sqrt(k / (k + 1.0)) * los
         blocks.append(stack)

@@ -371,7 +371,8 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
     assert (capped > 0) == (max_iters == 1)
     assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, "
                      f"{6 * sum(sweeps)} element steps, {candidates} candidate capacities, "
-                     f"{capped} stopped at max_iters={max_iters} without meeting rel_tol=1e-06"]
+                     f"{capped} stopped at max_iters={max_iters} without meeting rel_tol=1e-06, "
+                     "4 keyed draws"]
 
 
 def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
@@ -446,17 +447,25 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("experiment, scenario, head, draws", [
-    ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 12),
+    # one stream per trial and size
+    ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 6),
     ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 0),
     # one stream per own link: A's surface link and B's ground link, or
     # B's bounce with its surface state; at K = inf neither draws
     ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots", 6),
     ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true", "lbt: 3 trials of 40 slots", 6),
     ("coexist", "mode: lbt, slots: 40, rician_k: .inf", "lbt: 3 trials of 40 slots", 0),
+    # one stream per trial: every user's hops, or the departure projection
+    # and the direct block
+    ("multiuser", "n_users: 2, n_elements: 4",
+     r"multiuser: 9 ascents, \d+ sweeps, \d+ element steps, \d+ candidate capacities, "
+     r"\d+ stopped at max_iters=30 without meeting rel_tol=1e-06", 3),
+    ("rank", "include_direct: true, ris_ue_rician_k: 2", "rank: 3 trials", 3),
 ])
 def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
                                                          experiment, scenario, head, draws):
-    # a beamform block and an LBT own link each set one stream state
+    # a beamform trial and size, an LBT own link, and a multiuser or rank
+    # trial each set one stream state
     sets = []
     getitem = seeding.KeyedStreams.__getitem__
 
@@ -469,7 +478,9 @@ def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monke
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
     assert len(sets) == draws
-    assert lines == [f"INFO {head}, {draws} keyed draws"]
+    # rank's line goes on to its stacked passes
+    tail = ", 2 stacked passes" if experiment == "rank" else ""
+    assert len(lines) == 1 and re.fullmatch(f"INFO {head}, {draws} keyed draws{tail}", lines[0])
 
 
 def _fresh_python(code, *args):
@@ -705,12 +716,13 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     ("coexist", "{n_elements_a: 1" + "0" * 30 + "}", "scenario.n_elements_a"),
     ("coexist", "{m_antennas: 1" + "0" * 30 + "}", "scenario.m_antennas"),
     ("adjacent", "{n_elements_a: 1" + "0" * 30 + "}", "scenario.n_elements_a"),
-    # an element of one array on an element of the other, on a link whose
-    # wavefront is or resolves to spherical
+    # an element of one array on an element of the other, on a link that
+    # builds a LoS block and whose wavefront is or resolves to spherical:
+    # the incident hop, and the departure hop at a Rician factor above 0
     ("rank", "{wavefront: spherical, m_antennas: 2, n_elements: 4, "
              "nb_position: [0, 0, 10], ris_position: [0, 0, 10.1]}", "scenario.ris_position"),
-    ("rank", "{wavefront: auto, include_direct: true, nb_position: [0, 0, 10], "
-             "ue_position: [0, 0, 10.1]}", "scenario.ue_position"),
+    ("rank", "{wavefront: spherical, m_antennas: 2, u_antennas: 2, n_elements: 4, "
+             "ue_position: [50, 0, 10.1], ris_ue_rician_k: 2}", "scenario.ue_position"),
     # integers too large for a float, in a float field of each experiment
     # that has one (beamform's fields are all counts and choices)
     ("rank", "{wavelength: 1" + "0" * 400 + "}", "scenario.wavelength"),
@@ -901,6 +913,21 @@ def test_coexistence_links_run_with_coincident_elements(tmp_path, capsys, experi
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scenario", [
+    "{wavefront: auto, include_direct: true, nb_position: [0, 0, 10], "
+    "ue_position: [0, 0, 10.1]}",
+    "{wavefront: spherical, m_antennas: 2, u_antennas: 2, n_elements: 4, "
+    "ue_position: [50, 0, 10.1]}",
+])
+def test_rank_links_without_a_los_block_run_with_coincident_elements(tmp_path, capsys,
+                                                                     scenario):
+    # the direct link and a departure hop of Rician factor 0 are Rayleigh
+    # and build only their path gains, which need only distinct nodes
+    cfg = _cfg(tmp_path, f"experiment: rank\ntrials: 2\nscenario: {scenario}\n")
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("experiment", ["coexist", "adjacent"])
 def test_unknown_policy_exits_one_with_the_runtime_choices(tmp_path, capsys, experiment):
     cfg = _cfg(tmp_path, f"experiment: {experiment}\nscenario: {{policy: sometimes}}\n")
@@ -956,8 +983,9 @@ def test_rank_tables_match_at_every_thread_count(tmp_path, capsys):
         tables.append(out.read_bytes())
         lines += [ln for ln in capsys.readouterr().err.splitlines() if "INFO rank:" in ln]
     assert tables == [tables[0]] * 4
-    # each trial draws its ris_ue and nb_ue blocks; nb_ris is pure LoS
-    assert lines == ["INFO rank: 7 trials, 14 keyed draws, 3 stacked passes"] * 4
+    # each trial draws its ris_ue projection and its nb_ue block from one
+    # stream; nb_ris is pure LoS
+    assert lines == ["INFO rank: 7 trials, 7 keyed draws, 2 stacked passes"] * 4
 
 
 class _CountingExecutor:
@@ -997,7 +1025,7 @@ def test_huge_thread_count_asks_for_no_more_workers_than_trials_and_cpus(
                  "--out", str(tmp_path / "many.csv")]) == 0
     assert threading.active_count() == before
     assert requested == []
-    assert "INFO rank: 7 trials, 14 keyed draws" in capsys.readouterr().err
+    assert "INFO rank: 7 trials, 7 keyed draws" in capsys.readouterr().err
     assert main(["rank", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()

@@ -296,6 +296,98 @@ def test_multiuser_rows_do_not_depend_on_the_chunk():
             == np.array([v for _, _, v in short.rows]).tobytes())
 
 
+# ---------------------------------------------------------------------------
+# one keyed stream per row group: rank, beamform and multiuser
+
+def _spy_draws(monkeypatch):
+    """(cols, copies of the stacks) of every `draw_links` call a runner
+    makes; the copies keep what the runner scales in place afterwards."""
+    calls = []
+    draw = experiments.draw_links
+
+    def spy(links, streams, cols, *args):
+        cols = list(cols)
+        stacks, drawn = draw(links, streams, cols, *args)
+        calls.append((cols, [None if s is None else s.copy() for s in stacks]))
+        return stacks, drawn
+
+    monkeypatch.setattr(experiments, "draw_links", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k, direct", [(0.0, False), (2.5, True), (math.inf, True),
+                                       (math.inf, False)])
+def test_rank_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch, k, direct):
+    # trial t draws its U x min(N, M) projection, then its direct block,
+    # from `rank/{t}`; at K = inf it draws no projection
+    calls = _spy_draws(monkeypatch)
+    scenario = {"m_antennas": 3, "u_antennas": 2, "n_elements": 5, "ris_ue_rician_k": k,
+                "include_direct": direct}
+    run(prepare("rank", scenario, seed=13, trials=4))
+    ((cols, stacks),) = calls
+    assert cols == [0, 1, 2, 3]
+    shapes = [None if math.isinf(k) else (2, 3), (2, 3) if direct else None]
+    for t in cols:
+        want = oracles.rayleigh_trial_blocks(13, f"rank/{t}", shapes)
+        for got, ref in zip(stacks, want):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got[t].tobytes() == ref.tobytes()
+
+
+def test_multiuser_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch):
+    # trial t draws all its users' incident hops, then all their departure
+    # hops, from `multiuser/{t}`, whatever chunk it lands in
+    monkeypatch.setattr(experiments, "MULTIUSER_CHUNK", 2)
+    calls = _spy_draws(monkeypatch)
+    scenario = {"n_users": 3, "m_antennas": 2, "u_antennas": 1, "n_elements": 4}
+    run(prepare("multiuser", scenario, seed=17, trials=5))
+    assert [cols for cols, _ in calls] == [[0, 1], [2, 3], [4]]
+    for cols, stacks in calls:
+        for i, t in enumerate(cols):
+            want = oracles.rayleigh_trial_blocks(17, f"multiuser/{t}", [(3, 4, 2), (3, 1, 4)])
+            assert [s[i].tobytes() for s in stacks] == [w.tobytes() for w in want]
+
+
+def _column(rows, metric):
+    return np.array([v for _, m, v in rows if m == metric])
+
+
+def _assert_same_means(new_rows, old_rows, metrics, floor=0.0):
+    """Each metric's mean over the one-stream route's rows lies within 5
+    standard errors (plus `floor`) of its mean over the per-block route's
+    rows, both of one trial count."""
+    for metric in metrics:
+        new, old = _column(new_rows, metric), _column(old_rows, metric)
+        assert len(new) == len(old) > 1
+        se = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / len(new))
+        assert abs(new.mean() - old.mean()) <= 5.0 * se + floor, metric
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0, math.inf])
+def test_rank_one_stream_route_matches_the_per_block_route_in_distribution(k):
+    scenario = {"m_antennas": 4, "u_antennas": 4, "n_elements": 64, "ris_ue_rician_k": k,
+                "include_direct": True}
+    new = run(prepare("rank", scenario, seed=43, trials=2000)).rows
+    old = oracles.block_keyed_rows("rank", scenario, 43, 2000)
+    _assert_same_means(new, old, ("sigma_1", "sigma_2"))
+
+
+def test_beamform_one_stream_route_matches_the_per_block_route_in_distribution():
+    scenario = {"channel": "rayleigh", "n_list": [2, 8, 32], "quantization_bits": [1, 3]}
+    new = run(prepare("beamform", scenario, seed=43, trials=2000)).rows
+    old = oracles.block_keyed_rows("beamform", scenario, 43, 2000)
+    _assert_same_means(new, old, [f"{head}_n{n}" for n in scenario["n_list"]
+                                  for head in ("gain", "ratio_b1", "ratio_b3")])
+
+
+def test_multiuser_one_stream_route_matches_the_per_block_route_in_distribution():
+    scenario = {"n_users": 3, "n_elements": 8}
+    new = run(prepare("multiuser", scenario, seed=43, trials=200)).rows
+    old = oracles.block_keyed_rows("multiuser", scenario, 43, 200)
+    _assert_same_means(new, old, ("shared_sum", "gap_fraction"))
+
+
 def test_runner_rejects_unknown_scenario_field():
     with pytest.raises(ValueError, match="trails"):
         prepare("rank", {"trails": 10}, seed=0, trials=1)

@@ -1,7 +1,8 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
 sidecar of every shipped config, of four LBT tables, of eight stale-CSI
 branch tables, of the multiuser and deploy benchmark workloads and of two
-wide beamform scenarios.
+wide beamform scenarios; and the digests of five former tables, which the
+frozen per-block route in `oracles.block_keyed_rows` reproduces.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from ris_sim.cli import main
-from ris_sim.experiments import SCHEMA, prepare, run
+import oracles
+from ris_sim.cli import main, validate_config
+from ris_sim.experiments import SCHEMA, ResultTable, prepare, run
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -126,7 +128,7 @@ def test_stale_branch_csv_matches_golden_digest(branch):
 # stop at max_iters=4, so this pins the capped branch the benchmark times.
 WORKLOAD_MULTIUSER = ({"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elements": 32,
                        "qos_weights": [1.0, 0.8, 0.6, 0.4], "max_iters": 4},
-                      "3e4901fb94e1dcab32ee68201eb8efd2a33b6862d14a931ba6225d5f73b40b29")
+                      "e2c8950b50ab7ef40b83106117239f71fef0831f41a93bedd95c3875c214e74a")
 
 
 def test_workload_multiuser_csv_matches_golden_digest():
@@ -169,7 +171,7 @@ WIDE_BEAMFORM = {
              "b1fb9e95c8714b87d18a8a8dd59e4591598017e94139b8ebae43b1814adc27f8"),
     "rayleigh": ({"channel": "rayleigh", "n_list": [1, 2, 3, 17, 64, 1024],
                   "quantization_bits": [1, 2, 3, 51]},
-                 "8b77f73e3b6b29447e7c37e4600a1d4c9d068416753f0d94f56eb3eb385d021b"),
+                 "b2bac0d71e833b3724f6dc3edfc1a5f68a1125aa2c304ff0355e2111ea8579c1"),
 }
 
 
@@ -178,3 +180,33 @@ def test_wide_beamform_csv_matches_golden_digest(channel):
     scenario, digest = WIDE_BEAMFORM[channel]
     table = run(prepare("beamform", scenario, seed=3, trials=20))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+# The CSV digests of the shipped rank, beamform and multiuser tables, of
+# the multiuser workload and of the wide Rayleigh beamform scenario as
+# the runners made them when they keyed one stream per (trial, block).
+# The frozen route reproduces each, so the in-distribution checks of the
+# one-stream route compare it with the route the runners ran.
+PER_BLOCK_CSV = {
+    "rank": "6203d58e5a4a19b3a0e67e6bf5b3bcab30bb9be18007a9c5701e80eb9d191d95",
+    "beamform": "2d192b925a8866261e4eaf84702898275e893f4553a58867ff515cf5a9f595aa",
+    "multiuser": "664a5dbada8e8602aaa3c9aed0ad9af0cdccca83d89cbd8122571f4d6f82def8",
+    "workload-multiuser": "3e4901fb94e1dcab32ee68201eb8efd2a33b6862d14a931ba6225d5f73b40b29",
+    "wide-rayleigh": "8b77f73e3b6b29447e7c37e4600a1d4c9d068416753f0d94f56eb3eb385d021b",
+}
+
+
+def _per_block_run(name):
+    if name == "workload-multiuser":
+        return "multiuser", WORKLOAD_MULTIUSER[0], 5, 6
+    if name == "wide-rayleigh":
+        return "beamform", WIDE_BEAMFORM["rayleigh"][0], 3, 20
+    prepared = validate_config((ROOT / "configs" / f"{name}.yaml").read_text())
+    return prepared.experiment, prepared.scenario, prepared.seed, prepared.trials
+
+
+@pytest.mark.parametrize("name", sorted(PER_BLOCK_CSV))
+def test_frozen_per_block_route_reproduces_the_former_tables(name):
+    rows = oracles.block_keyed_rows(*_per_block_run(name))
+    csv = ResultTable(tuple(rows), {}).to_csv()
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == PER_BLOCK_CSV[name]

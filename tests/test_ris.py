@@ -34,7 +34,7 @@ from ris_sim.ris import (
     quantize_phases,
     wrap_phase,
 )
-from ris_sim.seeding import KeyedStreams, complex_normal, complex_normal_stack, rng_from
+from ris_sim.seeding import complex_normal, rng_from
 
 TWO_PI = 2.0 * math.pi
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -302,18 +302,16 @@ def test_one_bit_fixture_route_matches_frozen_panels():
 
 @pytest.mark.parametrize("chunk", [experiments.BEAMFORM_CHUNK, 50])
 def test_beamform_runner_matches_frozen_panels_bit_for_bit(monkeypatch, chunk):
-    # the runner's table against the per-trial panel route it replaced; at
-    # 50 coefficients per chunk the 40-element size takes one trial a chunk
+    # the runner's table against the per-trial panel route it replaced, on
+    # each trial's one-stream draw; at 50 coefficients per chunk the
+    # 40-element size takes one trial a chunk
     monkeypatch.setattr(experiments, "BEAMFORM_CHUNK", chunk)
     scenario = {"channel": "rayleigh", "n_list": [1, 3, 40], "quantization_bits": [1, 4, 51]}
     table = run(prepare("beamform", scenario, seed=8, trials=6))
-    keys = KeyedStreams(8, [[[f"beamform/{t}/{n}/{hop}" for hop in "gh"]
-                             for n in scenario["n_list"]] for t in range(6)])
     want = []
     for t in range(6):
-        for j, n in enumerate(scenario["n_list"]):
-            g, h = complex_normal_stack((keys[t, j, hop] for hop in range(2)),
-                                        np.empty((2, n), dtype=np.complex128), 1.0)
+        for n in scenario["n_list"]:
+            g, h = oracles.rayleigh_trial_blocks(8, f"beamform/{t}/{n}", [(n,), (n,)])
             panel = oracles.align_phases_miso(g, h)
             gain = abs(oracles.composite_gain(g, h, panel)) ** 2
             want.append((t, f"gain_n{n}", gain))

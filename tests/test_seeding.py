@@ -13,7 +13,6 @@ import oracles
 from ris_sim.seeding import (
     KeyedStreams,
     complex_normal,
-    complex_normal_stack,
     rng_from,
     subseed,
     subseeds,
@@ -88,17 +87,6 @@ def test_keyed_draws_equal_rng_from_bit_for_bit(seed, label_list, n):
                               rng_from(seed, label).uniform(0.0, 6.5, n))
 
 
-def test_nested_label_levels_follow_subseed_chains():
-    streams = KeyedStreams(9, [["trial/0", "trial/1"]], [["g"], ["h"]])
-    assert streams.passes == 3
-    for r, hop in enumerate("gh"):
-        for c in range(2):
-            key = subseed(subseed(9, f"trial/{c}"), hop)
-            assert int(streams.keys[r, c]) == key
-            assert np.array_equal(streams[r, c].standard_normal(3),
-                                  np.random.default_rng(key).standard_normal(3))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=seeds, shape=st.sampled_from([5, 1, (0,), (3, 0, 2), (2, 2), (64, 2)]))
 @example(seed=2**64 - 1, shape=(64, 2))
@@ -107,15 +95,6 @@ def test_one_call_complex_normal_equals_the_two_draw_oracle(seed, shape):
     want = oracles.two_draw_complex_normal(np.random.default_rng(seed), shape)
     assert got.dtype == np.complex128 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-def test_complex_normal_stack_draws_each_block_from_its_generator_in_order():
-    streams = KeyedStreams(3, [f"s{i}" for i in range(4)])
-    out = np.empty((4, 3, 2), dtype=np.complex128)
-    assert complex_normal_stack((streams[i] for i in range(4)), out, 0.3) is out
-    for i in range(4):
-        want = 0.3 * oracles.two_draw_complex_normal(rng_from(3, f"s{i}"), (3, 2))
-        assert out[i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("normals, uniforms", [(6, 4), (6, 0), (0, 3), (0, 0)])
