@@ -8,7 +8,7 @@ The effective downlink channel through a reflective surface is
 with the direct term dropped when the base-station/user link is blocked.
 All blocks are complex128 ndarrays: `gen_los` builds the fixed LoS blocks
 and `draw_stack` draws the Rician blocks and random surface states of a
-stack of trials, each from its own keyed stream.
+stack of trials, as consecutive rows of a run's generators.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import KeyedStreams, complex_from_parts
+from .seeding import complex_from_parts
 
 
 class GeometryError(ValueError):
@@ -283,31 +283,34 @@ class Scenario:
                 (self.nb_ue, self.los_nb_ue))
 
 
-def draw_links(links, streams: KeyedStreams, cols, uniforms: int = 0):
-    """Rician blocks of several trials, each trial from one stream: the
-    one keyed draw of every runner.
+def draw_links(links, count: int, normal_rng, uniform_rng=None, uniforms: int = 0):
+    """Rician blocks of `count` trials, drawn as the next `count` rows of a
+    run's generators: the one draw of every runner.
 
     `links` holds a (params, LoS block, shape) triple per link, params None
-    for a missing link and the LoS block None at K = 0; `streams` holds
-    one stream per row group, and `cols` positions in it.  Each trial's stream is set once, by
-    `KeyedStreams.fill`: one `standard_normal` call draws the real, then
-    the imaginary parts of every scattered block in link order, and one
-    `random` call draws `uniforms` values in [0, 1).  A scattered part is
-    iid CN(0, 1), scaled straight into its stack at its weight
+    for a missing link and the LoS block None at K = 0.  One
+    `standard_normal` call on `normal_rng` fills a (count, S) array trial
+    by trial: each row holds the real, then the imaginary parts of every
+    scattered block of one trial, in link order.  One `random` call on
+    `uniform_rng` then fills a (count, uniforms) array; `uniform_rng` is
+    needed only when `uniforms` > 0.  Both generators keep their state, so
+    consecutive calls draw consecutive trials, and chunks of any sizes
+    draw what one call draws.  Passing one generator as both keeps a
+    single trial's draw order: normals, then uniforms.  A scattered part
+    is iid CN(0, 1), scaled straight into its stack at its weight
     sqrt(1/(K+1)); the LoS part sqrt(K/(K+1)) los is formed once per call
     and added in place at K > 0.  A link at infinite K draws nothing: its
     stack is the read-only `los` broadcast along it.
 
-    Returns the stacks, (len(cols),) + shape each and None for a missing
-    link, and the (len(cols), uniforms) uniform draws.
+    Returns the stacks, (count,) + shape each and None for a missing
+    link, and the (count, uniforms) uniform draws.
     """
-    cols = list(cols)
-    count = len(cols)
     sizes = [math.prod(shape) for params, _, shape in links
              if params is not None and not math.isinf(params.rician_k)]
-    normals = np.empty((count, 2 * sum(sizes)))
+    normals = normal_rng.standard_normal(out=np.empty((count, 2 * sum(sizes))))
     drawn = np.empty((count, uniforms))
-    streams.fill(cols, normals, drawn)
+    if uniforms:
+        uniform_rng.random(out=drawn)
     stacks, offset = [], 0
     for params, los, shape in links:
         if params is None:
@@ -328,25 +331,26 @@ def draw_links(links, streams: KeyedStreams, cols, uniforms: int = 0):
     return stacks, drawn
 
 
-def draw_stack(scenario: Scenario, streams: KeyedStreams, cols, surfaces: int = 0):
-    """Channel blocks and random surface states of several trials of one
+def draw_stack(scenario: Scenario, count: int, normal_rng, uniform_rng=None,
+               surfaces: int = 0):
+    """Channel blocks and random surface states of `count` trials of one
     scenario, stacked.
 
-    `streams` holds one stream per trial and `cols` positions in it; a
-    trial's blocks and states come from its own stream alone, through
-    `draw_links`: first the scattered parts of nb_ris, ris_ue and nb_ue,
-    then `surfaces` x N uniforms u, one state after the other.  Returns
-    (g, h, direct, theta) of shapes (B, N, M), (B, U, N), (B, U, M) and
-    (surfaces, B, N), direct None without a direct link; theta holds
-    unit-modulus states exp(2 pi j u), whose phases are iid U(0, 2 pi).  A
-    link with infinite Rician factor is the scenario's read-only LoS block,
-    broadcast along the stack.  The fixed blocks are not scanned again.
+    The trials are the next `count` rows of the generators, through
+    `draw_links`: a row of `normal_rng` holds the scattered parts of
+    nb_ris, ris_ue and nb_ue, and a row of `uniform_rng` `surfaces` x N
+    uniforms u, one state after the other.  Returns (g, h, direct, theta)
+    of shapes (B, N, M), (B, U, N), (B, U, M) and (surfaces, B, N), direct
+    None without a direct link; theta holds unit-modulus states
+    exp(2 pi j u), whose phases are iid U(0, 2 pi).  A link with infinite
+    Rician factor is the scenario's read-only LoS block, broadcast along
+    the stack.  The fixed blocks are not scanned again.
     """
     m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
     links = [(params, los, shape) for (params, los), shape
              in zip(scenario.links(), ((n, m), (u, n), (u, m)))]
-    (g, h, direct), drawn = draw_links(links, streams, cols, surfaces * n)
-    theta = np.zeros((surfaces, len(drawn), n), dtype=np.complex128)
-    np.multiply(drawn.reshape(len(drawn), surfaces, n).transpose(1, 0, 2), 2.0 * math.pi,
+    (g, h, direct), drawn = draw_links(links, count, normal_rng, uniform_rng, surfaces * n)
+    theta = np.zeros((surfaces, count, n), dtype=np.complex128)
+    np.multiply(drawn.reshape(count, surfaces, n).transpose(1, 0, 2), 2.0 * math.pi,
                 out=theta.imag)
     return g, h, direct, np.exp(theta, out=theta)

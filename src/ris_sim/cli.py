@@ -15,6 +15,12 @@ record to `experiments.run`.  Logs go to stderr; result data goes to
 the output files, or to stdout as CSV when no output path is given.
 
 Exit codes: 0 success, 1 config validation error, 2 runtime error.
+
+Importing this module pins BLAS to one thread: before numpy is first
+imported, it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and
+`MKL_NUM_THREADS` to 1 unless the environment already sets them.  A value
+the user gives wins, and a library caller that imported numpy first keeps
+the BLAS setting numpy started with.
 """
 
 from __future__ import annotations
@@ -22,10 +28,16 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import re
 import sys
 import time
 from dataclasses import replace
+
+# before the first numpy import, which `.experiments` makes: BLAS reads
+# these once, when it loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import yaml
 

@@ -10,9 +10,9 @@ surface, whose amplitude scale the adjacent-band runner hands to
 `stale_rates`.  One `CoexScenario` describes both networks, with fixed
 roles: A owns the surface, B owns none.
 
-Every draw is keyed: a stale-CSI trial takes one stream, keyed on the run
-seed and the trial id, for B's channel blocks and A's surface states, and
-an LBT run one stream per own link.
+Every draw is keyed on the run seed: the stale-CSI trials are consecutive
+rows of two generators, one for B's channel blocks and one for A's
+surface states, and an LBT run draws each own link from one stream.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .numkernel import (
     waterfill_precoder,
 )
 from .ris import aligned_phases
-from .seeding import KeyedStreams, rng_from
+from .seeding import rng_from
 
 log = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ def _surface_link(coex: CoexScenario, net: str, direct: bool) -> Scenario:
 STALE_CHUNK = 32
 
 
-def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
+def stale_rates(scenario: CoexScenario, trials: int, seed: int, scales=(1.0,)):
     """Network B's stale-CSI rates over many trials in stacked passes.
 
     The one stale-CSI entry point, for the coexist and adjacent runners.
@@ -114,33 +114,30 @@ def stale_rates(scenario: CoexScenario, trial_ids, seed: int, scales=(1.0,)):
     policy.  Each scale in `scales` multiplies the amplitude of the bounce
     off A's surface (the adjacent-band filter uses this).
 
-    Each trial's channel and surface states are drawn once, from one
-    stream keyed `subseed(seed, f"stale/{trial}")` (see `draw_stack`);
-    every scale is evaluated on them.  Under "static" and
-    "frozen_during_foreign_slot", or when t1 == t2, the t2 state is the t1
-    state, so the stale rate equals the fresh one and the loss is exactly
-    zero.  A trial with zero fresh rate has zero loss.
+    Trial t's channel is row t of the generator `rng_from(seed,
+    "stale/normals")` and its surface states row t of `rng_from(seed,
+    "stale/uniforms")` (see `draw_stack`), drawn once; every scale is
+    evaluated on them.  Under "static" and "frozen_during_foreign_slot",
+    or when t1 == t2, the t2 state is the t1 state, so the stale rate
+    equals the fresh one and the loss is exactly zero.  A trial with zero
+    fresh rate has zero loss.
 
-    Returns (fresh, stale, loss) arrays of shape
-    (len(scales), len(trial_ids)); column i belongs to trial_ids[i], and no
-    value depends on which other trials are evaluated with it, so one trial
-    is `trial_ids=(t,)`.  Every trial's stream is keyed before the first
-    pass, and one INFO log line reports the trials, the keyed draws (one
-    stream state set per trial) and the stacked passes.
+    Returns (fresh, stale, loss) arrays of shape (len(scales), trials);
+    column t belongs to trial t, and depends on the seed and t alone, so
+    a run of n trials is the first n columns of a longer run.  One INFO
+    log line reports the trials, bounce scales and the two generators.
     """
     b_link = _surface_link(scenario, "b", not scenario.b_direct_blocked)
-    ids = list(trial_ids)
     states = 2 if (scenario.policy == "rerandomize_each_slot"
                    and scenario.t2 != scenario.t1) else 1
-    streams = KeyedStreams(seed, [f"stale/{t}" for t in ids])
-    out = np.empty((3, len(scales), len(ids)))
-    for lo in range(0, len(ids), STALE_CHUNK):
-        hi = min(lo + STALE_CHUNK, len(ids))
-        *blocks, theta = draw_stack(b_link, streams, range(lo, hi), states)
+    normals, uniforms = rng_from(seed, "stale/normals"), rng_from(seed, "stale/uniforms")
+    out = np.empty((3, len(scales), trials))
+    for lo in range(0, trials, STALE_CHUNK):
+        hi = min(lo + STALE_CHUNK, trials)
+        *blocks, theta = draw_stack(b_link, hi - lo, normals, uniforms, states)
         for a, scale in enumerate(scales):
             out[:, a, lo:hi] = _stacked_rates(scenario, b_link, blocks, theta, scale)
-    log.info("stale CSI: %d trials at %d bounce scales, %d keyed draws, %d stacked passes",
-             len(ids), len(scales), streams.draws, streams.passes)
+    log.info("stale CSI: %d trials at %d bounce scales, 2 streams", trials, len(scales))
     return out[0], out[1], out[2]
 
 
@@ -210,30 +207,30 @@ def _budgets(coex: CoexScenario, threshold_dbm: float):
 
 
 def _own_spectra(coex: CoexScenario, seed: int):
-    """Singular values of network A's and network B's own links, and the
-    number of stream states set to draw them.
+    """Singular values of network A's and network B's own links.
 
-    Each own link draws from one stream, keyed `subseed(seed, "own/a")` or
-    `subseed(seed, "own/b")`.  A's link is its aligned surface plus its
-    ground path.  B's link is its ground path; a shadowed B's link is the
-    bounce off A's surface, whose state B does not control, so its stream
-    also draws one random surface state.
+    Each own link draws from one generator, `rng_from(seed, "own/a")` or
+    `rng_from(seed, "own/b")`, which serves both of its draw kinds.  A's
+    link is its aligned surface plus its ground path.  B's link is its
+    ground path; a shadowed B's link is the bounce off A's surface, whose
+    state B does not control, so its generator draws B's normals, then
+    one random surface state.
     """
-    streams = KeyedStreams(seed, ["own/a", "own/b"])
     link = _surface_link(coex, "a", True)
-    *blocks, _ = draw_stack(link, streams, (0,))
+    *blocks, _ = draw_stack(link, 1, rng_from(seed, "own/a"))
     theta = np.exp(1j * aligned_phases(*blocks, gains=link))
     s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
+    rng = rng_from(seed, "own/b")
     if coex.b_direct_blocked:
         link = _surface_link(coex, "b", False)
-        *blocks, theta = draw_stack(link, streams, (1,), surfaces=1)
+        *blocks, theta = draw_stack(link, 1, rng, rng, surfaces=1)
         s_b = singular_values(assemble_stack(link, *blocks, theta[0])[0])
     else:
         dp, u, m = coex.direct_params, coex.u_antennas, coex.m_antennas
         los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, dp)
-        (h,), _ = draw_links([(dp, los, (u, m))], streams, (1,))
+        (h,), _ = draw_links([(dp, los, (u, m))], 1, rng)
         s_b = singular_values(math.sqrt(pl) * h[0])
-    return (s_a, s_b), streams.draws
+    return s_a, s_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +240,6 @@ class LbtResult:
     collision_fraction: float
     mean_rate_a: float
     mean_rate_b: float
-    #: stream states set to draw the two own links, one per link that
-    #: draws anything
-    keyed_draws: int
 
 
 def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
@@ -257,7 +251,8 @@ def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
     slot against `threshold_dbm` and defers with a uniform backoff of up
     to `backoff_max` slots when the medium reads busy.  Collisions are
     slots where both networks transmit; mean rates count idle slots as
-    zero (throughput).
+    zero (throughput).  A run seeds three generators: one per own link
+    (see `_own_spectra`) and `rng_from(seed, "lbt")` for the access draws.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
@@ -266,7 +261,7 @@ def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
     clear, inter = _budgets(scenario, threshold_dbm)
     # each own link is drawn once; a collision only adds interference noise
     noise = scenario.params.noise_power
-    spectra, draws = _own_spectra(scenario, seed)
+    spectra = _own_spectra(scenario, seed)
     tx = (scenario.tx_power_a, scenario.tx_power_b)
     rate_alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]
     rate_coll = [capacity_closed_form(s, p, noise + x) for s, p, x in zip(spectra, tx, inter)]
@@ -299,7 +294,6 @@ def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
         collision_fraction=collisions / slots,
         mean_rate_a=rate_sum[0] / slots,
         mean_rate_b=rate_sum[1] / slots,
-        keyed_draws=draws,
     )
 
 

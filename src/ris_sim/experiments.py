@@ -6,8 +6,10 @@ against `SCHEMA`, which holds each field's default and check.  `run`
 hands the resolved scenario to the experiment's row builder, which
 validates nothing, and wraps the long-format rows, one per trial per
 metric, in a `ResultTable` with its provenance.  All randomness is keyed
-on (seed, trial, label), so a table is a pure function of (scenario,
-seed, trials).  Every run works in one thread.
+on (seed, label), and trial t's draws are row t of its run's generators,
+so a table is a pure function of (scenario, seed, trials), and a run of
+n trials is the first n trials of any longer run.  Every run works in one
+thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
 imported at module level; each row builder and cross-field check imports
@@ -39,7 +41,7 @@ from .channel import (
     resolve_wavefront,
 )
 from .numkernel import singular_values, spectrum_rank, svd
-from .seeding import KeyedStreams, subseed
+from .seeding import rng_from, subseed
 
 log = logging.getLogger(__name__)
 
@@ -725,15 +727,14 @@ def _rank_rows(p, seed, trials) -> list:
     and direct link; at K = inf the reflected term is fixed and no W is
     drawn.
 
-    Trial t draws W, then D, from its one stream, keyed
-    `subseed(seed, f"rank/{t}")` up front, through `draw_links`.  The run
-    draws all trials into one stack and takes one matrix product and one
-    stacked SVD; each matrix's spectrum is computed on its own, so a
-    trial's row does not depend on the other trials.  One INFO log line
-    reports the trials, keyed draws and stacked passes.
+    Trial t draws W, then D, as row t of the one generator
+    `rng_from(seed, "rank/normals")`, through `draw_links`.  The run draws
+    all trials into one stack and takes one matrix product and one stacked
+    SVD; each matrix's spectrum is computed on its own, so a trial's row
+    does not depend on the trial count.  One INFO log line reports the
+    trials and the one generator.
     """
     scn = _rank_scenario(p, seed)
-    streams = KeyedStreams(seed, [f"rank/{t}" for t in range(trials)])
     u, m = scn.u_antennas, scn.m_antennas
     k = scn.ris_ue.rician_k
     amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
@@ -747,7 +748,7 @@ def _rank_rows(p, seed, trials) -> list:
                  * (scn.los_ris_ue @ scn.los_nb_ris))
     links = [(None if math.isinf(k) else _RAYLEIGH, None, (u, len(spread))),
              (scn.nb_ue, None, (u, m))]
-    (w, d), _ = draw_links(links, streams, range(trials))
+    (w, d), _ = draw_links(links, trials, rng_from(seed, "rank/normals"))
     if w is None:
         h = np.broadcast_to(fixed, (trials, u, m))
     else:
@@ -765,8 +766,7 @@ def _rank_rows(p, seed, trials) -> list:
             (t, "sigma_1", float(sv[0])),
             (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0),
         ]
-    log.info("rank: %d trials, %d keyed draws, %d stacked passes",
-             trials, streams.draws, streams.passes)
+    log.info("rank: %d trials, 1 stream", trials)
     return rows
 
 
@@ -788,27 +788,26 @@ def _beamform_rows(p, seed, trials) -> list:
     adds quantized-to-continuous gain ratio rows per bit width.  A chunk
     of trials of one size is one stack of incident and one of departure
     coefficients, (trials, N) each; trial t at size N draws its incident,
-    then its departure coefficients from its one stream, keyed
-    `subseed(seed, f"beamform/{t}/{N}")`, through `draw_links`, so no
-    value depends on the chunking.  One INFO log line reports the trials,
-    sizes and keyed draws.
+    then its departure coefficients as row t of the size's generator
+    `rng_from(seed, f"beamform/{N}")`, through `draw_links`, so no value
+    depends on the chunking.  One INFO log line reports the trials, sizes
+    and generators: one per size on Rayleigh channels, none on unit ones.
     """
     from .ris import align_miso, miso_gains, quantize_phases
     bits = p["quantization_bits"]
-    if p["channel"] != "unit":
-        streams = KeyedStreams(seed, [[f"beamform/{t}/{n}" for n in p["n_list"]]
-                                      for t in range(trials)])
+    rayleigh = p["channel"] != "unit"
     columns = []
-    for j, n in enumerate(p["n_list"]):
+    for n in p["n_list"]:
         gains, ratios = [], [[] for _ in bits]
         step = max(1, BEAMFORM_CHUNK // n)
+        if rayleigh:
+            rng = rng_from(seed, f"beamform/{n}")
         for lo in range(0, trials, step):
             chunk = range(lo, min(lo + step, trials))
-            if p["channel"] == "unit":
-                g = h = np.ones((len(chunk), n), dtype=np.complex128)
+            if rayleigh:
+                (g, h), _ = draw_links([(_RAYLEIGH, None, (n,))] * 2, len(chunk), rng)
             else:
-                (g, h), _ = draw_links([(_RAYLEIGH, None, (n,))] * 2, streams,
-                                       [(t, j) for t in chunk])
+                g = h = np.ones((len(chunk), n), dtype=np.complex128)
             phases = align_miso(g, h)
             cont = miso_gains(g, h, phases)
             gains += cont
@@ -818,8 +817,8 @@ def _beamform_rows(p, seed, trials) -> list:
         columns += [(f"gain_n{n}", gains)]
         columns += [(f"ratio_b{b}_n{n}", column) for b, column in zip(bits, ratios)]
     rows = [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
-    log.info("beamform: %d trials, %d sizes, %d keyed draws", trials, len(p["n_list"]),
-             0 if p["channel"] == "unit" else streams.draws)
+    log.info("beamform: %d trials, %d sizes, %d streams", trials, len(p["n_list"]),
+             len(p["n_list"]) if rayleigh else 0)
     return rows
 
 
@@ -840,25 +839,25 @@ def _multiuser_rows(p, seed, trials) -> list:
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
     weight one for everybody.  Trial t draws all its users' incident
-    hops, then all their departure hops, from its one stream, keyed
-    `subseed(seed, f"multiuser/{t}")`, through `draw_links`.  Each chunk
-    of `MULTIUSER_CHUNK` trials draws its blocks as one stack per hop and
-    runs its ascents as one batched ascent, and one INFO log line reports
-    their count, their sweeps, the element steps and candidate capacities
-    those sweeps evaluated (sweeps x N, and that times the ascent's
-    entries x the grid), how many stopped at `max_iters` without meeting
-    the tolerance, and the keyed draws.
+    hops, then all their departure hops, as row t of the one generator
+    `rng_from(seed, "multiuser/normals")`, through `draw_links`.  Each
+    chunk of `MULTIUSER_CHUNK` trials draws its blocks as one stack per
+    hop and runs its ascents as one batched ascent, and one INFO log line
+    reports their count, their sweeps, the element steps and candidate
+    capacities those sweeps evaluated (sweeps x N, and that times the
+    ascent's entries x the grid), how many stopped at `max_iters` without
+    meeting the tolerance, and the one generator.
     """
     from . import scheduler
     from .ris import ASCENT_REL_TOL, sweep_converged
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
-    streams = KeyedStreams(seed, [f"multiuser/{t}" for t in range(trials)])
+    rng = rng_from(seed, "multiuser/normals")
     links = [(_RAYLEIGH, None, (k, n, m)), (_RAYLEIGH, None, (k, u, n))]
     rows, traces, entries = [], [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
-        (g, h), _ = draw_links(links, streams, chunk)
+        (g, h), _ = draw_links(links, len(chunk), rng)
         results = scheduler.compare_shared_vs_ideal(
             g, h, weights, p["power_per_user"], p["noise_power"], p["max_iters"],
             MULTIUSER_GRID_POINTS,
@@ -877,10 +876,10 @@ def _multiuser_rows(p, seed, trials) -> list:
     sweeps = [len(tr) - 1 for tr in traces]
     log.info("multiuser: %d ascents, %d sweeps, %d element steps, %d candidate "
              "capacities, %d stopped at max_iters=%d without meeting rel_tol=%g, "
-             "%d keyed draws",
+             "1 stream",
              len(traces), sum(sweeps), n * sum(sweeps),
              n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
-             capped, p["max_iters"], ASCENT_REL_TOL, streams.draws)
+             capped, p["max_iters"], ASCENT_REL_TOL)
     return rows
 
 
@@ -928,14 +927,15 @@ def _coexist_rows(p, seed, trials) -> list:
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
     precoding on measurement-time state, from one `coexist.stale_rates`
     call over all trials.  Mode "lbt" runs `trials` independent
-    listen-before-talk simulations of `slots` slots each, and one INFO
-    log line reports the trials, slots and channel blocks drawn.
+    listen-before-talk simulations of `slots` slots each, trial t on the
+    seed `subseed(seed, f"run/{t}")`, and one INFO log line reports the
+    trials, slots and the generators each simulation seeds.
     """
     from . import coexist
     scn = _coex_scenario(p)
 
     if p["mode"] == "stale_csi":
-        arms = coexist.stale_rates(scn, range(trials), seed)
+        arms = coexist.stale_rates(scn, trials, seed)
         return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
                            [a[0] for a in arms])
 
@@ -944,8 +944,7 @@ def _coexist_rows(p, seed, trials) -> list:
                for t in range(trials)]
     metrics = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
     rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
-    log.info("lbt: %d trials of %d slots, %d keyed draws",
-             trials, p["slots"], sum(res.keyed_draws for res in results))
+    log.info("lbt: %d trials of %d slots, 3 streams per trial", trials, p["slots"])
     return rows
 
 
@@ -962,7 +961,7 @@ def _adjacent_rows(p, seed, trials) -> list:
     from . import coexist
     budget_db = coexist.filter_budget_db(p["oob_attenuation_db"], p["insertion_loss_db"],
                                          p["filter_passes"])
-    _, stale, loss = coexist.stale_rates(_coex_scenario(p), range(trials), seed,
+    _, stale, loss = coexist.stale_rates(_coex_scenario(p), trials, seed,
                                          (1.0, 10.0 ** (budget_db / 20.0)))
     return _trial_rows(
         ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),

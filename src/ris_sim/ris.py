@@ -80,9 +80,10 @@ def miso_gains(g, h, phases) -> list:
     """
     # np.multiply, not `*`: on a large temporary operand numpy reuses its
     # buffer with the operands swapped, and a complex product with fused
-    # multiply-adds is not commutative in the last bit
-    terms = np.multiply(h, np.exp(1j * phases))
-    terms *= g
+    # multiply-adds is not commutative in the last bit; and not in place:
+    # numpy rounds an in-place complex product of one element differently,
+    # so a one-link stack of one element would not match a longer stack
+    terms = np.multiply(np.multiply(h, np.exp(1j * phases)), g)
     return [abs(complex(np.sum(row))) ** 2 for row in terms.reshape(-1, terms.shape[-1])]
 
 

@@ -24,7 +24,7 @@ def rerand_stale_batch():
     from ris_sim.experiments import _coex_scenario, resolve_scenario
 
     scn = _coex_scenario(resolve_scenario("coexist", {}))
-    fresh, stale, loss = stale_rates(scn, range(10_000), 2024)
+    fresh, stale, loss = stale_rates(scn, 10_000, 2024)
     return fresh[0], stale[0], loss[0]
 
 
@@ -56,3 +56,21 @@ def quantization_ratio_pair():
     sim_ratio = float(coarse.mean() / cont.mean())
     oracle_ratio = quantization_ratio_oracle(n, 1, 200_000, seed=99)
     return sim_ratio, oracle_ratio
+
+
+@pytest.fixture
+def seeded_streams(monkeypatch):
+    """The labels of the generators seeded through `seeding.rng_from`, in
+    seeding order, in every package module that draws through it."""
+    from ris_sim import coexist, experiments, seeding
+
+    labels = []
+    rng_from = seeding.rng_from
+
+    def spy(seed, label=None):
+        labels.append(label)
+        return rng_from(seed, label)
+
+    for module in (seeding, experiments, coexist):
+        monkeypatch.setattr(module, "rng_from", spy)
+    return labels

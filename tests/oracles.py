@@ -539,13 +539,14 @@ def per_trial_stale_draws(coex, trial: int, seed: int):
     return (g, h, direct, pl_g, pl_h, pl_d), th1, th2
 
 
-def one_stream_draw(rng, links, uniforms: int):
-    """One trial's blocks and uniforms from its one stream, block by block.
+def one_stream_draw(rng, links, uniforms: int, uniform_rng=None):
+    """One trial's blocks and uniforms, block by block.
 
     `links` holds (Rician factor, LoS block, shape) per link, None for a
-    missing one.  One `standard_normal` call draws the real, then the
-    imaginary parts of every block at finite factor, in link order; one
-    `random` call then draws `uniforms` values.  Each part is multiplied by
+    missing one.  One `standard_normal` call on `rng` draws the real, then
+    the imaginary parts of every block at finite factor, in link order;
+    one `random` call then draws `uniforms` values, on `uniform_rng`, or on
+    `rng` when it is None.  Each part is multiplied by
     1/sqrt(2), then by the scatter weight sqrt(1/(K+1)); at K > 0 the
     block adds sqrt(K/(K+1)) los, and at K = inf it is a copy of `los`.
     Returns (blocks, uniforms).
@@ -553,7 +554,7 @@ def one_stream_draw(rng, links, uniforms: int):
     scattered = [math.prod(link[2]) for link in links
                  if link is not None and not math.isinf(link[0])]
     normals = rng.standard_normal(2 * sum(scattered))
-    drawn = rng.random(uniforms)
+    drawn = (rng if uniform_rng is None else uniform_rng).random(uniforms)
     blocks, offset = [], 0
     for link in links:
         if link is None:
@@ -583,17 +584,11 @@ def surface_states(drawn, n: int):
     return [np.exp(1j * (drawn[i:i + n] * TWO_PI)) for i in range(0, len(drawn), n)]
 
 
-def per_trial_keyed_stale_draws(coex, trial: int, seed: int):
-    """Network B's channel blocks and A's surface states of one trial,
-    drawn from the trial's one stream `default_rng(subseed(seed,
-    f"stale/{trial}"))` with `one_stream_draw`, without the stacked code.
-
-    The blocks are nb_ris, ris_ue and nb_ue, and the uniforms A's surface
-    at t1, then at t2 when it moves.  LoS blocks and path gains are
-    rebuilt on every call.  Returns what `per_trial_stale_draws` returns.
-    """
+def _stale_links(coex):
+    """(link specs, path gains, surface uniforms per trial) of network B's
+    stale-CSI draw, for `one_stream_draw`; LoS blocks and path gains are
+    rebuilt on every call."""
     from ris_sim import channel
-    from ris_sim.seeding import subseed
 
     geom = coex.geometry
     direct_params = None if coex.b_direct_blocked else coex.direct_params
@@ -611,12 +606,43 @@ def per_trial_keyed_stale_draws(coex, trial: int, seed: int):
     links.append((None, 0.0) if direct_params is None
                  else link("nb_b", "ue_b", u, m, direct_params))
     moves = coex.policy == "rerandomize_each_slot" and coex.t2 != coex.t1
-    rng = np.random.default_rng(subseed(seed, f"stale/{trial}"))
-    (g, h, direct), drawn = one_stream_draw(rng, [spec for spec, _ in links],
-                                            (1 + moves) * n)
-    states = surface_states(drawn, n)
-    gains = tuple(gain for _, gain in links)
+    return [spec for spec, _ in links], tuple(gain for _, gain in links), (1 + moves) * n
+
+
+def _stale_draws(coex, rng, uniform_rng=None):
+    """What `per_trial_stale_draws` returns, for one trial drawn by
+    `one_stream_draw` from `rng` (and `uniform_rng`)."""
+    specs, gains, uniforms = _stale_links(coex)
+    (g, h, direct), drawn = one_stream_draw(rng, specs, uniforms, uniform_rng)
+    states = surface_states(drawn, coex.n_elements)
     return (g, h, direct) + gains, states[0], states[-1]
+
+
+def per_trial_keyed_stale_draws(coex, trial: int, seed: int):
+    """Network B's channel blocks and A's surface states of one trial,
+    drawn from the trial's one stream `default_rng(subseed(seed,
+    f"stale/{trial}"))` with `one_stream_draw`, without the stacked code:
+    the frozen per-trial route.
+
+    The blocks are nb_ris, ris_ue and nb_ue, and the uniforms A's surface
+    at t1, then at t2 when it moves.  Returns what `per_trial_stale_draws`
+    returns.
+    """
+    from ris_sim.seeding import subseed
+
+    return _stale_draws(coex, np.random.default_rng(subseed(seed, f"stale/{trial}")))
+
+
+def run_stream_stale_draws(coex, trials: int, seed: int):
+    """`per_trial_keyed_stale_draws`' draws of trials 0 to trials - 1, drawn
+    trial after trial from the run's two streams, `default_rng(subseed(seed,
+    "stale/normals"))` for the blocks and `".../uniforms"` for the
+    surface states."""
+    from ris_sim.seeding import subseed
+
+    normals, uniforms = (np.random.default_rng(subseed(seed, f"stale/{kind}"))
+                         for kind in ("normals", "uniforms"))
+    return [_stale_draws(coex, normals, uniforms) for _ in range(trials)]
 
 
 def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
@@ -1031,29 +1057,35 @@ def apply_band_filter(filt, inband_power_dbm: float, oob_power_dbm: float,
 
 
 # ---------------------------------------------------------------------------
-# one keyed stream per row group: the scalar reference of rank, beamform
-# and multiuser
+# Rayleigh blocks of rank, beamform and multiuser: the scalar reference of
+# one stream per run, and of one stream per trial, frozen
 
-def rayleigh_trial_blocks(seed: int, label: str, shapes):
+def rayleigh_trial_blocks(seed: int, label: str, shapes, trials=None):
     """Unit CN(0, 1) blocks of `shapes`, in order, from the one stream
     `default_rng(subseed(seed, label))`, drawn by `one_stream_draw`: one
     `standard_normal` call gives each block's real, then imaginary parts,
     block after block.  A None shape gives a None block and draws nothing.
+
+    With `trials`, the stream is a run's: returns the blocks of each of
+    `trials` trials, drawn one trial after the other from it.
     """
     from ris_sim.seeding import subseed
 
     rng = np.random.default_rng(subseed(seed, label))
     links = [None if shape is None else (0.0, None, shape) for shape in shapes]
-    blocks, _ = one_stream_draw(rng, links, 0)
-    return blocks
+    if trials is None:
+        return one_stream_draw(rng, links, 0)[0]
+    return [one_stream_draw(rng, links, 0)[0] for _ in range(trials)]
 
 
 # ---------------------------------------------------------------------------
-# rank, beamform and multiuser keyed per (trial, block), frozen
+# rank, beamform and multiuser keyed per (trial, block) or per trial, frozen
 #
-# The three runners as they drew before they keyed one stream per row
-# group: every block from its own stream, one `standard_normal` call each,
-# scaled straight from its parts.
+# The three runners as they drew before they drew one stream per run:
+# first every block from its own stream, one `standard_normal` call each,
+# scaled straight from its parts; then every trial (and beamform size)
+# from its own stream, one `standard_normal` call each.  Both routes share
+# the evaluation below; only the draw of a trial's unit blocks differs.
 
 def block_keyed_draw(seed: int, label: str, shape, scale: float = 1.0):
     """`scale` times a unit CN(0, 1) block of `shape` from its own stream
@@ -1070,25 +1102,91 @@ def block_keyed_rows(experiment: str, scenario, seed: int, trials: int) -> list:
     on the per-(trial, block) route, each block drawn on its own.
 
     Rank draws its departure projection from `subseed(subseed(seed,
-    f"trial/{t}"), "ris_ue")` and its direct block, scaled by its path
-    amplitude, from the same chain with "nb_ue"; beamform draws size N's
-    incident and departure coefficients from `f"beamform/{t}/{N}/g"` and
-    `".../h"`; multiuser draws user i's hops from `f"multiuser/{t}/ue{i}/g"`
-    and `".../h"`.  Rank evaluates each trial on its own; beamform scores
-    each size's trials, and multiuser all trials, as one stack.
+    f"trial/{t}"), "ris_ue")` and its direct block from the same chain
+    with "nb_ue"; beamform draws size N's incident and departure
+    coefficients from `f"beamform/{t}/{N}/g"` and `".../h"`; multiuser
+    draws user i's hops from `f"multiuser/{t}/ue{i}/g"` and `".../h"`.
     """
+    from ris_sim.seeding import subseed
+
+    def rank(t, shapes):
+        base = subseed(seed, f"trial/{t}")
+        return [None if shape is None else block_keyed_draw(base, label, shape)
+                for label, shape in zip(("ris_ue", "nb_ue"), shapes)]
+
+    def beamform(t, shapes):
+        return [block_keyed_draw(seed, f"beamform/{t}/{shape[0]}/{hop}", shape)
+                for hop, shape in zip("gh", shapes)]
+
+    def multiuser(t, shapes):
+        return [np.array([block_keyed_draw(seed, f"multiuser/{t}/ue{i}/{hop}", shape[1:])
+                          for i in range(shape[0])]) for hop, shape in zip("gh", shapes)]
+
+    draw = {"rank": rank, "beamform": beamform, "multiuser": multiuser}[experiment]
+    return _frozen_rows(experiment, scenario, seed, trials, draw)
+
+
+def trial_keyed_rows(experiment: str, scenario, seed: int, trials: int) -> list:
+    """The (trial, metric, value) rows of a rank, beamform, multiuser,
+    coexist (stale-CSI) or adjacent run on the per-trial route, each trial
+    drawn from its own stream by `one_stream_draw`.
+
+    Rank draws its departure projection, then its direct block, from
+    `f"rank/{t}"`; beamform size N's incident, then departure coefficients
+    from `f"beamform/{t}/{N}"`; multiuser every user's incident hops, then
+    their departure hops, from `f"multiuser/{t}"`; and a stale-CSI trial
+    comes from `per_trial_keyed_stale_draws`, evaluated one trial at a
+    time by `per_trial_stale_rates`.
+    """
+    if experiment in ("coexist", "adjacent"):
+        return _trial_keyed_stale_rows(experiment, scenario, seed, trials)
+
+    def draw(t, shapes):
+        key = f"{t}/{shapes[0][0]}" if experiment == "beamform" else t
+        return rayleigh_trial_blocks(seed, f"{experiment}/{key}", shapes)
+
+    return _frozen_rows(experiment, scenario, seed, trials, draw)
+
+
+def _trial_keyed_stale_rows(experiment, scenario, seed, trials):
+    from ris_sim.coexist import filter_budget_db
+    from ris_sim.experiments import _coex_scenario, _trial_rows, resolve_scenario
+
+    p = resolve_scenario(experiment, scenario)
+    coex = _coex_scenario(p)
+    scales = (1.0,)
+    if experiment == "adjacent":
+        budget_db = filter_budget_db(p["oob_attenuation_db"], p["insertion_loss_db"],
+                                     p["filter_passes"])
+        scales += (10.0 ** (budget_db / 20.0),)
+    arms = np.empty((3, len(scales), trials))
+    for t in range(trials):
+        draws = per_trial_keyed_stale_draws(coex, t, seed)
+        for a, scale in enumerate(scales):
+            arms[:, a, t] = per_trial_stale_rates(coex, draws, scale)
+    if experiment == "coexist":
+        return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"), arms[:, 0])
+    _, stale, loss = arms
+    return _trial_rows(("rate_no_filter", "rate_with_filter", "loss_no_filter",
+                        "loss_with_filter"), (stale[0], stale[1], loss[0], loss[1]))
+
+
+def _frozen_rows(experiment, scenario, seed, trials, draw):
+    """Rows of a rank, beamform or multiuser run whose trial t's unit
+    blocks of `shapes` are `draw(t, shapes)`.  Rank evaluates each trial
+    on its own; beamform scores each size's trials, and multiuser all
+    trials, as one stack."""
     from ris_sim.experiments import resolve_scenario
 
     p = resolve_scenario(experiment, scenario)
-    build = {"rank": _block_keyed_rank, "beamform": _block_keyed_beamform,
-             "multiuser": _block_keyed_multiuser}[experiment]
-    return build(p, seed, trials)
+    build = {"rank": _frozen_rank, "beamform": _frozen_beamform,
+             "multiuser": _frozen_multiuser}[experiment]
+    return build(p, seed, trials, draw)
 
 
-def _block_keyed_rank(p, seed, trials):
+def _frozen_rank(p, seed, trials, draw):
     from ris_sim.experiments import _rank_scenario
     from ris_sim.numkernel import spectrum_rank, svd
-    from ris_sim.seeding import subseed
 
     scn = _rank_scenario(p, seed)
     u, m = scn.u_antennas, scn.m_antennas
@@ -1101,32 +1199,33 @@ def _block_keyed_rank(p, seed, trials):
     if k > 0.0:
         fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
                  * (scn.los_ris_ue @ scn.los_nb_ris))
+    shapes = [None if math.isinf(k) else (u, len(spread)),
+              None if scn.nb_ue is None else (u, m)]
     rows = []
     for t in range(trials):
-        base = subseed(seed, f"trial/{t}")
-        if math.isinf(k):
+        w, d = draw(t, shapes)
+        if w is None:
             h = fixed
         else:
-            h = block_keyed_draw(base, "ris_ue", (u, len(spread))) @ spread
+            h = w @ spread
             if fixed is not None:
                 h += fixed
-        if scn.nb_ue is not None:
-            h = h + block_keyed_draw(base, "nb_ue", (u, m), math.sqrt(scn.pl_nb_ue))
+        if d is not None:
+            h = h + math.sqrt(scn.pl_nb_ue) * d
         sv = np.linalg.svd(h, compute_uv=False)
         rows += [(t, "rank", spectrum_rank(sv)), (t, "sigma_1", float(sv[0])),
                  (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0)]
     return rows
 
 
-def _block_keyed_beamform(p, seed, trials):
+def _frozen_beamform(p, seed, trials, draw):
     from ris_sim.ris import align_miso, miso_gains, quantize_phases
 
     columns = []
     for n in p["n_list"]:
         # one stack per size, as the runner scores them: `miso_gains`
         # rounds by the layout of its operands
-        g, h = (np.array([block_keyed_draw(seed, f"beamform/{t}/{n}/{hop}", (n,))
-                          for t in range(trials)]) for hop in "gh")
+        g, h = (np.array(hop) for hop in zip(*(draw(t, [(n,), (n,)]) for t in range(trials))))
         phases = align_miso(g, h)
         gains = miso_gains(g, h, phases)
         columns.append((f"gain_n{n}", gains))
@@ -1137,14 +1236,13 @@ def _block_keyed_beamform(p, seed, trials):
     return [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
 
 
-def _block_keyed_multiuser(p, seed, trials):
+def _frozen_multiuser(p, seed, trials, draw):
     from ris_sim.experiments import MULTIUSER_GRID_POINTS
     from ris_sim.scheduler import compare_shared_vs_ideal
 
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
-    g, h = (np.array([[block_keyed_draw(seed, f"multiuser/{t}/ue{i}/{hop}", shape)
-                       for i in range(k)] for t in range(trials)])
-            for hop, shape in (("g", (n, m)), ("h", (u, n))))
+    g, h = (np.array(hop) for hop in zip(*(draw(t, [(k, n, m), (k, u, n)])
+                                           for t in range(trials))))
     # the batched ascent keeps every trial's ascents bit for bit whatever
     # else is in the batch, so the trials are evaluated in one call
     results = compare_shared_vs_ideal(g, h, p["qos_weights"] or (1.0,) * k,
@@ -1161,18 +1259,17 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
     """(trials, min(M, U)) singular values of the rank runner's channels as
     it made them before it drew only the departure hop's projection onto
     the incident hop: every trial draws its whole U x N departure block
-    (and its direct block) from its keyed streams, the blocks go through an
-    all-ones surface with `channel.assemble_stack`, and each channel takes
-    its own SVD.  Each block is drawn as `block_keyed_draw` draws it, from
-    its own (trial, link) stream, keyed `subseed(subseed(seed,
-    f"trial/{t}"), label)` with the link's label "nb_ris", "ris_ue" or
-    "nb_ue", as the stacked draw then drew them."""
+    (and its direct block), the blocks go through an all-ones surface with
+    `channel.assemble_stack`, and each channel takes its own SVD.  Each
+    block is drawn by `block_keyed_draw` from its own (trial, link)
+    stream, `default_rng(subseed(subseed(seed, f"trial/{t}"), label))`
+    with the link's label "nb_ris", "ris_ue" or "nb_ue"."""
     from ris_sim.channel import assemble_stack
     from ris_sim.experiments import _rank_scenario, resolve_scenario
-    from ris_sim.seeding import KeyedStreams, complex_from_parts, subseeds
+    from ris_sim.seeding import subseed
 
     scn = _rank_scenario(resolve_scenario("rank", scenario), seed)
-    bases = subseeds(seed, [f"trial/{t}" for t in range(trials)])
+    bases = [subseed(seed, f"trial/{t}") for t in range(trials)]
     m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
     blocks = []
     for label, (params, los), shape in zip(("nb_ris", "ris_ue", "nb_ue"), scn.links(),
@@ -1181,11 +1278,8 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
         if k is None or math.isinf(k):
             blocks.append(None if k is None else np.broadcast_to(los, (trials,) + shape))
             continue
-        streams = KeyedStreams(bases, label)
-        stack = np.empty((trials,) + shape, dtype=np.complex128)
-        for t in range(trials):
-            complex_from_parts(streams[t].standard_normal((1, 2) + shape), stack[t:t + 1],
-                               math.sqrt(1.0 / (k + 1.0)))
+        stack = np.array([block_keyed_draw(base, label, shape, math.sqrt(1.0 / (k + 1.0)))
+                          for base in bases])
         if k > 0.0:
             stack += math.sqrt(k / (k + 1.0)) * los
         blocks.append(stack)

@@ -191,7 +191,7 @@ def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     t0 = time.perf_counter()
     scn_re = _coex_scenario(resolve_scenario("coexist", {}))
     for policy in ("static", "frozen_during_foreign_slot"):
-        _, _, loss = stale_rates(replace(scn_re, policy=policy), range(100), 8)
+        _, _, loss = stale_rates(replace(scn_re, policy=policy), 100, 8)
         assert np.all(loss == 0.0)
     _, _, loss = rerand_stale_batch
     assert float(np.mean(loss)) > 0.0
@@ -203,8 +203,8 @@ def test_criterion_08_update_policies_order_victim_rates(rerand_stale_batch):
     scn_st = replace(scn_re, policy="static")
     # no trial's value depends on the others evaluated with it, so one
     # call per policy pairs the same 1000 trials
-    _, (r_re,), _ = stale_rates(scn_re, range(1000), 2024)
-    _, (r_st,), _ = stale_rates(scn_st, range(1000), 2024)
+    _, (r_re,), _ = stale_rates(scn_re, 1000, 2024)
+    _, (r_st,), _ = stale_rates(scn_st, 1000, 2024)
     wins = int(np.sum(r_st >= r_re))
     assert wins >= 950
     assert time.perf_counter() - t0 < 60.0
@@ -218,7 +218,7 @@ def test_criterion_09_band_filter_budget_and_baseline():
     table = run(prepare("adjacent", {"oob_attenuation_db": math.inf}, 5, 50))
     filtered = np.array([v for _, metric, v in table.rows if metric == "rate_with_filter"])
     scn = _coex_scenario(resolve_scenario("adjacent", {}))
-    _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
+    _, (base,), _ = stale_rates(scn, 50, 5, (0.0,))
     assert np.max(np.abs(filtered - base)) <= 1e-9
     assert time.perf_counter() - t0 < 10.0
 

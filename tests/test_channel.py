@@ -25,7 +25,7 @@ from ris_sim.channel import (
     path_gain,
     resolve_wavefront,
 )
-from ris_sim.seeding import KeyedStreams, complex_normal, rng_from
+from ris_sim.seeding import complex_normal, rng_from
 
 LAM = 0.1
 
@@ -125,52 +125,56 @@ def _rician_scenario(k, m=4, n=4, seed=9):
                     nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
 
 
-def _streams(scn, trials):
-    """One stream per trial, keyed on the scenario's seed and the trial."""
-    return KeyedStreams(scn.seed, [f"trial/{t}" for t in trials])
+def _streams(scn):
+    """A run's normal and uniform generators, keyed on the scenario's seed."""
+    return rng_from(scn.seed, "normals"), rng_from(scn.seed, "uniforms")
 
 
 def _draw(scn, trials):
-    return draw_stack(scn, _streams(scn, trials), range(len(trials)))[:3]
+    """The channel blocks of the first `trials` trials of a run."""
+    return draw_stack(scn, trials, *_streams(scn))[:3]
 
 
 def test_rician_high_k_limit():
     scn = _rician_scenario(1e12)
-    for stack, (_, los) in zip(_draw(scn, [0, 1]), scn.links()):
+    for stack, (_, los) in zip(_draw(scn, 2), scn.links()):
         rel = np.linalg.norm(stack - los) / np.linalg.norm(np.broadcast_to(los, stack.shape))
         assert rel <= 1e-5
 
 
 def test_rician_infinite_k_is_los():
     scn = _rician_scenario(math.inf)
-    streams = _streams(scn, [0, 1, 2])
-    for stack, (_, los) in zip(draw_stack(scn, streams, range(3))[:3], scn.links()):
+    normals, uniforms = _streams(scn)
+    before = normals.bit_generator.state
+    for stack, (_, los) in zip(draw_stack(scn, 3, normals, uniforms)[:3], scn.links()):
         assert stack.shape == (3,) + los.shape
         assert np.array_equal(stack, np.broadcast_to(los, stack.shape))
         assert not stack.flags.writeable
-    assert streams.draws == 0
+    # nothing scatters, so the run's generator draws nothing
+    assert normals.bit_generator.state == before
 
 
 def test_rician_rayleigh_variance():
     scn = _rician_scenario(0.0, m=100, n=100)
-    g, _, _ = _draw(scn, range(100))
+    g, _, _ = _draw(scn, 100)
     var = float(np.mean(np.abs(g) ** 2))
     assert abs(var - 1.0) <= 0.02
 
 
 def test_rician_deterministic():
-    # a block is a function of its trial's key and its link alone: redrawn
-    # from the same streams, from streams keyed anew, or at another stack
-    # position
+    # trial t's blocks are a function of the seed and t alone: redrawn from
+    # generators seeded anew, as the rows of a longer run, or in chunks
     scn = _rician_scenario(2.0)
-    streams = _streams(scn, [3, 4])
-    first = draw_stack(scn, streams, (0,))[:3]
-    moved = tuple(b[1:] for b in _draw(scn, [5, 3]))
-    for again in (draw_stack(scn, streams, (0,))[:3], _draw(scn, [3]), moved):
+    first = _draw(scn, 2)
+    longer = tuple(b[:2] for b in _draw(scn, 5))
+    normals, uniforms = _streams(scn)
+    chunked = tuple(np.concatenate(parts) for parts in zip(
+        draw_stack(scn, 1, normals, uniforms)[:3], draw_stack(scn, 1, normals, uniforms)[:3]))
+    for again in (_draw(scn, 2), longer, chunked):
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
-    assert not np.array_equal(first[1], draw_stack(scn, streams, (1,))[1])
-    assert not np.array_equal(first[1], _draw(_rician_scenario(2.0, seed=10), [3])[1])
+    assert not np.array_equal(first[1][0], first[1][1])
+    assert not np.array_equal(first[1], _draw(_rician_scenario(2.0, seed=10), 2)[1])
 
 
 def test_params_validation():
@@ -359,17 +363,17 @@ def _scenario(seed=0, wavefront="planar", k_incident=math.inf, direct=False):
 def test_draw_realization_deterministic():
     # a scenario's trial is redrawn the same, and another trial differs
     scn = _scenario(seed=2024)
-    a = _draw(scn, [3])
-    b = _draw(scn, [3])
+    a = _draw(scn, 1)
+    b = _draw(scn, 1)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert scn.pl_nb_ris == _scenario(seed=2024).pl_nb_ris
-    c = _draw(scn, [4])
-    assert not np.array_equal(a[1], c[1])
+    c = _draw(scn, 2)
+    assert not np.array_equal(a[1][0], c[1][1])
 
 
 def test_draw_stack_los_incident():
-    g, _, direct = _draw(_scenario(seed=1), [0])
+    g, _, direct = _draw(_scenario(seed=1), 1)
     assert np.allclose(np.abs(g[0]), 1.0)
     assert numkernel.numerical_rank(g[0]) == 1
     assert direct is None
@@ -380,7 +384,7 @@ def test_keyhole_rank_spot_check():
     # the acceptance suite sweeps the full 500-draw grid
     scn = _scenario(seed=5)
     th = np.exp(1j * rng_from(80).uniform(0, 2 * np.pi, (25, 16)))
-    for h_t in assemble_stack(scn, *_draw(scn, range(25)), th):
+    for h_t in assemble_stack(scn, *_draw(scn, 25), th):
         assert numkernel.numerical_rank(h_t) == 1
 
 
@@ -424,40 +428,45 @@ def test_scenario_blocks_are_fixed_and_read_only():
     assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
 
 
-def _check_one_stream_draw(scn, trials, cols, surfaces):
-    """`draw_stack` of `cols` against the scalar one-stream draw of each
-    trial, from `default_rng(subseed(seed, f"trial/{t}"))`."""
+def _check_run_stream_draw(scn, chunks, surfaces):
+    """`draw_stack` of consecutive chunks of `chunks` trials against the
+    scalar draw of each trial, one after the other, from the run's
+    generators `default_rng(subseed(seed, "normals"))` and `"uniforms"`.
+    Returns the run's generators and its stacks, the chunks joined."""
     m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
-    streams = _streams(scn, trials)
-    *stacks, theta = draw_stack(scn, streams, cols, surfaces)
+    normals, uniforms = _streams(scn)
+    *blocks, thetas = zip(*(draw_stack(scn, count, normals, uniforms, surfaces)
+                            for count in chunks))
+    stacks = [None if parts[0] is None else np.concatenate(parts) for parts in blocks]
+    theta = np.concatenate(thetas, axis=1)
     links = [None if params is None else (params.rician_k, los, shape)
              for (params, los), shape in zip(scn.links(), ((n, m), (u, n), (u, m)))]
-    assert theta.shape == (surfaces, len(cols), n)
-    for i, c in enumerate(cols):
-        blocks, drawn = oracles.one_stream_draw(rng_from(scn.seed, f"trial/{trials[c]}"),
-                                                links, surfaces * n)
+    assert theta.shape == (surfaces, sum(chunks), n)
+    ref_normals, ref_uniforms = _streams(scn)
+    for t in range(sum(chunks)):
+        blocks, states = oracles.one_stream_draw(ref_normals, links, surfaces * n, ref_uniforms)
         for stack, block in zip(stacks, blocks):
             assert (stack is None) == (block is None)
             if block is not None:
-                assert stack[i].tobytes() == block.tobytes()
-        for j, state in enumerate(oracles.surface_states(drawn, n)):
-            assert theta[j, i].tobytes() == state.tobytes()
-    return streams, stacks
+                assert stack[t].tobytes() == block.tobytes()
+        for j, state in enumerate(oracles.surface_states(states, n)):
+            assert theta[j, t].tobytes() == state.tobytes()
+    return (normals, uniforms), stacks
 
 
 @pytest.mark.parametrize("k_incident, direct", [(math.inf, False), (math.inf, True),
                                                  (0.0, True), (3.0, False)])
 def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
-    # against the scalar per-trial draw: one stream, one normal call and
-    # one uniform call per trial, here for two surface states
+    # against the scalar draw, trial after trial: one normal call on the
+    # run's normal generator and one uniform call on its uniform one per
+    # trial, here for two surface states and chunks of 1 and 2 trials
     scn = _scenario(seed=2**40 + 7, k_incident=k_incident, direct=direct)
-    streams, (g, _, d) = _check_one_stream_draw(scn, [9, 0, 123456, 2], range(1, 4), 2)
+    _, (_, _, d) = _check_run_stream_draw(scn, (1, 2), 2)
     assert (d is None) == (not direct)
     if math.isinf(k_incident):
         # the pure-LoS hop is the scenario's read-only block, never copied
+        g = _draw(scn, 3)[0]
         assert np.shares_memory(g, scn.los_nb_ris) and not g.flags.writeable
-    # one stream state per drawn trial: the departure hop always scatters
-    assert streams.draws == 3
 
 
 # K = 3 weighs the scatter by 1/2, exactly; K = 2.5 by an inexact factor
@@ -465,22 +474,24 @@ def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    trials=st.lists(st.integers(0, 2**20), min_size=1, max_size=4),
+    chunks=st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any),
     surfaces=st.integers(0, 2),
 )
-def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, trials, surfaces):
+def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, chunks, surfaces):
     # every link at factor k: each block is the oracle's mix of the
-    # scenario's LoS block and its share of the normals of its trial's
-    # first draw; the second draw gives the surface states
+    # scenario's LoS block and its share of its trial's normals; the
+    # uniforms give the surface states
     geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
     params = ChannelParams(rician_k=k)
     scn = Scenario(geometry=geom, m_antennas=2, n_elements=16, u_antennas=3,
                    nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
-    streams, stacks = _check_one_stream_draw(scn, trials, range(len(trials)), surfaces)
+    generators, stacks = _check_run_stream_draw(scn, chunks, surfaces)
     for stack, shape in zip(stacks, ((16, 2), (3, 16), (3, 2))):
-        assert stack.shape == (len(trials),) + shape
-    # a trial with nothing to draw sets no stream
-    assert streams.draws == (0 if math.isinf(k) and not surfaces else len(trials))
+        assert stack.shape == (sum(chunks),) + shape
+    # a kind with nothing to draw leaves its generator where it was seeded
+    for rng, kind, idle in zip(generators, ("normals", "uniforms"),
+                               (math.isinf(k), not surfaces)):
+        assert (rng.bit_generator.state == rng_from(seed, kind).bit_generator.state) == idle
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

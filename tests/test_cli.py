@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import cli, coexist, deploy, experiments, numkernel, scheduler, seeding
+from ris_sim import cli, coexist, deploy, experiments, numkernel, scheduler
 from ris_sim.cli import ConfigError, _Loader, main, validate_config
 from ris_sim.experiments import SCHEMA, prepare, run
 
@@ -372,7 +372,7 @@ def test_main_multiuser_logs_its_ascents_to_stderr(tmp_path, capsys, monkeypatch
     assert lines == [f"INFO multiuser: 16 ascents, {sum(sweeps)} sweeps, "
                      f"{6 * sum(sweeps)} element steps, {candidates} candidate capacities, "
                      f"{capped} stopped at max_iters={max_iters} without meeting rel_tol=1e-06, "
-                     "4 keyed draws"]
+                     "1 stream"]
 
 
 def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
@@ -412,75 +412,52 @@ def test_main_deploy_logs_its_work_to_stderr(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("experiment, scales", [("coexist", 1), ("adjacent", 2), ("rank", None)])
-def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
+def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, seeded_streams,
                                                       experiment, scales):
-    draws, passes = [], []
-    init, getitem, subseeds = (seeding.KeyedStreams.__init__,
-                               seeding.KeyedStreams.__getitem__, seeding.subseeds)
-
-    def spy_init(self, *args):
-        passes.append("states")
-        init(self, *args)
-
-    def spy_getitem(self, index):
-        draws.append(index)
-        return getitem(self, index)
-
-    def spy_subseeds(*args):
-        passes.append("keys")
-        return subseeds(*args)
-
-    monkeypatch.setattr(seeding.KeyedStreams, "__init__", spy_init)
-    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", spy_getitem)
-    monkeypatch.setattr(seeding, "subseeds", spy_subseeds)
     cfg = str(CONFIGS / f"{experiment}.yaml")
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if "INFO rank:" in ln or "INFO stale CSI:" in ln]
     trials = validate_config(Path(cfg).read_text()).trials
-    # every stream is keyed in a few vectorized passes, however many trials
-    assert len(draws) >= trials and len(passes) <= 5
+    # one generator per draw kind, however many trials
     if scales is None:
-        head = f"INFO rank: {trials} trials"
+        assert seeded_streams == ["rank/normals"]
+        assert lines == [f"INFO rank: {trials} trials, 1 stream"]
     else:
-        head = f"INFO stale CSI: {trials} trials at {scales} bounce scales"
-    assert lines == [f"{head}, {len(draws)} keyed draws, {len(passes)} stacked passes"]
+        assert seeded_streams == ["stale/normals", "stale/uniforms"]
+        assert lines == [f"INFO stale CSI: {trials} trials at {scales} bounce scales, 2 streams"]
 
 
-@pytest.mark.parametrize("experiment, scenario, head, draws", [
-    # one stream per trial and size
-    ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 6),
-    ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes", 0),
-    # one stream per own link: A's surface link and B's ground link, or
-    # B's bounce with its surface state; at K = inf neither draws
-    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots", 6),
-    ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true", "lbt: 3 trials of 40 slots", 6),
-    ("coexist", "mode: lbt, slots: 40, rician_k: .inf", "lbt: 3 trials of 40 slots", 0),
-    # one stream per trial: every user's hops, or the departure projection
-    # and the direct block
+@pytest.mark.parametrize("experiment, scenario, head, streams", [
+    # one stream per size on Rayleigh channels, none on unit ones
+    ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes, 2 streams",
+     ["beamform/4", "beamform/8"]),
+    ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes, 0 streams", []),
+    # per trial, one stream per own link (A's surface link, and B's ground
+    # link or its bounce with its surface state) and one for the access
+    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots, 3 streams per trial",
+     ["own/a", "own/b", "lbt"] * 3),
+    ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true",
+     "lbt: 3 trials of 40 slots, 3 streams per trial", ["own/a", "own/b", "lbt"] * 3),
+    ("coexist", "mode: lbt, slots: 40, rician_k: .inf",
+     "lbt: 3 trials of 40 slots, 3 streams per trial", ["own/a", "own/b", "lbt"] * 3),
+    # one stream per run: every user's hops, or the departure projection
+    # and the direct block, trial after trial
     ("multiuser", "n_users: 2, n_elements: 4",
      r"multiuser: 9 ascents, \d+ sweeps, \d+ element steps, \d+ candidate capacities, "
-     r"\d+ stopped at max_iters=30 without meeting rel_tol=1e-06", 3),
-    ("rank", "include_direct: true, ris_ue_rician_k: 2", "rank: 3 trials", 3),
-])
-def test_main_beamform_and_lbt_log_their_draws_to_stderr(tmp_path, capsys, monkeypatch,
-                                                         experiment, scenario, head, draws):
-    # a beamform trial and size, an LBT own link, and a multiuser or rank
-    # trial each set one stream state
-    sets = []
-    getitem = seeding.KeyedStreams.__getitem__
-
-    def spy(self, index):
-        sets.append(index)
-        return getitem(self, index)
-
-    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", spy)
+     r"\d+ stopped at max_iters=30 without meeting rel_tol=1e-06, 1 stream",
+     ["multiuser/normals"]),
+    ("rank", "include_direct: true, ris_ue_rician_k: 2", "rank: 3 trials, 1 stream",
+     ["rank/normals"]),
+], ids=["beamform-rayleigh", "beamform-unit", "lbt", "lbt-shadowed", "lbt-los", "multiuser",
+        "rank"])
+def test_main_runners_log_the_streams_they_seed_to_stderr(tmp_path, capsys, seeded_streams,
+                                                          experiment, scenario, head, streams):
     cfg = _cfg(tmp_path, f"experiment: {experiment}\ntrials: 3\nscenario: {{{scenario}}}\n")
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if "keyed draws" in ln]
-    assert len(sets) == draws
-    # rank's line goes on to its stacked passes
-    tail = ", 2 stacked passes" if experiment == "rank" else ""
-    assert len(lines) == 1 and re.fullmatch(f"INFO {head}, {draws} keyed draws{tail}", lines[0])
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "stream" in ln]
+    assert seeded_streams == streams
+    assert len(lines) == 1 and re.fullmatch(f"INFO {head}", lines[0])
 
 
 def _fresh_python(code, *args):
@@ -502,6 +479,43 @@ def test_startup_leaves_numpy_random_unloaded():
             "    cli.validate_config(p.read_text())\n"
             "print(len(paths), 'numpy.random' in sys.modules)\n")
     assert _fresh_python(code, CONFIGS).split() == [str(len(SCHEMA)), "False"]
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, pinned", [({}, ["1", "1", "1"]),
+                                           ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["unset", "explicit"])
+def test_the_cli_pins_blas_threads_before_numpy_loads(tmp_path, given, pinned):
+    # the settings numpy sees when it first loads, and every shipped
+    # config's CSV, whether BLAS is pinned to one thread or a user's
+    # explicit setting keeps two
+    code = ("import hashlib, importlib.abc, json, os, pathlib, sys\n"
+            f"names = {_BLAS_VARS!r}\n"
+            "seen = []\n"
+            "class Spy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append([os.environ.get(v) for v in names])\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import ris_sim.cli as cli\n"
+            "digests = {}\n"
+            "for cfg in sorted(pathlib.Path(sys.argv[1]).glob('*.yaml')):\n"
+            "    out = pathlib.Path(sys.argv[2]) / (cfg.stem + '.csv')\n"
+            "    assert cli.main([cfg.stem, '--config', str(cfg), '--out', str(out)]) == 0\n"
+            "    digests[cfg.stem] = hashlib.sha256(out.read_bytes()).hexdigest()\n"
+            "print(json.dumps([seen, digests]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(given, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, str(CONFIGS), str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    seen, digests = json.loads(out)
+    assert seen == [pinned]
+    golden = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
+    assert digests == {name: entry["csv"] for name, entry in golden.items()}
 
 
 #: the ris_sim modules every config loads
@@ -983,9 +997,9 @@ def test_rank_tables_match_at_every_thread_count(tmp_path, capsys):
         tables.append(out.read_bytes())
         lines += [ln for ln in capsys.readouterr().err.splitlines() if "INFO rank:" in ln]
     assert tables == [tables[0]] * 4
-    # each trial draws its ris_ue projection and its nb_ue block from one
-    # stream; nb_ris is pure LoS
-    assert lines == ["INFO rank: 7 trials, 7 keyed draws, 2 stacked passes"] * 4
+    # every trial draws its ris_ue projection and its nb_ue block from the
+    # run's one stream; nb_ris is pure LoS
+    assert lines == ["INFO rank: 7 trials, 1 stream"] * 4
 
 
 class _CountingExecutor:
@@ -1025,7 +1039,7 @@ def test_huge_thread_count_asks_for_no_more_workers_than_trials_and_cpus(
                  "--out", str(tmp_path / "many.csv")]) == 0
     assert threading.active_count() == before
     assert requested == []
-    assert "INFO rank: 7 trials, 7 keyed draws" in capsys.readouterr().err
+    assert "INFO rank: 7 trials, 1 stream" in capsys.readouterr().err
     assert main(["rank", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ris_sim import channel, coexist, seeding
+from ris_sim import channel, coexist
 from ris_sim.channel import path_gain
 from ris_sim.coexist import (
     STALE_CHUNK,
@@ -51,21 +51,21 @@ def _column(table, metric):
 # stale CSI
 
 def test_static_policy_loses_nothing():
-    fresh, stale, loss = stale_rates(_co_scenario("static"), range(200), 7)
+    fresh, stale, loss = stale_rates(_co_scenario("static"), 200, 7)
     assert np.all(loss == 0.0)
     assert np.array_equal(fresh, stale)
 
 
 def test_frozen_policy_loses_nothing():
     # TDM granted to B: A freezes its surface during the foreign slot
-    fresh, stale, loss = stale_rates(_co_scenario("frozen_during_foreign_slot"), range(200), 7)
+    fresh, stale, loss = stale_rates(_co_scenario("frozen_during_foreign_slot"), 200, 7)
     assert np.all(loss == 0.0)
     assert np.array_equal(fresh, stale)
 
 
 def test_same_slot_measurement_loses_nothing():
     scn = replace(_co_scenario(), t1=3, t2=3)
-    _, _, loss = stale_rates(scn, range(50), 7)
+    _, _, loss = stale_rates(scn, 50, 7)
     assert np.all(loss == 0.0)
 
 
@@ -80,8 +80,8 @@ def test_rerandomization_loss_regression(rerand_stale_batch):
 
 def test_stale_rates_deterministic():
     scn = _co_scenario()
-    a = np.stack(stale_rates(scn, (5,), 11))
-    b = np.stack(stale_rates(scn, (5,), 11))
+    a = np.stack(stale_rates(scn, 6, 11))
+    b = np.stack(stale_rates(scn, 6, 11))
     assert a.tobytes() == b.tobytes()
 
 
@@ -90,8 +90,8 @@ def test_static_beats_rerandomization_paired():
     # no trial's value depends on the others, so one call per policy pairs them
     scn_re = _co_scenario(m_antennas=8, u_antennas=1, b_direct_blocked=True)
     scn_st = replace(scn_re, policy="static")
-    _, (r_re,), _ = stale_rates(scn_re, range(1000), 2024)
-    _, (r_st,), _ = stale_rates(scn_st, range(1000), 2024)
+    _, (r_re,), _ = stale_rates(scn_re, 1000, 2024)
+    _, (r_st,), _ = stale_rates(scn_st, 1000, 2024)
     assert np.mean(r_st >= r_re) >= 0.95
 
 
@@ -105,22 +105,29 @@ def _filter_scale():
     return 10.0 ** (budget_db / 20.0)
 
 
-def _oracle_rates(scn, trial_ids, seed, scales, draw=oracles.per_trial_keyed_stale_draws):
-    out = np.empty((3, len(scales), len(trial_ids)))
-    for i, t in enumerate(trial_ids):
-        draws = draw(scn, t, seed)
+def _oracle_rates(scn, draws, scales):
+    """(fresh, stale, loss) of each trial's draws at each scale, one trial
+    at a time."""
+    out = np.empty((3, len(scales), len(draws)))
+    for i, drawn in enumerate(draws):
         for a, scale in enumerate(scales):
-            out[:, a, i] = oracles.per_trial_stale_rates(scn, draws, scale)
+            out[:, a, i] = oracles.per_trial_stale_rates(scn, drawn, scale)
     return out
+
+
+def _run_oracle_rates(scn, trials, seed, scales):
+    """The scalar oracle of `stale_rates`: trials drawn one after the other
+    from the run's two streams."""
+    return _oracle_rates(scn, oracles.run_stream_stale_draws(scn, trials, seed), scales)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # one trial of 1x1 blocks with no direct link: every array has size one, and
 # numpy rounds a product there alike only if both operands have the same ndim
 @example(seed=0, policy="static", same_slot=False, blocked=True, k=math.inf,
-         dims=(2, 1, 1), chunk=1, trial_ids=[2])
+         dims=(2, 1, 1), chunk=1, trials=1)
 @example(seed=5, policy="rerandomize_each_slot", same_slot=False, blocked=True,
-         k=0.0, dims=(1, 1, 1), chunk=1, trial_ids=[0, 1, 2])
+         k=0.0, dims=(1, 1, 1), chunk=1, trials=3)
 @given(
     seed=st.integers(0, 2**32 - 1),
     policy=st.sampled_from(UPDATE_POLICIES),
@@ -129,10 +136,10 @@ def _oracle_rates(scn, trial_ids, seed, scales, draw=oracles.per_trial_keyed_sta
     k=st.sampled_from([0.0, 3.0, math.inf]),
     dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 4, 9])),
     chunk=st.integers(1, 4),
-    trial_ids=st.lists(st.integers(0, 10**6), min_size=1, max_size=9),
+    trials=st.integers(1, 9),
 )
 def test_stacked_rates_match_per_trial_oracle_bit_for_bit(
-        seed, policy, same_slot, blocked, k, dims, chunk, trial_ids):
+        seed, policy, same_slot, blocked, k, dims, chunk, trials):
     m, u, n = dims
     scn = _co_scenario(policy, m_antennas=m, u_antennas=u, n_elements_a=n,
                        rician_k=k, b_direct_blocked=blocked,
@@ -140,16 +147,16 @@ def test_stacked_rates_match_per_trial_oracle_bit_for_bit(
     scales = (1.0, 0.0, _filter_scale())
     # a small chunk puts the trial count below, at and across its size
     with mock.patch.object(coexist, "STALE_CHUNK", chunk):
-        got = np.stack(stale_rates(scn, trial_ids, seed, scales))
-    want = _oracle_rates(scn, trial_ids, seed, scales)
+        got = np.stack(stale_rates(scn, trials, seed, scales))
+    want = _run_oracle_rates(scn, trials, seed, scales)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("trials", [STALE_CHUNK - 1, STALE_CHUNK, STALE_CHUNK + 1])
 def test_stacked_rates_match_oracle_around_the_chunk_size(trials):
     scn = _co_scenario(n_elements_a=16)
-    got = np.stack(stale_rates(scn, range(trials), 31, (1.0, _filter_scale())))
-    want = _oracle_rates(scn, range(trials), 31, (1.0, _filter_scale()))
+    got = np.stack(stale_rates(scn, trials, 31, (1.0, _filter_scale())))
+    want = _run_oracle_rates(scn, trials, 31, (1.0, _filter_scale()))
     assert got.tobytes() == want.tobytes()
 
 
@@ -159,16 +166,19 @@ def test_stacked_rates_match_oracle_around_the_chunk_size(trials):
     {"b_direct_blocked": True},
 ], ids=["rerandomize", "rician_direct", "shadowed"])
 def test_one_stream_route_matches_the_per_hop_route_in_distribution(scenario):
-    # the per-(trial, hop) streams the stacked path keyed before it took one
-    # stream per trial: every entry is iid CN(0, 1) and every phase iid
-    # U(0, 2 pi) on both routes, so each metric's mean agrees to sampling
+    # the per-(trial, hop) streams the stacked path keyed before it drew
+    # one stream per trial, then one per run and kind: every entry is iid
+    # CN(0, 1) and every phase iid U(0, 2 pi) on both routes, so each
+    # metric's mean agrees to sampling
     scn = _co_scenario(**scenario)
     trials = 400
-    new = np.stack(stale_rates(scn, range(trials), 41))[:, 0]
-    old = _oracle_rates(scn, range(trials), 42, (1.0,), oracles.per_trial_stale_draws)[:, 0]
+    new = np.stack(stale_rates(scn, trials, 41))[:, 0]
+    old = _oracle_rates(scn, [oracles.per_trial_stale_draws(scn, t, 42) for t in range(trials)],
+                        (1.0,))[:, 0]
     # from one seed the two routes draw different channels, so this
     # compares two routes, not one route with itself
-    same_seed = _oracle_rates(scn, range(5), 41, (1.0,), oracles.per_trial_stale_draws)[:, 0]
+    same_seed = _oracle_rates(scn, [oracles.per_trial_stale_draws(scn, t, 41) for t in range(5)],
+                              (1.0,))[:, 0]
     assert not np.any(new[:2, :5] == same_seed[:2])
     for a, b in zip(new, old):
         se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / trials)
@@ -180,43 +190,36 @@ def test_one_stream_route_matches_the_per_hop_route_in_distribution(scenario):
     ("coexist", {"policy": "static", "b_direct_blocked": True}),
     ("adjacent", {"rician_k": math.inf}),
 ], ids=["coexist", "shadowed_static", "adjacent_los"])
-def test_a_stale_run_sets_one_stream_state_per_trial(monkeypatch, caplog, experiment,
-                                                     scenario):
-    sets = []
-    getitem = seeding.KeyedStreams.__getitem__
-
-    def counted(self, index):
-        sets.append(index)
-        return getitem(self, index)
-
-    monkeypatch.setattr(seeding.KeyedStreams, "__getitem__", counted)
+def test_a_stale_run_seeds_two_streams(seeded_streams, caplog, experiment, scenario):
     with caplog.at_level(logging.INFO, logger="ris_sim.coexist"):
         run(prepare(experiment, scenario, 3, 37))
-    assert len(sets) == 37
-    lines = [r.getMessage() for r in caplog.records if "keyed draws" in r.getMessage()]
-    assert len(lines) == 1 and ", 37 keyed draws," in lines[0]
+    assert seeded_streams == ["stale/normals", "stale/uniforms"]
+    lines = [r.getMessage() for r in caplog.records if "stale CSI" in r.getMessage()]
+    assert len(lines) == 1 and lines[0].endswith(", 2 streams")
 
 
 def test_trial_grouping_cannot_change_a_bit():
+    # a shorter run is a prefix of a longer one, and no chunk size moves a
+    # bit
     scn = _co_scenario(n_elements_a=8)
-    ids = list(range(2 * STALE_CHUNK + 5))
-    whole = np.stack(stale_rates(scn, ids, 4))
-    for lo, hi in ((0, 1), (3, STALE_CHUNK + 2), (STALE_CHUNK - 1, len(ids))):
-        part = np.stack(stale_rates(scn, ids[lo:hi], 4))
-        assert part.tobytes() == whole[:, :, lo:hi].tobytes()
-    backwards = np.stack(stale_rates(scn, ids[::-1], 4))
-    assert backwards.tobytes() == whole[:, :, ::-1].tobytes()
+    trials = 2 * STALE_CHUNK + 5
+    whole = np.stack(stale_rates(scn, trials, 4))
+    for n in (1, STALE_CHUNK - 1, STALE_CHUNK + 2):
+        assert np.stack(stale_rates(scn, n, 4)).tobytes() == whole[:, :, :n].tobytes()
+    for chunk in (1, 3):
+        with mock.patch.object(coexist, "STALE_CHUNK", chunk):
+            assert np.stack(stale_rates(scn, trials, 4)).tobytes() == whole.tobytes()
 
 
 def test_stale_rates_wrappers_agree():
-    # a one-scale call and a one-trial call at the default scale read the
+    # a one-scale call and a shorter call at the default scale read the
     # rows and columns of a wider call bit for bit
     scn = _co_scenario()
-    both = np.stack(stale_rates(scn, range(6), 9, (0.5, 1.0)))
-    half = np.stack(stale_rates(scn, range(6), 9, (0.5,)))
+    both = np.stack(stale_rates(scn, 6, 9, (0.5, 1.0)))
+    half = np.stack(stale_rates(scn, 6, 9, (0.5,)))
     assert half.tobytes() == both[:, :1].tobytes()
-    one = np.stack(stale_rates(scn, (4,), 9))
-    assert one.tobytes() == both[:, 1:, 4:5].tobytes()
+    one = np.stack(stale_rates(scn, 5, 9))
+    assert one.tobytes() == both[:, 1:, :5].tobytes()
 
 
 def test_stale_rates_reject_active_foreign_surface():
@@ -229,12 +232,12 @@ def test_stale_rates_reject_active_foreign_surface():
 
     with mock.patch.object(coexist, "draw_stack", active):
         with pytest.raises(ValueError, match="magnitude"):
-            stale_rates(scn, range(3), 1)
+            stale_rates(scn, 3, 1)
 
 
 def test_stale_rates_reject_negative_bounce_scale():
     with pytest.raises(ValueError):
-        stale_rates(_co_scenario(), range(2), 1, (1.0, -0.5))
+        stale_rates(_co_scenario(), 2, 1, (1.0, -0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +431,11 @@ def test_lbt_rejects_zero_slots():
         run_lbt_sim(_co_scenario(), -72.0, 8, 0, seed=1)
 
 
-def test_lbt_draws_each_own_link_once(monkeypatch):
+def test_lbt_draws_each_own_link_once(monkeypatch, seeded_streams):
     # A's surface link is one drawn stack and B's ground link one drawn
     # block, or a shadowed B's bounce one more stack with its surface
-    # state; each own link sets its one stream once, and the collided rate
-    # reuses the spectrum at the raised noise
+    # state; each own link seeds its one stream, the access draws one
+    # more, and the collided rate reuses the spectrum at the raised noise
     calls = {"draw_stack": 0, "draw_links": 0}
     for name in calls:
         fn = getattr(coexist, name)
@@ -442,11 +445,11 @@ def test_lbt_draws_each_own_link_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(coexist, name, counted)
-    assert run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5).keyed_draws == 2
+    run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5)
     assert calls == {"draw_stack": 1, "draw_links": 1}
-    assert run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50,
-                       seed=5).keyed_draws == 2
+    run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, seed=5)
     assert calls == {"draw_stack": 3, "draw_links": 1}
+    assert seeded_streams == ["own/a", "own/b", "lbt"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +489,14 @@ def test_infinite_attenuation_recovers_baseline():
     scn, p = _adj_scenario()
     filtered = _column(run(prepare("adjacent", {"oob_attenuation_db": math.inf}, 5, 50)),
                        "rate_with_filter")
-    _, (base,), _ = stale_rates(scn, range(50), 5, (0.0,))
+    _, (base,), _ = stale_rates(scn, 50, 5, (0.0,))
     assert np.max(np.abs(filtered - base)) <= 1e-9
 
 
 def test_adjacent_static_bounce_is_lossless():
     scn, p = _adj_scenario(policy="static")
     unfiltered = _column(run(prepare("adjacent", {"policy": "static"}, 5, 50)), "rate_no_filter")
-    fresh, stale, _ = stale_rates(scn, range(50), 5)
+    fresh, stale, _ = stale_rates(scn, 50, 5)
     assert np.array_equal(unfiltered, stale[0])
     assert np.array_equal(stale, fresh)
 
@@ -504,27 +507,26 @@ def test_filter_dominates_under_rerandomization():
     scn, p = _adj_scenario(m_antennas=64, u_antennas=1, alpha_direct=3.5,
                            n_elements_a=64)
     scale = 10.0 ** (filter_budget_db(30.0, p["insertion_loss_db"], 2) / 20.0)
-    _, (unfiltered, filtered), _ = stale_rates(scn, range(10_000), 11, (1.0, scale))
+    _, (unfiltered, filtered), _ = stale_rates(scn, 10_000, 11, (1.0, scale))
     wins = np.mean(filtered >= unfiltered)
     assert wins >= 0.95
 
 
-def test_adjacent_draws_each_trial_once(monkeypatch):
-    keyed, drawn = [], []
+def test_adjacent_draws_each_trial_once(monkeypatch, seeded_streams):
+    calls = []
     draw_stack = coexist.draw_stack
 
-    def draw(scenario, streams, cols, surfaces):
-        keyed.append(streams)
-        drawn.extend(streams.keys[c] for c in cols)
-        return draw_stack(scenario, streams, cols, surfaces)
+    def draw(scenario, count, normals, uniforms, surfaces):
+        calls.append((count, normals, uniforms))
+        return draw_stack(scenario, count, normals, uniforms, surfaces)
 
     monkeypatch.setattr(coexist, "draw_stack", draw)
     run(prepare("adjacent", {}, 1, 50))
-    # one stream per trial, keyed once, and each drawn exactly once
-    streams = keyed[0]
-    assert all(s is streams for s in keyed) and streams.keys.shape == (50,)
-    assert sorted(drawn) == sorted(streams.keys.tolist())
-    assert len(set(drawn)) == 50 and streams.draws == 50
+    # both arms read one draw of each trial: the chunks cover the 50 trials
+    # once, all from the run's two generators
+    assert seeded_streams == ["stale/normals", "stale/uniforms"]
+    assert sum(count for count, _, _ in calls) == 50
+    assert len({(id(n), id(u)) for _, n, u in calls}) == 1
 
 
 def test_adjacent_arms_match_separate_stale_trials():
@@ -532,10 +534,10 @@ def test_adjacent_arms_match_separate_stale_trials():
     table = run(prepare("adjacent", {}, 3, 5))
     arms = [_column(table, metric) for metric in ("rate_no_filter", "rate_with_filter",
                                                   "loss_no_filter", "loss_with_filter")]
-    for t in range(5):
-        _, s0, l0 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3))
-        _, s1, l1 = (float(v[0, 0]) for v in stale_rates(scn, (t,), 3, (_filter_scale(),)))
-        assert tuple(float(a[t]) for a in arms) == (s0, s1, l0, l1)
+    _, (s0,), (l0,) = stale_rates(scn, 5, 3)
+    _, (s1,), (l1,) = stale_rates(scn, 5, 3, (_filter_scale(),))
+    for arm, want in zip(arms, (s0, s1, l0, l1)):
+        assert arm.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ris_sim
-from ris_sim import experiments, numkernel
+from ris_sim import coexist, experiments, numkernel
 from ris_sim.cli import main
 from ris_sim.experiments import (
     MULTIUSER_CHUNK,
@@ -297,18 +297,49 @@ def test_multiuser_rows_do_not_depend_on_the_chunk():
 
 
 # ---------------------------------------------------------------------------
-# one keyed stream per row group: rank, beamform and multiuser
+# one generator per run and draw kind: trials are consecutive rows
+
+def _values(rows):
+    return np.array([v for _, _, v in rows], dtype=float)
+
+
+@pytest.mark.parametrize("experiment, scenario", [
+    ("rank", {"m_antennas": 3, "u_antennas": 2, "n_elements": 5, "ris_ue_rician_k": 2.5,
+              "include_direct": True}),
+    ("beamform", {"channel": "rayleigh", "n_list": [1, 3, 40], "quantization_bits": [1, 3]}),
+    ("multiuser", {"n_users": 2, "n_elements": 4, "max_iters": 3}),
+    ("coexist", {"n_elements_a": 8}),
+    ("adjacent", {"n_elements_a": 8}),
+])
+def test_a_run_is_a_prefix_of_a_longer_run_at_any_chunk(monkeypatch, experiment, scenario):
+    # trial t's rows depend on the seed and t alone: a run of n trials is
+    # the first n trials' rows of a run of N, bit for bit, and no chunk
+    # size moves a bit
+    whole = run(prepare(experiment, scenario, 21, 9)).rows
+    for n in (1, 4):
+        part = run(prepare(experiment, scenario, 21, n)).rows
+        head = [row for row in whole if row[0] < n]
+        assert [r[:2] for r in part] == [r[:2] for r in head]
+        assert _values(part).tobytes() == _values(head).tobytes()
+    for chunk in (1, 3):
+        for module, name in ((experiments, "BEAMFORM_CHUNK"), (experiments, "MULTIUSER_CHUNK"),
+                             (coexist, "STALE_CHUNK")):
+            monkeypatch.setattr(module, name, chunk)
+        rows = run(prepare(experiment, scenario, 21, 9)).rows
+        assert [r[:2] for r in rows] == [r[:2] for r in whole]
+        assert _values(rows).tobytes() == _values(whole).tobytes()
+
 
 def _spy_draws(monkeypatch):
-    """(cols, copies of the stacks) of every `draw_links` call a runner
-    makes; the copies keep what the runner scales in place afterwards."""
+    """(trial count, copies of the stacks) of every `draw_links` call a
+    runner makes; the copies keep what the runner scales in place
+    afterwards."""
     calls = []
     draw = experiments.draw_links
 
-    def spy(links, streams, cols, *args):
-        cols = list(cols)
-        stacks, drawn = draw(links, streams, cols, *args)
-        calls.append((cols, [None if s is None else s.copy() for s in stacks]))
+    def spy(links, count, *args):
+        stacks, drawn = draw(links, count, *args)
+        calls.append((count, [None if s is None else s.copy() for s in stacks]))
         return stacks, drawn
 
     monkeypatch.setattr(experiments, "draw_links", spy)
@@ -319,16 +350,16 @@ def _spy_draws(monkeypatch):
                                        (math.inf, False)])
 def test_rank_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch, k, direct):
     # trial t draws its U x min(N, M) projection, then its direct block,
-    # from `rank/{t}`; at K = inf it draws no projection
+    # as row t of the run's stream `rank/normals`; at K = inf it draws no
+    # projection
     calls = _spy_draws(monkeypatch)
     scenario = {"m_antennas": 3, "u_antennas": 2, "n_elements": 5, "ris_ue_rician_k": k,
                 "include_direct": direct}
     run(prepare("rank", scenario, seed=13, trials=4))
-    ((cols, stacks),) = calls
-    assert cols == [0, 1, 2, 3]
+    ((count, stacks),) = calls
+    assert count == 4
     shapes = [None if math.isinf(k) else (2, 3), (2, 3) if direct else None]
-    for t in cols:
-        want = oracles.rayleigh_trial_blocks(13, f"rank/{t}", shapes)
+    for t, want in enumerate(oracles.rayleigh_trial_blocks(13, "rank/normals", shapes, 4)):
         for got, ref in zip(stacks, want):
             assert (got is None) == (ref is None)
             if ref is not None:
@@ -337,16 +368,17 @@ def test_rank_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch, k, 
 
 def test_multiuser_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch):
     # trial t draws all its users' incident hops, then all their departure
-    # hops, from `multiuser/{t}`, whatever chunk it lands in
+    # hops, as row t of the run's stream `multiuser/normals`, whatever
+    # chunk it lands in
     monkeypatch.setattr(experiments, "MULTIUSER_CHUNK", 2)
     calls = _spy_draws(monkeypatch)
     scenario = {"n_users": 3, "m_antennas": 2, "u_antennas": 1, "n_elements": 4}
     run(prepare("multiuser", scenario, seed=17, trials=5))
-    assert [cols for cols, _ in calls] == [[0, 1], [2, 3], [4]]
-    for cols, stacks in calls:
-        for i, t in enumerate(cols):
-            want = oracles.rayleigh_trial_blocks(17, f"multiuser/{t}", [(3, 4, 2), (3, 1, 4)])
-            assert [s[i].tobytes() for s in stacks] == [w.tobytes() for w in want]
+    assert [count for count, _ in calls] == [2, 2, 1]
+    want = oracles.rayleigh_trial_blocks(17, "multiuser/normals", [(3, 4, 2), (3, 1, 4)], 5)
+    got = [[s[i] for s in stacks] for _, stacks in calls for i in range(len(stacks[0]))]
+    assert [[b.tobytes() for b in blocks] for blocks in got] == [
+        [b.tobytes() for b in blocks] for blocks in want]
 
 
 def _column(rows, metric):
@@ -354,9 +386,9 @@ def _column(rows, metric):
 
 
 def _assert_same_means(new_rows, old_rows, metrics, floor=0.0):
-    """Each metric's mean over the one-stream route's rows lies within 5
-    standard errors (plus `floor`) of its mean over the per-block route's
-    rows, both of one trial count."""
+    """Each metric's mean over the runner's rows lies within 5 standard
+    errors (plus `floor`) of its mean over a frozen route's rows, both of
+    one trial count."""
     for metric in metrics:
         new, old = _column(new_rows, metric), _column(old_rows, metric)
         assert len(new) == len(old) > 1
@@ -386,6 +418,29 @@ def test_multiuser_one_stream_route_matches_the_per_block_route_in_distribution(
     new = run(prepare("multiuser", scenario, seed=43, trials=200)).rows
     old = oracles.block_keyed_rows("multiuser", scenario, 43, 200)
     _assert_same_means(new, old, ("shared_sum", "gap_fraction"))
+
+
+_RANK_DIRECT = {"m_antennas": 4, "u_antennas": 4, "n_elements": 64, "include_direct": True}
+
+
+@pytest.mark.parametrize("experiment, scenario, trials, metrics", [
+    ("rank", {**_RANK_DIRECT, "ris_ue_rician_k": 0.0}, 2000, ("sigma_1", "sigma_2")),
+    ("rank", {**_RANK_DIRECT, "ris_ue_rician_k": 2.0}, 2000, ("sigma_1", "sigma_2")),
+    ("rank", {**_RANK_DIRECT, "ris_ue_rician_k": math.inf}, 2000, ("sigma_1", "sigma_2")),
+    ("beamform", {"channel": "rayleigh", "n_list": [2, 8, 32], "quantization_bits": [1, 3]},
+     2000, [f"{head}_n{n}" for n in (2, 8, 32) for head in ("gain", "ratio_b1", "ratio_b3")]),
+    ("multiuser", {"n_users": 3, "n_elements": 8}, 200, ("shared_sum", "gap_fraction")),
+    ("coexist", {}, 400, ("fresh_rate", "stale_rate", "loss_fraction")),
+    ("adjacent", {}, 400, ("rate_no_filter", "rate_with_filter", "loss_no_filter",
+                           "loss_with_filter")),
+], ids=["rank-k0", "rank-k2", "rank-kinf", "beamform", "multiuser", "coexist", "adjacent"])
+def test_run_streams_match_the_frozen_per_trial_route_in_distribution(experiment, scenario,
+                                                                      trials, metrics):
+    # every scattered entry is iid CN(0, 1) and every phase iid U(0, 2 pi)
+    # whether a trial is a row of the run's stream or a stream of its own
+    new = run(prepare(experiment, scenario, seed=43, trials=trials)).rows
+    old = oracles.trial_keyed_rows(experiment, scenario, 43, trials)
+    _assert_same_means(new, old, metrics)
 
 
 def test_runner_rejects_unknown_scenario_field():

@@ -1,8 +1,9 @@
 """Golden sha256 digests of the result CSV, JSON mirror and metadata
 sidecar of every shipped config, of four LBT tables, of eight stale-CSI
 branch tables, of the multiuser and deploy benchmark workloads and of two
-wide beamform scenarios; and the digests of five former tables, which the
-frozen per-block route in `oracles.block_keyed_rows` reproduces.
+wide beamform scenarios; and the digests of former tables, which the
+frozen per-block route in `oracles.block_keyed_rows` and the frozen
+per-trial route in `oracles.trial_keyed_rows` reproduce.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -94,25 +95,25 @@ def test_lbt_branch_csv_matches_golden_digest(branch):
 # a shadowed victim and pure LoS on coexist; one filter pass, an opaque
 # filter and a lossless one on adjacent.  Both still-surface policies and
 # the transmit-slot measurement give the same table: B's channel never
-# moves under any of them, and a trial's one held surface state is drawn
-# from its one stream whatever the slot.
+# moves under any of them, and a trial's one held surface state is its row
+# of the run's uniform stream whatever the slot.
 STALE_BRANCH_DIGESTS = {
     "static": ("coexist", {"policy": "static"},
-               "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
+               "05d5692a0c8fdbffab2e5f191f6e7a599c2e72094967d6664d45a03b72b59740"),
     "frozen": ("coexist", {"policy": "frozen_during_foreign_slot"},
-               "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
+               "05d5692a0c8fdbffab2e5f191f6e7a599c2e72094967d6664d45a03b72b59740"),
     "same_slot": ("coexist", {"t1": 3, "t2": 3},
-                  "93c72a07e4b37dc98dbd93a85d463d67008ab03a99373b814a73de335de3db61"),
+                  "05d5692a0c8fdbffab2e5f191f6e7a599c2e72094967d6664d45a03b72b59740"),
     "shadowed": ("coexist", {"b_direct_blocked": True},
-                 "e407e5b0e21135160a693efaa51c2748eca7a8f45078a77185cdf0e3bb2b1d22"),
+                 "fc6d42b6439cd74ddcc19c8df9f8490d89d2a8f67377cdef9ecf93b287dbb3f1"),
     "los_only": ("coexist", {"rician_k": math.inf},
-                 "3b80087a160d54ecdff9c4c714d937b0cea5635767756bdbc809798dcc567d89"),
+                 "e27bdae41013850a4c8b19d81c9e5e8eb93e5a861fa3c8ed819d17ace81afda1"),
     "one_pass": ("adjacent", {"filter_passes": 1},
-                 "f3ea6bd1a0130378e07fc8af8ddcc96dfdc4cade8101116c4aada695d1408deb"),
+                 "fd4f5a58499c1b2bd9c96610f03fa0be038716a110c9387894bab1a28322760e"),
     "opaque_filter": ("adjacent", {"oob_attenuation_db": math.inf},
-                      "472ea9869b17905a5b84d71efdf26d84984d5271df79d9e9d9ce8c7bbe4002c8"),
+                      "1c077b1940950af5b2aadfc7d7c6e677a5b9c23278f71bc347d20a62d6cd28f2"),
     "lossless_filter": ("adjacent", {"insertion_loss_db": 0},
-                        "291c53827ff01f473907dcecd1757d8af3a9f8f17a18ea82f933717515ce77bd"),
+                        "70189504db704d844c7120ac2c22998fd0a4f66874794758b1bfcf07f5f6fe4c"),
 }
 
 
@@ -128,7 +129,7 @@ def test_stale_branch_csv_matches_golden_digest(branch):
 # stop at max_iters=4, so this pins the capped branch the benchmark times.
 WORKLOAD_MULTIUSER = ({"n_users": 4, "m_antennas": 2, "u_antennas": 2, "n_elements": 32,
                        "qos_weights": [1.0, 0.8, 0.6, 0.4], "max_iters": 4},
-                      "e2c8950b50ab7ef40b83106117239f71fef0831f41a93bedd95c3875c214e74a")
+                      "5d5c1794a54c385542e1c4dd5afbde88d7d3764d62682887e7a765dd362833c7")
 
 
 def test_workload_multiuser_csv_matches_golden_digest():
@@ -171,7 +172,7 @@ WIDE_BEAMFORM = {
              "b1fb9e95c8714b87d18a8a8dd59e4591598017e94139b8ebae43b1814adc27f8"),
     "rayleigh": ({"channel": "rayleigh", "n_list": [1, 2, 3, 17, 64, 1024],
                   "quantization_bits": [1, 2, 3, 51]},
-                 "b2bac0d71e833b3724f6dc3edfc1a5f68a1125aa2c304ff0355e2111ea8579c1"),
+                 "88e9572af4c2848d167bcaaea7359b15638b50469a66abc2a4191e0ee5dd0a61"),
 }
 
 
@@ -196,7 +197,7 @@ PER_BLOCK_CSV = {
 }
 
 
-def _per_block_run(name):
+def _former_run(name):
     if name == "workload-multiuser":
         return "multiuser", WORKLOAD_MULTIUSER[0], 5, 6
     if name == "wide-rayleigh":
@@ -207,6 +208,30 @@ def _per_block_run(name):
 
 @pytest.mark.parametrize("name", sorted(PER_BLOCK_CSV))
 def test_frozen_per_block_route_reproduces_the_former_tables(name):
-    rows = oracles.block_keyed_rows(*_per_block_run(name))
+    rows = oracles.block_keyed_rows(*_former_run(name))
     csv = ResultTable(tuple(rows), {}).to_csv()
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == PER_BLOCK_CSV[name]
+
+
+# The CSV digests of the shipped rank, beamform, multiuser, coexist and
+# adjacent tables, of the multiuser workload and of the wide Rayleigh
+# beamform scenario as the runners made them when they keyed one stream
+# per trial (and beamform size).  The frozen route reproduces each, so the
+# in-distribution checks of the run-stream route compare it with the route
+# the runners ran.
+PER_TRIAL_CSV = {
+    "rank": "08fafec330a547c73d28450a3dc8e127fd4d1c46aa1983f554fd8619cc6459e8",
+    "beamform": "d339fd8d37c19fcfd423a1214467fea0cc9c6792e2a21524ae8e61af737cc7cc",
+    "multiuser": "56624d23de26f8f810512218bbaed3f07368383dea3a337e4ea067a7e427a55e",
+    "coexist": "9981ee70ad03bcd3b3a03be1dcc29f8b9e02222de9a7548e385823188b6a72da",
+    "adjacent": "f1b4272d1dd48b8acdeb1f18a0c547d5b184ccde498488ddd4910ec69e531ab9",
+    "workload-multiuser": "e2c8950b50ab7ef40b83106117239f71fef0831f41a93bedd95c3875c214e74a",
+    "wide-rayleigh": "b2bac0d71e833b3724f6dc3edfc1a5f68a1125aa2c304ff0355e2111ea8579c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TRIAL_CSV))
+def test_frozen_per_trial_route_reproduces_the_former_tables(name):
+    rows = oracles.trial_keyed_rows(*_former_run(name))
+    csv = ResultTable(tuple(rows), {}).to_csv()
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == PER_TRIAL_CSV[name]

@@ -300,18 +300,32 @@ def test_one_bit_fixture_route_matches_frozen_panels():
         assert coarse[t] == abs(oracles.composite_gain(g[t], h[t], one_bit)) ** 2
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), trials=st.integers(2, 5))
+def test_miso_gains_of_each_link_alone_match_the_stack(seed, n, trials):
+    # a one-link stack of one element takes numpy's one-element loops, which
+    # round an in-place complex product differently from a longer stack's
+    rng = rng_from(seed, "miso")
+    g, h = complex_normal(rng, (trials, n)), complex_normal(rng, (trials, n))
+    phases = align_miso(g, h)
+    alone = [miso_gains(g[t:t + 1], h[t:t + 1], phases[t:t + 1])[0] for t in range(trials)]
+    assert alone == miso_gains(g, h, phases)
+
+
 @pytest.mark.parametrize("chunk", [experiments.BEAMFORM_CHUNK, 50])
 def test_beamform_runner_matches_frozen_panels_bit_for_bit(monkeypatch, chunk):
     # the runner's table against the per-trial panel route it replaced, on
-    # each trial's one-stream draw; at 50 coefficients per chunk the
-    # 40-element size takes one trial a chunk
+    # each trial's draw: row t of its size's stream; at 50 coefficients per
+    # chunk the 40-element size takes one trial a chunk
     monkeypatch.setattr(experiments, "BEAMFORM_CHUNK", chunk)
     scenario = {"channel": "rayleigh", "n_list": [1, 3, 40], "quantization_bits": [1, 4, 51]}
     table = run(prepare("beamform", scenario, seed=8, trials=6))
+    draws = {n: oracles.rayleigh_trial_blocks(8, f"beamform/{n}", [(n,), (n,)], 6)
+             for n in scenario["n_list"]}
     want = []
     for t in range(6):
         for n in scenario["n_list"]:
-            g, h = oracles.rayleigh_trial_blocks(8, f"beamform/{t}/{n}", [(n,), (n,)])
+            g, h = draws[n][t]
             panel = oracles.align_phases_miso(g, h)
             gain = abs(oracles.composite_gain(g, h, panel)) ** 2
             want.append((t, f"gain_n{n}", gain))
