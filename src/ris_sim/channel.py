@@ -249,7 +249,6 @@ class Scenario:
     nb: str = "nb"
     ris: str = "ris"
     ue: str = "ue"
-    seed: int = 0
     los_nb_ris: np.ndarray = field(init=False, repr=False)
     los_ris_ue: np.ndarray = field(init=False, repr=False)
     los_nb_ue: np.ndarray | None = field(init=False, repr=False)
@@ -295,12 +294,11 @@ def draw_links(links, count: int, normal_rng, uniform_rng=None, uniforms: int = 
     `uniform_rng` then fills a (count, uniforms) array; `uniform_rng` is
     needed only when `uniforms` > 0.  Both generators keep their state, so
     consecutive calls draw consecutive trials, and chunks of any sizes
-    draw what one call draws.  Passing one generator as both keeps a
-    single trial's draw order: normals, then uniforms.  A scattered part
-    is iid CN(0, 1), scaled straight into its stack at its weight
-    sqrt(1/(K+1)); the LoS part sqrt(K/(K+1)) los is formed once per call
-    and added in place at K > 0.  A link at infinite K draws nothing: its
-    stack is the read-only `los` broadcast along it.
+    draw what one call draws.  A scattered part is iid CN(0, 1), scaled
+    straight into its stack at its weight sqrt(1/(K+1)); the LoS part
+    sqrt(K/(K+1)) los is formed once per call and added in place at
+    K > 0.  A link at infinite K draws nothing: its stack is the
+    read-only `los` broadcast along it.
 
     Returns the stacks, (count,) + shape each and None for a missing
     link, and the (count, uniforms) uniform draws.

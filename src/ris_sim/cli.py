@@ -16,11 +16,12 @@ the output files, or to stdout as CSV when no output path is given.
 
 Exit codes: 0 success, 1 config validation error, 2 runtime error.
 
-Importing this module pins BLAS to one thread: before numpy is first
-imported, it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and
+Importing this module pins BLAS to one thread: when numpy is not loaded
+yet, it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and
 `MKL_NUM_THREADS` to 1 unless the environment already sets them.  A value
-the user gives wins, and a library caller that imported numpy first keeps
-the BLAS setting numpy started with.
+the user gives wins.  A library caller that imported numpy first keeps
+the BLAS setting numpy started with, and its environment, which its
+subprocesses inherit, is left as it was.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ import time
 from dataclasses import replace
 
 # before the first numpy import, which `.experiments` makes: BLAS reads
-# these once, when it loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# these once, when it loads, so once numpy is loaded they would pin nothing
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import yaml
 

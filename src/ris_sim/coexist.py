@@ -3,17 +3,18 @@
 Network B's effective channel bounces off network A's surface, so A's
 reconfigurations move B's channel between B's measurement slot t1 and its
 transmit slot t2.  `stale_rates` quantifies that stale-CSI loss, at any
-set of bounce scales; `run_lbt_sim` runs a slotted listen-before-talk
-medium access simulation with omnidirectional energy sensing; and
+set of bounce scales; `lbt_runs` runs slotted listen-before-talk medium
+access simulations with omnidirectional energy sensing; and
 `filter_budget_db` gives the out-of-band budget of a band filter at the
 surface, whose amplitude scale the adjacent-band runner hands to
 `stale_rates`.  One `CoexScenario` describes both networks, with fixed
 roles: A owns the surface, B owns none.
 
-Every draw is keyed on the run seed: the stale-CSI trials are consecutive
-rows of two generators, one for B's channel blocks and one for A's
-surface states, and an LBT run draws each own link from one stream.
-"""
+Every draw is keyed on the run seed, from a fixed number of generators
+per run: the stale-CSI trials are consecutive rows of one generator for
+B's channel blocks and one for A's surface states, and the LBT runs are
+consecutive rows of one generator for the own links, one for a shadowed
+B's surface state and one for the access draws."""
 
 from __future__ import annotations
 
@@ -206,95 +207,99 @@ def _budgets(coex: CoexScenario, threshold_dbm: float):
     return tuple(clear), interference
 
 
-def _own_spectra(coex: CoexScenario, seed: int):
-    """Singular values of network A's and network B's own links.
+def _own_spectra(coex: CoexScenario, trials: int, seed: int):
+    """Singular values of network A's and network B's own links in
+    `trials` runs, (2, trials, min(U, M)), from one stacked SVD.
 
-    Each own link draws from one generator, `rng_from(seed, "own/a")` or
-    `rng_from(seed, "own/b")`, which serves both of its draw kinds.  A's
-    link is its aligned surface plus its ground path.  B's link is its
-    ground path; a shadowed B's link is the bounce off A's surface, whose
-    state B does not control, so its generator draws B's normals, then
-    one random surface state.
+    Run t's blocks are row t of the generator `rng_from(seed,
+    "lbt/normals")`, A's, then B's.  A's link is its aligned surface plus
+    its ground path.  B's link is its ground path; a shadowed B's link is
+    the bounce off A's surface, whose state B does not control: row t of
+    `rng_from(seed, "lbt/uniforms")`, seeded only then.
     """
-    link = _surface_link(coex, "a", True)
-    *blocks, _ = draw_stack(link, 1, rng_from(seed, "own/a"))
-    theta = np.exp(1j * aligned_phases(*blocks, gains=link))
-    s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
-    rng = rng_from(seed, "own/b")
+    m, n, u = coex.m_antennas, coex.n_elements, coex.u_antennas
+    shapes = ((n, m), (u, n), (u, m))
+    link_a = _surface_link(coex, "a", True)
+    links = [(*link, shape) for link, shape in zip(link_a.links(), shapes)]
+    normals, uniforms = rng_from(seed, "lbt/normals"), None
     if coex.b_direct_blocked:
-        link = _surface_link(coex, "b", False)
-        *blocks, theta = draw_stack(link, 1, rng, rng, surfaces=1)
-        s_b = singular_values(assemble_stack(link, *blocks, theta[0])[0])
+        link_b = _surface_link(coex, "b", False)
+        links += [(*link, shape) for link, shape in zip(link_b.links()[:2], shapes)]
+        uniforms = rng_from(seed, "lbt/uniforms")
     else:
-        dp, u, m = coex.direct_params, coex.u_antennas, coex.m_antennas
-        los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, dp)
-        (h,), _ = draw_links([(dp, los, (u, m))], 1, rng)
-        s_b = singular_values(math.sqrt(pl) * h[0])
-    return s_a, s_b
+        los, pl_b = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, coex.direct_params)
+        links.append((coex.direct_params, los, (u, m)))
+    stacks, drawn = draw_links(links, trials, normals, uniforms,
+                               n if coex.b_direct_blocked else 0)
+    theta = np.exp(1j * aligned_phases(*stacks[:3], gains=link_a))
+    h_a = assemble_stack(link_a, *stacks[:3], theta)
+    if coex.b_direct_blocked:
+        h_b = assemble_stack(link_b, *stacks[3:], None, np.exp(2j * math.pi * drawn))
+    else:
+        h_b = math.sqrt(pl_b) * stacks[3]
+    return singular_values(np.stack([h_a, h_b]))
 
 
-@dataclass(frozen=True, eq=False)
-class LbtResult:
-    airtime_a: float
-    airtime_b: float
-    collision_fraction: float
-    mean_rate_a: float
-    mean_rate_b: float
-
-
-def run_lbt_sim(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
-                slots: int, seed: int) -> LbtResult:
-    """Slotted medium access with carrier sensing and random backoff.
+def lbt_runs(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
+             slots: int, trials: int, seed: int):
+    """`trials` runs of `slots` slots of medium access with carrier sensing
+    and random backoff.
 
     Both networks are saturated.  Per slot, contenders are polled in a
     random order; each senses the transmissions already granted in the
     slot against `threshold_dbm` and defers with a uniform backoff of up
     to `backoff_max` slots when the medium reads busy.  Collisions are
-    slots where both networks transmit; mean rates count idle slots as
-    zero (throughput).  A run seeds three generators: one per own link
-    (see `_own_spectra`) and `rng_from(seed, "lbt")` for the access draws.
+    slots where both networks transmit, at each one's rate with the
+    other's interference added to the noise; mean rates count idle slots
+    as zero (throughput).
+
+    Every run's own links are drawn once, in one pass (see
+    `_own_spectra`).  Run t's access draws are the t-th pair of calls on
+    `rng_from(seed, "lbt/access")`: `random(slots)`, whose value s below
+    0.5 polls A first in slot s, and `integers(0, backoff_max + 1,
+    size=slots)`, whose value s backs off the network that defers in slot
+    s, only ever the second one polled.  The slot loop calls no generator,
+    and run t depends on the seed and t alone.
+
+    Returns airtime_a, airtime_b, collision_fraction, mean_rate_a and
+    mean_rate_b, a (trials,) array each.  One INFO log line reports the
+    runs, slots and generators.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     # within a slot the only transmission a network can sense is the other
     # network's, so each network's sensing outcome is decided once
     clear, inter = _budgets(scenario, threshold_dbm)
-    # each own link is drawn once; a collision only adds interference noise
     noise = scenario.params.noise_power
-    spectra = _own_spectra(scenario, seed)
+    spectra = _own_spectra(scenario, trials, seed)
     tx = (scenario.tx_power_a, scenario.tx_power_b)
-    rate_alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]
-    rate_coll = [capacity_closed_form(s, p, noise + x) for s, p, x in zip(spectra, tx, inter)]
+    alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]
+    collided = [capacity_closed_form(s, p, noise + x) for s, p, x in zip(spectra, tx, inter)]
 
-    rng = rng_from(seed, "lbt")
-    backoff = [0, 0]
-    tx_slots = [0, 0]
-    collisions = 0
-    rate_sum = [0.0, 0.0]
-    for _ in range(slots):
-        order = rng.permutation(2)
-        granted = []
-        for i in order:
-            if backoff[i] > 0:
-                backoff[i] -= 1
-                continue
-            if not granted or clear[i]:
-                granted.append(i)
-            else:
-                backoff[i] = int(rng.integers(0, backoff_max + 1))
-        collided = len(granted) == 2
-        if collided:
-            collisions += 1
-        for i in granted:
-            tx_slots[i] += 1
-            rate_sum[i] += rate_coll[i] if collided else rate_alone[i]
-    return LbtResult(
-        airtime_a=tx_slots[0] / slots,
-        airtime_b=tx_slots[1] / slots,
-        collision_fraction=collisions / slots,
-        mean_rate_a=rate_sum[0] / slots,
-        mean_rate_b=rate_sum[1] / slots,
-    )
+    access = rng_from(seed, "lbt/access")
+    counts = np.empty((3, trials))  # slots A sends in, slots B sends in, collisions
+    for t in range(trials):
+        a_first = (access.random(slots) < 0.5).tolist()
+        waits = access.integers(0, backoff_max + 1, size=slots).tolist()
+        backoff, sent = [0, 0], [0, 0, 0]
+        for first, wait in zip(a_first, waits):
+            granted = []
+            for i in (0, 1) if first else (1, 0):
+                if backoff[i] > 0:
+                    backoff[i] -= 1
+                elif not granted or clear[i]:
+                    granted.append(i)
+                else:
+                    backoff[i] = wait
+            for i in granted:
+                sent[i] += 1
+            sent[2] += len(granted) == 2
+        counts[:, t] = sent
+    coll = counts[2]
+    rates = [((counts[i] - coll) * alone[i] + coll * collided[i]) / slots for i in range(2)]
+    log.info("lbt: %d trials of %d slots, %d streams", trials, slots,
+             3 if scenario.b_direct_blocked else 2)
+    return counts[0] / slots, counts[1] / slots, coll / slots, rates[0], rates[1]
 
 
 def filter_budget_db(oob_db: float, insertion_db: float, passes: int) -> float:

@@ -6,9 +6,10 @@ against `SCHEMA`, which holds each field's default and check.  `run`
 hands the resolved scenario to the experiment's row builder, which
 validates nothing, and wraps the long-format rows, one per trial per
 metric, in a `ResultTable` with its provenance.  All randomness is keyed
-on (seed, label), and trial t's draws are row t of its run's generators,
-so a table is a pure function of (scenario, seed, trials), and a run of
-n trials is the first n trials of any longer run.  Every run works in one
+on (seed, label): every runner seeds a fixed number of generators per
+run, whatever the trial count, and trial t's draws are row t of each, so
+a table is a pure function of (scenario, seed, trials), and a run of n
+trials is the first n trials of any longer run.  Every run works in one
 thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
@@ -41,7 +42,7 @@ from .channel import (
     resolve_wavefront,
 )
 from .numkernel import singular_values, spectrum_rank, svd
-from .seeding import rng_from, subseed
+from .seeding import rng_from
 
 log = logging.getLogger(__name__)
 
@@ -315,6 +316,12 @@ _COEX_FIELDS = {
     "b_direct_blocked": (False, _boolean),
 }
 
+#: entries of the largest array a run builds from count fields: under it a
+#: complex128 block, and an array's (count, 3) element coordinates, stay
+#: inside the byte count numpy can index
+MAX_BLOCK_ENTRIES = np.iinfo(np.intp).max // 32
+
+
 # experiment -> field -> (default, check).  A check takes (value, dotted
 # path) and returns the normalised value or raises ConfigError.
 SCHEMA = {
@@ -348,7 +355,8 @@ SCHEMA = {
     "coexist": {
         **_COEX_FIELDS,
         "mode": ("stale_csi", _choice("stale_csi", "lbt")),
-        "slots": (2000, _int_ge(1)),
+        # an LBT trial holds two draws per slot
+        "slots": (2000, _int_ge(1, MAX_BLOCK_ENTRIES)),
         "sense_threshold_dbm": (-82.0, _real()),
         # the backoff is drawn as a numpy int64
         "backoff_slots_max": (8, _int_ge(0, 2**63 - 1)),
@@ -460,12 +468,6 @@ def _check_snr(p, power, gains):
                               "exceeds 2^512")
 
 
-#: entries of the largest array a run builds from count fields: under it a
-#: complex128 block, and an array's (count, 3) element coordinates, stay
-#: inside the byte count numpy can index
-MAX_BLOCK_ENTRIES = np.iinfo(np.intp).max // 32
-
-
 def _check_blocks(p, blocks):
     """Every block, a tuple of count fields whose product is its entry
     count, holds at most `MAX_BLOCK_ENTRIES` entries; an oversized block
@@ -536,8 +538,7 @@ def _check_coex(p):
     if not p["b_direct_blocked"]:
         routes.append(((), [(nb_b, ue_b, ground)]))
     signal = {"tx_power_b": _check_routes(p, routes)}
-    lbt = p.get("mode") == "lbt"
-    if lbt:
+    if p.get("mode") == "lbt":
         # A's own link
         signal["tx_power_a"] = _check_routes(p, [((), [(nb_a, ris, refl), (ris, ue_a, refl)]),
                                                  ((), [(nb_a, ue_a, ground)])])
@@ -687,21 +688,16 @@ def _rank_geometry(p) -> Geometry:
     )
 
 
-def _rank_scenario(p, seed) -> Scenario:
-    geom = _rank_geometry(p)
+def _rank_scenario(p) -> Scenario:
     wf = p["wavefront"]
-    nb_ris = ChannelParams(rician_k=math.inf, wavefront_model=wf)
-    ris_ue = ChannelParams(rician_k=p["ris_ue_rician_k"], wavefront_model=wf)
-    nb_ue = ChannelParams(wavefront_model=wf) if p["include_direct"] else None
     return Scenario(
-        geometry=geom,
+        geometry=_rank_geometry(p),
         m_antennas=p["m_antennas"],
         n_elements=p["n_elements"],
         u_antennas=p["u_antennas"],
-        nb_ris=nb_ris,
-        ris_ue=ris_ue,
-        nb_ue=nb_ue,
-        seed=seed,
+        nb_ris=ChannelParams(rician_k=math.inf, wavefront_model=wf),
+        ris_ue=ChannelParams(rician_k=p["ris_ue_rician_k"], wavefront_model=wf),
+        nb_ue=ChannelParams(wavefront_model=wf) if p["include_direct"] else None,
     )
 
 
@@ -734,7 +730,7 @@ def _rank_rows(p, seed, trials) -> list:
     does not depend on the trial count.  One INFO log line reports the
     trials and the one generator.
     """
-    scn = _rank_scenario(p, seed)
+    scn = _rank_scenario(p)
     u, m = scn.u_antennas, scn.m_antennas
     k = scn.ris_ue.rician_k
     amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
@@ -922,14 +918,13 @@ def _coex_scenario(p):
 
 
 def _coexist_rows(p, seed, trials) -> list:
-    """Stale-CSI loss of the victim network, or a slotted LBT run.
+    """Stale-CSI loss of the victim network, or slotted LBT runs.
 
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
     precoding on measurement-time state, from one `coexist.stale_rates`
-    call over all trials.  Mode "lbt" runs `trials` independent
-    listen-before-talk simulations of `slots` slots each, trial t on the
-    seed `subseed(seed, f"run/{t}")`, and one INFO log line reports the
-    trials, slots and the generators each simulation seeds.
+    call over all trials.  Mode "lbt" reports per-trial airtimes,
+    collision fraction and mean rates of `trials` listen-before-talk runs
+    of `slots` slots each, from one `coexist.lbt_runs` call.
     """
     from . import coexist
     scn = _coex_scenario(p)
@@ -938,14 +933,11 @@ def _coexist_rows(p, seed, trials) -> list:
         arms = coexist.stale_rates(scn, trials, seed)
         return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
                            [a[0] for a in arms])
-
-    results = [coexist.run_lbt_sim(scn, p["sense_threshold_dbm"], p["backoff_slots_max"],
-                                   p["slots"], subseed(seed, f"run/{t}"))
-               for t in range(trials)]
-    metrics = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
-    rows = [(t, name, getattr(res, name)) for t, res in enumerate(results) for name in metrics]
-    log.info("lbt: %d trials of %d slots, 3 streams per trial", trials, p["slots"])
-    return rows
+    return _trial_rows(
+        ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b"),
+        coexist.lbt_runs(scn, p["sense_threshold_dbm"], p["backoff_slots_max"], p["slots"],
+                         trials, seed),
+    )
 
 
 def _adjacent_rows(p, seed, trials) -> list:

@@ -11,7 +11,8 @@ is `default_rng` of that key, a PCG64 seeded through `SeedSequence(key)`.
 Every run draws in one thread, from a fixed number of generators that
 does not grow with the trial count.  A runner seeds one generator per draw
 kind, `"<runner>/normals"` and `"<runner>/uniforms"` (beamform one per
-panel size), and draws its trials as consecutive rows of each: trial t's
+panel size, and LBT a third, `"lbt/access"`, for its polling orders and
+backoffs), and draws its trials as consecutive rows of each: trial t's
 row is the t-th run of values of its stream.  numpy's `standard_normal`
 and `random` drawn in consecutive chunks equal one call bit for bit, so
 no value depends on the chunking, and trial t's row depends on the seed

@@ -706,9 +706,10 @@ def rician_block(k: float, los, rng, shape=None):
     return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
 
 
-def keyed_blocks(scenario, trial: int):
-    """The channel blocks of one trial of `scenario` as the scalar draw
-    made them before the stacked route, in a `ChannelRealization`.
+def keyed_blocks(scenario, trial: int, seed: int):
+    """The channel blocks of one trial of `scenario` on `seed` as the
+    scalar draw made them before the stacked route, in a
+    `ChannelRealization`.
 
     Link l's block is `rician_block` from `default_rng(key)`, keyed
     `subseed(subseed(seed, f"trial/{trial}"), label)` by one `SeedSequence`
@@ -716,7 +717,7 @@ def keyed_blocks(scenario, trial: int):
     """
     from ris_sim.seeding import subseed
 
-    base = subseed(scenario.seed, f"trial/{trial}")
+    base = subseed(seed, f"trial/{trial}")
     m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
     g, h, direct = (
         None if params is None
@@ -1057,6 +1058,97 @@ def apply_band_filter(filt, inband_power_dbm: float, oob_power_dbm: float,
 
 
 # ---------------------------------------------------------------------------
+# LBT keyed per trial, frozen
+#
+# The LBT runner as it ran before it drew from run-level generators: trial
+# t was a run of its own on the seed `subseed(seed, f"run/{t}")`, drew each
+# own link alone from one generator for both draw kinds, and called its
+# access generator inside the slot loop.
+
+LBT_METRICS = ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b")
+
+
+def per_trial_lbt_rows(scenario, seed: int, trials: int) -> list:
+    """The (trial, metric, value) rows of an LBT run (`scenario` holds
+    `mode: lbt`) on the per-trial route."""
+    from ris_sim.experiments import _coex_scenario, resolve_scenario
+    from ris_sim.seeding import subseed
+
+    p = resolve_scenario("coexist", scenario)
+    coex = _coex_scenario(p)
+    rows = []
+    for t in range(trials):
+        values = _per_trial_lbt(coex, p["sense_threshold_dbm"], p["backoff_slots_max"],
+                                p["slots"], subseed(seed, f"run/{t}"))
+        rows += [(t, name, v) for name, v in zip(LBT_METRICS, values)]
+    return rows
+
+
+def _per_trial_own_spectra(coex, seed: int):
+    """A's and B's own-link spectra, each link from its own generator
+    `own/a` or `own/b`, which serves both of its draw kinds."""
+    from ris_sim.channel import _fixed_link, assemble_stack, draw_links, draw_stack
+    from ris_sim.coexist import _surface_link
+    from ris_sim.numkernel import singular_values
+    from ris_sim.ris import aligned_phases
+    from ris_sim.seeding import rng_from
+
+    link = _surface_link(coex, "a", True)
+    *blocks, _ = draw_stack(link, 1, rng_from(seed, "own/a"))
+    theta = np.exp(1j * aligned_phases(*blocks, gains=link))
+    s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
+    rng = rng_from(seed, "own/b")
+    if coex.b_direct_blocked:
+        link = _surface_link(coex, "b", False)
+        *blocks, theta = draw_stack(link, 1, rng, rng, surfaces=1)
+        s_b = singular_values(assemble_stack(link, *blocks, theta[0])[0])
+    else:
+        dp, u, m = coex.direct_params, coex.u_antennas, coex.m_antennas
+        los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, dp)
+        (h,), _ = draw_links([(dp, los, (u, m))], 1, rng)
+        s_b = singular_values(math.sqrt(pl) * h[0])
+    return s_a, s_b
+
+
+def _per_trial_lbt(coex, threshold_dbm: float, backoff_max: int, slots: int, seed: int):
+    """One LBT run's five metrics, in `LBT_METRICS` order: a random polling
+    order by `permutation(2)` per slot and a backoff by `integers` per
+    deferral, both on the generator `lbt`, and each slot's rate summed."""
+    from ris_sim.coexist import _budgets
+    from ris_sim.numkernel import capacity_closed_form
+    from ris_sim.seeding import rng_from
+
+    clear, inter = _budgets(coex, threshold_dbm)
+    noise = coex.params.noise_power
+    spectra = _per_trial_own_spectra(coex, seed)
+    tx = (coex.tx_power_a, coex.tx_power_b)
+    rate_alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]
+    rate_coll = [capacity_closed_form(s, p, noise + x) for s, p, x in zip(spectra, tx, inter)]
+    rng = rng_from(seed, "lbt")
+    backoff = [0, 0]
+    tx_slots = [0, 0]
+    collisions = 0
+    rate_sum = [0.0, 0.0]
+    for _ in range(slots):
+        granted = []
+        for i in rng.permutation(2):
+            if backoff[i] > 0:
+                backoff[i] -= 1
+                continue
+            if not granted or clear[i]:
+                granted.append(i)
+            else:
+                backoff[i] = int(rng.integers(0, backoff_max + 1))
+        collided = len(granted) == 2
+        collisions += collided
+        for i in granted:
+            tx_slots[i] += 1
+            rate_sum[i] += rate_coll[i] if collided else rate_alone[i]
+    return (tx_slots[0] / slots, tx_slots[1] / slots, collisions / slots,
+            rate_sum[0] / slots, rate_sum[1] / slots)
+
+
+# ---------------------------------------------------------------------------
 # Rayleigh blocks of rank, beamform and multiuser: the scalar reference of
 # one stream per run, and of one stream per trial, frozen
 
@@ -1188,7 +1280,7 @@ def _frozen_rank(p, seed, trials, draw):
     from ris_sim.experiments import _rank_scenario
     from ris_sim.numkernel import spectrum_rank, svd
 
-    scn = _rank_scenario(p, seed)
+    scn = _rank_scenario(p)
     u, m = scn.u_antennas, scn.m_antennas
     k = scn.ris_ue.rician_k
     amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
@@ -1268,7 +1360,7 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
     from ris_sim.experiments import _rank_scenario, resolve_scenario
     from ris_sim.seeding import subseed
 
-    scn = _rank_scenario(resolve_scenario("rank", scenario), seed)
+    scn = _rank_scenario(resolve_scenario("rank", scenario))
     bases = [subseed(seed, f"trial/{t}") for t in range(trials)]
     m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
     blocks = []

@@ -117,34 +117,34 @@ def test_los_rejects_unknown_wavefront():
 # ---------------------------------------------------------------------------
 # Rician draws
 
-def _rician_scenario(k, m=4, n=4, seed=9):
+def _rician_scenario(k, m=4, n=4):
     # every link at factor k, the direct one included
     geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
     params = ChannelParams(rician_k=k)
     return Scenario(geometry=geom, m_antennas=m, n_elements=n, u_antennas=1,
-                    nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
+                    nb_ris=params, ris_ue=params, nb_ue=params)
 
 
-def _streams(scn):
-    """A run's normal and uniform generators, keyed on the scenario's seed."""
-    return rng_from(scn.seed, "normals"), rng_from(scn.seed, "uniforms")
+def _streams(seed):
+    """A run's normal and uniform generators, keyed on `seed`."""
+    return rng_from(seed, "normals"), rng_from(seed, "uniforms")
 
 
-def _draw(scn, trials):
-    """The channel blocks of the first `trials` trials of a run."""
-    return draw_stack(scn, trials, *_streams(scn))[:3]
+def _draw(scn, trials, seed):
+    """The channel blocks of the first `trials` trials of a run on `seed`."""
+    return draw_stack(scn, trials, *_streams(seed))[:3]
 
 
 def test_rician_high_k_limit():
     scn = _rician_scenario(1e12)
-    for stack, (_, los) in zip(_draw(scn, 2), scn.links()):
+    for stack, (_, los) in zip(_draw(scn, 2, 9), scn.links()):
         rel = np.linalg.norm(stack - los) / np.linalg.norm(np.broadcast_to(los, stack.shape))
         assert rel <= 1e-5
 
 
 def test_rician_infinite_k_is_los():
     scn = _rician_scenario(math.inf)
-    normals, uniforms = _streams(scn)
+    normals, uniforms = _streams(9)
     before = normals.bit_generator.state
     for stack, (_, los) in zip(draw_stack(scn, 3, normals, uniforms)[:3], scn.links()):
         assert stack.shape == (3,) + los.shape
@@ -156,7 +156,7 @@ def test_rician_infinite_k_is_los():
 
 def test_rician_rayleigh_variance():
     scn = _rician_scenario(0.0, m=100, n=100)
-    g, _, _ = _draw(scn, 100)
+    g, _, _ = _draw(scn, 100, 9)
     var = float(np.mean(np.abs(g) ** 2))
     assert abs(var - 1.0) <= 0.02
 
@@ -165,16 +165,16 @@ def test_rician_deterministic():
     # trial t's blocks are a function of the seed and t alone: redrawn from
     # generators seeded anew, as the rows of a longer run, or in chunks
     scn = _rician_scenario(2.0)
-    first = _draw(scn, 2)
-    longer = tuple(b[:2] for b in _draw(scn, 5))
-    normals, uniforms = _streams(scn)
+    first = _draw(scn, 2, 9)
+    longer = tuple(b[:2] for b in _draw(scn, 5, 9))
+    normals, uniforms = _streams(9)
     chunked = tuple(np.concatenate(parts) for parts in zip(
         draw_stack(scn, 1, normals, uniforms)[:3], draw_stack(scn, 1, normals, uniforms)[:3]))
-    for again in (_draw(scn, 2), longer, chunked):
+    for again in (_draw(scn, 2, 9), longer, chunked):
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
     assert not np.array_equal(first[1][0], first[1][1])
-    assert not np.array_equal(first[1], _draw(_rician_scenario(2.0, seed=10), 2)[1])
+    assert not np.array_equal(first[1], _draw(scn, 2, 10)[1])
 
 
 def test_params_validation():
@@ -348,7 +348,7 @@ def test_multi_panel_shape_guard():
 # ---------------------------------------------------------------------------
 # scenario draws
 
-def _scenario(seed=0, wavefront="planar", k_incident=math.inf, direct=False):
+def _scenario(wavefront="planar", k_incident=math.inf, direct=False):
     geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
     return Scenario(
         geometry=geom,
@@ -356,24 +356,23 @@ def _scenario(seed=0, wavefront="planar", k_incident=math.inf, direct=False):
         nb_ris=ChannelParams(rician_k=k_incident, wavefront_model=wavefront),
         ris_ue=ChannelParams(rician_k=0.0, wavefront_model=wavefront),
         nb_ue=ChannelParams(wavefront_model=wavefront) if direct else None,
-        seed=seed,
     )
 
 
 def test_draw_realization_deterministic():
     # a scenario's trial is redrawn the same, and another trial differs
-    scn = _scenario(seed=2024)
-    a = _draw(scn, 1)
-    b = _draw(scn, 1)
+    scn = _scenario()
+    a = _draw(scn, 1, 2024)
+    b = _draw(scn, 1, 2024)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
-    assert scn.pl_nb_ris == _scenario(seed=2024).pl_nb_ris
-    c = _draw(scn, 2)
+    assert scn.pl_nb_ris == _scenario().pl_nb_ris
+    c = _draw(scn, 2, 2024)
     assert not np.array_equal(a[1][0], c[1][1])
 
 
 def test_draw_stack_los_incident():
-    g, _, direct = _draw(_scenario(seed=1), 1)
+    g, _, direct = _draw(_scenario(), 1, 1)
     assert np.allclose(np.abs(g[0]), 1.0)
     assert numkernel.numerical_rank(g[0]) == 1
     assert direct is None
@@ -382,9 +381,9 @@ def test_draw_stack_los_incident():
 def test_keyhole_rank_spot_check():
     # planar LoS incident hop pinches the reflected channel to rank one;
     # the acceptance suite sweeps the full 500-draw grid
-    scn = _scenario(seed=5)
+    scn = _scenario()
     th = np.exp(1j * rng_from(80).uniform(0, 2 * np.pi, (25, 16)))
-    for h_t in assemble_stack(scn, *_draw(scn, 25), th):
+    for h_t in assemble_stack(scn, *_draw(scn, 25, 5), th):
         assert numkernel.numerical_rank(h_t) == 1
 
 
@@ -428,13 +427,13 @@ def test_scenario_blocks_are_fixed_and_read_only():
     assert bare.los_nb_ue is None and bare.pl_nb_ue == 0.0
 
 
-def _check_run_stream_draw(scn, chunks, surfaces):
+def _check_run_stream_draw(scn, seed, chunks, surfaces):
     """`draw_stack` of consecutive chunks of `chunks` trials against the
     scalar draw of each trial, one after the other, from the run's
     generators `default_rng(subseed(seed, "normals"))` and `"uniforms"`.
     Returns the run's generators and its stacks, the chunks joined."""
     m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
-    normals, uniforms = _streams(scn)
+    normals, uniforms = _streams(seed)
     *blocks, thetas = zip(*(draw_stack(scn, count, normals, uniforms, surfaces)
                             for count in chunks))
     stacks = [None if parts[0] is None else np.concatenate(parts) for parts in blocks]
@@ -442,7 +441,7 @@ def _check_run_stream_draw(scn, chunks, surfaces):
     links = [None if params is None else (params.rician_k, los, shape)
              for (params, los), shape in zip(scn.links(), ((n, m), (u, n), (u, m)))]
     assert theta.shape == (surfaces, sum(chunks), n)
-    ref_normals, ref_uniforms = _streams(scn)
+    ref_normals, ref_uniforms = _streams(seed)
     for t in range(sum(chunks)):
         blocks, states = oracles.one_stream_draw(ref_normals, links, surfaces * n, ref_uniforms)
         for stack, block in zip(stacks, blocks):
@@ -460,12 +459,12 @@ def test_stacked_draw_matches_draw_realization_bit_for_bit(k_incident, direct):
     # against the scalar draw, trial after trial: one normal call on the
     # run's normal generator and one uniform call on its uniform one per
     # trial, here for two surface states and chunks of 1 and 2 trials
-    scn = _scenario(seed=2**40 + 7, k_incident=k_incident, direct=direct)
-    _, (_, _, d) = _check_run_stream_draw(scn, (1, 2), 2)
+    scn = _scenario(k_incident=k_incident, direct=direct)
+    _, (_, _, d) = _check_run_stream_draw(scn, 2**40 + 7, (1, 2), 2)
     assert (d is None) == (not direct)
     if math.isinf(k_incident):
         # the pure-LoS hop is the scenario's read-only block, never copied
-        g = _draw(scn, 3)[0]
+        g = _draw(scn, 3, 2**40 + 7)[0]
         assert np.shares_memory(g, scn.los_nb_ris) and not g.flags.writeable
 
 
@@ -484,8 +483,8 @@ def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, chunks, surfac
     geom = _geom(nb=(0.0, 0.0, 10.0), ris=(50.0, 0.0, 10.0), ue=(60.0, 5.0, 1.5))
     params = ChannelParams(rician_k=k)
     scn = Scenario(geometry=geom, m_antennas=2, n_elements=16, u_antennas=3,
-                   nb_ris=params, ris_ue=params, nb_ue=params, seed=seed)
-    generators, stacks = _check_run_stream_draw(scn, chunks, surfaces)
+                   nb_ris=params, ris_ue=params, nb_ue=params)
+    generators, stacks = _check_run_stream_draw(scn, seed, chunks, surfaces)
     for stack, shape in zip(stacks, ((16, 2), (3, 16), (3, 2))):
         assert stack.shape == (sum(chunks),) + shape
     # a kind with nothing to draw leaves its generator where it was seeded
@@ -503,8 +502,8 @@ def test_stacked_draw_matches_the_two_draw_rician_oracle(k, seed, chunks, surfac
 )
 def test_stacked_assembly_matches_assemble_effective_and_its_passivity_check(
         seed, trials, direct, excess):
-    scn = _scenario(seed=seed % 1000, k_incident=0.0, direct=direct)
-    reals = [oracles.keyed_blocks(scn, t) for t in range(trials)]
+    scn = _scenario(k_incident=0.0, direct=direct)
+    reals = [oracles.keyed_blocks(scn, t, seed % 1000) for t in range(trials)]
     g = np.stack([r.g_nb_ris for r in reals])
     h = np.stack([r.h_ris_ue for r in reals])
     d = np.stack([r.h_nb_ue for r in reals]) if direct else None

@@ -433,14 +433,14 @@ def test_main_keyed_runners_log_their_draws_to_stderr(tmp_path, capsys, seeded_s
     ("beamform", "channel: rayleigh, n_list: [4, 8]", "beamform: 3 trials, 2 sizes, 2 streams",
      ["beamform/4", "beamform/8"]),
     ("beamform", "channel: unit, n_list: [4, 8]", "beamform: 3 trials, 2 sizes, 0 streams", []),
-    # per trial, one stream per own link (A's surface link, and B's ground
-    # link or its bounce with its surface state) and one for the access
-    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots, 3 streams per trial",
-     ["own/a", "own/b", "lbt"] * 3),
+    # one stream for every trial's own links and one for the access draws,
+    # plus one for a shadowed B's surface state
+    ("coexist", "mode: lbt, slots: 40", "lbt: 3 trials of 40 slots, 2 streams",
+     ["lbt/normals", "lbt/access"]),
     ("coexist", "mode: lbt, slots: 40, b_direct_blocked: true",
-     "lbt: 3 trials of 40 slots, 3 streams per trial", ["own/a", "own/b", "lbt"] * 3),
+     "lbt: 3 trials of 40 slots, 3 streams", ["lbt/normals", "lbt/uniforms", "lbt/access"]),
     ("coexist", "mode: lbt, slots: 40, rician_k: .inf",
-     "lbt: 3 trials of 40 slots, 3 streams per trial", ["own/a", "own/b", "lbt"] * 3),
+     "lbt: 3 trials of 40 slots, 2 streams", ["lbt/normals", "lbt/access"]),
     # one stream per run: every user's hops, or the departure projection
     # and the direct block, trial after trial
     ("multiuser", "n_users: 2, n_elements: 4",
@@ -516,6 +516,19 @@ def test_the_cli_pins_blas_threads_before_numpy_loads(tmp_path, given, pinned):
     assert seen == [pinned]
     golden = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
     assert digests == {name: entry["csv"] for name, entry in golden.items()}
+
+
+def test_importing_the_cli_after_numpy_leaves_the_blas_variables_unset():
+    # BLAS has read its settings by then, so a pin would only reach the
+    # importing process's subprocesses
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import os\nimport numpy\nimport ris_sim.cli\n"
+            f"print([os.environ.get(v) for v in {_BLAS_VARS!r}])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[None, None, None]"
 
 
 #: the ris_sim modules every config loads
@@ -721,6 +734,9 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     ("deploy", "{threshold_db: 24.0, n_elements: 1" + "0" * 400 + "}", "scenario.n_elements"),
     ("coexist", f"{{mode: lbt, slots: 3, backoff_slots_max: {2**63}}}",
      "scenario.backoff_slots_max"),
+    # slot counts whose per-slot draws numpy cannot hold
+    ("coexist", f"{{mode: lbt, slots: {2**63}}}", "scenario.slots"),
+    ("coexist", "{mode: lbt, slots: 1" + "0" * 30 + "}", "scenario.slots"),
     ("adjacent", "{filter_passes: 1" + "0" * 400 + "}", "scenario.filter_passes"),
     ("rank", "{ris_position: [0, 0, 10]}", "scenario.ris_position"),
     # counts that would make a block with more entries than numpy can index

@@ -19,7 +19,7 @@ from ris_sim.coexist import (
     UPDATE_POLICIES,
     _budgets,
     filter_budget_db,
-    run_lbt_sim,
+    lbt_runs,
     stale_rates,
 )
 from ris_sim.experiments import (
@@ -405,37 +405,40 @@ def test_uncontended_network_owns_the_channel():
     # the foreign operator is out of sensing range
     far = (1e6, 0.0, 10.0)
     scn = _co_scenario(nb_b_position=far, ue_b_position=(far[0] - 5.0, 8.0, 1.5))
-    res = run_lbt_sim(scn, -72.0, 8, 2000, seed=3)
-    assert res.airtime_a == 1.0
+    airtime_a, *_ = lbt_runs(scn, -72.0, 8, 2000, trials=1, seed=3)
+    assert airtime_a[0] == 1.0
 
 
 def test_symmetric_networks_share_fairly():
-    res = run_lbt_sim(_co_scenario(), -60.0, 8, 100_000, seed=3)
-    assert abs(res.airtime_a - res.airtime_b) < 0.05
+    (airtime_a,), (airtime_b,), (collisions,), *_ = lbt_runs(_co_scenario(), -60.0, 8,
+                                                             100_000, trials=1, seed=3)
+    assert abs(airtime_a - airtime_b) < 0.05
     # carrier sensing forms a natural TDM pattern
-    assert res.collision_fraction == 0.0
-    assert res.airtime_a + res.airtime_b <= 1.0 + 1e-12
+    assert collisions == 0.0
+    assert airtime_a + airtime_b <= 1.0 + 1e-12
 
 
 def test_lbt_threshold_monotonicity():
     scn = _co_scenario()
-    sweep = [run_lbt_sim(scn, thr, 8, 5000, seed=3) for thr in (-70.0, -60.0, -45.0, -40.0)]
+    sweep = [lbt_runs(scn, thr, 8, 5000, trials=1, seed=3)[:3]
+             for thr in (-70.0, -60.0, -45.0, -40.0)]
     for lo, hi in zip(sweep, sweep[1:]):
-        assert hi.airtime_a >= lo.airtime_a
-        assert hi.airtime_b >= lo.airtime_b
-        assert hi.collision_fraction >= lo.collision_fraction
+        # airtime of A, airtime of B, collision fraction
+        for lo_metric, hi_metric in zip(lo, hi):
+            assert hi_metric[0] >= lo_metric[0]
 
 
 def test_lbt_rejects_zero_slots():
     with pytest.raises(ValueError):
-        run_lbt_sim(_co_scenario(), -72.0, 8, 0, seed=1)
+        lbt_runs(_co_scenario(), -72.0, 8, 0, trials=1, seed=1)
 
 
 def test_lbt_draws_each_own_link_once(monkeypatch, seeded_streams):
-    # A's surface link is one drawn stack and B's ground link one drawn
-    # block, or a shadowed B's bounce one more stack with its surface
-    # state; each own link seeds its one stream, the access draws one
-    # more, and the collided rate reuses the spectrum at the raised noise
+    # a run draws every trial's own links in one `draw_links` call: A's
+    # surface link and B's ground link, or a shadowed B's bounce with its
+    # surface state from one more stream; the access draws take one more
+    # stream, and the collided rate reuses the spectrum at the raised
+    # noise.  A run seeds the same streams at 1 and at 5 trials
     calls = {"draw_stack": 0, "draw_links": 0}
     for name in calls:
         fn = getattr(coexist, name)
@@ -445,11 +448,15 @@ def test_lbt_draws_each_own_link_once(monkeypatch, seeded_streams):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(coexist, name, counted)
-    run_lbt_sim(_co_scenario(), -40.0, 8, 50, seed=5)
-    assert calls == {"draw_stack": 1, "draw_links": 1}
-    run_lbt_sim(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, seed=5)
-    assert calls == {"draw_stack": 3, "draw_links": 1}
-    assert seeded_streams == ["own/a", "own/b", "lbt"] * 2
+    for trials in (1, 5):
+        lbt_runs(_co_scenario(), -40.0, 8, 50, trials=trials, seed=5)
+    assert calls == {"draw_stack": 0, "draw_links": 2}
+    assert seeded_streams == ["lbt/normals", "lbt/access"] * 2
+    seeded_streams.clear()
+    for trials in (1, 5):
+        lbt_runs(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, trials=trials, seed=5)
+    assert calls == {"draw_stack": 0, "draw_links": 4}
+    assert seeded_streams == ["lbt/normals", "lbt/uniforms", "lbt/access"] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_rank_projection_draw_matches_the_full_draw_in_distribution(k, wavefront
 @pytest.mark.parametrize("wavefront", ["planar", "spherical"])
 @pytest.mark.parametrize("n", [3, 64])
 def test_projection_through_the_incident_factors_is_the_product(wavefront, n):
-    scn = _rank_scenario(resolve_scenario("rank", {"n_elements": n, "wavefront": wavefront}), 7)
+    scn = _rank_scenario(resolve_scenario("rank", {"n_elements": n, "wavefront": wavefront}))
     g = scn.los_nb_ris
     fac = numkernel.svd(g)
     assert fac.left_vectors.shape == (n, min(n, 4))
@@ -310,6 +310,8 @@ def _values(rows):
     ("multiuser", {"n_users": 2, "n_elements": 4, "max_iters": 3}),
     ("coexist", {"n_elements_a": 8}),
     ("adjacent", {"n_elements_a": 8}),
+    ("coexist", {"mode": "lbt", "slots": 60, "n_elements_a": 8}),
+    ("coexist", {"mode": "lbt", "slots": 60, "n_elements_a": 8, "b_direct_blocked": True}),
 ])
 def test_a_run_is_a_prefix_of_a_longer_run_at_any_chunk(monkeypatch, experiment, scenario):
     # trial t's rows depend on the seed and t alone: a run of n trials is
@@ -441,6 +443,33 @@ def test_run_streams_match_the_frozen_per_trial_route_in_distribution(experiment
     new = run(prepare(experiment, scenario, seed=43, trials=trials)).rows
     old = oracles.trial_keyed_rows(experiment, scenario, 43, trials)
     _assert_same_means(new, old, metrics)
+
+
+_LBT_BRANCHES = {"default": {}, "shadowed": {"b_direct_blocked": True},
+                 "los_only": {"rician_k": math.inf}}
+
+
+@pytest.mark.parametrize("threshold, branch", [
+    *((threshold, _LBT_BRANCHES[name]) for threshold in (-82.0, -40.0)
+      for name in _LBT_BRANCHES),
+    # B senses A ten times louder than A senses B: only B defers, so the
+    # backoff law moves B's airtime and the collision fraction
+    (-45.0, {"tx_power_a": 10.0}),
+], ids=[f"{name}{threshold:g}" for threshold in (-82.0, -40.0) for name in _LBT_BRANCHES]
+    + ["asymmetric-45"])
+def test_lbt_run_streams_match_the_frozen_per_trial_route_in_distribution(threshold, branch):
+    # a polling order drawn as a uniform below 0.5 has the law of
+    # `permutation(2)`, a backoff drawn for every slot but read only when a
+    # network defers there that of a backoff drawn on demand, and every own
+    # link is iid whether a trial is a row of the run's streams or a run of
+    # its own.  At -40 dBm both networks send in every slot, so under pure
+    # LoS the rates are one number per route and the standard error is 0:
+    # the floor covers summing that rate slot by slot on the frozen route
+    # against counting it once here.
+    scenario = {"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold, **branch}
+    new = run(prepare("coexist", scenario, seed=43, trials=400)).rows
+    old = oracles.per_trial_lbt_rows(scenario, 43, 400)
+    _assert_same_means(new, old, oracles.LBT_METRICS, floor=1e-9)
 
 
 def test_runner_rejects_unknown_scenario_field():

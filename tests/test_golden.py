@@ -3,7 +3,8 @@ sidecar of every shipped config, of four LBT tables, of eight stale-CSI
 branch tables, of the multiuser and deploy benchmark workloads and of two
 wide beamform scenarios; and the digests of former tables, which the
 frozen per-block route in `oracles.block_keyed_rows` and the frozen
-per-trial route in `oracles.trial_keyed_rows` reproduce.
+per-trial routes in `oracles.trial_keyed_rows` and
+`oracles.per_trial_lbt_rows` reproduce.
 
 A change that moves any number in a shipped table changes its CSV digest;
 one that changes how a config resolves changes the `config_sha256` in its
@@ -57,8 +58,8 @@ def test_shipped_config_csv_matches_golden_digest(experiment, tmp_path, capsys):
 # contended slot defers, so the backoff draws run; at -40 dBm every slot
 # collides, so the interference term runs.
 LBT_DIGESTS = {
-    -82.0: "b92143cc99c75594cf882e638bb8a4b5fb5ebcf59792af4605c958d26ccaf1b0",
-    -40.0: "346e3637ef63b029d3b3578e001f1a14e8504e269c5c80b90a501915f58b83cb",
+    -82.0: "88ffa9bab1a14994718ac604d418f38e60095dca92eaa743a8f450c64c20fedd",
+    -40.0: "c372dcd03ad1ed0c41cd3a74a2394c31cbffb76278b7b497449a7cd843d625c0",
 }
 
 
@@ -78,9 +79,9 @@ def test_lbt_csv_matches_golden_digest(threshold):
 # Rician factor makes every own link its LoS block.
 LBT_BRANCH_DIGESTS = {
     "shadowed": ({"b_direct_blocked": True},
-                 "dc410002b6c3be69d39d2f5b0b26f31228cdf2556ab41dd90c9e0d5385739256"),
+                 "af3e9acbbed3fe1528e31ebdc0641711f06642548c1340307c0cfc9050376b2e"),
     "los_only": ({"rician_k": math.inf},
-                 "e785690c2b2d9d262605a816a802471506ecf1717e032fafbf4a0d5505dae28e"),
+                 "c1b9fd81e60b194ac935ab3e4a6bc1e840d18c53f961a540e7cfbf41e0312c3a"),
 }
 
 
@@ -235,3 +236,25 @@ def test_frozen_per_trial_route_reproduces_the_former_tables(name):
     rows = oracles.trial_keyed_rows(*_former_run(name))
     csv = ResultTable(tuple(rows), {}).to_csv()
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == PER_TRIAL_CSV[name]
+
+
+# The CSV digests of the four LBT tables above as the runner made them
+# when each trial was a run of its own on the seed `subseed(seed,
+# f"run/{t}")`.  The frozen route reproduces each, so the in-distribution
+# check of the run-level route compares it with the route the runner ran.
+PER_TRIAL_LBT_CSV = {
+    -82.0: "b92143cc99c75594cf882e638bb8a4b5fb5ebcf59792af4605c958d26ccaf1b0",
+    -40.0: "346e3637ef63b029d3b3578e001f1a14e8504e269c5c80b90a501915f58b83cb",
+    "shadowed": "dc410002b6c3be69d39d2f5b0b26f31228cdf2556ab41dd90c9e0d5385739256",
+    "los_only": "e785690c2b2d9d262605a816a802471506ecf1717e032fafbf4a0d5505dae28e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TRIAL_LBT_CSV, key=str))
+def test_frozen_per_trial_lbt_route_reproduces_the_former_tables(name):
+    threshold, scenario = ((name, {}) if name in LBT_DIGESTS
+                           else (-82.0, LBT_BRANCH_DIGESTS[name][0]))
+    scenario = {"mode": "lbt", "slots": 400, "sense_threshold_dbm": threshold, **scenario}
+    rows = oracles.per_trial_lbt_rows(scenario, 5, 3)
+    csv = ResultTable(tuple(rows), {}).to_csv()
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == PER_TRIAL_LBT_CSV[name]

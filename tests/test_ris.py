@@ -445,17 +445,18 @@ def test_stacked_start_matches_the_per_realization_route_bit_for_bit(
 
 
 def test_lbt_owned_start_matches_the_per_realization_route_bit_for_bit(monkeypatch):
+    # one stacked call aligns A's surface for every trial of the run
     calls = _spy_aligned(monkeypatch, coexist)
-    run(prepare("coexist", {"mode": "lbt", "slots": 5}, seed=5, trials=2))
-    assert len(calls) == 2
-    for g, h, direct, link, out in calls:
-        assert direct is not None
-        assert 1.0 not in (link.pl_nb_ris, link.pl_ris_ue, link.pl_nb_ue)
-        real = ChannelRealization(g_nb_ris=g[0], h_ris_ue=h[0], h_nb_ue=direct[0],
+    run(prepare("coexist", {"mode": "lbt", "slots": 5}, seed=5, trials=3))
+    ((g, h, direct, link, out),) = calls
+    assert direct is not None
+    assert 1.0 not in (link.pl_nb_ris, link.pl_ris_ue, link.pl_nb_ue)
+    assert out.shape == (3, g.shape[1])
+    for t in range(3):
+        real = ChannelRealization(g_nb_ris=g[t], h_ris_ue=h[t], h_nb_ue=direct[t],
                                   pl_nb_ris=link.pl_nb_ris, pl_ris_ue=link.pl_ris_ue,
                                   pl_nb_ue=link.pl_nb_ue)
-        assert out.shape == (1, g.shape[1])
-        assert out[0].tobytes() == aligned_start(real).tobytes()
+        assert out[t].tobytes() == aligned_start(real).tobytes()
 
 
 def test_aligned_phases_reach_the_coherent_sum():
