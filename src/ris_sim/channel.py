@@ -263,23 +263,25 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 1, got {v}")
         for node in (self.nb, self.ris, self.ue):
             self.geometry.position(node)
-        geom = self.geometry
-        m, n, u = self.m_antennas, self.n_elements, self.u_antennas
-        links = {
-            "nb_ris": _fixed_link(geom, self.nb, self.ris, n, m, self.nb_ris),
-            "ris_ue": _fixed_link(geom, self.ris, self.ue, u, n, self.ris_ue),
-            "nb_ue": (None, 0.0) if self.nb_ue is None
-            else _fixed_link(geom, self.nb, self.ue, u, m, self.nb_ue),
-        }
-        for name, (los, gain) in links.items():
+        for name, frm, to, shape in self._layout():
+            params = getattr(self, name)
+            los, gain = (None, 0.0) if params is None else _fixed_link(
+                self.geometry, frm, to, *shape, params)
             object.__setattr__(self, f"los_{name}", los)
             object.__setattr__(self, f"pl_{name}", gain)
 
+    def _layout(self):
+        """(name, from node, to node, block shape) of each link."""
+        m, n, u = self.m_antennas, self.n_elements, self.u_antennas
+        return (("nb_ris", self.nb, self.ris, (n, m)), ("ris_ue", self.ris, self.ue, (u, n)),
+                ("nb_ue", self.nb, self.ue, (u, m)))
+
     def links(self):
-        """(params, LoS block) of nb_ris, ris_ue and nb_ue; (None, None)
-        for a missing direct link."""
-        return ((self.nb_ris, self.los_nb_ris), (self.ris_ue, self.los_ris_ue),
-                (self.nb_ue, self.los_nb_ue))
+        """(params, LoS block, block shape) of nb_ris, ris_ue and nb_ue, as
+        `draw_links` takes them; params and block None for a missing
+        direct link."""
+        return tuple((getattr(self, name), getattr(self, f"los_{name}"), shape)
+                     for name, _, _, shape in self._layout())
 
 
 def draw_links(links, count: int, normal_rng, uniform_rng=None, uniforms: int = 0):
@@ -339,16 +341,20 @@ def draw_stack(scenario: Scenario, count: int, normal_rng, uniform_rng=None,
     nb_ris, ris_ue and nb_ue, and a row of `uniform_rng` `surfaces` x N
     uniforms u, one state after the other.  Returns (g, h, direct, theta)
     of shapes (B, N, M), (B, U, N), (B, U, M) and (surfaces, B, N), direct
-    None without a direct link; theta holds unit-modulus states
-    exp(2 pi j u), whose phases are iid U(0, 2 pi).  A link with infinite
-    Rician factor is the scenario's read-only LoS block, broadcast along
-    the stack.  The fixed blocks are not scanned again.
+    None without a direct link; theta holds the `surface_states` of u.  A
+    link with infinite Rician factor is the scenario's read-only LoS
+    block, broadcast along the stack.  The fixed blocks are not scanned
+    again.
     """
-    m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
-    links = [(params, los, shape) for (params, los), shape
-             in zip(scenario.links(), ((n, m), (u, n), (u, m)))]
-    (g, h, direct), drawn = draw_links(links, count, normal_rng, uniform_rng, surfaces * n)
-    theta = np.zeros((surfaces, count, n), dtype=np.complex128)
-    np.multiply(drawn.reshape(count, surfaces, n).transpose(1, 0, 2), 2.0 * math.pi,
-                out=theta.imag)
-    return g, h, direct, np.exp(theta, out=theta)
+    n = scenario.n_elements
+    (g, h, direct), drawn = draw_links(scenario.links(), count, normal_rng, uniform_rng,
+                                       surfaces * n)
+    return g, h, direct, surface_states(drawn.reshape(count, surfaces, n).transpose(1, 0, 2))
+
+
+def surface_states(uniforms) -> np.ndarray:
+    """The unit-modulus surface states exp(2 pi j u) of an array of
+    uniforms u in [0, 1), new and complex128; phases iid U(0, 2 pi)."""
+    theta = np.zeros(uniforms.shape, dtype=np.complex128)
+    np.multiply(uniforms, 2.0 * math.pi, out=theta.imag)
+    return np.exp(theta, out=theta)

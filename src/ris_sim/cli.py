@@ -4,7 +4,9 @@ Usage::
 
     ris-sim <subcommand> --config cfg.yaml [--seed U64] [--threads N] [--out PATH]
 
-The subcommand must match the `experiment` declared in the config file.
+There is one subcommand per entry of `experiments.EXPERIMENTS`, with
+that entry's help line, and it must match the `experiment` declared in
+the config file.
 Every experiment runs in one thread; `--threads N` is accepted and must be
 at least 1, and it changes neither results nor speed.
 Validation is strict: unknown fields anywhere in the config are errors,
@@ -45,7 +47,7 @@ import yaml
 
 from . import __version__
 from .experiments import (
-    SCHEMA,
+    EXPERIMENTS,
     ConfigError,
     PreparedRun,
     check_run,
@@ -120,16 +122,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ris-sim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    briefs = {
-        "rank": "effective-channel rank statistics",
-        "beamform": "aligned panel gain and quantization loss",
-        "multiuser": "shared reflection state against per-user optima",
-        "coexist": "stale-CSI loss or listen-before-talk airtime",
-        "adjacent": "adjacent-band rates with surface band filtering",
-        "deploy": "greedy coverage-driven panel placement",
-    }
-    for name in SCHEMA:
-        sp = sub.add_parser(name, help=briefs[name])
+    for name, record in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=record.brief)
         sp.add_argument("--config", required=True, help="YAML experiment config")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")

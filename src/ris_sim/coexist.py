@@ -33,6 +33,7 @@ from .channel import (
     draw_links,
     draw_stack,
     path_gain,
+    surface_states,
 )
 from .numkernel import (
     capacity_closed_form,
@@ -217,24 +218,23 @@ def _own_spectra(coex: CoexScenario, trials: int, seed: int):
     the bounce off A's surface, whose state B does not control: row t of
     `rng_from(seed, "lbt/uniforms")`, seeded only then.
     """
-    m, n, u = coex.m_antennas, coex.n_elements, coex.u_antennas
-    shapes = ((n, m), (u, n), (u, m))
     link_a = _surface_link(coex, "a", True)
-    links = [(*link, shape) for link, shape in zip(link_a.links(), shapes)]
+    links = list(link_a.links())
     normals, uniforms = rng_from(seed, "lbt/normals"), None
     if coex.b_direct_blocked:
         link_b = _surface_link(coex, "b", False)
-        links += [(*link, shape) for link, shape in zip(link_b.links()[:2], shapes)]
+        links += link_b.links()[:2]
         uniforms = rng_from(seed, "lbt/uniforms")
     else:
-        los, pl_b = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, coex.direct_params)
-        links.append((coex.direct_params, los, (u, m)))
+        shape = (coex.u_antennas, coex.m_antennas)
+        los, pl_b = _fixed_link(coex.geometry, "nb_b", "ue_b", *shape, coex.direct_params)
+        links.append((coex.direct_params, los, shape))
     stacks, drawn = draw_links(links, trials, normals, uniforms,
-                               n if coex.b_direct_blocked else 0)
+                               coex.n_elements if coex.b_direct_blocked else 0)
     theta = np.exp(1j * aligned_phases(*stacks[:3], gains=link_a))
     h_a = assemble_stack(link_a, *stacks[:3], theta)
     if coex.b_direct_blocked:
-        h_b = assemble_stack(link_b, *stacks[3:], None, np.exp(2j * math.pi * drawn))
+        h_b = assemble_stack(link_b, *stacks[3:], None, surface_states(drawn))
     else:
         h_b = math.sqrt(pl_b) * stacks[3]
     return singular_values(np.stack([h_a, h_b]))

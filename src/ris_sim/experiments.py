@@ -1,20 +1,22 @@
 """Named experiments: one validated run from a scenario to a table.
 
-`prepare` is the one validator.  It checks the experiment name, the seed
-and trial count, and the output path, and resolves the scenario once
-against `SCHEMA`, which holds each field's default and check.  `run`
-hands the resolved scenario to the experiment's row builder, which
-validates nothing, and wraps the long-format rows, one per trial per
-metric, in a `ResultTable` with its provenance.  All randomness is keyed
-on (seed, label): every runner seeds a fixed number of generators per
-run, whatever the trial count, and trial t's draws are row t of each, so
-a table is a pure function of (scenario, seed, trials), and a run of n
-trials is the first n trials of any longer run.  Every run works in one
-thread.
+Each experiment is one `Experiment` record in `EXPERIMENTS`: its help
+line, cross-field check, builder and scenario fields, declared at the end
+of its question's section, after the check and builder.  `prepare` is
+the one validator: it checks the experiment name, the seed, the trial
+count and the output path, and resolves the scenario once against the
+record.  `run` hands the resolved scenario to the record's builder, which
+validates nothing and returns per-trial metric columns, and forms the
+long-format rows, one per trial per metric, into a `ResultTable` with its
+provenance.  All randomness is keyed on (seed, label): every builder
+seeds a fixed number of generators per run, whatever the trial count,
+and trial t's draws are row t of each, so a table is a pure function of
+(scenario, seed, trials), and a run of n trials is the first n trials of
+any longer run.  Every run works in one thread.
 
 Only the config-to-table core (`channel`, `numkernel`, `seeding`) is
-imported at module level; each row builder and cross-field check imports
-its own question's module where it is used.
+imported at module level; each builder and cross-field check imports its
+own question's module where it is used.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import logging
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,15 +174,23 @@ def write_outputs(table: ResultTable, out_path: str):
     return paths
 
 
-def _trial_rows(metrics, columns):
-    """Rows of per-trial metric arrays, in trial order then metric order."""
-    values = zip(*(c.tolist() for c in columns))
-    return [(t, name, v) for t, vals in enumerate(values)
-            for name, v in zip(metrics, vals)]
+def _trial_rows(blocks) -> list:
+    """(trial, metric, value) rows of `{metric: column}` blocks, block by
+    block, in trial order, then metric order.  Array columns go through
+    `tolist`, so ints stay ints; unequal column lengths raise ValueError."""
+    rows = []
+    for block in blocks:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block.values()]
+        lengths = [len(c) for c in columns]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns of unequal length: {dict(zip(block, lengths))}")
+        rows += [(t, metric, v) for t, cells in enumerate(zip(*columns))
+                 for metric, v in zip(block, cells)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# scenario schema: every field's default and check, in one table
+# scenario fields: the checks every experiment's fields share
 
 
 class ConfigError(ValueError):
@@ -294,97 +305,15 @@ def _station(st, path):
     }
 
 
-_COEX_FIELDS = {
-    "wavelength": (0.1, _positive),
-    "nb_a_position": ((0.0, 0.0, 10.0), _vec(3)),
-    "ris_a_position": ((40.0, 0.0, 12.0), _vec(3)),
-    "ue_a_position": ((45.0, 8.0, 1.5), _vec(3)),
-    "nb_b_position": ((80.0, 40.0, 10.0), _vec(3)),
-    "ue_b_position": ((50.0, 20.0, 1.5), _vec(3)),
-    "m_antennas": (2, _int_ge(1)),
-    "u_antennas": (2, _int_ge(1)),
-    "n_elements_a": (64, _int_ge(1)),
-    "tx_power_a": (1.0, _positive),
-    "tx_power_b": (1.0, _positive),
-    "rician_k": (0.0, _real(0.0, allow_inf=True)),
-    "alpha_reflected": (2.0, _real(2.0)),
-    "alpha_direct": (3.5, _real(2.0)),
-    "noise_power": (1e-13, _positive),
-    "t1": (0, _int_ge(0)),
-    "t2": (1, _int_ge(0)),
-    "policy": ("rerandomize_each_slot", lambda v, path: v),  # checked in _check_coex
-    "b_direct_blocked": (False, _boolean),
-}
-
 #: entries of the largest array a run builds from count fields: under it a
 #: complex128 block, and an array's (count, 3) element coordinates, stay
 #: inside the byte count numpy can index
 MAX_BLOCK_ENTRIES = np.iinfo(np.intp).max // 32
 
 
-# experiment -> field -> (default, check).  A check takes (value, dotted
-# path) and returns the normalised value or raises ConfigError.
-SCHEMA = {
-    "rank": {
-        "m_antennas": (4, _int_ge(1)),
-        "u_antennas": (4, _int_ge(1)),
-        "n_elements": (64, _int_ge(1)),
-        "wavelength": (0.1, _positive),
-        "nb_position": ((0.0, 0.0, 10.0), _vec(3)),
-        "ris_position": ((50.0, 0.0, 10.0), _vec(3)),
-        "ue_position": ((60.0, 5.0, 1.5), _vec(3)),
-        "ris_ue_rician_k": (0.0, _real(0.0, allow_inf=True)),
-        "wavefront": ("planar", _choice("auto", "planar", "spherical")),
-        "include_direct": (False, _boolean),
-    },
-    "beamform": {
-        "n_list": ((1, 4, 16, 64), _list_of(_int_ge(1), nonempty=True)),
-        "channel": ("unit", _choice("unit", "rayleigh")),
-        "quantization_bits": ((), _list_of(_int_ge(1))),
-    },
-    "multiuser": {
-        "n_users": (4, _int_ge(1)),
-        "m_antennas": (2, _int_ge(1)),
-        "u_antennas": (2, _int_ge(1)),
-        "n_elements": (16, _int_ge(1)),
-        "qos_weights": ((), _list_of(_positive)),
-        "power_per_user": (10.0, _positive),
-        "noise_power": (1.0, _positive),
-        "max_iters": (30, _int_ge(1)),
-    },
-    "coexist": {
-        **_COEX_FIELDS,
-        "mode": ("stale_csi", _choice("stale_csi", "lbt")),
-        # an LBT trial holds two draws per slot
-        "slots": (2000, _int_ge(1, MAX_BLOCK_ENTRIES)),
-        "sense_threshold_dbm": (-82.0, _real()),
-        # the backoff is drawn as a numpy int64
-        "backoff_slots_max": (8, _int_ge(0, 2**63 - 1)),
-    },
-    "adjacent": {
-        **_COEX_FIELDS,
-        "oob_attenuation_db": (30.0, _real(0.0, allow_inf=True)),
-        "insertion_loss_db": (0.5, _real(0.0)),
-        "filter_passes": (2, _int_ge(1)),
-    },
-    "deploy": {
-        "extent": ((0.0, 0.0, 100.0, 60.0), _rect),
-        "obstacles": (((45.0, 20.0, 55.0, 40.0),), _list_of(_rect)),
-        "base_stations": (({"position": (10.0, 30.0), "tx_power_dbm": 30.0},),
-                          _list_of(_station, nonempty=True)),
-        "candidate_sites": (((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)), _list_of(_vec(2))),
-        "grid_resolution": (2.0, _positive),
-        "wavelength": (0.1, _positive),
-        "n_elements": (256, _int_ge(1)),
-        "path_loss_exponent": (2.0, _real(2.0)),
-        "noise_power": (1e-13, _positive),
-        "threshold_db": (_REQUIRED, _real()),
-        "cost_per_panel": (1.0, _positive),
-        "budget": (3.0, _real(0.0)),
-        "target_fraction": (0.95, lambda v, path: _positive(v, path, maximum=1.0)),
-        "gain_scales": ((), _list_of(_real(0.0))),
-    },
-}
+def _geometry(p, nodes) -> Geometry:
+    """The geometry of `nodes`, each placed at its `{node}_position` field."""
+    return Geometry(p["wavelength"], {node: p[f"{node}_position"] for node in nodes})
 
 
 def _distance(p, a, b) -> float:
@@ -489,6 +418,35 @@ def _check_links(p, n_field):
                       ("u_antennas", "m_antennas")])
 
 
+def _check_float(p, field):
+    """An integer count the runner multiplies into a float converts to one."""
+    try:
+        float(p[field])
+    except OverflowError:
+        raise ConfigError(f"scenario.{field}", f"{p[field]} does not convert to a float") from None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: `brief`, its help line; `check`, which raises
+    ConfigError on a violated cross-field condition of a scenario with its
+    defaults applied; `build`, which takes that scenario, the seed and the
+    trial count, validates nothing, and returns its table as a list of
+    `{metric: column}` blocks, column t holding row group t; and
+    `fields`, field -> (default, check), where a check takes (value,
+    dotted path) and returns the normalised value or raises ConfigError.
+    """
+
+    brief: str
+    check: Callable
+    build: Callable
+    fields: dict
+
+
+# ---------------------------------------------------------------------------
+# rank: cascaded-channel rank collapse and its near-field escape
+
+
 def _check_rank(p):
     """Finite route gains, blocks numpy can hold, and no spherical LoS
     block with coincident elements.  Only nb_ris and, at a Rician factor
@@ -500,7 +458,7 @@ def _check_rank(p):
         routes.append(((), [(nb, ue, alpha)]))
     _check_routes(p, routes)
     _check_links(p, "n_elements")
-    geom = _rank_geometry(p)
+    geom = _geometry(p, ("nb", "ris", "ue"))
     m, n, u = p["m_antennas"], p["n_elements"], p["u_antennas"]
     # (from, to, rows, cols) of each LoS block, as `Scenario` builds it
     links = [("nb", "ris", n, m)]
@@ -515,183 +473,10 @@ def _check_rank(p):
                               "needs every pair apart")
 
 
-def _check_float(p, field):
-    """An integer count the runner multiplies into a float converts to one."""
-    try:
-        float(p[field])
-    except OverflowError:
-        raise ConfigError(f"scenario.{field}", f"{p[field]} does not convert to a float") from None
-
-
-def _check_coex(p):
-    from .coexist import UPDATE_POLICIES
-    _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
-    _check_links(p, "n_elements_a")
-    if p["t1"] > p["t2"]:
-        raise ConfigError("scenario.t2",
-                          f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
-    refl, ground = p["alpha_reflected"], p["alpha_direct"]
-    nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
-                                   for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
-    # network B's link: the bounce off A's surface, plus its ground path
-    routes = [((), [(nb_b, ris, refl), (ris, ue_b, refl)])]
-    if not p["b_direct_blocked"]:
-        routes.append(((), [(nb_b, ue_b, ground)]))
-    signal = {"tx_power_b": _check_routes(p, routes)}
-    if p.get("mode") == "lbt":
-        # A's own link
-        signal["tx_power_a"] = _check_routes(p, [((), [(nb_a, ris, refl), (ris, ue_a, refl)]),
-                                                 ((), [(nb_a, ue_a, ground)])])
-        # what each network's transmission delivers to the other's user
-        # (interference) and base station (sensing): gains, not LoS blocks
-        tx_a, tx_b = ("tx_power_a",), ("tx_power_b",)
-        routes = [(tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
-                  (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
-        routes += [(tx_a + ("n_elements_a",), [(nb_a, ris, refl), (ris, far, refl)])
-                   for far in (ue_b, nb_b)]
-        _check_routes(p, routes, phased=False)
-    for power, gains in signal.items():
-        _check_snr(p, power, gains)
-
-
-def _check_beamform(p):
-    """Bit widths `quantize_phases` takes, sizes whose two hop rows numpy
-    can hold, and no repeated size or width."""
-    from .ris import MAX_QUANTIZATION_BITS
-    for i, n in enumerate(p["n_list"]):
-        if 2 * n > MAX_BLOCK_ENTRIES:
-            raise ConfigError(f"scenario.n_list[{i}]", f"{n} elements make a 2 x {n} "
-                              f"stack, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
-                              "can hold")
-    for i, b in enumerate(p["quantization_bits"]):
-        _integer(b, f"scenario.quantization_bits[{i}]", 1, MAX_QUANTIZATION_BITS)
-    for field in ("n_list", "quantization_bits"):
-        for i, v in enumerate(p[field]):
-            if v in p[field][:i]:
-                raise ConfigError(f"scenario.{field}[{i}]", f"repeats the entry {v}")
-
-
-def _check_multiuser(p):
-    _check_blocks(p, [("n_users", "n_elements", "m_antennas"),
-                      ("n_users", "u_antennas", "n_elements")])
-    weights = p["qos_weights"]
-    if weights and len(weights) != p["n_users"]:
-        raise ConfigError("scenario.qos_weights",
-                          f"{len(weights)} weights given for {p['n_users']} users")
-    # every hop is a unit-variance Rayleigh block, with no path loss
-    _check_snr(p, "power_per_user", [("each user's hops", 1.0)])
-
-
-def _check_deploy(p):
-    """Scene geometry inside the extent, a raster numpy can hold, and an
-    element count that converts to a float for the panel gain."""
-    from .deploy import MAX_RASTER_CELLS, raster_shape
-    extent = p["extent"]
-    x0, y0, x1, y1 = extent
-    for i, (a, b, c, d) in enumerate(p["obstacles"]):
-        if a < x0 or b < y0 or c > x1 or d > y1:
-            raise ConfigError(f"scenario.obstacles[{i}]", f"leaves the extent {extent}")
-    points = [(f"scenario.candidate_sites[{i}]", s)
-              for i, s in enumerate(p["candidate_sites"])]
-    points += [(f"scenario.base_stations[{i}].position", st["position"])
-               for i, st in enumerate(p["base_stations"])]
-    for path, (x, y) in points:
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            raise ConfigError(path, f"lies outside the extent {extent}")
-    _check_float(p, "n_elements")
-    try:
-        cells = math.prod(raster_shape(extent, p["grid_resolution"]))
-    except OverflowError:
-        cells = math.inf
-    if cells > MAX_RASTER_CELLS:
-        # name the extent when the resolution is left at its default
-        res = p["grid_resolution"]
-        field = "extent" if res == SCHEMA["deploy"]["grid_resolution"][0] else "grid_resolution"
-        raise ConfigError(f"scenario.{field}", f"{res} m cells over the extent {extent} "
-                          f"number over {MAX_RASTER_CELLS}, more than numpy can hold")
-
-
-def _check_adjacent(p):
-    _check_coex(p)
-    _check_float(p, "filter_passes")
-
-
-_CROSS_CHECKS = {
-    "rank": _check_rank,
-    "beamform": _check_beamform,
-    "multiuser": _check_multiuser,
-    "coexist": _check_coex,
-    "adjacent": _check_adjacent,
-    "deploy": _check_deploy,
-}
-
-
-def resolve_scenario(experiment: str, raw) -> dict:
-    """Fill in defaults and check a scenario mapping against `SCHEMA`.
-
-    Unknown fields, rejected values, missing required fields and violated
-    cross-field conditions raise ConfigError naming the dotted path, for
-    example `scenario.noise_power`.  Given values come back normalised by
-    their checks (numbers as floats, lists as tuples); defaults are kept
-    as written, so a resolved scenario resolves to itself.
-    """
-    fields = SCHEMA[experiment]
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario", f"expected a mapping, got {raw!r}")
-    p = {key: default for key, (default, _) in fields.items()}
-    for key, value in raw.items():
-        path = f"scenario.{key}"
-        if key not in fields:
-            raise ConfigError(
-                path,
-                f"unknown field for the {experiment!r} experiment; "
-                f"allowed fields are {sorted(fields)}",
-            )
-        default, check = fields[key]
-        p[key] = value if value is default else check(value, path)
-    for key, value in p.items():
-        if value is _REQUIRED:
-            raise ConfigError(f"scenario.{key}",
-                              f"required for the {experiment!r} experiment")
-    if experiment in _CROSS_CHECKS:
-        _CROSS_CHECKS[experiment](p)
-    return p
-
-
-def check_run(seed, trials) -> None:
-    """Reject a seed or trial count no runner can use.
-
-    The seed must be an integer in [0, 2^64) and `trials` an integer in
-    [1, `MAX_BLOCK_ENTRIES`], the most rows of a per-trial array; a
-    ConfigError names `seed` or `trials`.
-    """
-    _integer(seed, "seed", 0)
-    if seed >= 1 << 64:
-        raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
-    _integer(trials, "trials", 1, MAX_BLOCK_ENTRIES)
-
-
-# ---------------------------------------------------------------------------
-# rank: cascaded-channel rank collapse and its near-field escape
-
-
-def _rank_geometry(p) -> Geometry:
-    return Geometry(
-        wavelength=p["wavelength"],
-        positions={
-            "nb": p["nb_position"],
-            "ris": p["ris_position"],
-            "ue": p["ue_position"],
-        },
-    )
-
-
 def _rank_scenario(p) -> Scenario:
     wf = p["wavefront"]
     return Scenario(
-        geometry=_rank_geometry(p),
+        geometry=_geometry(p, ("nb", "ris", "ue")),
         m_antennas=p["m_antennas"],
         n_elements=p["n_elements"],
         u_antennas=p["u_antennas"],
@@ -701,7 +486,7 @@ def _rank_scenario(p) -> Scenario:
     )
 
 
-def _rank_rows(p, seed, trials) -> list:
+def _rank_columns(p, seed, trials) -> list:
     """Numerical rank and leading singular values of the effective channel.
 
     The incident hop is pure LoS; under the planar wavefront it is an
@@ -755,19 +540,44 @@ def _rank_rows(p, seed, trials) -> list:
         d *= math.sqrt(scn.pl_nb_ue)
         h = h + d
     spectra = singular_values(h)
-    rows = []
-    for t, sv in enumerate(spectra):
-        rows += [
-            (t, "rank", spectrum_rank(sv)),
-            (t, "sigma_1", float(sv[0])),
-            (t, "sigma_2", float(sv[1]) if sv.size > 1 else 0.0),
-        ]
     log.info("rank: %d trials, 1 stream", trials)
-    return rows
+    return [{"rank": [spectrum_rank(sv) for sv in spectra], "sigma_1": spectra[:, 0],
+             "sigma_2": spectra[:, 1] if spectra.shape[-1] > 1 else [0.0] * trials}]
+
+
+_RANK = Experiment("effective-channel rank statistics", _check_rank, _rank_columns, fields={
+    "m_antennas": (4, _int_ge(1)),
+    "u_antennas": (4, _int_ge(1)),
+    "n_elements": (64, _int_ge(1)),
+    "wavelength": (0.1, _positive),
+    "nb_position": ((0.0, 0.0, 10.0), _vec(3)),
+    "ris_position": ((50.0, 0.0, 10.0), _vec(3)),
+    "ue_position": ((60.0, 5.0, 1.5), _vec(3)),
+    "ris_ue_rician_k": (0.0, _real(0.0, allow_inf=True)),
+    "wavefront": ("planar", _choice("auto", "planar", "spherical")),
+    "include_direct": (False, _boolean),
+})
 
 
 # ---------------------------------------------------------------------------
 # beamform: aligned-phase array gain and quantization loss
+
+
+def _check_beamform(p):
+    """Bit widths `quantize_phases` takes, sizes whose two hop rows numpy
+    can hold, and no repeated size or width."""
+    from .ris import MAX_QUANTIZATION_BITS
+    for i, n in enumerate(p["n_list"]):
+        if 2 * n > MAX_BLOCK_ENTRIES:
+            raise ConfigError(f"scenario.n_list[{i}]", f"{n} elements make a 2 x {n} "
+                              f"stack, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
+                              "can hold")
+    for i, b in enumerate(p["quantization_bits"]):
+        _integer(b, f"scenario.quantization_bits[{i}]", 1, MAX_QUANTIZATION_BITS)
+    for field in ("n_list", "quantization_bits"):
+        for i, v in enumerate(p[field]):
+            if v in p[field][:i]:
+                raise ConfigError(f"scenario.{field}[{i}]", f"repeats the entry {v}")
 
 
 #: coefficients per hop in one beamform stack: a size's trials are taken
@@ -776,7 +586,7 @@ def _rank_rows(p, seed, trials) -> list:
 BEAMFORM_CHUNK = 1 << 16
 
 
-def _beamform_rows(p, seed, trials) -> list:
+def _beamform_columns(p, seed, trials) -> list:
     """Coherent power gain of an aligned panel, optionally quantized.
 
     With unit-modulus channels the gain is exactly N^2.  For "rayleigh"
@@ -792,7 +602,7 @@ def _beamform_rows(p, seed, trials) -> list:
     from .ris import align_miso, miso_gains, quantize_phases
     bits = p["quantization_bits"]
     rayleigh = p["channel"] != "unit"
-    columns = []
+    block = {}
     for n in p["n_list"]:
         gains, ratios = [], [[] for _ in bits]
         step = max(1, BEAMFORM_CHUNK // n)
@@ -810,16 +620,35 @@ def _beamform_rows(p, seed, trials) -> list:
             for b, column in zip(bits, ratios):
                 column += [q / c if c > 0.0 else 0.0
                            for q, c in zip(miso_gains(g, h, quantize_phases(phases, b)), cont)]
-        columns += [(f"gain_n{n}", gains)]
-        columns += [(f"ratio_b{b}_n{n}", column) for b, column in zip(bits, ratios)]
-    rows = [(t, metric, values[t]) for t in range(trials) for metric, values in columns]
+        block[f"gain_n{n}"] = gains
+        block.update((f"ratio_b{b}_n{n}", column) for b, column in zip(bits, ratios))
     log.info("beamform: %d trials, %d sizes, %d streams", trials, len(p["n_list"]),
              len(p["n_list"]) if rayleigh else 0)
-    return rows
+    return [block]
+
+
+_BEAMFORM = Experiment("aligned panel gain and quantization loss", _check_beamform,
+                       _beamform_columns, fields={
+    "n_list": ((1, 4, 16, 64), _list_of(_int_ge(1), nonempty=True)),
+    "channel": ("unit", _choice("unit", "rayleigh")),
+    "quantization_bits": ((), _list_of(_int_ge(1))),
+})
 
 
 # ---------------------------------------------------------------------------
 # multiuser: price of one shared reflection state
+
+
+def _check_multiuser(p):
+    _check_blocks(p, [("n_users", "n_elements", "m_antennas"),
+                      ("n_users", "u_antennas", "n_elements")])
+    weights = p["qos_weights"]
+    if weights and len(weights) != p["n_users"]:
+        raise ConfigError("scenario.qos_weights",
+                          f"{len(weights)} weights given for {p['n_users']} users")
+    # every hop is a unit-variance Rayleigh block, with no path loss
+    _check_snr(p, "power_per_user", [("each user's hops", 1.0)])
+
 
 #: phase grid of the multiuser ascents
 MULTIUSER_GRID_POINTS = 16
@@ -830,7 +659,7 @@ MULTIUSER_GRID_POINTS = 16
 MULTIUSER_CHUNK = 64
 
 
-def _multiuser_rows(p, seed, trials) -> list:
+def _multiuser_columns(p, seed, trials) -> list:
     """Shared-state sum capacity against per-user private optima.
 
     Users draw independent Rayleigh hops; empty `qos_weights` means equal
@@ -850,7 +679,8 @@ def _multiuser_rows(p, seed, trials) -> list:
     weights = p["qos_weights"] or (1.0,) * k
     rng = rng_from(seed, "multiuser/normals")
     links = [(_RAYLEIGH, None, (k, n, m)), (_RAYLEIGH, None, (k, u, n))]
-    rows, traces, entries = [], [], []
+    block = {"shared_sum": [], "ideal_sum": [], "gap_fraction": []}
+    traces, entries = [], []
     for lo in range(0, trials, MULTIUSER_CHUNK):
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
         (g, h), _ = draw_links(links, len(chunk), rng)
@@ -858,12 +688,9 @@ def _multiuser_rows(p, seed, trials) -> list:
             g, h, weights, p["power_per_user"], p["noise_power"], p["max_iters"],
             MULTIUSER_GRID_POINTS,
         )
-        for t, cmp in zip(chunk, results):
-            rows += [
-                (t, "shared_sum", cmp.shared_sum),
-                (t, "ideal_sum", cmp.ideal_sum),
-                (t, "gap_fraction", cmp.gap_fraction),
-            ]
+        for cmp in results:
+            for metric, column in block.items():  # each metric is a field of cmp
+                column.append(getattr(cmp, metric))
             traces += cmp.traces
             # the shared ascent weighs every user, a private one its own
             entries += [k] + [1] * k
@@ -876,25 +703,88 @@ def _multiuser_rows(p, seed, trials) -> list:
              len(traces), sum(sweeps), n * sum(sweeps),
              n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
              capped, p["max_iters"], ASCENT_REL_TOL)
-    return rows
+    return [block]
+
+
+_MULTIUSER = Experiment("shared reflection state against per-user optima", _check_multiuser,
+                        _multiuser_columns, fields={
+    "n_users": (4, _int_ge(1)),
+    "m_antennas": (2, _int_ge(1)),
+    "u_antennas": (2, _int_ge(1)),
+    "n_elements": (16, _int_ge(1)),
+    "qos_weights": ((), _list_of(_positive)),
+    "power_per_user": (10.0, _positive),
+    "noise_power": (1.0, _positive),
+    "max_iters": (30, _int_ge(1)),
+})
 
 
 # ---------------------------------------------------------------------------
 # coexist and adjacent: two operators around one uncoordinated surface
 
 
+_COEX_FIELDS = {
+    "wavelength": (0.1, _positive),
+    "nb_a_position": ((0.0, 0.0, 10.0), _vec(3)),
+    "ris_a_position": ((40.0, 0.0, 12.0), _vec(3)),
+    "ue_a_position": ((45.0, 8.0, 1.5), _vec(3)),
+    "nb_b_position": ((80.0, 40.0, 10.0), _vec(3)),
+    "ue_b_position": ((50.0, 20.0, 1.5), _vec(3)),
+    "m_antennas": (2, _int_ge(1)),
+    "u_antennas": (2, _int_ge(1)),
+    "n_elements_a": (64, _int_ge(1)),
+    "tx_power_a": (1.0, _positive),
+    "tx_power_b": (1.0, _positive),
+    "rician_k": (0.0, _real(0.0, allow_inf=True)),
+    "alpha_reflected": (2.0, _real(2.0)),
+    "alpha_direct": (3.5, _real(2.0)),
+    "noise_power": (1e-13, _positive),
+    "t1": (0, _int_ge(0)),
+    "t2": (1, _int_ge(0)),
+    "policy": ("rerandomize_each_slot", lambda v, path: v),  # checked in _check_coex
+    "b_direct_blocked": (False, _boolean),
+}
+
+
+def _check_coex(p):
+    from .coexist import UPDATE_POLICIES
+    _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
+    _check_links(p, "n_elements_a")
+    if p["t1"] > p["t2"]:
+        raise ConfigError("scenario.t2",
+                          f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
+    refl, ground = p["alpha_reflected"], p["alpha_direct"]
+    nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
+                                   for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
+    # network B's link: the bounce off A's surface, plus its ground path
+    routes = [((), [(nb_b, ris, refl), (ris, ue_b, refl)])]
+    if not p["b_direct_blocked"]:
+        routes.append(((), [(nb_b, ue_b, ground)]))
+    signal = {"tx_power_b": _check_routes(p, routes)}
+    if p.get("mode") == "lbt":
+        # A's own link
+        signal["tx_power_a"] = _check_routes(p, [((), [(nb_a, ris, refl), (ris, ue_a, refl)]),
+                                                 ((), [(nb_a, ue_a, ground)])])
+        # what each network's transmission delivers to the other's user
+        # (interference) and base station (sensing): gains, not LoS blocks
+        tx_a, tx_b = ("tx_power_a",), ("tx_power_b",)
+        routes = [(tx_b, [(nb_b, ue_a, ground)]), (tx_b, [(nb_b, nb_a, refl)]),
+                  (tx_a, [(nb_a, ue_b, ground)]), (tx_a, [(nb_a, nb_b, refl)])]
+        routes += [(tx_a + ("n_elements_a",), [(nb_a, ris, refl), (ris, far, refl)])
+                   for far in (ue_b, nb_b)]
+        _check_routes(p, routes, phased=False)
+    for power, gains in signal.items():
+        _check_snr(p, power, gains)
+
+
+def _check_adjacent(p):
+    _check_coex(p)
+    _check_float(p, "filter_passes")
+
+
 def _coex_scenario(p):
     from .coexist import CoexScenario
-    geom = Geometry(
-        wavelength=p["wavelength"],
-        positions={
-            "nb_a": p["nb_a_position"],
-            "ris_a": p["ris_a_position"],
-            "ue_a": p["ue_a_position"],
-            "nb_b": p["nb_b_position"],
-            "ue_b": p["ue_b_position"],
-        },
-    )
+    geom = _geometry(p, ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
     params = ChannelParams(
         rician_k=p["rician_k"],
         path_loss_exponent=p["alpha_reflected"],
@@ -917,7 +807,7 @@ def _coex_scenario(p):
     )
 
 
-def _coexist_rows(p, seed, trials) -> list:
+def _coexist_columns(p, seed, trials) -> list:
     """Stale-CSI loss of the victim network, or slotted LBT runs.
 
     Mode "stale_csi" reports per-trial fresh and stale rates of network B
@@ -930,17 +820,15 @@ def _coexist_rows(p, seed, trials) -> list:
     scn = _coex_scenario(p)
 
     if p["mode"] == "stale_csi":
-        arms = coexist.stale_rates(scn, trials, seed)
-        return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"),
-                           [a[0] for a in arms])
-    return _trial_rows(
-        ("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a", "mean_rate_b"),
-        coexist.lbt_runs(scn, p["sense_threshold_dbm"], p["backoff_slots_max"], p["slots"],
-                         trials, seed),
-    )
+        fresh, stale, loss = coexist.stale_rates(scn, trials, seed)
+        return [{"fresh_rate": fresh[0], "stale_rate": stale[0], "loss_fraction": loss[0]}]
+    runs = coexist.lbt_runs(scn, p["sense_threshold_dbm"], p["backoff_slots_max"], p["slots"],
+                            trials, seed)
+    return [dict(zip(("airtime_a", "airtime_b", "collision_fraction", "mean_rate_a",
+                      "mean_rate_b"), runs))]
 
 
-def _adjacent_rows(p, seed, trials) -> list:
+def _adjacent_columns(p, seed, trials) -> list:
     """Adjacent-band victim rates without and with surface band filtering.
 
     Network B is out of band for A's surface, so a band filter there
@@ -955,25 +843,74 @@ def _adjacent_rows(p, seed, trials) -> list:
                                          p["filter_passes"])
     _, stale, loss = coexist.stale_rates(_coex_scenario(p), trials, seed,
                                          (1.0, 10.0 ** (budget_db / 20.0)))
-    return _trial_rows(
-        ("rate_no_filter", "rate_with_filter", "loss_no_filter", "loss_with_filter"),
-        (stale[0], stale[1], loss[0], loss[1]),
-    )
+    return [{"rate_no_filter": stale[0], "rate_with_filter": stale[1],
+             "loss_no_filter": loss[0], "loss_with_filter": loss[1]}]
+
+
+_COEXIST = Experiment("stale-CSI loss or listen-before-talk airtime", _check_coex,
+                      _coexist_columns, fields={
+    **_COEX_FIELDS,
+    "mode": ("stale_csi", _choice("stale_csi", "lbt")),
+    # an LBT trial holds two draws per slot
+    "slots": (2000, _int_ge(1, MAX_BLOCK_ENTRIES)),
+    "sense_threshold_dbm": (-82.0, _real()),
+    # the backoff is drawn as a numpy int64
+    "backoff_slots_max": (8, _int_ge(0, 2**63 - 1)),
+})
+
+
+_ADJACENT = Experiment("adjacent-band rates with surface band filtering", _check_adjacent,
+                       _adjacent_columns, fields={
+    **_COEX_FIELDS,
+    "oob_attenuation_db": (30.0, _real(0.0, allow_inf=True)),
+    "insertion_loss_db": (0.5, _real(0.0)),
+    "filter_passes": (2, _int_ge(1)),
+})
 
 
 # ---------------------------------------------------------------------------
 # deploy: greedy panel placement on a blocked scene
 
 
-def _deploy_rows(p, seed, trials) -> list:
+def _check_deploy(p):
+    """Scene geometry inside the extent, a raster numpy can hold, and an
+    element count that converts to a float for the panel gain."""
+    from .deploy import MAX_RASTER_CELLS, raster_shape
+    extent = p["extent"]
+    x0, y0, x1, y1 = extent
+    for i, (a, b, c, d) in enumerate(p["obstacles"]):
+        if a < x0 or b < y0 or c > x1 or d > y1:
+            raise ConfigError(f"scenario.obstacles[{i}]", f"leaves the extent {extent}")
+    points = [(f"scenario.candidate_sites[{i}]", s)
+              for i, s in enumerate(p["candidate_sites"])]
+    points += [(f"scenario.base_stations[{i}].position", st["position"])
+               for i, st in enumerate(p["base_stations"])]
+    for path, (x, y) in points:
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            raise ConfigError(path, f"lies outside the extent {extent}")
+    _check_float(p, "n_elements")
+    try:
+        cells = math.prod(raster_shape(extent, p["grid_resolution"]))
+    except OverflowError:
+        cells = math.inf
+    if cells > MAX_RASTER_CELLS:
+        # name the extent when the resolution is left at its default
+        res = p["grid_resolution"]
+        field = "extent" if res == _DEPLOY.fields["grid_resolution"][0] else "grid_resolution"
+        raise ConfigError(f"scenario.{field}", f"{res} m cells over the extent {extent} "
+                          f"number over {MAX_RASTER_CELLS}, more than numpy can hold")
+
+
+def _deploy_columns(p, seed, trials) -> list:
     """Greedy coverage-driven placement plus optional breathing sweep.
 
-    Deterministic given the scene, so `trials` does not enter;
-    the trial column carries the placement step (and, for breathing rows,
-    the sweep index).  Step 0 is the panel-free baseline with site -1.
-    One INFO log line reports the raster cells, greedy steps, sites
-    scored, sight sweeps (one per obstacle and endpoint), raster cells the
-    slab test decided, and breathing scales.
+    Deterministic given the scene, so `trials` does not enter.  The first
+    block holds the placement steps and the second the breathing sweeps,
+    so the trial column carries the step, then the sweep index.  Step 0
+    is the panel-free baseline with site -1.  One INFO log line reports
+    the raster cells, greedy steps, sites scored, sight sweeps (one per
+    obstacle and endpoint), raster cells the slab test decided, and
+    breathing scales.
     """
     from . import deploy
     stations = tuple(
@@ -1001,14 +938,11 @@ def _deploy_rows(p, seed, trials) -> list:
         scene, p["n_elements"], params,
         p["cost_per_panel"], p["budget"], p["threshold_db"], p["target_fraction"],
     )
-    rows = []
-    for step, (site, cov) in enumerate(plan.history):
-        rows.append((step, "greedy_site", int(site)))
-        rows.append((step, "greedy_coverage", float(cov)))
-    for i, s in enumerate(p["gain_scales"]):
-        cm = deploy.snr_map(scene, plan, params, p["threshold_db"], gain_scale=s)
-        rows.append((i, "gain_scale", s))
-        rows.append((i, "breathing_coverage", float(cm.coverage_fraction)))
+    steps = {"greedy_site": [int(site) for site, _ in plan.history],
+             "greedy_coverage": [float(cov) for _, cov in plan.history]}
+    coverage = [float(deploy.snr_map(scene, plan, params, p["threshold_db"],
+                                     gain_scale=s).coverage_fraction)
+                for s in p["gain_scales"]]
     # the route table builds a sight mask toward every site some station
     # sees, and those are the sites greedy scores
     stations, sites, tested = scene.sight_work()
@@ -1017,23 +951,81 @@ def _deploy_rows(p, seed, trials) -> list:
              math.prod(deploy.raster_shape(scene.extent, scene.grid_resolution)),
              len(plan.history) - 1, sites, len(scene.obstacles) * (stations + sites),
              tested, len(p["gain_scales"]))
-    return rows
+    return [steps, {"gain_scale": p["gain_scales"], "breathing_coverage": coverage}]
+
+
+_DEPLOY = Experiment("greedy coverage-driven panel placement", _check_deploy,
+                     _deploy_columns, fields={
+    "extent": ((0.0, 0.0, 100.0, 60.0), _rect),
+    "obstacles": (((45.0, 20.0, 55.0, 40.0),), _list_of(_rect)),
+    "base_stations": (({"position": (10.0, 30.0), "tx_power_dbm": 30.0},),
+                      _list_of(_station, nonempty=True)),
+    "candidate_sites": (((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)), _list_of(_vec(2))),
+    "grid_resolution": (2.0, _positive),
+    "wavelength": (0.1, _positive),
+    "n_elements": (256, _int_ge(1)),
+    "path_loss_exponent": (2.0, _real(2.0)),
+    "noise_power": (1e-13, _positive),
+    "threshold_db": (_REQUIRED, _real()),
+    "cost_per_panel": (1.0, _positive),
+    "budget": (3.0, _real(0.0)),
+    "target_fraction": (0.95, lambda v, path: _positive(v, path, maximum=1.0)),
+    "gain_scales": ((), _list_of(_real(0.0))),
+})
 
 
 # ---------------------------------------------------------------------------
-# one run: validated once, then built into a table
+# one run: validated once against its record, then built into a table
 
 
-#: experiment -> its row builder, which takes a resolved scenario, the
-#: seed and the trial count, and validates nothing
-_ROW_BUILDERS = {
-    "rank": _rank_rows,
-    "beamform": _beamform_rows,
-    "multiuser": _multiuser_rows,
-    "coexist": _coexist_rows,
-    "adjacent": _adjacent_rows,
-    "deploy": _deploy_rows,
-}
+EXPERIMENTS = {"rank": _RANK, "beamform": _BEAMFORM, "multiuser": _MULTIUSER,
+               "coexist": _COEXIST, "adjacent": _ADJACENT, "deploy": _DEPLOY}
+
+
+def resolve_scenario(experiment: str, raw) -> dict:
+    """Fill in defaults and check a scenario mapping against its record.
+
+    Unknown fields, rejected values, missing required fields and violated
+    cross-field conditions raise ConfigError naming the dotted path, for
+    example `scenario.noise_power`.  Given values come back normalised by
+    their checks (numbers as floats, lists as tuples); defaults are kept
+    as written, so a resolved scenario resolves to itself.
+    """
+    fields = EXPERIMENTS[experiment].fields
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError("scenario", f"expected a mapping, got {raw!r}")
+    p = {key: default for key, (default, _) in fields.items()}
+    for key, value in raw.items():
+        path = f"scenario.{key}"
+        if key not in fields:
+            raise ConfigError(
+                path,
+                f"unknown field for the {experiment!r} experiment; "
+                f"allowed fields are {sorted(fields)}",
+            )
+        default, check = fields[key]
+        p[key] = value if value is default else check(value, path)
+    for key, value in p.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"scenario.{key}",
+                              f"required for the {experiment!r} experiment")
+    EXPERIMENTS[experiment].check(p)
+    return p
+
+
+def check_run(seed, trials) -> None:
+    """Reject a seed or trial count no runner can use.
+
+    The seed must be an integer in [0, 2^64) and `trials` an integer in
+    [1, `MAX_BLOCK_ENTRIES`], the most rows of a per-trial array; a
+    ConfigError names `seed` or `trials`.
+    """
+    _integer(seed, "seed", 0)
+    if seed >= 1 << 64:
+        raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
+    _integer(trials, "trials", 1, MAX_BLOCK_ENTRIES)
 
 
 @dataclass(frozen=True)
@@ -1055,8 +1047,9 @@ def prepare(experiment, scenario, seed, trials, output_path=None) -> PreparedRun
     the output path and the scenario (`resolve_scenario`), in that order;
     the first rejected value raises ConfigError naming its dotted path.
     """
-    if not isinstance(experiment, str) or experiment not in SCHEMA:
-        raise ConfigError("experiment", f"must be one of {tuple(SCHEMA)}, got {experiment!r}")
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ConfigError("experiment",
+                          f"must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
     check_run(seed, trials)
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output", f"expected a path string, got {output_path!r}")
@@ -1068,17 +1061,18 @@ def run(prepared: PreparedRun) -> ResultTable:
     """The result table of a prepared run, with its provenance metadata.
 
     `config_sha256` is the digest of the experiment, seed, trial count and
-    resolved scenario, so a table names the exact run that made it.  A run
-    whose rows hold an infinite or NaN value raises FloatingPointError
-    naming the first such trial and metric, and returns no table.
+    resolved scenario, so a table names the exact run that made it.  The
+    rows are the builder's blocks through `_trial_rows`.  A run whose rows
+    hold an infinite or NaN value raises FloatingPointError naming the
+    first such trial and metric, and returns no table.
     """
     head = {"experiment": prepared.experiment, "seed": prepared.seed,
             "trials": prepared.trials}
-    rows = _ROW_BUILDERS[prepared.experiment](prepared.scenario, prepared.seed,
-                                              prepared.trials)
+    blocks = EXPERIMENTS[prepared.experiment].build(prepared.scenario, prepared.seed,
+                                                    prepared.trials)
     meta = {**head, "tool_version": __version__,
             "config_sha256": config_digest({**head, "scenario": prepared.scenario})}
-    table = ResultTable(rows=tuple(rows), metadata=meta)
+    table = ResultTable(rows=tuple(_trial_rows(blocks)), metadata=meta)
     for t, metric, value in table.rows:
         if type(value) is float and not math.isfinite(value):
             raise FloatingPointError(f"trial {t}: {metric} is {value}, not a finite number")

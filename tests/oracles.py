@@ -718,13 +718,11 @@ def keyed_blocks(scenario, trial: int, seed: int):
     from ris_sim.seeding import subseed
 
     base = subseed(seed, f"trial/{trial}")
-    m, n, u = scenario.m_antennas, scenario.n_elements, scenario.u_antennas
     g, h, direct = (
         None if params is None
         else rician_block(params.rician_k, los, np.random.default_rng(subseed(base, label)),
                           shape)
-        for label, (params, los), shape in zip(("nb_ris", "ris_ue", "nb_ue"), scenario.links(),
-                                               ((n, m), (u, n), (u, m)))
+        for label, (params, los, shape) in zip(("nb_ris", "ris_ue", "nb_ue"), scenario.links())
     )
     return ChannelRealization(g_nb_ris=g, h_ris_ue=h, h_nb_ue=direct,
                               pl_nb_ris=scenario.pl_nb_ris, pl_ris_ue=scenario.pl_ris_ue,
@@ -1256,11 +1254,12 @@ def _trial_keyed_stale_rows(experiment, scenario, seed, trials):
         draws = per_trial_keyed_stale_draws(coex, t, seed)
         for a, scale in enumerate(scales):
             arms[:, a, t] = per_trial_stale_rates(coex, draws, scale)
+    fresh, stale, loss = arms
     if experiment == "coexist":
-        return _trial_rows(("fresh_rate", "stale_rate", "loss_fraction"), arms[:, 0])
-    _, stale, loss = arms
-    return _trial_rows(("rate_no_filter", "rate_with_filter", "loss_no_filter",
-                        "loss_with_filter"), (stale[0], stale[1], loss[0], loss[1]))
+        return _trial_rows([{"fresh_rate": fresh[0], "stale_rate": stale[0],
+                             "loss_fraction": loss[0]}])
+    return _trial_rows([{"rate_no_filter": stale[0], "rate_with_filter": stale[1],
+                         "loss_no_filter": loss[0], "loss_with_filter": loss[1]}])
 
 
 def _frozen_rows(experiment, scenario, seed, trials, draw):
@@ -1362,10 +1361,8 @@ def rank_spectra_full_draw(scenario, seed: int, trials: int) -> np.ndarray:
 
     scn = _rank_scenario(resolve_scenario("rank", scenario))
     bases = [subseed(seed, f"trial/{t}") for t in range(trials)]
-    m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
     blocks = []
-    for label, (params, los), shape in zip(("nb_ris", "ris_ue", "nb_ue"), scn.links(),
-                                           ((n, m), (u, n), (u, m))):
+    for label, (params, los, shape) in zip(("nb_ris", "ris_ue", "nb_ue"), scn.links()):
         k = None if params is None else params.rician_k
         if k is None or math.isinf(k):
             blocks.append(None if k is None else np.broadcast_to(los, (trials,) + shape))

@@ -137,7 +137,7 @@ def _draw(scn, trials, seed):
 
 def test_rician_high_k_limit():
     scn = _rician_scenario(1e12)
-    for stack, (_, los) in zip(_draw(scn, 2, 9), scn.links()):
+    for stack, (_, los, _) in zip(_draw(scn, 2, 9), scn.links()):
         rel = np.linalg.norm(stack - los) / np.linalg.norm(np.broadcast_to(los, stack.shape))
         assert rel <= 1e-5
 
@@ -146,7 +146,7 @@ def test_rician_infinite_k_is_los():
     scn = _rician_scenario(math.inf)
     normals, uniforms = _streams(9)
     before = normals.bit_generator.state
-    for stack, (_, los) in zip(draw_stack(scn, 3, normals, uniforms)[:3], scn.links()):
+    for stack, (_, los, _) in zip(draw_stack(scn, 3, normals, uniforms)[:3], scn.links()):
         assert stack.shape == (3,) + los.shape
         assert np.array_equal(stack, np.broadcast_to(los, stack.shape))
         assert not stack.flags.writeable
@@ -432,14 +432,14 @@ def _check_run_stream_draw(scn, seed, chunks, surfaces):
     scalar draw of each trial, one after the other, from the run's
     generators `default_rng(subseed(seed, "normals"))` and `"uniforms"`.
     Returns the run's generators and its stacks, the chunks joined."""
-    m, n, u = scn.m_antennas, scn.n_elements, scn.u_antennas
+    n = scn.n_elements
     normals, uniforms = _streams(seed)
     *blocks, thetas = zip(*(draw_stack(scn, count, normals, uniforms, surfaces)
                             for count in chunks))
     stacks = [None if parts[0] is None else np.concatenate(parts) for parts in blocks]
     theta = np.concatenate(thetas, axis=1)
     links = [None if params is None else (params.rician_k, los, shape)
-             for (params, los), shape in zip(scn.links(), ((n, m), (u, n), (u, m)))]
+             for params, los, shape in scn.links()]
     assert theta.shape == (surfaces, sum(chunks), n)
     ref_normals, ref_uniforms = _streams(seed)
     for t in range(sum(chunks)):

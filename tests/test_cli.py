@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import yaml
 
 from ris_sim import cli, coexist, deploy, experiments, numkernel, scheduler
 from ris_sim.cli import ConfigError, _Loader, main, validate_config
-from ris_sim.experiments import SCHEMA, prepare, run
+from ris_sim.experiments import EXPERIMENTS, prepare, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -478,7 +479,7 @@ def test_startup_leaves_numpy_random_unloaded():
             "for p in paths:\n"
             "    cli.validate_config(p.read_text())\n"
             "print(len(paths), 'numpy.random' in sys.modules)\n")
-    assert _fresh_python(code, CONFIGS).split() == [str(len(SCHEMA)), "False"]
+    assert _fresh_python(code, CONFIGS).split() == [str(len(EXPERIMENTS)), "False"]
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -568,7 +569,7 @@ def test_a_run_loads_only_its_question_modules(tmp_path, experiment):
 
 
 @pytest.mark.parametrize("seed_args", [[], ["--seed", "9"]], ids=["config-seed", "seed-flag"])
-@pytest.mark.parametrize("experiment", sorted(SCHEMA))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_one_cli_run_resolves_its_scenario_once(tmp_path, capsys, monkeypatch,
                                                 experiment, seed_args):
     resolved, checked = [], []
@@ -839,21 +840,34 @@ def test_noise_past_every_mode_gain_gives_zero_rates(tmp_path, capsys, experimen
     assert all(v == 0.0 for m, v in _rows(out) if m.startswith("loss"))
 
 
-def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, monkeypatch):
-    # no valid config is known to reach an infinite or NaN rate; a runner
-    # that made one is named with its trial and metric, and no table is
-    # written
-    monkeypatch.setitem(experiments._ROW_BUILDERS, "rank",
-                        lambda p, seed, trials: [(0, "rank", 1.0), (0, "sigma_1", math.inf)])
+def _failed_rank_run_writes_nothing(tmp_path, capsys, monkeypatch, blocks, error):
+    """A rank run whose builder returns `blocks` exits 2 with `error`
+    logged, writing no file and nothing to stdout."""
+    record = replace(EXPERIMENTS["rank"], build=lambda p, seed, trials: blocks)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "rank", record)
     cfg = _cfg(tmp_path, "experiment: rank\ntrials: 1\n")
     out = tmp_path / "r.csv"
     assert main(["rank", "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert ("ERROR experiment failed: trial 0: sigma_1 is inf, not a finite number"
-            in captured.err)
+    assert f"ERROR experiment failed: {error}" in captured.err
     assert not out.exists() and captured.out == ""
     assert main(["rank", "--config", cfg]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_run_with_a_nonfinite_value_exits_two(tmp_path, capsys, monkeypatch):
+    # no valid config is known to reach an infinite or NaN rate; a runner
+    # that made one is named with its trial and metric, and no table is
+    # written
+    _failed_rank_run_writes_nothing(tmp_path, capsys, monkeypatch,
+                                    [{"rank": [1.0], "sigma_1": [math.inf]}],
+                                    "trial 0: sigma_1 is inf, not a finite number")
+
+
+def test_a_run_with_columns_of_unequal_length_exits_two(tmp_path, capsys, monkeypatch):
+    _failed_rank_run_writes_nothing(tmp_path, capsys, monkeypatch,
+                                    [{"rank": [1, 1], "sigma_1": [1.0]}],
+                                    "columns of unequal length: {'rank': 2, 'sigma_1': 1}")
 
 
 # Every field of every experiment's shipped config, one at a time, at
@@ -867,12 +881,12 @@ _WALK_VALUES = (0, 1, -1, 5e-324, 1e300, 1.7e308, math.inf, -math.inf, math.nan,
 _LOOP_FIELDS = ("slots", "max_iters")
 
 
-@pytest.mark.parametrize("experiment", sorted(SCHEMA))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_every_field_at_extreme_values_exits_zero_or_one(tmp_path, capsys, experiment):
     shipped = yaml.safe_load((CONFIGS / f"{experiment}.yaml").read_text())
     cfg = tmp_path / "cfg.yaml"
     exits = {}
-    for field in SCHEMA[experiment]:
+    for field in EXPERIMENTS[experiment].fields:
         for value in _WALK_VALUES:
             text = yaml.safe_dump({**shipped, "trials": 1,
                                    "scenario": {**shipped["scenario"], field: value}})

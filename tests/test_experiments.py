@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -500,14 +501,34 @@ def test_trials_past_the_block_cap_are_rejected_before_any_allocation(trials):
     assert peak < 1 << 16
 
 
+def _build_rank_with(monkeypatch, blocks):
+    """Make `blocks` what rank's builder returns."""
+    record = replace(experiments.EXPERIMENTS["rank"], build=lambda p, seed, trials: blocks)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "rank", record)
+
+
 def test_run_refuses_a_nonfinite_value(monkeypatch):
-    rows = [(0, "a", 1.0), (1, "a", 2), (1, "b", math.nan), (2, "c", -math.inf)]
-    monkeypatch.setitem(experiments._ROW_BUILDERS, "rank", lambda p, seed, trials: rows)
+    block = {"a": [1.0, 2.0, 3.0], "b": [0.5, math.nan, 0.5], "c": [0.5, 0.5, -math.inf]}
+    _build_rank_with(monkeypatch, [block])
     with pytest.raises(FloatingPointError, match=r"^trial 1: b is nan, not a finite number$"):
         run(prepare("rank", {}, 0, 3))
-    del rows[2]
+    block["b"][1] = 0.5
     with pytest.raises(FloatingPointError, match=r"^trial 2: c is -inf"):
         run(prepare("rank", {}, 0, 3))
+
+
+def test_run_refuses_columns_of_unequal_length(monkeypatch):
+    # zip would drop trial 1's "a" row without a word
+    _build_rank_with(monkeypatch, [{"a": [1.0, 2.0], "b": [1.0]}])
+    with pytest.raises(ValueError, match=r"^columns of unequal length: \{'a': 2, 'b': 1\}$"):
+        run(prepare("rank", {}, 0, 2))
+
+
+def test_run_forms_rows_block_by_block_keeping_cell_types(monkeypatch):
+    _build_rank_with(monkeypatch, [{"n": np.array([3, 4]), "x": [0.5, 1.5]}, {"s": ["a"]}])
+    rows = run(prepare("rank", {}, 0, 2)).rows
+    assert rows == ((0, "n", 3), (0, "x", 0.5), (1, "n", 4), (1, "x", 1.5), (0, "s", "a"))
+    assert [type(v) for _, _, v in rows] == [int, float, int, float, str]
 
 
 def test_deploy_runner_baseline_and_breathing_rows():

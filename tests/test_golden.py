@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 from ris_sim.cli import main, validate_config
-from ris_sim.experiments import SCHEMA, ResultTable, prepare, run
+from ris_sim.experiments import EXPERIMENTS, ResultTable, prepare, run
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
@@ -37,7 +37,7 @@ def _restore_root_handlers():
 
 def test_every_shipped_config_has_a_digest():
     shipped = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
-    assert shipped == sorted(DIGESTS) == sorted(SCHEMA)
+    assert shipped == sorted(DIGESTS) == sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", sorted(DIGESTS))
