@@ -6,9 +6,10 @@ The effective downlink channel through a reflective surface is
           + sqrt(pl_nb_ue) * H_nb_ue
 
 with the direct term dropped when the base-station/user link is blocked.
-All blocks are complex128 ndarrays: `gen_los` builds the fixed LoS blocks
-and `draw_stack` draws the Rician blocks and random surface states of a
-stack of trials, as consecutive rows of a run's generators.
+`link_layout` is the one table of these links, which `Scenario` builds
+and the config validator checks.  All blocks are complex128 ndarrays:
+`gen_los` builds the fixed LoS blocks, and `draw_links`, every runner's
+one draw, the Rician blocks of trials, as rows of a run's generators.
 """
 
 from __future__ import annotations
@@ -212,6 +213,14 @@ def assemble_stack(scenario: Scenario, g, h, direct, theta,
     return h_t
 
 
+def link_layout(nb, ris, ue, m, n, u):
+    """(name, from node, to node, block shape) of the links nb_ris, ris_ue
+    and nb_ue of `m` base-station antennas, `n` surface elements and `u`
+    user antennas; the counts may be numbers or count field names."""
+    return (("nb_ris", nb, ris, (n, m)), ("ris_ue", ris, ue, (u, n)),
+            ("nb_ue", nb, ue, (u, m)))
+
+
 def _fixed_link(geom: Geometry, frm: str, to: str, rows: int, cols: int,
                 params: ChannelParams):
     """Read-only LoS block and path gain of one link; neither depends on a
@@ -231,7 +240,7 @@ class Scenario:
     """Geometry, per-link statistics and dimensioning for one simulated cell.
 
     The LoS block and path gain of each link do not depend on the trial;
-    they are computed once, on construction, and kept read-only in
+    they are built once, in `link_layout` order, and kept read-only in
     `los_nb_ris`, `los_ris_ue`, `los_nb_ue` (None without a direct link,
     and for a link of Rician factor 0, which gives the block no weight)
     and `pl_nb_ris`, `pl_ris_ue`, `pl_nb_ue` (0.0 without a direct link).
@@ -261,8 +270,6 @@ class Scenario:
             v = getattr(self, name)
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        for node in (self.nb, self.ris, self.ue):
-            self.geometry.position(node)
         for name, frm, to, shape in self._layout():
             params = getattr(self, name)
             los, gain = (None, 0.0) if params is None else _fixed_link(
@@ -271,10 +278,8 @@ class Scenario:
             object.__setattr__(self, f"pl_{name}", gain)
 
     def _layout(self):
-        """(name, from node, to node, block shape) of each link."""
-        m, n, u = self.m_antennas, self.n_elements, self.u_antennas
-        return (("nb_ris", self.nb, self.ris, (n, m)), ("ris_ue", self.ris, self.ue, (u, n)),
-                ("nb_ue", self.nb, self.ue, (u, m)))
+        return link_layout(self.nb, self.ris, self.ue, self.m_antennas, self.n_elements,
+                           self.u_antennas)
 
     def links(self):
         """(params, LoS block, block shape) of nb_ris, ris_ue and nb_ue, as

@@ -33,6 +33,7 @@ import functools
 import logging
 import os
 import re
+import reprlib
 import sys
 import time
 from dataclasses import replace
@@ -100,7 +101,7 @@ def validate_config(raw: str) -> PreparedRun:
     if doc is None:
         raise ConfigError("", "config file is empty")
     if not isinstance(doc, dict):
-        raise ConfigError("", f"expected a mapping at top level, got {doc!r}")
+        raise ConfigError("", f"expected a mapping at top level, got {reprlib.repr(doc)}")
     for key in doc:
         if key not in _TOP_LEVEL:
             raise ConfigError(

@@ -28,7 +28,6 @@ from .channel import (
     ChannelParams,
     Geometry,
     Scenario,
-    _fixed_link,
     assemble_stack,
     draw_links,
     draw_stack,
@@ -84,6 +83,12 @@ class CoexScenario:
         if self.policy not in UPDATE_POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {UPDATE_POLICIES}")
 
+    def link_params(self, direct: bool) -> dict:
+        """ChannelParams of a network's links by `channel.link_layout` name,
+        the ground path's None unless `direct`."""
+        return {"nb_ris": self.params, "ris_ue": self.params,
+                "nb_ue": self.direct_params if direct else None}
+
 
 def _surface_link(coex: CoexScenario, net: str, direct: bool) -> Scenario:
     """Network `net`'s ("a" or "b") link through A's surface, plus its
@@ -93,9 +98,7 @@ def _surface_link(coex: CoexScenario, net: str, direct: bool) -> Scenario:
         m_antennas=coex.m_antennas,
         n_elements=coex.n_elements,
         u_antennas=coex.u_antennas,
-        nb_ris=coex.params,
-        ris_ue=coex.params,
-        nb_ue=coex.direct_params if direct else None,
+        **coex.link_params(direct),
         nb=f"nb_{net}",
         ris="ris_a",
         ue=f"ue_{net}",
@@ -213,30 +216,27 @@ def _own_spectra(coex: CoexScenario, trials: int, seed: int):
     `trials` runs, (2, trials, min(U, M)), from one stacked SVD.
 
     Run t's blocks are row t of the generator `rng_from(seed,
-    "lbt/normals")`, A's, then B's.  A's link is its aligned surface plus
-    its ground path.  B's link is its ground path; a shadowed B's link is
-    the bounce off A's surface, whose state B does not control: row t of
-    `rng_from(seed, "lbt/uniforms")`, seeded only then.
+    "lbt/normals")`, A's, then B's, both from `_surface_link`.  A's link
+    is its aligned surface plus its ground path.  B's link is its ground
+    path; a shadowed B's link is the bounce off A's surface, whose state B
+    does not control: row t of `rng_from(seed, "lbt/uniforms")`, seeded
+    only then.
     """
+    shadowed = coex.b_direct_blocked
     link_a = _surface_link(coex, "a", True)
-    links = list(link_a.links())
-    normals, uniforms = rng_from(seed, "lbt/normals"), None
-    if coex.b_direct_blocked:
-        link_b = _surface_link(coex, "b", False)
-        links += link_b.links()[:2]
-        uniforms = rng_from(seed, "lbt/uniforms")
-    else:
-        shape = (coex.u_antennas, coex.m_antennas)
-        los, pl_b = _fixed_link(coex.geometry, "nb_b", "ue_b", *shape, coex.direct_params)
-        links.append((coex.direct_params, los, shape))
+    link_b = _surface_link(coex, "b", not shadowed)
+    # B's own link: its two hops through A's surface, or its ground path
+    links = link_a.links() + (link_b.links()[:2] if shadowed else link_b.links()[2:])
+    normals = rng_from(seed, "lbt/normals")
+    uniforms = rng_from(seed, "lbt/uniforms") if shadowed else None
     stacks, drawn = draw_links(links, trials, normals, uniforms,
-                               coex.n_elements if coex.b_direct_blocked else 0)
+                               coex.n_elements if shadowed else 0)
     theta = np.exp(1j * aligned_phases(*stacks[:3], gains=link_a))
     h_a = assemble_stack(link_a, *stacks[:3], theta)
-    if coex.b_direct_blocked:
+    if shadowed:
         h_b = assemble_stack(link_b, *stacks[3:], None, surface_states(drawn))
     else:
-        h_b = math.sqrt(pl_b) * stacks[3]
+        h_b = math.sqrt(link_b.pl_nb_ue) * stacks[3]
     return singular_values(np.stack([h_a, h_b]))
 
 

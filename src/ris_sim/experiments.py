@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import reprlib
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,7 @@ from .channel import (
     Scenario,
     draw_links,
     element_distances,
+    link_layout,
     path_gain,
     resolve_wavefront,
 )
@@ -207,7 +209,7 @@ _REQUIRED = object()
 
 def _number(v, path, minimum=None, maximum=None, allow_inf=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {v!r}")
+        raise ConfigError(path, f"expected a number, got {reprlib.repr(v)}")
     try:
         x = float(v)
     except OverflowError:
@@ -236,7 +238,7 @@ def _positive(v, path, maximum=None):
 
 def _integer(v, path, minimum, maximum=None):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(path, f"expected an integer, got {v!r}")
+        raise ConfigError(path, f"expected an integer, got {reprlib.repr(v)}")
     if v < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
@@ -250,14 +252,14 @@ def _int_ge(minimum, maximum=None):
 
 def _boolean(v, path):
     if not isinstance(v, bool):
-        raise ConfigError(path, f"expected true or false, got {v!r}")
+        raise ConfigError(path, f"expected true or false, got {reprlib.repr(v)}")
     return v
 
 
 def _choice(*options):
     def check(v, path):
         if v not in options:
-            raise ConfigError(path, f"must be one of {options}, got {v!r}")
+            raise ConfigError(path, f"must be one of {options}, got {reprlib.repr(v)}")
         return v
     return check
 
@@ -265,7 +267,7 @@ def _choice(*options):
 def _vec(k):
     def check(v, path):
         if not isinstance(v, (list, tuple)) or len(v) != k:
-            raise ConfigError(path, f"expected a list of {k} numbers, got {v!r}")
+            raise ConfigError(path, f"expected a list of {k} numbers, got {reprlib.repr(v)}")
         return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
     return check
 
@@ -273,7 +275,7 @@ def _vec(k):
 def _list_of(item, nonempty=False):
     def check(v, path):
         if not isinstance(v, (list, tuple)):
-            raise ConfigError(path, f"expected a list, got {v!r}")
+            raise ConfigError(path, f"expected a list, got {reprlib.repr(v)}")
         if nonempty and not v:
             raise ConfigError(path, "must not be empty")
         return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
@@ -283,7 +285,7 @@ def _list_of(item, nonempty=False):
 def _rect(v, path):
     x0, y0, x1, y1 = _vec(4)(v, path)
     if not (x0 < x1 and y0 < y1):
-        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {v!r}")
+        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {reprlib.repr(v)}")
     return (x0, y0, x1, y1)
 
 
@@ -292,7 +294,7 @@ _STATION_FIELDS = ("position", "tx_power_dbm")
 
 def _station(st, path):
     if not isinstance(st, dict):
-        raise ConfigError(path, f"expected a mapping, got {st!r}")
+        raise ConfigError(path, f"expected a mapping, got {reprlib.repr(st)}")
     for key in st:
         if key not in _STATION_FIELDS:
             raise ConfigError(f"{path}.{key}",
@@ -397,25 +399,56 @@ def _check_snr(p, power, gains):
                               "exceeds 2^512")
 
 
+def _too_large(p, block, why):
+    """Reject `block`, a tuple of count fields, at its largest count."""
+    field = max(block, key=p.get)
+    shape = " x ".join(str(p[f]) for f in block)
+    raise ConfigError(f"scenario.{field}", f"{p[field]} makes a {shape} block, {why}")
+
+
 def _check_blocks(p, blocks):
     """Every block, a tuple of count fields whose product is its entry
     count, holds at most `MAX_BLOCK_ENTRIES` entries; an oversized block
     is rejected at its largest count."""
     for block in blocks:
-        entries = math.prod(p[f] for f in block)
-        if entries > MAX_BLOCK_ENTRIES:
-            field = max(block, key=p.get)
-            raise ConfigError(f"scenario.{field}",
-                              f"{p[field]} makes a {' x '.join(str(p[f]) for f in block)} "
-                              f"block, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
-                              "can hold")
+        if math.prod(p[f] for f in block) > MAX_BLOCK_ENTRIES:
+            _too_large(p, block, f"over {MAX_BLOCK_ENTRIES} entries, more than numpy can hold")
 
 
-def _check_links(p, n_field):
-    """The incident, departure and direct blocks of links through a
-    surface of `n_field` elements fit `MAX_BLOCK_ENTRIES`."""
-    _check_blocks(p, [(n_field, "m_antennas"), ("u_antennas", n_field),
-                      ("u_antennas", "m_antennas")])
+def _check_cell(p, nodes, counts, params) -> list:
+    """Check the links of `link_layout(*nodes, *counts)`, node n at field
+    `{n}_position`, as `Scenario` builds them from `params`, link name ->
+    ChannelParams (None for a missing link): every block under the cap,
+    then link by link, in the order `Scenario` raises in, the nodes apart
+    and a spherical LoS block's elements apart (distances that do not
+    fit in memory reject the block), then the reflected and direct routes'
+    gains, whose (name, gain) pairs `_check_routes` returns."""
+    layout = link_layout(*nodes, *counts)
+    _check_blocks(p, [shape for *_, shape in layout])
+    geom = _geometry(p, nodes)
+    hops = {}
+    for name, frm, to, (rows, cols) in layout:
+        link = params[name]
+        if link is None:
+            continue
+        hops[name] = (f"{frm}_position", f"{to}_position", link.path_loss_exponent)
+        _distance(p, *hops[name][:2])
+        shape = (p[rows], p[cols])
+        if (link.rician_k > 0.0 and resolve_wavefront(geom, frm, to, *shape,
+                                                      link.wavefront_model) == "spherical"):
+            try:
+                apart = element_distances(geom, frm, to, *shape).all()
+            except MemoryError:
+                _too_large(p, (rows, cols), "whose element distances do not fit in memory")
+            if not apart:
+                raise ConfigError(f"scenario.{to}_position",
+                                  f"an element of this array coincides with one at "
+                                  f"scenario.{frm}_position, and the spherical wavefront "
+                                  "needs every pair apart")
+    routes = [((), [hops["nb_ris"], hops["ris_ue"]])]
+    if "nb_ue" in hops:
+        routes.append(((), [hops["nb_ue"]]))
+    return _check_routes(p, routes)
 
 
 def _check_float(p, field):
@@ -447,43 +480,24 @@ class Experiment:
 # rank: cascaded-channel rank collapse and its near-field escape
 
 
+def _rank_links(p) -> dict:
+    """rank's ChannelParams per link, all on the `wavefront` field: a pure
+    LoS incident hop, a departure hop of Rician factor `ris_ue_rician_k`
+    and, with `include_direct`, a Rayleigh direct link."""
+    wf = p["wavefront"]
+    return {"nb_ris": ChannelParams(rician_k=math.inf, wavefront_model=wf),
+            "ris_ue": ChannelParams(rician_k=p["ris_ue_rician_k"], wavefront_model=wf),
+            "nb_ue": ChannelParams(wavefront_model=wf) if p["include_direct"] else None}
+
+
 def _check_rank(p):
-    """Finite route gains, blocks numpy can hold, and no spherical LoS
-    block with coincident elements.  Only nb_ris and, at a Rician factor
-    above 0, ris_ue build a LoS block; the direct link is Rayleigh."""
-    alpha = ChannelParams().path_loss_exponent
-    nb, ris, ue = "nb_position", "ris_position", "ue_position"
-    routes = [((), [(nb, ris, alpha), (ris, ue, alpha)])]
-    if p["include_direct"]:
-        routes.append(((), [(nb, ue, alpha)]))
-    _check_routes(p, routes)
-    _check_links(p, "n_elements")
-    geom = _geometry(p, ("nb", "ris", "ue"))
-    m, n, u = p["m_antennas"], p["n_elements"], p["u_antennas"]
-    # (from, to, rows, cols) of each LoS block, as `Scenario` builds it
-    links = [("nb", "ris", n, m)]
-    if p["ris_ue_rician_k"] > 0.0:
-        links.append(("ris", "ue", u, n))
-    for frm, to, rows, cols in links:
-        if (resolve_wavefront(geom, frm, to, rows, cols, p["wavefront"]) == "spherical"
-                and not element_distances(geom, frm, to, rows, cols).all()):
-            raise ConfigError(f"scenario.{to}_position",
-                              f"an element of this array coincides with one at "
-                              f"scenario.{frm}_position, and the spherical wavefront "
-                              "needs every pair apart")
+    _check_cell(p, ("nb", "ris", "ue"), ("m_antennas", "n_elements", "u_antennas"),
+                _rank_links(p))
 
 
 def _rank_scenario(p) -> Scenario:
-    wf = p["wavefront"]
-    return Scenario(
-        geometry=_geometry(p, ("nb", "ris", "ue")),
-        m_antennas=p["m_antennas"],
-        n_elements=p["n_elements"],
-        u_antennas=p["u_antennas"],
-        nb_ris=ChannelParams(rician_k=math.inf, wavefront_model=wf),
-        ris_ue=ChannelParams(rician_k=p["ris_ue_rician_k"], wavefront_model=wf),
-        nb_ue=ChannelParams(wavefront_model=wf) if p["include_direct"] else None,
-    )
+    return Scenario(geometry=_geometry(p, ("nb", "ris", "ue")), m_antennas=p["m_antennas"],
+                    n_elements=p["n_elements"], u_antennas=p["u_antennas"], **_rank_links(p))
 
 
 def _rank_columns(p, seed, trials) -> list:
@@ -494,51 +508,31 @@ def _rank_columns(p, seed, trials) -> list:
     how rich the departure hop is.  Switching `wavefront` to "spherical"
     (or "auto" inside the Fraunhofer distance) lifts the collapse.
 
-    With the surface all ones, the reflected channel is amp h G, where G
-    is the fixed N x M incident block and amp the two hops' amplitude
-    gain.  G is factored once per run, G = U_G S V^H with r = min(N, M)
-    columns, and only h U_G reaches the channel.  The departure hop is
-    h = b h_s + a L, with L its LoS block, a = sqrt(K/(K+1)) and
-    b = sqrt(1/(K+1)) of its Rician factor K; the rows of h_s are iid
-    CN(0, I_N) and U_G has orthonormal columns, so W = h_s U_G is iid
-    CN(0, 1) of shape U x r.  A trial therefore draws W, U x r normals
-    instead of U x N, and its channel is amp (b W S V^H + a L G) +
-    sqrt(pl_nb_ue) D, D the direct link's Rayleigh block.  This is the
-    distribution of drawing h whole, for every K, wavefront, N against M
-    and direct link; at K = inf the reflected term is fixed and no W is
-    drawn.
-
-    Trial t draws W, then D, as row t of the one generator
-    `rng_from(seed, "rank/normals")`, through `draw_links`.  The run draws
-    all trials into one stack and takes one matrix product and one stacked
-    SVD; each matrix's spectrum is computed on its own, so a trial's row
-    does not depend on the trial count.  One INFO log line reports the
-    trials and the one generator.
+    With the surface all ones, the reflected channel is amp h G, G the
+    fixed N x M incident block, factored once per run as U_G S V^H with
+    r = min(N, M) columns, and amp the hops' amplitude gain.  Only h U_G
+    reaches it; as U_G has orthonormal columns, that projection of the
+    Rician hop h is itself a Rician link of h's factor, U x r with LoS
+    block L U_G (L h's own), and `draw_links` draws it as one: U x r
+    normals instead of U x N, none at K = inf, with the distribution of
+    drawing h whole.  Trial t draws it, then the direct Rayleigh block, as
+    row t of the one generator `rng_from(seed, "rank/normals")`.  One
+    matrix product and one stacked SVD serve all trials, each spectrum
+    computed on its own, so a row does not depend on the trial count.
+    One INFO log line reports the trials and the one generator.
     """
     scn = _rank_scenario(p)
-    u, m = scn.u_antennas, scn.m_antennas
-    k = scn.ris_ue.rician_k
-    amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
     fac = svd(scn.los_nb_ris)
-    # S V^H, r x M, with the scattered part's weight and amp folded in
-    spread = (amp * math.sqrt(1.0 / (k + 1.0)) * fac.singular_values[:, None]
-              * fac.right_vectors.conj().T)
-    fixed = None
-    if k > 0.0:
-        fixed = (amp * (1.0 if math.isinf(k) else math.sqrt(k / (k + 1.0)))
-                 * (scn.los_ris_ue @ scn.los_nb_ris))
-    links = [(None if math.isinf(k) else _RAYLEIGH, None, (u, len(spread))),
-             (scn.nb_ue, None, (u, m))]
-    (w, d), _ = draw_links(links, trials, rng_from(seed, "rank/normals"))
-    if w is None:
-        h = np.broadcast_to(fixed, (trials, u, m))
-    else:
-        h = w @ spread
-        if fixed is not None:
-            h += fixed
+    los = None if scn.los_ris_ue is None else scn.los_ris_ue @ fac.left_vectors
+    projection = (scn.ris_ue, los, (scn.u_antennas, fac.singular_values.size))
+    (h, d), _ = draw_links([projection, scn.links()[2]], trials,
+                           rng_from(seed, "rank/normals"))
+    # S V^H, r x M, with both hops' amplitude gain folded in
+    amp = math.sqrt(scn.pl_ris_ue * scn.pl_nb_ris)
+    h = h @ (amp * fac.singular_values[:, None] * fac.right_vectors.conj().T)
     if d is not None:
         d *= math.sqrt(scn.pl_nb_ue)
-        h = h + d
+        h += d
     spectra = singular_values(h)
     log.info("rank: %d trials, 1 stream", trials)
     return [{"rank": [spectrum_rank(sv) for sv in spectra], "sigma_1": spectra[:, 0],
@@ -749,22 +743,19 @@ _COEX_FIELDS = {
 def _check_coex(p):
     from .coexist import UPDATE_POLICIES
     _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
-    _check_links(p, "n_elements_a")
     if p["t1"] > p["t2"]:
         raise ConfigError("scenario.t2",
                           f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
-    refl, ground = p["alpha_reflected"], p["alpha_direct"]
-    nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
-                                   for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
-    # network B's link: the bounce off A's surface, plus its ground path
-    routes = [((), [(nb_b, ris, refl), (ris, ue_b, refl)])]
-    if not p["b_direct_blocked"]:
-        routes.append(((), [(nb_b, ue_b, ground)]))
-    signal = {"tx_power_b": _check_routes(p, routes)}
+    coex = _coex_scenario(p)
+    counts = ("m_antennas", "n_elements_a", "u_antennas")
+    signal = {"tx_power_b": _check_cell(p, ("nb_b", "ris_a", "ue_b"), counts,
+                                        coex.link_params(not p["b_direct_blocked"]))}
     if p.get("mode") == "lbt":
-        # A's own link
-        signal["tx_power_a"] = _check_routes(p, [((), [(nb_a, ris, refl), (ris, ue_a, refl)]),
-                                                 ((), [(nb_a, ue_a, ground)])])
+        signal["tx_power_a"] = _check_cell(p, ("nb_a", "ris_a", "ue_a"), counts,
+                                           coex.link_params(True))
+        refl, ground = p["alpha_reflected"], p["alpha_direct"]
+        nb_a, ris, ue_a, nb_b, ue_b = (f"{node}_position"
+                                       for node in ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
         # what each network's transmission delivers to the other's user
         # (interference) and base station (sensing): gains, not LoS blocks
         tx_a, tx_b = ("tx_power_a",), ("tx_power_b",)
@@ -995,7 +986,7 @@ def resolve_scenario(experiment: str, raw) -> dict:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError("scenario", f"expected a mapping, got {raw!r}")
+        raise ConfigError("scenario", f"expected a mapping, got {reprlib.repr(raw)}")
     p = {key: default for key, (default, _) in fields.items()}
     for key, value in raw.items():
         path = f"scenario.{key}"
@@ -1048,11 +1039,11 @@ def prepare(experiment, scenario, seed, trials, output_path=None) -> PreparedRun
     the first rejected value raises ConfigError naming its dotted path.
     """
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        raise ConfigError("experiment",
-                          f"must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
+        raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}, "
+                                        f"got {reprlib.repr(experiment)}")
     check_run(seed, trials)
     if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output", f"expected a path string, got {output_path!r}")
+        raise ConfigError("output", f"expected a path string, got {reprlib.repr(output_path)}")
     return PreparedRun(experiment, seed, trials, resolve_scenario(experiment, scenario),
                        output_path)
 

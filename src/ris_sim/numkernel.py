@@ -239,9 +239,10 @@ def capacity_closed_form(svals, total_power: float, noise_power: float):
     """Water-filled capacity straight from the exact sorted-mode water level.
 
     Skips the per-mode powers and sums log2(level * gain) over the active
-    modes, so it is the evaluator of choice inside phase-sweep hot loops.
-    It shares its water level with `waterfill_powers`, and the test suite
-    checks both against a grid-search oracle.  Accepts a single spectrum
+    modes.  `stack_capacity` calls it on blocks other than 2x2, and
+    `coexist.lbt_runs` on the networks' own links.  It shares its water
+    level with `waterfill_powers`, and the test suite checks both against
+    a grid-search oracle.  Accepts a single spectrum
     (k,) or a batch (b, k); returns a float or a length-b vector
     accordingly.  A spectrum without a usable mode (see `_water_level`)
     has capacity 0.  Far below the noise, nact log2(level) + sum log2(gain)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ris_sim import cli, coexist, deploy, experiments, numkernel, scheduler
+from ris_sim import channel, cli, coexist, deploy, experiments, numkernel, scheduler
 from ris_sim.cli import ConfigError, _Loader, main, validate_config
 from ris_sim.experiments import EXPERIMENTS, prepare, run
 
@@ -796,6 +796,45 @@ def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
     captured = capsys.readouterr()
     assert rc == 1
     assert f"invalid config: {path}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_spherical_block_whose_distances_do_not_fit_exits_one_at_its_largest_count(
+        tmp_path, capsys, monkeypatch):
+    # 2^40 elements make a block numpy can index, but its element distances
+    # would take terabytes; the MemoryError is raised here without asking
+    # for them, in the runtime too, should the validator let the block by
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 24.0 TiB")
+
+    monkeypatch.setattr(experiments, "element_distances", refuse)
+    monkeypatch.setattr(channel, "element_distances", refuse)
+    cfg = _cfg(tmp_path, "experiment: rank\nscenario: {wavefront: spherical, "
+                         f"n_elements: {2**40}, m_antennas: 1, u_antennas: 1}}\n")
+    rc = main(["rank", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert (f"invalid config: scenario.n_elements: {2**40} makes a {2**40} x 1 block, "
+            "whose element distances do not fit in memory") in captured.err
+    assert "Traceback" not in captured.err
+
+
+#: a YAML list nested 5000 deep: its full repr overflows the stack
+_DEEP_LIST = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("text, path", [
+    (f"experiment: rank\nscenario: {{nb_position: {_DEEP_LIST}}}\n", "scenario.nb_position: "),
+    (f"experiment: rank\nscenario: {_DEEP_LIST}\n", "scenario: "),
+    (f"{_DEEP_LIST}\n", "expected a mapping at top level, "),
+], ids=["field", "scenario", "document"])
+def test_a_deeply_nested_value_exits_one_at_its_path(tmp_path, capsys, text, path):
+    # the message quotes the rejected value through `reprlib.repr`
+    rc = main(["rank", "--config", _cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"invalid config: {path}" in captured.err
+    assert "[[[[[[[...]]]]]]]" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import ris_sim
 from ris_sim import coexist, experiments, numkernel
+from ris_sim.channel import GeometryError
 from ris_sim.cli import main
 from ris_sim.experiments import (
     MULTIUSER_CHUNK,
@@ -26,7 +28,7 @@ from ris_sim.experiments import (
     run,
     write_outputs,
 )
-from ris_sim.seeding import complex_normal, rng_from
+from ris_sim.seeding import complex_normal, rng_from, subseed
 
 
 def _toy_table():
@@ -233,6 +235,41 @@ def test_projection_through_the_incident_factors_is_the_product(wavefront, n):
     assert np.linalg.norm(split - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(counts=st.tuples(*[st.integers(1, 4)] * 3),
+       wavefront=st.sampled_from(["auto", "planar", "spherical"]),
+       k=st.sampled_from([0.0, 2.0, math.inf]), direct=st.booleans(),
+       offsets=st.tuples(*[st.tuples(st.sampled_from([0.0, 3.0]), st.integers(-4, 4))] * 2))
+# the incident hop's elements coincide; the departure hop's, only at K > 0
+@example(counts=(2, 4, 1), wavefront="spherical", k=0.0, direct=False,
+         offsets=((0.0, 1), (0.0, 1)))
+@example(counts=(1, 1, 2), wavefront="auto", k=2.0, direct=True,
+         offsets=((0.0, 2), (0.0, 3)))
+def test_rank_validator_rejects_exactly_the_links_the_runtime_refuses(counts, wavefront, k,
+                                                                      direct, offsets):
+    # nodes on one another's element lattice, a whole number of quarter
+    # wavelengths apart along z (exact in binary at a 1 m wavelength), and
+    # off the base station's line by 0 or 3 m
+    m, n, u = counts
+    scenario = {"m_antennas": m, "n_elements": n, "u_antennas": u, "wavelength": 1.0,
+                "wavefront": wavefront, "ris_ue_rician_k": k, "include_direct": direct,
+                "nb_position": [0.0, 0.0, 10.0]}
+    for node, (x, steps) in zip(("ris", "ue"), offsets):
+        scenario[f"{node}_position"] = [x, 0.0, 10.0 + 0.25 * steps]
+    fields = experiments.EXPERIMENTS["rank"].fields
+    try:
+        _rank_scenario({**{key: default for key, (default, _) in fields.items()}, **scenario})
+    except GeometryError as exc:
+        # "nodes 'a' and 'b' coincide" or "coincident element positions
+        # between 'a' and 'b'": the first link built that fails, from a to b
+        _, to = re.findall(r"'(\w+)'", str(exc))
+        with pytest.raises(ConfigError) as err:
+            resolve_scenario("rank", scenario)
+        assert err.value.path == f"scenario.{to}_position"
+    else:
+        resolve_scenario("rank", scenario)
+
+
 def test_near_field_panel_reaches_full_rank():
     # the benchmark's near-field scenario: `auto` resolves to spherical
     table = run(prepare("rank", {"m_antennas": 8, "u_antennas": 8, "n_elements": 1024,
@@ -352,17 +389,22 @@ def _spy_draws(monkeypatch):
 @pytest.mark.parametrize("k, direct", [(0.0, False), (2.5, True), (math.inf, True),
                                        (math.inf, False)])
 def test_rank_blocks_match_the_one_stream_reference_bit_for_bit(monkeypatch, k, direct):
-    # trial t draws its U x min(N, M) projection, then its direct block,
-    # as row t of the run's stream `rank/normals`; at K = inf it draws no
-    # projection
+    # trial t draws its U x min(N, M) projection, a Rician link of factor
+    # K whose LoS block is L U_G, then its direct block, as row t of the
+    # run's stream `rank/normals`; at K = inf it draws no projection
+    # normals, so the direct block takes the row's first ones
     calls = _spy_draws(monkeypatch)
     scenario = {"m_antennas": 3, "u_antennas": 2, "n_elements": 5, "ris_ue_rician_k": k,
                 "include_direct": direct}
     run(prepare("rank", scenario, seed=13, trials=4))
     ((count, stacks),) = calls
     assert count == 4
-    shapes = [None if math.isinf(k) else (2, 3), (2, 3) if direct else None]
-    for t, want in enumerate(oracles.rayleigh_trial_blocks(13, "rank/normals", shapes, 4)):
+    scn = _rank_scenario(resolve_scenario("rank", scenario))
+    los = None if k == 0.0 else scn.los_ris_ue @ numkernel.svd(scn.los_nb_ris).left_vectors
+    links = [(k, los, (2, 3)), (0.0, None, (2, 3)) if direct else None]
+    stream = np.random.default_rng(subseed(13, "rank/normals"))
+    for t in range(4):
+        want, _ = oracles.one_stream_draw(stream, links, 0)
         for got, ref in zip(stacks, want):
             assert (got is None) == (ref is None)
             if ref is not None:

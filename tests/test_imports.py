@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no
-module runs work concurrently.
+"""Every name a package module imports is used in that module, no module
+reaches into another's private names, and no module runs work
+concurrently.
 
 Deleting code tends to leave imports behind that nothing reads any more.
 This check parses each `src/ris_sim/*.py` file with the standard-library
@@ -48,6 +49,46 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _private(name):
+    """A leading-underscore name that is not a dunder such as `__version__`."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _reached_private_names(tree):
+    """(line, name) of every private name imported from a package module,
+    and of every private attribute read off a package module that
+    `from . import module` bound."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if _private(alias.name):
+                    yield node.lineno, f"{node.module or ''}.{alias.name}"
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reaches_into_another_modules_private_names(path):
+    # a private name is its module's own business; what another module
+    # needs is public
+    reached = [f"{path.name}:{line} {name}"
+               for line, name in _reached_private_names(ast.parse(path.read_text()))]
+    assert not reached, f"private names of other modules: {reached}"
+
+
+def test_the_private_name_check_sees_imports_and_attribute_reads():
+    tree = ast.parse("from .channel import _fixed_link, __doc__\n"
+                     "from . import coexist\n"
+                     "coexist._surface_link(coexist.lbt_runs, self._layout)\n")
+    assert sorted(_reached_private_names(tree)) == [(1, "channel._fixed_link"),
+                                                    (3, "coexist._surface_link")]
 
 
 #: top-level modules that start threads or processes
