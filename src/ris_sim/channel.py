@@ -7,9 +7,13 @@ The effective downlink channel through a reflective surface is
 
 with the direct term dropped when the base-station/user link is blocked.
 `link_layout` is the one table of these links, which `Scenario` builds
-and the config validator checks.  All blocks are complex128 ndarrays:
-`gen_los` builds the fixed LoS blocks, and `draw_links`, every runner's
-one draw, the Rician blocks of trials, as rows of a run's generators.
+and the config validator checks.  A link's `ChannelParams` give its
+Rician factor, path-loss exponent and wavefront; the noise belongs to the
+receiver that reads it, not to the link.  All blocks are complex128
+ndarrays: `gen_los` builds the fixed LoS blocks, and `draw_links`, every
+runner's one draw, the Rician blocks of trials and the uniforms of their
+random surface states, as rows of a run's generators; `surface_states`
+turns those uniforms into states.
 """
 
 from __future__ import annotations
@@ -84,11 +88,11 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Statistical description of one propagation link."""
+    """Statistical description of one propagation link: its Rician factor,
+    path-loss exponent and wavefront model."""
 
     rician_k: float = 0.0
     path_loss_exponent: float = 2.0
-    noise_power: float = 1.0
     wavefront_model: str = "auto"
 
     def __post_init__(self):
@@ -98,8 +102,6 @@ class ChannelParams:
             raise ValueError(
                 f"path_loss_exponent must be >= 2, got {self.path_loss_exponent}"
             )
-        if not (self.noise_power > 0.0 and math.isfinite(self.noise_power)):
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
         if self.wavefront_model not in _WAVEFRONTS:
             raise ValueError(f"unknown wavefront_model {self.wavefront_model!r}")
 
@@ -334,27 +336,6 @@ def draw_links(links, count: int, normal_rng, uniform_rng=None, uniforms: int = 
             stack += math.sqrt(k / (k + 1.0)) * los
         stacks.append(stack)
     return stacks, drawn
-
-
-def draw_stack(scenario: Scenario, count: int, normal_rng, uniform_rng=None,
-               surfaces: int = 0):
-    """Channel blocks and random surface states of `count` trials of one
-    scenario, stacked.
-
-    The trials are the next `count` rows of the generators, through
-    `draw_links`: a row of `normal_rng` holds the scattered parts of
-    nb_ris, ris_ue and nb_ue, and a row of `uniform_rng` `surfaces` x N
-    uniforms u, one state after the other.  Returns (g, h, direct, theta)
-    of shapes (B, N, M), (B, U, N), (B, U, M) and (surfaces, B, N), direct
-    None without a direct link; theta holds the `surface_states` of u.  A
-    link with infinite Rician factor is the scenario's read-only LoS
-    block, broadcast along the stack.  The fixed blocks are not scanned
-    again.
-    """
-    n = scenario.n_elements
-    (g, h, direct), drawn = draw_links(scenario.links(), count, normal_rng, uniform_rng,
-                                       surfaces * n)
-    return g, h, direct, surface_states(drawn.reshape(count, surfaces, n).transpose(1, 0, 2))
 
 
 def surface_states(uniforms) -> np.ndarray:

@@ -33,7 +33,6 @@ import functools
 import logging
 import os
 import re
-import reprlib
 import sys
 import time
 from dataclasses import replace
@@ -53,6 +52,7 @@ from .experiments import (
     PreparedRun,
     check_run,
     prepare,
+    quote,
     run,
     write_outputs,
 )
@@ -60,6 +60,10 @@ from .experiments import (
 log = logging.getLogger("ris_sim")
 
 _TOP_LEVEL = ("experiment", "seed", "trials", "output", "scenario")
+
+#: deepest nesting of collections a config may have: libyaml composes a
+#: document recursively, and some 25000 levels overflow an 8 MB stack
+MAX_YAML_DEPTH = 10000
 
 
 class _Loader(yaml.CSafeLoader):
@@ -80,15 +84,33 @@ _Loader.add_implicit_resolver(
 )
 
 
+def _check_depth(raw: str) -> None:
+    """Walk the parser's events of `raw` and reject, at its line and
+    column, the first collection nested deeper than `MAX_YAML_DEPTH`."""
+    depth = 0
+    for event in yaml.parse(raw, Loader=_Loader):
+        depth += (isinstance(event, yaml.CollectionStartEvent)
+                  - isinstance(event, yaml.CollectionEndEvent))
+        if depth > MAX_YAML_DEPTH:
+            mark = event.start_mark
+            raise ConfigError("", f"nested deeper than {MAX_YAML_DEPTH} levels at "
+                                  f"line {mark.line + 1}, column {mark.column + 1}")
+
+
 def validate_config(raw: str) -> PreparedRun:
     """Parse and fully validate a YAML config, applying defaults.
 
     Returns `experiments.prepare`'s record of the run.  Raises ConfigError
     naming the offending field path; YAML syntax errors are reported with
     their line and column, and a value Python cannot build is one too.
+    A collection nested deeper than `MAX_YAML_DEPTH` is rejected before
+    anything is composed.
     """
     try:
+        _check_depth(raw)
         doc = yaml.load(raw, Loader=_Loader)
+    except ConfigError:
+        raise
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -101,7 +123,7 @@ def validate_config(raw: str) -> PreparedRun:
     if doc is None:
         raise ConfigError("", "config file is empty")
     if not isinstance(doc, dict):
-        raise ConfigError("", f"expected a mapping at top level, got {reprlib.repr(doc)}")
+        raise ConfigError("", f"expected a mapping at top level, got {quote(doc)}")
     for key in doc:
         if key not in _TOP_LEVEL:
             raise ConfigError(

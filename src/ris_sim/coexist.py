@@ -8,13 +8,15 @@ access simulations with omnidirectional energy sensing; and
 `filter_budget_db` gives the out-of-band budget of a band filter at the
 surface, whose amplitude scale the adjacent-band runner hands to
 `stale_rates`.  One `CoexScenario` describes both networks, with fixed
-roles: A owns the surface, B owns none.
+roles: A owns the surface, B owns none; it holds the links' statistics
+and, apart from them, the noise power at the users' receivers.
 
 Every draw is keyed on the run seed, from a fixed number of generators
-per run: the stale-CSI trials are consecutive rows of one generator for
-B's channel blocks and one for A's surface states, and the LBT runs are
-consecutive rows of one generator for the own links, one for a shadowed
-B's surface state and one for the access draws."""
+per run, and goes through `channel.draw_links`: the stale-CSI trials are
+consecutive rows of one generator for B's channel blocks and one for A's
+surface states, and the LBT runs are consecutive rows of one generator
+for the own links, one for a shadowed B's surface state and one for the
+access draws."""
 
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .channel import (
     Scenario,
     assemble_stack,
     draw_links,
-    draw_stack,
     path_gain,
     surface_states,
 )
@@ -57,7 +58,8 @@ class CoexScenario:
     no surface.  Both base stations have `m_antennas` antennas and both
     users `u_antennas`.  `params` describes the reflected segments and
     `direct_params` the base-station/user ground links, which usually
-    carry a higher path-loss exponent.  A's surface moves per `policy`
+    carry a higher path-loss exponent; both users' receivers see the noise
+    power `noise_power`.  A's surface moves per `policy`
     between B's measurement slot `t1` and its transmit slot `t2`.
     `b_direct_blocked` obstructs B's ground path entirely, leaving B
     connected only through the bounce off A's surface (the victim-in-shadow
@@ -67,6 +69,7 @@ class CoexScenario:
     geometry: Geometry
     params: ChannelParams
     direct_params: ChannelParams
+    noise_power: float
     m_antennas: int
     u_antennas: int
     n_elements: int
@@ -82,6 +85,8 @@ class CoexScenario:
             raise ValueError(f"need t1 <= t2, got t1={self.t1}, t2={self.t2}")
         if self.policy not in UPDATE_POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {UPDATE_POLICIES}")
+        if not (self.noise_power > 0.0 and math.isfinite(self.noise_power)):
+            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
 
     def link_params(self, direct: bool) -> dict:
         """ChannelParams of a network's links by `channel.link_layout` name,
@@ -121,11 +126,12 @@ def stale_rates(scenario: CoexScenario, trials: int, seed: int, scales=(1.0,)):
 
     Trial t's channel is row t of the generator `rng_from(seed,
     "stale/normals")` and its surface states row t of `rng_from(seed,
-    "stale/uniforms")` (see `draw_stack`), drawn once; every scale is
-    evaluated on them.  Under "static" and "frozen_during_foreign_slot",
-    or when t1 == t2, the t2 state is the t1 state, so the stale rate
-    equals the fresh one and the loss is exactly zero.  A trial with zero
-    fresh rate has zero loss.
+    "stale/uniforms")`, A's surface at t1, then at t2 when it moves, both
+    through one `draw_links` call per chunk; every scale is evaluated on
+    them.  Under "static" and "frozen_during_foreign_slot", or when
+    t1 == t2, the t2 state is the t1 state, so the stale rate equals the
+    fresh one and the loss is exactly zero.  A trial with zero fresh rate
+    has zero loss.
 
     Returns (fresh, stale, loss) arrays of shape (len(scales), trials);
     column t belongs to trial t, and depends on the seed and t alone, so
@@ -136,10 +142,13 @@ def stale_rates(scenario: CoexScenario, trials: int, seed: int, scales=(1.0,)):
     states = 2 if (scenario.policy == "rerandomize_each_slot"
                    and scenario.t2 != scenario.t1) else 1
     normals, uniforms = rng_from(seed, "stale/normals"), rng_from(seed, "stale/uniforms")
+    n = scenario.n_elements
     out = np.empty((3, len(scales), trials))
     for lo in range(0, trials, STALE_CHUNK):
         hi = min(lo + STALE_CHUNK, trials)
-        *blocks, theta = draw_stack(b_link, hi - lo, normals, uniforms, states)
+        blocks, drawn = draw_links(b_link.links(), hi - lo, normals, uniforms, states * n)
+        # (states, trials, N): A's surface at t1, then at t2 when it moves
+        theta = surface_states(drawn.reshape(hi - lo, states, n).transpose(1, 0, 2))
         for a, scale in enumerate(scales):
             out[:, a, lo:hi] = _stacked_rates(scenario, b_link, blocks, theta, scale)
     log.info("stale CSI: %d trials at %d bounce scales, 2 streams", trials, len(scales))
@@ -155,7 +164,7 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     and both rates one stacked determinant.
     """
     p_b = scenario.tx_power_b
-    noise = scenario.params.noise_power
+    noise = scenario.noise_power
     hs = np.stack([assemble_stack(b_link, *blocks, th, beta_gain=bounce_amp_scale)
                    for th in theta])
     f = waterfill_precoder(hs, p_b, noise)
@@ -270,7 +279,7 @@ def lbt_runs(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
     # within a slot the only transmission a network can sense is the other
     # network's, so each network's sensing outcome is decided once
     clear, inter = _budgets(scenario, threshold_dbm)
-    noise = scenario.params.noise_power
+    noise = scenario.noise_power
     spectra = _own_spectra(scenario, trials, seed)
     tx = (scenario.tx_power_a, scenario.tx_power_b)
     alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]

@@ -26,9 +26,9 @@ times the scene's scale) from both of its ends.  The slab test
 
 So every mask equals the slab test over every cell and obstacle, bit for
 bit.  Station -> site hops take one slab test over all (site, station,
-obstacle) triples.  A scene builds its masks once per path-loss exponent,
-with its route table (see `Scene`): one toward each base station and one
-toward each site that some station sees.
+obstacle) triples.  A scene builds its masks once, with its route table
+(see `Scene`): one toward each base station and one toward each site that
+some station sees.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, GeometryError
+from .channel import GeometryError
 
 #: clamp for degenerate zero-length links on the grid
 _MIN_LINK_DISTANCE = 1e-3
@@ -67,11 +67,13 @@ class BaseStation:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Service area, blockers, stations and candidate panel sites.
+    """Service area, blockers, stations and candidate panel sites, with
+    the link budget: every hop's `path_loss_exponent` and the `noise_power`
+    (W) at every receiver.
 
     Positions are read-only copies, so what the coverage raster derives
-    from them is built once per scene and path-loss exponent, on first
-    use, and kept read-only in `_routes`: the direct-route layer, the
+    from them is built once per scene, on first use, and kept read-only
+    in `_routes`, the scene's one route table: the direct-route layer, the
     blocked station -> site hops, and each site's best station budget and
     site-to-cell gain layer, -inf already on the cells the site cannot
     see.  A site that no station sees gets no layer and no sight mask.  A
@@ -87,7 +89,9 @@ class Scene:
     candidate_sites: tuple
     grid_resolution: float
     wavelength: float
-    _routes: dict = field(default_factory=dict, init=False, repr=False)
+    path_loss_exponent: float
+    noise_power: float
+    _routes: _Routes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         x0, y0, x1, y1 = (float(v) for v in self.extent)
@@ -121,6 +125,10 @@ class Scene:
             raise GeometryError(f"grid_resolution must be positive, got {self.grid_resolution}")
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
             raise GeometryError(f"wavelength must be positive, got {self.wavelength}")
+        if not self.path_loss_exponent >= 2.0:
+            raise ValueError(f"path_loss_exponent must be >= 2, got {self.path_loss_exponent}")
+        if not (self.noise_power > 0.0 and math.isfinite(self.noise_power)):
+            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
 
     def _check_inside(self, p) -> None:
         x0, y0, x1, y1 = self.extent
@@ -129,12 +137,11 @@ class Scene:
 
     def sight_work(self) -> tuple:
         """(stations, sites, cells): the blocked-sight masks this scene's
-        route tables have built toward base stations and toward candidate
-        sites, and how many raster cells the slab test decided for them."""
-        tables = self._routes.values()
-        return (len(self.base_stations) * len(tables),
-                sum(layer is not None for t in tables for layer in t.layers),
-                sum(t.tested for t in tables))
+        route table builds toward base stations and toward candidate sites,
+        and how many raster cells the slab test decides for them."""
+        routes = _routes(self)
+        return (len(self.base_stations), sum(layer is not None for layer in routes.layers),
+                routes.tested)
 
     def grid_points(self):
         """Cell-center coordinates (xs, ys) of the coverage raster."""
@@ -309,8 +316,8 @@ class DeploymentPlan:
             raise ValueError("panels placed on duplicate sites")
 
 
-def _noise_dbm(params: ChannelParams) -> float:
-    return 10.0 * math.log10(params.noise_power * 1e3)
+def _noise_dbm(scene: Scene) -> float:
+    return 10.0 * math.log10(scene.noise_power * 1e3)
 
 
 def _panel_gain_db(n_elements: int, gain_scale: float) -> float:
@@ -318,9 +325,9 @@ def _panel_gain_db(n_elements: int, gain_scale: float) -> float:
     return 20.0 * math.log10(n_elements * gain_scale)
 
 
-def _seg_gain_db(scene: Scene, params: ChannelParams, dist):
+def _seg_gain_db(scene: Scene, dist):
     d = np.maximum(dist, _MIN_LINK_DISTANCE)
-    return 10.0 * params.path_loss_exponent * np.log10(
+    return 10.0 * scene.path_loss_exponent * np.log10(
         scene.wavelength / (4.0 * math.pi * d))
 
 
@@ -331,9 +338,8 @@ def _distances(scene: Scene, p) -> np.ndarray:
 
 
 class _Routes(NamedTuple):
-    """A scene's route table at one path-loss exponent; every array is
-    read-only.  A site that no base station sees has no budget and no
-    layer (None)."""
+    """A scene's route table; every array is read-only.  A site that no
+    base station sees has no budget and no layer (None)."""
 
     #: received dBm from the strongest base station in sight of each cell,
     #: -inf where none is
@@ -348,16 +354,14 @@ class _Routes(NamedTuple):
     tested: int
 
 
-def _routes(scene: Scene, params: ChannelParams) -> _Routes:
-    """The route table of `scene` at the path-loss exponent of `params`,
-    the one field it reads; built on first use and cached on the scene.
+def _routes(scene: Scene) -> _Routes:
+    """The route table of `scene`, built on first use and kept on the scene.
 
     One sight mask is built toward each base station and toward each site
     that some station sees, and the hops of every site take one slab test.
     """
-    alpha = params.path_loss_exponent
-    if alpha in scene._routes:
-        return scene._routes[alpha]
+    if scene._routes is not None:
+        return scene._routes
     tested = 0
 
     def seen_gain_db(q):
@@ -365,7 +369,7 @@ def _routes(scene: Scene, params: ChannelParams) -> _Routes:
         nonlocal tested
         blocked, cells = _sight_raster(scene, q)
         tested += cells
-        layer = _seg_gain_db(scene, params, _distances(scene, q))
+        layer = _seg_gain_db(scene, _distances(scene, q))
         layer[blocked] = -np.inf
         return layer
 
@@ -384,23 +388,19 @@ def _routes(scene: Scene, params: ChannelParams) -> _Routes:
     budgets, layers = [], []
     for site, blocked in zip(scene.candidate_sites, hops):
         seen = [bs.tx_power_dbm
-                + _seg_gain_db(scene, params, float(np.hypot(*(bs.position - site))))
+                + _seg_gain_db(scene, float(np.hypot(*(bs.position - site))))
                 for bs, hop_blocked in zip(scene.base_stations, blocked) if not hop_blocked]
         budgets.append(max(seen) if seen else None)
         layers.append(seen_gain_db(site) if seen else None)
     for array in [direct, hops] + [layer for layer in layers if layer is not None]:
         array.setflags(write=False)
-    scene._routes[alpha] = _Routes(direct, hops, tuple(budgets), tuple(layers), tested)
-    return scene._routes[alpha]
+    object.__setattr__(scene, "_routes",
+                       _Routes(direct, hops, tuple(budgets), tuple(layers), tested))
+    return scene._routes
 
 
-def snr_map(
-    scene: Scene,
-    plan: DeploymentPlan,
-    params: ChannelParams,
-    threshold_db: float,
-    gain_scale: float = 1.0,
-) -> CoverageMap:
+def snr_map(scene: Scene, plan: DeploymentPlan, threshold_db: float,
+            gain_scale: float = 1.0) -> CoverageMap:
     """Best-route SNR raster for a deployment.
 
     Direct routes take the strongest base station with line of sight; a
@@ -417,7 +417,7 @@ def snr_map(
     if not (gain_scale >= 0.0 and math.isfinite(gain_scale)):
         raise ValueError(f"gain_scale must be non-negative, got {gain_scale}")
     xs, ys = scene.grid_points()
-    routes = _routes(scene, params)
+    routes = _routes(scene)
     direct_dbm = routes.direct
     ris_dbm = np.full(direct_dbm.shape, -np.inf)
     placed = plan.placed if gain_scale > 0.0 else ()
@@ -428,7 +428,7 @@ def snr_map(
             np.maximum(ris_dbm, budget + layer, out=ris_dbm)
 
     best_dbm = np.maximum(direct_dbm, ris_dbm)
-    snr = best_dbm - _noise_dbm(params)
+    snr = best_dbm - _noise_dbm(scene)
     serving = np.full(snr.shape, SERVING_NONE, dtype=np.int8)
     serving[direct_dbm > -np.inf] = SERVING_DIRECT
     serving[ris_dbm > direct_dbm] = SERVING_RIS
@@ -439,15 +439,8 @@ def snr_map(
     )
 
 
-def greedy_place(
-    scene: Scene,
-    n_elements: int,
-    params: ChannelParams,
-    cost_per_panel: float,
-    budget: float,
-    threshold_db: float,
-    target_fraction: float,
-) -> DeploymentPlan:
+def greedy_place(scene: Scene, n_elements: int, cost_per_panel: float, budget: float,
+                 threshold_db: float, target_fraction: float) -> DeploymentPlan:
     """Iterative placement: always take the site covering the most cells.
 
     Every placed panel has `n_elements` elements.
@@ -473,9 +466,9 @@ def greedy_place(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if not (0.0 < target_fraction <= 1.0):
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
-    noise_dbm = _noise_dbm(params)
+    noise_dbm = _noise_dbm(scene)
     panel_gain_db = _panel_gain_db(n_elements, 1.0)
-    routes = _routes(scene, params)
+    routes = _routes(scene)
     masks = {idx: ((budget_db + panel_gain_db) + layer - noise_dbm) >= threshold_db
              for idx, (budget_db, layer) in enumerate(zip(routes.budgets, routes.layers))
              if layer is not None}

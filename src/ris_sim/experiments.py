@@ -207,9 +207,28 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+class _Quote(reprlib.Repr):
+    """`reprlib.repr`, which elides past a depth and a length, showing an
+    integer whose digits `repr` refuses (past the interpreter's limit for
+    int to str) by its digit count."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            digits = int(abs(x).bit_length() * math.log10(2)) - 1
+            while 10**digits <= abs(x):
+                digits += 1
+            return f"<{'negative ' if x < 0 else ''}integer of {digits} digits>"
+
+
+#: a value as every ConfigError message quotes it
+quote = _Quote().repr
+
+
 def _number(v, path, minimum=None, maximum=None, allow_inf=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {reprlib.repr(v)}")
+        raise ConfigError(path, f"expected a number, got {quote(v)}")
     try:
         x = float(v)
     except OverflowError:
@@ -219,9 +238,9 @@ def _number(v, path, minimum=None, maximum=None, allow_inf=False):
     if not allow_inf and math.isinf(x):
         raise ConfigError(path, "must be finite")
     if minimum is not None and x < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {v}")
+        raise ConfigError(path, f"must be >= {minimum}, got {quote(v)}")
     if maximum is not None and x > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {v}")
+        raise ConfigError(path, f"must be <= {maximum}, got {quote(v)}")
     return x
 
 
@@ -232,17 +251,17 @@ def _real(minimum=None, allow_inf=False):
 def _positive(v, path, maximum=None):
     x = _number(v, path, maximum=maximum)
     if not x > 0.0:
-        raise ConfigError(path, f"must be a positive number, got {v}")
+        raise ConfigError(path, f"must be a positive number, got {quote(v)}")
     return x
 
 
 def _integer(v, path, minimum, maximum=None):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(path, f"expected an integer, got {reprlib.repr(v)}")
+        raise ConfigError(path, f"expected an integer, got {quote(v)}")
     if v < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {v}")
+        raise ConfigError(path, f"must be >= {minimum}, got {quote(v)}")
     if maximum is not None and v > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {v}")
+        raise ConfigError(path, f"must be <= {maximum}, got {quote(v)}")
     return v
 
 
@@ -252,14 +271,14 @@ def _int_ge(minimum, maximum=None):
 
 def _boolean(v, path):
     if not isinstance(v, bool):
-        raise ConfigError(path, f"expected true or false, got {reprlib.repr(v)}")
+        raise ConfigError(path, f"expected true or false, got {quote(v)}")
     return v
 
 
 def _choice(*options):
     def check(v, path):
         if v not in options:
-            raise ConfigError(path, f"must be one of {options}, got {reprlib.repr(v)}")
+            raise ConfigError(path, f"must be one of {options}, got {quote(v)}")
         return v
     return check
 
@@ -267,7 +286,7 @@ def _choice(*options):
 def _vec(k):
     def check(v, path):
         if not isinstance(v, (list, tuple)) or len(v) != k:
-            raise ConfigError(path, f"expected a list of {k} numbers, got {reprlib.repr(v)}")
+            raise ConfigError(path, f"expected a list of {k} numbers, got {quote(v)}")
         return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
     return check
 
@@ -275,7 +294,7 @@ def _vec(k):
 def _list_of(item, nonempty=False):
     def check(v, path):
         if not isinstance(v, (list, tuple)):
-            raise ConfigError(path, f"expected a list, got {reprlib.repr(v)}")
+            raise ConfigError(path, f"expected a list, got {quote(v)}")
         if nonempty and not v:
             raise ConfigError(path, "must not be empty")
         return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
@@ -285,7 +304,7 @@ def _list_of(item, nonempty=False):
 def _rect(v, path):
     x0, y0, x1, y1 = _vec(4)(v, path)
     if not (x0 < x1 and y0 < y1):
-        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {reprlib.repr(v)}")
+        raise ConfigError(path, f"needs x0 < x1 and y0 < y1, got {quote(v)}")
     return (x0, y0, x1, y1)
 
 
@@ -294,7 +313,7 @@ _STATION_FIELDS = ("position", "tx_power_dbm")
 
 def _station(st, path):
     if not isinstance(st, dict):
-        raise ConfigError(path, f"expected a mapping, got {reprlib.repr(st)}")
+        raise ConfigError(path, f"expected a mapping, got {quote(st)}")
     for key in st:
         if key not in _STATION_FIELDS:
             raise ConfigError(f"{path}.{key}",
@@ -352,7 +371,7 @@ def _check_routes(p, routes, phased=True) -> list:
         for a, b, _ in hops:
             if phased and not math.isfinite(2.0 * math.pi * _distance(p, a, b) / lam):
                 raise ConfigError("scenario.wavelength",
-                                  f"{lam} m overflows the phase from {a} to {b}")
+                                  f"{quote(lam)} m overflows the phase from {a} to {b}")
         try:
             gain = math.prod(path_gain(lam, _distance(p, a, b), alpha) for a, b, alpha in hops)
         except OverflowError:
@@ -361,9 +380,10 @@ def _check_routes(p, routes, phased=True) -> list:
         if not math.isfinite(scale * gain):
             if scale > gain:
                 raise ConfigError(f"scenario.{fields[0]}",
-                                  f"{' x '.join(str(p[f]) for f in fields)} times the gain "
+                                  f"{' x '.join(quote(p[f]) for f in fields)} times the gain "
                                   f"{gain:.3g} along {route} overflows")
-            raise ConfigError("scenario.wavelength", f"{lam} m overflows the gain along {route}")
+            raise ConfigError("scenario.wavelength",
+                              f"{quote(lam)} m overflows the gain along {route}")
         gains.append((route, scale * gain))
     return gains
 
@@ -387,23 +407,23 @@ def _check_snr(p, power, gains):
         snr = gain / noise
         if not snr < MAX_ROUTE_SNR:
             raise ConfigError("scenario.noise_power",
-                              f"the gain {gain:.3g} along {route} over a noise of {noise} "
-                              "exceeds 2^512")
+                              f"the gain {gain:.3g} along {route} over a noise of "
+                              f"{quote(noise)} exceeds 2^512")
         if not p[power] * snr < MAX_ROUTE_SNR:
             raise ConfigError(f"scenario.{power}",
-                              f"{p[power]} times the gain {gain:.3g} along {route} over "
-                              f"the noise {noise} exceeds 2^512")
+                              f"{quote(p[power])} times the gain {gain:.3g} along {route} over "
+                              f"the noise {quote(noise)} exceeds 2^512")
         if not p[power] * gain < MAX_ROUTE_SNR:
             raise ConfigError(f"scenario.{power}",
-                              f"{p[power]} times the gain {gain:.3g} along {route} "
+                              f"{quote(p[power])} times the gain {gain:.3g} along {route} "
                               "exceeds 2^512")
 
 
 def _too_large(p, block, why):
     """Reject `block`, a tuple of count fields, at its largest count."""
     field = max(block, key=p.get)
-    shape = " x ".join(str(p[f]) for f in block)
-    raise ConfigError(f"scenario.{field}", f"{p[field]} makes a {shape} block, {why}")
+    shape = " x ".join(quote(p[f]) for f in block)
+    raise ConfigError(f"scenario.{field}", f"{quote(p[field])} makes a {shape} block, {why}")
 
 
 def _check_blocks(p, blocks):
@@ -456,7 +476,8 @@ def _check_float(p, field):
     try:
         float(p[field])
     except OverflowError:
-        raise ConfigError(f"scenario.{field}", f"{p[field]} does not convert to a float") from None
+        raise ConfigError(f"scenario.{field}",
+                          f"{quote(p[field])} does not convert to a float") from None
 
 
 @dataclass(frozen=True)
@@ -563,15 +584,15 @@ def _check_beamform(p):
     from .ris import MAX_QUANTIZATION_BITS
     for i, n in enumerate(p["n_list"]):
         if 2 * n > MAX_BLOCK_ENTRIES:
-            raise ConfigError(f"scenario.n_list[{i}]", f"{n} elements make a 2 x {n} "
-                              f"stack, over {MAX_BLOCK_ENTRIES} entries, more than numpy "
-                              "can hold")
+            raise ConfigError(f"scenario.n_list[{i}]", f"{quote(n)} elements make a 2 x "
+                              f"{quote(n)} stack, over {MAX_BLOCK_ENTRIES} entries, more "
+                              "than numpy can hold")
     for i, b in enumerate(p["quantization_bits"]):
         _integer(b, f"scenario.quantization_bits[{i}]", 1, MAX_QUANTIZATION_BITS)
     for field in ("n_list", "quantization_bits"):
         for i, v in enumerate(p[field]):
             if v in p[field][:i]:
-                raise ConfigError(f"scenario.{field}[{i}]", f"repeats the entry {v}")
+                raise ConfigError(f"scenario.{field}[{i}]", f"repeats the entry {quote(v)}")
 
 
 #: coefficients per hop in one beamform stack: a size's trials are taken
@@ -639,7 +660,7 @@ def _check_multiuser(p):
     weights = p["qos_weights"]
     if weights and len(weights) != p["n_users"]:
         raise ConfigError("scenario.qos_weights",
-                          f"{len(weights)} weights given for {p['n_users']} users")
+                          f"{len(weights)} weights given for {quote(p['n_users'])} users")
     # every hop is a unit-variance Rayleigh block, with no path loss
     _check_snr(p, "power_per_user", [("each user's hops", 1.0)])
 
@@ -745,7 +766,7 @@ def _check_coex(p):
     _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
     if p["t1"] > p["t2"]:
         raise ConfigError("scenario.t2",
-                          f"t2 must be >= t1, got t1={p['t1']}, t2={p['t2']}")
+                          f"t2 must be >= t1, got t1={quote(p['t1'])}, t2={quote(p['t2'])}")
     coex = _coex_scenario(p)
     counts = ("m_antennas", "n_elements_a", "u_antennas")
     signal = {"tx_power_b": _check_cell(p, ("nb_b", "ris_a", "ue_b"), counts,
@@ -775,27 +796,15 @@ def _check_adjacent(p):
 
 def _coex_scenario(p):
     from .coexist import CoexScenario
-    geom = _geometry(p, ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b"))
-    params = ChannelParams(
-        rician_k=p["rician_k"],
-        path_loss_exponent=p["alpha_reflected"],
-        noise_power=p["noise_power"],
-        wavefront_model="planar",
-    )
-    return CoexScenario(
-        geometry=geom,
-        params=params,
-        direct_params=replace(params, path_loss_exponent=p["alpha_direct"]),
-        m_antennas=p["m_antennas"],
-        u_antennas=p["u_antennas"],
-        n_elements=p["n_elements_a"],
-        tx_power_a=p["tx_power_a"],
-        tx_power_b=p["tx_power_b"],
-        t1=p["t1"],
-        t2=p["t2"],
-        policy=p["policy"],
-        b_direct_blocked=p["b_direct_blocked"],
-    )
+    params = ChannelParams(rician_k=p["rician_k"], path_loss_exponent=p["alpha_reflected"],
+                           wavefront_model="planar")
+    # the fields that keep their names
+    same = ("noise_power", "m_antennas", "u_antennas", "tx_power_a", "tx_power_b", "t1", "t2",
+            "policy", "b_direct_blocked")
+    return CoexScenario(geometry=_geometry(p, ("nb_a", "ris_a", "ue_a", "nb_b", "ue_b")),
+                        params=params,
+                        direct_params=replace(params, path_loss_exponent=p["alpha_direct"]),
+                        n_elements=p["n_elements_a"], **{f: p[f] for f in same})
 
 
 def _coexist_columns(p, seed, trials) -> list:
@@ -871,14 +880,14 @@ def _check_deploy(p):
     x0, y0, x1, y1 = extent
     for i, (a, b, c, d) in enumerate(p["obstacles"]):
         if a < x0 or b < y0 or c > x1 or d > y1:
-            raise ConfigError(f"scenario.obstacles[{i}]", f"leaves the extent {extent}")
+            raise ConfigError(f"scenario.obstacles[{i}]", f"leaves the extent {quote(extent)}")
     points = [(f"scenario.candidate_sites[{i}]", s)
               for i, s in enumerate(p["candidate_sites"])]
     points += [(f"scenario.base_stations[{i}].position", st["position"])
                for i, st in enumerate(p["base_stations"])]
     for path, (x, y) in points:
         if not (x0 <= x <= x1 and y0 <= y <= y1):
-            raise ConfigError(path, f"lies outside the extent {extent}")
+            raise ConfigError(path, f"lies outside the extent {quote(extent)}")
     _check_float(p, "n_elements")
     try:
         cells = math.prod(raster_shape(extent, p["grid_resolution"]))
@@ -888,8 +897,9 @@ def _check_deploy(p):
         # name the extent when the resolution is left at its default
         res = p["grid_resolution"]
         field = "extent" if res == _DEPLOY.fields["grid_resolution"][0] else "grid_resolution"
-        raise ConfigError(f"scenario.{field}", f"{res} m cells over the extent {extent} "
-                          f"number over {MAX_RASTER_CELLS}, more than numpy can hold")
+        raise ConfigError(f"scenario.{field}", f"{quote(res)} m cells over the extent "
+                          f"{quote(extent)} number over {MAX_RASTER_CELLS}, more than "
+                          "numpy can hold")
 
 
 def _deploy_columns(p, seed, trials) -> list:
@@ -904,34 +914,16 @@ def _deploy_columns(p, seed, trials) -> list:
     breathing scales.
     """
     from . import deploy
-    stations = tuple(
-        deploy.BaseStation(
-            position=np.asarray(b["position"], dtype=float),
-            tx_power_dbm=b["tx_power_dbm"],
-        )
-        for b in p["base_stations"]
-    )
-    scene = deploy.Scene(
-        extent=p["extent"],
-        obstacles=p["obstacles"],
-        base_stations=stations,
-        candidate_sites=p["candidate_sites"],
-        grid_resolution=p["grid_resolution"],
-        wavelength=p["wavelength"],
-    )
-    params = ChannelParams(
-        rician_k=0.0,
-        path_loss_exponent=p["path_loss_exponent"],
-        noise_power=p["noise_power"],
-        wavefront_model="planar",
-    )
-    plan = deploy.greedy_place(
-        scene, p["n_elements"], params,
-        p["cost_per_panel"], p["budget"], p["threshold_db"], p["target_fraction"],
-    )
+    stations = tuple(deploy.BaseStation(b["position"], b["tx_power_dbm"])
+                     for b in p["base_stations"])
+    scene = deploy.Scene(base_stations=stations, **{f: p[f] for f in (
+        "extent", "obstacles", "candidate_sites", "grid_resolution", "wavelength",
+        "path_loss_exponent", "noise_power")})
+    plan = deploy.greedy_place(scene, p["n_elements"], p["cost_per_panel"], p["budget"],
+                               p["threshold_db"], p["target_fraction"])
     steps = {"greedy_site": [int(site) for site, _ in plan.history],
              "greedy_coverage": [float(cov) for _, cov in plan.history]}
-    coverage = [float(deploy.snr_map(scene, plan, params, p["threshold_db"],
+    coverage = [float(deploy.snr_map(scene, plan, p["threshold_db"],
                                      gain_scale=s).coverage_fraction)
                 for s in p["gain_scales"]]
     # the route table builds a sight mask toward every site some station
@@ -986,7 +978,7 @@ def resolve_scenario(experiment: str, raw) -> dict:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError("scenario", f"expected a mapping, got {reprlib.repr(raw)}")
+        raise ConfigError("scenario", f"expected a mapping, got {quote(raw)}")
     p = {key: default for key, (default, _) in fields.items()}
     for key, value in raw.items():
         path = f"scenario.{key}"
@@ -1015,7 +1007,7 @@ def check_run(seed, trials) -> None:
     """
     _integer(seed, "seed", 0)
     if seed >= 1 << 64:
-        raise ConfigError("seed", f"must fit in 64 bits, got {seed}")
+        raise ConfigError("seed", f"must fit in 64 bits, got {quote(seed)}")
     _integer(trials, "trials", 1, MAX_BLOCK_ENTRIES)
 
 
@@ -1040,10 +1032,10 @@ def prepare(experiment, scenario, seed, trials, output_path=None) -> PreparedRun
     """
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}, "
-                                        f"got {reprlib.repr(experiment)}")
+                                        f"got {quote(experiment)}")
     check_run(seed, trials)
     if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output", f"expected a path string, got {reprlib.repr(output_path)}")
+        raise ConfigError("output", f"expected a path string, got {quote(output_path)}")
     return PreparedRun(experiment, seed, trials, resolve_scenario(experiment, scenario),
                        output_path)
 

@@ -652,7 +652,7 @@ def per_trial_stale_rates(coex, draws, bounce_amp_scale: float):
 
     (g, h, direct, pl_g, pl_h, pl_d), th1, th2 = draws
     p_b = coex.tx_power_b
-    noise = coex.params.noise_power
+    noise = coex.noise_power
 
     def assemble(theta):
         if np.any(np.abs(theta) > 1.0 + 1e-12):
@@ -1085,21 +1085,21 @@ def per_trial_lbt_rows(scenario, seed: int, trials: int) -> list:
 def _per_trial_own_spectra(coex, seed: int):
     """A's and B's own-link spectra, each link from its own generator
     `own/a` or `own/b`, which serves both of its draw kinds."""
-    from ris_sim.channel import _fixed_link, assemble_stack, draw_links, draw_stack
+    from ris_sim.channel import _fixed_link, assemble_stack, draw_links, surface_states
     from ris_sim.coexist import _surface_link
     from ris_sim.numkernel import singular_values
     from ris_sim.ris import aligned_phases
     from ris_sim.seeding import rng_from
 
     link = _surface_link(coex, "a", True)
-    *blocks, _ = draw_stack(link, 1, rng_from(seed, "own/a"))
+    blocks, _ = draw_links(link.links(), 1, rng_from(seed, "own/a"))
     theta = np.exp(1j * aligned_phases(*blocks, gains=link))
     s_a = singular_values(assemble_stack(link, *blocks, theta)[0])
     rng = rng_from(seed, "own/b")
     if coex.b_direct_blocked:
         link = _surface_link(coex, "b", False)
-        *blocks, theta = draw_stack(link, 1, rng, rng, surfaces=1)
-        s_b = singular_values(assemble_stack(link, *blocks, theta[0])[0])
+        blocks, drawn = draw_links(link.links(), 1, rng, rng, coex.n_elements)
+        s_b = singular_values(assemble_stack(link, *blocks, surface_states(drawn))[0])
     else:
         dp, u, m = coex.direct_params, coex.u_antennas, coex.m_antennas
         los, pl = _fixed_link(coex.geometry, "nb_b", "ue_b", u, m, dp)
@@ -1117,7 +1117,7 @@ def _per_trial_lbt(coex, threshold_dbm: float, backoff_max: int, slots: int, see
     from ris_sim.seeding import rng_from
 
     clear, inter = _budgets(coex, threshold_dbm)
-    noise = coex.params.noise_power
+    noise = coex.noise_power
     spectra = _per_trial_own_spectra(coex, seed)
     tx = (coex.tx_power_a, coex.tx_power_b)
     rate_alone = [capacity_closed_form(s, p, noise) for s, p in zip(spectra, tx)]

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import oracles
-from ris_sim.channel import ChannelParams, Geometry, assemble_stack, gen_los
+from ris_sim.channel import Geometry, assemble_stack, gen_los
 from ris_sim.cli import main
 from ris_sim.coexist import filter_budget_db, stale_rates
 from ris_sim.deploy import (
@@ -234,11 +234,11 @@ def test_criterion_10_greedy_panel_lights_the_shadow():
         candidate_sites=((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)),
         grid_resolution=2.0,
         wavelength=0.1,
+        path_loss_exponent=2.0,
+        noise_power=1e-13,
     )
-    params = ChannelParams(rician_k=0.0, path_loss_exponent=2.0,
-                           noise_power=1e-13, wavefront_model="planar")
     threshold = 24.0
-    bare = snr_map(scene, DeploymentPlan(), params, threshold)
+    bare = snr_map(scene, DeploymentPlan(), threshold)
     xs, ys = scene.grid_points()
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     x0, y0, x1, y1 = scene.obstacles[0]
@@ -247,18 +247,17 @@ def test_criterion_10_greedy_panel_lights_the_shadow():
     assert shadow.sum() > 0
     assert not bare.covered[shadow].any()
 
-    plan = greedy_place(scene, 256, params, 1.0, 3.0,
-                        threshold, 0.95)
+    plan = greedy_place(scene, 256, 1.0, 3.0, threshold, 0.95)
     # the first pick is the site with line of sight to both the base
     # station and the shadowed pocket behind the obstacle
     assert plan.history[1][0] == 0
-    lit = snr_map(scene, DeploymentPlan(placed=plan.placed[:1]), params, threshold)
+    lit = snr_map(scene, DeploymentPlan(placed=plan.placed[:1]), threshold)
     assert lit.covered[shadow].mean() >= 0.95
     covs = [cov for _, cov in plan.history]
     assert all(covs[i + 1] > covs[i] for i in range(len(covs) - 1))
 
     scales = (0.25, 0.5, 0.75, 1.0, 1.5)
-    breathing = [snr_map(scene, plan, params, threshold, gain_scale=s).coverage_fraction
+    breathing = [snr_map(scene, plan, threshold, gain_scale=s).coverage_fraction
                  for s in scales]
     assert all(breathing[i + 1] >= breathing[i] for i in range(len(scales) - 1))
     assert time.perf_counter() - t0 < 30.0

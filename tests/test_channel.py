@@ -1,7 +1,7 @@
 """Channel synthesis: LoS blocks, Rician mixing, path loss, assembly."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,12 +18,13 @@ from ris_sim.channel import (
     GeometryError,
     Scenario,
     assemble_stack,
-    draw_stack,
+    draw_links,
     element_distances,
     fraunhofer_distance,
     gen_los,
     path_gain,
     resolve_wavefront,
+    surface_states,
 )
 from ris_sim.seeding import complex_normal, rng_from
 
@@ -132,7 +133,7 @@ def _streams(seed):
 
 def _draw(scn, trials, seed):
     """The channel blocks of the first `trials` trials of a run on `seed`."""
-    return draw_stack(scn, trials, *_streams(seed))[:3]
+    return draw_links(scn.links(), trials, *_streams(seed))[0]
 
 
 def test_rician_high_k_limit():
@@ -146,7 +147,8 @@ def test_rician_infinite_k_is_los():
     scn = _rician_scenario(math.inf)
     normals, uniforms = _streams(9)
     before = normals.bit_generator.state
-    for stack, (_, los, _) in zip(draw_stack(scn, 3, normals, uniforms)[:3], scn.links()):
+    for stack, (_, los, _) in zip(draw_links(scn.links(), 3, normals, uniforms)[0],
+                                  scn.links()):
         assert stack.shape == (3,) + los.shape
         assert np.array_equal(stack, np.broadcast_to(los, stack.shape))
         assert not stack.flags.writeable
@@ -169,7 +171,8 @@ def test_rician_deterministic():
     longer = tuple(b[:2] for b in _draw(scn, 5, 9))
     normals, uniforms = _streams(9)
     chunked = tuple(np.concatenate(parts) for parts in zip(
-        draw_stack(scn, 1, normals, uniforms)[:3], draw_stack(scn, 1, normals, uniforms)[:3]))
+        draw_links(scn.links(), 1, normals, uniforms)[0],
+        draw_links(scn.links(), 1, normals, uniforms)[0]))
     for again in (_draw(scn, 2, 9), longer, chunked):
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
@@ -183,9 +186,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(path_loss_exponent=1.5)
     with pytest.raises(ValueError):
-        ChannelParams(noise_power=0.0)
-    with pytest.raises(ValueError):
         ChannelParams(wavefront_model="flat")
+    # a link carries no receiver noise: `CoexScenario` and `deploy.Scene`
+    # hold and check it (see their tests)
+    assert [f.name for f in fields(ChannelParams)] == ["rician_k", "path_loss_exponent",
+                                                       "wavefront_model"]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +376,7 @@ def test_draw_realization_deterministic():
     assert not np.array_equal(a[1][0], c[1][1])
 
 
-def test_draw_stack_los_incident():
+def test_draw_links_los_incident():
     g, _, direct = _draw(_scenario(), 1, 1)
     assert np.allclose(np.abs(g[0]), 1.0)
     assert numkernel.numerical_rank(g[0]) == 1
@@ -428,16 +433,19 @@ def test_scenario_blocks_are_fixed_and_read_only():
 
 
 def _check_run_stream_draw(scn, seed, chunks, surfaces):
-    """`draw_stack` of consecutive chunks of `chunks` trials against the
-    scalar draw of each trial, one after the other, from the run's
-    generators `default_rng(subseed(seed, "normals"))` and `"uniforms"`.
-    Returns the run's generators and its stacks, the chunks joined."""
+    """`draw_links` of consecutive chunks of `chunks` trials, each trial
+    with `surfaces` surface states of N uniforms each, against the scalar
+    draw of each trial, one after the other, from the run's generators
+    `default_rng(subseed(seed, "normals"))` and `"uniforms"`.  Returns the
+    run's generators and its stacks, the chunks joined."""
     n = scn.n_elements
     normals, uniforms = _streams(seed)
-    *blocks, thetas = zip(*(draw_stack(scn, count, normals, uniforms, surfaces)
-                            for count in chunks))
-    stacks = [None if parts[0] is None else np.concatenate(parts) for parts in blocks]
-    theta = np.concatenate(thetas, axis=1)
+    blocks, drawn = zip(*(draw_links(scn.links(), count, normals, uniforms, surfaces * n)
+                          for count in chunks))
+    stacks = [None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)]
+    # (surfaces, trials, N): state j of trial t is row t's j-th run of N uniforms
+    theta = surface_states(
+        np.concatenate(drawn).reshape(sum(chunks), surfaces, n).transpose(1, 0, 2))
     links = [None if params is None else (params.rician_k, los, shape)
              for params, los, shape in scn.links()]
     assert theta.shape == (surfaces, sum(chunks), n)

@@ -838,6 +838,35 @@ def test_a_deeply_nested_value_exits_one_at_its_path(tmp_path, capsys, text, pat
     assert "Traceback" not in captured.err
 
 
+def test_nesting_past_the_depth_bound_exits_one_before_it_is_composed(tmp_path):
+    # 30000 levels crash libyaml's composer (exit 139), so the run is a
+    # child process: a regression crashes the child, not the test session
+    deep = "[" * 30000 + "]" * 30000
+    cfg = _cfg(tmp_path, f"experiment: rank\nscenario: {{nb_position: {deep}}}\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "ris_sim.cli", "rank", "--config", cfg],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    # the document's mapping and the scenario's are levels 1 and 2, so the
+    # list that goes past the bound opens at column 24 + MAX_YAML_DEPTH - 1
+    assert (f"invalid config: nested deeper than {cli.MAX_YAML_DEPTH} levels at line 2, "
+            f"column {24 + cli.MAX_YAML_DEPTH - 1}") in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_the_depth_bound_admits_its_own_depth(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_YAML_DEPTH", 4)
+    # four levels pass the walk and reach the field's check
+    with pytest.raises(ConfigError, match=r"^scenario\.nb_position: expected a list of 3"):
+        validate_config("experiment: rank\nscenario: {nb_position: [[0]]}\n")
+    with pytest.raises(ConfigError, match=r"^nested deeper than 4 levels at line 2, "
+                                          r"column 27$"):
+        validate_config("experiment: rank\nscenario: {nb_position: [[[0]]]}\n")
+
+
 # YAML values PyYAML resolves but Python cannot build: an integer past the
 # interpreter's 4300-digit limit for str to int, and a date without a month
 @pytest.mark.parametrize("text", [

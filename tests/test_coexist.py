@@ -224,13 +224,12 @@ def test_stale_rates_wrappers_agree():
 
 def test_stale_rates_reject_active_foreign_surface():
     scn = _co_scenario()
-    draw_stack = coexist.draw_stack
+    surface_states = coexist.surface_states
 
-    def active(*args):
-        *blocks, theta = draw_stack(*args)
-        return (*blocks, theta * (1.0 + 1e-9))
+    def active(uniforms):
+        return surface_states(uniforms) * (1.0 + 1e-9)
 
-    with mock.patch.object(coexist, "draw_stack", active):
+    with mock.patch.object(coexist, "surface_states", active):
         with pytest.raises(ValueError, match="magnitude"):
             stale_rates(scn, 3, 1)
 
@@ -439,23 +438,22 @@ def test_lbt_draws_each_own_link_once(monkeypatch, seeded_streams):
     # surface state from one more stream; the access draws take one more
     # stream, and the collided rate reuses the spectrum at the raised
     # noise.  A run seeds the same streams at 1 and at 5 trials
-    calls = {"draw_stack": 0, "draw_links": 0}
-    for name in calls:
-        fn = getattr(coexist, name)
+    calls = [0]
+    draw_links = coexist.draw_links
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return draw_links(*args, **kwargs)
 
-        monkeypatch.setattr(coexist, name, counted)
+    monkeypatch.setattr(coexist, "draw_links", counted)
     for trials in (1, 5):
         lbt_runs(_co_scenario(), -40.0, 8, 50, trials=trials, seed=5)
-    assert calls == {"draw_stack": 0, "draw_links": 2}
+    assert calls == [2]
     assert seeded_streams == ["lbt/normals", "lbt/access"] * 2
     seeded_streams.clear()
     for trials in (1, 5):
         lbt_runs(_co_scenario(b_direct_blocked=True), -40.0, 8, 50, trials=trials, seed=5)
-    assert calls == {"draw_stack": 0, "draw_links": 4}
+    assert calls == [4]
     assert seeded_streams == ["lbt/normals", "lbt/uniforms", "lbt/access"] * 2
 
 
@@ -521,13 +519,13 @@ def test_filter_dominates_under_rerandomization():
 
 def test_adjacent_draws_each_trial_once(monkeypatch, seeded_streams):
     calls = []
-    draw_stack = coexist.draw_stack
+    draw_links = coexist.draw_links
 
-    def draw(scenario, count, normals, uniforms, surfaces):
+    def draw(links, count, normals, uniforms, n_uniforms):
         calls.append((count, normals, uniforms))
-        return draw_stack(scenario, count, normals, uniforms, surfaces)
+        return draw_links(links, count, normals, uniforms, n_uniforms)
 
-    monkeypatch.setattr(coexist, "draw_stack", draw)
+    monkeypatch.setattr(coexist, "draw_links", draw)
     run(prepare("adjacent", {}, 1, 50))
     # both arms read one draw of each trial: the chunks cover the 50 trials
     # once, all from the run's two generators
@@ -556,6 +554,10 @@ def test_scenario_validation():
         replace(scn, t1=5, t2=2)
     with pytest.raises(ValueError):
         replace(scn, policy="sometimes")
+    # the users' receiver noise is the scenario's, not a link's
+    for noise in (0.0, -1e-13, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise_power"):
+            replace(scn, noise_power=noise)
     # network sizes and powers are checked once, by the schema
     for field, value in (("m_antennas", 0), ("u_antennas", 0), ("tx_power_a", 0.0),
                          ("tx_power_b", 0.0), ("n_elements_a", 0)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import segment_hits_rectangle_exact
 from ris_sim import deploy
-from ris_sim.channel import ChannelParams, GeometryError
+from ris_sim.channel import GeometryError
 from ris_sim.deploy import (
     SERVING_DIRECT,
     SERVING_NONE,
@@ -24,8 +24,8 @@ from ris_sim.deploy import (
     snr_map,
 )
 
-PARAMS = ChannelParams(rician_k=0.0, path_loss_exponent=2.0,
-                       noise_power=1e-13, wavefront_model="planar")
+#: every test scene's link budget
+BUDGET = {"path_loss_exponent": 2.0, "noise_power": 1e-13}
 THRESHOLD = 24.0
 
 
@@ -38,6 +38,7 @@ def _default_scene():
         candidate_sites=((60.0, 8.0), (50.0, 50.0), (90.0, 30.0)),
         grid_resolution=2.0,
         wavelength=0.1,
+        **BUDGET,
     )
 
 
@@ -49,6 +50,7 @@ def _small_scene(obstacles=()):
         candidate_sites=((7.0, 7.0),),
         grid_resolution=2.0,
         wavelength=0.1,
+        **BUDGET,
     )
 
 
@@ -122,7 +124,7 @@ def _sight_raster_case(draw):
     x0, y0 = draw(st.sampled_from(((0.0, 0.0), (-3.25, 1.5), (40.0, -7.0))))
     scene = Scene(extent=(x0, y0, x0 + nx * res, y0 + ny * res), obstacles=(),
                   base_stations=(BaseStation(position=(x0, y0), tx_power_dbm=30.0),),
-                  candidate_sites=(), grid_resolution=res, wavelength=0.1)
+                  candidate_sites=(), grid_resolution=res, wavelength=0.1, **BUDGET)
     xs, ys = scene.grid_points()
     margin = deploy._SIGHT_MARGIN * max(nx * res, ny * res, *map(abs, scene.extent))
 
@@ -181,7 +183,7 @@ def test_sight_raster_matches_the_slab_test_on_every_cell(case):
 
 def test_station_adjacent_cell_served_direct():
     scene = _small_scene()
-    cm = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
+    cm = snr_map(scene, DeploymentPlan(), THRESHOLD)
     assert cm.serving[0, 0] == SERVING_DIRECT
     assert cm.covered[0, 0]
 
@@ -200,8 +202,9 @@ def test_enclosed_cell_unreachable():
         candidate_sites=((18.0, 2.0),),
         grid_resolution=4.0,
         wavelength=0.1,
+        **BUDGET,
     )
-    cm = snr_map(scene, DeploymentPlan(placed=((0, 64),)), PARAMS, THRESHOLD)
+    cm = snr_map(scene, DeploymentPlan(placed=((0, 64),)), THRESHOLD)
     assert cm.serving[2, 2] == SERVING_NONE
     assert not cm.covered[2, 2]
     assert cm.snr_db[2, 2] == -np.inf
@@ -210,7 +213,7 @@ def test_enclosed_cell_unreachable():
 def test_shadowed_cell_budget_matches_hand_computation():
     scene = _default_scene()
     plan = DeploymentPlan(placed=((0, N_ELEMENTS),))
-    cm = snr_map(scene, plan, PARAMS, THRESHOLD)
+    cm = snr_map(scene, plan, THRESHOLD)
     # cell centre (61, 31): hidden from the station, dual line of sight
     # through the site at (60, 8)
     ix = int(np.argmin(np.abs(cm.xs - 61.0)))
@@ -231,8 +234,8 @@ def test_shadowed_cell_budget_matches_hand_computation():
 def test_ris_serving_label_is_strict():
     scene = _default_scene()
     plan = DeploymentPlan(placed=((0, N_ELEMENTS), (1, N_ELEMENTS)))
-    bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
-    full = snr_map(scene, plan, PARAMS, THRESHOLD)
+    bare = snr_map(scene, DeploymentPlan(), THRESHOLD)
+    full = snr_map(scene, plan, THRESHOLD)
     ris_cells = full.serving == SERVING_RIS
     assert np.any(ris_cells)
     assert np.all(full.snr_db[ris_cells] > bare.snr_db[ris_cells])
@@ -247,10 +250,11 @@ def test_edge_panel_raises_far_corner_snr():
         candidate_sites=((94.0, 6.0),),
         grid_resolution=2.0,
         wavelength=0.1,
+        **BUDGET,
     )
-    bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
+    bare = snr_map(scene, DeploymentPlan(), THRESHOLD)
     with_panel = snr_map(scene, DeploymentPlan(placed=((0, N_ELEMENTS),)),
-                         PARAMS, THRESHOLD)
+                         THRESHOLD)
     ix = int(np.argmin(np.abs(bare.xs - 95.0)))
     iy = int(np.argmin(np.abs(bare.ys - 5.0)))
     assert with_panel.snr_db[iy, ix] > bare.snr_db[iy, ix]
@@ -263,11 +267,17 @@ def test_scene_validation():
         _small_scene(obstacles=((6.0, 6.0, 9.0, 7.0),))
     with pytest.raises(GeometryError):
         Scene(extent=(0, 0, 8, 8), obstacles=(), base_stations=(),
-              candidate_sites=(), grid_resolution=2.0, wavelength=0.1)
+              candidate_sites=(), grid_resolution=2.0, wavelength=0.1, **BUDGET)
     with pytest.raises(GeometryError):
         Scene(extent=(0, 0, 8, 8), obstacles=(),
               base_stations=(BaseStation(position=(1, 1), tx_power_dbm=0.0),),
-              candidate_sites=(), grid_resolution=0.0, wavelength=0.1)
+              candidate_sites=(), grid_resolution=0.0, wavelength=0.1, **BUDGET)
+    # the scene owns its link budget, and checks it
+    for field, value in (("path_loss_exponent", 1.5), ("path_loss_exponent", math.nan),
+                         ("noise_power", 0.0), ("noise_power", -1e-13),
+                         ("noise_power", math.inf), ("noise_power", math.nan)):
+        with pytest.raises(ValueError, match=field):
+            replace(_small_scene(), **{field: value})
     with pytest.raises(ValueError):
         DeploymentPlan(placed=((0, N_ELEMENTS), (0, N_ELEMENTS)))
 
@@ -277,7 +287,7 @@ def test_scene_validation():
 
 def test_saturated_scene_places_nothing():
     scene = _small_scene()
-    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD, target_fraction=0.95)
     assert plan.placed == ()
     assert plan.cost == 0.0
@@ -287,7 +297,7 @@ def test_saturated_scene_places_nothing():
 
 def test_shadow_site_chosen_first():
     scene = _default_scene()
-    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD, target_fraction=0.95)
     assert plan.placed[0][0] == 0
     covs = [c for _, c in plan.history]
@@ -298,14 +308,14 @@ def test_shadow_site_chosen_first():
 
 def test_greedy_against_subset_enumeration():
     scene = _default_scene()
-    plan = greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
+    plan = greedy_place(scene, N_ELEMENTS, cost_per_panel=1.0,
                         budget=2.0, threshold_db=THRESHOLD, target_fraction=1.0)
     best_subset = 0.0
     best_single = 0.0
     for k in (0, 1, 2):
         for sites in itertools.combinations(range(3), k):
             trial = DeploymentPlan(placed=tuple((s, N_ELEMENTS) for s in sites))
-            cov = snr_map(scene, trial, PARAMS, THRESHOLD).coverage_fraction
+            cov = snr_map(scene, trial, THRESHOLD).coverage_fraction
             best_subset = max(best_subset, cov)
             if k == 1:
                 best_single = max(best_single, cov)
@@ -317,8 +327,8 @@ def test_greedy_is_deterministic():
     scene = _default_scene()
     kw = dict(cost_per_panel=1.0, budget=3.0, threshold_db=THRESHOLD,
               target_fraction=0.95)
-    a = greedy_place(scene, N_ELEMENTS, PARAMS, **kw)
-    b = greedy_place(scene, N_ELEMENTS, PARAMS, **kw)
+    a = greedy_place(scene, N_ELEMENTS, **kw)
+    b = greedy_place(scene, N_ELEMENTS, **kw)
     assert [s for s, _ in a.placed] == [s for s, _ in b.placed]
     assert a.cost == b.cost
     assert a.coverage_fraction == b.coverage_fraction
@@ -328,21 +338,21 @@ def test_greedy_is_deterministic():
 def test_greedy_parameter_checks():
     scene = _default_scene()
     with pytest.raises(ValueError):
-        greedy_place(scene, N_ELEMENTS, PARAMS, 0.0, 3.0, THRESHOLD, 0.95)
+        greedy_place(scene, N_ELEMENTS, 0.0, 3.0, THRESHOLD, 0.95)
     with pytest.raises(ValueError):
-        greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, -1.0, THRESHOLD, 0.95)
+        greedy_place(scene, N_ELEMENTS, 1.0, -1.0, THRESHOLD, 0.95)
     with pytest.raises(ValueError):
-        greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, 3.0, THRESHOLD, 0.0)
+        greedy_place(scene, N_ELEMENTS, 1.0, 3.0, THRESHOLD, 0.0)
     for n_elements in (0, 2.5, "256"):
         with pytest.raises(ValueError):
-            greedy_place(scene, n_elements, PARAMS, 1.0, 3.0, THRESHOLD, 0.95)
+            greedy_place(scene, n_elements, 1.0, 3.0, THRESHOLD, 0.95)
 
 
 # ---------------------------------------------------------------------------
 # cell breathing
 
 def _greedy_plan(scene):
-    return greedy_place(scene, N_ELEMENTS, PARAMS, cost_per_panel=1.0,
+    return greedy_place(scene, N_ELEMENTS, cost_per_panel=1.0,
                         budget=3.0, threshold_db=THRESHOLD,
                         target_fraction=0.95)
 
@@ -350,8 +360,8 @@ def _greedy_plan(scene):
 def test_breathing_identity_at_full_gain():
     scene = _default_scene()
     plan = _greedy_plan(scene)
-    direct = snr_map(scene, plan, PARAMS, THRESHOLD)
-    breathed = snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=1.0)
+    direct = snr_map(scene, plan, THRESHOLD)
+    breathed = snr_map(scene, plan, THRESHOLD, gain_scale=1.0)
     assert np.array_equal(direct.snr_db, breathed.snr_db)
     assert np.array_equal(direct.serving, breathed.serving)
 
@@ -359,8 +369,8 @@ def test_breathing_identity_at_full_gain():
 def test_breathing_zero_reverts_to_bare_network():
     scene = _default_scene()
     plan = _greedy_plan(scene)
-    bare = snr_map(scene, DeploymentPlan(), PARAMS, THRESHOLD)
-    closed = snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=0.0)
+    bare = snr_map(scene, DeploymentPlan(), THRESHOLD)
+    closed = snr_map(scene, plan, THRESHOLD, gain_scale=0.0)
     assert np.array_equal(bare.snr_db, closed.snr_db)
     assert np.array_equal(bare.covered, closed.covered)
 
@@ -368,7 +378,7 @@ def test_breathing_zero_reverts_to_bare_network():
 def test_breathing_monotone_in_gain():
     scene = _default_scene()
     plan = _greedy_plan(scene)
-    sweep = [snr_map(scene, plan, PARAMS, THRESHOLD, gain_scale=s)
+    sweep = [snr_map(scene, plan, THRESHOLD, gain_scale=s)
              for s in (0.25, 0.5, 0.75, 1.0, 1.5)]
     covs = [cm.coverage_fraction for cm in sweep]
     assert covs == sorted(covs)
@@ -433,13 +443,14 @@ def _seeded_scene(seed, two_stations, blocked_hop, wall_site, twin):
         candidate_sites=tuple(sites),
         grid_resolution=1.0,
         wavelength=0.1,
+        **BUDGET,
     )
     return scene, float(rng.uniform(45.0, 60.0)), float(rng.integers(1, 5))
 
 
-def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
+def _rebuilt_snr_map(scene, plan, threshold_db, gain_scale=1.0):
     """The raster with every blocked-sight mask rebuilt on the spot."""
-    lam, alpha = scene.wavelength, params.path_loss_exponent
+    lam, alpha = scene.wavelength, scene.path_loss_exponent
     xs, ys = scene.grid_points()
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
 
@@ -468,7 +479,7 @@ def _rebuilt_snr_map(scene, plan, params, threshold_db, gain_scale=1.0):
             dbm = (bs.tx_power_dbm + gain_db(float(np.hypot(*(bs.position - site))))
                    + 20.0 * math.log10(n_elements * gain_scale) + to_grid)
             ris = np.maximum(ris, np.where(blocked(site), -np.inf, dbm))
-    snr = np.maximum(direct, ris) - 10.0 * math.log10(params.noise_power * 1e3)
+    snr = np.maximum(direct, ris) - 10.0 * math.log10(scene.noise_power * 1e3)
     serving = np.where(ris > direct, SERVING_RIS,
                        np.where(direct > -np.inf, SERVING_DIRECT, SERVING_NONE))
     return snr, snr >= threshold_db, serving
@@ -478,7 +489,7 @@ def _rescan_greedy(scene, threshold_db, budget, target):
     """Greedy history with every free site rescored by a full `snr_map`."""
     def cov(sites):
         plan = DeploymentPlan(placed=tuple((s, N_ELEMENTS) for s in sites))
-        return snr_map(scene, plan, PARAMS, threshold_db).coverage_fraction
+        return snr_map(scene, plan, threshold_db).coverage_fraction
 
     placed, spent = [], 0.0
     history = [(-1, cov(placed))]
@@ -515,8 +526,8 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
 
     deploy._sight_raster = counted
     try:
-        plan = greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, budget, threshold, target)
-        sweep = [snr_map(scene, plan, PARAMS, threshold, gain_scale=s) for s in _SWEEP_SCALES]
+        plan = greedy_place(scene, N_ELEMENTS, 1.0, budget, threshold, target)
+        sweep = [snr_map(scene, plan, threshold, gain_scale=s) for s in _SWEEP_SCALES]
         history = _rescan_greedy(scene, threshold, budget, target)
     finally:
         deploy._sight_raster = sight_raster
@@ -529,9 +540,9 @@ def test_incremental_greedy_matches_rescan_and_rebuilt_masks(
     every_site = DeploymentPlan(
         placed=tuple((i, N_ELEMENTS) for i in range(len(scene.candidate_sites))))
     checks = [(plan, s, cm) for s, cm in zip(_SWEEP_SCALES, sweep)]
-    checks.append((every_site, 1.0, snr_map(scene, every_site, PARAMS, threshold)))
+    checks.append((every_site, 1.0, snr_map(scene, every_site, threshold)))
     for placed, scale, cm in checks:
-        snr, covered, serving = _rebuilt_snr_map(scene, placed, PARAMS, threshold, scale)
+        snr, covered, serving = _rebuilt_snr_map(scene, placed, threshold, scale)
         assert np.array_equal(cm.snr_db, snr)
         assert np.array_equal(cm.covered, covered)
         assert np.array_equal(cm.serving, serving)
@@ -547,7 +558,7 @@ def test_candidate_site_positions_are_read_only_copies():
     scene = Scene(
         extent=(0.0, 0.0, 100.0, 60.0), obstacles=(),
         base_stations=(BaseStation(position=(10.0, 30.0), tx_power_dbm=30.0),),
-        candidate_sites=(site,), grid_resolution=2.0, wavelength=0.1,
+        candidate_sites=(site,), grid_resolution=2.0, wavelength=0.1, **BUDGET,
     )
     site[0] = 0.0
     assert scene.candidate_sites[0][0] == 60.0
@@ -574,12 +585,12 @@ def test_each_distance_layer_is_built_once_per_scene(monkeypatch, seed, two_stat
     seg_gain_db = deploy._seg_gain_db
     layers = [0]
 
-    def counted(scene_, params, dist):
+    def counted(scene_, dist):
         layers[0] += np.ndim(dist) > 0
-        return seg_gain_db(scene_, params, dist)
+        return seg_gain_db(scene_, dist)
 
     monkeypatch.setattr(deploy, "_seg_gain_db", counted)
-    plan = greedy_place(scene, N_ELEMENTS, PARAMS, 1.0, 3.0, threshold, 1.0)
+    plan = greedy_place(scene, N_ELEMENTS, 1.0, 3.0, threshold, 1.0)
     assert len(plan.history) > 2
     # the direct layer once per station, then one layer per scored site
     # that some station sees
@@ -589,5 +600,5 @@ def test_each_distance_layer_is_built_once_per_scene(monkeypatch, seed, two_stat
     built = len(scene.base_stations) + len(seen)
     assert layers[0] == built
     for scale in (0.5, 1.0, 1.5):
-        snr_map(scene, plan, PARAMS, threshold, gain_scale=scale)
+        snr_map(scene, plan, threshold, gain_scale=scale)
         assert layers[0] == built

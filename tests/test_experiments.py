@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import reprlib
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -541,6 +542,38 @@ def test_trials_past_the_block_cap_are_rejected_before_any_allocation(trials):
         tracemalloc.stop()
     assert err.value.path == "trials"
     assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("experiment, scenario, seed, trials, path, shown", [
+    ("rank", {"m_antennas": -10**5000}, 0, 1, "scenario.m_antennas", "negative integer"),
+    ("rank", {"n_elements": 10**5000}, 0, 1, "scenario.n_elements", "integer"),
+    ("beamform", {"n_list": [10**5000]}, 0, 1, "scenario.n_list[0]", "integer"),
+    ("deploy", {"threshold_db": 24.0, "n_elements": 10**5000}, 0, 1, "scenario.n_elements",
+     "integer"),
+    ("multiuser", {"max_iters": -10**5000}, 0, 1, "scenario.max_iters", "negative integer"),
+    ("rank", {}, 10**5000, 1, "seed", "integer"),
+    ("rank", {}, -10**5000, 1, "seed", "negative integer"),
+    ("rank", {}, 0, 10**5000, "trials", "integer"),
+    ("coexist", {"t1": 10**5000, "t2": 1}, 0, 1, "scenario.t2", "integer"),
+], ids=["rank-m_antennas", "rank-n_elements", "beamform-n_list", "deploy-n_elements",
+        "multiuser-max_iters", "seed", "negative-seed", "trials", "coexist-t1"])
+def test_integers_past_the_digit_limit_are_rejected_at_their_path(experiment, scenario, seed,
+                                                                  trials, path, shown):
+    # `str` refuses these integers, so each message shows its digit count
+    with pytest.raises(ConfigError) as err:
+        prepare(experiment, scenario, seed, trials)
+    assert err.value.path == path
+    assert f"<{shown} of 5001 digits>" in err.value.message
+
+
+def test_quote_shows_an_integer_past_the_digit_limit_by_its_digit_count():
+    for digits in (4301, 5000, 5001, 12345):
+        assert experiments.quote(10 ** (digits - 1)) == f"<integer of {digits} digits>"
+        assert experiments.quote(1 - 10**digits) == f"<negative integer of {digits} digits>"
+    assert experiments.quote([1, 10**5000]) == "[1, <integer of 5001 digits>]"
+    # every other value as `reprlib.repr` quotes it
+    for v in (7, -(10**50), 1.5, "text", [[[[[[[0]]]]]]], (0.0, 1.0), None, True):
+        assert experiments.quote(v) == reprlib.repr(v)
 
 
 def _build_rank_with(monkeypatch, blocks):
