@@ -107,7 +107,10 @@ def validate_config(raw: str) -> PreparedRun:
     anything is composed.
     """
     try:
-        _check_depth(raw)
+        # every collection opens with a flow bracket, a sequence dash or a
+        # mapping indicator, so a text with at most the bound of them fits it
+        if sum(map(raw.count, "[{-:?")) > MAX_YAML_DEPTH:
+            _check_depth(raw)
         doc = yaml.load(raw, Loader=_Loader)
     except ConfigError:
         raise

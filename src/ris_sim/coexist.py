@@ -177,7 +177,7 @@ def _stacked_rates(scenario: CoexScenario, b_link: Scenario, blocks, theta,
     return fresh, stale, loss
 
 
-def _budgets(coex: CoexScenario, threshold_dbm: float):
+def budgets(coex: CoexScenario, threshold_dbm: float):
     """Carrier-sensing outcomes and interference powers of networks A and B.
 
     Returns (clear, interference), each a pair ordered (A, B).  `clear[i]`
@@ -278,7 +278,7 @@ def lbt_runs(scenario: CoexScenario, threshold_dbm: float, backoff_max: int,
         raise ValueError(f"slots must be >= 1, got {slots}")
     # within a slot the only transmission a network can sense is the other
     # network's, so each network's sensing outcome is decided once
-    clear, inter = _budgets(scenario, threshold_dbm)
+    clear, inter = budgets(scenario, threshold_dbm)
     noise = scenario.noise_power
     spectra = _own_spectra(scenario, trials, seed)
     tx = (scenario.tx_power_a, scenario.tx_power_b)

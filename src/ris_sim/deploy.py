@@ -73,14 +73,13 @@ class Scene:
 
     Positions are read-only copies, so what the coverage raster derives
     from them is built once per scene, on first use, and kept read-only
-    in `_routes`, the scene's one route table: the direct-route layer, the
-    blocked station -> site hops, and each site's best station budget and
-    site-to-cell gain layer, -inf already on the cells the site cannot
-    see.  A site that no station sees gets no layer and no sight mask.  A
-    sight mask is built from per-row shadow intervals, and only the cells
-    near an interval end or the endpoint's row, and those of an obstacle
-    whose edge line passes near the endpoint, take the slab test (see the
-    module docstring).
+    in `_routes`, the scene's one route table: the direct-route layer and
+    each site's best station budget and site-to-cell gain layer, -inf
+    already on the cells the site cannot see.  A site that no station sees
+    gets no layer and no sight mask.  A sight mask is built from per-row
+    shadow intervals, and only the cells near an interval end or the
+    endpoint's row, and those of an obstacle whose edge line passes near
+    the endpoint, take the slab test (see the module docstring).
     """
 
     extent: tuple
@@ -344,8 +343,6 @@ class _Routes(NamedTuple):
     #: received dBm from the strongest base station in sight of each cell,
     #: -inf where none is
     direct: np.ndarray
-    #: (site, station) hops that an obstacle blocks
-    hops: np.ndarray
     #: per site, the best tx_power_dbm plus hop gain over the stations it sees
     budgets: tuple
     #: per site, the site-to-cell gain, -inf on the cells the site cannot see
@@ -392,10 +389,10 @@ def _routes(scene: Scene) -> _Routes:
                 for bs, hop_blocked in zip(scene.base_stations, blocked) if not hop_blocked]
         budgets.append(max(seen) if seen else None)
         layers.append(seen_gain_db(site) if seen else None)
-    for array in [direct, hops] + [layer for layer in layers if layer is not None]:
+    for array in [direct] + [layer for layer in layers if layer is not None]:
         array.setflags(write=False)
     object.__setattr__(scene, "_routes",
-                       _Routes(direct, hops, tuple(budgets), tuple(layers), tested))
+                       _Routes(direct, tuple(budgets), tuple(layers), tested))
     return scene._routes
 
 

@@ -665,9 +665,6 @@ def _check_multiuser(p):
     _check_snr(p, "power_per_user", [("each user's hops", 1.0)])
 
 
-#: phase grid of the multiuser ascents
-MULTIUSER_GRID_POINTS = 16
-
 #: trials whose ascents share one `phase_ascent_batch` call; bounds the
 #: memory of the batch without changing any result, since the engine keeps
 #: each ascent bit for bit whatever else is in the batch
@@ -689,7 +686,7 @@ def _multiuser_columns(p, seed, trials) -> list:
     meeting the tolerance, and the one generator.
     """
     from . import scheduler
-    from .ris import ASCENT_REL_TOL, sweep_converged
+    from .ris import ASCENT_GRID_POINTS, ASCENT_REL_TOL, sweep_converged
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
     weights = p["qos_weights"] or (1.0,) * k
     rng = rng_from(seed, "multiuser/normals")
@@ -700,9 +697,7 @@ def _multiuser_columns(p, seed, trials) -> list:
         chunk = range(lo, min(lo + MULTIUSER_CHUNK, trials))
         (g, h), _ = draw_links(links, len(chunk), rng)
         results = scheduler.compare_shared_vs_ideal(
-            g, h, weights, p["power_per_user"], p["noise_power"], p["max_iters"],
-            MULTIUSER_GRID_POINTS,
-        )
+            g, h, weights, p["power_per_user"], p["noise_power"], p["max_iters"])
         for cmp in results:
             for metric, column in block.items():  # each metric is a field of cmp
                 column.append(getattr(cmp, metric))
@@ -716,7 +711,7 @@ def _multiuser_columns(p, seed, trials) -> list:
              "capacities, %d stopped at max_iters=%d without meeting rel_tol=%g, "
              "1 stream",
              len(traces), sum(sweeps), n * sum(sweeps),
-             n * MULTIUSER_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
+             n * ASCENT_GRID_POINTS * sum(s * e for s, e in zip(sweeps, entries)),
              capped, p["max_iters"], ASCENT_REL_TOL)
     return [block]
 
@@ -762,7 +757,7 @@ _COEX_FIELDS = {
 
 
 def _check_coex(p):
-    from .coexist import UPDATE_POLICIES
+    from .coexist import UPDATE_POLICIES, budgets
     _choice(*UPDATE_POLICIES)(p["policy"], "scenario.policy")
     if p["t1"] > p["t2"]:
         raise ConfigError("scenario.t2",
@@ -785,6 +780,12 @@ def _check_coex(p):
         routes += [(tx_a + ("n_elements_a",), [(nb_a, ris, refl), (ris, far, refl)])
                    for far in (ue_b, nb_b)]
         _check_routes(p, routes, phased=False)
+        # a user's interference sums the routes above and adds to its noise
+        _, inter = budgets(coex, p["sense_threshold_dbm"])
+        for power, x in zip(("tx_power_b", "tx_power_a"), inter):
+            if not math.isfinite(p["noise_power"] + x):
+                raise ConfigError(f"scenario.{power}", f"{quote(p[power])} makes an interference "
+                                  f"of {x:.3g} that overflows with the noise")
     for power, gains in signal.items():
         _check_snr(p, power, gains)
 

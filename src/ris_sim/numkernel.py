@@ -131,26 +131,24 @@ def stack_capacity(h, total_power: float, noise_power: float) -> np.ndarray:
     return _two_mode_capacity(gains, total_power).reshape(h.shape[:-2])
 
 
-def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol * sigma_max.
+def numerical_rank(a) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL * sigma_max.
 
-    A zero matrix has rank 0.  `rel_tol` must lie strictly inside (0, 1).
+    A zero matrix has rank 0.
     """
-    return spectrum_rank(singular_values(a), rel_tol)
+    return spectrum_rank(singular_values(a))
 
 
-def spectrum_rank(svals, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+def spectrum_rank(svals) -> int:
     """`numerical_rank` of a matrix whose descending singular values are
     `svals`, so a caller that already has the spectrum skips a second SVD."""
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     s = np.asarray(svals, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"svals must be one spectrum, got shape {s.shape}")
     smax = s[0]
     if smax == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * smax))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * smax))
 
 
 def _check_powers(total_power: float, noise_power: float) -> None:

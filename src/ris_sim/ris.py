@@ -9,7 +9,7 @@ closed-form MISO alignment and coherent gain of stacked links
 MIMO links.  Links come as stacks of channel blocks: `aligned_phases`
 gives the aligned-MISO start of every link of a stack in one SVD pass per
 hop, and `phase_ascent_batch` is the one ascent engine, over fully
-reflective surfaces at the caller's grid and sweep cap.
+reflective surfaces at the caller's sweep cap.
 `scheduler.compare_shared_vs_ideal` runs every ascent of many trials
 through it at once (a one-user trial is the single-user ascent), with one
 `numkernel.stack_capacity` call per element step for all of them.
@@ -74,9 +74,9 @@ def miso_gains(g, h, phases) -> list:
 
     The surface is fully reflective.  Returns one Python float per link,
     in C order of the leading axes.  Each term is (h_n exp(j phi_n)) g_n,
-    multiplied in that order, and each link's terms are summed by their
-    own `np.sum`: a single reduction over the stack may add them in
-    another order.
+    multiplied in that order, and one `np.sum` over the last axis of the
+    C-contiguous stack of terms adds each link's terms as `np.sum` of
+    that link alone does.
     """
     # np.multiply, not `*`: on a large temporary operand numpy reuses its
     # buffer with the operands swapped, and a complex product with fused
@@ -84,7 +84,8 @@ def miso_gains(g, h, phases) -> list:
     # numpy rounds an in-place complex product of one element differently,
     # so a one-link stack of one element would not match a longer stack
     terms = np.multiply(np.multiply(h, np.exp(1j * phases)), g)
-    return [abs(complex(np.sum(row))) ** 2 for row in terms.reshape(-1, terms.shape[-1])]
+    sums = np.sum(np.ascontiguousarray(terms).reshape(-1, terms.shape[-1]), axis=-1)
+    return [abs(s) ** 2 for s in sums.tolist()]
 
 
 def aligned_phases(g, h, direct, gains) -> np.ndarray:
@@ -117,6 +118,9 @@ def aligned_phases(g, h, direct, gains) -> np.ndarray:
 #: relative sweep gain at or below which an ascent stops
 ASCENT_REL_TOL = 1e-6
 
+#: uniform phases each ascent step tries for an element
+ASCENT_GRID_POINTS = 16
+
 
 def sweep_converged(trace) -> bool:
     """The ascent's stopping test: the last sweep of `trace` gained no
@@ -125,7 +129,7 @@ def sweep_converged(trace) -> bool:
 
 
 def phase_ascent_batch(problems, total_power: float, noise_power: float,
-                       max_iters: int, grid_points: int):
+                       max_iters: int):
     """Independent weighted phase ascents swept in lockstep.
 
     `problems` is a sequence of (weights, g, h, init_phases): E entries
@@ -133,12 +137,12 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     h (E, U, N), so that entry k's channel on the fully reflective surface
     theta = exp(j phi) is h[k] diag(theta) g[k], and a start phi (N,).
     Every problem has the same N, M and U.  Each sweep sets every element
-    to the best of `grid_points` uniform phases; the candidate channels of
-    every entry of every running problem go through one capacity call
-    (`numkernel.stack_capacity`) per element, and the start channels
-    through one more.  An accepted candidate's channel is taken from the
-    candidate stack, and each problem's candidate objectives are the
-    weighted capacities of its entries summed in entry order.
+    to the best of `ASCENT_GRID_POINTS` uniform phases; the candidate
+    channels of every entry of every running problem go through one
+    capacity call (`numkernel.stack_capacity`) per element, and the start
+    channels through one more.  An accepted candidate's channel is taken
+    from the candidate stack, and each problem's candidate objectives are
+    the weighted capacities of its entries summed in entry order.
 
     Each problem keeps its own objective, the weighted sum capacity
     accumulated over its entries in entry order; it moves an element only
@@ -152,8 +156,6 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if not problems:
         return []
     if len({(np.shape(g)[1:], np.shape(h)[1:]) for _, g, h, _ in problems}) > 1:
@@ -193,18 +195,18 @@ def phase_ascent_batch(problems, total_power: float, noise_power: float,
     traces = [[c] for c in cur.tolist()]
     done = [None] * n_prob
     ids = np.arange(n_prob)  # problem index of each running problem
-    grid = TWO_PI * np.arange(grid_points) / grid_points
+    grid = TWO_PI * np.arange(ASCENT_GRID_POINTS) / ASCENT_GRID_POINTS
     rot = np.exp(1j * grid)
     # weighted candidate capacities by (entry slot, running problem); the
     # slots a problem lacks stay +0.0, which leaves its sum as is
-    weighted = np.zeros((max(counts), n_prob, grid_points))
+    weighted = np.zeros((max(counts), n_prob, grid.size))
     for _ in range(max_iters):
         for nidx in range(n):
             # candidate planes (U*M, grid, entry), read as (grid, entry) blocks
             delta = rot[:, None] - theta[owner, nidx]
             hc = h[:, None] + delta * outer[nidx][:, None]
             cg = numkernel.stack_capacity(
-                hc.transpose(1, 2, 0).reshape(grid_points, -1, u, m), total_power, noise_power)
+                hc.transpose(1, 2, 0).reshape(grid.size, -1, u, m), total_power, noise_power)
             weighted[slot, owner] = w * cg.T
             # summed slot by slot in slot order, the entry order
             total = weighted.sum(axis=0)

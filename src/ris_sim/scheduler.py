@@ -8,7 +8,7 @@ sit on disjoint FDM sub-bands by premise, so they do not interfere and no
 band value enters a number: a user is its pair of channel blocks and its
 QoS weight.  `compare_shared_vs_ideal` is the one entry point; it takes
 the drawn block stacks of many trials as they are, and the caller gives
-the grid and sweep cap.  A one-user trial is the single-user ascent.
+the sweep cap.  A one-user trial is the single-user ascent.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def compare_shared_vs_ideal(
     power_per_user: float,
     noise_power: float,
     max_iters: int,
-    grid_points: int,
 ) -> list:
     """Quantify the price of sharing one reflection state, per trial.
 
@@ -54,9 +53,9 @@ def compare_shared_vs_ideal(
     maximises the QoS-weighted sum capacity, starting from the aligned
     phases of the highest-weight user, the lowest index on ties.
     ideal_sum gives each user a private surface, found by the same ascent
-    from that user's aligned phases, at the caller's grid and sweep cap.
-    Every ascent stops once a sweep gains no more than
-    `ris.ASCENT_REL_TOL` of its objective.  The aligned starts of every
+    from that user's aligned phases, on the `ris.ASCENT_GRID_POINTS` grid
+    at the caller's sweep cap.  Every ascent stops once a sweep gains no
+    more than `ris.ASCENT_REL_TOL` of its objective.  The aligned starts of every
     user of every trial come from one `ris.aligned_phases` call, and the
     shared ascent and the K private ones of every trial run as one
     `ris.phase_ascent_batch` call, with one `numkernel.stack_capacity`
@@ -83,8 +82,7 @@ def compare_shared_vs_ideal(
     for t in range(trials):
         problems.append((w, g[t], h[t], starts[t, lead]))
         problems += [(one, g[t, i:i + 1], h[t, i:i + 1], starts[t, i]) for i in range(k)]
-    results = iter(ris.phase_ascent_batch(
-        problems, power_per_user, noise_power, max_iters, grid_points))
+    results = iter(ris.phase_ascent_batch(problems, power_per_user, noise_power, max_iters))
     out = []
     for _ in range(trials):
         ascents = list(islice(results, k + 1))

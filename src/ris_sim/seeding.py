@@ -37,11 +37,9 @@ def subseed(seed: int, label: str) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def rng_from(seed: int, label: str | None = None) -> np.random.Generator:
-    """Generator seeded from `seed`, optionally forked by a stream label."""
-    if label is not None:
-        seed = subseed(seed, label)
-    return np.random.default_rng(int(seed) & _U64)
+def rng_from(seed: int, label: str) -> np.random.Generator:
+    """Generator of the stream `label` of `seed`."""
+    return np.random.default_rng(subseed(seed, label))
 
 
 #: what `(re + 1j * im) / sqrt(2)` multiplies each part by: numpy divides

@@ -1112,11 +1112,11 @@ def _per_trial_lbt(coex, threshold_dbm: float, backoff_max: int, slots: int, see
     """One LBT run's five metrics, in `LBT_METRICS` order: a random polling
     order by `permutation(2)` per slot and a backoff by `integers` per
     deferral, both on the generator `lbt`, and each slot's rate summed."""
-    from ris_sim.coexist import _budgets
+    from ris_sim.coexist import budgets
     from ris_sim.numkernel import capacity_closed_form
     from ris_sim.seeding import rng_from
 
-    clear, inter = _budgets(coex, threshold_dbm)
+    clear, inter = budgets(coex, threshold_dbm)
     noise = coex.noise_power
     spectra = _per_trial_own_spectra(coex, seed)
     tx = (coex.tx_power_a, coex.tx_power_b)
@@ -1328,7 +1328,6 @@ def _frozen_beamform(p, seed, trials, draw):
 
 
 def _frozen_multiuser(p, seed, trials, draw):
-    from ris_sim.experiments import MULTIUSER_GRID_POINTS
     from ris_sim.scheduler import compare_shared_vs_ideal
 
     k, m, u, n = (p[f] for f in ("n_users", "m_antennas", "u_antennas", "n_elements"))
@@ -1338,7 +1337,7 @@ def _frozen_multiuser(p, seed, trials, draw):
     # else is in the batch, so the trials are evaluated in one call
     results = compare_shared_vs_ideal(g, h, p["qos_weights"] or (1.0,) * k,
                                       p["power_per_user"], p["noise_power"],
-                                      p["max_iters"], MULTIUSER_GRID_POINTS)
+                                      p["max_iters"])
     return [(t, metric, getattr(cmp, metric)) for t, cmp in enumerate(results)
             for metric in ("shared_sum", "ideal_sum", "gap_fraction")]
 

@@ -33,8 +33,8 @@ from ris_sim.ris import align_miso, miso_gains
 from ris_sim.scheduler import compare_shared_vs_ideal
 from ris_sim.seeding import complex_normal, rng_from
 
-#: sweep cap and phase grid of the capacity ascents in criteria 6 and 7
-MAX_ITERS, GRID = 30, 64
+#: sweep cap of the capacity ascents in criteria 6 and 7
+MAX_ITERS = 30
 
 
 def _unit_gains(n):
@@ -67,7 +67,7 @@ def test_criterion_01_planar_los_incident_collapses_to_rank_one():
         h_t = assemble_stack(_unit_gains(n), g[None], h[None], None, theta[None])[0]
         want = oracles.assemble_effective(_reflected_only(g, h), theta)
         assert h_t.tobytes() == want.tobytes()
-        if numerical_rank(h_t, rel_tol=1e-8) != 1:
+        if numerical_rank(h_t) != 1:
             failures += 1
     assert failures == 0
     assert time.perf_counter() - t0 < 10.0
@@ -158,7 +158,7 @@ def test_criterion_06_phase_ascent_reaches_exhaustive_optimum():
         # one user: the shared state is the single-user capacity ascent
         (res,) = compare_shared_vs_ideal(
             g[None, None], h[None, None], (1.0,), doc["total_power"], doc["noise_power"],
-            MAX_ITERS, GRID)
+            MAX_ITERS)
         assert res.shared_sum >= 0.99 * inst["oracle_capacity"]
     assert time.perf_counter() - t0 < 60.0
 
@@ -169,12 +169,12 @@ def test_criterion_07_shared_reflection_gap(multiuser_batch):
     g = complex_normal(rng_from(7, "solo/g"), (8, 2))
     h = complex_normal(rng_from(7, "solo/h"), (2, 8))
     (cmp,) = compare_shared_vs_ideal(g[None, None], h[None, None], (1.0,), 1.0, 1.0,
-                                     MAX_ITERS, GRID)
+                                     MAX_ITERS)
     assert cmp.gap_fraction <= 1e-6
     g = complex_normal(rng_from(7, "twin/g"), (8, 2))
     h = complex_normal(rng_from(7, "twin/h"), (2, 8))
     twins_g, twins_h = np.stack([g, g])[None], np.stack([h, h])[None]
-    (cmp,) = compare_shared_vs_ideal(twins_g, twins_h, (1.0, 1.0), 1.0, 1.0, MAX_ITERS, GRID)
+    (cmp,) = compare_shared_vs_ideal(twins_g, twins_h, (1.0, 1.0), 1.0, 1.0, MAX_ITERS)
     assert cmp.gap_fraction <= 1e-6
     # four heterogeneous users pay a strictly positive average price
     rows = {}

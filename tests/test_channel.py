@@ -67,7 +67,7 @@ def test_los_planar_is_rank_one():
     for rows, cols in ((4, 4), (2, 8), (16, 3)):
         block = gen_los(g, "a", "b", rows, cols, "planar")
         assert np.allclose(np.abs(block), 1.0)
-        assert numkernel.numerical_rank(block, 1e-8) == 1
+        assert numkernel.numerical_rank(block) == 1
 
 
 def test_los_spherical_improves_conditioning():
@@ -272,7 +272,7 @@ def test_realization_shape_checks():
 
 
 def test_assemble_identity_reflection():
-    rng = rng_from(41)
+    rng = np.random.default_rng(41)
     gains, g, h, _ = _random_link(rng, direct=False)
     h_t = assemble_stack(gains, g, h, None, np.ones((1, 4), dtype=complex))
     assert np.array_equal(h_t, h @ g)
@@ -290,7 +290,7 @@ def test_assemble_scalar_case():
 
 
 def test_assemble_matches_triple_loop():
-    rng = rng_from(43)
+    rng = np.random.default_rng(43)
     gains, g, h, d = _random_link(rng, n=4, m=2, u=2, pls=(0.5, 0.25, 0.81))
     th = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
     h_t = assemble_stack(gains, g, h, d, th[None])[0]
@@ -306,7 +306,7 @@ def test_assemble_matches_triple_loop():
 
 
 def test_assemble_dimension_mismatch():
-    rng = rng_from(47)
+    rng = np.random.default_rng(47)
     gains, g, h, d = _random_link(rng)
     with pytest.raises(ValueError):
         assemble_stack(gains, g, h, d, np.ones((1, 5), dtype=complex))
@@ -315,7 +315,7 @@ def test_assemble_dimension_mismatch():
 
 
 def test_assemble_rejects_active_surface():
-    rng = rng_from(53)
+    rng = np.random.default_rng(53)
     gains, g, h, d = _random_link(rng)
     with pytest.raises(ValueError):
         assemble_stack(gains, g, h, d, 1.5 * np.ones((1, 4), dtype=complex))
@@ -326,7 +326,7 @@ def test_assemble_rejects_active_surface():
 def test_multi_panel_superposition():
     # several panels superpose: the reflected term of each, in panel order,
     # plus the direct term once, as the frozen multi-panel assembly summed
-    rng = rng_from(61)
+    rng = np.random.default_rng(61)
     link1 = _random_link(rng, direct=False)
     link2 = _random_link(rng, direct=True)
     th = np.ones((1, 4), dtype=complex)
@@ -341,7 +341,7 @@ def test_multi_panel_superposition():
 
 def test_multi_panel_shape_guard():
     # the frozen multi-panel assembly keeps its own checks
-    rng = rng_from(67)
+    rng = np.random.default_rng(67)
     r1 = _realization(*_random_link(rng, u=2))
     r2 = _realization(*_random_link(rng, u=3))
     with pytest.raises(ValueError):
@@ -387,7 +387,7 @@ def test_keyhole_rank_spot_check():
     # planar LoS incident hop pinches the reflected channel to rank one;
     # the acceptance suite sweeps the full 500-draw grid
     scn = _scenario()
-    th = np.exp(1j * rng_from(80).uniform(0, 2 * np.pi, (25, 16)))
+    th = np.exp(1j * np.random.default_rng(80).uniform(0, 2 * np.pi, (25, 16)))
     for h_t in assemble_stack(scn, *_draw(scn, 25, 5), th):
         assert numkernel.numerical_rank(h_t) == 1
 
@@ -395,7 +395,7 @@ def test_keyhole_rank_spot_check():
 def test_dominant_reflection_regime():
     # once the reflected term carries 100x the direct Frobenius weight,
     # the direct term no longer moves the spectrum by more than 2%
-    rng = rng_from(83)
+    rng = np.random.default_rng(83)
     gains, g, h, d = _random_link(rng, n=8, m=3, u=3, pls=(1.0, 1.0, 1.0))
     th = np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 8)))
     # raise the reflected path gain until the reflected term dominates

@@ -788,6 +788,13 @@ def test_main_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     # surface's element count, overflows: named at the power, not the
     # wavelength
     ("coexist", "{mode: lbt, slots: 3, tx_power_a: 1.7e+308}", "scenario.tx_power_a"),
+    # each of A's two routes to B's user stays finite, but their sum, the
+    # interference LBT adds to B's noise, does not: this run exited 2
+    ("coexist", "{mode: lbt, slots: 20, nb_a_position: [0.0, 0.0, 10.0], "
+                "ris_a_position: [0.001, 0.0, 10.0], "
+                "ue_b_position: [2.5674296466137964e-05, 0.0002251431176679509, 10.0], "
+                "ue_a_position: [1.0e+80, 0.0, 1.5], tx_power_a: 3.701545459292092e+302}",
+     "scenario.tx_power_a"),
 ])
 def test_extreme_magnitudes_exit_one_at_their_path(tmp_path, capsys, experiment,
                                                    scenario, path):
@@ -865,6 +872,16 @@ def test_the_depth_bound_admits_its_own_depth(monkeypatch):
     with pytest.raises(ConfigError, match=r"^nested deeper than 4 levels at line 2, "
                                           r"column 27$"):
         validate_config("experiment: rank\nscenario: {nb_position: [[[0]]]}\n")
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_skip_the_depth_walk(monkeypatch, config):
+    # each holds far fewer than MAX_YAML_DEPTH nesting marks, so one parse,
+    # the load, serves it
+    walked = []
+    monkeypatch.setattr(cli, "_check_depth", walked.append)
+    validate_config(config.read_text())
+    assert walked == []
 
 
 # YAML values PyYAML resolves but Python cannot build: an integer past the

@@ -17,7 +17,7 @@ from ris_sim.channel import path_gain
 from ris_sim.coexist import (
     STALE_CHUNK,
     UPDATE_POLICIES,
-    _budgets,
+    budgets,
     filter_budget_db,
     lbt_runs,
     stale_rates,
@@ -290,7 +290,7 @@ def test_interference_ground_term_uses_the_direct_exponent():
     alpha_direct = scn.direct_params.path_loss_exponent
     alpha = scn.params.path_loss_exponent
     assert (alpha_direct, alpha) == (3.5, 2.0)
-    _, (inter_a, inter_b) = _budgets(scn, -82.0)
+    _, (inter_a, inter_b) = budgets(scn, -82.0)
     # network B owns no surface: the ground path is all of it
     ground_b = path_gain(lam, geom.distance("nb_b", "ue_a"), alpha_direct)
     assert inter_a == scn.tx_power_b * ground_b
@@ -307,13 +307,13 @@ def test_lbt_silence_clears():
     far = (1e60, 0.0, 10.0)
     scn = _co_scenario(nb_b_position=far, ue_b_position=far[:2] + (1.5,),
                        alpha_reflected=5.5)
-    assert _budgets(scn, -math.inf)[0] == (True, True)
+    assert budgets(scn, -math.inf)[0] == (True, True)
 
 
 def test_lbt_defers_above_threshold():
     # the default networks sense each other at about -51 dBm
-    assert _budgets(_co_scenario(), -60.0)[0] == (False, False)
-    assert _budgets(_co_scenario(), -45.0)[0] == (True, True)
+    assert budgets(_co_scenario(), -60.0)[0] == (False, False)
+    assert budgets(_co_scenario(), -45.0)[0] == (True, True)
 
 
 def _sensed_dbm(scn):
@@ -380,7 +380,7 @@ def test_budgets_match_the_frozen_sensing_oracle_bit_for_bit(positions, tx, expo
     want_clear = tuple(oracles.lbt_decide(threshold, powers) for powers in sensed)
     want_inter = (oracles.interference_power(scn, net_a, net_b),
                   oracles.interference_power(scn, net_b, net_a))
-    clear, inter = _budgets(scn, threshold)
+    clear, inter = budgets(scn, threshold)
     assert clear == want_clear
     assert [x.hex() for x in inter] == [x.hex() for x in want_inter]
 

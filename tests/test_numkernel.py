@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ris_sim import numkernel
-from ris_sim.seeding import complex_normal, rng_from
+from ris_sim.seeding import complex_normal
 
 
 def _randc(rng, shape):
@@ -172,14 +172,14 @@ def test_svd_reconstruction():
 # numerical_rank
 
 def test_rank_identity():
-    assert numkernel.numerical_rank(np.eye(3), 1e-8) == 3
+    assert numkernel.numerical_rank(np.eye(3)) == 3
 
 
 def test_rank_outer_product():
     rng = np.random.default_rng(7)
     u = _randc(rng, 4)
     v = _randc(rng, 5)
-    assert numkernel.numerical_rank(np.outer(u, v.conj()), 1e-8) == 1
+    assert numkernel.numerical_rank(np.outer(u, v.conj())) == 1
 
 
 def test_rank_of_product_cross_checked():
@@ -187,7 +187,7 @@ def test_rank_of_product_cross_checked():
     a = _randc(rng, (4, 2))
     b = _randc(rng, (2, 4))
     prod = a @ b
-    r = numkernel.numerical_rank(prod, 1e-8)
+    r = numkernel.numerical_rank(prod)
     assert r <= 2
     sv = oracles.jacobi_singular_values(prod)
     r_oracle = int(np.sum(sv > 1e-8 * sv[0]))
@@ -198,21 +198,11 @@ def test_rank_zero_matrix():
     assert numkernel.numerical_rank(np.zeros((3, 3))) == 0
 
 
-@pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 2.0])
-def test_rank_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError):
-        numkernel.numerical_rank(np.eye(2), tol)
-
-
 def test_spectrum_rank_is_the_rank_rule():
     rng = np.random.default_rng(13)
     for a in (np.eye(3), np.zeros((2, 2)), _randc(rng, (4, 2)) @ _randc(rng, (2, 5))):
         s = numkernel.singular_values(a)
         assert numkernel.spectrum_rank(s) == numkernel.numerical_rank(a)
-        assert numkernel.spectrum_rank(s, 0.5) == numkernel.numerical_rank(a, 0.5)
-    for tol in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            numkernel.spectrum_rank([1.0, 0.5], tol)
 
 
 def test_product_rank_inequality_sample():
@@ -524,6 +514,6 @@ def test_stacked_precoder_and_rate_match_single_channels():
 
 
 def test_complex_normal_unit_variance():
-    z = complex_normal(rng_from(123), (200, 200))
+    z = complex_normal(np.random.default_rng(123), (200, 200))
     var = float(np.mean(np.abs(z) ** 2))
     assert abs(var - 1.0) <= 0.02

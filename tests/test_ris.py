@@ -5,6 +5,7 @@ import math
 import pathlib
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,9 +40,6 @@ from ris_sim.seeding import complex_normal, rng_from
 TWO_PI = 2.0 * math.pi
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
-
-#: phase grid of the single-user capacity ascents below
-GRID = 64
 
 
 def _unpack(pairs, shape):
@@ -225,7 +223,7 @@ def test_align_single_element_formula():
 def test_align_with_direct_term():
     # one antenna at each end makes u and v unit phases, so the aligned
     # reflection adds to the direct term coherently, path gains included
-    rng = rng_from(17)
+    rng = np.random.default_rng(17)
     g = complex_normal(rng, (6, 1))
     h = complex_normal(rng, (1, 6))
     direct = np.array([[0.4 - 0.9j]])
@@ -238,7 +236,7 @@ def test_align_with_direct_term():
 
 
 def test_align_one_bit_matches_exhaustive():
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     g = complex_normal(rng, 4)
     h = complex_normal(rng, 4)
     (power,) = miso_gains(g, h, quantize_phases(align_miso(g, h), 1))
@@ -312,6 +310,23 @@ def test_miso_gains_of_each_link_alone_match_the_stack(seed, n, trials):
     assert alone == miso_gains(g, h, phases)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 2), (257, 7), (5, 8), (257, 9),
+                                   (4, 3, 16), (2, 17), (33, 64), (257, 127), (3, 128),
+                                   (6, 129), (2, 1000), (3, 4096)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_miso_gains_one_reduction_matches_per_link_sums(shape, order):
+    # the stacked reduction against each link's terms summed by its own
+    # `np.sum`, the per-link loop it replaced; a Fortran-ordered stack
+    # makes the per-link rows strided
+    rng = rng_from(0, f"miso-sums/{shape}")
+    g, h = complex_normal(rng, shape), complex_normal(rng, shape)
+    g, h = np.asarray(g, order=order), np.asarray(h, order=order)
+    phases = rng.uniform(0.0, TWO_PI, shape)
+    terms = np.multiply(np.multiply(h, np.exp(1j * phases)), g)
+    want = [abs(complex(np.sum(row))) ** 2 for row in terms.reshape(-1, shape[-1])]
+    assert miso_gains(g, h, phases) == want
+
+
 @pytest.mark.parametrize("chunk", [experiments.BEAMFORM_CHUNK, 50])
 def test_beamform_runner_matches_frozen_panels_bit_for_bit(monkeypatch, chunk):
     # the runner's table against the per-trial panel route it replaced, on
@@ -344,7 +359,7 @@ def _single_user_ascent(g, h, total_power, noise_power, max_iters=30):
     engine problem from the aligned-MISO start."""
     init = aligned_phases(g, h, direct=None, gains=None)
     ((phases, caps, trace),) = phase_ascent_batch(
-        [(np.ones(1), g[None], h[None], init)], total_power, noise_power, max_iters, GRID)
+        [(np.ones(1), g[None], h[None], init)], total_power, noise_power, max_iters)
     return phases, float(caps[0]), trace
 
 
@@ -352,15 +367,15 @@ def test_optimize_two_elements_match_alignment():
     # only the relative phase matters without a direct term: from a start
     # a quarter turn off it, the ascent lands within one grid step of the
     # aligned relative phase
-    rng = rng_from(29)
+    rng = np.random.default_rng(29)
     g = complex_normal(rng, (2, 1))
     h = complex_normal(rng, (1, 2))
     aligned = align_miso(g[:, 0], h[0])
     init = wrap_phase(aligned + np.array([0.0, math.pi / 2]))
     ((phases, _, _),) = phase_ascent_batch(
-        [(np.ones(1), g[None], h[None], init)], 1.0, 1.0, 30, GRID)
+        [(np.ones(1), g[None], h[None], init)], 1.0, 1.0, 30)
     diff = wrap_phase(phases[0] - phases[1] - (aligned[0] - aligned[1]) + math.pi)
-    assert abs(diff - math.pi) <= TWO_PI / GRID + 1e-9
+    assert abs(diff - math.pi) <= TWO_PI / ris.ASCENT_GRID_POINTS + 1e-9
 
 
 def test_optimize_traces_are_monotone():
@@ -376,7 +391,7 @@ def test_optimize_traces_are_monotone():
 
 
 def test_optimize_never_below_initialization():
-    rng = rng_from(31)
+    rng = np.random.default_rng(31)
     g, h = complex_normal(rng, (8, 2)), complex_normal(rng, (2, 8))
     _, capacity, trace = _single_user_ascent(g, h, 10.0, 1.0)
     assert capacity >= trace[0] - 1e-12
@@ -394,11 +409,11 @@ def test_optimize_close_to_exhaustive_fixture():
 
 
 def test_optimize_parameter_checks():
-    rng = rng_from(37)
+    rng = np.random.default_rng(37)
     problem = (np.ones(1), complex_normal(rng, (1, 2, 2)), complex_normal(rng, (1, 2, 2)),
                np.zeros(2))
     with pytest.raises(ValueError, match="max_iters"):
-        phase_ascent_batch([problem], 1.0, 1.0, 0, GRID)
+        phase_ascent_batch([problem], 1.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +477,7 @@ def test_lbt_owned_start_matches_the_per_realization_route_bit_for_bit(monkeypat
 def test_aligned_phases_reach_the_coherent_sum():
     # a rank-one link collapses to its MISO coefficients exactly, so every
     # link of the stack reaches the coherent sum of its element gains
-    rng = rng_from(53)
+    rng = np.random.default_rng(53)
     g = complex_normal(rng, (3, 5, 1))
     h = complex_normal(rng, (3, 1, 5))
     theta = np.exp(1j * aligned_phases(g, h, direct=None, gains=None))
@@ -497,16 +512,17 @@ def _bits(phases, caps, trace):
 
 
 def _assert_batch_matches_per_problem(problems, power, noise, max_iters, grid_points):
-    args = (power, noise, max_iters, grid_points)
-    batched = phase_ascent_batch(problems, *args)
-    assert len(batched) == len(problems)
-    for (weights, g, h, init), got in zip(problems, batched):
-        want = per_problem_phase_ascent(
-            unit_gain_entries(weights, g, h), np.ones(init.shape[0]), init, power, noise,
-            max_iters, ASCENT_REL_TOL, grid_points)
-        assert _bits(*got) == _bits(*want)
-        (alone,) = phase_ascent_batch([(weights, g, h, init)], *args)
-        assert _bits(*alone) == _bits(*want)
+    args = (power, noise, max_iters)
+    with mock.patch.object(ris, "ASCENT_GRID_POINTS", grid_points):
+        batched = phase_ascent_batch(problems, *args)
+        assert len(batched) == len(problems)
+        for (weights, g, h, init), got in zip(problems, batched):
+            want = per_problem_phase_ascent(
+                unit_gain_entries(weights, g, h), np.ones(init.shape[0]), init, power, noise,
+                max_iters, ASCENT_REL_TOL, grid_points)
+            assert _bits(*got) == _bits(*want)
+            (alone,) = phase_ascent_batch([(weights, g, h, init)], *args)
+            assert _bits(*alone) == _bits(*want)
     return batched
 
 
@@ -560,7 +576,7 @@ def test_batch_costs_one_capacity_call_per_element(monkeypatch):
         monkeypatch.setattr(ris.numkernel, name, counted(name))
     specs = [[1.0] * 4] + [[1.0]] * 4
     problems = _random_problems(13, 8, (2, 2), specs)
-    out = phase_ascent_batch(problems, 1.0, 1.0, 3, 16)
+    out = phase_ascent_batch(problems, 1.0, 1.0, 3)
     sweeps = max(len(trace) - 1 for _, _, trace in out)
     # the fused 2x2 route makes no `capacity_closed_form` call, not even
     # from inside `stack_capacity`
@@ -569,13 +585,11 @@ def test_batch_costs_one_capacity_call_per_element(monkeypatch):
 
 def test_batch_input_checks():
     ((weights, g, h, init),) = _random_problems(17, 4, (2, 2), [[1.0]])
-    assert phase_ascent_batch([], 1.0, 1.0, 3, 8) == []
+    assert phase_ascent_batch([], 1.0, 1.0, 3) == []
     with pytest.raises(ValueError, match="element count"):
-        phase_ascent_batch([(weights, g, h, np.zeros(5))], 1.0, 1.0, 3, 8)
+        phase_ascent_batch([(weights, g, h, np.zeros(5))], 1.0, 1.0, 3)
     with pytest.raises(ValueError, match="per entry"):
-        phase_ascent_batch([(np.ones(2), g, h, init)], 1.0, 1.0, 3, 8)
-    with pytest.raises(ValueError, match="grid_points"):
-        phase_ascent_batch([(weights, g, h, init)], 1.0, 1.0, 3, 1)
+        phase_ascent_batch([(np.ones(2), g, h, init)], 1.0, 1.0, 3)
 
 
 def test_batch_rejects_mixed_shapes():
@@ -584,7 +598,7 @@ def test_batch_rejects_mixed_shapes():
     for other in ((1, 2), (2, 1), (3, 2)):
         mixed = _random_problems(23, 4, other, [[1.0]])
         with pytest.raises(ValueError, match="shape"):
-            phase_ascent_batch(square + mixed, 1.0, 1.0, 3, 8)
+            phase_ascent_batch(square + mixed, 1.0, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +621,7 @@ def test_partition_single_block_gain_fraction():
 
 def test_passivity_everywhere():
     # every surface the array route builds passes the assembly's check
-    rng = rng_from(41)
+    rng = np.random.default_rng(41)
     g = complex_normal(rng, 8)
     h = complex_normal(rng, 8)
     link = SimpleNamespace(n_elements=8, pl_nb_ris=1.0, pl_ris_ue=1.0, pl_nb_ue=0.0)
@@ -623,7 +637,7 @@ def test_passivity_everywhere():
 
 
 def test_square_law_across_sizes():
-    rng = rng_from(43)
+    rng = np.random.default_rng(43)
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         g = np.exp(1j * rng.uniform(0, TWO_PI, n))
         h = np.exp(1j * rng.uniform(0, TWO_PI, n))
@@ -632,7 +646,7 @@ def test_square_law_across_sizes():
 
 
 def test_whole_panel_beats_blocks():
-    rng = rng_from(47)
+    rng = np.random.default_rng(47)
     for _ in range(10):
         g = complex_normal(rng, 32)
         h = complex_normal(rng, 32)

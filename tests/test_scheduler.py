@@ -1,5 +1,7 @@
 """Shared-reflection scheduling and the price of one shared surface state."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,8 @@ from ris_sim.seeding import complex_normal, rng_from
 
 POWER = 1.0
 NOISE = 1.0
-#: sweep cap and phase grid of the ascents, where a test does not vary them
+#: sweep cap of the ascents, where a test does not vary it
 MAX_ITERS = 30
-GRID = 64
 
 
 def _mimo_blocks(rng, k=1, n=8, m=2, u=2):
@@ -34,7 +35,7 @@ def _shared_caps(g, h, weights):
     starts = ris.aligned_phases(g, h, direct=None, gains=None)
     ((_, caps, _),) = ris.phase_ascent_batch(
         [(np.asarray(weights, dtype=float), g, h, starts[int(np.argmax(weights))])],
-        POWER, NOISE, MAX_ITERS, GRID)
+        POWER, NOISE, MAX_ITERS)
     return caps
 
 
@@ -43,15 +44,14 @@ def _private_capacity(g, h):
     init = ris.aligned_phases(g[None], h[None], direct=None, gains=None)[0]
     _, caps, _ = per_problem_phase_ascent(
         unit_gain_entries([1.0], g[None], h[None]), np.ones(g.shape[0]), init, POWER, NOISE,
-        MAX_ITERS, ris.ASCENT_REL_TOL, GRID)
+        MAX_ITERS, ris.ASCENT_REL_TOL, ris.ASCENT_GRID_POINTS)
     return float(caps[0])
 
 
 def _compare(g, h, weights):
     """`compare_shared_vs_ideal` on one trial of users with blocks `g`,
-    `h` at the module's power, noise, sweep cap and grid."""
-    (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, POWER, NOISE,
-                                     MAX_ITERS, GRID)
+    `h` at the module's power, noise and sweep cap."""
+    (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, POWER, NOISE, MAX_ITERS)
     return cmp
 
 
@@ -67,7 +67,7 @@ def _orthogonal_pair(n):
 # shared reflection state
 
 def test_single_user_reduces_to_optimizer():
-    g, h = _mimo_blocks(rng_from(101))
+    g, h = _mimo_blocks(np.random.default_rng(101))
     caps = _shared_caps(g, h, (1.0,))
     cmp = _compare(g, h, (1.0,))
     ref = _private_capacity(g[0], h[0])
@@ -76,7 +76,7 @@ def test_single_user_reduces_to_optimizer():
 
 
 def test_identical_channels_do_not_conflict():
-    g, h = _mimo_blocks(rng_from(103))
+    g, h = _mimo_blocks(np.random.default_rng(103))
     caps = _shared_caps(np.repeat(g, 2, axis=0), np.repeat(h, 2, axis=0), (1.0, 1.0))
     solo = _private_capacity(g[0], h[0])
     for cap in caps:
@@ -107,7 +107,7 @@ def test_orthogonal_users_strict_gap_n16():
 
 
 def test_user_set_validation():
-    g, h = _mimo_blocks(rng_from(107))
+    g, h = _mimo_blocks(np.random.default_rng(107))
     with pytest.raises(ValueError, match="zero dimension"):
         _compare(g[:0], h[:0], ())
     for weights in ((0.0,), (-1.0,), (float("nan"),), (float("inf"),), (1.0, 1.0), ()):
@@ -117,7 +117,7 @@ def test_user_set_validation():
     with pytest.raises(ValueError, match="trials, users"):
         _compare(g, h[..., :4], (1.0,))
     with pytest.raises(ValueError, match="trials, users"):
-        compare_shared_vs_ideal(g, h, (1.0,), POWER, NOISE, MAX_ITERS, GRID)
+        compare_shared_vs_ideal(g, h, (1.0,), POWER, NOISE, MAX_ITERS)
     with pytest.raises(ValueError, match="non-finite"):
         _compare(g * np.nan, h, (1.0,))
 
@@ -126,12 +126,12 @@ def test_user_set_validation():
 # shared vs ideal
 
 def test_gap_vanishes_for_one_user():
-    cmp = _compare(*_mimo_blocks(rng_from(109)), (1.0,))
+    cmp = _compare(*_mimo_blocks(np.random.default_rng(109)), (1.0,))
     assert cmp.gap_fraction <= 1e-6
 
 
 def test_gap_vanishes_for_identical_users():
-    g, h = _mimo_blocks(rng_from(113))
+    g, h = _mimo_blocks(np.random.default_rng(113))
     cmp = _compare(np.repeat(g, 2, axis=0), np.repeat(h, 2, axis=0), (1.0, 1.0))
     assert cmp.gap_fraction <= 1e-6
 
@@ -200,7 +200,7 @@ def test_compare_aligns_every_user_in_one_call(monkeypatch):
     monkeypatch.setattr(ris, "aligned_phases", counted)
     pairs = [_users(seed, 3, 6, (2, 2)) for seed in (1, 2)]
     g, h = (np.stack(b) for b in zip(*pairs))
-    compare_shared_vs_ideal(g, h, (1.0, 2.0, 1.0), POWER, NOISE, 2, 8)
+    compare_shared_vs_ideal(g, h, (1.0, 2.0, 1.0), POWER, NOISE, 2)
     assert calls == [(2, 3, 6, 2)]
 
 
@@ -239,11 +239,11 @@ def test_multiuser_invariants(seed, n, shape, weights, max_iters, grid_points, p
     problems = [(w, g, h, starts[int(np.argmax(w))])] + [
         (np.ones(1), g[i:i + 1], h[i:i + 1], starts[i]) for i in range(len(weights))
     ]
-    results = ris.phase_ascent_batch(problems, power, NOISE, max_iters, grid_points)
+    with mock.patch.object(ris, "ASCENT_GRID_POINTS", grid_points):
+        results = ris.phase_ascent_batch(problems, power, NOISE, max_iters)
+        (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, power, NOISE, max_iters)
     for _, _, trace in results:
         assert np.all(np.diff(trace) >= 0.0)
-    (cmp,) = compare_shared_vs_ideal(g[None], h[None], weights, power, NOISE,
-                                     max_iters, grid_points)
     assert cmp.shared_sum <= cmp.ideal_sum
     phases, caps, _ = results[0]
     assert cmp.shared_sum == sum(float(c) for c in caps)
